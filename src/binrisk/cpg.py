@@ -34,6 +34,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import ParseError, SchemaError, UnknownNode
 
@@ -303,26 +305,13 @@ def shortest_path_matrix(num_nodes: int, edges: Iterable[tuple[int, int]],
         raise ValueError("graph must be non-empty")
     if max_dist < 1:
         raise ValueError("max_dist must be at least 1")
-    sentinel = max_dist + 1
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v in edges:
-        adj[u].append(v)
-    out = np.full((num_nodes, num_nodes), sentinel, dtype=np.int64)
-    for start in range(num_nodes):
-        out[start, start] = 0
-        depth = 0
-        frontier = [start]
-        seen = {start}
-        # Full closure: nodes reachable beyond max_dist clamp to max_dist,
-        # only truly unreachable pairs keep the sentinel.
-        while frontier:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        out[start, v] = min(depth, max_dist)
-                        nxt.append(v)
-            frontier = nxt
-    return out
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    adj = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                     shape=(num_nodes, num_nodes))
+    hops = shortest_path(adj, directed=True, unweighted=True)
+    # Full closure: pairs reachable beyond max_dist clamp to max_dist,
+    # only truly unreachable pairs (inf) take the sentinel.
+    unreachable = np.isinf(hops)
+    np.minimum(hops, max_dist, out=hops)
+    hops[unreachable] = max_dist + 1
+    return hops.astype(np.int64)

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     DimensionMismatch,
@@ -197,6 +196,8 @@ def roc_auc(scores: Sequence[float], labels: Sequence[str]) -> float:
     n_ben = len(labels) - n_mal
     if n_mal == 0 or n_ben == 0:
         raise SingleClassInput("AUC needs both classes")
+    from scipy.stats import rankdata  # slow to import; no CLI command needs it
+
     ranks = rankdata(np.asarray(scores, dtype=np.float64), method="average")
     mal_rank_sum = float(ranks[is_mal].sum())
     return (mal_rank_sum - n_mal * (n_mal + 1) / 2.0) / (n_mal * n_ben)

@@ -10,6 +10,12 @@ attends to every entity) with two additive structure biases per head:
     entry for the relation's type, scaled by the relation weight, with
     parallel relations summed (or maxed, per config).
 
+Both biases depend only on the graph and the head, never on the layer
+or the state, so ``forward`` builds them once per pass: the hop matrix
+through a sparse shortest-path search, and each head's edge term as
+values at the distinct related pairs, which every layer adds onto its
+scores.
+
 Each layer applies multi-head attention, then a position-wise
 feed-forward expansion, with a single residual connection and a single
 layer norm wrapping both:
@@ -35,7 +41,15 @@ import numpy as np
 from scipy.special import erf
 
 from .cpg import shortest_path_matrix
-from .errors import ConfigError, CorruptFile, EmptyGraph, ShapeMismatch, VersionMismatch
+from .errors import (
+    ConfigError,
+    CorruptFile,
+    EmptyGraph,
+    ParseError,
+    SchemaError,
+    ShapeMismatch,
+    VersionMismatch,
+)
 from .ssckg import RELATION_INDEX, SsckgGraph
 
 PARAMS_FORMAT = "entity-transformer-v1"
@@ -159,6 +173,44 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
+def _edge_bias_terms(n: int, edges: Sequence[tuple[int, int, int, float]],
+                     edge_bias: np.ndarray, combine: str) -> tuple[np.ndarray, np.ndarray]:
+    """Edge-type bias of every head at the distinct related pairs.
+
+    Returns the flat indices ``i * n + j`` of the distinct pairs with at
+    least one relation i -> j (i != j), and a (heads, pairs) array with
+    each head's combined term there: the bias entry for each relation's
+    type times its weight, folded in relation order by ``combine``
+    ("sum" starting from 0.0, or "max").  ``edge_bias`` is the
+    (heads, edge_types) table, or any subset of its rows.
+    """
+    rows = np.array(edges, dtype=np.float64).reshape(-1, 4)
+    src, dst = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
+    keep = src != dst
+    flat, pair = np.unique(src[keep] * n + dst[keep], return_inverse=True)
+    # (relations, heads): one row of per-head contributions per relation
+    contrib = edge_bias[:, rows[keep, 2].astype(np.int64)].T * rows[keep, 3:4]
+    fold, start = (np.add, 0.0) if combine == "sum" else (np.maximum, -np.inf)
+    vals = np.full((len(flat), edge_bias.shape[0]), start)
+    fold.at(vals, pair, contrib)  # unbuffered, in relation order
+    return flat, np.ascontiguousarray(vals.T)
+
+
+def _attention(z: np.ndarray, dist: np.ndarray, flat: np.ndarray,
+               edge_vals: np.ndarray, params: ModelParams, layer: int,
+               head: int) -> np.ndarray:
+    """Softmax of q.k / sqrt(d) + spatial bias, plus ``edge_vals`` at ``flat``."""
+    d = params.config.head_dim
+    lp = params.layers[layer]
+    cols = slice(head * d, (head + 1) * d)
+    q = z @ lp.w_q[:, cols]
+    k = z @ lp.w_k[:, cols]
+    scores = (q @ k.T) / np.sqrt(d)
+    scores = scores + params.spatial_bias[head][dist]
+    scores.ravel()[flat] += edge_vals  # a fresh C-order array, so ravel is a view
+    return _softmax_rows(scores)
+
+
 def attention_matrix(z: np.ndarray, dist: np.ndarray,
                      edges: Sequence[tuple[int, int, int, float]],
                      params: ModelParams, layer: int, head: int) -> np.ndarray:
@@ -176,27 +228,9 @@ def attention_matrix(z: np.ndarray, dist: np.ndarray,
         raise ShapeMismatch(f"state must be (n, {cfg.hidden_dim}), got {z.shape}")
     if dist.shape != (n, n):
         raise ShapeMismatch(f"distance matrix must be {(n, n)}, got {dist.shape}")
-    d = cfg.head_dim
-    lp = params.layers[layer]
-    cols = slice(head * d, (head + 1) * d)
-    q = z @ lp.w_q[:, cols]
-    k = z @ lp.w_k[:, cols]
-    scores = (q @ k.T) / np.sqrt(d)
-    scores = scores + params.spatial_bias[head][dist]
-    if edges:
-        term = np.zeros((n, n))
-        filled = np.zeros((n, n), dtype=bool)
-        for i, j, rel_index, weight in edges:
-            if i == j:
-                continue
-            contrib = params.edge_bias[head, rel_index] * weight
-            if cfg.edge_combine == "sum":
-                term[i, j] += contrib
-            else:
-                term[i, j] = contrib if not filled[i, j] else max(term[i, j], contrib)
-                filled[i, j] = True
-        scores = scores + term
-    return _softmax_rows(scores)
+    flat, vals = _edge_bias_terms(n, edges, params.edge_bias[head:head + 1],
+                                  cfg.edge_combine)
+    return _attention(z, dist, flat, vals[0], params, layer, head)
 
 
 def _entity_order(kg: SsckgGraph) -> list[int]:
@@ -234,12 +268,14 @@ def forward(kg: SsckgGraph, params: ModelParams) -> list[NodeEmbedding]:
                                 max_dist=cfg.max_dist)
 
     z = np.stack(feats) @ params.w_input + params.tier_embed[np.array(tiers)]
+    flat, edge_vals = _edge_bias_terms(len(order), edges, params.edge_bias,
+                                       cfg.edge_combine)
     d = cfg.head_dim
     for layer in range(cfg.layers):
         lp = params.layers[layer]
         heads_out = []
         for head in range(cfg.heads):
-            attn = attention_matrix(z, dist, edges, params, layer, head)
+            attn = _attention(z, dist, flat, edge_vals[head], params, layer, head)
             cols = slice(head * d, (head + 1) * d)
             heads_out.append(attn @ (z @ lp.w_v[:, cols]))
         mixed = np.concatenate(heads_out, axis=1) @ lp.w_o
@@ -371,6 +407,21 @@ def save_embeddings(embeddings: Sequence[NodeEmbedding], path: str | Path) -> No
 
 
 def load_embeddings(path: str | Path) -> list[NodeEmbedding]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [NodeEmbedding(entity_id=int(k), vector=np.asarray(v, dtype=np.float64))
-            for k, v in sorted(doc.items(), key=lambda kv: int(kv[0]))]
+    """Read a flat ``{entity_id: [...]}`` file, in id order."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"embeddings file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"embeddings file {path}: top-level document must be an object")
+    out = []
+    try:
+        for k, v in sorted(doc.items(), key=lambda kv: int(kv[0])):
+            vector = np.asarray(v, dtype=np.float64)
+            if vector.ndim != 1:
+                raise SchemaError(f"embeddings file {path}: entity {k} vector "
+                                  "must be a flat list of numbers")
+            out.append(NodeEmbedding(entity_id=int(k), vector=vector))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"embeddings file {path}: {exc}") from None
+    return out

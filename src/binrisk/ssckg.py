@@ -31,7 +31,7 @@ import numpy as np
 
 from .cpg import CpgGraph, EdgeKind
 from .embedding import EmbeddingVector, cosine, stack
-from .errors import SchemaError, ZeroVector
+from .errors import ParseError, SchemaError, ZeroVector
 from .lattice import TOP, Label, join, leq
 from .lifting import Annotation, VerifiedCorpus
 
@@ -505,7 +505,21 @@ def save_ssckg(kg: SsckgGraph, path: str | Path) -> None:
 
 
 def load_ssckg(path: str | Path) -> SsckgGraph:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"KG file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"KG file {path}: top-level document must be an object")
+    try:
+        return _ssckg_from_doc(doc)
+    except KeyError as exc:
+        raise SchemaError(f"KG file {path}: an entry is missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(f"KG file {path}: {exc}") from None
+
+
+def _ssckg_from_doc(doc: Mapping) -> SsckgGraph:
     entities = []
     for raw in doc.get("entities", ()):
         emb = raw.get("embedding")

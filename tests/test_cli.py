@@ -293,3 +293,46 @@ def test_report_rejects_bad_worker_count(capsys, fixtures_dir, tmp_path):
                        "--outdir", str(tmp_path), "--workers", "0")
     assert code == EXIT_ERROR
     assert "workers" in err
+
+
+def one_error_line(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+def truncated(text):
+    return text[:len(text) // 2]
+
+
+def without_entity_name(text):
+    doc = json.loads(text)
+    del doc["entities"][0]["name"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("damage", [truncated, without_entity_name])
+def test_forward_bad_kg_gives_one_error_line(capsys, fixtures_dir, toy_run, tmp_path,
+                                             damage):
+    text = (toy_run / "toy_modbus.kg.json").read_text(encoding="utf-8")
+    kg = tmp_path / "kg.json"
+    kg.write_text(damage(text), encoding="utf-8")
+    code, _, err = run(capsys, "forward",
+                       "--config", str(fixtures_dir / "config_toy.json"),
+                       "--kg", str(kg), "--out", str(tmp_path / "emb.json"))
+    assert code == EXIT_ERROR
+    assert one_error_line(err)
+    assert str(kg) in err
+
+
+@pytest.mark.parametrize("content", ['{"3": [0.1, 0.2', '{"3": "x"}'],
+                         ids=["truncated", "string_vector"])
+def test_match_bad_embeddings_gives_one_error_line(capsys, fixtures_dir, tmp_path,
+                                                   content):
+    emb = tmp_path / "emb.json"
+    emb.write_text(content, encoding="utf-8")
+    code, _, err = run(capsys, "match", "--kg-embeddings", str(emb),
+                       "--repo", str(fixtures_dir / "fingerprints"),
+                       "--out", str(tmp_path / "alerts.json"))
+    assert code == EXIT_ERROR
+    assert one_error_line(err)
+    assert str(emb) in err

@@ -204,6 +204,25 @@ def test_distance_matrix_matches_floyd_warshall_fuzz():
         assert np.array_equal(got, want)
 
 
+def test_distance_matrix_matches_floyd_warshall_larger_multigraphs():
+    # up to 80 nodes, edges drawn with replacement (duplicates) and with
+    # self-loops allowed; some graphs have no edges at all
+    rng = np.random.default_rng(2024)
+    for trial in range(30):
+        n = int(rng.integers(1, 81))
+        if trial % 6 == 0:
+            edges = []
+        else:
+            drawn = rng.integers(0, n, size=(int(rng.integers(1, 3 * n + 1)), 2))
+            edges = [(int(a), int(b)) for a, b in drawn]
+            edges += edges[:len(edges) // 4]  # duplicates
+            edges += [(v, v) for v in rng.integers(0, n, size=3).tolist()]
+        max_dist = int(rng.integers(1, 12))
+        got = shortest_path_matrix(n, edges, max_dist=max_dist)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, floyd_warshall(n, edges, max_dist))
+
+
 def test_distance_matrix_rejects_empty_and_bad_budget():
     with pytest.raises(ValueError):
         shortest_path_matrix(0, [])

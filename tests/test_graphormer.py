@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from binrisk.cpg import shortest_path_matrix
 from binrisk.embedding import EmbeddingVector
 from binrisk.errors import (
     ConfigError,
@@ -16,6 +17,8 @@ from binrisk.errors import (
     VersionMismatch,
 )
 from binrisk.graphormer import (
+    _gelu,
+    _layer_norm,
     ModelConfig,
     ModelParams,
     NodeEmbedding,
@@ -290,6 +293,68 @@ def test_forward_matches_oracle_on_random_graphs():
         got = np.stack([e.vector for e in forward(kg, params)])
         want = forward_oracle(kg, params)
         assert np.max(np.abs(got - want)) < 1e-9
+
+
+def multigraph_kg(rng, n, dim):
+    """Random KG with parallel, duplicated and self relations."""
+    base = random_kg(rng, n, dim)
+    rels = list(base.relations)
+    rels += rels[:len(rels) // 3]
+    types = [t for t in RelationType if t is not RelationType.VULNERABLE_TO]
+    for v in rng.integers(0, n, size=2).tolist():
+        rels.append(Relation(v, types[int(rng.integers(len(types)))], v,
+                             float(rng.uniform(0.1, 1.0))))
+    order = rng.permutation(len(rels))
+    return SsckgGraph(list(base.entities), [rels[int(k)] for k in order])
+
+
+def per_head_reference(kg, params):
+    """forward's layer algebra around one attention_matrix call per head."""
+    cfg = params.config
+    ents = list(kg.entities)
+    edges = relation_edges(kg)
+    dist = shortest_path_matrix(len(ents), [(i, j) for i, j, _, _ in edges],
+                                max_dist=cfg.max_dist)
+    z = (np.stack([e.embedding.values for e in ents]) @ params.w_input
+         + params.tier_embed[np.array([e.label.tier for e in ents])])
+    d = cfg.head_dim
+    for layer, lp in enumerate(params.layers):
+        heads = [attention_matrix(z, dist, edges, params, layer, h)
+                 @ (z @ lp.w_v[:, h * d:(h + 1) * d]) for h in range(cfg.heads)]
+        mixed = np.concatenate(heads, axis=1) @ lp.w_o
+        expanded = _gelu(mixed @ lp.ffn_w1 + lp.ffn_b1) @ lp.ffn_w2 + lp.ffn_b2
+        z = _layer_norm(z + expanded, lp.ln_gain, lp.ln_offset)
+    return z
+
+
+@pytest.mark.parametrize("combine", ["sum", "max"])
+def test_forward_is_bit_identical_to_per_head_attention(combine):
+    rng = np.random.default_rng(53)
+    cfg = ModelConfig(layers=2, heads=4, hidden_dim=16, max_dist=3,
+                      edge_types=8, input_dim=5, seed=8, edge_combine=combine)
+    params = init_params(cfg)
+    for _ in range(10):
+        kg = multigraph_kg(rng, int(rng.integers(1, 25)), cfg.input_dim)
+        got = np.stack([e.vector for e in forward(kg, params)])
+        assert np.array_equal(got, per_head_reference(kg, params))
+
+
+@pytest.mark.parametrize("combine", ["sum", "max"])
+def test_attention_matches_oracle_with_self_and_duplicate_relations(combine):
+    rng = np.random.default_rng(59)
+    cfg = ModelConfig(layers=1, heads=2, hidden_dim=8, max_dist=4,
+                      edge_types=8, input_dim=4, seed=5, edge_combine=combine)
+    params = init_params(cfg)
+    for _ in range(6):
+        n = int(rng.integers(1, 7))
+        kg = multigraph_kg(rng, n, cfg.input_dim)
+        edges = relation_edges(kg)
+        dist = hop_oracle(n, [(i, j) for i, j, _, _ in edges], cfg.max_dist)
+        z = rng.standard_normal((n, cfg.hidden_dim))
+        for head in range(cfg.heads):
+            got = attention_matrix(z, dist, edges, params, 0, head)
+            want = attention_oracle(z, dist, edges, params, 0, head)
+            assert np.max(np.abs(got - want)) < 1e-10
 
 
 def permuted_copy(kg, perm):
