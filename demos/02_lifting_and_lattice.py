@@ -26,7 +26,8 @@ from binrisk import (
     join,
     leq,
     load_cpg,
-    rule_annotator,
+    load_rules,
+    RuleAnnotator,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -63,7 +64,7 @@ def main():
     show_order(lat)
 
     g = load_cpg(FIXTURES / "toy_modbus.cpg.json")
-    honest = rule_annotator(FIXTURES / "rules.json", lat)
+    honest = RuleAnnotator(load_rules(FIXTURES / "rules.json"), lat)
 
     corpus = build_corpus(g, g.function_ids, honest)
     print(f"\nhonest annotator: {len(corpus.accepted)} accepted, "

@@ -21,7 +21,8 @@ from binrisk import (
     construction_stats,
     extract_relations,
     load_cpg,
-    rule_annotator,
+    load_rules,
+    RuleAnnotator,
     semantic_clustering,
     structural_collapse,
     SsckgGraph,
@@ -37,7 +38,7 @@ def main():
     lat = Lattice.from_file(FIXTURES / "lattice.json")
     provider = HashEmbedder(dimension=384, seed=42)
 
-    corpus = build_corpus(g, g.function_ids, rule_annotator(FIXTURES / "rules.json", lat))
+    corpus = build_corpus(g, g.function_ids, RuleAnnotator(load_rules(FIXTURES / "rules.json"), lat))
     print(f"'{g.binary_id}': {len(g.nodes)} nodes, "
           f"{len(corpus.accepted)} lifted functions")
 

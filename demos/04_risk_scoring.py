@@ -24,7 +24,8 @@ from binrisk import (
     inherent_risk,
     load_cpg,
     propagate,
-    rule_annotator,
+    load_rules,
+    RuleAnnotator,
     structural_collapse,
 )
 from binrisk.ssckg import embed_entities, load_cves
@@ -36,7 +37,7 @@ def build_kg():
     g = load_cpg(FIXTURES / "toy_modbus.cpg.json")
     lat = Lattice.from_file(FIXTURES / "lattice.json")
     provider = HashEmbedder(dimension=384, seed=42)
-    corpus = build_corpus(g, g.function_ids, rule_annotator(FIXTURES / "rules.json", lat))
+    corpus = build_corpus(g, g.function_ids, RuleAnnotator(load_rules(FIXTURES / "rules.json"), lat))
     entities = embed_entities(structural_collapse(g, Granularity.FUNCTION, corpus),
                               provider)
     cves = load_cves(FIXTURES / "cves.json", provider)

@@ -28,7 +28,8 @@ from binrisk import (
     load_repository,
     match_and_alert,
     roc_auc,
-    rule_annotator,
+    load_rules,
+    RuleAnnotator,
     select_threshold,
     semantic_clustering,
     structural_collapse,
@@ -43,7 +44,7 @@ def embeddings_for(cpg_name):
     g = load_cpg(FIXTURES / cpg_name)
     lat = Lattice.from_file(FIXTURES / "lattice.json")
     provider = HashEmbedder(dimension=384, seed=42)
-    corpus = build_corpus(g, g.function_ids, rule_annotator(FIXTURES / "rules.json", lat))
+    corpus = build_corpus(g, g.function_ids, RuleAnnotator(load_rules(FIXTURES / "rules.json"), lat))
     entities = embed_entities(structural_collapse(g, Granularity.FUNCTION, corpus),
                               provider)
     if any(e.external for e in entities):

@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from binrisk.config import PipelineConfig
-from binrisk.fingerprint import Fingerprint, load_repository, match_and_alert, save_fingerprint
+from binrisk.fingerprint import Fingerprint, dumps_fingerprint, load_repository, match_and_alert
 from binrisk.graphormer import NodeEmbedding, load_embeddings
-from binrisk.pipeline import run_one, stage_build_kg, stage_ingest, stage_lift
+from binrisk.pipeline import run_one, stage_build_kg, stage_ingest, stage_lift, write_atomic
 from binrisk.ssckg import load_ssckg
 
 HERE = Path(__file__).resolve().parent
@@ -138,8 +138,8 @@ def main() -> None:
                             provenance="synthetic fixture: seeded random directions")
         repo_dir = HERE / "fingerprints"
         repo_dir.mkdir(exist_ok=True)
-        save_fingerprint(planted, repo_dir / "planted_apt.json")
-        save_fingerprint(decoy, repo_dir / "decoy_apt.json")
+        write_atomic(repo_dir / "planted_apt.json", dumps_fingerprint(planted))
+        write_atomic(repo_dir / "decoy_apt.json", dumps_fingerprint(decoy))
 
         repo = load_repository(repo_dir)
         matches = match_and_alert(embeddings, repo, TAU)

@@ -19,9 +19,9 @@ from .cpg import (
     EdgeKind,
     NodeKind,
     VerifyResult,
+    dumps_cpg,
     load_cpg,
     loads_cpg,
-    save_cpg,
     verify_claims,
 )
 from .embedding import EmbeddingVector, HashEmbedder, cosine
@@ -52,11 +52,11 @@ from .fingerprint import (
     Fingerprint,
     MatchResult,
     ThresholdReport,
+    dumps_fingerprint,
     load_fingerprint,
     load_repository,
     match_and_alert,
     roc_auc,
-    save_fingerprint,
     select_threshold,
     similarity,
 )
@@ -82,12 +82,14 @@ from .lattice import (
 )
 from .lifting import (
     Annotation,
+    CommandAnnotator,
+    ReplayAnnotator,
+    RuleAnnotator,
     VerifiedCorpus,
     build_corpus,
+    dumps_corpus,
     load_corpus,
-    replay_annotator,
-    rule_annotator,
-    save_corpus,
+    load_rules,
 )
 from .metrics import (
     ClassificationMetrics,
@@ -95,7 +97,7 @@ from .metrics import (
     classification_metrics,
     cohen_kappa,
 )
-from .pipeline import RiskReport, run_pipeline
+from .pipeline import RiskReport, run_pipeline, write_atomic
 from .risk import PropagationConfig, RiskVector, inherent_risk, propagate
 from .ssckg import (
     CveRecord,
@@ -106,9 +108,9 @@ from .ssckg import (
     SsckgGraph,
     construction_stats,
     dbscan,
+    dumps_ssckg,
     extract_relations,
     load_ssckg,
-    save_ssckg,
     semantic_clustering,
     structural_collapse,
 )

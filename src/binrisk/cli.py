@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .config import PipelineConfig
-from .errors import BinriskError, ConfigError
-from .fingerprint import Fingerprint, save_fingerprint
+from .errors import BinriskError, ConfigError, read_json
+from .fingerprint import Fingerprint, dumps_fingerprint
 from .graphormer import NodeEmbedding, load_embeddings
 from .metrics import ConfusionCounts, classification_metrics
 from .pipeline import (
@@ -88,7 +87,7 @@ def _cmd_build_ssckg(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 def _cmd_embed(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     provider = build_provider(cfg)
-    doc = json.loads(Path(args.texts).read_text(encoding="utf-8"))
+    doc = read_json(args.texts, "texts file")
     if not isinstance(doc, dict):
         raise ConfigError("--texts must be a JSON object of name -> text")
     out = {key: provider.embed(str(text)).values.tolist()
@@ -135,7 +134,7 @@ def _cmd_fingerprint_extract(cfg: PipelineConfig, args: argparse.Namespace) -> i
         NodeEmbedding(entity_id=i, vector=by_id[i].vector) for i in wanted)
     fp = Fingerprint(name=args.name, node_embeddings=nodes,
                      provenance=args.provenance or "")
-    save_fingerprint(fp, args.out)
+    write_atomic(args.out, dumps_fingerprint(fp))
     _emit({"name": fp.name, "nodes": len(fp.node_embeddings)})
     return EXIT_OK
 
@@ -156,10 +155,7 @@ def _cmd_threshold(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_report(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    if args.workers is not None and args.workers < 1:
-        raise ConfigError("--workers must be at least 1")
-    reports = run_pipeline(cfg, args.cpg, args.outdir,
-                           workers=args.workers or 1)
+    reports = run_pipeline(cfg, args.cpg, args.outdir, workers=args.workers)
     summary = [{"binary_id": r.binary_id, "alerts": list(r.alerts)}
                for r in reports]
     _emit(summary)
@@ -282,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--cpg", required=True, nargs="+")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--workers", type=int, help="parallel binaries (default 1)")
+    p.add_argument("--workers", type=int, default=1, help="parallel binaries (default 1)")
     p.set_defaults(handler=_cmd_report)
 
     p = subs.add_parser("export-dot", help="render a knowledge graph to DOT")

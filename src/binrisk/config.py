@@ -3,16 +3,32 @@
 Every knob the pipeline stages expose lives here so a single config
 file drives both the chained subcommands and the one-shot run.  Paths
 in a config file are resolved relative to the file's own directory.
-Unknown keys are rejected rather than silently ignored.
+Unknown keys and values of the wrong type are rejected rather than
+silently ignored.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
+
+_SCALARS = {"int": int, "float": (int, float), "str": str}
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether value matches a field annotation such as 'dict[str, float]'."""
+    if annotation.endswith(" | None"):
+        return value is None or _has_type(value, annotation[:-len(" | None")])
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(
+            _has_type(v, annotation[5:-1]) for v in value)
+    if annotation.startswith("dict[str, "):
+        return isinstance(value, dict) and all(
+            isinstance(k, str) and _has_type(v, annotation[10:-1])
+            for k, v in value.items())
+    return not isinstance(value, bool) and isinstance(value, _SCALARS[annotation])
 
 
 @dataclass
@@ -72,6 +88,10 @@ class PipelineConfig:
     risk_bands: dict[str, float] = field(default_factory=lambda: {"high": 0.7, "medium": 0.4})
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ConfigError(f"config field '{f.name}' must be {f.type}, got {value!r}")
         if self.annotator_type not in ("rules", "replay", "cmd"):
             raise ConfigError(f"unknown annotator type '{self.annotator_type}'")
         if self.embedding_type not in ("hash", "file"):
@@ -90,7 +110,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         path = Path(path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = read_json(path, "config file")
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
         cfg = cls.from_dict(doc)

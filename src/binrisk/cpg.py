@@ -20,8 +20,11 @@ Well-known attrs keys (all values are strings):
     function_name  human-readable routine name, usually on entry nodes
     external       "true" when the routine is externally linked or cross-module
 
-Graphs are immutable after construction; adjacency indexes are built
-lazily and cached, which is safe because nothing mutates the graph.
+Graphs are immutable after construction and hold their nodes in id
+order and their edges in (src, dst, kind, label) order, the canonical
+order ``dumps_cpg`` writes, so a graph read from any file traverses like
+its canonical copy.  Adjacency indexes are built lazily and cached,
+which is safe because nothing mutates the graph.
 """
 
 from __future__ import annotations
@@ -104,8 +107,9 @@ class CpgGraph:
             if e.dst not in by_id:
                 raise SchemaError(f"edge {i} references missing node {e.dst}")
         self.binary_id = binary_id
-        self.nodes: tuple[CpgNode, ...] = tuple(nodes)
-        self.edges: tuple[CpgEdge, ...] = tuple(edges)
+        self.nodes: tuple[CpgNode, ...] = tuple(sorted(nodes, key=lambda n: n.id))
+        self.edges: tuple[CpgEdge, ...] = tuple(
+            sorted(edges, key=lambda e: (e.src, e.dst, e.kind.value, e.label)))
         self._by_id = by_id
         self._pdg_adj: dict[int, list[int]] | None = None
         self._by_function: dict[int, list[CpgNode]] | None = None
@@ -242,18 +246,14 @@ def dumps_cpg(g: CpgGraph) -> str:
                 "block_id": n.block_id,
                 "attrs": dict(sorted(n.attrs.items())),
             }
-            for n in sorted(g.nodes, key=lambda n: n.id)
+            for n in g.nodes
         ],
         "edges": [
             {"src": e.src, "dst": e.dst, "kind": e.kind.value, "label": e.label}
-            for e in sorted(g.edges, key=lambda e: (e.src, e.dst, e.kind.value, e.label))
+            for e in g.edges
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def save_cpg(g: CpgGraph, path: str | Path) -> None:
-    Path(path).write_text(dumps_cpg(g), encoding="utf-8")
 
 
 def _reachable(adj: Mapping[int, list[int]], source: int, sink: int) -> bool:

@@ -14,14 +14,13 @@ the Euclidean norm cached at construction.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingEmbedding, ZeroVector
+from .errors import DimensionMismatch, MissingEmbedding, SchemaError, ZeroVector, read_json
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -112,13 +111,16 @@ class FileEmbeddings:
     """Exact-match lookup over a JSON map {key: [floats, ...]}."""
 
     def __init__(self, path: str | Path):
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = read_json(path, "embedding file")
         if not isinstance(doc, dict) or not doc:
             raise MissingEmbedding(f"embedding file {path} is empty or not a map")
         self._table: dict[str, EmbeddingVector] = {}
         dim: int | None = None
         for key, values in doc.items():
-            vec = EmbeddingVector(values)
+            try:
+                vec = EmbeddingVector(values)
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"embedding file {path}: key '{key}': {exc}") from None
             if dim is None:
                 dim = vec.dimension
             elif vec.dimension != dim:
@@ -135,14 +137,6 @@ class FileEmbeddings:
             return self._table[text]
         except KeyError:
             raise MissingEmbedding(f"no embedding stored for key '{text}'") from None
-
-
-def hash_embedder(dimension: int = 384, seed: int = 0) -> HashEmbedder:
-    return HashEmbedder(dimension=dimension, seed=seed)
-
-
-def file_provider(path: str | Path) -> FileEmbeddings:
-    return FileEmbeddings(path)
 
 
 def stack(vectors: Sequence[EmbeddingVector]) -> np.ndarray:

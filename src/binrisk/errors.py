@@ -1,8 +1,11 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the JSON file reader.
 
 Everything raised on purpose derives from BinriskError so callers can
 catch one base class at the CLI boundary.
 """
+
+import json
+from pathlib import Path
 
 
 class BinriskError(Exception):
@@ -102,3 +105,11 @@ class SingleClassInput(BinriskError):
 
 class LengthMismatch(BinriskError):
     """Parallel sequences have different lengths."""
+
+
+def read_json(path: str | Path, what: str):
+    """Parse a JSON input file; malformed text raises ParseError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from None

@@ -29,6 +29,7 @@ from .errors import (
     LengthMismatch,
     SchemaError,
     SingleClassInput,
+    read_json,
 )
 from .graphormer import NodeEmbedding
 
@@ -205,7 +206,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[str]) -> float:
 
 # --- serialization ------------------------------------------------------------
 
-def fingerprint_to_dict(fp: Fingerprint) -> dict:
+def dumps_fingerprint(fp: Fingerprint) -> str:
     doc = {
         "name": fp.name,
         "provenance": fp.provenance,
@@ -214,26 +215,27 @@ def fingerprint_to_dict(fp: Fingerprint) -> dict:
     ids = [e.entity_id for e in fp.node_embeddings]
     if ids != list(range(len(ids))):
         doc["entity_ids"] = ids
-    return doc
-
-
-def save_fingerprint(fp: Fingerprint, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(fingerprint_to_dict(fp), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def load_fingerprint(path: str | Path) -> Fingerprint:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path, "fingerprint file")
+    if not isinstance(doc, dict):
+        raise SchemaError(f"fingerprint file {path}: top-level document must be an object")
     for key in ("name", "embeddings"):
         if key not in doc:
             raise SchemaError(f"fingerprint file {path} is missing '{key}'")
-    vectors = [np.asarray(v, dtype=np.float64) for v in doc["embeddings"]]
-    ids = doc.get("entity_ids", list(range(len(vectors))))
+    try:
+        vectors = [np.asarray(v, dtype=np.float64) for v in doc["embeddings"]]
+        ids = [int(i) for i in doc.get("entity_ids", range(len(vectors)))]
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"fingerprint file {path}: {exc}") from None
+    if any(v.ndim != 1 for v in vectors):
+        raise SchemaError(f"fingerprint file {path}: every embedding must be "
+                          "a flat list of numbers")
     if len(ids) != len(vectors):
         raise SchemaError(f"fingerprint file {path}: entity_ids length mismatch")
-    nodes = tuple(NodeEmbedding(entity_id=int(i), vector=v)
-                  for i, v in zip(ids, vectors))
+    nodes = tuple(NodeEmbedding(entity_id=i, vector=v) for i, v in zip(ids, vectors))
     return Fingerprint(name=str(doc["name"]), node_embeddings=nodes,
                        provenance=str(doc.get("provenance", "")))
 

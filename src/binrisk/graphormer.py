@@ -45,10 +45,10 @@ from .errors import (
     ConfigError,
     CorruptFile,
     EmptyGraph,
-    ParseError,
     SchemaError,
     ShapeMismatch,
     VersionMismatch,
+    read_json,
 )
 from .ssckg import RELATION_INDEX, SsckgGraph
 
@@ -402,16 +402,9 @@ def dumps_embeddings(embeddings: Sequence[NodeEmbedding]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def save_embeddings(embeddings: Sequence[NodeEmbedding], path: str | Path) -> None:
-    Path(path).write_text(dumps_embeddings(embeddings), encoding="utf-8")
-
-
 def load_embeddings(path: str | Path) -> list[NodeEmbedding]:
     """Read a flat ``{entity_id: [...]}`` file, in id order."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ParseError(f"embeddings file {path} is not valid JSON: {exc}") from None
+    doc = read_json(path, "embeddings file")
     if not isinstance(doc, dict):
         raise SchemaError(f"embeddings file {path}: top-level document must be an object")
     out = []

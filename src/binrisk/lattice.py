@@ -20,13 +20,12 @@ module-level helpers for callers that already hold valid labels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptyGoldenSet, SchemaError, UnknownLabel
+from .errors import EmptyGoldenSet, SchemaError, UnknownLabel, read_json
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,7 +136,7 @@ class Lattice:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Lattice":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = read_json(path, "lattice file")
         if not isinstance(doc, dict):
             raise SchemaError("lattice file must be an object of categories")
         return cls(doc)
@@ -200,7 +199,7 @@ def evr(records: Sequence[GoldenRecord], mode: EvrMode = EvrMode.LATTICE_COVER) 
 
 def load_golden_set(path: str | Path, lattice: Lattice) -> list[GoldenRecord]:
     """Read a JSON list of {function_id, truth, predicted} records."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path, "golden set file")
     if not isinstance(doc, list):
         raise SchemaError("golden set file must be a JSON list")
     out = []

@@ -11,9 +11,10 @@ skipped, separately from rejections.
 
 Three annotators ship here:
 
-  * rule_annotator    ordered opcode/callee pattern table -> label
-  * replay_annotator  reads previously recorded annotations from a file
-  * command_annotator speaks JSON-over-stdin/stdout to an external tool
+  * RuleAnnotator     ordered opcode/callee pattern table -> label
+                      (``load_rules`` reads the table from a file)
+  * ReplayAnnotator   reads previously recorded annotations from a file
+  * CommandAnnotator  speaks JSON-over-stdin/stdout to an external tool
 
 Accepted corpora serialize to JSON lines, one annotation per line,
 followed by a trailer line with the gate counters.
@@ -36,6 +37,7 @@ from .errors import (
     SchemaError,
     UnknownFunction,
     UnknownNode,
+    read_json,
 )
 from .lattice import TOP, Label, Lattice
 
@@ -129,12 +131,12 @@ def build_corpus(g: CpgGraph, functions: Sequence[int],
 
 def load_rules(path: str | Path) -> list[tuple[str, str]]:
     """Read an ordered JSON rule table [{pattern, label}, ...]."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path, "rule file")
     if not isinstance(doc, list):
         raise InvalidRule("rule file must be a JSON list")
     out = []
     for i, raw in enumerate(doc):
-        if "pattern" not in raw or "label" not in raw:
+        if not isinstance(raw, dict) or "pattern" not in raw or "label" not in raw:
             raise InvalidRule(f"rule {i} needs 'pattern' and 'label'")
         out.append((str(raw["pattern"]), str(raw["label"])))
     return out
@@ -202,7 +204,7 @@ class ReplayAnnotator:
     """Replays a recorded {function_id: annotation} JSON file."""
 
     def __init__(self, path: str | Path, lattice: Lattice):
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = read_json(path, "replay file")
         if not isinstance(doc, dict):
             raise SchemaError("replay file must be a JSON object keyed by function id")
         self._table: dict[str, Annotation] = {}
@@ -287,21 +289,6 @@ def _annotation_from_dict(function_id: str, raw: Mapping, lattice: Lattice) -> A
     )
 
 
-def rule_annotator(rules: Sequence[tuple[str, str]] | str | Path,
-                   lattice: Lattice) -> RuleAnnotator:
-    if isinstance(rules, (str, Path)):
-        rules = load_rules(rules)
-    return RuleAnnotator(rules, lattice)
-
-
-def replay_annotator(path: str | Path, lattice: Lattice) -> ReplayAnnotator:
-    return ReplayAnnotator(path, lattice)
-
-
-def command_annotator(argv: Sequence[str], lattice: Lattice) -> CommandAnnotator:
-    return CommandAnnotator(argv, lattice)
-
-
 # --- corpus serialization -----------------------------------------------------
 
 def dumps_corpus(corpus: VerifiedCorpus) -> str:
@@ -323,10 +310,6 @@ def dumps_corpus(corpus: VerifiedCorpus) -> str:
         }
     }, sort_keys=True, separators=(",", ":")))
     return "\n".join(lines) + "\n"
-
-
-def save_corpus(corpus: VerifiedCorpus, path: str | Path) -> None:
-    Path(path).write_text(dumps_corpus(corpus), encoding="utf-8")
 
 
 def load_corpus(path: str | Path, lattice: Lattice) -> VerifiedCorpus:

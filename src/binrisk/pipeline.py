@@ -1,11 +1,16 @@
-"""File-level pipeline stages and the end-to-end runner.
+"""Pipeline stages and the end-to-end runner.
 
-Each stage consumes and produces only the documented module formats,
-so a full run is literally the chain of the individual subcommands:
-running them by hand against the same config produces byte-identical
-intermediate files.  All writes are atomic (temp file + rename) and
-all serialization is canonical (sorted keys, no timestamps), so a
-repeated run over the same inputs reproduces every byte.
+Each stage is a core over in-memory objects (``lift``, ``build_kg``,
+``transform``, ``score``, ``match``, ``render_dot``) plus a ``stage_*``
+wrapper that loads the stage's input files, runs the core and writes
+its output, which is what each CLI subcommand calls.  ``report``
+(``run_one``) parses the CPG once and chains the cores in memory; files
+are its outputs, not the transport between its stages.  It writes every
+intermediate through the same serializer the wrapper uses, so running
+the subcommands by hand against the same config writes the same bytes.
+``write_atomic`` (temp file + rename) is the one write path, and all
+serialization is canonical (sorted keys, no timestamps), so a repeated
+run over the same inputs reproduces every byte.
 """
 
 from __future__ import annotations
@@ -21,15 +26,9 @@ from typing import Mapping, Sequence
 from . import __version__
 from .config import PipelineConfig
 from .cpg import CpgGraph, dumps_cpg, load_cpg
-from .embedding import file_provider, hash_embedder
-from .errors import ConfigError
-from .fingerprint import (
-    MatchResult,
-    ThresholdReport,
-    load_repository,
-    match_and_alert,
-    select_threshold,
-)
+from .embedding import FileEmbeddings, HashEmbedder
+from .errors import ConfigError, SchemaError, read_json
+from .fingerprint import load_repository, match_and_alert, select_threshold
 from .graphormer import (
     ModelConfig,
     NodeEmbedding,
@@ -41,15 +40,16 @@ from .graphormer import (
 )
 from .lattice import Lattice
 from .lifting import (
+    CommandAnnotator,
+    ReplayAnnotator,
+    RuleAnnotator,
     VerifiedCorpus,
     build_corpus,
-    command_annotator,
     dumps_corpus,
     load_corpus,
-    replay_annotator,
-    rule_annotator,
+    load_rules,
 )
-from .risk import PropagationConfig, RiskVector, inherent_risk, propagate
+from .risk import PropagationConfig, inherent_risk, propagate
 from .ssckg import (
     Granularity,
     RelationConfig,
@@ -97,22 +97,20 @@ def build_provider(cfg: PipelineConfig):
     if cfg.embedding_type == "file":
         if not cfg.embedding_path:
             raise ConfigError("embedding_type 'file' needs embedding_path")
-        return file_provider(cfg.embedding_path)
-    return hash_embedder(dimension=cfg.embedding_dimension, seed=cfg.seed)
+        return FileEmbeddings(cfg.embedding_path)
+    return HashEmbedder(dimension=cfg.embedding_dimension, seed=cfg.seed)
 
 
 def build_annotator(cfg: PipelineConfig, lattice: Lattice):
     if cfg.annotator_type == "rules":
-        if cfg.rules_path:
-            return rule_annotator(cfg.rules_path, lattice)
-        return rule_annotator([], lattice)
+        return RuleAnnotator(load_rules(cfg.rules_path) if cfg.rules_path else [], lattice)
     if cfg.annotator_type == "replay":
         if not cfg.replay_path:
             raise ConfigError("annotator 'replay' needs replay_path")
-        return replay_annotator(cfg.replay_path, lattice)
+        return ReplayAnnotator(cfg.replay_path, lattice)
     if not cfg.annotator_cmd:
         raise ConfigError("annotator 'cmd' needs annotator_cmd")
-    return command_annotator(cfg.annotator_cmd, lattice)
+    return CommandAnnotator(cfg.annotator_cmd, lattice)
 
 
 def build_relation_config(cfg: PipelineConfig) -> RelationConfig:
@@ -137,48 +135,18 @@ def build_relation_config(cfg: PipelineConfig) -> RelationConfig:
     return rel_cfg
 
 
-def build_model_config(cfg: PipelineConfig, input_dim: int) -> ModelConfig:
-    return ModelConfig(
-        layers=cfg.model_layers, heads=cfg.model_heads,
-        hidden_dim=cfg.model_hidden_dim, max_dist=cfg.model_max_dist,
-        input_dim=input_dim, seed=cfg.seed)
+# --- stage cores -----------------------------------------------------------------
 
-
-def build_params(cfg: PipelineConfig, model_cfg: ModelConfig):
-    if cfg.params_path:
-        return load_params(cfg.params_path, expected=model_cfg)
-    return init_params(model_cfg)
-
-
-# --- stages ---------------------------------------------------------------------
-
-def stage_ingest(cpg_path: str | Path, out_path: str | Path) -> CpgGraph:
-    """Validate a graph file and write its canonical form."""
-    g = load_cpg(cpg_path)
-    write_atomic(out_path, dumps_cpg(g))
-    return g
-
-
-def stage_lift(cpg_path: str | Path, cfg: PipelineConfig,
-               out_path: str | Path) -> VerifiedCorpus:
+def lift(g: CpgGraph, cfg: PipelineConfig) -> VerifiedCorpus:
     """Annotate every function and keep the verifier-approved corpus."""
-    g = load_cpg(cpg_path)
-    lattice = build_lattice(cfg)
-    annotator = build_annotator(cfg, lattice)
-    corpus = build_corpus(g, g.function_ids, annotator)
-    write_atomic(out_path, dumps_corpus(corpus))
-    return corpus
+    annotator = build_annotator(cfg, build_lattice(cfg))
+    return build_corpus(g, g.function_ids, annotator)
 
 
-def stage_build_kg(cpg_path: str | Path, corpus_path: str | Path,
-                   cfg: PipelineConfig, out_path: str | Path) -> SsckgGraph:
+def build_kg(g: CpgGraph, corpus: VerifiedCorpus, cfg: PipelineConfig) -> SsckgGraph:
     """Collapse the graph to entities, cluster, and extract relations."""
-    g = load_cpg(cpg_path)
-    lattice = build_lattice(cfg)
     provider = build_provider(cfg)
-    corpus = load_corpus(corpus_path, lattice)
-    granularity = Granularity(cfg.granularity)
-    entities = structural_collapse(g, granularity, corpus)
+    entities = structural_collapse(g, Granularity(cfg.granularity), corpus)
     entities = embed_entities(entities, provider)
     eligible = sum(1 for e in entities if e.external)
     clustering = None
@@ -190,45 +158,44 @@ def stage_build_kg(cpg_path: str | Path, corpus_path: str | Path,
         clusters = len({e.cluster_id for e in entities
                         if e.cluster_id is not None and e.cluster_id >= 0})
         clustering = {"points": eligible, "noise": noise, "clusters": clusters}
-    cves = []
-    if cfg.cves_path:
-        cves = load_cves(cfg.cves_path, provider)
+    cves = load_cves(cfg.cves_path, provider) if cfg.cves_path else []
     relations = extract_relations(
         g, entities, cves, cve_match_threshold=cfg.cve_match_threshold,
         config=build_relation_config(cfg))
-    kg = SsckgGraph(entities, relations, source_binary=g.binary_id,
-                    clustering=clustering)
-    write_atomic(out_path, dumps_ssckg(kg))
-    return kg
+    return SsckgGraph(entities, relations, source_binary=g.binary_id,
+                      clustering=clustering)
 
 
-def stage_forward(kg_path: str | Path, cfg: PipelineConfig,
-                  out_path: str | Path) -> list[NodeEmbedding]:
-    """Run the transformer and write one vector per entity."""
-    kg = load_ssckg(kg_path)
+def transform(kg: SsckgGraph, cfg: PipelineConfig) -> list[NodeEmbedding]:
+    """Run the graph transformer: one vector per entity."""
     dims = {e.embedding.dimension for e in kg.entities if e.embedding is not None}
-    input_dim = dims.pop() if len(dims) == 1 else cfg.embedding_dimension
-    model_cfg = build_model_config(cfg, input_dim)
-    params = build_params(cfg, model_cfg)
-    embeddings = forward(kg, params)
-    write_atomic(out_path, dumps_embeddings(embeddings))
-    return embeddings
+    model_cfg = ModelConfig(
+        layers=cfg.model_layers, heads=cfg.model_heads,
+        hidden_dim=cfg.model_hidden_dim, max_dist=cfg.model_max_dist,
+        input_dim=dims.pop() if len(dims) == 1 else cfg.embedding_dimension,
+        seed=cfg.seed)
+    if cfg.params_path:
+        return forward(kg, load_params(cfg.params_path, expected=model_cfg))
+    return forward(kg, init_params(model_cfg))
 
 
-def _risk_document(kg: SsckgGraph, inherent: Mapping[int, float],
-                   result: RiskVector, beta: float) -> dict:
-    from .risk import normalize_weights
-
-    connected = set(normalize_weights(kg))
+def score(kg: SsckgGraph, cfg: PipelineConfig) -> dict:
+    """Inherent risk from CVE matching, then damped propagation."""
+    provider = build_provider(cfg)
+    cves = load_cves(cfg.cves_path, provider) if cfg.cves_path else []
+    inherent = {e.id: inherent_risk(e, cves) for e in kg.entities}
+    result = propagate(kg, inherent, PropagationConfig(
+        beta=cfg.beta, tolerance=cfg.tolerance,
+        max_iterations=cfg.max_iterations))
     ranking = []
     for ent in kg.entities:
-        score = result.scores[ent.id]
+        value = result.scores[ent.id]
         inh = inherent[ent.id]
         # Split the converged score into its damped inherent part and
         # what arrived over relations; isolated entities are all inherent.
-        if ent.id in connected:
-            inherent_part = beta * inh
-            propagated = score - inherent_part
+        if ent.id in result.connected:
+            inherent_part = cfg.beta * inh
+            propagated = value - inherent_part
         else:
             inherent_part = inh
             propagated = 0.0
@@ -236,36 +203,23 @@ def _risk_document(kg: SsckgGraph, inherent: Mapping[int, float],
             "entity_id": ent.id,
             "name": ent.name,
             "label": str(ent.label),
-            "score": score,
+            "score": value,
             "inherent": inh,
             "inherent_contribution": inherent_part,
             "propagated_contribution": propagated,
         })
     ranking.sort(key=lambda row: (-row["score"], row["entity_id"]))
     return {
-        "beta": beta,
+        "beta": cfg.beta,
         "iterations": result.iterations,
         "residual": result.residual,
         "ranking": ranking,
     }
 
 
-def stage_score(kg_path: str | Path, cfg: PipelineConfig,
-                out_path: str | Path) -> dict:
-    """Inherent risk from CVE matching, then damped propagation."""
-    kg = load_ssckg(kg_path)
-    provider = build_provider(cfg)
-    cves = load_cves(cfg.cves_path, provider) if cfg.cves_path else []
-    inherent = {e.id: inherent_risk(e, cves) for e in kg.entities}
-    result = propagate(kg, inherent, PropagationConfig(
-        beta=cfg.beta, tolerance=cfg.tolerance,
-        max_iterations=cfg.max_iterations))
-    doc = _risk_document(kg, inherent, result, cfg.beta)
-    write_atomic(out_path, dumps_json(doc))
-    return doc
-
-
-def _match_document(matches: Sequence[MatchResult], tau: float) -> dict:
+def match(embeddings: Sequence[NodeEmbedding], repo_dir: str | Path, tau: float) -> dict:
+    """Score the fingerprint repository against target embeddings."""
+    matches = match_and_alert(embeddings, load_repository(repo_dir), tau)
     return {
         "tau": tau,
         "matches": [
@@ -281,52 +235,89 @@ def _match_document(matches: Sequence[MatchResult], tau: float) -> dict:
     }
 
 
-def stage_match(embeddings_path: str | Path, repo_dir: str | Path, tau: float,
+def render_dot(kg: SsckgGraph, risk_doc: Mapping | None, cfg: PipelineConfig) -> str:
+    """DOT text of the graph, colored by the risk document's scores if given."""
+    risk_scores = None
+    if risk_doc is not None:
+        risk_scores = {int(row["entity_id"]): float(row["score"])
+                       for row in risk_doc["ranking"]}
+    return to_dot(kg, risk=risk_scores, bands=cfg.risk_bands)
+
+
+# --- stages: load the input files, run the core, write the output ---------------
+
+def stage_ingest(cpg_path: str | Path, out_path: str | Path) -> CpgGraph:
+    """Validate a graph file and write its canonical form."""
+    g = load_cpg(cpg_path)
+    write_atomic(out_path, dumps_cpg(g))
+    return g
+
+
+def stage_lift(cpg_path: str | Path, cfg: PipelineConfig,
+               out_path: str | Path) -> VerifiedCorpus:
+    corpus = lift(load_cpg(cpg_path), cfg)
+    write_atomic(out_path, dumps_corpus(corpus))
+    return corpus
+
+
+def stage_build_kg(cpg_path: str | Path, corpus_path: str | Path,
+                   cfg: PipelineConfig, out_path: str | Path) -> SsckgGraph:
+    corpus = load_corpus(corpus_path, build_lattice(cfg))
+    kg = build_kg(load_cpg(cpg_path), corpus, cfg)
+    write_atomic(out_path, dumps_ssckg(kg))
+    return kg
+
+
+def stage_forward(kg_path: str | Path, cfg: PipelineConfig,
+                  out_path: str | Path) -> list[NodeEmbedding]:
+    embeddings = transform(load_ssckg(kg_path), cfg)
+    write_atomic(out_path, dumps_embeddings(embeddings))
+    return embeddings
+
+
+def stage_score(kg_path: str | Path, cfg: PipelineConfig,
                 out_path: str | Path) -> dict:
-    """Score the fingerprint repository against target embeddings."""
-    target = load_embeddings(embeddings_path)
-    repo = load_repository(repo_dir)
-    matches = match_and_alert(target, repo, tau)
-    doc = _match_document(matches, tau)
+    doc = score(load_ssckg(kg_path), cfg)
     write_atomic(out_path, dumps_json(doc))
     return doc
 
 
-def threshold_document(report: ThresholdReport) -> dict:
-    return {
+def stage_match(embeddings_path: str | Path, repo_dir: str | Path, tau: float,
+                out_path: str | Path) -> dict:
+    doc = match(load_embeddings(embeddings_path), repo_dir, tau)
+    write_atomic(out_path, dumps_json(doc))
+    return doc
+
+
+def stage_threshold(scores_path: str | Path, cfg: PipelineConfig,
+                    out_path: str | Path) -> dict:
+    """Pick the alert threshold from a JSON list of {score, label} rows."""
+    doc = read_json(scores_path, "scores file")
+    try:
+        scores = [(float(row["score"]), str(row["label"])) for row in doc]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"scores file {scores_path}: every row needs a numeric "
+                          f"'score' and a 'label' ({type(exc).__name__}: {exc})") from None
+    report = select_threshold(scores, grid_lo=cfg.grid_lo, grid_hi=cfg.grid_hi,
+                              grid_step=cfg.grid_step, fpr_cap=cfg.fpr_cap)
+    out = {
         "tau": report.tau,
         "j_statistic": report.j_statistic,
         "tpr": report.tpr,
         "fpr": report.fpr,
         "fpr_cap": report.fpr_cap,
         "fpr_cap_satisfied": report.fpr_cap_satisfied,
-        "grid": [
-            {"tau": p.tau, "tpr": p.tpr, "fpr": p.fpr, "j": p.j}
-            for p in report.grid
-        ],
+        "grid": [{"tau": p.tau, "tpr": p.tpr, "fpr": p.fpr, "j": p.j}
+                 for p in report.grid],
     }
-
-
-def stage_threshold(scores_path: str | Path, cfg: PipelineConfig,
-                    out_path: str | Path) -> dict:
-    doc = json.loads(Path(scores_path).read_text(encoding="utf-8"))
-    scores = [(float(row["score"]), str(row["label"])) for row in doc]
-    report = select_threshold(scores, grid_lo=cfg.grid_lo, grid_hi=cfg.grid_hi,
-                              grid_step=cfg.grid_step, fpr_cap=cfg.fpr_cap)
-    out = threshold_document(report)
     write_atomic(out_path, dumps_json(out))
     return out
 
 
 def stage_export_dot(kg_path: str | Path, risk_path: str | Path | None,
                      cfg: PipelineConfig, out_path: str | Path) -> str:
-    kg = load_ssckg(kg_path)
-    risk_scores = None
-    if risk_path:
-        doc = json.loads(Path(risk_path).read_text(encoding="utf-8"))
-        risk_scores = {int(row["entity_id"]): float(row["score"])
-                       for row in doc["ranking"]}
-    text = to_dot(kg, risk=risk_scores, bands=cfg.risk_bands)
+    risk_doc = read_json(risk_path, "risk file") if risk_path else None
+    text = render_dot(load_ssckg(kg_path), risk_doc, cfg)
     write_atomic(out_path, text)
     return text
 
@@ -345,32 +336,28 @@ class RiskReport:
 
 
 def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path) -> RiskReport:
-    """Run every stage for one binary, leaving all intermediates behind."""
-    outdir = Path(outdir)
+    """Run every stage core for one binary, writing each stage's file."""
     g = load_cpg(cpg_path)
     bid = g.binary_id or Path(cpg_path).stem
-    paths = {
-        "cpg": outdir / f"{bid}.cpg.json",
-        "corpus": outdir / f"{bid}.corpus.jsonl",
-        "kg": outdir / f"{bid}.kg.json",
-        "embeddings": outdir / f"{bid}.embeddings.json",
-        "risk": outdir / f"{bid}.risk.json",
-        "alerts": outdir / f"{bid}.alerts.json",
-        "report": outdir / f"{bid}.report.json",
-        "dot": outdir / f"{bid}.dot",
-    }
-    stage_ingest(cpg_path, paths["cpg"])
-    corpus = stage_lift(paths["cpg"], cfg, paths["corpus"])
-    kg = stage_build_kg(paths["cpg"], paths["corpus"], cfg, paths["kg"])
-    stage_forward(paths["kg"], cfg, paths["embeddings"])
-    risk_doc = stage_score(paths["kg"], cfg, paths["risk"])
+
+    def write(suffix: str, text: str) -> None:
+        write_atomic(Path(outdir) / f"{bid}.{suffix}", text)
+
+    write("cpg.json", dumps_cpg(g))
+    corpus = lift(g, cfg)
+    write("corpus.jsonl", dumps_corpus(corpus))
+    kg = build_kg(g, corpus, cfg)
+    write("kg.json", dumps_ssckg(kg))
+    embeddings = transform(kg, cfg)
+    write("embeddings.json", dumps_embeddings(embeddings))
+    risk_doc = score(kg, cfg)
+    write("risk.json", dumps_json(risk_doc))
     match_doc = None
     if cfg.fingerprints_dir:
-        match_doc = stage_match(paths["embeddings"], cfg.fingerprints_dir,
-                                cfg.tau, paths["alerts"])
-    stage_export_dot(paths["kg"], paths["risk"], cfg, paths["dot"])
+        match_doc = match(embeddings, cfg.fingerprints_dir, cfg.tau)
+        write("alerts.json", dumps_json(match_doc))
+    write("dot", render_dot(kg, risk_doc, cfg))
 
-    g_norm = load_cpg(paths["cpg"])
     report = {
         "binary_id": bid,
         "version": __version__,
@@ -382,11 +369,11 @@ def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path) -> Ri
             "total": corpus.total,
             "rejection_rate": corpus.rejection_rate,
         },
-        "stats": construction_stats(g_norm, kg),
+        "stats": construction_stats(g, kg),
         "risk": risk_doc,
         "fingerprints": match_doc,
     }
-    write_atomic(paths["report"], dumps_json(report))
+    write("report.json", dumps_json(report))
     alerts = tuple(match_doc["alerts"]) if match_doc else ()
     return RiskReport(binary_id=bid, document=report, alerts=alerts)
 

@@ -56,6 +56,9 @@ class RiskVector:
     scores: dict[int, float]
     iterations: int
     residual: float
+    # Entities with a risk-bearing in-neighbor; the rest keep their
+    # inherent score exactly.
+    connected: frozenset[int]
 
 
 def inherent_risk(entity: Entity, cves: Sequence[CveRecord]) -> float:
@@ -133,5 +136,6 @@ def propagate(kg: SsckgGraph, inherent: Mapping[int, float],
                 scores={eid: float(scores[index[eid]]) for eid in order},
                 iterations=iteration,
                 residual=residual,
+                connected=frozenset(coeffs),
             )
     raise NonConvergence(residual=residual, iterations=cfg.max_iterations)

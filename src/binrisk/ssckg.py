@@ -31,7 +31,7 @@ import numpy as np
 
 from .cpg import CpgGraph, EdgeKind
 from .embedding import EmbeddingVector, cosine, stack
-from .errors import ParseError, SchemaError, ZeroVector
+from .errors import SchemaError, ZeroVector, read_json
 from .lattice import TOP, Label, join, leq
 from .lifting import Annotation, VerifiedCorpus
 
@@ -459,13 +459,13 @@ def construction_stats(g: CpgGraph, kg: SsckgGraph) -> dict:
 
 def load_cves(path: str | Path, provider) -> list[CveRecord]:
     """Read a JSON list of {cve_id, description}; embeddings are cached here."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path, "CVE corpus")
     if not isinstance(doc, list):
-        raise SchemaError("CVE corpus must be a JSON list")
+        raise SchemaError(f"CVE corpus {path} must be a JSON list")
     out = []
     for i, raw in enumerate(doc):
-        if "cve_id" not in raw or "description" not in raw:
-            raise SchemaError(f"CVE record {i} needs 'cve_id' and 'description'")
+        if not isinstance(raw, dict) or "cve_id" not in raw or "description" not in raw:
+            raise SchemaError(f"CVE corpus {path}: record {i} needs 'cve_id' and 'description'")
         desc = str(raw["description"])
         out.append(CveRecord(cve_id=str(raw["cve_id"]), description=desc,
                              embedding=provider.embed(desc)))
@@ -500,15 +500,8 @@ def dumps_ssckg(kg: SsckgGraph) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def save_ssckg(kg: SsckgGraph, path: str | Path) -> None:
-    Path(path).write_text(dumps_ssckg(kg), encoding="utf-8")
-
-
 def load_ssckg(path: str | Path) -> SsckgGraph:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ParseError(f"KG file {path} is not valid JSON: {exc}") from None
+    doc = read_json(path, "KG file")
     if not isinstance(doc, dict):
         raise SchemaError(f"KG file {path}: top-level document must be an object")
     try:

@@ -1,7 +1,9 @@
 """End-to-end command line behavior: exit codes, outputs, stage isolation."""
 
 import json
+import random
 import shutil
+import sys
 
 import pytest
 
@@ -175,34 +177,80 @@ def test_report_is_repeatable_byte_for_byte(capsys, fixtures_dir, tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
-def test_manual_chain_equals_report_outputs(capsys, fixtures_dir, tmp_path, toy_run):
-    """Each stage rereads only files, so the chained commands must
-    reproduce the one-shot report outputs exactly."""
-    cfg = str(fixtures_dir / "config_toy.json")
-    b = tmp_path
-    steps = [
-        ["ingest", "--cpg", str(fixtures_dir / "toy_modbus.cpg.json"),
-         "--out", str(b / "toy_modbus.cpg.json")],
-        ["lift", "--config", cfg, "--cpg", str(b / "toy_modbus.cpg.json"),
-         "--out", str(b / "toy_modbus.corpus.jsonl")],
-        ["build-ssckg", "--config", cfg, "--cpg", str(b / "toy_modbus.cpg.json"),
-         "--corpus", str(b / "toy_modbus.corpus.jsonl"),
-         "--out", str(b / "toy_modbus.kg.json")],
-        ["forward", "--config", cfg, "--kg", str(b / "toy_modbus.kg.json"),
-         "--out", str(b / "toy_modbus.embeddings.json")],
-        ["score", "--config", cfg, "--kg", str(b / "toy_modbus.kg.json"),
-         "--out", str(b / "toy_modbus.risk.json")],
-        ["export-dot", "--config", cfg, "--kg", str(b / "toy_modbus.kg.json"),
-         "--risk", str(b / "toy_modbus.risk.json"),
-         "--out", str(b / "toy_modbus.dot")],
+# An external annotator whose summaries spell out the order of the data
+# edges it was sent, so any difference in graph order shows in the corpus.
+ORDER_ANNOTATOR = r"""
+import json, sys
+req = json.load(sys.stdin)
+print(json.dumps({"label": "Memory", "summary": "pdg %s" % req["pdg_edges"],
+                  "claims": req["pdg_edges"]}))
+"""
+
+
+def test_manual_chain_equals_report_outputs(capsys, fixtures_dir, tmp_path, toy_run,
+                                            firmware_run):
+    """Each stage subcommand rereads only files while report chains the
+    stages in memory, so the chained commands must reproduce the one-shot
+    report outputs exactly: on the toy fixture, on the firmware fixture
+    (clustering, CVE links, a fingerprint alert), and on a node- and
+    edge-shuffled firmware graph lifted by an annotator that sees the
+    edge order."""
+    fw = fixtures_dir / "firmware_update.cpg.json"
+    doc = json.loads(fw.read_text(encoding="utf-8"))
+    rng = random.Random(0)
+    rng.shuffle(doc["nodes"])
+    rng.shuffle(doc["edges"])
+    shuffled = tmp_path / "shuffled.cpg.json"
+    shuffled.write_text(json.dumps(doc), encoding="utf-8")
+    cfg_doc = json.loads((fixtures_dir / "config_firmware.json").read_text(encoding="utf-8"))
+    for key in ("lattice_path", "cves_path", "fingerprints_dir"):
+        cfg_doc[key] = str(fixtures_dir / cfg_doc[key])
+    del cfg_doc["rules_path"]
+    cfg_doc.update(annotator_type="cmd",
+                   annotator_cmd=[sys.executable, "-c", ORDER_ANNOTATOR])
+    cmd_cfg = tmp_path / "cmd_config.json"
+    cmd_cfg.write_text(json.dumps(cfg_doc), encoding="utf-8")
+    shuffled_run = tmp_path / "shuffled_run"
+    assert main(["report", "--config", str(cmd_cfg), "--cpg", str(shuffled),
+                 "--outdir", str(shuffled_run)]) in (EXIT_OK, EXIT_ALERTS)
+    capsys.readouterr()
+
+    cases = [
+        ("toy_modbus", fixtures_dir / "toy_modbus.cpg.json",
+         fixtures_dir / "config_toy.json", toy_run),
+        ("firmware_update", fw, fixtures_dir / "config_firmware.json", firmware_run),
+        ("firmware_update", shuffled, cmd_cfg, shuffled_run),
     ]
-    for argv in steps:
-        assert main(argv) == EXIT_OK
-        capsys.readouterr()
-    for name in ("toy_modbus.cpg.json", "toy_modbus.corpus.jsonl",
-                 "toy_modbus.kg.json", "toy_modbus.embeddings.json",
-                 "toy_modbus.risk.json", "toy_modbus.dot"):
-        assert (b / name).read_bytes() == (toy_run / name).read_bytes(), name
+    for i, (bid, cpg, cfg, report_dir) in enumerate(cases):
+        b = tmp_path / f"chain{i}"
+        f = {suffix: str(b / f"{bid}.{suffix}") for suffix in (
+            "cpg.json", "corpus.jsonl", "kg.json", "embeddings.json", "risk.json",
+            "alerts.json", "dot")}
+        c = ["--config", str(cfg)]
+        steps = [
+            ["ingest", "--cpg", str(cpg), "--out", f["cpg.json"]],
+            ["lift", *c, "--cpg", f["cpg.json"], "--out", f["corpus.jsonl"]],
+            ["build-ssckg", *c, "--cpg", f["cpg.json"], "--corpus", f["corpus.jsonl"],
+             "--out", f["kg.json"]],
+            ["forward", *c, "--kg", f["kg.json"], "--out", f["embeddings.json"]],
+            ["score", *c, "--kg", f["kg.json"], "--out", f["risk.json"]],
+            ["export-dot", *c, "--kg", f["kg.json"], "--risk", f["risk.json"],
+             "--out", f["dot"]],
+        ]
+        if (report_dir / f"{bid}.alerts.json").exists():
+            steps.append(["match", *c, "--kg-embeddings", f["embeddings.json"],
+                          "--repo", str(fixtures_dir / "fingerprints"),
+                          "--out", f["alerts.json"]])
+        for argv in steps:
+            assert main(argv) in (EXIT_OK, EXIT_ALERTS), argv
+            capsys.readouterr()
+        names = sorted(p.name for p in report_dir.iterdir()
+                       if p.name != f"{bid}.report.json")
+        assert sorted(p.name for p in b.iterdir()) == names
+        for name in names:
+            assert (b / name).read_bytes() == (report_dir / name).read_bytes(), (cpg, name)
+    assert (shuffled_run / "firmware_update.cpg.json").read_bytes() == (
+        firmware_run / "firmware_update.cpg.json").read_bytes()
 
 
 def test_manual_match_equals_report_alerts(capsys, fixtures_dir, tmp_path,
@@ -336,3 +384,57 @@ def test_match_bad_embeddings_gives_one_error_line(capsys, fixtures_dir, tmp_pat
     assert code == EXIT_ERROR
     assert one_error_line(err)
     assert str(emb) in err
+
+
+# Damaged input files for the commands that read them: (file, content,
+# text the error must name, argv).  {bad} is the damaged file; {tmp},
+# {fx}, {toy} and {fw} are the scratch, fixture and report directories.
+BAD_INPUTS = {
+    "fingerprint_truncated": (
+        "repo/bad.json", '{"name": "x", "embeddings": [[0.1, 0.2', "{bad}",
+        ["match", "--kg-embeddings", "{fw}/firmware_update.embeddings.json",
+         "--repo", "{tmp}/repo", "--out", "{tmp}/alerts.json"]),
+    "fingerprint_string_vector": (
+        "repo/bad.json", '{"name": "x", "embeddings": [["a"]]}', "{bad}",
+        ["match", "--kg-embeddings", "{fw}/firmware_update.embeddings.json",
+         "--repo", "{tmp}/repo", "--out", "{tmp}/alerts.json"]),
+    "config_truncated": ("cfg.json", '{"seed": 4', "{bad}", [
+        "report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
+        "--outdir", "{tmp}/out"]),
+    "config_string_beta": ("cfg.json", '{"beta": "high"}', "beta", [
+        "report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
+        "--outdir", "{tmp}/out"]),
+    "config_string_command": ("cfg.json", '{"annotator_cmd": "tool"}', "annotator_cmd", [
+        "report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
+        "--outdir", "{tmp}/out"]),
+    "config_string_band": ("cfg.json", '{"risk_bands": {"high": "x"}}', "risk_bands", [
+        "report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
+        "--outdir", "{tmp}/out"]),
+    "cves_truncated": ("cves.json", '[{"cve_id": "CVE-1", "descr', "{bad}", [
+        "score", "--kg", "{toy}/toy_modbus.kg.json", "--cves", "{bad}",
+        "--out", "{tmp}/risk.json"]),
+    "cves_missing_description": ("cves.json", '[{"cve_id": "CVE-1"}]', "{bad}", [
+        "score", "--kg", "{toy}/toy_modbus.kg.json", "--cves", "{bad}",
+        "--out", "{tmp}/risk.json"]),
+    "scores_truncated": ("scores.json", '[{"score": 0.5, "lab', "{bad}", [
+        "threshold", "--scores", "{bad}", "--out", "{tmp}/th.json"]),
+    "scores_missing_label": ("scores.json", '[{"score": 0.5}]', "{bad}", [
+        "threshold", "--scores", "{bad}", "--out", "{tmp}/th.json"]),
+    "scores_string_score": ("scores.json", '[{"score": "high", "label": "benign"}]', "{bad}", [
+        "threshold", "--scores", "{bad}", "--out", "{tmp}/th.json"]),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BAD_INPUTS))
+def test_bad_input_file_gives_one_error_line(capsys, fixtures_dir, toy_run, firmware_run,
+                                             tmp_path, probe):
+    name, content, needle, argv = BAD_INPUTS[probe]
+    bad = tmp_path / name
+    bad.parent.mkdir(parents=True, exist_ok=True)
+    bad.write_text(content, encoding="utf-8")
+    places = {"bad": bad, "tmp": tmp_path, "fx": fixtures_dir, "toy": toy_run,
+              "fw": firmware_run}
+    code, _, err = run(capsys, *(arg.format(**places) for arg in argv))
+    assert code == EXIT_ERROR
+    assert one_error_line(err)
+    assert needle.format(**places) in err

@@ -10,8 +10,6 @@ from binrisk.embedding import (
     FileEmbeddings,
     HashEmbedder,
     cosine,
-    file_provider,
-    hash_embedder,
     stack,
 )
 from binrisk.errors import DimensionMismatch, MissingEmbedding, ZeroVector
@@ -89,7 +87,7 @@ def test_file_provider_round_trip(tmp_path):
     doc = {"hello": [1.0, 0.0, 0.0], "world": [0.0, 1.0, 0.0]}
     path = tmp_path / "vectors.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    provider = file_provider(path)
+    provider = FileEmbeddings(path)
     assert provider.dimension() == 3
     assert provider.embed("hello").values.tolist() == [1.0, 0.0, 0.0]
     with pytest.raises(MissingEmbedding):
@@ -104,6 +102,6 @@ def test_file_provider_rejects_mixed_dimensions(tmp_path):
 
 
 def test_stack_shape():
-    emb = hash_embedder(dimension=32, seed=0)
+    emb = HashEmbedder(dimension=32, seed=0)
     mat = stack([emb.embed("a"), emb.embed("b"), emb.embed("c")])
     assert mat.shape == (3, 32)

@@ -17,15 +17,16 @@ from binrisk.fingerprint import (
     BENIGN,
     MALICIOUS,
     Fingerprint,
+    dumps_fingerprint,
     load_fingerprint,
     load_repository,
     match_and_alert,
     roc_auc,
-    save_fingerprint,
     select_threshold,
     similarity,
 )
 from binrisk.graphormer import NodeEmbedding
+from binrisk.pipeline import write_atomic
 
 
 def node(eid, values):
@@ -280,7 +281,7 @@ def test_fingerprint_round_trip(tmp_path):
                          node(7, rng.standard_normal(8))),
         provenance="incident 2026-02/a")
     path = tmp_path / "campaign-x.json"
-    save_fingerprint(pattern, path)
+    write_atomic(path, dumps_fingerprint(pattern))
     back = load_fingerprint(path)
     assert back.name == pattern.name
     assert back.provenance == pattern.provenance

@@ -29,10 +29,10 @@ from binrisk.graphormer import (
     load_embeddings,
     load_params,
     relation_edges,
-    save_embeddings,
     save_params,
 )
 from binrisk.lattice import TOP, Label
+from binrisk.pipeline import write_atomic
 from binrisk.ssckg import Entity, Relation, RelationType, SsckgGraph
 
 SMALL = ModelConfig(layers=1, heads=2, hidden_dim=8, max_dist=4,
@@ -502,7 +502,7 @@ def test_embeddings_file_round_trip(tmp_path):
     embs = [NodeEmbedding(entity_id=i, vector=rng.standard_normal(16))
             for i in (4, 0, 11)]
     path = tmp_path / "emb.json"
-    save_embeddings(embs, path)
+    write_atomic(path, dumps_embeddings(embs))
     back = load_embeddings(path)
     assert [e.entity_id for e in back] == [0, 4, 11]
     by_id = {e.entity_id: e.vector for e in embs}

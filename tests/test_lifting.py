@@ -25,16 +25,16 @@ from binrisk.errors import (
 from binrisk.lattice import Label, Lattice, TOP
 from binrisk.lifting import (
     Annotation,
+    CommandAnnotator,
+    ReplayAnnotator,
+    RuleAnnotator,
     build_corpus,
-    command_annotator,
     dumps_corpus,
     function_subgraph,
     load_corpus,
     load_rules,
-    replay_annotator,
-    rule_annotator,
-    save_corpus,
 )
+from binrisk.pipeline import write_atomic
 
 LAT = Lattice.default()
 
@@ -59,7 +59,7 @@ def test_unknown_function_raises(fixtures_dir):
 # --- rule annotator -------------------------------------------------------------
 
 def test_rule_labels_on_fixture(fixtures_dir):
-    annotator = rule_annotator(fixtures_dir / "rules.json", LAT)
+    annotator = RuleAnnotator(load_rules(fixtures_dir / "rules.json"), LAT)
     g = toy(fixtures_dir)
     got = {fid: str(annotator.annotate(function_subgraph(g, fid), {}).label)
            for fid in g.function_ids}
@@ -74,7 +74,7 @@ def test_rule_labels_on_fixture(fixtures_dir):
 
 def test_rule_order_decides():
     rules = [("mov", "Memory"), ("socket*", "Network/Socket_Init")]
-    annotator = rule_annotator(rules, LAT)
+    annotator = RuleAnnotator(rules, LAT)
     nodes = [
         CpgNode(id=0, kind=NodeKind.INSTRUCTION, opcode="socket_open",
                 function_id=0, block_id=0, attrs={}),
@@ -87,7 +87,7 @@ def test_rule_order_decides():
 
 
 def test_rules_match_callee_attribute():
-    annotator = rule_annotator([("memcpy", "Memory")], LAT)
+    annotator = RuleAnnotator([("memcpy", "Memory")], LAT)
     nodes = [CpgNode(id=0, kind=NodeKind.CALL, opcode="call",
                      function_id=0, block_id=0, attrs={"callee": "memcpy"})]
     view = function_subgraph(CpgGraph(nodes, []), 0)
@@ -95,7 +95,7 @@ def test_rules_match_callee_attribute():
 
 
 def test_rule_claims_are_internal_data_edges(fixtures_dir):
-    annotator = rule_annotator(fixtures_dir / "rules.json", LAT)
+    annotator = RuleAnnotator(load_rules(fixtures_dir / "rules.json"), LAT)
     g = toy(fixtures_dir)
     ann = annotator.annotate(function_subgraph(g, 2), {})
     assert ann.claims == (DataFlowClaim(8, 9), DataFlowClaim(9, 10),
@@ -103,7 +103,7 @@ def test_rule_claims_are_internal_data_edges(fixtures_dir):
 
 
 def test_rule_summary_is_deterministic_text(fixtures_dir):
-    annotator = rule_annotator(fixtures_dir / "rules.json", LAT)
+    annotator = RuleAnnotator(load_rules(fixtures_dir / "rules.json"), LAT)
     g = toy(fixtures_dir)
     ann = annotator.annotate(function_subgraph(g, 4), {})
     assert ann.summary == "hardware coil write routine using cmp mmio_write param ret"
@@ -115,9 +115,9 @@ def test_rule_file_validation(tmp_path):
     with pytest.raises(InvalidRule):
         load_rules(path)
     with pytest.raises(InvalidRule):
-        rule_annotator([("", "Memory")], LAT)
+        RuleAnnotator([("", "Memory")], LAT)
     with pytest.raises(InvalidRule):
-        rule_annotator([("x", "Not/A/Label/Here")], LAT)
+        RuleAnnotator([("x", "Not/A/Label/Here")], LAT)
 
 
 # --- corpus gate -----------------------------------------------------------------
@@ -194,7 +194,7 @@ def test_replay_annotator(tmp_path, fixtures_dir):
     doc = {"0": {"label": "Memory", "summary": "copies things", "claims": []}}
     path = tmp_path / "replay.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    annotator = replay_annotator(path, LAT)
+    annotator = ReplayAnnotator(path, LAT)
     g = toy(fixtures_dir)
     ann = annotator.annotate(function_subgraph(g, 0), {})
     assert str(ann.label) == "Memory"
@@ -214,7 +214,7 @@ print(json.dumps({
 
 
 def test_command_annotator_round_trip(fixtures_dir):
-    annotator = command_annotator([sys.executable, "-c", ECHO_ANNOTATOR], LAT)
+    annotator = CommandAnnotator([sys.executable, "-c", ECHO_ANNOTATOR], LAT)
     g = toy(fixtures_dir)
     corpus = build_corpus(g, [1], annotator)
     assert len(corpus.accepted) == 1
@@ -224,7 +224,7 @@ def test_command_annotator_round_trip(fixtures_dir):
 
 
 def test_command_annotator_failure_counts_as_failed(fixtures_dir):
-    annotator = command_annotator([sys.executable, "-c", "raise SystemExit(3)"], LAT)
+    annotator = CommandAnnotator([sys.executable, "-c", "raise SystemExit(3)"], LAT)
     g = toy(fixtures_dir)
     corpus = build_corpus(g, [0], annotator)
     assert corpus.failed_count == 1
@@ -236,12 +236,12 @@ def test_command_annotator_failure_counts_as_failed(fixtures_dir):
 
 def test_corpus_round_trip(fixtures_dir, tmp_path):
     g = toy(fixtures_dir)
-    annotator = rule_annotator(fixtures_dir / "rules.json", LAT)
+    annotator = RuleAnnotator(load_rules(fixtures_dir / "rules.json"), LAT)
     corpus = build_corpus(g, g.function_ids, annotator)
     assert len(corpus.accepted) == 5 and corpus.rejected_count == 0
 
     path = tmp_path / "corpus.jsonl"
-    save_corpus(corpus, path)
+    write_atomic(path, dumps_corpus(corpus))
     again = load_corpus(path, LAT)
     assert dumps_corpus(again) == dumps_corpus(corpus)
     assert [a.function_id for a in again.accepted] == [a.function_id for a in corpus.accepted]

@@ -7,7 +7,7 @@ from binrisk.cpg import load_cpg
 from binrisk.embedding import EmbeddingVector, HashEmbedder
 from binrisk.errors import ConfigError, EmptyGraph, NonConvergence
 from binrisk.lattice import TOP, Lattice
-from binrisk.lifting import build_corpus, load_rules, rule_annotator
+from binrisk.lifting import RuleAnnotator, build_corpus, load_rules
 from binrisk.risk import (
     RISK_BEARING,
     PropagationConfig,
@@ -158,7 +158,7 @@ def test_normalize_weights_respects_type_filter():
 
 def toy_kg(fixtures_dir):
     g = load_cpg(fixtures_dir / "toy_modbus.cpg.json")
-    ann = rule_annotator(load_rules(fixtures_dir / "rules.json"), Lattice.default())
+    ann = RuleAnnotator(load_rules(fixtures_dir / "rules.json"), Lattice.default())
     corpus = build_corpus(g, g.function_ids, ann)
     provider = HashEmbedder(dimension=384, seed=42)
     ents = embed_entities(structural_collapse(g, Granularity.FUNCTION, corpus),
@@ -225,6 +225,17 @@ def test_isolated_entities_keep_inherent_exactly():
     assert result.scores[0] == 0.37   # no in-relations
     assert result.scores[2] == 0.925  # fully isolated
     assert result.scores[1] == pytest.approx(0.15 * 0.5 + 0.85 * 0.37, abs=1e-12)
+
+
+def test_propagate_reports_connected_entities():
+    # Self-loops and CVE links bring no in-neighbor; only entity 1 has one.
+    kg = SsckgGraph([ent(0), ent(1), ent(2)], [
+        rel(0, RelationType.CALLS, 0),
+        rel(0, RelationType.VULNERABLE_TO, "CVE-X"),
+        rel(0, RelationType.CALLS, 1),
+    ])
+    result = propagate(kg, {0: 0.2, 1: 0.4, 2: 0.6}, TIGHT)
+    assert result.connected == frozenset(normalize_weights(kg)) == {1}
 
 
 def test_beta_one_returns_inherent_in_one_sweep():

@@ -9,7 +9,8 @@ from binrisk.cpg import CpgEdge, CpgGraph, CpgNode, EdgeKind, NodeKind, load_cpg
 from binrisk.embedding import EmbeddingVector, HashEmbedder
 from binrisk.errors import SchemaError, ZeroVector
 from binrisk.lattice import TOP, Label, Lattice
-from binrisk.lifting import Annotation, build_corpus, load_rules, rule_annotator
+from binrisk.lifting import Annotation, RuleAnnotator, build_corpus, load_rules
+from binrisk.pipeline import write_atomic
 from binrisk.ssckg import (
     DEFAULT_WEIGHTS,
     Entity,
@@ -25,7 +26,6 @@ from binrisk.ssckg import (
     extract_relations,
     load_cves,
     load_ssckg,
-    save_ssckg,
     semantic_clustering,
     structural_collapse,
     to_dot,
@@ -50,7 +50,7 @@ def toy_graph(fixtures_dir):
 
 
 def toy_corpus(fixtures_dir, g):
-    ann = rule_annotator(load_rules(fixtures_dir / "rules.json"), Lattice.default())
+    ann = RuleAnnotator(load_rules(fixtures_dir / "rules.json"), Lattice.default())
     return build_corpus(g, g.function_ids, ann)
 
 
@@ -513,7 +513,7 @@ def toy_kg(fixtures_dir):
 def test_ssckg_round_trip(fixtures_dir, tmp_path):
     _, kg = toy_kg(fixtures_dir)
     path = tmp_path / "kg.json"
-    save_ssckg(kg, path)
+    write_atomic(path, dumps_ssckg(kg))
     back = load_ssckg(path)
     assert back.source_binary == kg.source_binary
     assert back.clustering == kg.clustering
@@ -532,7 +532,7 @@ def test_ssckg_round_trip(fixtures_dir, tmp_path):
 def test_ssckg_round_trip_without_embeddings(tmp_path):
     kg = SsckgGraph([ent(0)], [], source_binary="x")
     path = tmp_path / "kg.json"
-    save_ssckg(kg, path)
+    write_atomic(path, dumps_ssckg(kg))
     back = load_ssckg(path)
     assert back.entities[0].embedding is None
     assert back.source_binary == "x"
