@@ -9,18 +9,16 @@ fingerprint alerts were raised (for CI gating), 1 on any error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
 from .config import PipelineConfig
-from .errors import BinriskError, ConfigError, read_json
+from .errors import BinriskError, ConfigError, dumps_json, read_json
 from .fingerprint import Fingerprint, dumps_fingerprint
 from .graphormer import NodeEmbedding, load_embeddings
 from .metrics import ConfusionCounts, classification_metrics
 from .pipeline import (
     build_provider,
-    dumps_json,
     run_pipeline,
     stage_build_kg,
     stage_export_dot,
@@ -49,7 +47,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    sys.stdout.write(dumps_json(doc))
 
 
 # --- handlers ----------------------------------------------------------------

@@ -3,8 +3,10 @@
 Every knob the pipeline stages expose lives here so a single config
 file drives both the chained subcommands and the one-shot run.  Paths
 in a config file are resolved relative to the file's own directory.
-Unknown keys and values of the wrong type are rejected rather than
-silently ignored.
+Unknown keys, values of the wrong type, unknown relation names and
+values out of a stage's range are rejected when the config is built,
+before any stage runs, rather than silently ignored.  The range rules
+stay with the stages: the config builds their own parameter objects.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, read_json
+from .graphormer import ModelConfig
+from .risk import PropagationConfig
+from .ssckg import check_dbscan_params, relation_type
 
 _SCALARS = {"int": int, "float": (int, float), "str": str}
 
@@ -98,6 +103,22 @@ class PipelineConfig:
             raise ConfigError(f"unknown embedding type '{self.embedding_type}'")
         if self.granularity not in ("function", "block"):
             raise ConfigError(f"unknown granularity '{self.granularity}'")
+        for name, relations in (("relation_weights", self.relation_weights),
+                                ("structural_edge_labels",
+                                 self.structural_edge_labels.values())):
+            for rel in relations:
+                try:
+                    relation_type(rel)
+                except ValueError as exc:
+                    raise ConfigError(f"config field '{name}': {exc}") from None
+        try:
+            check_dbscan_params(self.dbscan_eps, self.dbscan_min_samples)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        PropagationConfig(beta=self.beta, tolerance=self.tolerance,
+                          max_iterations=self.max_iterations)
+        ModelConfig(layers=self.model_layers, heads=self.model_heads,
+                    hidden_dim=self.model_hidden_dim, max_dist=self.model_max_dist)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":

@@ -10,9 +10,11 @@ The exchange format is plain JSON:
     }
 
 Node kinds are Instruction/Call/Param/Return/Literal; edge kinds are
-Ast/Cfg/Pdg.  ``opcode`` and ``attrs`` are optional, since stripped
-binaries often provide neither.  Edges form a multigraph: parallel
-edges with distinct kinds or labels are meaningful and preserved.
+Ast/Cfg/Pdg.  Ids (``id``, ``function_id``, ``block_id``, ``src``,
+``dst``) are integers.  ``opcode`` and ``attrs`` are optional, since
+stripped binaries often provide neither.  Edges form a multigraph:
+parallel edges with distinct kinds or labels are meaningful and
+preserved.
 
 Well-known attrs keys (all values are strings):
 
@@ -33,6 +35,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -40,7 +43,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import ParseError, SchemaError, UnknownNode
+from .errors import ParseError, SchemaError, UnknownNode, dumps_json
 
 
 class NodeKind(str, Enum):
@@ -108,8 +111,9 @@ class CpgGraph:
                 raise SchemaError(f"edge {i} references missing node {e.dst}")
         self.binary_id = binary_id
         self.nodes: tuple[CpgNode, ...] = tuple(sorted(nodes, key=lambda n: n.id))
+        # A str-valued kind compares as its value.
         self.edges: tuple[CpgEdge, ...] = tuple(
-            sorted(edges, key=lambda e: (e.src, e.dst, e.kind.value, e.label)))
+            sorted(edges, key=attrgetter("src", "dst", "kind", "label")))
         self._by_id = by_id
         self._pdg_adj: dict[int, list[int]] | None = None
         self._by_function: dict[int, list[CpgNode]] | None = None
@@ -172,48 +176,65 @@ class CpgGraph:
         return self._by_function
 
 
-def _require(obj: Mapping, key: str, where: str):
-    if key not in obj:
-        raise SchemaError(f"{where} is missing required field '{key}'")
-    return obj[key]
+_NODE_KINDS = {k.value: k for k in NodeKind}
+_EDGE_KINDS = {k.value: k for k in EdgeKind}
 
 
 def _parse_node(raw: Mapping, pos: int) -> CpgNode:
-    where = f"node at index {pos}"
-    node_id = _require(raw, "id", where)
-    kind_text = _require(raw, "kind", where)
+    if not isinstance(raw, dict):
+        raise SchemaError(f"node at index {pos} must be an object")
     try:
-        kind = NodeKind(kind_text)
-    except ValueError:
-        raise SchemaError(f"{where} has unknown kind '{kind_text}'") from None
+        node_id = raw["id"]
+        kind_text = raw["kind"]
+    except KeyError as exc:
+        raise SchemaError(f"node at index {pos} is missing required field {exc}") from None
+    try:
+        kind = _NODE_KINDS[kind_text]
+    except (KeyError, TypeError):
+        raise SchemaError(f"node at index {pos} has unknown kind '{kind_text}'") from None
     if not isinstance(node_id, int):
-        raise SchemaError(f"{where} has non-integer id {node_id!r}")
+        raise SchemaError(f"node at index {pos} has non-integer id {node_id!r}")
     attrs = raw.get("attrs", {})
     if not isinstance(attrs, dict):
         raise SchemaError(f"node {node_id} attrs must be an object")
+    try:
+        function_id = raw["function_id"]
+        block_id = raw["block_id"]
+    except KeyError as exc:
+        raise SchemaError(f"node {node_id} is missing required field {exc}") from None
+    if not isinstance(function_id, int):
+        raise SchemaError(f"node {node_id} has non-integer function_id {function_id!r}")
+    if not isinstance(block_id, int):
+        raise SchemaError(f"node {node_id} has non-integer block_id {block_id!r}")
     return CpgNode(
         id=node_id,
         kind=kind,
         opcode=str(raw.get("opcode", "")),
-        function_id=_require(raw, "function_id", f"node {node_id}"),
-        block_id=_require(raw, "block_id", f"node {node_id}"),
+        function_id=function_id,
+        block_id=block_id,
         attrs={str(k): str(v) for k, v in attrs.items()},
     )
 
 
 def _parse_edge(raw: Mapping, pos: int) -> CpgEdge:
-    where = f"edge at index {pos}"
-    kind_text = _require(raw, "kind", where)
+    if not isinstance(raw, dict):
+        raise SchemaError(f"edge at index {pos} must be an object")
     try:
-        kind = EdgeKind(kind_text)
-    except ValueError:
-        raise SchemaError(f"{where} has unknown kind '{kind_text}'") from None
-    return CpgEdge(
-        src=_require(raw, "src", where),
-        dst=_require(raw, "dst", where),
-        kind=kind,
-        label=str(raw.get("label", "")),
-    )
+        kind_text = raw["kind"]
+    except KeyError as exc:
+        raise SchemaError(f"edge at index {pos} is missing required field {exc}") from None
+    try:
+        kind = _EDGE_KINDS[kind_text]
+    except (KeyError, TypeError):
+        raise SchemaError(f"edge at index {pos} has unknown kind '{kind_text}'") from None
+    try:
+        src = raw["src"]
+        dst = raw["dst"]
+    except KeyError as exc:
+        raise SchemaError(f"edge at index {pos} is missing required field {exc}") from None
+    if not isinstance(src, int) or not isinstance(dst, int):
+        raise SchemaError(f"edge at index {pos} has a non-integer endpoint {src!r} -> {dst!r}")
+    return CpgEdge(src=src, dst=dst, kind=kind, label=str(raw.get("label", "")))
 
 
 def loads_cpg(text: str) -> CpgGraph:
@@ -223,8 +244,15 @@ def loads_cpg(text: str) -> CpgGraph:
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top-level document must be an object")
-    nodes = [_parse_node(n, i) for i, n in enumerate(_require(doc, "nodes", "document"))]
-    edges = [_parse_edge(e, i) for i, e in enumerate(_require(doc, "edges", "document"))]
+    try:
+        raw_nodes = doc["nodes"]
+        raw_edges = doc["edges"]
+    except KeyError as exc:
+        raise SchemaError(f"document is missing required field {exc}") from None
+    if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
+        raise SchemaError("document 'nodes' and 'edges' must be lists")
+    nodes = [_parse_node(n, i) for i, n in enumerate(raw_nodes)]
+    edges = [_parse_edge(e, i) for i, e in enumerate(raw_edges)]
     return CpgGraph(nodes, edges, binary_id=str(doc.get("binary_id", "")))
 
 
@@ -235,25 +263,18 @@ def load_cpg(path: str | Path) -> CpgGraph:
 
 def dumps_cpg(g: CpgGraph) -> str:
     """Canonical serialization; loads_cpg(dumps_cpg(g)) reproduces g."""
-    doc = {
+    return dumps_json({
         "binary_id": g.binary_id,
         "nodes": [
-            {
-                "id": n.id,
-                "kind": n.kind.value,
-                "opcode": n.opcode,
-                "function_id": n.function_id,
-                "block_id": n.block_id,
-                "attrs": dict(sorted(n.attrs.items())),
-            }
+            {"id": n.id, "kind": n.kind, "opcode": n.opcode,
+             "function_id": n.function_id, "block_id": n.block_id, "attrs": n.attrs}
             for n in g.nodes
         ],
         "edges": [
-            {"src": e.src, "dst": e.dst, "kind": e.kind.value, "label": e.label}
+            {"src": e.src, "dst": e.dst, "kind": e.kind, "label": e.label}
             for e in g.edges
         ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def _reachable(adj: Mapping[int, list[int]], source: int, sink: int) -> bool:

@@ -1,10 +1,17 @@
-"""Exception types shared across the library, and the JSON file reader.
+"""Exception types shared across the library, and the JSON file format.
 
 Everything raised on purpose derives from BinriskError so callers can
 catch one base class at the CLI boundary.
+
+``read_json`` is the one JSON file reader and ``dumps_json`` the one
+JSON writer.  Every JSON file the package writes, and every summary the
+CLI prints, has the canonical byte form ``dumps_json`` produces:
+two-space indent, sorted keys, non-ASCII text as ``\\u`` escapes and a
+trailing newline, so identical documents always give identical bytes.
 """
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 
@@ -113,3 +120,87 @@ def read_json(path: str | Path, what: str):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ParseError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def dumps_json(doc) -> str:
+    """Canonical JSON text of doc, with a trailing newline.
+
+    Equal byte for byte to ``json.dumps(doc, indent=2, sort_keys=True)
+    + "\\n"``, which with an indent runs the standard library's pure
+    Python encoder, one generator per value.  Here each container is
+    joined in one call, and a list of floats (every vector) is formatted
+    by ``float.__repr__`` alone.
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    # newline is "\n" plus the indent of the line value starts on; the
+    # checks run in the standard encoder's order, so a str-valued Enum
+    # member is written as its string and a bool is not taken for an int.
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        sep = "," + inner
+        try:
+            body = sep.join(map(float.__repr__, value))
+        except TypeError:  # an item is not a float
+            body = None
+        if body is None or "n" in body:  # only nan and inf have an "n" in their repr
+            body = sep.join([_encode(v, inner) for v in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            item = value[key]
+            # Rows are mostly ints and strings: write those without a call.
+            if type(item) is int:
+                text = int.__repr__(item)
+            elif isinstance(item, str):
+                text = encode_basestring_ascii(item)
+            else:
+                text = _encode(item, inner)
+            name = encode_basestring_ascii(key) if isinstance(key, str) else _key(key)
+            items.append(name + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == float("inf"):
+        return "Infinity"
+    if value == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key(key) -> str:
+    # A key that is not a string, spelled as the standard encoder does.
+    if isinstance(key, float):
+        return encode_basestring_ascii(_float(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

@@ -16,7 +16,6 @@ the cap, the report falls back to the minimum-FPR point and says so.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -29,6 +28,7 @@ from .errors import (
     LengthMismatch,
     SchemaError,
     SingleClassInput,
+    dumps_json,
     read_json,
 )
 from .graphormer import NodeEmbedding
@@ -215,7 +215,7 @@ def dumps_fingerprint(fp: Fingerprint) -> str:
     ids = [e.entity_id for e in fp.node_embeddings]
     if ids != list(range(len(ids))):
         doc["entity_ids"] = ids
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dumps_json(doc)
 
 
 def load_fingerprint(path: str | Path) -> Fingerprint:

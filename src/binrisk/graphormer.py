@@ -48,6 +48,7 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
     VersionMismatch,
+    dumps_json,
     read_json,
 )
 from .ssckg import RELATION_INDEX, SsckgGraph
@@ -398,8 +399,7 @@ def load_params(path: str | Path, expected: ModelConfig | None = None) -> ModelP
 
 
 def dumps_embeddings(embeddings: Sequence[NodeEmbedding]) -> str:
-    doc = {str(e.entity_id): e.vector.tolist() for e in embeddings}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dumps_json({str(e.entity_id): e.vector.tolist() for e in embeddings})
 
 
 def load_embeddings(path: str | Path) -> list[NodeEmbedding]:

@@ -15,7 +15,6 @@ run over the same inputs reproduces every byte.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +26,7 @@ from . import __version__
 from .config import PipelineConfig
 from .cpg import CpgGraph, dumps_cpg, load_cpg
 from .embedding import FileEmbeddings, HashEmbedder
-from .errors import ConfigError, SchemaError, read_json
+from .errors import ConfigError, SchemaError, dumps_json, read_json
 from .fingerprint import load_repository, match_and_alert, select_threshold
 from .graphormer import (
     ModelConfig,
@@ -79,10 +78,6 @@ def write_atomic(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def dumps_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # --- component builders -------------------------------------------------------

@@ -20,7 +20,6 @@ distinct types between the same pair are meaningful and kept; exact
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -31,7 +30,7 @@ import numpy as np
 
 from .cpg import CpgGraph, EdgeKind
 from .embedding import EmbeddingVector, cosine, stack
-from .errors import SchemaError, ZeroVector, read_json
+from .errors import SchemaError, ZeroVector, dumps_json, read_json
 from .lattice import TOP, Label, join, leq
 from .lifting import Annotation, VerifiedCorpus
 
@@ -45,6 +44,17 @@ class RelationType(str, Enum):
     TAINTS = "taints"
     REACHES = "reaches"
     VULNERABLE_TO = "vulnerable_to"
+
+
+_RELATION_TYPES = {t.value: t for t in RelationType}
+
+
+def relation_type(name) -> RelationType:
+    """The relation type named name; ValueError when there is none."""
+    try:
+        return _RELATION_TYPES[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"{name!r} is not a valid RelationType") from None
 
 
 # Stable index used for model bias tables.
@@ -195,6 +205,14 @@ def embed_entities(entities: Sequence[Entity], provider) -> list[Entity]:
     return [replace(e, embedding=provider.embed(e.summary)) for e in entities]
 
 
+def check_dbscan_params(eps: float, min_samples: int) -> None:
+    """The parameter rule of dbscan; ValueError names the bad one."""
+    if eps < 0:
+        raise ValueError(f"dbscan eps must be non-negative, got {eps}")
+    if min_samples < 1:
+        raise ValueError(f"dbscan min_samples must be at least 1, got {min_samples}")
+
+
 def dbscan(points, eps: float, min_samples: int) -> np.ndarray:
     """Density clustering under cosine distance (1 - cosine similarity).
 
@@ -211,10 +229,7 @@ def dbscan(points, eps: float, min_samples: int) -> np.ndarray:
     n = mat.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    if min_samples < 1:
-        raise ValueError("min_samples must be at least 1")
+    check_dbscan_params(eps, min_samples)
     norms = np.linalg.norm(mat, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector("cosine distance undefined for zero-norm points")
@@ -492,12 +507,11 @@ def dumps_ssckg(kg: SsckgGraph) -> str:
             for e in kg.entities
         ],
         "relations": [
-            {"src": r.src, "rel_type": r.rel_type.value, "dst": r.dst,
-             "weight": r.weight}
+            {"src": r.src, "rel_type": r.rel_type, "dst": r.dst, "weight": r.weight}
             for r in kg.relations
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dumps_json(doc)
 
 
 def load_ssckg(path: str | Path) -> SsckgGraph:
@@ -528,7 +542,7 @@ def _ssckg_from_doc(doc: Mapping) -> SsckgGraph:
         ))
     relations = []
     for raw in doc.get("relations", ()):
-        rel_type = RelationType(raw["rel_type"])
+        rel_type = relation_type(raw["rel_type"])
         dst = raw["dst"]
         relations.append(Relation(
             src=int(raw["src"]), rel_type=rel_type,

@@ -386,6 +386,9 @@ def test_match_bad_embeddings_gives_one_error_line(capsys, fixtures_dir, tmp_pat
     assert str(emb) in err
 
 
+REPORT_BAD_CONFIG = ["report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
+                     "--outdir", "{tmp}/out"]
+
 # Damaged input files for the commands that read them: (file, content,
 # text the error must name, argv).  {bad} is the damaged file; {tmp},
 # {fx}, {toy} and {fw} are the scratch, fixture and report directories.
@@ -422,6 +425,22 @@ BAD_INPUTS = {
         "threshold", "--scores", "{bad}", "--out", "{tmp}/th.json"]),
     "scores_string_score": ("scores.json", '[{"score": "high", "label": "benign"}]', "{bad}", [
         "threshold", "--scores", "{bad}", "--out", "{tmp}/th.json"]),
+    "cpg_string_function_id": (
+        "cpg.json", '{"nodes": [{"id": 0, "kind": "Call", "function_id": "a", "block_id": 0}],'
+        ' "edges": []}', "function_id", ["ingest", "--cpg", "{bad}", "--out", "{tmp}/c.json"]),
+    "cpg_list_edge_endpoint": (
+        "cpg.json", '{"nodes": [{"id": 0, "kind": "Call", "function_id": 0, "block_id": 0}],'
+        ' "edges": [{"src": [0], "dst": 0, "kind": "Pdg"}]}', "edge at index 0",
+        ["ingest", "--cpg", "{bad}", "--out", "{tmp}/c.json"]),
+    "config_unknown_relation_weight": ("cfg.json", '{"relation_weights": {"bogus": 1.0}}',
+                                       "bogus", REPORT_BAD_CONFIG),
+    "config_unknown_edge_relation": ("cfg.json", '{"structural_edge_labels": {"call": "x"}}',
+                                     "structural_edge_labels", REPORT_BAD_CONFIG),
+    "config_beta_out_of_range": ("cfg.json", '{"beta": 7.0}', "beta", REPORT_BAD_CONFIG),
+    "config_heads_not_dividing": ("cfg.json", '{"model_heads": 3}', "3 heads",
+                                  REPORT_BAD_CONFIG),
+    "config_negative_dbscan_eps": ("cfg.json", '{"dbscan_eps": -1.0}', "eps",
+                                   REPORT_BAD_CONFIG),
 }
 
 
@@ -438,3 +457,4 @@ def test_bad_input_file_gives_one_error_line(capsys, fixtures_dir, toy_run, firm
     assert code == EXIT_ERROR
     assert one_error_line(err)
     assert needle.format(**places) in err
+    assert not any((tmp_path / "out").glob("*"))  # rejected before any stage wrote
