@@ -54,8 +54,8 @@ def _emit(doc) -> None:
 
 def _cmd_ingest(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     g = stage_ingest(args.cpg, args.out)
-    _emit({"binary_id": g.binary_id, "nodes": len(g.nodes),
-           "edges": len(g.edges), "functions": len(g.function_ids)})
+    _emit({"binary_id": g.binary_id, "nodes": len(g),
+           "edges": len(g.edge_src), "functions": len(g.function_ids)})
     return EXIT_OK
 
 

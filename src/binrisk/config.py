@@ -3,8 +3,9 @@
 Every knob the pipeline stages expose lives here so a single config
 file drives both the chained subcommands and the one-shot run.  Paths
 in a config file are resolved relative to the file's own directory.
-Unknown keys, values of the wrong type, unknown relation names and
-values out of a stage's range are rejected when the config is built,
+Unknown keys, values of the wrong type, unknown relation names, risk
+bands other than exactly ``high`` and ``medium``, and values out of a
+stage's range are rejected when the config is built,
 before any stage runs, rather than silently ignored.  The range rules
 stay with the stages: the config builds their own parameter objects.
 """
@@ -14,10 +15,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError, read_json
+from .embedding import HashEmbedder
+from .errors import ConfigError, DimensionMismatch, SchemaError, read_json
 from .graphormer import ModelConfig
 from .risk import PropagationConfig
-from .ssckg import check_dbscan_params, relation_type
+from .ssckg import check_dbscan_params, check_relation_weight, relation_type
 
 _SCALARS = {"int": int, "float": (int, float), "str": str}
 
@@ -115,6 +117,19 @@ class PipelineConfig:
             check_dbscan_params(self.dbscan_eps, self.dbscan_min_samples)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        for name, weight in self.relation_weights.items():
+            try:
+                check_relation_weight(weight)
+            except SchemaError as exc:
+                raise ConfigError(
+                    f"config field 'relation_weights' entry '{name}': {exc}") from None
+        try:
+            HashEmbedder(dimension=self.embedding_dimension)
+        except DimensionMismatch as exc:
+            raise ConfigError(f"config field 'embedding_dimension': {exc}") from None
+        if set(self.risk_bands) != {"high", "medium"}:
+            raise ConfigError("config field 'risk_bands' must hold exactly 'high' and "
+                              f"'medium', got {sorted(self.risk_bands)}")
         PropagationConfig(beta=self.beta, tolerance=self.tolerance,
                           max_iterations=self.max_iterations)
         ModelConfig(layers=self.model_layers, heads=self.model_heads,

@@ -11,10 +11,10 @@ The exchange format is plain JSON:
 
 Node kinds are Instruction/Call/Param/Return/Literal; edge kinds are
 Ast/Cfg/Pdg.  Ids (``id``, ``function_id``, ``block_id``, ``src``,
-``dst``) are integers.  ``opcode`` and ``attrs`` are optional, since
-stripped binaries often provide neither.  Edges form a multigraph:
-parallel edges with distinct kinds or labels are meaningful and
-preserved.
+``dst``) are signed 64-bit integers; a boolean is not an id.
+``opcode`` and ``attrs`` are optional, since stripped binaries often
+provide neither.  Edges form a multigraph: parallel edges with distinct
+kinds or labels are meaningful and preserved.
 
 Well-known attrs keys (all values are strings):
 
@@ -22,28 +22,53 @@ Well-known attrs keys (all values are strings):
     function_name  human-readable routine name, usually on entry nodes
     external       "true" when the routine is externally linked or cross-module
 
-Graphs are immutable after construction and hold their nodes in id
-order and their edges in (src, dst, kind, label) order, the canonical
-order ``dumps_cpg`` writes, so a graph read from any file traverses like
-its canonical copy.  Adjacency indexes are built lazily and cached,
-which is safe because nothing mutates the graph.
+A graph is stored as columns, not as one object per node or edge.  The
+node columns are in id order: int64 arrays ``node_id``,
+``node_function``, ``node_block`` and ``node_kind`` (a code into
+``NODE_KINDS``), the list ``opcode``, and ``attrs``, a dict from row to
+attrs holding only the rows that set some.  The edge columns are in
+(src, dst, kind, label) order, the canonical order ``dumps_cpg``
+writes: int64 arrays ``edge_src`` and ``edge_dst`` (node ids),
+``edge_src_row`` and ``edge_dst_row`` (the same endpoints as node
+rows), ``edge_kind`` (a code into ``EDGE_KINDS``, whose codes rank as
+the kind values do) and ``edge_label`` (an index into ``labels``, the
+sorted distinct labels).  A graph read from any file therefore
+traverses like its canonical copy.
+
+``nodes``, ``edges``, ``nodes_of_function`` and ``edges_of_function``
+are the row view: they build ``CpgNode``/``CpgEdge`` objects on demand
+for callers that want rows, such as an annotator's one-function view.
+The pipeline's stages read the columns.
+
+``loads_cpg`` and the row constructor ``CpgGraph(nodes, edges)`` feed
+one validating core.  It checks whole columns at once, and only when a
+check fails does it walk the rows in input order for the first
+offender, so the error names the same row and field whatever the size
+of the input.  Graphs are immutable after construction; the indexes
+over them (``function_rows``, the rows of each function, and
+``pdg_csr``, the data-dependence adjacency that ``verify_claims``
+walks) are built on first use and cached.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
+from functools import cached_property
+from itertools import chain, compress
+from operator import itemgetter
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import ParseError, SchemaError, UnknownNode, dumps_json
+from .errors import ParseError, SchemaError, UnknownNode
 
 
 class NodeKind(str, Enum):
@@ -92,95 +117,266 @@ class VerifyResult:
     failing_claim: DataFlowClaim | None = None
 
 
+NODE_KINDS: tuple[NodeKind, ...] = tuple(NodeKind)
+# Edges sort by kind value, so the codes follow the values.
+EDGE_KINDS: tuple[EdgeKind, ...] = tuple(sorted(EdgeKind, key=lambda k: k.value))
+# A str-valued member hashes and compares as its value, so these tables
+# take the JSON text and the member alike.
+_NODE_CODES = {k.value: code for code, k in enumerate(NODE_KINDS)}
+_EDGE_CODES = {k.value: code for code, k in enumerate(EDGE_KINDS)}
+AST_CODE, PDG_CODE = EDGE_KINDS.index(EdgeKind.AST), EDGE_KINDS.index(EdgeKind.PDG)
+
+_INT64 = range(-2 ** 63, 2 ** 63)
+
+# (raw nodes, raw edges) as JSON-shaped rows, for finding the first fault.
+RawRows = Callable[[], tuple[Sequence, Sequence]]
+
+
 class CpgGraph:
-    """Validated, immutable code property graph."""
+    """Validated, immutable code property graph, stored as columns."""
 
     def __init__(self, nodes: Sequence[CpgNode], edges: Sequence[CpgEdge],
                  binary_id: str = ""):
-        by_id: dict[int, CpgNode] = {}
-        for n in nodes:
-            if n.id in by_id:
-                raise SchemaError(f"duplicate node id {n.id}")
-            if n.function_id < 0 or n.block_id < 0:
-                raise SchemaError(f"node {n.id} has negative function or block id")
-            by_id[n.id] = n
-        for i, e in enumerate(edges):
-            if e.src not in by_id:
-                raise SchemaError(f"edge {i} references missing node {e.src}")
-            if e.dst not in by_id:
-                raise SchemaError(f"edge {i} references missing node {e.dst}")
-        self.binary_id = binary_id
-        self.nodes: tuple[CpgNode, ...] = tuple(sorted(nodes, key=lambda n: n.id))
-        # A str-valued kind compares as its value.
-        self.edges: tuple[CpgEdge, ...] = tuple(
-            sorted(edges, key=attrgetter("src", "dst", "kind", "label")))
-        self._by_id = by_id
-        self._pdg_adj: dict[int, list[int]] | None = None
-        self._by_function: dict[int, list[CpgNode]] | None = None
-        self._fn_edges: dict[int, list[CpgEdge]] | None = None
+        nodes, edges = list(nodes), list(edges)
+        self._build(
+            binary_id,
+            ([n.id for n in nodes], [n.kind for n in nodes], [n.function_id for n in nodes],
+             [n.block_id for n in nodes], [n.opcode for n in nodes], [n.attrs for n in nodes]),
+            ([e.src for e in edges], [e.dst for e in edges], [e.kind for e in edges],
+             [e.label for e in edges]),
+            lambda: ([_node_doc(n) for n in nodes], [_edge_doc(e) for e in edges]))
+
+    @classmethod
+    def _from_columns(cls, binary_id: str, node_columns: tuple, edge_columns: tuple,
+                      raw_rows: RawRows) -> "CpgGraph":
+        g = cls.__new__(cls)
+        g._build(binary_id, node_columns, edge_columns, raw_rows)
+        return g
+
+    def _build(self, binary_id: str, node_columns: tuple, edge_columns: tuple,
+               raw_rows: RawRows) -> None:
+        """The validating core: type checks, graph checks, canonical order."""
+        ids, kinds, functions, blocks, opcodes, attrs = node_columns
+        srcs, dsts, edge_kinds, labels = edge_columns
+        node_id, node_function, node_block = _int64(ids), _int64(functions), _int64(blocks)
+        edge_src, edge_dst = _int64(srcs), _int64(dsts)
+        node_kind, edge_kind = _codes(kinds, _NODE_CODES), _codes(edge_kinds, _EDGE_CODES)
+        if (node_id is None or node_function is None or node_block is None
+                or edge_src is None or edge_dst is None or node_kind is None
+                or edge_kind is None or not set(map(type, attrs)) <= {dict}):
+            _raise_first_fault(*raw_rows())
+
+        n = len(node_id)
+        order = None
+        if n > 1 and not np.all(node_id[1:] > node_id[:-1]):
+            order = np.argsort(node_id, kind="stable")
+        sorted_id = node_id if order is None else node_id[order]
+        duplicate = np.zeros(n, dtype=bool)
+        if order is not None:
+            duplicate[order[1:]] = sorted_id[1:] == sorted_id[:-1]
+        bad = duplicate | (node_function < 0) | (node_block < 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if duplicate[i]:
+                raise SchemaError(f"duplicate node id {ids[i]}")
+            raise SchemaError(f"node {ids[i]} has negative function or block id")
+        src_row, src_found = _search(sorted_id, edge_src)
+        dst_row, dst_found = _search(sorted_id, edge_dst)
+        bad = ~(src_found & dst_found)
+        if bad.any():
+            i = int(np.argmax(bad))
+            missing = srcs[i] if not src_found[i] else dsts[i]
+            raise SchemaError(f"edge {i} references missing node {missing}")
+
+        opcodes = _strs(opcodes)
+        attrs = {i: attrs[i] for i in compress(range(n), attrs)}  # the rows that set some
+        texts = chain.from_iterable(chain(a, a.values()) for a in attrs.values())
+        if not set(map(type, texts)) <= {str}:
+            attrs = {i: {str(k): str(v) for k, v in a.items()} for i, a in attrs.items()}
+        if order is not None:
+            row_of = np.empty(n, dtype=np.int64)
+            row_of[order] = np.arange(n)
+            node_function, node_block = node_function[order], node_block[order]
+            node_kind = node_kind[order]
+            opcodes = [opcodes[i] for i in order.tolist()]
+            attrs = dict(zip(row_of[list(attrs)].tolist(), attrs.values()))
+        labels = _strs(labels)
+        distinct = sorted(set(labels))
+        rank = {lab: code for code, lab in enumerate(distinct)}
+        edge_label = np.array(list(map(rank.__getitem__, labels)), dtype=np.int64)
+        # lexsort's last key is the primary one.
+        edge_order = np.lexsort((edge_label, edge_kind, edge_dst, edge_src))
+
+        self.binary_id = str(binary_id)
+        self.node_id = sorted_id
+        self.node_function = node_function
+        self.node_block = node_block
+        self.node_kind = node_kind
+        self.opcode = opcodes
+        self.attrs = attrs
+        self.edge_src = edge_src[edge_order]
+        self.edge_dst = edge_dst[edge_order]
+        self.edge_src_row = src_row[edge_order]
+        self.edge_dst_row = dst_row[edge_order]
+        self.edge_kind = edge_kind[edge_order]
+        self.edge_label = edge_label[edge_order]
+        self.labels = distinct
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.node_id)
 
-    def node(self, node_id: int) -> CpgNode:
-        try:
-            return self._by_id[node_id]
-        except KeyError:
-            raise UnknownNode(f"no node with id {node_id}") from None
+    def rows_of(self, ids: Iterable) -> np.ndarray:
+        """Row of each node id, or -1 for an id the graph does not hold."""
+        ids = list(ids)
+        keys = _int64(ids)
+        valid = None
+        if keys is None:  # a value that is no int64 names no node
+            valid = np.array([isinstance(i, (int, np.integer)) and int(i) in _INT64
+                              for i in ids], dtype=bool)
+            keys = np.array([int(i) if ok else 0 for i, ok in zip(ids, valid.tolist())],
+                            dtype=np.int64)
+        rows, found = _search(self.node_id, keys)
+        if valid is not None:
+            found &= valid
+        return np.where(found, rows, -1)
 
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._by_id
+    @cached_property
+    def function_rows(self) -> dict[int, np.ndarray]:
+        """Rows of each function in id order, keyed by ascending function id."""
+        return group_rows(self.node_function)
 
     @property
     def function_ids(self) -> list[int]:
-        return sorted(self._function_index())
+        return list(self.function_rows)
+
+    @cached_property
+    def nodes(self) -> tuple[CpgNode, ...]:
+        """Row view of every node, in id order."""
+        return tuple(self._node_rows(np.arange(len(self))))
+
+    @cached_property
+    def edges(self) -> tuple[CpgEdge, ...]:
+        """Row view of every edge, in canonical order."""
+        return tuple(self._edge_rows(np.arange(len(self.edge_src))))
 
     def nodes_of_function(self, function_id: int) -> list[CpgNode]:
-        return list(self._function_index().get(function_id, []))
-
-    def edges_of_kind(self, kind: EdgeKind) -> list[CpgEdge]:
-        return [e for e in self.edges if e.kind is kind]
+        rows = self.function_rows.get(function_id)
+        return [] if rows is None else self._node_rows(rows)
 
     def edges_of_function(self, function_id: int) -> list[CpgEdge]:
         """Edges with both endpoints inside the given function.
 
         Node sets of distinct functions are disjoint, so an edge is
         induced by a function exactly when both endpoints carry that
-        function id; the bucket index is built once.
+        function id; the index is built once.
         """
-        if self._fn_edges is None:
-            idx: dict[int, list[CpgEdge]] = {}
-            for e in self.edges:
-                src_fn = self._by_id[e.src].function_id
-                if src_fn == self._by_id[e.dst].function_id:
-                    idx.setdefault(src_fn, []).append(e)
-            self._fn_edges = idx
-        return list(self._fn_edges.get(function_id, []))
+        edges = self._function_edges.get(function_id)
+        return [] if edges is None else self._edge_rows(edges)
+
+    @cached_property
+    def _function_edges(self) -> dict[int, np.ndarray]:
+        src_function = self.node_function[self.edge_src_row]
+        inner = np.flatnonzero(src_function == self.node_function[self.edge_dst_row])
+        return {fid: inner[at] for fid, at in group_rows(src_function[inner]).items()}
+
+    @cached_property
+    def pdg_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Data-dependence adjacency over rows: (indptr, successor rows).
+
+        The successors of row r are ``succ[indptr[r]:indptr[r + 1]]``, in
+        edge order; edges are sorted by source, so one search splits them.
+        """
+        pdg = self.edge_kind == PDG_CODE
+        src = self.edge_src_row[pdg]
+        return np.searchsorted(src, np.arange(len(self) + 1)), self.edge_dst_row[pdg]
 
     def pdg_successors(self) -> Mapping[int, list[int]]:
-        """Adjacency over data-dependence edges only, built once."""
-        if self._pdg_adj is None:
-            adj: dict[int, list[int]] = {}
-            for e in self.edges:
-                if e.kind is EdgeKind.PDG:
-                    adj.setdefault(e.src, []).append(e.dst)
-            self._pdg_adj = adj
-        return self._pdg_adj
+        """Adjacency over data-dependence edges only, by node id."""
+        indptr, succ = self.pdg_csr
+        ids = self.node_id
+        return {int(ids[r]): ids[succ[indptr[r]:indptr[r + 1]]].tolist()
+                for r in np.flatnonzero(np.diff(indptr)).tolist()}
 
-    def _function_index(self) -> dict[int, list[CpgNode]]:
-        if self._by_function is None:
-            idx: dict[int, list[CpgNode]] = {}
-            for n in self.nodes:
-                idx.setdefault(n.function_id, []).append(n)
-            self._by_function = idx
-        return self._by_function
+    def _node_rows(self, rows: np.ndarray) -> list[CpgNode]:
+        attrs, opcode = self.attrs, self.opcode
+        return [CpgNode(i, NODE_KINDS[k], opcode[r], f, b, attrs[r] if r in attrs else {})
+                for r, i, k, f, b in zip(rows.tolist(), self.node_id[rows].tolist(),
+                                         self.node_kind[rows].tolist(),
+                                         self.node_function[rows].tolist(),
+                                         self.node_block[rows].tolist())]
+
+    def _edge_rows(self, edges: np.ndarray) -> list[CpgEdge]:
+        labels = self.labels
+        return [CpgEdge(s, d, EDGE_KINDS[k], labels[c])
+                for s, d, k, c in zip(self.edge_src[edges].tolist(),
+                                      self.edge_dst[edges].tolist(),
+                                      self.edge_kind[edges].tolist(),
+                                      self.edge_label[edges].tolist())]
 
 
-_NODE_KINDS = {k.value: k for k in NodeKind}
-_EDGE_KINDS = {k.value: k for k in EdgeKind}
+def group_rows(keys: np.ndarray) -> dict[int, np.ndarray]:
+    """Positions of each distinct key, in position order, by ascending key."""
+    order = np.argsort(keys, kind="stable")
+    distinct, starts = np.unique(keys[order], return_index=True)
+    return dict(zip(distinct.tolist(), np.split(order, starts[1:])))
 
 
-def _parse_node(raw: Mapping, pos: int) -> CpgNode:
+def _int64(values: list) -> np.ndarray | None:
+    """values as int64, or None unless each is a plain int in range."""
+    if not set(map(type, values)) <= {int}:
+        return None
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _codes(values: list, table: Mapping) -> np.ndarray | None:
+    """Each value's code in table, or None if a value has none."""
+    try:
+        return np.array(list(map(table.__getitem__, values)), dtype=np.int8)
+    except (KeyError, TypeError):
+        return None
+
+
+def _strs(values: list) -> list[str]:
+    """values with each one that is not a str replaced by its str()."""
+    if set(map(type, values)) <= {str}:
+        return values
+    return [v if type(v) is str else str(v) for v in values]
+
+
+def _search(sorted_id: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, found) of each key in the sorted id column."""
+    rows = np.searchsorted(sorted_id, keys)
+    found = rows < len(sorted_id)
+    found[found] = sorted_id[rows[found]] == keys[found]
+    return rows, found
+
+
+def _node_doc(n: CpgNode) -> dict:
+    return {"id": n.id, "kind": n.kind, "opcode": n.opcode, "function_id": n.function_id,
+            "block_id": n.block_id, "attrs": n.attrs}
+
+
+def _edge_doc(e: CpgEdge) -> dict:
+    return {"src": e.src, "dst": e.dst, "kind": e.kind, "label": e.label}
+
+
+def _is_id(value) -> bool:
+    return type(value) is int and value in _INT64
+
+
+def _raise_first_fault(raw_nodes: Sequence, raw_edges: Sequence) -> NoReturn:
+    """Raise the SchemaError of the first faulty row, nodes before edges."""
+    for pos, raw in enumerate(raw_nodes):
+        _check_node(raw, pos)
+    for pos, raw in enumerate(raw_edges):
+        _check_edge(raw, pos)
+    raise AssertionError("a column check failed but every row passes")
+
+
+def _check_node(raw, pos: int) -> None:
     if not isinstance(raw, dict):
         raise SchemaError(f"node at index {pos} must be an object")
     try:
@@ -189,34 +385,25 @@ def _parse_node(raw: Mapping, pos: int) -> CpgNode:
     except KeyError as exc:
         raise SchemaError(f"node at index {pos} is missing required field {exc}") from None
     try:
-        kind = _NODE_KINDS[kind_text]
+        _NODE_CODES[kind_text]
     except (KeyError, TypeError):
         raise SchemaError(f"node at index {pos} has unknown kind '{kind_text}'") from None
-    if not isinstance(node_id, int):
+    if not _is_id(node_id):
         raise SchemaError(f"node at index {pos} has non-integer id {node_id!r}")
-    attrs = raw.get("attrs", {})
-    if not isinstance(attrs, dict):
+    if type(raw.get("attrs", {})) is not dict:
         raise SchemaError(f"node {node_id} attrs must be an object")
     try:
         function_id = raw["function_id"]
         block_id = raw["block_id"]
     except KeyError as exc:
         raise SchemaError(f"node {node_id} is missing required field {exc}") from None
-    if not isinstance(function_id, int):
+    if not _is_id(function_id):
         raise SchemaError(f"node {node_id} has non-integer function_id {function_id!r}")
-    if not isinstance(block_id, int):
+    if not _is_id(block_id):
         raise SchemaError(f"node {node_id} has non-integer block_id {block_id!r}")
-    return CpgNode(
-        id=node_id,
-        kind=kind,
-        opcode=str(raw.get("opcode", "")),
-        function_id=function_id,
-        block_id=block_id,
-        attrs={str(k): str(v) for k, v in attrs.items()},
-    )
 
 
-def _parse_edge(raw: Mapping, pos: int) -> CpgEdge:
+def _check_edge(raw, pos: int) -> None:
     if not isinstance(raw, dict):
         raise SchemaError(f"edge at index {pos} must be an object")
     try:
@@ -224,7 +411,7 @@ def _parse_edge(raw: Mapping, pos: int) -> CpgEdge:
     except KeyError as exc:
         raise SchemaError(f"edge at index {pos} is missing required field {exc}") from None
     try:
-        kind = _EDGE_KINDS[kind_text]
+        _EDGE_CODES[kind_text]
     except (KeyError, TypeError):
         raise SchemaError(f"edge at index {pos} has unknown kind '{kind_text}'") from None
     try:
@@ -232,16 +419,35 @@ def _parse_edge(raw: Mapping, pos: int) -> CpgEdge:
         dst = raw["dst"]
     except KeyError as exc:
         raise SchemaError(f"edge at index {pos} is missing required field {exc}") from None
-    if not isinstance(src, int) or not isinstance(dst, int):
+    if not _is_id(src) or not _is_id(dst):
         raise SchemaError(f"edge at index {pos} has a non-integer endpoint {src!r} -> {dst!r}")
-    return CpgEdge(src=src, dst=dst, kind=kind, label=str(raw.get("label", "")))
+
+
+_REQUIRED = object()
+
+
+def _column(rows: list, key: str, default=_REQUIRED) -> list:
+    """The key's value in every row; a row without an optional key gives default."""
+    try:
+        return list(map(itemgetter(key), rows))
+    except KeyError:
+        if default is _REQUIRED:
+            raise
+        return [row.get(key, default) for row in rows]
 
 
 def loads_cpg(text: str) -> CpgGraph:
+    # Parsing builds no reference cycles, so the cyclic collector would
+    # only rescan the rows built so far, again and again as they grow.
+    collect = gc.isenabled()
+    gc.disable()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
+    finally:
+        if collect:
+            gc.enable()
     if not isinstance(doc, dict):
         raise SchemaError("top-level document must be an object")
     try:
@@ -251,9 +457,16 @@ def loads_cpg(text: str) -> CpgGraph:
         raise SchemaError(f"document is missing required field {exc}") from None
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise SchemaError("document 'nodes' and 'edges' must be lists")
-    nodes = [_parse_node(n, i) for i, n in enumerate(raw_nodes)]
-    edges = [_parse_edge(e, i) for i, e in enumerate(raw_edges)]
-    return CpgGraph(nodes, edges, binary_id=str(doc.get("binary_id", "")))
+    try:
+        node_columns = (*(_column(raw_nodes, key) for key in ("id", "kind", "function_id",
+                                                              "block_id")),
+                        _column(raw_nodes, "opcode", ""), _column(raw_nodes, "attrs", {}))
+        edge_columns = (*(_column(raw_edges, key) for key in ("src", "dst", "kind")),
+                        _column(raw_edges, "label", ""))
+    except (KeyError, TypeError, AttributeError):  # a row is no object or lacks a field
+        _raise_first_fault(raw_nodes, raw_edges)
+    return CpgGraph._from_columns(str(doc.get("binary_id", "")), node_columns, edge_columns,
+                                  lambda: (raw_nodes, raw_edges))
 
 
 def load_cpg(path: str | Path) -> CpgGraph:
@@ -261,31 +474,60 @@ def load_cpg(path: str | Path) -> CpgGraph:
     return loads_cpg(Path(path).read_text(encoding="utf-8"))
 
 
+def _node_template(kind: NodeKind) -> str:
+    return ('    {\n      "attrs": %s,\n      "block_id": %d,\n      "function_id": %d,\n'
+            '      "id": %d,\n      "kind": "' + kind.value + '",\n      "opcode": %s\n    }')
+
+
+def _edge_template(kind: EdgeKind) -> str:
+    return ('    {\n      "dst": %d,\n      "kind": "' + kind.value + '",\n'
+            '      "label": %s,\n      "src": %d\n    }')
+
+
+_NODE_TEMPLATES = [_node_template(k) for k in NODE_KINDS]
+_EDGE_TEMPLATES = [_edge_template(k) for k in EDGE_KINDS]
+
+
+def _attrs_text(attrs: Mapping[str, str]) -> str:
+    quote = encode_basestring_ascii
+    return ("{\n        " + ",\n        ".join(quote(k) + ": " + quote(attrs[k])
+                                             for k in sorted(attrs)) + "\n      }")
+
+
+def _rows_text(rows: list[str]) -> str:
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
 def dumps_cpg(g: CpgGraph) -> str:
-    """Canonical serialization; loads_cpg(dumps_cpg(g)) reproduces g."""
-    return dumps_json({
-        "binary_id": g.binary_id,
-        "nodes": [
-            {"id": n.id, "kind": n.kind, "opcode": n.opcode,
-             "function_id": n.function_id, "block_id": n.block_id, "attrs": n.attrs}
-            for n in g.nodes
-        ],
-        "edges": [
-            {"src": e.src, "dst": e.dst, "kind": e.kind, "label": e.label}
-            for e in g.edges
-        ],
-    })
+    """Canonical serialization; loads_cpg(dumps_cpg(g)) reproduces g.
+
+    The bytes are those ``errors.dumps_json`` writes for the graph's
+    document; each row is filled into a template for its kind.
+    """
+    attrs = ["{}"] * len(g)
+    for row, row_attrs in g.attrs.items():
+        attrs[row] = _attrs_text(row_attrs)
+    opcodes = {o: encode_basestring_ascii(o) for o in set(g.opcode)}
+    nodes = [_NODE_TEMPLATES[k] % (a, b, f, i, o) for k, a, b, f, i, o in zip(
+        g.node_kind.tolist(), attrs, g.node_block.tolist(), g.node_function.tolist(),
+        g.node_id.tolist(), map(opcodes.__getitem__, g.opcode))]
+    labels = list(map(encode_basestring_ascii, g.labels))
+    edges = [_EDGE_TEMPLATES[k] % (d, labels[c], s) for k, d, c, s in zip(
+        g.edge_kind.tolist(), g.edge_dst.tolist(), g.edge_label.tolist(), g.edge_src.tolist())]
+    return ('{\n  "binary_id": ' + encode_basestring_ascii(g.binary_id)
+            + ',\n  "edges": ' + _rows_text(edges)
+            + ',\n  "nodes": ' + _rows_text(nodes) + "\n}\n")
 
 
-def _reachable(adj: Mapping[int, list[int]], source: int, sink: int) -> bool:
-    # Plain BFS; reachability is reflexive (empty path).
+def _reachable(indptr: np.ndarray, succ: np.ndarray, source: int, sink: int) -> bool:
+    # Plain BFS over rows; reachability is reflexive (empty path).
     if source == sink:
         return True
     seen = {source}
     queue = deque([source])
     while queue:
         cur = queue.popleft()
-        for nxt in adj.get(cur, ()):
+        for nxt in succ[indptr[cur]:indptr[cur + 1]].tolist():
             if nxt == sink:
                 return True
             if nxt not in seen:
@@ -303,13 +545,14 @@ def verify_claims(g: CpgGraph, claims: Sequence[DataFlowClaim]) -> VerifyResult:
     claim.  A claim naming a node id absent from the graph raises
     UnknownNode.
     """
-    adj = g.pdg_successors()
-    for claim in claims:
-        if not g.has_node(claim.source_node):
+    indptr, succ = g.pdg_csr
+    rows = g.rows_of([end for c in claims for end in (c.source_node, c.sink_node)]).tolist()
+    for claim, source, sink in zip(claims, rows[::2], rows[1::2]):
+        if source < 0:
             raise UnknownNode(f"claim references missing node {claim.source_node}")
-        if not g.has_node(claim.sink_node):
+        if sink < 0:
             raise UnknownNode(f"claim references missing node {claim.sink_node}")
-        if not _reachable(adj, claim.source_node, claim.sink_node):
+        if not _reachable(indptr, succ, source, sink):
             return VerifyResult(sat=False, failing_claim=claim)
     return VerifyResult(sat=True)
 

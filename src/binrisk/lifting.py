@@ -88,13 +88,12 @@ class Annotator(Protocol):
 
 
 def function_subgraph(g: CpgGraph, function_id: int) -> FunctionSubgraph:
+    """The row view of one function, nodes in id order, edges in canonical order."""
     nodes = g.nodes_of_function(function_id)
     if not nodes:
         raise UnknownFunction(f"no nodes with function id {function_id}")
-    edges = tuple(g.edges_of_function(function_id))
-    return FunctionSubgraph(function_id=function_id,
-                            nodes=tuple(sorted(nodes, key=lambda n: n.id)),
-                            edges=edges)
+    return FunctionSubgraph(function_id=function_id, nodes=tuple(nodes),
+                            edges=tuple(g.edges_of_function(function_id)))
 
 
 def build_corpus(g: CpgGraph, functions: Sequence[int],
@@ -171,27 +170,18 @@ class RuleAnnotator:
             self.rules.append((pattern, label))
 
     def annotate(self, view: FunctionSubgraph, context: Mapping) -> Annotation:
-        label = TOP
-        for pattern, candidate in self.rules:
-            hit = False
-            for node in view.nodes:
-                if _pattern_matches(pattern, node.opcode):
-                    hit = True
-                    break
-                callee = node.attrs.get("callee", "")
-                if callee and _pattern_matches(pattern, callee):
-                    hit = True
-                    break
-            if hit:
-                label = candidate
-                break
+        opcodes = {n.opcode for n in view.nodes}
+        callees = {n.attrs["callee"] for n in view.nodes if "callee" in n.attrs}
+        # A rule hits when it matches any opcode or any non-empty callee.
+        names = opcodes | (callees - {""})
+        label = next((candidate for pattern, candidate in self.rules
+                      if any(_pattern_matches(pattern, name) for name in names)), TOP)
         claims = tuple(
             DataFlowClaim(e.src, e.dst)
             for e in sorted(view.edges, key=lambda e: (e.src, e.dst))
             if e.kind is EdgeKind.PDG
         )
-        tokens = sorted({n.opcode for n in view.nodes if n.opcode}
-                        | {n.attrs["callee"] for n in view.nodes if "callee" in n.attrs})
+        tokens = sorted((opcodes - {""}) | callees)
         behavior = "unknown behavior" if label.is_top else " ".join(label.path).replace("_", " ").lower()
         summary = f"{behavior} routine using {' '.join(tokens)}" if tokens else behavior
         return Annotation(function_id=str(view.function_id), label=label,

@@ -23,12 +23,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cpg import CpgGraph, EdgeKind
+from .cpg import AST_CODE, PDG_CODE, CpgGraph, group_rows
 from .embedding import EmbeddingVector, cosine, stack
 from .errors import SchemaError, ZeroVector, dumps_json, read_json
 from .lattice import TOP, Label, join, leq
@@ -92,6 +93,12 @@ class Entity:
     cluster_id: int | None = None
 
 
+def check_relation_weight(weight: float) -> None:
+    """The weight rule of Relation; SchemaError when weight is not positive."""
+    if weight <= 0:
+        raise SchemaError(f"relation weight must be positive, got {weight}")
+
+
 @dataclass(frozen=True)
 class Relation:
     src: int
@@ -100,8 +107,7 @@ class Relation:
     weight: float
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise SchemaError(f"relation weight must be positive, got {self.weight}")
+        check_relation_weight(self.weight)
         if (self.rel_type is RelationType.VULNERABLE_TO) != isinstance(self.dst, str):
             raise SchemaError("only vulnerable_to relations may target a CVE id")
 
@@ -145,14 +151,6 @@ class SsckgGraph:
         return [r for r in self.relations if isinstance(r.dst, int)]
 
 
-def _entity_name(nodes, key_text: str) -> str:
-    for n in sorted(nodes, key=lambda n: n.id):
-        name = n.attrs.get("function_name", "")
-        if name:
-            return name
-    return key_text
-
-
 def structural_collapse(g: CpgGraph, granularity: Granularity = Granularity.FUNCTION,
                         corpus: VerifiedCorpus | Mapping[str, Annotation] | None = None,
                         ) -> list[Entity]:
@@ -162,6 +160,8 @@ def structural_collapse(g: CpgGraph, granularity: Granularity = Granularity.FUNC
     covering the annotated function; entities whose functions carry no
     accepted annotation stay at top with an empty summary.  Entity ids
     are assigned by ascending group key, so collapse is deterministic.
+    An entity is named by the first of its nodes, in id order, that
+    sets ``function_name``.
     """
     annotations: dict[str, Annotation] = {}
     if isinstance(corpus, VerifiedCorpus):
@@ -169,15 +169,27 @@ def structural_collapse(g: CpgGraph, granularity: Granularity = Granularity.FUNC
     elif corpus:
         annotations = {str(k): v for k, v in corpus.items()}
 
-    groups: dict[int, list] = {}
-    for n in g.nodes:
-        key = n.block_id if granularity is Granularity.BLOCK else n.function_id
-        groups.setdefault(key, []).append(n)
+    by_block = granularity is Granularity.BLOCK
+    groups = group_rows(g.node_block) if by_block else g.function_rows
+    entity_of_row = np.empty(len(g), dtype=np.int64)
+    for eid, rows in enumerate(groups.values()):
+        entity_of_row[rows] = eid
+    # Only rows with attrs can name an entity or mark it external; rows
+    # ascend with node id.
+    names: dict[int, str] = {}
+    external: set[int] = set()
+    attr_rows = sorted(g.attrs)
+    for row, eid in zip(attr_rows, entity_of_row[attr_rows].tolist()):
+        attrs = g.attrs[row]
+        if eid not in names and attrs.get("function_name", ""):
+            names[eid] = attrs["function_name"]
+        if attrs.get("external") == "true":
+            external.add(eid)
 
+    prefix = "block" if by_block else "func"
     entities: list[Entity] = []
-    for eid, key in enumerate(sorted(groups)):
-        nodes = groups[key]
-        fids = sorted({n.function_id for n in nodes})
+    for eid, (key, rows) in enumerate(groups.items()):
+        fids = np.unique(g.node_function[rows]).tolist() if by_block else [key]
         covered = [annotations[str(fid)] for fid in fids if str(fid) in annotations]
         # Fold the covered functions' labels with join; no annotation
         # leaves the entity at top.
@@ -187,15 +199,13 @@ def structural_collapse(g: CpgGraph, granularity: Granularity = Granularity.FUNC
                 label = join(label, ann.label)
         else:
             label = TOP
-        summary = " ".join(a.summary for a in covered)
-        prefix = "block" if granularity is Granularity.BLOCK else "func"
         entities.append(Entity(
             id=eid,
-            name=_entity_name(nodes, f"{prefix}_{key}"),
+            name=names.get(eid, f"{prefix}_{key}"),
             label=label,
-            members=frozenset(n.id for n in nodes),
-            summary=summary,
-            external=any(n.attrs.get("external") == "true" for n in nodes),
+            members=frozenset(g.node_id[rows].tolist()),
+            summary=" ".join(a.summary for a in covered),
+            external=eid in external,
         ))
     return entities
 
@@ -372,11 +382,21 @@ def extract_relations(g: CpgGraph, entities: Sequence[Entity],
     to one entity never produce relations.
     """
     cfg = config or RelationConfig()
-    node_entity: dict[int, int] = {}
-    for ent in entities:
-        for nid in ent.members:
-            node_entity[nid] = ent.id
     by_id = {e.id: e for e in entities}
+    # The entity id of each node row that some entity lists; a node
+    # listed twice belongs to the later entity.
+    member_rows = g.rows_of(chain.from_iterable(e.members for e in entities))
+    owner = np.repeat(np.array([e.id for e in entities], dtype=np.int64),
+                      [len(e.members) for e in entities])
+    listed = member_rows >= 0
+    rows, last = np.unique(member_rows[listed][::-1], return_index=True)
+    entity_of_row = np.zeros(len(g), dtype=np.int64)
+    entity_of_row[rows] = owner[listed][::-1][last]
+    owned = np.zeros(len(g), dtype=bool)
+    owned[rows] = True
+    src_entity = entity_of_row[g.edge_src_row]
+    dst_entity = entity_of_row[g.edge_dst_row]
+    between = owned[g.edge_src_row] & owned[g.edge_dst_row] & (src_entity != dst_entity)
 
     found: dict[tuple[int, RelationType, int | str], Relation] = {}
 
@@ -387,25 +407,18 @@ def extract_relations(g: CpgGraph, entities: Sequence[Entity],
                                   weight=cfg.weights[rel_type])
 
     # Structural relations from mapped syntax-edge labels.
-    for e in g.edges:
-        if e.kind is not EdgeKind.AST:
-            continue
-        rel_type = cfg.structural_edge_labels.get(e.label)
-        if rel_type is None:
-            continue
-        src, dst = node_entity.get(e.src), node_entity.get(e.dst)
-        if src is None or dst is None or src == dst:
-            continue
-        emit(src, rel_type, dst)
+    label_types = [cfg.structural_edge_labels.get(label) for label in g.labels]
+    mapped = [code for code, rel_type in enumerate(label_types) if rel_type is not None]
+    ast = between & (g.edge_kind == AST_CODE) & np.isin(g.edge_label, mapped)
+    for src, code, dst in zip(src_entity[ast].tolist(), g.edge_label[ast].tolist(),
+                              dst_entity[ast].tolist()):
+        emit(src, label_types[code], dst)
 
     # Inter-entity data dependence, and data-flow relations over it.
+    pdg = between & (g.edge_kind == PDG_CODE)
+    pairs = sorted(set(zip(src_entity[pdg].tolist(), dst_entity[pdg].tolist())))
     pdg_adj: dict[int, set[int]] = {}
-    for e in g.edges:
-        if e.kind is not EdgeKind.PDG:
-            continue
-        src, dst = node_entity.get(e.src), node_entity.get(e.dst)
-        if src is None or dst is None or src == dst:
-            continue
+    for src, dst in pairs:
         pdg_adj.setdefault(src, set()).add(dst)
         if cfg._under_any(by_id[dst].label, cfg.write_actions):
             emit(src, RelationType.WRITES_TO, dst)

@@ -441,6 +441,21 @@ BAD_INPUTS = {
                                   REPORT_BAD_CONFIG),
     "config_negative_dbscan_eps": ("cfg.json", '{"dbscan_eps": -1.0}', "eps",
                                    REPORT_BAD_CONFIG),
+    "cpg_boolean_id": (
+        "cpg.json", '{"nodes": [{"id": true, "kind": "Call", "function_id": 0,'
+        ' "block_id": false}], "edges": []}', "non-integer id True",
+        ["ingest", "--cpg", "{bad}", "--out", "{tmp}/c.json"]),
+    "cpg_id_beyond_int64": (
+        "cpg.json", '{"nodes": [{"id": 12345678901234567890123, "kind": "Call",'
+        ' "function_id": 0, "block_id": 0}], "edges": []}',
+        "non-integer id 12345678901234567890123",
+        ["ingest", "--cpg", "{bad}", "--out", "{tmp}/c.json"]),
+    "config_band_missing_medium": ("cfg.json", '{"risk_bands": {"high": 0.5}}', "risk_bands",
+                                   REPORT_BAD_CONFIG),
+    "config_zero_relation_weight": ("cfg.json", '{"relation_weights": {"calls": 0.0}}',
+                                    "relation_weights", REPORT_BAD_CONFIG),
+    "config_embedding_dimension_below_two": ("cfg.json", '{"embedding_dimension": 1}',
+                                             "embedding_dimension", REPORT_BAD_CONFIG),
 }
 
 

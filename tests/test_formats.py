@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from binrisk.cpg import (CpgEdge, CpgGraph, CpgNode, DataFlowClaim, EdgeKind, NodeKind,
                          dumps_cpg, loads_cpg)
 from binrisk.embedding import EmbeddingVector
-from binrisk.errors import dumps_json
+from binrisk.errors import SchemaError, dumps_json
 from binrisk.fingerprint import Fingerprint, dumps_fingerprint, load_fingerprint
 from binrisk.graphormer import NodeEmbedding, dumps_embeddings, load_embeddings
 from binrisk.lattice import Lattice
@@ -77,18 +77,41 @@ def test_dumps_json_rejects_what_stdlib_rejects(doc):
 # --- round trips: loads(dumps(x)) == x -----------------------------------------
 
 IDS = st.integers(min_value=0, max_value=2 ** 40)
+INT64 = st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1)
+# Small ids make functions share nodes and blocks; large ones reach the
+# ends of the int64 columns.
+GROUP_IDS = st.integers(min_value=0, max_value=3) | st.integers(min_value=0,
+                                                                max_value=2 ** 63 - 1)
+LABELS = st.sampled_from(["", "call", "é"]) | TEXT
 
 
 @st.composite
-def graphs(draw):
-    ids = draw(st.lists(IDS, unique=True, min_size=1, max_size=12))
+def graph_rows(draw) -> tuple[list[CpgNode], list[CpgEdge], str]:
+    """Shuffled node and edge rows of a valid graph, and its binary id."""
+    ids = draw(st.lists(INT64, unique=True, min_size=1, max_size=12))
     nodes = [CpgNode(id=i, kind=draw(st.sampled_from(list(NodeKind))), opcode=draw(TEXT),
-                     function_id=draw(IDS), block_id=draw(IDS),
+                     function_id=draw(GROUP_IDS), block_id=draw(GROUP_IDS),
                      attrs=draw(st.dictionaries(TEXT, TEXT, max_size=3)))
              for i in ids]
-    edges = draw(st.lists(st.builds(CpgEdge, st.sampled_from(ids), st.sampled_from(ids),
-                                    st.sampled_from(list(EdgeKind)), TEXT), max_size=20))
-    return CpgGraph(draw(st.permutations(nodes)), edges, binary_id=draw(TEXT))
+    edge = st.builds(CpgEdge, st.sampled_from(ids), st.sampled_from(ids),
+                     st.sampled_from(list(EdgeKind)), LABELS)
+    edges = draw(st.just([]) | st.lists(edge, max_size=20))
+    return draw(st.permutations(nodes)), draw(st.permutations(edges)), draw(TEXT)
+
+
+def graphs():
+    return graph_rows().map(lambda rows: CpgGraph(*rows))
+
+
+def cpg_document(g: CpgGraph) -> dict:
+    """The graph's document, from its row view."""
+    return {
+        "binary_id": g.binary_id,
+        "nodes": [{"id": n.id, "kind": n.kind, "opcode": n.opcode, "function_id": n.function_id,
+                   "block_id": n.block_id, "attrs": n.attrs} for n in g.nodes],
+        "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind, "label": e.label}
+                  for e in g.edges],
+    }
 
 
 @PROPERTY
@@ -98,6 +121,161 @@ def test_cpg_round_trip(g):
     back = loads_cpg(text)
     assert (back.binary_id, back.nodes, back.edges) == (g.binary_id, g.nodes, g.edges)
     assert dumps_cpg(back) == text
+
+
+@PROPERTY
+@given(graphs())
+def test_dumps_cpg_equals_canonical_writer(g):
+    assert dumps_cpg(g) == dumps_json(cpg_document(g))
+
+
+# JSON values a reader coerces with str(): an opcode or attrs value that
+# is not a string.
+LOOSE = TEXT | st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False)
+
+
+@st.composite
+def cpg_texts(draw) -> tuple[str, list[CpgNode], list[CpgEdge], str]:
+    """A CPG file with optional fields left out and loose values, and the
+    rows it holds once those values are coerced."""
+    nodes, edges, binary_id = draw(graph_rows())
+    raw_nodes, coerced = [], []
+    for n in nodes:
+        raw = {"id": n.id, "kind": n.kind.value, "function_id": n.function_id,
+               "block_id": n.block_id}
+        opcode = draw(st.just(n.opcode) | LOOSE)
+        if opcode != "" or draw(st.booleans()):
+            raw["opcode"] = opcode
+        attrs = draw(st.just(n.attrs) | st.dictionaries(TEXT, LOOSE, max_size=3))
+        if attrs or draw(st.booleans()):
+            raw["attrs"] = attrs
+        raw_nodes.append(raw)
+        coerced.append(CpgNode(n.id, n.kind, str(opcode), n.function_id, n.block_id,
+                               {k: str(v) for k, v in attrs.items()}))
+    raw_edges = []
+    for e in edges:
+        raw = {"src": e.src, "dst": e.dst, "kind": e.kind.value}
+        if e.label or draw(st.booleans()):
+            raw["label"] = e.label
+        raw_edges.append(raw)
+    doc = {"binary_id": binary_id, "nodes": raw_nodes, "edges": raw_edges}
+    return json.dumps(doc), coerced, edges, binary_id
+
+
+def graph_views(g: CpgGraph) -> tuple:
+    fids = g.function_ids
+    return (g.binary_id, g.nodes, g.edges, fids, [g.nodes_of_function(f) for f in fids],
+            [g.edges_of_function(f) for f in fids], g.pdg_successors(), dumps_cpg(g))
+
+
+@PROPERTY
+@given(cpg_texts())
+def test_loads_cpg_agrees_with_row_constructor(case):
+    text, nodes, edges, binary_id = case
+    from_rows = CpgGraph(nodes, edges, binary_id)
+    assert graph_views(loads_cpg(text)) == graph_views(from_rows)
+    # Canonical order: nodes by id, edges by (src, dst, kind value, label).
+    assert list(from_rows.nodes) == sorted(nodes, key=lambda n: n.id)
+    assert list(from_rows.edges) == sorted(
+        edges, key=lambda e: (e.src, e.dst, e.kind.value, e.label))
+
+
+def first_fault(doc: dict) -> str | None:
+    """The error of the row-by-row reading: each node row, then each edge
+    row, then node ids, then edge endpoints; None for a valid document."""
+    def is_id(value):
+        return type(value) is int and -2 ** 63 <= value < 2 ** 63
+
+    node_kinds, edge_kinds = {k.value for k in NodeKind}, {k.value for k in EdgeKind}
+    for pos, raw in enumerate(doc["nodes"]):
+        if not isinstance(raw, dict):
+            return f"node at index {pos} must be an object"
+        for key in ("id", "kind"):
+            if key not in raw:
+                return f"node at index {pos} is missing required field '{key}'"
+        if not isinstance(raw["kind"], str) or raw["kind"] not in node_kinds:
+            return f"node at index {pos} has unknown kind '{raw['kind']}'"
+        if not is_id(raw["id"]):
+            return f"node at index {pos} has non-integer id {raw['id']!r}"
+        if not isinstance(raw.get("attrs", {}), dict):
+            return f"node {raw['id']} attrs must be an object"
+        for key in ("function_id", "block_id"):
+            if key not in raw:
+                return f"node {raw['id']} is missing required field '{key}'"
+        for key in ("function_id", "block_id"):
+            if not is_id(raw[key]):
+                return f"node {raw['id']} has non-integer {key} {raw[key]!r}"
+    for pos, raw in enumerate(doc["edges"]):
+        if not isinstance(raw, dict):
+            return f"edge at index {pos} must be an object"
+        if "kind" not in raw:
+            return f"edge at index {pos} is missing required field 'kind'"
+        if not isinstance(raw["kind"], str) or raw["kind"] not in edge_kinds:
+            return f"edge at index {pos} has unknown kind '{raw['kind']}'"
+        for key in ("src", "dst"):
+            if key not in raw:
+                return f"edge at index {pos} is missing required field '{key}'"
+        if not is_id(raw["src"]) or not is_id(raw["dst"]):
+            return (f"edge at index {pos} has a non-integer endpoint "
+                    f"{raw['src']!r} -> {raw['dst']!r}")
+    seen = set()
+    for raw in doc["nodes"]:
+        if raw["id"] in seen:
+            return f"duplicate node id {raw['id']}"
+        if raw["function_id"] < 0 or raw["block_id"] < 0:
+            return f"node {raw['id']} has negative function or block id"
+        seen.add(raw["id"])
+    for pos, raw in enumerate(doc["edges"]):
+        for key in ("src", "dst"):
+            if raw[key] not in seen:
+                return f"edge {pos} references missing node {raw[key]}"
+    return None
+
+
+# Damage done to one row: (field, value); ... deletes the field, and a
+# "row" value replaces the whole row.
+NODE_FAULTS = [("id", "duplicate"), ("function_id", -1), ("id", True), ("id", 2 ** 64),
+               ("id", "7"), ("block_id", False), ("function_id", "a"), ("attrs", ["x"]),
+               ("attrs", None), ("kind", "Widget"), ("block_id", ...), ("id", ...),
+               ("kind", ...), ("row", [1])]
+EDGE_FAULTS = [("src", "dangling"), ("dst", "dangling"), ("ends", "dangling"), ("src", False),
+               ("dst", -(2 ** 63) - 1), ("kind", "Data"), ("dst", ...), ("kind", ...),
+               ("row", None)]
+
+
+@st.composite
+def faulty_documents(draw) -> dict:
+    g = draw(graphs())
+    doc = json.loads(dumps_cpg(g))
+    for _ in range(2):
+        rows = draw(st.sampled_from(["edges", "nodes"] if doc["edges"] else ["nodes"]))
+        pos = draw(st.integers(min_value=0, max_value=len(doc[rows]) - 1))
+        key, value = draw(st.sampled_from(NODE_FAULTS if rows == "nodes" else EDGE_FAULTS))
+        if value == "duplicate":
+            value = doc["nodes"][draw(st.integers(0, len(doc["nodes"]) - 1))].get("id")
+        elif value == "dangling":
+            value = max(g.node_id.tolist()) + 1
+        if key == "row":
+            doc[rows][pos] = value
+        elif key == "ends" and isinstance(doc[rows][pos], dict):
+            doc[rows][pos].update(src=value, dst=value + 1)
+        elif isinstance(doc[rows][pos], dict) and value is ...:
+            doc[rows][pos].pop(key, None)
+        elif isinstance(doc[rows][pos], dict):
+            doc[rows][pos][key] = value
+    return doc
+
+
+@PROPERTY
+@given(faulty_documents())
+def test_first_fault_message_is_the_row_by_row_one(doc):
+    expected = first_fault(doc)
+    if expected is None:
+        loads_cpg(json.dumps(doc))
+        return
+    with pytest.raises(SchemaError) as info:
+        loads_cpg(json.dumps(doc))
+    assert str(info.value) == expected
 
 
 VECTORS = st.lists(FINITE, min_size=1, max_size=6)
