@@ -26,7 +26,7 @@ import numpy as np
 from binrisk.config import PipelineConfig
 from binrisk.fingerprint import Fingerprint, dumps_fingerprint, load_repository, match_and_alert
 from binrisk.graphormer import NodeEmbedding, load_embeddings
-from binrisk.pipeline import run_one, stage_build_kg, stage_ingest, stage_lift, write_atomic
+from binrisk.pipeline import run_pipeline, stage_build_kg, stage_ingest, stage_lift, write_atomic
 from binrisk.ssckg import load_ssckg
 
 HERE = Path(__file__).resolve().parent
@@ -64,7 +64,7 @@ def main() -> None:
 
         print("toy_modbus checks")
         toy_cfg = PipelineConfig.from_file(HERE / "config_toy.json")
-        report = run_one(toy_cfg, HERE / "toy_modbus.cpg.json", tmp / "toy")
+        [report] = run_pipeline(toy_cfg, [HERE / "toy_modbus.cpg.json"], tmp / "toy")
         kg = load_ssckg(tmp / "toy" / "toy_modbus.kg.json")
         labels = {e.id: str(e.label) for e in kg.entities}
         check("entity labels", labels == {
@@ -118,7 +118,7 @@ def main() -> None:
         ], key=lambda t: (t[0], t[1], t[2]))
         check("relation set (9 incl CVE link)", triples == expected, str(triples))
 
-        fw_report = run_one(cfg, HERE / "firmware_update.cpg.json", tmp / "fw_run")
+        [fw_report] = run_pipeline(cfg, [HERE / "firmware_update.cpg.json"], tmp / "fw_run")
         embeddings = load_embeddings(tmp / "fw_run" / "firmware_update.embeddings.json")
         by_id = {e.entity_id: e.vector for e in embeddings}
 

@@ -104,6 +104,7 @@ from .ssckg import (
     Entity,
     Granularity,
     Relation,
+    RelationColumns,
     RelationType,
     SsckgGraph,
     construction_stats,

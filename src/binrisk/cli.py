@@ -79,7 +79,7 @@ def _cmd_build_ssckg(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     if args.cves:
         cfg.cves_path = args.cves
     kg = stage_build_kg(args.cpg, args.corpus, cfg, args.out)
-    _emit({"entities": len(kg.entities), "relations": len(kg.relations)})
+    _emit({"entities": len(kg.entities), "relations": len(kg.relation_columns)})
     return EXIT_OK
 
 

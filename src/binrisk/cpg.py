@@ -68,7 +68,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import ParseError, SchemaError, UnknownNode
+from .errors import ParseError, SchemaError, UnknownNode, json_rows
 
 
 class NodeKind(str, Enum):
@@ -494,10 +494,6 @@ def _attrs_text(attrs: Mapping[str, str]) -> str:
                                              for k in sorted(attrs)) + "\n      }")
 
 
-def _rows_text(rows: list[str]) -> str:
-    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-
-
 def dumps_cpg(g: CpgGraph) -> str:
     """Canonical serialization; loads_cpg(dumps_cpg(g)) reproduces g.
 
@@ -515,8 +511,8 @@ def dumps_cpg(g: CpgGraph) -> str:
     edges = [_EDGE_TEMPLATES[k] % (d, labels[c], s) for k, d, c, s in zip(
         g.edge_kind.tolist(), g.edge_dst.tolist(), g.edge_label.tolist(), g.edge_src.tolist())]
     return ('{\n  "binary_id": ' + encode_basestring_ascii(g.binary_id)
-            + ',\n  "edges": ' + _rows_text(edges)
-            + ',\n  "nodes": ' + _rows_text(nodes) + "\n}\n")
+            + ',\n  "edges": ' + json_rows(edges)
+            + ',\n  "nodes": ' + json_rows(nodes) + "\n}\n")
 
 
 def _reachable(indptr: np.ndarray, succ: np.ndarray, source: int, sink: int) -> bool:
@@ -569,7 +565,9 @@ def shortest_path_matrix(num_nodes: int, edges: Iterable[tuple[int, int]],
         raise ValueError("graph must be non-empty")
     if max_dist < 1:
         raise ValueError("max_dist must be at least 1")
-    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     adj = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                      shape=(num_nodes, num_nodes))
     hops = shortest_path(adj, directed=True, unweighted=True)

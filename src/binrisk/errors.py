@@ -134,6 +134,15 @@ def dumps_json(doc) -> str:
     return _encode(doc, "\n") + "\n"
 
 
+def json_rows(rows: list[str]) -> str:
+    """The text of a top-level document's list, given the text of each row.
+
+    Each row is written at the indent of a list item one level down, as
+    ``dumps_json`` would write it; row templates fill them.
+    """
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
 def _encode(value, newline: str) -> str:
     # newline is "\n" plus the indent of the line value starts on; the
     # checks run in the standard encoder's order, so a str-valued Enum

@@ -240,11 +240,15 @@ def _entity_order(kg: SsckgGraph) -> list[int]:
 
 def relation_edges(kg: SsckgGraph) -> list[tuple[int, int, int, float]]:
     """Entity-to-entity relations as (src_index, dst_index, type_index, weight)."""
-    index = {eid: i for i, eid in enumerate(_entity_order(kg))}
-    out = []
-    for r in kg.entity_relations():
-        out.append((index[r.src], index[r.dst], RELATION_INDEX[r.rel_type], r.weight))
-    return out
+    return list(zip(*(column.tolist() for column in _relation_arrays(kg))))
+
+
+def _relation_arrays(kg: SsckgGraph) -> tuple[np.ndarray, ...]:
+    """The columns of ``relation_edges``: src and dst positions, type index, weight."""
+    cols = kg.relation_columns
+    between = cols.entity_rows()
+    return (kg.positions(cols.src[between]), kg.positions(cols.dst[between]),
+            cols.type_code[between].astype(np.int64), cols.weight[between])
 
 
 def forward(kg: SsckgGraph, params: ModelParams) -> list[NodeEmbedding]:
@@ -264,9 +268,10 @@ def forward(kg: SsckgGraph, params: ModelParams) -> list[NodeEmbedding]:
                 f"model expects {cfg.input_dim}")
         feats.append(ent.embedding.values)
         tiers.append(ent.label.tier)
-    edges = relation_edges(kg)
-    dist = shortest_path_matrix(len(order), [(i, j) for i, j, _, _ in edges],
+    src, dst, type_index, weight = _relation_arrays(kg)
+    dist = shortest_path_matrix(len(order), np.column_stack((src, dst)),
                                 max_dist=cfg.max_dist)
+    edges = np.column_stack((src, dst, type_index, weight))
 
     z = np.stack(feats) @ params.w_input + params.tier_embed[np.array(tiers)]
     flat, edge_vals = _edge_bias_terms(len(order), edges, params.edge_bias,

@@ -4,13 +4,14 @@ Each stage is a core over in-memory objects (``lift``, ``build_kg``,
 ``transform``, ``score``, ``match``, ``render_dot``) plus a ``stage_*``
 wrapper that loads the stage's input files, runs the core and writes
 its output, which is what each CLI subcommand calls.  ``report``
-(``run_one``) parses the CPG once and chains the cores in memory; files
-are its outputs, not the transport between its stages.  It writes every
-intermediate through the same serializer the wrapper uses, so running
-the subcommands by hand against the same config writes the same bytes.
-``write_atomic`` (temp file + rename) is the one write path, and all
-serialization is canonical (sorted keys, no timestamps), so a repeated
-run over the same inputs reproduces every byte.
+(``run_pipeline``) parses each CPG once and ``run_one`` chains the
+cores in memory; files are its outputs, not the transport between its
+stages.  It writes every intermediate through the same serializer the
+wrapper uses, so running the subcommands by hand against the same
+config writes the same bytes.  ``write_atomic`` (temp file + rename)
+is the one write path, and all serialization is canonical (sorted
+keys, no timestamps), so a repeated run over the same inputs
+reproduces every byte.
 """
 
 from __future__ import annotations
@@ -330,10 +331,18 @@ class RiskReport:
         return bool(self.alerts)
 
 
-def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path) -> RiskReport:
-    """Run every stage core for one binary, writing each stage's file."""
-    g = load_cpg(cpg_path)
-    bid = g.binary_id or Path(cpg_path).stem
+def binary_id(g: CpgGraph, cpg_path: str | Path) -> str:
+    """The id a binary's outputs are named by: its binary_id, else the file stem."""
+    return g.binary_id or Path(cpg_path).stem
+
+
+def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path,
+            g: CpgGraph) -> RiskReport:
+    """Run every stage core for one binary, writing each stage's file.
+
+    g is the graph parsed from cpg_path.
+    """
+    bid = binary_id(g, cpg_path)
 
     def write(suffix: str, text: str) -> None:
         write_atomic(Path(outdir) / f"{bid}.{suffix}", text)
@@ -377,13 +386,29 @@ def run_pipeline(cfg: PipelineConfig, cpg_paths: Sequence[str | Path],
                  outdir: str | Path, workers: int = 1) -> list[RiskReport]:
     """Process binaries through the full chain, optionally in parallel.
 
-    Results come back in input order regardless of worker count, and
-    per-binary outputs are independent files, so parallelism never
-    changes any produced byte.
+    Every input is parsed, once, before any output is written, and two
+    inputs with the same binary id are rejected, since their outputs
+    would overwrite each other.  Results come back in input order
+    regardless of worker count, and per-binary outputs are independent
+    files, so parallelism never changes any produced byte.  Each graph
+    is released once its binary is done.
     """
     if workers < 1:
         raise ConfigError("workers must be at least 1")
+    graphs = [load_cpg(p) for p in cpg_paths]
+    seen: dict[str, str | Path] = {}
+    for g, path in zip(graphs, cpg_paths):
+        bid = binary_id(g, path)
+        if bid in seen:
+            raise ConfigError(f"inputs {seen[bid]} and {path} have the same binary id "
+                              f"'{bid}', so their outputs would overwrite each other")
+        seen[bid] = path
+
+    def run(i: int) -> RiskReport:
+        g, graphs[i] = graphs[i], None
+        return run_one(cfg, cpg_paths[i], outdir, g)
+
     if workers == 1 or len(cpg_paths) <= 1:
-        return [run_one(cfg, p, outdir) for p in cpg_paths]
+        return [run(i) for i in range(len(cpg_paths))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda p: run_one(cfg, p, outdir), cpg_paths))
+        return list(pool.map(run, range(len(cpg_paths))))

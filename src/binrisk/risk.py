@@ -30,7 +30,7 @@ import numpy as np
 
 from .embedding import cosine
 from .errors import ConfigError, EmptyGraph, NonConvergence
-from .ssckg import CveRecord, Entity, RelationType, SsckgGraph
+from .ssckg import RELATION_INDEX, CveRecord, Entity, RelationType, SsckgGraph
 
 RISK_BEARING: frozenset[RelationType] = frozenset(
     t for t in RelationType if t is not RelationType.VULNERABLE_TO)
@@ -81,19 +81,29 @@ def normalize_weights(kg: SsckgGraph,
     every entity with at least one in-neighbor the returned
     coefficients sum to exactly one.
     """
-    incoming: dict[int, dict[int, float]] = {}
-    for rel in kg.relations:
-        if rel.rel_type not in rel_types or not isinstance(rel.dst, int):
-            continue
-        if rel.src == rel.dst:
-            continue
-        incoming.setdefault(rel.dst, {}).setdefault(rel.src, 0.0)
-        incoming[rel.dst][rel.src] += rel.weight
-    out: dict[int, dict[int, float]] = {}
-    for dst, weights in incoming.items():
-        total = sum(weights.values())
-        out[dst] = {src: w / total for src, w in weights.items()}
-    return out
+    cols = kg.relation_columns
+    codes = [RELATION_INDEX[t] for t in rel_types if t is not RelationType.VULNERABLE_TO]
+    keep = np.isin(cols.type_code, codes) & (cols.src != cols.dst)
+    src, dst, weight = cols.src[keep], cols.dst[keep], cols.weight[keep]
+    # Add each distinct (dst, src) pair's weights in relation order
+    # (np.add.at is unbuffered and in order), then each target's pair
+    # sums in the order the pairs first appear: the order a loop over
+    # the relations would add them in.
+    n = len(kg)
+    key = kg.positions(dst) * n + kg.positions(src)
+    pairs, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    sums = np.zeros(len(pairs))
+    np.add.at(sums, inverse, weight)
+    # Pairs sort by target, so each target's pairs are one run.
+    targets, target, counts = np.unique(pairs // n, return_inverse=True, return_counts=True)
+    totals = np.zeros(len(targets))
+    seen = np.argsort(first)
+    np.add.at(totals, target[seen], sums[seen])
+    ids = kg.entity_ids
+    srcs, coeffs = ids[pairs % n].tolist(), (sums / totals[target]).tolist()
+    ends = np.cumsum(counts).tolist()
+    return {d: dict(zip(srcs[a:b], coeffs[a:b]))
+            for d, a, b in zip(ids[targets].tolist(), [0] + ends[:-1], ends)}
 
 
 def propagate(kg: SsckgGraph, inherent: Mapping[int, float],
@@ -120,8 +130,7 @@ def propagate(kg: SsckgGraph, inherent: Mapping[int, float],
     connected = np.zeros(len(order), dtype=bool)
     for dst, weights in coeffs.items():
         connected[index[dst]] = True
-        for src, w in weights.items():
-            transition[index[dst], index[src]] = w
+        transition[index[dst], list(map(index.__getitem__, weights))] = list(weights.values())
 
     beta = cfg.beta
     scores = inh.copy()

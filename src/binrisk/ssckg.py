@@ -16,22 +16,46 @@ vulnerable_to points from an entity to a CVE identifier (a string);
 every other relation connects two entities.  Parallel relations of
 distinct types between the same pair are meaningful and kept; exact
 (src, type, dst) duplicates are dropped.
+
+A graph's relations are stored as columns (``RelationColumns``), not as
+one object per relation.  In row order they are: int64 ``src``, int8
+``type_code`` (an index into ``RELATION_TYPES``, which is also the
+model's bias-table index), int64 ``dst``, float64 ``weight``, and
+``cve``, the CVE id of each vulnerable_to row by row (whose ``dst`` is
+0).  ``extract_relations`` returns them sorted by src, then type name,
+then dst as a string.  ``Relation`` is the row view: iterating the
+columns, ``SsckgGraph.relations`` and ``entity_relations`` build
+``Relation`` objects on demand.  Relation ids are plain integers, not
+booleans, and every weight is finite and positive.
+
+``load_ssckg`` and the row constructor ``SsckgGraph(entities,
+relations)`` feed one validating core.  It checks whole columns at
+once, and only when a check fails does it walk the rows in input order
+for the first offender, so the error names the same row whatever the
+size of the input.  ``dumps_ssckg`` fills one row template per
+relation and writes the bytes ``errors.dumps_json`` would.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain
+from functools import cached_property
+from itertools import chain, compress
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .cpg import AST_CODE, PDG_CODE, CpgGraph, group_rows
+from .cpg import AST_CODE, PDG_CODE, CpgGraph, _codes, _int64, _is_id, _search, group_rows
 from .embedding import EmbeddingVector, cosine, stack
-from .errors import SchemaError, ZeroVector, dumps_json, read_json
+from .errors import SchemaError, ZeroVector, dumps_json, json_rows, read_json
 from .lattice import TOP, Label, join, leq
 from .lifting import Annotation, VerifiedCorpus
 
@@ -47,19 +71,23 @@ class RelationType(str, Enum):
     VULNERABLE_TO = "vulnerable_to"
 
 
-_RELATION_TYPES = {t.value: t for t in RelationType}
+# The type of each relation type code; a code is also the model's bias-table index.
+RELATION_TYPES: tuple[RelationType, ...] = tuple(RelationType)
+RELATION_INDEX: dict[RelationType, int] = {t: i for i, t in enumerate(RELATION_TYPES)}
+# A str-valued member hashes and compares as its value, so this table
+# takes the JSON text and the member alike.
+_TYPE_CODES = {t.value: code for code, t in enumerate(RELATION_TYPES)}
+VULN_CODE = RELATION_INDEX[RelationType.VULNERABLE_TO]
+# Rows sort by type name, not by code: the rank of each code's name.
+_NAME_RANK = np.argsort(np.argsort([t.value for t in RELATION_TYPES])).astype(np.int8)
 
 
 def relation_type(name) -> RelationType:
     """The relation type named name; ValueError when there is none."""
     try:
-        return _RELATION_TYPES[name]
+        return RELATION_TYPES[_TYPE_CODES[name]]
     except (KeyError, TypeError):
         raise ValueError(f"{name!r} is not a valid RelationType") from None
-
-
-# Stable index used for model bias tables.
-RELATION_INDEX: dict[RelationType, int] = {t: i for i, t in enumerate(RelationType)}
 
 DEFAULT_WEIGHTS: dict[RelationType, float] = {
     RelationType.TAINTS: 1.0,
@@ -94,9 +122,9 @@ class Entity:
 
 
 def check_relation_weight(weight: float) -> None:
-    """The weight rule of Relation; SchemaError when weight is not positive."""
-    if weight <= 0:
-        raise SchemaError(f"relation weight must be positive, got {weight}")
+    """The weight rule of Relation; SchemaError unless weight is finite and positive."""
+    if not (math.isfinite(weight) and weight > 0):
+        raise SchemaError(f"relation weight must be finite and positive, got {weight}")
 
 
 @dataclass(frozen=True)
@@ -119,32 +147,188 @@ class CveRecord:
     embedding: EmbeddingVector
 
 
-class SsckgGraph:
-    """Entity-level knowledge graph, immutable after construction."""
+class RelationColumns:
+    """Relations as columns, in row order; see the module docstring.
 
-    def __init__(self, entities: Sequence[Entity], relations: Sequence[Relation],
+    ``len`` is the number of relations.  Iterating, ``rows`` and ``==``
+    (against columns or any sequence of ``Relation``) use the row view.
+    """
+
+    def __init__(self, src: np.ndarray, type_code: np.ndarray, dst: np.ndarray,
+                 weight: np.ndarray, cve: Mapping[int, str]):
+        self.src = src
+        self.type_code = type_code
+        self.dst = dst
+        self.weight = weight
+        self.cve = dict(cve)  # row -> CVE id, in row order
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    @cached_property
+    def rows(self) -> tuple[Relation, ...]:
+        return tuple(map(Relation, self.src.tolist(),
+                         map(RELATION_TYPES.__getitem__, self.type_code.tolist()),
+                         self.dst_values(), self.weight.tolist()))
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other):
+        if isinstance(other, RelationColumns):
+            return self.rows == other.rows
+        if isinstance(other, (list, tuple)):
+            return self.rows == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def dst_values(self) -> list[int | str]:
+        """Each row's target: an entity id, or a CVE id on vulnerable_to rows."""
+        dst = self.dst.tolist()
+        for row, cve_id in self.cve.items():
+            dst[row] = cve_id
+        return dst
+
+    def entity_rows(self) -> np.ndarray:
+        """Mask of the rows between two entities (everything but CVE links)."""
+        return self.type_code != VULN_CODE
+
+
+def _relation_columns(srcs: list, types: list, dsts: list, weights: list,
+                      raw_rows: Callable[[], Sequence]) -> RelationColumns:
+    """Typed columns of JSON-shaped relation columns.
+
+    A value of the wrong type anywhere raises the SchemaError of the
+    first faulty row of ``raw_rows()``.
+    """
+    src, code, weight = _int64(srcs), _codes(types, _TYPE_CODES), _floats(weights)
+    dst, cve = None, {}
+    if code is not None:
+        vuln = code == VULN_CODE
+        cve = {row: dsts[row] for row in np.flatnonzero(vuln).tolist()}
+        if not cve:
+            dst = _int64(dsts)
+        elif set(map(type, cve.values())) <= {str}:
+            entity_dst = _int64(list(compress(dsts, (~vuln).tolist())))
+            if entity_dst is not None:
+                dst = np.zeros(len(dsts), dtype=np.int64)
+                dst[~vuln] = entity_dst
+    if src is None or code is None or dst is None or weight is None:
+        _raise_first_relation_fault(raw_rows())
+    return RelationColumns(src, code, dst, weight, cve)
+
+
+def _floats(values: list) -> np.ndarray | None:
+    """values as float64, or None unless each is a plain int or float in range."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
+
+
+def _raise_first_relation_fault(raw_rows: Sequence) -> NoReturn:
+    for pos, raw in enumerate(raw_rows):
+        if not isinstance(raw, dict):
+            raise SchemaError(f"relation at index {pos} must be an object")
+        try:
+            src, type_name, dst, weight = raw["src"], raw["rel_type"], raw["dst"], raw["weight"]
+        except KeyError as exc:
+            raise SchemaError(f"relation at index {pos} is missing required field {exc}") from None
+        try:
+            code = _TYPE_CODES[type_name]
+        except (KeyError, TypeError):
+            raise SchemaError(f"relation at index {pos} has unknown rel_type "
+                              f"{type_name!r}") from None
+        if not _is_id(src):
+            raise SchemaError(f"relation at index {pos} has non-integer src {src!r}")
+        if code == VULN_CODE and type(dst) is not str:
+            raise SchemaError(f"relation at index {pos} is vulnerable_to, whose dst must be "
+                              f"a CVE id string, got {dst!r}")
+        if code != VULN_CODE and not _is_id(dst):
+            raise SchemaError(f"relation at index {pos} has non-integer dst {dst!r}")
+        if _floats([weight]) is None:
+            raise SchemaError(f"relation at index {pos} has weight {weight!r}, "
+                              "which is no float")
+    raise AssertionError("a column check failed but every row passes")
+
+
+def _relation_doc(r: Relation) -> dict:
+    return {"src": r.src, "rel_type": r.rel_type, "dst": r.dst, "weight": r.weight}
+
+
+class SsckgGraph:
+    """Entity-level knowledge graph, immutable after construction.
+
+    ``relations`` may be ``RelationColumns`` or any sequence of
+    ``Relation``; either way the graph stores columns.
+    """
+
+    def __init__(self, entities: Sequence[Entity],
+                 relations: RelationColumns | Sequence[Relation],
                  source_binary: str = "", clustering: Mapping | None = None):
-        by_id: dict[int, Entity] = {}
-        for ent in entities:
-            if ent.id in by_id:
-                raise SchemaError(f"duplicate entity id {ent.id}")
-            by_id[ent.id] = ent
-        for rel in relations:
-            if rel.src not in by_id:
-                raise SchemaError(f"relation source {rel.src} is not an entity")
-            if isinstance(rel.dst, int) and rel.dst not in by_id:
-                raise SchemaError(f"relation target {rel.dst} is not an entity")
-        self.entities: tuple[Entity, ...] = tuple(sorted(entities, key=lambda e: e.id))
-        self.relations: tuple[Relation, ...] = tuple(relations)
+        if not isinstance(relations, RelationColumns):
+            rows = list(relations)
+            relations = _relation_columns(
+                [r.src for r in rows], [r.rel_type for r in rows], [r.dst for r in rows],
+                [r.weight for r in rows], lambda: list(map(_relation_doc, rows)))
+        self._build(list(entities), relations)
         self.source_binary = source_binary
         self.clustering = dict(clustering) if clustering else None
-        self._by_id = by_id
+
+    def _build(self, entities: list[Entity], columns: RelationColumns) -> None:
+        """The graph checks: entity ids and members, relation ends and weights."""
+        ids = _int64([e.id for e in entities])
+        if ids is None:
+            pos = next(i for i, e in enumerate(entities) if not _is_id(e.id))
+            raise SchemaError(f"entity at index {pos} has non-integer id {entities[pos].id!r}")
+        if not set(map(type, chain.from_iterable(e.members for e in entities))) <= {int}:
+            ent, member = next((e, m) for e in entities for m in e.members if type(m) is not int)
+            raise SchemaError(f"entity {ent.id} has non-integer member {member!r}")
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        duplicate = np.zeros(len(ids), dtype=bool)
+        duplicate[order[1:]] = sorted_ids[1:] == sorted_ids[:-1]
+        if duplicate.any():
+            raise SchemaError(f"duplicate entity id {ids[np.argmax(duplicate)]}")
+
+        _, src_found = _search(sorted_ids, columns.src)
+        _, dst_found = _search(sorted_ids, columns.dst)
+        weight_ok = np.isfinite(columns.weight) & (columns.weight > 0)
+        dst_found |= ~columns.entity_rows()
+        bad = ~(src_found & dst_found & weight_ok)
+        if bad.any():
+            i = int(np.argmax(bad))
+            try:
+                check_relation_weight(float(columns.weight[i]))
+            except SchemaError as exc:
+                raise SchemaError(f"relation at index {i}: {exc}") from None
+            if not src_found[i]:
+                raise SchemaError(f"relation at index {i}: source {columns.src[i]} "
+                                  "is not an entity")
+            raise SchemaError(f"relation at index {i}: target {columns.dst[i]} is not an entity")
+
+        self.entities: tuple[Entity, ...] = tuple(entities[i] for i in order.tolist())
+        self.entity_ids = sorted_ids
+        self.relation_columns = columns
+        self._by_id = dict(zip(sorted_ids.tolist(), self.entities))
 
     def __len__(self) -> int:
         return len(self.entities)
 
     def entity(self, entity_id: int) -> Entity:
         return self._by_id[entity_id]
+
+    def positions(self, entity_ids: np.ndarray) -> np.ndarray:
+        """Position in ``entities`` of each of the graph's entity ids."""
+        return np.searchsorted(self.entity_ids, entity_ids)
+
+    @property
+    def relations(self) -> tuple[Relation, ...]:
+        """Row view of every relation, in stored order."""
+        return self.relation_columns.rows
 
     def entity_relations(self) -> list[Relation]:
         """Relations between two entities (everything but CVE links)."""
@@ -348,28 +532,46 @@ class RelationConfig:
     taint_sinks: tuple[str, ...] = ("Hardware/Coil_Write", "Hardware/Firmware_Update")
     weights: dict[RelationType, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
 
-    def _under_any(self, label: Label, paths: Iterable[str]) -> bool:
-        return any(leq(label, Label.parse(p)) for p in paths)
+
+def _under_any(labels: Sequence[Label], paths: Iterable[str]) -> np.ndarray:
+    """Mask of the labels that fall under at least one of the paths."""
+    parsed = [Label.parse(p) for p in paths]
+    verdict: dict[Label, bool] = {}
+    for label in labels:
+        if label not in verdict:
+            verdict[label] = any(leq(label, p) for p in parsed)
+    return np.array([verdict[label] for label in labels], dtype=bool)
 
 
-def _closure(adj: Mapping[int, set[int]], start: int) -> set[int]:
-    """Every node reachable from start by at least one edge."""
-    seen: set[int] = set()
-    queue = deque(adj.get(start, ()))
-    seen.update(adj.get(start, ()))
-    while queue:
-        cur = queue.popleft()
-        for nxt in adj.get(cur, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+def _reach(n: int, src: np.ndarray, dst: np.ndarray, sources: np.ndarray,
+           sinks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(source, sink) position pairs joined by a path of at least one edge.
+
+    The graph has n nodes and the edges src -> dst.  As in Nuutila's
+    transitive closure (1995), the search runs over the condensation:
+    every node of a strong component reaches what the component
+    reaches, so one breadth-first search per source component (one
+    csgraph call over a CSR) gives the source x sink block.  A
+    component reaches itself over a nonempty path exactly when an edge
+    stays inside it: it has more than one node, or a self-loop.
+    """
+    if not len(sources) or not len(sinks):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    adj = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    count, component = connected_components(adj, directed=True, connection="strong")
+    condensed = csr_matrix((np.ones(len(src)), (component[src], component[dst])),
+                           shape=(count, count))
+    starts, start_of = np.unique(component[sources], return_inverse=True)
+    reach = np.isfinite(shortest_path(condensed, directed=True, unweighted=True, indices=starts))
+    reach[np.arange(len(starts)), starts] = condensed.diagonal()[starts] != 0
+    rows, cols = np.nonzero(reach[start_of][:, component[sinks]])
+    return sources[rows], sinks[cols]
 
 
 def extract_relations(g: CpgGraph, entities: Sequence[Entity],
                       cves: Sequence[CveRecord] = (),
                       cve_match_threshold: float = 0.85,
-                      config: RelationConfig | None = None) -> list[Relation]:
+                      config: RelationConfig | None = None) -> RelationColumns:
     """Derive the typed relation set connecting the given entities.
 
     Structural relations come from syntax edges whose label is mapped
@@ -379,15 +581,16 @@ def extract_relations(g: CpgGraph, entities: Sequence[Entity],
     and sinks; reaches from reachability over everything extracted so
     far plus raw inter-entity data dependence; vulnerable_to from
     summary-to-CVE cosine at or above the threshold.  Edges interior
-    to one entity never produce relations.
+    to one entity never produce relations.  The rows are distinct and
+    sorted by src, then type name, then dst as a string.
     """
     cfg = config or RelationConfig()
-    by_id = {e.id: e for e in entities}
-    # The entity id of each node row that some entity lists; a node
-    # listed twice belongs to the later entity.
+    n = len(entities)
+    ids = np.array([e.id for e in entities], dtype=np.int64)
+    # The entity position of each node row that some entity lists; a
+    # node listed twice belongs to the later entity.
     member_rows = g.rows_of(chain.from_iterable(e.members for e in entities))
-    owner = np.repeat(np.array([e.id for e in entities], dtype=np.int64),
-                      [len(e.members) for e in entities])
+    owner = np.repeat(np.arange(n), [len(e.members) for e in entities])
     listed = member_rows >= 0
     rows, last = np.unique(member_rows[listed][::-1], return_index=True)
     entity_of_row = np.zeros(len(g), dtype=np.int64)
@@ -398,66 +601,92 @@ def extract_relations(g: CpgGraph, entities: Sequence[Entity],
     dst_entity = entity_of_row[g.edge_dst_row]
     between = owned[g.edge_src_row] & owned[g.edge_dst_row] & (src_entity != dst_entity)
 
-    found: dict[tuple[int, RelationType, int | str], Relation] = {}
-
-    def emit(src: int, rel_type: RelationType, dst: int | str):
-        key = (src, rel_type, dst)
-        if key not in found:
-            found[key] = Relation(src=src, rel_type=rel_type, dst=dst,
-                                  weight=cfg.weights[rel_type])
+    labels = [e.label for e in entities]
+    is_read = _under_any(labels, cfg.read_actions)
+    is_write = _under_any(labels, cfg.write_actions)
+    sources = np.flatnonzero(_under_any(labels, cfg.taint_sources))
+    sinks = np.flatnonzero(_under_any(labels, cfg.taint_sinks))
 
     # Structural relations from mapped syntax-edge labels.
-    label_types = [cfg.structural_edge_labels.get(label) for label in g.labels]
-    mapped = [code for code, rel_type in enumerate(label_types) if rel_type is not None]
-    ast = between & (g.edge_kind == AST_CODE) & np.isin(g.edge_label, mapped)
-    for src, code, dst in zip(src_entity[ast].tolist(), g.edge_label[ast].tolist(),
-                              dst_entity[ast].tolist()):
-        emit(src, label_types[code], dst)
+    mapped = [cfg.structural_edge_labels.get(label) for label in g.labels]
+    label_code = np.array([-1 if t is None else RELATION_INDEX[t] for t in mapped],
+                          dtype=np.int8)
+    ast = np.flatnonzero(between & (g.edge_kind == AST_CODE))
+    struct_code = label_code[g.edge_label[ast]]
+    ast = ast[struct_code >= 0]
+    struct_code = struct_code[struct_code >= 0]
+    if (struct_code == VULN_CODE).any():
+        raise SchemaError("only vulnerable_to relations may target a CVE id")
 
-    # Inter-entity data dependence, and data-flow relations over it.
+    # Distinct inter-entity data-dependence pairs, and data-flow
+    # relations over them.
     pdg = between & (g.edge_kind == PDG_CODE)
-    pairs = sorted(set(zip(src_entity[pdg].tolist(), dst_entity[pdg].tolist())))
-    pdg_adj: dict[int, set[int]] = {}
-    for src, dst in pairs:
-        pdg_adj.setdefault(src, set()).add(dst)
-        if cfg._under_any(by_id[dst].label, cfg.write_actions):
-            emit(src, RelationType.WRITES_TO, dst)
-        if cfg._under_any(by_id[src].label, cfg.read_actions):
-            emit(dst, RelationType.READS_FROM, src)
+    pair = np.unique(src_entity[pdg] * n + dst_entity[pdg])
+    pdg_src, pdg_dst = pair // n, pair % n
+    writes, reads = is_write[pdg_dst], is_read[pdg_src]
 
-    sources = [e.id for e in entities if cfg._under_any(e.label, cfg.taint_sources)]
-    sinks = {e.id for e in entities if cfg._under_any(e.label, cfg.taint_sinks)}
-
+    parts = [  # (src, code, dst) position columns
+        (src_entity[ast], struct_code, dst_entity[ast]),
+        (pdg_src[writes], RELATION_INDEX[RelationType.WRITES_TO], pdg_dst[writes]),
+        (pdg_dst[reads], RELATION_INDEX[RelationType.READS_FROM], pdg_src[reads]),
+    ]
     # Taints: data-dependence reachability from an input-bearing entity
     # to a sensitive one.
-    for src in sources:
-        reachable = _closure(pdg_adj, src)
-        for dst in reachable & sinks:
-            emit(src, RelationType.TAINTS, dst)
-
+    taint_src, taint_dst = _reach(n, pdg_src, pdg_dst, sources, sinks)
     # Reaches: any directed path over structural relations, data-flow
-    # relations, and raw inter-entity data dependence.  Every taint
-    # path is also a reaches path by construction.
-    combined: dict[int, set[int]] = {k: set(v) for k, v in pdg_adj.items()}
-    for rel in found.values():
-        if isinstance(rel.dst, int):
-            combined.setdefault(rel.src, set()).add(rel.dst)
-    for src in sources:
-        reachable = _closure(combined, src)
-        for dst in reachable & sinks:
-            emit(src, RelationType.REACHES, dst)
+    # relations, and raw inter-entity data dependence.  A taint relation
+    # joins a pair that data dependence already joins, so it adds no path.
+    flow_src = np.concatenate([pdg_src] + [part[0] for part in parts])
+    flow_dst = np.concatenate([pdg_dst] + [part[2] for part in parts])
+    reach_src, reach_dst = _reach(n, flow_src, flow_dst, sources, sinks)
+    parts.append((taint_src, RELATION_INDEX[RelationType.TAINTS], taint_dst))
+    parts.append((reach_src, RELATION_INDEX[RelationType.REACHES], reach_dst))
 
-    # CVE matches on summary embeddings.
+    # Entity targets sort by their ids as strings ("10" before "9").
+    text_rank = np.empty(n, dtype=np.int64)
+    text_rank[sorted(range(n), key=lambda i: str(entities[i].id))] = np.arange(n)
+    src = np.concatenate([part[0] for part in parts])
+    code = np.concatenate([np.broadcast_to(part[1], part[0].shape).astype(np.int8)
+                           for part in parts])
+    dst = np.concatenate([part[2] for part in parts])
+    rank = text_rank[dst]
+
+    # CVE matches on summary embeddings; a CVE target's rank is its place
+    # among the matched CVE ids.
+    matched: dict[int, dict[str, None]] = {}
     if cves:
-        for ent in entities:
+        for pos, ent in enumerate(entities):
             if ent.embedding is None or ent.embedding.norm == 0.0:
                 continue
-            for cve in cves:
-                if cosine(ent.embedding, cve.embedding) >= cve_match_threshold:
-                    emit(ent.id, RelationType.VULNERABLE_TO, cve.cve_id)
+            hits = dict.fromkeys(cve.cve_id for cve in cves
+                                 if cosine(ent.embedding, cve.embedding) >= cve_match_threshold)
+            if hits:
+                matched[pos] = hits
+    cve_ids = sorted(set(chain.from_iterable(matched.values())))
+    cve_rank = {cve_id: i for i, cve_id in enumerate(cve_ids)}
+    links = [(pos, cve_rank[cve_id]) for pos, hits in matched.items() for cve_id in hits]
+    link_src, link_rank = np.array(links, dtype=np.int64).reshape(-1, 2).T
+    src = np.concatenate([src, link_src])
+    code = np.concatenate([code, np.full(len(links), VULN_CODE, dtype=np.int8)])
+    dst = np.concatenate([dst, link_rank])
+    rank = np.concatenate([rank, link_rank])
 
-    return sorted(found.values(),
-                  key=lambda r: (r.src, r.rel_type.value, str(r.dst)))
+    # lexsort's last key is the primary one; equal rows end up adjacent.
+    order = np.lexsort((rank, _NAME_RANK[code], ids[src]))
+    src, code, dst = src[order], code[order], dst[order]
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = (src[1:] != src[:-1]) | (code[1:] != code[:-1]) | (dst[1:] != dst[:-1])
+    src, code, dst = src[fresh], code[fresh], dst[fresh]
+
+    weights = np.zeros(len(RELATION_TYPES))
+    for c in np.unique(code).tolist():
+        weights[c] = cfg.weights[RELATION_TYPES[c]]
+        check_relation_weight(weights[c])
+    vuln = code == VULN_CODE
+    dst_id = np.zeros(len(dst), dtype=np.int64)
+    dst_id[~vuln] = ids[dst[~vuln]]
+    cve = dict(zip(np.flatnonzero(vuln).tolist(), map(cve_ids.__getitem__, dst[vuln].tolist())))
+    return RelationColumns(ids[src], code, dst_id, weights[code], cve)
 
 
 VULN_RELATION_TYPES = {RelationType.TAINTS, RelationType.REACHES,
@@ -468,8 +697,9 @@ def construction_stats(g: CpgGraph, kg: SsckgGraph) -> dict:
     """Compression and composition summary for one built graph."""
     n_nodes = len(g)
     n_entities = len(kg)
-    n_rel = len(kg.relations)
-    n_vuln = sum(1 for r in kg.relations if r.rel_type in VULN_RELATION_TYPES)
+    n_rel = len(kg.relation_columns)
+    n_vuln = int(np.isin(kg.relation_columns.type_code,
+                         [RELATION_INDEX[t] for t in VULN_RELATION_TYPES]).sum())
     clustering = kg.clustering or {}
     points = int(clustering.get("points", 0))
     noise = int(clustering.get("noise", 0))
@@ -502,9 +732,19 @@ def load_cves(path: str | Path, provider) -> list[CveRecord]:
 
 # --- serialization ---------------------------------------------------------------
 
+def _relation_template(rel_type: RelationType) -> str:
+    dst = "%s" if rel_type is RelationType.VULNERABLE_TO else "%d"
+    return ('    {\n      "dst": ' + dst + ',\n      "rel_type": "' + rel_type.value + '",\n'
+            '      "src": %d,\n      "weight": %r\n    }')
+
+
+_RELATION_TEMPLATES = [_relation_template(t) for t in RELATION_TYPES]
+
+
 def dumps_ssckg(kg: SsckgGraph) -> str:
-    doc = {
-        "source_binary": kg.source_binary,
+    """Canonical serialization: the bytes ``errors.dumps_json`` writes for
+    the graph's document, with each relation filled into a row template."""
+    head = dumps_json({
         "clustering": kg.clustering,
         "entities": [
             {
@@ -519,12 +759,16 @@ def dumps_ssckg(kg: SsckgGraph) -> str:
             }
             for e in kg.entities
         ],
-        "relations": [
-            {"src": r.src, "rel_type": r.rel_type, "dst": r.dst, "weight": r.weight}
-            for r in kg.relations
-        ],
-    }
-    return dumps_json(doc)
+    })
+    cols = kg.relation_columns
+    dst = cols.dst.tolist()
+    for row, cve_id in cols.cve.items():
+        dst[row] = encode_basestring_ascii(cve_id)
+    rows = [_RELATION_TEMPLATES[c] % (d, s, w) for c, d, s, w in zip(
+        cols.type_code.tolist(), dst, cols.src.tolist(), cols.weight.tolist())]
+    # head ends with the entities and then "\n}\n"; the other keys sort after them.
+    return (head[:-3] + ',\n  "relations": ' + json_rows(rows)
+            + ',\n  "source_binary": ' + encode_basestring_ascii(kg.source_binary) + "\n}\n")
 
 
 def load_ssckg(path: str | Path) -> SsckgGraph:
@@ -535,7 +779,7 @@ def load_ssckg(path: str | Path) -> SsckgGraph:
         return _ssckg_from_doc(doc)
     except KeyError as exc:
         raise SchemaError(f"KG file {path}: an entry is missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, SchemaError) as exc:
         raise SchemaError(f"KG file {path}: {exc}") from None
 
 
@@ -544,7 +788,7 @@ def _ssckg_from_doc(doc: Mapping) -> SsckgGraph:
     for raw in doc.get("entities", ()):
         emb = raw.get("embedding")
         entities.append(Entity(
-            id=int(raw["id"]),
+            id=raw["id"],
             name=str(raw["name"]),
             label=Label.parse(raw["label"]),
             members=frozenset(raw.get("members", ())),
@@ -553,21 +797,23 @@ def _ssckg_from_doc(doc: Mapping) -> SsckgGraph:
             external=bool(raw.get("external", False)),
             cluster_id=raw.get("cluster_id"),
         ))
-    relations = []
-    for raw in doc.get("relations", ()):
-        rel_type = relation_type(raw["rel_type"])
-        dst = raw["dst"]
-        relations.append(Relation(
-            src=int(raw["src"]), rel_type=rel_type,
-            dst=str(dst) if rel_type is RelationType.VULNERABLE_TO else int(dst),
-            weight=float(raw["weight"]),
-        ))
-    return SsckgGraph(entities, relations,
-                      source_binary=str(doc.get("source_binary", "")),
+    raw_rows = doc.get("relations", [])
+    if not isinstance(raw_rows, list):
+        raise SchemaError("'relations' must be a list")
+    try:
+        columns = [list(map(itemgetter(key), raw_rows))
+                   for key in ("src", "rel_type", "dst", "weight")]
+    except (KeyError, TypeError):  # a row is no object or lacks a field
+        _raise_first_relation_fault(raw_rows)
+    relations = _relation_columns(*columns, lambda: raw_rows)
+    return SsckgGraph(entities, relations, source_binary=str(doc.get("source_binary", "")),
                       clustering=doc.get("clustering"))
 
 
 _BAND_COLORS = {"high": "firebrick", "medium": "orange", "low": "gray70"}
+_DOT_EDGE_TEMPLATES = ['  e%d -> "cve_%s" [label="vulnerable_to"];'
+                       if t is RelationType.VULNERABLE_TO
+                       else '  e%d -> e%d [label="' + t.value + '"];' for t in RELATION_TYPES]
 
 
 def to_dot(kg: SsckgGraph, risk: Mapping[int, float] | None = None,
@@ -589,15 +835,10 @@ def to_dot(kg: SsckgGraph, risk: Mapping[int, float] | None = None,
             extra = f"\\nrisk={score:.3f}"
         lines.append(
             f'  e{e.id} [label="{e.name}\\n{e.label}{extra}", style=filled, fillcolor="{color}"];')
-    seen_cves = []
-    for r in kg.relations:
-        if isinstance(r.dst, str):
-            if r.dst not in seen_cves:
-                seen_cves.append(r.dst)
-            lines.append(f'  e{r.src} -> "cve_{r.dst}" [label="{r.rel_type.value}"];')
-        else:
-            lines.append(f'  e{r.src} -> e{r.dst} [label="{r.rel_type.value}"];')
-    for cve_id in seen_cves:
+    cols = kg.relation_columns
+    lines += [_DOT_EDGE_TEMPLATES[c] % (s, d) for c, s, d in zip(
+        cols.type_code.tolist(), cols.src.tolist(), cols.dst_values())]
+    for cve_id in dict.fromkeys(cols.cve.values()):
         lines.append(f'  "cve_{cve_id}" [shape=ellipse, label="{cve_id}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -343,6 +343,26 @@ def test_report_rejects_bad_worker_count(capsys, fixtures_dir, tmp_path):
     assert "workers" in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_report_rejects_colliding_binary_ids(capsys, fixtures_dir, tmp_path, workers):
+    toy = (fixtures_dir / "toy_modbus.cpg.json").read_text(encoding="utf-8")
+    unnamed = json.dumps({**json.loads(toy), "binary_id": ""})
+    inputs = {"a.json": toy, "b.json": toy,  # the same binary_id
+              "one/x.json": unnamed, "two/x.json": unnamed}  # the same file stem
+    for name, text in inputs.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    outdir = tmp_path / "out"
+    for first, second in (("a.json", "b.json"), ("one/x.json", "two/x.json")):
+        code, _, err = run(capsys, "report", "--config", str(fixtures_dir / "config_toy.json"),
+                           "--cpg", str(tmp_path / first), str(fixtures_dir / "diamond.cpg.json"),
+                           str(tmp_path / second), "--outdir", str(outdir), "--workers", workers)
+        assert code == EXIT_ERROR
+        assert one_error_line(err)
+        assert str(tmp_path / first) in err and str(tmp_path / second) in err
+        assert not any(outdir.glob("*"))
+
+
 def one_error_line(err):
     lines = err.strip().splitlines()
     return len(lines) == 1 and lines[0].startswith("error:")
@@ -384,6 +404,19 @@ def test_match_bad_embeddings_gives_one_error_line(capsys, fixtures_dir, tmp_pat
     assert code == EXIT_ERROR
     assert one_error_line(err)
     assert str(emb) in err
+
+
+SCORE_BAD_KG = ["score", "--kg", "{bad}", "--out", "{tmp}/risk.json"]
+
+
+def kg_text(entity=(), relation=()) -> str:
+    """A two-entity KG with one relation; the given fields override the second entity's and
+    the relation's."""
+    return json.dumps({
+        "entities": [{"id": 0, "name": "a", "label": "TOP", "members": [0]},
+                     {"id": 1, "name": "b", "label": "TOP", "members": [1], **dict(entity)}],
+        "relations": [{"src": 0, "rel_type": "calls", "dst": 1, "weight": 0.3,
+                       **dict(relation)}]})
 
 
 REPORT_BAD_CONFIG = ["report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
@@ -456,6 +489,33 @@ BAD_INPUTS = {
                                     "relation_weights", REPORT_BAD_CONFIG),
     "config_embedding_dimension_below_two": ("cfg.json", '{"embedding_dimension": 1}',
                                              "embedding_dimension", REPORT_BAD_CONFIG),
+    "config_nan_relation_weight": ("cfg.json", '{"relation_weights": {"calls": NaN}}',
+                                   "relation_weights", REPORT_BAD_CONFIG),
+    "kg_boolean_src": ("kg.json", kg_text(relation={"src": True}),
+                       "{bad}: relation at index 0 has non-integer src True", SCORE_BAD_KG),
+    "kg_fractional_src": ("kg.json", kg_text(relation={"src": 0.5}),
+                          "{bad}: relation at index 0 has non-integer src 0.5", SCORE_BAD_KG),
+    "kg_string_dst": ("kg.json", kg_text(relation={"dst": "1"}),
+                      "{bad}: relation at index 0 has non-integer dst '1'", SCORE_BAD_KG),
+    "kg_numeric_cve_id": ("kg.json", kg_text(relation={"rel_type": "vulnerable_to", "dst": 7}),
+                          "{bad}: relation at index 0 is vulnerable_to", SCORE_BAD_KG),
+    "kg_fractional_entity_id": ("kg.json", kg_text(entity={"id": 0.7}),
+                                "{bad}: entity at index 1 has non-integer id 0.7",
+                                SCORE_BAD_KG),
+    "kg_string_member": ("kg.json", kg_text(entity={"members": ["a"]}),
+                         "{bad}: entity 1 has non-integer member 'a'", SCORE_BAD_KG),
+    "kg_nan_weight": ("kg.json", kg_text(relation={"weight": float("nan")}),
+                      "{bad}: relation at index 0: relation weight must be finite and positive",
+                      SCORE_BAD_KG),
+    "kg_infinite_weight": ("kg.json", kg_text(relation={"weight": float("-inf")}),
+                           "{bad}: relation at index 0: relation weight must be finite and "
+                           "positive", SCORE_BAD_KG),
+    "kg_zero_weight": ("kg.json", kg_text(relation={"weight": 0.0}),
+                       "{bad}: relation at index 0: relation weight must be finite and positive",
+                       SCORE_BAD_KG),
+    "kg_dangling_target": ("kg.json", kg_text(relation={"dst": 999}),
+                           "{bad}: relation at index 0: target 999 is not an entity",
+                           SCORE_BAD_KG),
 }
 
 

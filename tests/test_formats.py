@@ -3,6 +3,7 @@ the standard library byte for byte, and every format reads back what
 was written."""
 
 import json
+import math
 from enum import Enum
 
 import numpy as np
@@ -252,7 +253,9 @@ def faulty_documents(draw) -> dict:
         pos = draw(st.integers(min_value=0, max_value=len(doc[rows]) - 1))
         key, value = draw(st.sampled_from(NODE_FAULTS if rows == "nodes" else EDGE_FAULTS))
         if value == "duplicate":
-            value = doc["nodes"][draw(st.integers(0, len(doc["nodes"]) - 1))].get("id")
+            # The first pass may have replaced a node row by a non-object.
+            objects = [raw for raw in doc["nodes"] if isinstance(raw, dict)] or [{}]
+            value = draw(st.sampled_from(objects)).get("id")
         elif value == "dangling":
             value = max(g.node_id.tolist()) + 1
         if key == "row":
@@ -320,6 +323,106 @@ def test_ssckg_round_trip(tmp_path_factory, kg):
     assert back.relations == kg.relations
     assert (back.source_binary, back.clustering) == (kg.source_binary, kg.clustering)
     assert dumps_ssckg(back) == dumps_ssckg(kg)
+
+
+def first_kg_fault(doc: dict) -> str | None:
+    """The error of reading a KG row by row: each relation row's types,
+    then entity ids, members and duplicates, then each relation's weight
+    and ends; None for a valid document."""
+    def is_id(value):
+        return type(value) is int and -2 ** 63 <= value < 2 ** 63
+
+    def is_float(value):
+        try:
+            return float(value) is not None
+        except OverflowError:
+            return False
+
+    names = {t.value for t in RelationType}
+    for pos, raw in enumerate(doc["relations"]):
+        if not isinstance(raw, dict):
+            return f"relation at index {pos} must be an object"
+        for key in ("src", "rel_type", "dst", "weight"):
+            if key not in raw:
+                return f"relation at index {pos} is missing required field '{key}'"
+        if not isinstance(raw["rel_type"], str) or raw["rel_type"] not in names:
+            return f"relation at index {pos} has unknown rel_type {raw['rel_type']!r}"
+        if not is_id(raw["src"]):
+            return f"relation at index {pos} has non-integer src {raw['src']!r}"
+        if raw["rel_type"] == "vulnerable_to" and not isinstance(raw["dst"], str):
+            return (f"relation at index {pos} is vulnerable_to, whose dst must be a CVE id "
+                    f"string, got {raw['dst']!r}")
+        if raw["rel_type"] != "vulnerable_to" and not is_id(raw["dst"]):
+            return f"relation at index {pos} has non-integer dst {raw['dst']!r}"
+        weight = raw["weight"]
+        if type(weight) not in (int, float) or not is_float(weight):
+            return f"relation at index {pos} has weight {weight!r}, which is no float"
+    for pos, raw in enumerate(doc["entities"]):
+        if not is_id(raw["id"]):
+            return f"entity at index {pos} has non-integer id {raw['id']!r}"
+    for raw in doc["entities"]:
+        for member in raw["members"]:
+            if type(member) is not int:
+                return f"entity {raw['id']} has non-integer member {member!r}"
+    ids = [raw["id"] for raw in doc["entities"]]
+    for pos, entity_id in enumerate(ids):
+        if entity_id in ids[:pos]:
+            return f"duplicate entity id {entity_id}"
+    for pos, raw in enumerate(doc["relations"]):
+        if not (math.isfinite(raw["weight"]) and raw["weight"] > 0):
+            return (f"relation at index {pos}: relation weight must be finite and positive, "
+                    f"got {float(raw['weight'])}")
+        if raw["src"] not in ids:
+            return f"relation at index {pos}: source {raw['src']} is not an entity"
+        if raw["rel_type"] != "vulnerable_to" and raw["dst"] not in ids:
+            return f"relation at index {pos}: target {raw['dst']} is not an entity"
+    return None
+
+
+# Damage done to one row, as for the CPG above.
+ENTITY_FAULTS = [("id", 0.5), ("id", True), ("id", "3"), ("id", "duplicate"),
+                 ("members", ["a"]), ("members", [1.5])]
+RELATION_FAULTS = [("src", True), ("src", 0.5), ("src", "dangling"), ("src", ...),
+                   ("dst", "1"), ("dst", "dangling"), ("dst", 2 ** 63), ("weight", 0.0),
+                   ("weight", -2), ("weight", float("nan")), ("weight", float("-inf")),
+                   ("weight", "x"), ("weight", 10 ** 400), ("rel_type", "bogus"),
+                   ("rel_type", "vulnerable_to"), ("row", [1])]
+
+
+@st.composite
+def faulty_knowledge_graphs(draw) -> dict:
+    doc = json.loads(dumps_ssckg(draw(knowledge_graphs())))
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        rows = draw(st.sampled_from(["entities", "relations"] if doc["relations"]
+                                    else ["entities"]))
+        pos = draw(st.integers(min_value=0, max_value=len(doc[rows]) - 1))
+        key, value = draw(st.sampled_from(ENTITY_FAULTS if rows == "entities"
+                                          else RELATION_FAULTS))
+        if value == "duplicate":
+            value = doc["entities"][draw(st.integers(0, len(doc["entities"]) - 1))]["id"]
+        elif value == "dangling":
+            value = 10 ** 6 + 1  # past every generated entity id
+        if key == "row":
+            doc[rows][pos] = value
+        elif isinstance(doc[rows][pos], dict) and value is ...:
+            doc[rows][pos].pop(key, None)
+        elif isinstance(doc[rows][pos], dict):
+            doc[rows][pos][key] = value
+    return doc
+
+
+@settings(PROPERTY, max_examples=150)
+@given(faulty_knowledge_graphs())
+def test_kg_first_fault_message_is_the_row_by_row_one(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("kg") / "kg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    expected = first_kg_fault(doc)
+    if expected is None:
+        load_ssckg(path)
+        return
+    with pytest.raises(SchemaError) as info:
+        load_ssckg(path)
+    assert str(info.value) == f"KG file {path}: {expected}"
 
 
 @PROPERTY
