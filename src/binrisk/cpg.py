@@ -65,8 +65,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import ParseError, SchemaError, UnknownNode, json_rows
 
@@ -560,6 +558,14 @@ def shortest_path_matrix(num_nodes: int, edges: Iterable[tuple[int, int]],
     Entry (i, j) is the unweighted shortest-path hop count from i to j,
     clamped to max_dist.  Unreachable pairs get the sentinel bucket
     max_dist + 1.  The diagonal is 0.
+
+    A breadth-first search from every node at once, one level at a
+    time: the next frontiers are one float32 product of the current
+    ones with the 0/1 adjacency (the path counts it sums are exact, and
+    only their sign is read).  If some search still finds new nodes
+    past max_dist levels, squaring the reachability matrix until it
+    stops changing tells the pairs beyond max_dist (clamped) from the
+    unreachable ones.
     """
     if num_nodes < 1:
         raise ValueError("graph must be non-empty")
@@ -568,12 +574,35 @@ def shortest_path_matrix(num_nodes: int, edges: Iterable[tuple[int, int]],
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    adj = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                     shape=(num_nodes, num_nodes))
-    hops = shortest_path(adj, directed=True, unweighted=True)
-    # Full closure: pairs reachable beyond max_dist clamp to max_dist,
-    # only truly unreachable pairs (inf) take the sentinel.
-    unreachable = np.isinf(hops)
-    np.minimum(hops, max_dist, out=hops)
-    hops[unreachable] = max_dist + 1
-    return hops.astype(np.int64)
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= num_nodes):
+        raise ValueError(f"edge endpoint out of range for {num_nodes} nodes")
+    adj = np.zeros((num_nodes, num_nodes), dtype=np.float32)
+    adj[pairs[:, 0], pairs[:, 1]] = 1.0
+    hops = np.full((num_nodes, num_nodes), max_dist + 1, dtype=np.int64)
+    np.fill_diagonal(hops, 0)
+    seen = np.eye(num_nodes, dtype=bool)
+    open_rows = np.arange(num_nodes)  # the sources whose search still finds nodes
+    fresh = adj > 0  # level 1: each frontier is its source alone
+    for level in range(1, max_dist + 2):
+        fresh &= ~seen[open_rows]
+        live = fresh.any(axis=1)
+        open_rows, fresh = open_rows[live], fresh[live]
+        if not len(open_rows):
+            return hops
+        if level > max_dist:
+            break
+        rows, cols = np.nonzero(fresh)
+        rows = open_rows[rows]
+        seen[rows, cols] = True
+        hops[rows, cols] = level
+        # Only the nodes on some frontier contribute to the next product.
+        on = np.flatnonzero(fresh.any(axis=0))
+        fresh = fresh[:, on].astype(np.float32) @ adj[on] > 0
+    reach = seen.astype(np.float32)
+    while True:
+        grown = reach @ reach > 0
+        if np.array_equal(grown, reach > 0):
+            break
+        reach = grown.astype(np.float32)
+    hops[grown & ~seen] = max_dist
+    return hops

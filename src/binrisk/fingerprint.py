@@ -180,6 +180,24 @@ def select_threshold(scores: Sequence[tuple[float, str]],
     )
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x with each run of ties given its mean rank.
+
+    The same values as ``scipy.stats.rankdata(x, method="average")``:
+    a tie run at sorted positions i..j-1 gets (i + 1 + j) / 2, exact in
+    float64, and any NaN makes every rank NaN.
+    """
+    if np.isnan(x).any():
+        return np.full(len(x), np.nan)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], len(x))
+    ranks = np.empty(len(x), dtype=np.float64)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(scores: Sequence[float], labels: Sequence[str]) -> float:
     """Probability a malicious score outranks a benign one, ties at half.
 
@@ -197,9 +215,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[str]) -> float:
     n_ben = len(labels) - n_mal
     if n_mal == 0 or n_ben == 0:
         raise SingleClassInput("AUC needs both classes")
-    from scipy.stats import rankdata  # slow to import; no CLI command needs it
-
-    ranks = rankdata(np.asarray(scores, dtype=np.float64), method="average")
+    ranks = _midranks(np.asarray(scores, dtype=np.float64))
     mal_rank_sum = float(ranks[is_mal].sum())
     return (mal_rank_sum - n_mal * (n_mal + 1) / 2.0) / (n_mal * n_ben)
 

@@ -12,15 +12,20 @@ attends to every entity) with two additive structure biases per head:
 
 Both biases depend only on the graph and the head, never on the layer
 or the state, so ``forward`` builds them once per pass: the hop matrix
-through a sparse shortest-path search, and each head's edge term as
-values at the distinct related pairs, which every layer adds onto its
-scores.
+through a breadth-first search from every entity at once, and each
+head's edge term as values at the distinct related pairs, which every
+layer adds onto its scores.
 
 Each layer applies multi-head attention, then a position-wise
 feed-forward expansion, with a single residual connection and a single
 layer norm wrapping both:
 
     z_next = layer_norm(z + ffn(attention(z)))
+
+The feed-forward activation is the exact GELU, x/2 (1 + erf(x/sqrt 2)).
+Its ``erf`` is a port of the Cephes rational approximation (S. L.
+Moshier's ndtr.c, the one scipy ships), so it gives the same bits as
+``scipy.special.erf`` without importing scipy.
 
 Input features are the entity summary embeddings through a learned
 projection, plus a label-tier embedding (top, category, action, risk
@@ -32,13 +37,13 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .cpg import shortest_path_matrix
 from .errors import (
@@ -157,8 +162,70 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     return params
 
 
+# Cephes ndtr.c (S. L. Moshier): erf(x) = x T(x^2) / U(x^2) for |x| <= 1,
+# and 1 - exp(-x^2) P(|x|) / Q(|x|), with its sign, for 1 < |x| < 8.  U
+# and Q have a leading coefficient of 1, left out here.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+          4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+          9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERF_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+          9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+          1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERF_BLOCK = 32768  # values per block: 256 KB of float64
+
+
+def _horner(x: np.ndarray, coefs: Sequence[float], monic: bool) -> np.ndarray:
+    """The polynomial with these coefficients (highest power first) at x.
+
+    ``monic`` puts an unlisted leading coefficient of 1 in front, as
+    Cephes' p1evl does; otherwise this is its polevl.
+    """
+    out = x + coefs[0] if monic else x * coefs[0] + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """The error function, bit for bit as Cephes (and so scipy) computes it.
+
+    |x| >= 8 gives +-1, NaN stays NaN and -0.0 keeps its sign.  The
+    exponential is libm's (``math.exp``), whose last bit numpy's own
+    ``exp`` does not always match.  Blocks keep the Horner passes in
+    cache.
+    """
+    x = np.asarray(x, dtype=np.float64, order="C")
+    out = np.empty_like(x)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # |x| > 1 is redone below
+        for lo in range(0, x.size, _ERF_BLOCK):
+            v, o = flat_x[lo:lo + _ERF_BLOCK], flat_out[lo:lo + _ERF_BLOCK]
+            z = v * v
+            np.multiply(_horner(z, _ERF_T, monic=False), v, out=o)
+            o /= _horner(z, _ERF_U, monic=True)
+            if np.abs(v).max() <= 1.0:
+                continue
+            wide = np.flatnonzero(~(np.abs(v) <= 1.0))  # NaN included
+            w = v[wide]
+            a = np.abs(w)
+            tail = np.where(np.isnan(w), w, np.copysign(1.0, w))
+            mid = np.flatnonzero(a < 8.0)
+            a = a[mid]
+            e = np.array([math.exp(-t * t) for t in a.tolist()])
+            tail[mid] = np.copysign(
+                1.0 - e * _horner(a, _ERF_P, monic=False) / _horner(a, _ERF_Q, monic=True),
+                w[mid])
+            o[wide] = tail
+    return out
+
+
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    return 0.5 * x * (1.0 + _erf(x / np.sqrt(2.0)))
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray,

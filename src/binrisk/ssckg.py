@@ -50,8 +50,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .cpg import AST_CODE, PDG_CODE, CpgGraph, _codes, _int64, _is_id, _search, group_rows
 from .embedding import EmbeddingVector, cosine, stack
@@ -543,27 +541,95 @@ def _under_any(labels: Sequence[Label], paths: Iterable[str]) -> np.ndarray:
     return np.array([verdict[label] for label in labels], dtype=bool)
 
 
+def _strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarray]:
+    """Tarjan's strong components of the graph with n nodes and edges src -> dst.
+
+    An iterative pass, so path length is not bounded by the recursion
+    limit.  Returns the component count and each node's component
+    number; components are numbered in the order Tarjan emits them,
+    which puts every component after all the components it reaches.
+    """
+    order = np.argsort(src, kind="stable")
+    indptr = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    succ = dst[order].tolist()
+    index = [-1] * n
+    low = [0] * n
+    component = [-1] * n  # -1 while the node is unvisited or on the stack
+    stack: list[int] = []
+    count = visited = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work = [(root, indptr[root])]  # (node, next successor slot)
+        while work:
+            v, i = work[-1]
+            end = indptr[v + 1]
+            while i < end:
+                w = succ[i]
+                i += 1
+                if index[w] < 0:
+                    work[-1] = (v, i)
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    work.append((w, indptr[w]))
+                    break
+                if component[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        component[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+    return count, np.array(component, dtype=np.int64)
+
+
 def _reach(n: int, src: np.ndarray, dst: np.ndarray, sources: np.ndarray,
            sinks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(source, sink) position pairs joined by a path of at least one edge.
 
     The graph has n nodes and the edges src -> dst.  As in Nuutila's
-    transitive closure (1995), the search runs over the condensation:
+    transitive closure (1995), the closure runs over the condensation:
     every node of a strong component reaches what the component
-    reaches, so one breadth-first search per source component (one
-    csgraph call over a CSR) gives the source x sink block.  A
-    component reaches itself over a nonempty path exactly when an edge
-    stays inside it: it has more than one node, or a self-loop.
+    reaches.  Tarjan numbers each component after those it reaches, so
+    one pass in that order ORs each component's reach bitset (a Python
+    int) from its successors'.  A component reaches itself over a
+    nonempty path exactly when an edge stays inside it: it has more than
+    one node, or a self-loop.  The pairs come source-major, each
+    source's sinks in the order given.
     """
     if not len(sources) or not len(sinks):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    adj = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
-    count, component = connected_components(adj, directed=True, connection="strong")
-    condensed = csr_matrix((np.ones(len(src)), (component[src], component[dst])),
-                           shape=(count, count))
+    count, component = _strong_components(n, src, dst)
+    csrc, cdst = component[src], component[dst]
+    inner = csrc == cdst
+    link = np.unique(csrc[~inner] * count + cdst[~inner])
+    heads = np.searchsorted(link // count, np.arange(count + 1))
+    succ = (link % count).tolist()
+    bits = [0] * count
+    for c in np.unique(csrc[inner]).tolist():
+        bits[c] = 1 << c
+    for c, (lo, hi) in enumerate(zip(heads[:-1].tolist(), heads[1:].tolist())):
+        reach = bits[c]
+        for d in succ[lo:hi]:
+            reach |= bits[d] | 1 << d
+        bits[c] = reach
     starts, start_of = np.unique(component[sources], return_inverse=True)
-    reach = np.isfinite(shortest_path(condensed, directed=True, unweighted=True, indices=starts))
-    reach[np.arange(len(starts)), starts] = condensed.diagonal()[starts] != 0
+    width = (count + 7) // 8
+    packed = b"".join(bits[c].to_bytes(width, "little") for c in starts.tolist())
+    reach = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(starts), width),
+                          axis=1, count=count, bitorder="little").astype(bool)
     rows, cols = np.nonzero(reach[start_of][:, component[sinks]])
     return sources[rows], sinks[cols]
 
@@ -785,17 +851,27 @@ def load_ssckg(path: str | Path) -> SsckgGraph:
 
 def _ssckg_from_doc(doc: Mapping) -> SsckgGraph:
     entities = []
-    for raw in doc.get("entities", ()):
+    for pos, raw in enumerate(doc.get("entities", ())):
         emb = raw.get("embedding")
+        name, summary = raw["name"], raw.get("summary", "")
+        external, cluster_id = raw.get("external", False), raw.get("cluster_id")
+        for key, value in (("name", name), ("summary", summary)):
+            if type(value) is not str:
+                raise SchemaError(f"entity at index {pos} has non-string {key} {value!r}")
+        if type(external) is not bool:
+            raise SchemaError(f"entity at index {pos} has non-boolean external {external!r}")
+        if cluster_id is not None and type(cluster_id) is not int:
+            raise SchemaError(f"entity at index {pos} has cluster_id {cluster_id!r}, "
+                              "which is neither an integer nor null")
         entities.append(Entity(
             id=raw["id"],
-            name=str(raw["name"]),
+            name=name,
             label=Label.parse(raw["label"]),
             members=frozenset(raw.get("members", ())),
-            summary=str(raw.get("summary", "")),
+            summary=summary,
             embedding=EmbeddingVector(emb) if emb is not None else None,
-            external=bool(raw.get("external", False)),
-            cluster_id=raw.get("cluster_id"),
+            external=external,
+            cluster_id=cluster_id,
         ))
     raw_rows = doc.get("relations", [])
     if not isinstance(raw_rows, list):

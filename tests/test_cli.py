@@ -1,12 +1,16 @@
 """End-to-end command line behavior: exit codes, outputs, stage isolation."""
 
 import json
+import os
 import random
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import binrisk
 from binrisk.cli import EXIT_ALERTS, EXIT_ERROR, EXIT_OK, main
 
 
@@ -35,6 +39,44 @@ def firmware_run(tmp_path_factory, fixtures_dir):
                  "--outdir", str(outdir)])
     assert code == EXIT_ALERTS
     return outdir
+
+
+# --- start-up ----------------------------------------------------------------
+
+# Blocks scipy (an import of it raises ImportError), checks that the CLI
+# module and its parser load no scipy module, then runs the CLI.
+NO_SCIPY_CLI = """
+import sys
+sys.modules["scipy"] = None
+import binrisk.cli
+binrisk.cli.build_parser()
+loaded = sorted(name for name, module in sys.modules.items()
+                if name.startswith("scipy") and module is not None)
+if loaded:
+    raise SystemExit(f"scipy modules loaded: {loaded}")
+raise SystemExit(binrisk.cli.main(sys.argv[1:]))
+"""
+
+
+def test_report_needs_no_scipy(capsys, fixtures_dir, tmp_path):
+    def report(outdir):
+        return ["report", "--config", str(fixtures_dir / "config_toy.json"),
+                "--cpg", str(fixtures_dir / "toy_modbus.cpg.json"), "--outdir", str(outdir)]
+
+    assert main(report(tmp_path / "in_process")) == EXIT_OK
+    in_process = capsys.readouterr().out
+    src = str(Path(binrisk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CLI, *report(tmp_path / "alone")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == in_process
+    names = sorted(p.name for p in (tmp_path / "in_process").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "alone").iterdir())
+    for name in names:
+        assert (tmp_path / "alone" / name).read_bytes() == \
+            (tmp_path / "in_process" / name).read_bytes(), name
 
 
 # --- single commands ---------------------------------------------------------
@@ -516,6 +558,18 @@ BAD_INPUTS = {
     "kg_dangling_target": ("kg.json", kg_text(relation={"dst": 999}),
                            "{bad}: relation at index 0: target 999 is not an entity",
                            SCORE_BAD_KG),
+    "kg_string_external": ("kg.json", kg_text(entity={"external": "false"}),
+                           "{bad}: entity at index 1 has non-boolean external 'false'",
+                           SCORE_BAD_KG),
+    "kg_null_summary": ("kg.json", kg_text(entity={"summary": None}),
+                        "{bad}: entity at index 1 has non-string summary None", SCORE_BAD_KG),
+    "kg_numeric_name": ("kg.json", kg_text(entity={"name": 5}),
+                        "{bad}: entity at index 1 has non-string name 5", SCORE_BAD_KG),
+    "kg_string_cluster_id": ("kg.json", kg_text(entity={"cluster_id": "x"}),
+                             "{bad}: entity at index 1 has cluster_id 'x', which is neither "
+                             "an integer nor null", SCORE_BAD_KG),
+    "kg_boolean_cluster_id": ("kg.json", kg_text(entity={"cluster_id": True}),
+                              "{bad}: entity at index 1 has cluster_id True", SCORE_BAD_KG),
 }
 
 

@@ -223,8 +223,23 @@ def test_distance_matrix_matches_floyd_warshall_larger_multigraphs():
         assert np.array_equal(got, floyd_warshall(n, edges, max_dist))
 
 
+def test_distance_matrix_matches_floyd_warshall_on_long_paths_and_cycles():
+    path = [(i, i + 1) for i in range(29)]  # 29 hops, past every budget below
+    cycle = [(i, (i + 1) % 9) for i in range(9)] + [(0, 0), (4, 4), (4, 4)]
+    cases = [(30, path), (30, path[::-1]), (9, cycle), (12, cycle + [(8, 9), (10, 11)]),
+             (1, []), (1, [(0, 0)])]
+    for n, edges in cases:
+        for max_dist in (1, 2, 3, 5, 20, 40):
+            got = shortest_path_matrix(n, edges, max_dist=max_dist)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, floyd_warshall(n, edges, max_dist)), (n, max_dist)
+
+
 def test_distance_matrix_rejects_empty_and_bad_budget():
     with pytest.raises(ValueError):
         shortest_path_matrix(0, [])
     with pytest.raises(ValueError):
         shortest_path_matrix(3, [], max_dist=0)
+    for bad in ([(0, 3)], [(-1, 0)]):
+        with pytest.raises(ValueError):
+            shortest_path_matrix(3, bad)

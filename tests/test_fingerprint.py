@@ -17,6 +17,7 @@ from binrisk.fingerprint import (
     BENIGN,
     MALICIOUS,
     Fingerprint,
+    _midranks,
     dumps_fingerprint,
     load_fingerprint,
     load_repository,
@@ -260,6 +261,23 @@ def test_auc_matches_pairwise_oracle():
         scores = np.round(rng.uniform(0, 1, size=n), 1).tolist()  # many ties
         got = roc_auc(scores, labels)
         assert abs(got - auc_oracle(scores, labels)) < 1e-12
+
+
+def test_midranks_equal_scipy_rankdata_average():
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(4242)
+    cases = [[], [1.0], [2.0, 2.0, 2.0], [0.0, -0.0, 1.0, -0.0], [3.0, 1.0, 2.0],
+             [1.0, np.nan, 0.5], [np.inf, -np.inf, np.inf, 0.0]]
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        cases.append(np.round(rng.normal(size=n), int(rng.integers(0, 3))).tolist())
+    for values in cases:
+        x = np.asarray(values, dtype=np.float64)
+        got = _midranks(x)
+        want = rankdata(x, method="average")
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want, equal_nan=True), values
 
 
 def test_auc_input_validation():

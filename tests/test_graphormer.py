@@ -17,6 +17,7 @@ from binrisk.errors import (
     VersionMismatch,
 )
 from binrisk.graphormer import (
+    _erf,
     _gelu,
     _layer_norm,
     ModelConfig,
@@ -98,6 +99,35 @@ def hop_oracle(n, pairs, max_dist):
 def gelu_ref(x):
     flat = [0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.ravel()]
     return np.array(flat).reshape(x.shape)
+
+
+def test_erf_equals_scipy_bit_for_bit():
+    from scipy.special import erf
+
+    rng = np.random.default_rng(1995)
+    edges = [0.0, 1.0, 8.0, 5e-324, 2.2250738585072014e-308]
+    points = [0.0, 1.0, 8.0, np.inf, np.nan, 5e-324, 1e-310, 2.2250738585072014e-308,
+              1e-300, 26.6, 27.0, 40.0]
+    points += [np.nextafter(v, toward) for v in edges for toward in (-np.inf, np.inf)]
+    x = np.concatenate([
+        rng.uniform(-40.0, 40.0, size=1_000_000),
+        rng.uniform(-8.5, 8.5, size=200_000),
+        rng.normal(0.0, 1.0, size=200_000),
+        np.array(points), -np.array(points),
+    ])
+    got, want = _erf(x), erf(x)
+    # the bit patterns, so the sign of zero counts; every NaN is the same NaN
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+    assert _erf(np.array([np.inf, -np.inf])).tolist() == [1.0, -1.0]
+    assert math.copysign(1.0, _erf(np.array([-0.0]))[0]) == -1.0
+    # a strided 2-d view and a 0-d input read the values, not the buffer
+    grid = x[:1_400_000].reshape(2000, 700)[:, ::3]
+    assert _erf(grid).shape == grid.shape
+    assert np.array_equal(_erf(grid).view(np.int64), erf(grid).view(np.int64))
+    assert _erf(np.float64(0.5)).shape == ()
+    assert _erf(np.float64(0.5)) == erf(0.5)
 
 
 def layer_norm_ref(x, gain, offset):

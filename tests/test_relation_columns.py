@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+import numpy as np
 
 from binrisk.cpg import CpgEdge, CpgGraph, CpgNode, EdgeKind, NodeKind
 from binrisk.embedding import HashEmbedder, cosine
@@ -29,6 +30,8 @@ from binrisk.ssckg import (
     RelationConfig,
     RelationType,
     SsckgGraph,
+    _reach,
+    _strong_components,
     dumps_ssckg,
     extract_relations,
     structural_collapse,
@@ -263,3 +266,46 @@ def test_targets_sort_as_strings():
     assert [(r.src, r.rel_type.value, r.dst) for r in rels] == [
         (2, "reaches", 10), (2, "reaches", 9), (2, "taints", 10), (2, "taints", 9),
         (2, "writes_to", 10), (2, "writes_to", 9)]
+
+
+def reach_ref(n, edges, sources, sinks):
+    """(source, sink) pairs joined by at least one edge, source-major."""
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+    pairs = []
+    for s in sources:
+        seen = closure_ref(adj, s)
+        pairs += [(s, t) for t in sinks if t in seen]
+    return pairs
+
+
+@PROPERTY
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+    st.lists(st.integers(0, n - 1), max_size=6, unique=True),
+    st.lists(st.integers(0, n - 1), max_size=6, unique=True))))
+def test_reach_equals_closure_reference(case):
+    n, edges, sources, sinks = case
+    src = np.array([a for a, _ in edges], dtype=np.int64)
+    dst = np.array([b for _, b in edges], dtype=np.int64)
+    got_src, got_dst = _reach(n, src, dst, np.array(sources, dtype=np.int64),
+                              np.array(sinks, dtype=np.int64))
+    assert list(zip(got_src.tolist(), got_dst.tolist())) == reach_ref(n, edges, sources, sinks)
+    count, component = _strong_components(n, src, dst)
+    assert sorted(set(component.tolist())) == list(range(count))
+    # each component is numbered after every component it reaches
+    assert all(component[a] >= component[b] for a, b in edges)
+
+
+def test_reach_takes_long_chains_and_cycles_without_recursion():
+    chain = np.arange(5000, dtype=np.int64)
+    got = _reach(5000, chain[:-1], chain[1:], np.array([0, 2500, 4999]),
+                 np.array([4999, 0, 2500]))
+    assert [a.tolist() for a in got] == [[0, 0, 2500], [4999, 2500, 4999]]
+    ring = np.arange(2000, dtype=np.int64)
+    got = _reach(2000, ring, (ring + 1) % 2000, np.array([1999, 0]), np.array([0, 1000, 1999]))
+    assert [a.tolist() for a in got] == [[1999] * 3 + [0] * 3, [0, 1000, 1999] * 2]
+    count, component = _strong_components(2000, ring, (ring + 1) % 2000)
+    assert count == 1 and not component.any()
