@@ -243,9 +243,14 @@ def load_fingerprint(path: str | Path) -> Fingerprint:
             raise SchemaError(f"fingerprint file {path} is missing '{key}'")
     try:
         vectors = [np.asarray(v, dtype=np.float64) for v in doc["embeddings"]]
-        ids = [int(i) for i in doc.get("entity_ids", range(len(vectors)))]
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"fingerprint file {path}: {exc}") from None
+    ids = doc.get("entity_ids", list(range(len(vectors))))
+    if not isinstance(ids, list):
+        raise SchemaError(f"fingerprint file {path}: entity_ids must be a list, got {ids!r}")
+    for i in ids:
+        if type(i) is not int:  # not a boolean, a float or a string
+            raise SchemaError(f"fingerprint file {path}: entity id {i!r} is not an integer")
     if any(v.ndim != 1 for v in vectors):
         raise SchemaError(f"fingerprint file {path}: every embedding must be "
                           "a flat list of numbers")

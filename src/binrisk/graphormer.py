@@ -8,7 +8,7 @@ attends to every entity) with two additive structure biases per head:
     dedicated sentinel bucket for unreachable pairs, and
   * an edge-type bias: for each directed relation i -> j the bias table
     entry for the relation's type, scaled by the relation weight, with
-    parallel relations summed (or maxed, per config).
+    parallel relations summed.
 
 Both biases depend only on the graph and the head, never on the layer
 or the state, so ``forward`` builds them once per pass: the hop matrix
@@ -39,7 +39,7 @@ import io
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -70,7 +70,6 @@ class ModelConfig:
     edge_types: int = 8
     input_dim: int = 384
     seed: int = 0
-    edge_combine: str = "sum"  # how parallel relations fold into one bias
 
     def __post_init__(self):
         if self.layers < 1:
@@ -84,26 +83,32 @@ class ModelConfig:
             raise ConfigError(f"edge_types must be {len(RELATION_INDEX)}")
         if self.input_dim < 1:
             raise ConfigError("input_dim must be positive")
-        if self.edge_combine not in ("sum", "max"):
-            raise ConfigError("edge_combine must be 'sum' or 'max'")
 
     @property
     def head_dim(self) -> int:
         return self.hidden_dim // self.heads
 
 
+def _layer_tensor(shape: tuple[int, ...], init: int | float):
+    """A ``LayerParams`` field: its shape in units of hidden_dim, and the
+    fan-in of its uniform draw in units of hidden_dim (an int) or its
+    constant fill (a float)."""
+    return field(metadata={"shape": shape, "init": init})
+
+
 @dataclass
 class LayerParams:
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
-    ffn_w1: np.ndarray
-    ffn_b1: np.ndarray
-    ffn_w2: np.ndarray
-    ffn_b2: np.ndarray
-    ln_gain: np.ndarray
-    ln_offset: np.ndarray
+    """One layer's tensors, in the order ``init_params`` draws them."""
+    w_q: np.ndarray = _layer_tensor((1, 1), 1)
+    w_k: np.ndarray = _layer_tensor((1, 1), 1)
+    w_v: np.ndarray = _layer_tensor((1, 1), 1)
+    w_o: np.ndarray = _layer_tensor((1, 1), 1)
+    ffn_w1: np.ndarray = _layer_tensor((1, 4), 1)
+    ffn_b1: np.ndarray = _layer_tensor((4,), 0.0)
+    ffn_w2: np.ndarray = _layer_tensor((4, 1), 4)
+    ffn_b2: np.ndarray = _layer_tensor((1,), 0.0)
+    ln_gain: np.ndarray = _layer_tensor((1,), 1.0)
+    ln_offset: np.ndarray = _layer_tensor((1,), 0.0)
 
 
 @dataclass
@@ -122,6 +127,33 @@ class NodeEmbedding:
     vector: np.ndarray
 
 
+def _tensor_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int | float]]:
+    """Every tensor in draw order: container name, shape, and the fan-in
+    of its uniform draw (an int) or its constant fill (a float)."""
+    h = cfg.hidden_dim
+    specs = [
+        ("w_input", (cfg.input_dim, h), cfg.input_dim),
+        ("tier_embed", (4, h), h),
+        ("spatial_bias", (cfg.heads, cfg.max_dist + 2), cfg.max_dist + 2),
+        ("edge_bias", (cfg.heads, cfg.edge_types), cfg.edge_types),
+    ]
+    for i in range(cfg.layers):
+        for f in fields(LayerParams):
+            init = f.metadata["init"]
+            specs.append((f"layer{i}.{f.name}", tuple(h * k for k in f.metadata["shape"]),
+                          h * init if isinstance(init, int) else init))
+    return specs
+
+
+def _params_from(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelParams:
+    """Assemble the tensors of ``_tensor_specs(cfg)``, keyed by name."""
+    layers = [LayerParams(**{f.name: tensors[f"layer{i}.{f.name}"]
+                             for f in fields(LayerParams)})
+              for i in range(cfg.layers)]
+    return ModelParams(config=cfg, layers=layers,
+                       **{name: t for name, t in tensors.items() if "." not in name})
+
+
 def init_params(cfg: ModelConfig) -> ModelParams:
     """Seeded initialization.
 
@@ -133,33 +165,14 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     one.
     """
     rng = np.random.default_rng(cfg.seed)
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    h = cfg.hidden_dim
-    params = ModelParams(
-        config=cfg,
-        w_input=uniform((cfg.input_dim, h), cfg.input_dim),
-        tier_embed=uniform((4, h), h),
-        spatial_bias=uniform((cfg.heads, cfg.max_dist + 2), cfg.max_dist + 2),
-        edge_bias=uniform((cfg.heads, cfg.edge_types), cfg.edge_types),
-    )
-    for _ in range(cfg.layers):
-        params.layers.append(LayerParams(
-            w_q=uniform((h, h), h),
-            w_k=uniform((h, h), h),
-            w_v=uniform((h, h), h),
-            w_o=uniform((h, h), h),
-            ffn_w1=uniform((h, 4 * h), h),
-            ffn_b1=np.zeros(4 * h),
-            ffn_w2=uniform((4 * h, h), 4 * h),
-            ffn_b2=np.zeros(h),
-            ln_gain=np.ones(h),
-            ln_offset=np.zeros(h),
-        ))
-    return params
+    tensors = {}
+    for name, shape, init in _tensor_specs(cfg):
+        if isinstance(init, int):
+            bound = 1.0 / np.sqrt(init)
+            tensors[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            tensors[name] = np.full(shape, init)
+    return _params_from(cfg, tensors)
 
 
 # Cephes ndtr.c (S. L. Moshier): erf(x) = x T(x^2) / U(x^2) for |x| <= 1,
@@ -241,26 +254,24 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _edge_bias_terms(n: int, edges: Sequence[tuple[int, int, int, float]],
-                     edge_bias: np.ndarray, combine: str) -> tuple[np.ndarray, np.ndarray]:
+def _edge_bias_terms(n: int, src: np.ndarray, dst: np.ndarray, type_index: np.ndarray,
+                     weight: np.ndarray, edge_bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge-type bias of every head at the distinct related pairs.
 
-    Returns the flat indices ``i * n + j`` of the distinct pairs with at
-    least one relation i -> j (i != j), and a (heads, pairs) array with
-    each head's combined term there: the bias entry for each relation's
-    type times its weight, folded in relation order by ``combine``
-    ("sum" starting from 0.0, or "max").  ``edge_bias`` is the
+    The relations are the columns ``_relation_arrays`` returns: int64
+    ``src``, ``dst`` and ``type_index``, float64 ``weight``.  Returns the
+    flat indices ``i * n + j`` of the distinct pairs with at least one
+    relation i -> j (i != j), and a (heads, pairs) array with each
+    head's term there: the bias entry for each relation's type times its
+    weight, summed from 0.0 in relation order.  ``edge_bias`` is the
     (heads, edge_types) table, or any subset of its rows.
     """
-    rows = np.array(edges, dtype=np.float64).reshape(-1, 4)
-    src, dst = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
     keep = src != dst
     flat, pair = np.unique(src[keep] * n + dst[keep], return_inverse=True)
     # (relations, heads): one row of per-head contributions per relation
-    contrib = edge_bias[:, rows[keep, 2].astype(np.int64)].T * rows[keep, 3:4]
-    fold, start = (np.add, 0.0) if combine == "sum" else (np.maximum, -np.inf)
-    vals = np.full((len(flat), edge_bias.shape[0]), start)
-    fold.at(vals, pair, contrib)  # unbuffered, in relation order
+    contrib = edge_bias[:, type_index[keep]].T * weight[keep, None]
+    vals = np.zeros((len(flat), edge_bias.shape[0]))
+    np.add.at(vals, pair, contrib)  # unbuffered, in relation order
     return flat, np.ascontiguousarray(vals.T)
 
 
@@ -286,9 +297,9 @@ def attention_matrix(z: np.ndarray, dist: np.ndarray,
 
     Pre-softmax score (i, j) is the scaled query-key product plus the
     spatial bias for the hop-distance bucket from i to j plus, when
-    directed relations i -> j exist, their type-bias entries scaled by
-    the relation weights and combined per config.  The diagonal uses
-    distance bucket 0 and never takes an edge term.
+    directed relations i -> j exist, the sum of their type-bias entries
+    scaled by the relation weights.  The diagonal uses distance bucket 0
+    and never takes an edge term.
     """
     cfg = params.config
     n = z.shape[0]
@@ -296,13 +307,11 @@ def attention_matrix(z: np.ndarray, dist: np.ndarray,
         raise ShapeMismatch(f"state must be (n, {cfg.hidden_dim}), got {z.shape}")
     if dist.shape != (n, n):
         raise ShapeMismatch(f"distance matrix must be {(n, n)}, got {dist.shape}")
-    flat, vals = _edge_bias_terms(n, edges, params.edge_bias[head:head + 1],
-                                  cfg.edge_combine)
+    rows = np.array(edges, dtype=np.float64).reshape(-1, 4)
+    src, dst, type_index = rows[:, :3].astype(np.int64).T
+    flat, vals = _edge_bias_terms(n, src, dst, type_index, rows[:, 3],
+                                  params.edge_bias[head:head + 1])
     return _attention(z, dist, flat, vals[0], params, layer, head)
-
-
-def _entity_order(kg: SsckgGraph) -> list[int]:
-    return [e.id for e in kg.entities]
 
 
 def relation_edges(kg: SsckgGraph) -> list[tuple[int, int, int, float]]:
@@ -323,7 +332,7 @@ def forward(kg: SsckgGraph, params: ModelParams) -> list[NodeEmbedding]:
     cfg = params.config
     if len(kg) == 0:
         raise EmptyGraph("forward pass needs at least one entity")
-    order = _entity_order(kg)
+    order = kg.entity_ids.tolist()
     feats = []
     tiers = []
     for ent in kg.entities:
@@ -338,11 +347,10 @@ def forward(kg: SsckgGraph, params: ModelParams) -> list[NodeEmbedding]:
     src, dst, type_index, weight = _relation_arrays(kg)
     dist = shortest_path_matrix(len(order), np.column_stack((src, dst)),
                                 max_dist=cfg.max_dist)
-    edges = np.column_stack((src, dst, type_index, weight))
 
     z = np.stack(feats) @ params.w_input + params.tier_embed[np.array(tiers)]
-    flat, edge_vals = _edge_bias_terms(len(order), edges, params.edge_bias,
-                                       cfg.edge_combine)
+    flat, edge_vals = _edge_bias_terms(len(order), src, dst, type_index, weight,
+                                       params.edge_bias)
     d = cfg.head_dim
     for layer in range(cfg.layers):
         lp = params.layers[layer]
@@ -361,41 +369,11 @@ def forward(kg: SsckgGraph, params: ModelParams) -> list[NodeEmbedding]:
 # --- weight container -------------------------------------------------------
 
 def _tensor_map(params: ModelParams) -> dict[str, np.ndarray]:
-    tensors = {
-        "w_input": params.w_input,
-        "tier_embed": params.tier_embed,
-        "spatial_bias": params.spatial_bias,
-        "edge_bias": params.edge_bias,
-    }
+    """Every tensor by its container name, in draw order."""
+    tensors = {name: t for name, t in vars(params).items() if isinstance(t, np.ndarray)}
     for i, lp in enumerate(params.layers):
-        for name in ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_b1",
-                     "ffn_w2", "ffn_b2", "ln_gain", "ln_offset"):
-            tensors[f"layer{i}.{name}"] = getattr(lp, name)
+        tensors.update({f"layer{i}.{name}": t for name, t in vars(lp).items()})
     return tensors
-
-
-def _expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    h = cfg.hidden_dim
-    shapes = {
-        "w_input": (cfg.input_dim, h),
-        "tier_embed": (4, h),
-        "spatial_bias": (cfg.heads, cfg.max_dist + 2),
-        "edge_bias": (cfg.heads, cfg.edge_types),
-    }
-    for i in range(cfg.layers):
-        shapes.update({
-            f"layer{i}.w_q": (h, h),
-            f"layer{i}.w_k": (h, h),
-            f"layer{i}.w_v": (h, h),
-            f"layer{i}.w_o": (h, h),
-            f"layer{i}.ffn_w1": (h, 4 * h),
-            f"layer{i}.ffn_b1": (4 * h,),
-            f"layer{i}.ffn_w2": (4 * h, h),
-            f"layer{i}.ffn_b2": (h,),
-            f"layer{i}.ln_gain": (h,),
-            f"layer{i}.ln_offset": (h,),
-        })
-    return shapes
 
 
 def save_params(params: ModelParams, path: str | Path) -> None:
@@ -405,9 +383,8 @@ def save_params(params: ModelParams, path: str | Path) -> None:
         "layers": cfg.layers, "heads": cfg.heads, "hidden_dim": cfg.hidden_dim,
         "max_dist": cfg.max_dist, "edge_types": cfg.edge_types,
         "input_dim": cfg.input_dim, "seed": cfg.seed,
-        "edge_combine": cfg.edge_combine,
     }}
-    tensors = dict(_tensor_map(params))
+    tensors = _tensor_map(params)
     tensors["__meta__"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     buf = io.BytesIO()
@@ -424,50 +401,43 @@ def load_params(path: str | Path, expected: ModelConfig | None = None) -> ModelP
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise CorruptFile(f"cannot read weight file {path}: {exc}") from None
     if "__meta__" not in names:
-        raise VersionMismatch("weight file carries no format marker")
+        raise VersionMismatch(f"weight file {path} carries no format marker")
     try:
         meta = json.loads(bytes(raw["__meta__"]).decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
-        raise CorruptFile(f"unreadable weight metadata: {exc}") from None
-    if meta.get("format") != PARAMS_FORMAT:
-        raise VersionMismatch(
-            f"weight format '{meta.get('format')}' != '{PARAMS_FORMAT}'")
+        raise CorruptFile(f"weight file {path}: unreadable metadata: {exc}") from None
+    fmt = meta.get("format") if isinstance(meta, dict) else None
+    if fmt != PARAMS_FORMAT:
+        raise VersionMismatch(f"weight file {path}: format '{fmt}' != '{PARAMS_FORMAT}'")
+    config = meta.get("config")
+    if not isinstance(config, dict):
+        raise CorruptFile(f"weight file {path}: metadata 'config' must be an object")
+    # Older files name how parallel relations fold; "sum" is the one fold.
+    config = dict(config)
+    combine = config.pop("edge_combine", "sum")
+    if combine != "sum":
+        raise VersionMismatch(f"weight file {path} combines parallel relations by "
+                              f"{combine!r}; only 'sum' is supported")
     try:
-        cfg = ModelConfig(**meta["config"])
-    except (KeyError, TypeError) as exc:
-        raise CorruptFile(f"weight metadata incomplete: {exc}") from None
+        cfg = ModelConfig(**config)
+    except (TypeError, ConfigError) as exc:
+        raise CorruptFile(f"weight file {path}: metadata config is invalid: {exc}") from None
     if expected is not None:
         for fld in ("layers", "heads", "hidden_dim", "max_dist",
                     "edge_types", "input_dim"):
             if getattr(cfg, fld) != getattr(expected, fld):
                 raise ShapeMismatch(
-                    f"weight file has {fld}={getattr(cfg, fld)}, "
+                    f"weight file {path} has {fld}={getattr(cfg, fld)}, "
                     f"expected {getattr(expected, fld)}")
-    shapes = _expected_shapes(cfg)
     tensors = {}
-    for name, shape in shapes.items():
+    for name, shape, _ in _tensor_specs(cfg):
         if name not in names:
-            raise CorruptFile(f"weight file is missing tensor '{name}'")
-        arr = np.asarray(raw[name], dtype=np.float64)
-        if arr.shape != shape:
-            raise ShapeMismatch(
-                f"tensor '{name}' has shape {arr.shape}, expected {shape}")
-        tensors[name] = arr
-    layers = [
-        LayerParams(**{fld: tensors[f"layer{i}.{fld}"]
-                       for fld in ("w_q", "w_k", "w_v", "w_o", "ffn_w1",
-                                   "ffn_b1", "ffn_w2", "ffn_b2",
-                                   "ln_gain", "ln_offset")})
-        for i in range(cfg.layers)
-    ]
-    return ModelParams(
-        config=cfg,
-        w_input=tensors["w_input"],
-        tier_embed=tensors["tier_embed"],
-        spatial_bias=tensors["spatial_bias"],
-        edge_bias=tensors["edge_bias"],
-        layers=layers,
-    )
+            raise CorruptFile(f"weight file {path} is missing tensor '{name}'")
+        tensors[name] = np.asarray(raw[name], dtype=np.float64)
+        if tensors[name].shape != shape:
+            raise ShapeMismatch(f"weight file {path}: tensor '{name}' has shape "
+                                f"{tensors[name].shape}, expected {shape}")
+    return _params_from(cfg, tensors)
 
 
 def dumps_embeddings(embeddings: Sequence[NodeEmbedding]) -> str:

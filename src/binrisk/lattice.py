@@ -119,8 +119,15 @@ class Lattice:
         n_actions = 0
         n_risks = 0
         for cat, actions in tree.items():
+            if not isinstance(actions, Mapping):
+                raise SchemaError(f"lattice category '{cat}' must be an object of actions, "
+                                  f"got {actions!r}")
             members.add(Label((cat,)))
             for act, risks in actions.items():
+                if not isinstance(risks, (list, tuple)) or not all(
+                        isinstance(r, str) for r in risks):
+                    raise SchemaError(f"lattice action '{cat}/{act}' must list its risk "
+                                      f"contexts as strings, got {risks!r}")
                 n_actions += 1
                 members.add(Label((cat, act)))
                 for risk in risks:
@@ -138,8 +145,11 @@ class Lattice:
     def from_file(cls, path: str | Path) -> "Lattice":
         doc = read_json(path, "lattice file")
         if not isinstance(doc, dict):
-            raise SchemaError("lattice file must be an object of categories")
-        return cls(doc)
+            raise SchemaError(f"lattice file {path} must be an object of categories")
+        try:
+            return cls(doc)
+        except SchemaError as exc:
+            raise SchemaError(f"lattice file {path}: {exc}") from None
 
     def labels(self) -> list[Label]:
         return sorted(self._members, key=lambda l: (l.tier, l.path))

@@ -199,7 +199,8 @@ class ReplayAnnotator:
             raise SchemaError("replay file must be a JSON object keyed by function id")
         self._table: dict[str, Annotation] = {}
         for fid, raw in doc.items():
-            self._table[str(fid)] = _annotation_from_dict(str(fid), raw, lattice)
+            self._table[str(fid)] = _annotation_from_dict(str(fid), raw, lattice,
+                                                          f"replay file {path}")
 
     def annotate(self, view: FunctionSubgraph, context: Mapping) -> Annotation:
         key = str(view.function_id)
@@ -258,24 +259,40 @@ class CommandAnnotator:
                 view.function_id, f"exit code {proc.returncode}")
         try:
             raw = json.loads(proc.stdout.decode("utf-8"))
-            return _annotation_from_dict(str(view.function_id), raw, self.lattice)
+            return _annotation_from_dict(str(view.function_id), raw, self.lattice,
+                                         "annotator response")
         except AnnotatorFailure:
             raise
         except Exception as exc:
             raise AnnotatorFailure(view.function_id, f"bad response: {exc}") from None
 
 
-def _annotation_from_dict(function_id: str, raw: Mapping, lattice: Lattice) -> Annotation:
+def _annotation_from_dict(function_id: str, raw, lattice: Lattice, where: str) -> Annotation:
+    """The annotation a JSON object holds; ``where`` names its source in errors.
+
+    ``claims`` (default none) is a list of [source, sink] pairs of
+    integer node ids; a boolean, a float or a string is not an id.
+    """
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{where}: annotation for function {function_id} must be an object, "
+                          f"got {raw!r}")
     for key in ("label", "summary"):
         if key not in raw:
-            raise SchemaError(f"annotation for function {function_id} missing '{key}'")
-    claims = tuple(DataFlowClaim(int(pair[0]), int(pair[1]))
-                   for pair in raw.get("claims", ()))
+            raise SchemaError(f"{where}: annotation for function {function_id} missing '{key}'")
+    claims = raw.get("claims", [])
+    if not isinstance(claims, list):
+        raise SchemaError(f"{where}: annotation for function {function_id} has claims "
+                          f"{claims!r}, not a list")
+    for pair in claims:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(v) is int for v in pair)):
+            raise SchemaError(f"{where}: annotation for function {function_id} has claim "
+                              f"{pair!r}, not a [source, sink] pair of integer node ids")
     return Annotation(
         function_id=function_id,
         label=lattice.parse(str(raw["label"])),
         summary=str(raw["summary"]),
-        claims=claims,
+        claims=tuple(DataFlowClaim(src, dst) for src, dst in claims),
     )
 
 
@@ -308,20 +325,26 @@ def load_corpus(path: str | Path, lattice: Lattice) -> VerifiedCorpus:
     for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
         if not line.strip():
             continue
+        where = f"corpus file {path} line {i + 1}"
         try:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"corpus line {i + 1}: {exc}") from None
+            raise ParseError(f"{where}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise SchemaError(f"{where} must hold an object, got {raw!r}")
         if "trailer" in raw:
             t = raw["trailer"]
-            corpus.rejected_count = int(t.get("rejected", 0))
-            corpus.failed_count = int(t.get("failed", 0))
+            counts = (t.get("rejected", 0), t.get("failed", 0)) if isinstance(t, dict) else (None,)
+            if not all(type(n) is int and n >= 0 for n in counts):
+                raise SchemaError(f"{where}: trailer {t!r} must give 'rejected' and "
+                                  "'failed' as non-negative integers")
+            corpus.rejected_count, corpus.failed_count = counts
             seen_trailer = True
             continue
         if "function_id" not in raw:
-            raise SchemaError(f"corpus line {i + 1} missing 'function_id'")
+            raise SchemaError(f"{where} missing 'function_id'")
         corpus.accepted.append(
-            _annotation_from_dict(str(raw["function_id"]), raw, lattice))
+            _annotation_from_dict(str(raw["function_id"]), raw, lattice, where))
     if not seen_trailer:
-        raise SchemaError("corpus file has no trailer line")
+        raise SchemaError(f"corpus file {path} has no trailer line")
     return corpus

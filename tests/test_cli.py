@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import binrisk
 from binrisk.cli import EXIT_ALERTS, EXIT_ERROR, EXIT_OK, main
+from binrisk.graphormer import ModelConfig, _tensor_map, init_params
 
 
 def run(capsys, *argv):
@@ -434,6 +436,45 @@ def test_forward_bad_kg_gives_one_error_line(capsys, fixtures_dir, toy_run, tmp_
     assert str(kg) in err
 
 
+# config_toy.json's model, as a params file's config echo spells it.
+TOY_MODEL = {"layers": 2, "heads": 4, "hidden_dim": 64, "max_dist": 6, "edge_types": 8,
+             "input_dim": 384, "seed": 42}
+
+
+def params_container(path, config):
+    """The toy model's weights under a hand-written ``config`` echo."""
+    tensors = _tensor_map(init_params(ModelConfig(**TOY_MODEL)))
+    meta = {"format": "entity-transformer-v1", "config": config}
+    tensors["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **tensors)
+
+
+@pytest.mark.parametrize("config", [{**TOY_MODEL, "edge_combine": "max"}, [TOY_MODEL]],
+                         ids=["max_fold", "config_list"])
+def test_forward_bad_params_gives_one_error_line(capsys, fixtures_dir, toy_run, tmp_path,
+                                                 config):
+    params = tmp_path / "w.npz"
+    params_container(params, config)
+    code, _, err = run(capsys, "forward", "--config", str(fixtures_dir / "config_toy.json"),
+                       "--kg", str(toy_run / "toy_modbus.kg.json"), "--params", str(params),
+                       "--out", str(tmp_path / "emb.json"))
+    assert code == EXIT_ERROR
+    assert one_error_line(err)
+    assert str(params) in err
+    assert not (tmp_path / "emb.json").exists()
+
+
+def test_forward_params_with_legacy_sum_fold(capsys, fixtures_dir, toy_run, tmp_path):
+    params = tmp_path / "w.npz"
+    params_container(params, {**TOY_MODEL, "edge_combine": "sum"})
+    code, _, _ = run(capsys, "forward", "--config", str(fixtures_dir / "config_toy.json"),
+                     "--kg", str(toy_run / "toy_modbus.kg.json"), "--params", str(params),
+                     "--out", str(tmp_path / "emb.json"))
+    assert code == EXIT_OK
+    assert ((tmp_path / "emb.json").read_bytes()
+            == (toy_run / "toy_modbus.embeddings.json").read_bytes())
+
+
 @pytest.mark.parametrize("content", ['{"3": [0.1, 0.2', '{"3": "x"}'],
                          ids=["truncated", "string_vector"])
 def test_match_bad_embeddings_gives_one_error_line(capsys, fixtures_dir, tmp_path,
@@ -460,6 +501,10 @@ def kg_text(entity=(), relation=()) -> str:
         "relations": [{"src": 0, "rel_type": "calls", "dst": 1, "weight": 0.3,
                        **dict(relation)}]})
 
+
+BUILD_BAD_CORPUS = ["build-ssckg", "--cpg", "{fx}/toy_modbus.cpg.json", "--corpus", "{bad}",
+                    "--out", "{tmp}/kg.json"]
+CORPUS_TRAILER = '{"trailer": {"accepted": 0, "failed": 0, "rejected": 0, "total": 0}}\n'
 
 REPORT_BAD_CONFIG = ["report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
                      "--outdir", "{tmp}/out"]
@@ -570,6 +615,35 @@ BAD_INPUTS = {
                              "an integer nor null", SCORE_BAD_KG),
     "kg_boolean_cluster_id": ("kg.json", kg_text(entity={"cluster_id": True}),
                               "{bad}: entity at index 1 has cluster_id True", SCORE_BAD_KG),
+    "corpus_string_rejected_count": (
+        "corpus.jsonl", '{"trailer": {"accepted": 0, "failed": 0, "rejected": "x", "total": 0}}\n',
+        "corpus file {bad} line 1: trailer", BUILD_BAD_CORPUS),
+    "corpus_bare_number_line": ("corpus.jsonl", "5\n" + CORPUS_TRAILER,
+                                "corpus file {bad} line 1 must hold an object",
+                                BUILD_BAD_CORPUS),
+    "corpus_string_claim_end": (
+        "corpus.jsonl",
+        '{"claims": [["a", 1]], "function_id": "0", "label": "TOP", "summary": ""}\n'
+        + CORPUS_TRAILER, "corpus file {bad} line 1: annotation for function 0 has claim",
+        BUILD_BAD_CORPUS),
+    "replay_number_entry": (
+        "replay.json", '{"0": 5}', "replay file {bad}: annotation for function 0 must be an "
+        "object", ["lift", "--cpg", "{fx}/toy_modbus.cpg.json", "--annotator", "replay",
+                   "--replay", "{bad}", "--out", "{tmp}/corpus.jsonl"]),
+    "lattice_number_category": (
+        "lattice.json", '{"Hardware": 5}', "lattice file {bad}: lattice category 'Hardware'",
+        ["lift", "--config", "{tmp}/cfg.json", "--cpg", "{fx}/toy_modbus.cpg.json",
+         "--out", "{tmp}/corpus.jsonl"]),
+    "fingerprint_non_integer_entity_id": (
+        "repo/bad.json", '{"name": "x", "embeddings": [[0.1], [0.2], [0.3]],'
+        ' "entity_ids": [true, 1.5, "2"]}', "{bad}: entity id True is not an integer",
+        ["match", "--kg-embeddings", "{fw}/firmware_update.embeddings.json",
+         "--repo", "{tmp}/repo", "--out", "{tmp}/alerts.json"]),
+}
+
+# Files a probe reads beside the damaged one, by probe: name -> content.
+SIDE_FILES = {
+    "lattice_number_category": {"cfg.json": '{"lattice_path": "lattice.json"}'},
 }
 
 
@@ -580,6 +654,8 @@ def test_bad_input_file_gives_one_error_line(capsys, fixtures_dir, toy_run, firm
     bad = tmp_path / name
     bad.parent.mkdir(parents=True, exist_ok=True)
     bad.write_text(content, encoding="utf-8")
+    for side, text in SIDE_FILES.get(probe, {}).items():
+        (tmp_path / side).write_text(text, encoding="utf-8")
     places = {"bad": bad, "tmp": tmp_path, "fx": fixtures_dir, "toy": toy_run,
               "fw": firmware_run}
     code, _, err = run(capsys, *(arg.format(**places) for arg in argv))

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from binrisk.graphormer import (
     _erf,
     _gelu,
     _layer_norm,
+    _tensor_map,
     ModelConfig,
     ModelParams,
     NodeEmbedding,
@@ -62,8 +64,7 @@ def attention_oracle(z, dist, edges, params, layer, head):
             if i != j:
                 terms = [params.edge_bias[head, t] * w
                          for (a, b, t, w) in edges if a == i and b == j]
-                if terms:
-                    s += sum(terms) if cfg.edge_combine == "sum" else max(terms)
+                s += sum(terms)
             scores.append(s)
         peak = max(scores)
         exps = [math.exp(s - peak) for s in scores]
@@ -254,23 +255,6 @@ def test_attention_distance_buckets_clamp_and_sentinel():
     assert np.max(np.abs(got - want)) < 1e-10
 
 
-def test_parallel_edges_sum_vs_max_differ():
-    kg = three_node_kg()
-    cfg_sum = SMALL
-    cfg_max = ModelConfig(layers=1, heads=2, hidden_dim=8, max_dist=4,
-                          edge_types=8, input_dim=6, seed=3, edge_combine="max")
-    p_sum, p_max = init_params(cfg_sum), init_params(cfg_max)
-    assert np.array_equal(p_sum.edge_bias, p_max.edge_bias)  # same seed
-    edges = relation_edges(kg)
-    dist = hop_oracle(3, [(i, j) for i, j, _, _ in edges], 4)
-    z = np.random.default_rng(7).standard_normal((3, 8))
-    a_sum = attention_matrix(z, dist, edges, p_sum, 0, 0)
-    a_max = attention_matrix(z, dist, edges, p_max, 0, 0)
-    assert not np.allclose(a_sum[0, 1], a_max[0, 1])
-    # both still match their own oracle
-    assert np.max(np.abs(a_max - attention_oracle(z, dist, edges, p_max, 0, 0))) < 1e-10
-
-
 def test_attention_shape_validation():
     params = init_params(SMALL)
     z = np.zeros((2, SMALL.hidden_dim + 1))
@@ -357,11 +341,13 @@ def per_head_reference(kg, params):
     return z
 
 
-@pytest.mark.parametrize("combine", ["sum", "max"])
+# Parallel relations' edge terms are summed.  The one-value "sum" parameter
+# keeps these tests' ids from when a "max" fold existed beside it.
+@pytest.mark.parametrize("combine", ["sum"])
 def test_forward_is_bit_identical_to_per_head_attention(combine):
     rng = np.random.default_rng(53)
     cfg = ModelConfig(layers=2, heads=4, hidden_dim=16, max_dist=3,
-                      edge_types=8, input_dim=5, seed=8, edge_combine=combine)
+                      edge_types=8, input_dim=5, seed=8)
     params = init_params(cfg)
     for _ in range(10):
         kg = multigraph_kg(rng, int(rng.integers(1, 25)), cfg.input_dim)
@@ -369,11 +355,11 @@ def test_forward_is_bit_identical_to_per_head_attention(combine):
         assert np.array_equal(got, per_head_reference(kg, params))
 
 
-@pytest.mark.parametrize("combine", ["sum", "max"])
+@pytest.mark.parametrize("combine", ["sum"])
 def test_attention_matches_oracle_with_self_and_duplicate_relations(combine):
     rng = np.random.default_rng(59)
     cfg = ModelConfig(layers=1, heads=2, hidden_dim=8, max_dist=4,
-                      edge_types=8, input_dim=4, seed=5, edge_combine=combine)
+                      edge_types=8, input_dim=4, seed=5)
     params = init_params(cfg)
     for _ in range(6):
         n = int(rng.integers(1, 7))
@@ -434,8 +420,6 @@ def test_config_validation():
         ModelConfig(edge_types=4)
     with pytest.raises(ConfigError):
         ModelConfig(max_dist=0)
-    with pytest.raises(ConfigError):
-        ModelConfig(edge_combine="median")
     assert ModelConfig(heads=4, hidden_dim=16).head_dim == 4
 
 
@@ -495,6 +479,51 @@ def test_params_file_version_and_corruption_errors(tmp_path):
 
     path.write_bytes(b"definitely not a zip archive")
     with pytest.raises(CorruptFile):
+        load_params(path)
+
+
+def write_container(path, params, config):
+    """A weight container holding ``params``' tensors under a hand-written config."""
+    meta = {"format": "entity-transformer-v1", "config": config}
+    tensors = _tensor_map(params)
+    tensors["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **tensors)
+
+
+SMALL_META = {"layers": 1, "heads": 2, "hidden_dim": 8, "max_dist": 4,
+              "edge_types": 8, "input_dim": 6, "seed": 3}
+
+
+def test_params_with_legacy_sum_fold_load(tmp_path):
+    path = tmp_path / "w.npz"
+    params = init_params(SMALL)
+    write_container(path, params, {**SMALL_META, "edge_combine": "sum"})
+    back = load_params(path, expected=SMALL)
+    assert back.config == SMALL
+    for ta, tb in zip(all_tensors(params), all_tensors(back), strict=True):
+        assert np.array_equal(ta, tb)
+
+
+@pytest.mark.parametrize("combine", ["max", "median", None])
+def test_params_with_other_legacy_fold_are_rejected(tmp_path, combine):
+    path = tmp_path / "w.npz"
+    write_container(path, init_params(SMALL), {**SMALL_META, "edge_combine": combine})
+    with pytest.raises(VersionMismatch, match=f"{re.escape(str(path))}.*only 'sum'"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("config", [[1, 2], "sum", None, 5])
+def test_params_config_must_be_an_object(tmp_path, config):
+    path = tmp_path / "w.npz"
+    write_container(path, init_params(SMALL), config)
+    with pytest.raises(CorruptFile, match="'config' must be an object"):
+        load_params(path)
+
+
+def test_params_meta_must_be_an_object(tmp_path):
+    path = tmp_path / "w.npz"
+    np.savez(path, __meta__=np.frombuffer(b'["entity-transformer-v1"]', dtype=np.uint8))
+    with pytest.raises(VersionMismatch, match="format 'None'"):
         load_params(path)
 
 

@@ -81,6 +81,16 @@ def test_lattice_file_matches_builtin(fixtures_dir):
     assert from_file.labels() == Lattice.default().labels()
 
 
+@pytest.mark.parametrize("tree", [{"Hardware": 5}, {"Hardware": ["Coil_Write"]},
+                                  {"Hardware": {"Coil_Write": "Unauthenticated"}},
+                                  {"Hardware": {"Coil_Write": [5]}}],
+                         ids=["number_category", "list_category", "string_risks",
+                              "number_risk"])
+def test_lattice_tree_shape_is_checked(tree):
+    with pytest.raises(SchemaError, match="Hardware"):
+        Lattice(tree)
+
+
 def test_validated_ops_reject_foreign_labels():
     lat = Lattice.default()
     foreign = Label.parse("Plumbing/Faucet")

@@ -1,6 +1,7 @@
 """Annotators, the verification gate, and corpus serialization."""
 
 import json
+import re
 import sys
 
 import pytest
@@ -252,6 +253,27 @@ def test_corpus_loader_requires_trailer(tmp_path):
     path.write_text('{"function_id": "0", "label": "TOP", "summary": "", "claims": []}\n',
                     encoding="utf-8")
     with pytest.raises(SchemaError):
+        load_corpus(path, LAT)
+
+
+TRAILER = '{"trailer": {"accepted": 1, "failed": 0, "rejected": 0, "total": 1}}'
+
+
+@pytest.mark.parametrize("lines", [
+    ['{"trailer": 5}'],
+    ['{"trailer": {"rejected": -1}}'],
+    ['{"trailer": {"failed": 1.0}}'],
+    ['[1, 2]', TRAILER],
+    ['{"function_id": "0", "label": "TOP", "summary": "", "claims": [[true, 1]]}', TRAILER],
+    ['{"function_id": "0", "label": "TOP", "summary": "", "claims": [[1.0, 2]]}', TRAILER],
+    ['{"function_id": "0", "label": "TOP", "summary": "", "claims": [[1, 2, 3]]}', TRAILER],
+    ['{"function_id": "0", "label": "TOP", "summary": "", "claims": "x"}', TRAILER],
+], ids=["trailer_number", "negative_rejected", "float_failed", "list_line", "boolean_claim",
+        "float_claim", "triple_claim", "string_claims"])
+def test_corpus_loader_names_the_bad_line(tmp_path, lines):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"{re.escape(str(path))} line 1"):
         load_corpus(path, LAT)
 
 
