@@ -13,6 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 from binrisk import DataFlowClaim, SchemaError, load_cpg, loads_cpg, verify_claims
+from binrisk.lifting import function_subgraph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -26,9 +27,9 @@ def main():
 
     print("\nfunctions:")
     for fid in g.function_ids:
-        nodes = g.nodes_of_function(fid)
-        callee = next((n.attrs["callee"] for n in nodes if "callee" in n.attrs), "-")
-        print(f"  function {fid}: {len(nodes):2d} nodes, callee attr: {callee}")
+        view = function_subgraph(g, fid)
+        callee = next((attrs["callee"] for attrs in view.attrs if "callee" in attrs), "-")
+        print(f"  function {fid}: {len(view.node_ids):2d} nodes, callee attr: {callee}")
 
     # parse_modbus (function 2) feeds write_coil's mmio node over the
     # data-dependence edges, so this claim verifies

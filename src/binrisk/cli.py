@@ -9,6 +9,7 @@ fingerprint alerts were raised (for CI gating), 1 on any error.
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 
 from . import __version__
@@ -67,7 +68,10 @@ def _cmd_lift(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     if args.replay:
         cfg.replay_path = args.replay
     if args.cmd:
-        cfg.annotator_cmd = args.cmd
+        try:
+            cfg.annotator_cmd = shlex.split(args.cmd)
+        except ValueError as exc:
+            raise ConfigError(f"--cmd {args.cmd!r}: {exc}") from None
     corpus = stage_lift(args.cpg, cfg, args.out)
     _emit({"accepted": len(corpus.accepted), "rejected": corpus.rejected_count,
            "failed": corpus.failed_count,
@@ -212,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotator", choices=["rules", "replay", "cmd"])
     p.add_argument("--rules", help="rules JSON for the rules annotator")
     p.add_argument("--replay", help="recorded annotations for the replay annotator")
-    p.add_argument("--cmd", help="external annotator command line")
+    p.add_argument("--cmd", help="external annotator command line, split into "
+                   "arguments as a shell would")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_lift)
 

@@ -35,10 +35,10 @@ the kind values do) and ``edge_label`` (an index into ``labels``, the
 sorted distinct labels).  A graph read from any file therefore
 traverses like its canonical copy.
 
-``nodes``, ``edges``, ``nodes_of_function`` and ``edges_of_function``
-are the row view: they build ``CpgNode``/``CpgEdge`` objects on demand
-for callers that want rows, such as an annotator's one-function view.
-The pipeline's stages read the columns.
+``nodes`` and ``edges`` are the row view: they build ``CpgNode`` and
+``CpgEdge`` objects on demand, for tests, demos and other callers that
+want rows.  The pipeline reads only the columns, and so does an
+annotator's one-function view (``lifting.function_subgraph``).
 
 ``loads_cpg`` and the row constructor ``CpgGraph(nodes, edges)`` feed
 one validating core.  It checks whole columns at once, and only when a
@@ -250,32 +250,19 @@ class CpgGraph:
     @cached_property
     def nodes(self) -> tuple[CpgNode, ...]:
         """Row view of every node, in id order."""
-        return tuple(self._node_rows(np.arange(len(self))))
+        attrs = self.attrs
+        return tuple(CpgNode(i, NODE_KINDS[k], o, f, b, attrs.get(r, {}))
+                     for r, (i, k, o, f, b) in enumerate(zip(
+                         self.node_id.tolist(), self.node_kind.tolist(), self.opcode,
+                         self.node_function.tolist(), self.node_block.tolist())))
 
     @cached_property
     def edges(self) -> tuple[CpgEdge, ...]:
         """Row view of every edge, in canonical order."""
-        return tuple(self._edge_rows(np.arange(len(self.edge_src))))
-
-    def nodes_of_function(self, function_id: int) -> list[CpgNode]:
-        rows = self.function_rows.get(function_id)
-        return [] if rows is None else self._node_rows(rows)
-
-    def edges_of_function(self, function_id: int) -> list[CpgEdge]:
-        """Edges with both endpoints inside the given function.
-
-        Node sets of distinct functions are disjoint, so an edge is
-        induced by a function exactly when both endpoints carry that
-        function id; the index is built once.
-        """
-        edges = self._function_edges.get(function_id)
-        return [] if edges is None else self._edge_rows(edges)
-
-    @cached_property
-    def _function_edges(self) -> dict[int, np.ndarray]:
-        src_function = self.node_function[self.edge_src_row]
-        inner = np.flatnonzero(src_function == self.node_function[self.edge_dst_row])
-        return {fid: inner[at] for fid, at in group_rows(src_function[inner]).items()}
+        labels = self.labels
+        return tuple(CpgEdge(s, d, EDGE_KINDS[k], labels[c])
+                     for s, d, k, c in zip(self.edge_src.tolist(), self.edge_dst.tolist(),
+                                           self.edge_kind.tolist(), self.edge_label.tolist()))
 
     @cached_property
     def pdg_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -287,29 +274,6 @@ class CpgGraph:
         pdg = self.edge_kind == PDG_CODE
         src = self.edge_src_row[pdg]
         return np.searchsorted(src, np.arange(len(self) + 1)), self.edge_dst_row[pdg]
-
-    def pdg_successors(self) -> Mapping[int, list[int]]:
-        """Adjacency over data-dependence edges only, by node id."""
-        indptr, succ = self.pdg_csr
-        ids = self.node_id
-        return {int(ids[r]): ids[succ[indptr[r]:indptr[r + 1]]].tolist()
-                for r in np.flatnonzero(np.diff(indptr)).tolist()}
-
-    def _node_rows(self, rows: np.ndarray) -> list[CpgNode]:
-        attrs, opcode = self.attrs, self.opcode
-        return [CpgNode(i, NODE_KINDS[k], opcode[r], f, b, attrs[r] if r in attrs else {})
-                for r, i, k, f, b in zip(rows.tolist(), self.node_id[rows].tolist(),
-                                         self.node_kind[rows].tolist(),
-                                         self.node_function[rows].tolist(),
-                                         self.node_block[rows].tolist())]
-
-    def _edge_rows(self, edges: np.ndarray) -> list[CpgEdge]:
-        labels = self.labels
-        return [CpgEdge(s, d, EDGE_KINDS[k], labels[c])
-                for s, d, k, c in zip(self.edge_src[edges].tolist(),
-                                      self.edge_dst[edges].tolist(),
-                                      self.edge_kind[edges].tolist(),
-                                      self.edge_label[edges].tolist())]
 
 
 def group_rows(keys: np.ndarray) -> dict[int, np.ndarray]:

@@ -437,6 +437,8 @@ def load_params(path: str | Path, expected: ModelConfig | None = None) -> ModelP
         if tensors[name].shape != shape:
             raise ShapeMismatch(f"weight file {path}: tensor '{name}' has shape "
                                 f"{tensors[name].shape}, expected {shape}")
+        if not np.isfinite(tensors[name]).all():
+            raise CorruptFile(f"weight file {path}: tensor '{name}' holds a non-finite value")
     return _params_from(cfg, tensors)
 
 

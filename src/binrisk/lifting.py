@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-from .cpg import CpgEdge, CpgGraph, CpgNode, DataFlowClaim, EdgeKind, verify_claims
+import numpy as np
+
+from .cpg import NODE_KINDS, CpgGraph, DataFlowClaim, NodeKind, verify_claims
 from .errors import (
     AnnotatorFailure,
     InvalidRule,
@@ -54,11 +56,21 @@ class Annotation:
 
 @dataclass(frozen=True)
 class FunctionSubgraph:
-    """A single function's nodes and the edges induced among them."""
+    """What an annotator sees of one function, as columns.
+
+    ``node_ids``, ``kinds``, ``opcodes`` and ``attrs`` are parallel
+    lists over the function's nodes in id order (``{}`` for a node with
+    no attrs).  ``pdg_edges`` holds the (src, dst) node ids of the
+    data-dependence edges with both ends in the function, in canonical
+    edge order.
+    """
 
     function_id: int
-    nodes: tuple[CpgNode, ...]
-    edges: tuple[CpgEdge, ...]
+    node_ids: list[int]
+    kinds: list[NodeKind]
+    opcodes: list[str]
+    attrs: list[dict[str, str]]
+    pdg_edges: list[tuple[int, int]]
 
 
 @dataclass
@@ -88,12 +100,25 @@ class Annotator(Protocol):
 
 
 def function_subgraph(g: CpgGraph, function_id: int) -> FunctionSubgraph:
-    """The row view of one function, nodes in id order, edges in canonical order."""
-    nodes = g.nodes_of_function(function_id)
-    if not nodes:
+    """One function's columns, sliced from the graph's."""
+    rows = g.function_rows.get(function_id)
+    if rows is None:
         raise UnknownFunction(f"no nodes with function id {function_id}")
-    return FunctionSubgraph(function_id=function_id, nodes=tuple(nodes),
-                            edges=tuple(g.edges_of_function(function_id)))
+    # The Pdg successors of each row, rows in id order and each row's
+    # successors in edge order: the function's Pdg edges in canonical order.
+    indptr, succ = g.pdg_csr
+    starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
+    src = np.repeat(rows, counts)
+    dst = succ[np.arange(len(src)) + np.repeat(starts - np.cumsum(counts) + counts, counts)]
+    inner = g.node_function[dst] == function_id
+    row_list = rows.tolist()
+    return FunctionSubgraph(
+        function_id=function_id,
+        node_ids=g.node_id[rows].tolist(),
+        kinds=[NODE_KINDS[k] for k in g.node_kind[rows].tolist()],
+        opcodes=[g.opcode[r] for r in row_list],
+        attrs=[g.attrs.get(r, {}) for r in row_list],
+        pdg_edges=list(zip(g.node_id[src[inner]].tolist(), g.node_id[dst[inner]].tolist())))
 
 
 def build_corpus(g: CpgGraph, functions: Sequence[int],
@@ -132,12 +157,16 @@ def load_rules(path: str | Path) -> list[tuple[str, str]]:
     """Read an ordered JSON rule table [{pattern, label}, ...]."""
     doc = read_json(path, "rule file")
     if not isinstance(doc, list):
-        raise InvalidRule("rule file must be a JSON list")
+        raise InvalidRule(f"rule file {path} must be a JSON list")
     out = []
     for i, raw in enumerate(doc):
         if not isinstance(raw, dict) or "pattern" not in raw or "label" not in raw:
-            raise InvalidRule(f"rule {i} needs 'pattern' and 'label'")
-        out.append((str(raw["pattern"]), str(raw["label"])))
+            raise InvalidRule(f"rule file {path}: rule {i} needs 'pattern' and 'label'")
+        for key in ("pattern", "label"):
+            if type(raw[key]) is not str:
+                raise InvalidRule(f"rule file {path}: rule {i} has non-string {key} "
+                                  f"{raw[key]!r}")
+        out.append((raw["pattern"], raw["label"]))
     return out
 
 
@@ -170,17 +199,13 @@ class RuleAnnotator:
             self.rules.append((pattern, label))
 
     def annotate(self, view: FunctionSubgraph, context: Mapping) -> Annotation:
-        opcodes = {n.opcode for n in view.nodes}
-        callees = {n.attrs["callee"] for n in view.nodes if "callee" in n.attrs}
+        opcodes = set(view.opcodes)
+        callees = {attrs["callee"] for attrs in view.attrs if "callee" in attrs}
         # A rule hits when it matches any opcode or any non-empty callee.
         names = opcodes | (callees - {""})
         label = next((candidate for pattern, candidate in self.rules
                       if any(_pattern_matches(pattern, name) for name in names)), TOP)
-        claims = tuple(
-            DataFlowClaim(e.src, e.dst)
-            for e in sorted(view.edges, key=lambda e: (e.src, e.dst))
-            if e.kind is EdgeKind.PDG
-        )
+        claims = tuple(DataFlowClaim(src, dst) for src, dst in view.pdg_edges)
         tokens = sorted((opcodes - {""}) | callees)
         behavior = "unknown behavior" if label.is_top else " ".join(label.path).replace("_", " ").lower()
         summary = f"{behavior} routine using {' '.join(tokens)}" if tokens else behavior
@@ -225,12 +250,18 @@ class CommandAnnotator:
         {"label": "Hardware/Coil_Write", "summary": "...",
          "claims": [[src, dst], ...]}
 
+    ``nodes`` lists the function's nodes in id order and ``pdg_edges``
+    its inner data-dependence edges in canonical edge order.  ``argv``
+    is a list of arguments; one string is rejected, not split.
     Non-zero exit, unparseable output, or an unknown label raise
     AnnotatorFailure (the corpus builder then counts the function as
     failed and moves on).
     """
 
     def __init__(self, argv: Sequence[str], lattice: Lattice, timeout: float = 60.0):
+        if isinstance(argv, str):
+            raise InvalidRule(f"external annotator command {argv!r} must be a list of "
+                              "arguments, not one string")
         if not argv:
             raise InvalidRule("external annotator needs a command")
         self.argv = list(argv)
@@ -241,12 +272,11 @@ class CommandAnnotator:
         request = {
             "function_id": view.function_id,
             "binary_id": context.get("binary_id", ""),
-            "nodes": [
-                {"id": n.id, "kind": n.kind.value, "opcode": n.opcode,
-                 "attrs": dict(sorted(n.attrs.items()))}
-                for n in view.nodes
-            ],
-            "pdg_edges": [[e.src, e.dst] for e in view.edges if e.kind is EdgeKind.PDG],
+            "nodes": [{"id": i, "kind": kind.value, "opcode": opcode,
+                       "attrs": dict(sorted(attrs.items()))}
+                      for i, kind, opcode, attrs in zip(view.node_ids, view.kinds,
+                                                        view.opcodes, view.attrs)],
+            "pdg_edges": [[src, dst] for src, dst in view.pdg_edges],
         }
         try:
             proc = subprocess.run(
@@ -279,6 +309,9 @@ def _annotation_from_dict(function_id: str, raw, lattice: Lattice, where: str) -
     for key in ("label", "summary"):
         if key not in raw:
             raise SchemaError(f"{where}: annotation for function {function_id} missing '{key}'")
+        if type(raw[key]) is not str:
+            raise SchemaError(f"{where}: annotation for function {function_id} has "
+                              f"non-string {key} {raw[key]!r}")
     claims = raw.get("claims", [])
     if not isinstance(claims, list):
         raise SchemaError(f"{where}: annotation for function {function_id} has claims "
@@ -290,8 +323,8 @@ def _annotation_from_dict(function_id: str, raw, lattice: Lattice, where: str) -
                               f"{pair!r}, not a [source, sink] pair of integer node ids")
     return Annotation(
         function_id=function_id,
-        label=lattice.parse(str(raw["label"])),
-        summary=str(raw["summary"]),
+        label=lattice.parse(raw["label"]),
+        summary=raw["summary"],
         claims=tuple(DataFlowClaim(src, dst) for src, dst in claims),
     )
 

@@ -790,8 +790,12 @@ def load_cves(path: str | Path, provider) -> list[CveRecord]:
     for i, raw in enumerate(doc):
         if not isinstance(raw, dict) or "cve_id" not in raw or "description" not in raw:
             raise SchemaError(f"CVE corpus {path}: record {i} needs 'cve_id' and 'description'")
-        desc = str(raw["description"])
-        out.append(CveRecord(cve_id=str(raw["cve_id"]), description=desc,
+        for key in ("cve_id", "description"):
+            if type(raw[key]) is not str:
+                raise SchemaError(f"CVE corpus {path}: record {i} has non-string {key} "
+                                  f"{raw[key]!r}")
+        desc = raw["description"]
+        out.append(CveRecord(cve_id=raw["cve_id"], description=desc,
                              embedding=provider.embed(desc)))
     return out
 

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,9 @@ import pytest
 
 import binrisk
 from binrisk.cli import EXIT_ALERTS, EXIT_ERROR, EXIT_OK, main
+from binrisk.cpg import CpgEdge, CpgNode, EdgeKind, load_cpg
 from binrisk.graphormer import ModelConfig, _tensor_map, init_params
+from binrisk.ssckg import Relation
 
 
 def run(capsys, *argv):
@@ -81,6 +84,32 @@ def test_report_needs_no_scipy(capsys, fixtures_dir, tmp_path):
             (tmp_path / "in_process" / name).read_bytes(), name
 
 
+def test_report_builds_no_row_objects(capsys, fixtures_dir, tmp_path, monkeypatch):
+    """report reads the graphs' columns only: with the row classes made
+    unbuildable it writes the same bytes and prints the same lines."""
+    def built(self, *args, **kwargs):
+        raise AssertionError(f"report built a {type(self).__name__}")
+
+    for bid, cfg in (("toy_modbus", "config_toy.json"),
+                     ("firmware_update", "config_firmware.json")):
+        def report(outdir):
+            return main(["report", "--config", str(fixtures_dir / cfg),
+                         "--cpg", str(fixtures_dir / f"{bid}.cpg.json"),
+                         "--outdir", str(outdir)])
+
+        plain_code, plain_out = report(tmp_path / bid / "plain"), capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            for cls in (CpgNode, CpgEdge, Relation):
+                patch.setattr(cls, "__init__", built)
+            code = report(tmp_path / bid / "guarded")
+        assert (code, capsys.readouterr().out) == (plain_code, plain_out)
+        names = sorted(p.name for p in (tmp_path / bid / "plain").iterdir())
+        assert sorted(p.name for p in (tmp_path / bid / "guarded").iterdir()) == names
+        for name in names:
+            assert (tmp_path / bid / "guarded" / name).read_bytes() == \
+                (tmp_path / bid / "plain" / name).read_bytes(), name
+
+
 # --- single commands ---------------------------------------------------------
 
 def test_ingest_reports_graph_shape(capsys, fixtures_dir, tmp_path):
@@ -122,6 +151,64 @@ def test_lift_summary(capsys, fixtures_dir, tmp_path):
     assert code == EXIT_OK
     assert doc == {"accepted": 5, "rejected": 0, "failed": 0,
                    "rejection_rate": 0.0}
+
+
+# An external annotator that appends each request it reads to the file
+# named by its argument and claims every data edge it was sent.
+RECORDING_ANNOTATOR = r"""
+import json, sys
+data = sys.stdin.buffer.read()
+with open(sys.argv[1], "ab") as log:
+    log.write(data + b"\n")
+req = json.loads(data)
+print(json.dumps({"label": "Memory", "summary": "recorded", "claims": req["pdg_edges"]}))
+"""
+
+
+def lift_with_recorder(capsys, fixtures_dir, tmp_path):
+    """Lift the firmware fixture with --cmd running the recording
+    annotator: (exit code, summary, the requests it read)."""
+    script, log = tmp_path / "recorder.py", tmp_path / "requests.log"
+    script.write_text(RECORDING_ANNOTATOR, encoding="utf-8")
+    code, doc, _ = run(capsys, "lift", "--cpg", str(fixtures_dir / "firmware_update.cpg.json"),
+                       "--annotator", "cmd",
+                       "--cmd", shlex.join([sys.executable, str(script), str(log)]),
+                       "--out", str(tmp_path / "corpus.jsonl"))
+    return code, doc, log.read_text(encoding="utf-8").splitlines()
+
+
+def test_lift_cmd_flag_runs_a_script_annotator(capsys, fixtures_dir, tmp_path):
+    code, doc, requests = lift_with_recorder(capsys, fixtures_dir, tmp_path)
+    assert code == EXIT_OK
+    assert doc == {"accepted": 6, "rejected": 0, "failed": 0, "rejection_rate": 0.0}
+    assert len(requests) == 6
+
+
+def test_cmd_annotator_requests_equal_the_row_view(capsys, fixtures_dir, tmp_path):
+    """Each request is the documented one, built here from the graph's
+    rows: the function's nodes in id order and its inner Pdg edges."""
+    g = load_cpg(fixtures_dir / "firmware_update.cpg.json")
+    expected = []
+    for fid in g.function_ids:
+        nodes = [n for n in g.nodes if n.function_id == fid]
+        inside = {n.id for n in nodes}
+        expected.append(json.dumps({
+            "function_id": fid, "binary_id": g.binary_id,
+            "nodes": [{"id": n.id, "kind": n.kind.value, "opcode": n.opcode,
+                       "attrs": dict(sorted(n.attrs.items()))} for n in nodes],
+            "pdg_edges": [[e.src, e.dst] for e in g.edges if e.kind is EdgeKind.PDG
+                          and e.src in inside and e.dst in inside],
+        }))
+    assert lift_with_recorder(capsys, fixtures_dir, tmp_path)[2] == expected
+
+
+def test_lift_cmd_flag_with_unbalanced_quote(capsys, fixtures_dir, tmp_path):
+    code, _, err = run(capsys, "lift", "--cpg", str(fixtures_dir / "toy_modbus.cpg.json"),
+                       "--annotator", "cmd", "--cmd", "tool 'unclosed",
+                       "--out", str(tmp_path / "corpus.jsonl"))
+    assert code == EXIT_ERROR
+    assert one_error_line(err) and "--cmd" in err
+    assert not (tmp_path / "corpus.jsonl").exists()
 
 
 def test_threshold_command(capsys, fixtures_dir, tmp_path):
@@ -441,9 +528,13 @@ TOY_MODEL = {"layers": 2, "heads": 4, "hidden_dim": 64, "max_dist": 6, "edge_typ
              "input_dim": 384, "seed": 42}
 
 
-def params_container(path, config):
-    """The toy model's weights under a hand-written ``config`` echo."""
+def params_container(path, config, nan_in=None):
+    """The toy model's weights under a hand-written ``config`` echo, with
+    a NaN as the first value of tensor ``nan_in`` if one is named."""
     tensors = _tensor_map(init_params(ModelConfig(**TOY_MODEL)))
+    if nan_in is not None:
+        tensors[nan_in] = tensors[nan_in].copy()
+        tensors[nan_in].flat[0] = np.nan
     meta = {"format": "entity-transformer-v1", "config": config}
     tensors["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **tensors)
@@ -461,6 +552,18 @@ def test_forward_bad_params_gives_one_error_line(capsys, fixtures_dir, toy_run, 
     assert code == EXIT_ERROR
     assert one_error_line(err)
     assert str(params) in err
+    assert not (tmp_path / "emb.json").exists()
+
+
+def test_forward_rejects_non_finite_params(capsys, fixtures_dir, toy_run, tmp_path):
+    params = tmp_path / "w.npz"
+    params_container(params, TOY_MODEL, nan_in="w_input")
+    code, _, err = run(capsys, "forward", "--config", str(fixtures_dir / "config_toy.json"),
+                       "--kg", str(toy_run / "toy_modbus.kg.json"), "--params", str(params),
+                       "--out", str(tmp_path / "emb.json"))
+    assert code == EXIT_ERROR
+    assert one_error_line(err)
+    assert f"{params}: tensor 'w_input' holds a non-finite value" in err
     assert not (tmp_path / "emb.json").exists()
 
 
@@ -539,6 +642,18 @@ BAD_INPUTS = {
     "cves_missing_description": ("cves.json", '[{"cve_id": "CVE-1"}]', "{bad}", [
         "score", "--kg", "{toy}/toy_modbus.kg.json", "--cves", "{bad}",
         "--out", "{tmp}/risk.json"]),
+    "cves_numeric_id": ("cves.json", '[{"cve_id": 7, "description": null}]',
+                        "CVE corpus {bad}: record 0 has non-string cve_id 7", [
+                            "score", "--kg", "{toy}/toy_modbus.kg.json", "--cves", "{bad}",
+                            "--out", "{tmp}/risk.json"]),
+    "cves_null_description": ("cves.json", '[{"cve_id": "CVE-1", "description": null}]',
+                              "CVE corpus {bad}: record 0 has non-string description None", [
+                                  "score", "--kg", "{toy}/toy_modbus.kg.json", "--cves",
+                                  "{bad}", "--out", "{tmp}/risk.json"]),
+    "rules_numeric_pattern": ("rules.json", '[{"pattern": 5, "label": "Memory"}]',
+                              "rule file {bad}: rule 0 has non-string pattern 5", [
+                                  "lift", "--cpg", "{fx}/toy_modbus.cpg.json", "--rules",
+                                  "{bad}", "--out", "{tmp}/corpus.jsonl"]),
     "scores_truncated": ("scores.json", '[{"score": 0.5, "lab', "{bad}", [
         "threshold", "--scores", "{bad}", "--out", "{tmp}/th.json"]),
     "scores_missing_label": ("scores.json", '[{"score": 0.5}]', "{bad}", [
@@ -626,6 +741,15 @@ BAD_INPUTS = {
         '{"claims": [["a", 1]], "function_id": "0", "label": "TOP", "summary": ""}\n'
         + CORPUS_TRAILER, "corpus file {bad} line 1: annotation for function 0 has claim",
         BUILD_BAD_CORPUS),
+    "corpus_null_summary": (
+        "corpus.jsonl", '{"claims": [], "function_id": "0", "label": "TOP", "summary": null}\n'
+        + CORPUS_TRAILER, "corpus file {bad} line 1: annotation for function 0 has non-string "
+        "summary None", BUILD_BAD_CORPUS),
+    "replay_numeric_label": (
+        "replay.json", '{"0": {"label": 3, "summary": "s"}}', "replay file {bad}: annotation "
+        "for function 0 has non-string label 3",
+        ["lift", "--cpg", "{fx}/toy_modbus.cpg.json", "--annotator", "replay",
+         "--replay", "{bad}", "--out", "{tmp}/corpus.jsonl"]),
     "replay_number_entry": (
         "replay.json", '{"0": 5}', "replay file {bad}: annotation for function 0 must be an "
         "object", ["lift", "--cpg", "{fx}/toy_modbus.cpg.json", "--annotator", "replay",

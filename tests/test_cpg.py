@@ -19,6 +19,7 @@ from binrisk.cpg import (
     verify_claims,
 )
 from binrisk.errors import ParseError, SchemaError, UnknownNode
+from binrisk.lifting import function_subgraph
 
 
 def inst(nid, fn=0, block=0, opcode="mov", **attrs):
@@ -92,12 +93,13 @@ def test_canonical_form_sorts_nodes_and_edges():
     assert [(e["src"], e["dst"]) for e in doc["edges"]] == [(1, 2), (1, 3), (3, 1)]
 
 
-def test_edges_of_function_only_internal():
+def test_function_view_keeps_only_internal_pdg_edges():
     nodes = [inst(0, fn=0), inst(1, fn=0), inst(2, fn=1)]
-    g = CpgGraph(nodes, [pdg(0, 1), pdg(1, 2)])
-    internal = g.edges_of_function(0)
-    assert [(e.src, e.dst) for e in internal] == [(0, 1)]
-    assert g.edges_of_function(1) == []
+    g = CpgGraph(nodes, [pdg(0, 1), pdg(1, 2), CpgEdge(src=0, dst=1, kind=EdgeKind.CFG)])
+    indptr, succ = g.pdg_csr
+    assert (indptr.tolist(), succ.tolist()) == ([0, 1, 2, 2], [1, 2])
+    assert function_subgraph(g, 0).pdg_edges == [(0, 1)]
+    assert function_subgraph(g, 1).pdg_edges == []
 
 
 # --- claim verification ---------------------------------------------------------

@@ -4,7 +4,10 @@ was written."""
 
 import json
 import math
+import subprocess
+import sys
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from binrisk.errors import SchemaError, dumps_json
 from binrisk.fingerprint import Fingerprint, dumps_fingerprint, load_fingerprint
 from binrisk.graphormer import NodeEmbedding, dumps_embeddings, load_embeddings
 from binrisk.lattice import Lattice
-from binrisk.lifting import Annotation, VerifiedCorpus, dumps_corpus, load_corpus
+from binrisk.lifting import (Annotation, VerifiedCorpus, dumps_corpus, function_subgraph,
+                             load_corpus)
 from binrisk.pipeline import write_atomic
 from binrisk.ssckg import Entity, Relation, RelationType, SsckgGraph, dumps_ssckg, load_ssckg
 
@@ -130,6 +134,25 @@ def test_dumps_cpg_equals_canonical_writer(g):
     assert dumps_cpg(g) == dumps_json(cpg_document(g))
 
 
+def row_function_view(g: CpgGraph, function_id: int) -> tuple:
+    """One function's node columns and inner Pdg edges, from the row view."""
+    nodes = [n for n in g.nodes if n.function_id == function_id]
+    inside = {n.id for n in nodes}
+    return ([n.id for n in nodes], [n.kind for n in nodes], [n.opcode for n in nodes],
+            [n.attrs for n in nodes],
+            [(e.src, e.dst) for e in g.edges
+             if e.kind is EdgeKind.PDG and e.src in inside and e.dst in inside])
+
+
+@PROPERTY
+@given(graphs())
+def test_function_view_equals_row_view(g):
+    for fid in g.function_ids:
+        view = function_subgraph(g, fid)
+        assert (view.node_ids, view.kinds, view.opcodes, view.attrs,
+                view.pdg_edges) == row_function_view(g, fid)
+
+
 # JSON values a reader coerces with str(): an opcode or attrs value that
 # is not a string.
 LOOSE = TEXT | st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False)
@@ -165,8 +188,8 @@ def cpg_texts(draw) -> tuple[str, list[CpgNode], list[CpgEdge], str]:
 
 def graph_views(g: CpgGraph) -> tuple:
     fids = g.function_ids
-    return (g.binary_id, g.nodes, g.edges, fids, [g.nodes_of_function(f) for f in fids],
-            [g.edges_of_function(f) for f in fids], g.pdg_successors(), dumps_cpg(g))
+    return (g.binary_id, g.nodes, g.edges, fids, [function_subgraph(g, f) for f in fids],
+            [column.tolist() for column in g.pdg_csr], dumps_cpg(g))
 
 
 @PROPERTY
@@ -462,3 +485,32 @@ def test_corpus_round_trip(tmp_path_factory, accepted, rejected, failed):
     write_atomic(path, dumps_corpus(corpus))
     back = load_corpus(path, LAT)
     assert back == corpus
+
+
+# --- the suite's warning filters ------------------------------------------------
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_after():
+    pass
+"""
+
+
+def test_failing_property_is_reported_as_a_failure(tmp_path):
+    """Under the suite's warning filters a failing @given test fails like
+    any other test, and the tests after it still run."""
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider",
+                           "-c", str(config), "--rootdir", str(tmp_path), "test_probe.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout[-3000:]
+    assert "test_probe.py::test_fails FAILED" in proc.stdout
+    assert "test_probe.py::test_after PASSED" in proc.stdout

@@ -47,9 +47,16 @@ def toy(fixtures_dir):
 # --- function views ----------------------------------------------------------
 
 def test_subgraph_contains_only_own_nodes_and_edges(fixtures_dir):
-    view = function_subgraph(toy(fixtures_dir), 2)
-    assert [n.id for n in view.nodes] == [8, 9, 10, 11, 12]
-    assert all(8 <= e.src <= 12 and 8 <= e.dst <= 12 for e in view.edges)
+    g = toy(fixtures_dir)
+    view = function_subgraph(g, 2)
+    assert view.node_ids == [8, 9, 10, 11, 12]
+    assert view.pdg_edges == [(8, 9), (9, 10), (9, 11)]
+    # Every Pdg edge leaving the function's nodes that ends inside it.
+    indptr, succ = g.pdg_csr
+    ids = g.node_id.tolist()
+    assert view.pdg_edges == [
+        (ids[r], ids[s]) for r in g.rows_of(view.node_ids).tolist()
+        for s in succ[indptr[r]:indptr[r + 1]].tolist() if 8 <= ids[s] <= 12]
 
 
 def test_unknown_function_raises(fixtures_dir):
@@ -222,6 +229,11 @@ def test_command_annotator_round_trip(fixtures_dir):
     ann = corpus.accepted[0]
     assert str(ann.label) == "Memory"
     assert ann.claims == (DataFlowClaim(4, 5), DataFlowClaim(5, 6))
+
+
+def test_command_annotator_rejects_one_string_command():
+    with pytest.raises(InvalidRule, match="list of arguments"):
+        CommandAnnotator(f"{sys.executable} -c pass", LAT)
 
 
 def test_command_annotator_failure_counts_as_failed(fixtures_dir):
