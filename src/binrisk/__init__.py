@@ -68,6 +68,7 @@ from .graphormer import (
     init_params,
     load_params,
     save_params,
+    seeded_params,
 )
 from .lattice import (
     EvrMode,

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .config import PipelineConfig
-from .errors import BinriskError, ConfigError, dumps_json, read_json
+from .errors import BinriskError, ConfigError, SchemaError, dumps_json, read_json
 from .fingerprint import Fingerprint, dumps_fingerprint
 from .graphormer import NodeEmbedding, load_embeddings
 from .metrics import ConfusionCounts, classification_metrics
@@ -92,8 +92,11 @@ def _cmd_embed(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     doc = read_json(args.texts, "texts file")
     if not isinstance(doc, dict):
         raise ConfigError("--texts must be a JSON object of name -> text")
-    out = {key: provider.embed(str(text)).values.tolist()
-           for key, text in doc.items()}
+    for key, text in doc.items():
+        if not isinstance(text, str):
+            raise SchemaError(f"texts file {args.texts}: key {key!r} has non-string "
+                              f"text {text!r}")
+    out = {key: provider.embed(text).values.tolist() for key, text in doc.items()}
     write_atomic(args.out, dumps_json(out))
     _emit({"embedded": len(out), "dimension": provider.dimension()})
     return EXIT_OK

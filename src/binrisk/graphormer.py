@@ -27,6 +27,15 @@ Its ``erf`` is a port of the Cephes rational approximation (S. L.
 Moshier's ndtr.c, the one scipy ships), so it gives the same bits as
 ``scipy.special.erf`` without importing scipy.
 
+``forward`` walks the layers once, in order.  With ``seeded_params``
+(what ``report`` and ``forward`` without ``--params`` use) each layer's
+weights are drawn when the pass reaches it and dropped before the next
+is drawn, so the pass holds the shared tensors, one layer's weights and,
+per head, O(n^2) scores for n entities.  ``init_params`` draws the same
+values and holds them all, for callers that index the layers.  Scores,
+softmax, GELU and layer norm overwrite arrays the pass made itself, with
+the same operations in the same order, so the bits do not change.
+
 Input features are the entity summary embeddings through a learned
 projection, plus a label-tier embedding (top, category, action, risk
 context).  There is no centrality term: degree information already
@@ -36,12 +45,13 @@ reaches the model through the bias tables.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import zipfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,7 +128,8 @@ class ModelParams:
     tier_embed: np.ndarray  # (4, hidden): top, category, action, risk context
     spatial_bias: np.ndarray  # (heads, max_dist + 2); last bucket = unreachable
     edge_bias: np.ndarray     # (heads, edge_types)
-    layers: list[LayerParams] = field(default_factory=list)
+    # A list, or the one-pass iterator of ``seeded_params``
+    layers: Iterable[LayerParams] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -154,25 +165,47 @@ def _params_from(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelParam
                        **{name: t for name, t in tensors.items() if "." not in name})
 
 
-def init_params(cfg: ModelConfig) -> ModelParams:
-    """Seeded initialization.
+def _drawn_tensors(cfg: ModelConfig) -> Iterator[tuple[str, np.ndarray]]:
+    """Every tensor of ``_tensor_specs(cfg)`` as (name, tensor), drawn in
+    that order from one generator seeded with ``cfg.seed``.
 
     Weight matrices and embedding tables draw uniform values scaled by
     the inverse square root of their fan-in (first axis for matrices,
-    bucket count for the bias tables), drawn in a fixed order so the
-    same seed always gives identical parameters.  Additive vectors
-    (feed-forward biases, norm offsets) start at zero; norm gains at
-    one.
+    bucket count for the bias tables).  Additive vectors (feed-forward
+    biases, norm offsets) start at zero; norm gains at one.  No local
+    keeps a tensor once it is yielded, so a consumer that drops it frees
+    it.
     """
     rng = np.random.default_rng(cfg.seed)
-    tensors = {}
     for name, shape, init in _tensor_specs(cfg):
         if isinstance(init, int):
             bound = 1.0 / np.sqrt(init)
-            tensors[name] = rng.uniform(-bound, bound, size=shape)
+            yield name, rng.uniform(-bound, bound, size=shape)
         else:
-            tensors[name] = np.full(shape, init)
-    return _params_from(cfg, tensors)
+            yield name, np.full(shape, init)
+
+
+def init_params(cfg: ModelConfig) -> ModelParams:
+    """Seeded initialization: every tensor of ``_drawn_tensors``, held at once."""
+    return _params_from(cfg, dict(_drawn_tensors(cfg)))
+
+
+def seeded_params(cfg: ModelConfig) -> ModelParams:
+    """``init_params(cfg)`` for one ``forward`` pass, drawn as it goes.
+
+    The four shared tensors are drawn now.  ``layers`` is a one-pass
+    iterator that draws each layer's tensors, from the same generator
+    and in the same order, when the pass reaches that layer, so every
+    value equals ``init_params(cfg)``'s and ``forward`` holds one
+    layer's weights at a time.
+    """
+    draws = _drawn_tensors(cfg)
+    shared = dict(itertools.islice(draws, 4))  # w_input, tier_embed, spatial_bias, edge_bias
+    per_layer = len(fields(LayerParams))
+    layers = (LayerParams(**{name.partition(".")[2]: t
+                             for name, t in itertools.islice(draws, per_layer)})
+              for _ in range(cfg.layers))
+    return ModelParams(config=cfg, layers=layers, **shared)
 
 
 # Cephes ndtr.c (S. L. Moshier): erf(x) = x T(x^2) / U(x^2) for |x| <= 1,
@@ -229,7 +262,7 @@ def _erf(x: np.ndarray) -> np.ndarray:
             tail = np.where(np.isnan(w), w, np.copysign(1.0, w))
             mid = np.flatnonzero(a < 8.0)
             a = a[mid]
-            e = np.array([math.exp(-t * t) for t in a.tolist()])
+            e = np.fromiter(map(math.exp, np.negative(a * a).tolist()), np.float64, len(a))
             tail[mid] = np.copysign(
                 1.0 - e * _horner(a, _ERF_P, monic=False) / _horner(a, _ERF_Q, monic=True),
                 w[mid])
@@ -238,20 +271,33 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + _erf(x / np.sqrt(2.0)))
+    """The exact GELU, x/2 (1 + erf(x/sqrt 2)), written over ``x``."""
+    e = _erf(x / np.sqrt(2.0))
+    e += 1.0
+    x *= 0.5
+    x *= e
+    return x
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray,
                 eps: float = 1e-12) -> np.ndarray:
+    """Each row of ``x`` to zero mean and unit variance, then scaled by
+    ``gain`` and shifted by ``offset``, written over ``x``."""
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gain + offset
+    x -= mean
+    x /= np.sqrt(var + eps)
+    x *= gain
+    x += offset
+    return x
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    """The softmax of each row of ``scores``, written over ``scores``."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def _edge_bias_terms(n: int, src: np.ndarray, dst: np.ndarray, type_index: np.ndarray,
@@ -275,18 +321,20 @@ def _edge_bias_terms(n: int, src: np.ndarray, dst: np.ndarray, type_index: np.nd
     return flat, np.ascontiguousarray(vals.T)
 
 
-def _attention(z: np.ndarray, dist: np.ndarray, flat: np.ndarray,
-               edge_vals: np.ndarray, params: ModelParams, layer: int,
-               head: int) -> np.ndarray:
-    """Softmax of q.k / sqrt(d) + spatial bias, plus ``edge_vals`` at ``flat``."""
-    d = params.config.head_dim
-    lp = params.layers[layer]
-    cols = slice(head * d, (head + 1) * d)
+def _attention(z: np.ndarray, dist: np.ndarray, flat: np.ndarray, edge_vals: np.ndarray,
+               lp: LayerParams, spatial_bias: np.ndarray, cols: slice) -> np.ndarray:
+    """Softmax of q.k / sqrt(d) + spatial bias, plus ``edge_vals`` at ``flat``.
+
+    ``spatial_bias`` is the head's row of the table and ``cols`` the
+    head's columns of the projections.  Only the fresh score matrix is
+    written to.
+    """
     q = z @ lp.w_q[:, cols]
     k = z @ lp.w_k[:, cols]
-    scores = (q @ k.T) / np.sqrt(d)
-    scores = scores + params.spatial_bias[head][dist]
-    scores.ravel()[flat] += edge_vals  # a fresh C-order array, so ravel is a view
+    scores = q @ k.T  # a fresh C-order array, so ravel below is a view
+    scores /= np.sqrt(cols.stop - cols.start)
+    scores += np.take(spatial_bias, dist)
+    scores.ravel()[flat] += edge_vals
     return _softmax_rows(scores)
 
 
@@ -311,7 +359,9 @@ def attention_matrix(z: np.ndarray, dist: np.ndarray,
     src, dst, type_index = rows[:, :3].astype(np.int64).T
     flat, vals = _edge_bias_terms(n, src, dst, type_index, rows[:, 3],
                                   params.edge_bias[head:head + 1])
-    return _attention(z, dist, flat, vals[0], params, layer, head)
+    d = cfg.head_dim
+    return _attention(z, dist, flat, vals[0], params.layers[layer],
+                      params.spatial_bias[head], slice(head * d, (head + 1) * d))
 
 
 def relation_edges(kg: SsckgGraph) -> list[tuple[int, int, int, float]]:
@@ -327,8 +377,37 @@ def _relation_arrays(kg: SsckgGraph) -> tuple[np.ndarray, ...]:
             cols.type_code[between].astype(np.int64), cols.weight[between])
 
 
+def _layer(z: np.ndarray, lp: LayerParams, dist: np.ndarray, flat: np.ndarray,
+           edge_vals: np.ndarray, spatial_bias: np.ndarray, heads: int) -> np.ndarray:
+    """One layer, layer_norm(z + ffn(attention(z))), as a fresh array.
+
+    Each head's attention matrix is dropped once its product is taken,
+    so one head's O(n^2) arrays are live at a time.
+    """
+    d = z.shape[1] // heads
+    heads_out = []
+    for head in range(heads):
+        cols = slice(head * d, (head + 1) * d)
+        heads_out.append(_attention(z, dist, flat, edge_vals[head], lp, spatial_bias[head],
+                                    cols) @ (z @ lp.w_v[:, cols]))
+    mixed = np.concatenate(heads_out, axis=1) @ lp.w_o
+    del heads_out
+    h = mixed @ lp.ffn_w1
+    h += lp.ffn_b1
+    expanded = _gelu(h) @ lp.ffn_w2
+    del h
+    expanded += lp.ffn_b2
+    expanded += z
+    return _layer_norm(expanded, lp.ln_gain, lp.ln_offset)
+
+
 def forward(kg: SsckgGraph, params: ModelParams) -> list[NodeEmbedding]:
-    """Run the full stack and return one vector per entity, in id order."""
+    """Run the full stack and return one vector per entity, in id order.
+
+    ``params.layers`` is walked once, in order, so it may be the one-pass
+    iterator of ``seeded_params``; the pass then holds one layer's
+    weights at a time.  It must give ``config.layers`` layers.
+    """
     cfg = params.config
     if len(kg) == 0:
         raise EmptyGraph("forward pass needs at least one entity")
@@ -348,20 +427,17 @@ def forward(kg: SsckgGraph, params: ModelParams) -> list[NodeEmbedding]:
     dist = shortest_path_matrix(len(order), np.column_stack((src, dst)),
                                 max_dist=cfg.max_dist)
 
-    z = np.stack(feats) @ params.w_input + params.tier_embed[np.array(tiers)]
+    z = np.stack(feats) @ params.w_input
+    z += params.tier_embed[np.array(tiers)]
     flat, edge_vals = _edge_bias_terms(len(order), src, dst, type_index, weight,
                                        params.edge_bias)
-    d = cfg.head_dim
-    for layer in range(cfg.layers):
-        lp = params.layers[layer]
-        heads_out = []
-        for head in range(cfg.heads):
-            attn = _attention(z, dist, flat, edge_vals[head], params, layer, head)
-            cols = slice(head * d, (head + 1) * d)
-            heads_out.append(attn @ (z @ lp.w_v[:, cols]))
-        mixed = np.concatenate(heads_out, axis=1) @ lp.w_o
-        expanded = _gelu(mixed @ lp.ffn_w1 + lp.ffn_b1) @ lp.ffn_w2 + lp.ffn_b2
-        z = _layer_norm(z + expanded, lp.ln_gain, lp.ln_offset)
+    walked = 0
+    for lp in params.layers:
+        z = _layer(z, lp, dist, flat, edge_vals, params.spatial_bias, cfg.heads)
+        del lp  # else the loop target keeps this layer alive while the next is drawn
+        walked += 1
+    if walked != cfg.layers:  # e.g. a second pass over seeded_params' layers
+        raise ShapeMismatch(f"params gave {walked} layers, the model has {cfg.layers}")
     return [NodeEmbedding(entity_id=eid, vector=z[i].copy())
             for i, eid in enumerate(order)]
 

@@ -376,8 +376,9 @@ def load_corpus(path: str | Path, lattice: Lattice) -> VerifiedCorpus:
             continue
         if "function_id" not in raw:
             raise SchemaError(f"{where} missing 'function_id'")
-        corpus.accepted.append(
-            _annotation_from_dict(str(raw["function_id"]), raw, lattice, where))
+        if not isinstance(raw["function_id"], str):
+            raise SchemaError(f"{where} has non-string function_id {raw['function_id']!r}")
+        corpus.accepted.append(_annotation_from_dict(raw["function_id"], raw, lattice, where))
     if not seen_trailer:
         raise SchemaError(f"corpus file {path} has no trailer line")
     return corpus

@@ -34,9 +34,9 @@ from .graphormer import (
     NodeEmbedding,
     dumps_embeddings,
     forward,
-    init_params,
     load_embeddings,
     load_params,
+    seeded_params,
 )
 from .lattice import Lattice
 from .lifting import (
@@ -172,7 +172,7 @@ def transform(kg: SsckgGraph, cfg: PipelineConfig) -> list[NodeEmbedding]:
         seed=cfg.seed)
     if cfg.params_path:
         return forward(kg, load_params(cfg.params_path, expected=model_cfg))
-    return forward(kg, init_params(model_cfg))
+    return forward(kg, seeded_params(model_cfg))
 
 
 def score(kg: SsckgGraph, cfg: PipelineConfig) -> dict:

@@ -257,6 +257,19 @@ def test_embed_command_is_seeded(capsys, fixtures_dir, tmp_path):
     assert len(vectors["a"]) == 384
 
 
+@pytest.mark.parametrize("texts", [{"a": None}, {"a": "ok", "b": 5}, {"a": ["x"]}])
+def test_embed_rejects_non_string_texts(capsys, tmp_path, texts):
+    path = tmp_path / "texts.json"
+    path.write_text(json.dumps(texts), encoding="utf-8")
+    out = tmp_path / "e.json"
+    code, _, err = run(capsys, "embed", "--texts", str(path), "--out", str(out))
+    bad = next(key for key, text in texts.items() if not isinstance(text, str))
+    assert code == EXIT_ERROR
+    assert one_error_line(err)
+    assert f"texts file {path}: key '{bad}' has non-string text" in err
+    assert not out.exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -745,6 +758,10 @@ BAD_INPUTS = {
         "corpus.jsonl", '{"claims": [], "function_id": "0", "label": "TOP", "summary": null}\n'
         + CORPUS_TRAILER, "corpus file {bad} line 1: annotation for function 0 has non-string "
         "summary None", BUILD_BAD_CORPUS),
+    "corpus_null_function_id": (
+        "corpus.jsonl", '{"claims": [], "function_id": null, "label": "TOP", "summary": ""}\n'
+        + CORPUS_TRAILER, "corpus file {bad} line 1 has non-string function_id None",
+        BUILD_BAD_CORPUS),
     "replay_numeric_label": (
         "replay.json", '{"0": {"label": 3, "summary": "s"}}', "replay file {bad}: annotation "
         "for function 0 has non-string label 3",

@@ -1,12 +1,16 @@
 """Deterministic transformer forward pass: attention math, equivariance, IO."""
 
+import hashlib
 import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from binrisk.cpg import shortest_path_matrix
 from binrisk.embedding import EmbeddingVector
@@ -33,9 +37,11 @@ from binrisk.graphormer import (
     load_params,
     relation_edges,
     save_params,
+    seeded_params,
 )
+from binrisk.config import PipelineConfig
 from binrisk.lattice import TOP, Label
-from binrisk.pipeline import write_atomic
+from binrisk.pipeline import transform, write_atomic
 from binrisk.ssckg import Entity, Relation, RelationType, SsckgGraph
 
 SMALL = ModelConfig(layers=1, heads=2, hidden_dim=8, max_dist=4,
@@ -371,6 +377,83 @@ def test_attention_matches_oracle_with_self_and_duplicate_relations(combine):
             got = attention_matrix(z, dist, edges, params, 0, head)
             want = attention_oracle(z, dist, edges, params, 0, head)
             assert np.max(np.abs(got - want)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(layers=st.integers(1, 3), heads=st.sampled_from([1, 2, 4]),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), graph_seed=st.integers(0, 2**32 - 1))
+@example(layers=3, heads=4, seed=0, n=1, graph_seed=0)
+@example(layers=2, heads=1, seed=5, n=2, graph_seed=1)
+def test_seeded_forward_equals_init_params_forward(layers, heads, seed, n, graph_seed):
+    cfg = ModelConfig(layers=layers, heads=heads, hidden_dim=16, max_dist=4,
+                      edge_types=8, input_dim=5, seed=seed)
+    kg = multigraph_kg(np.random.default_rng(graph_seed), n, cfg.input_dim)
+    want = forward(kg, init_params(cfg))
+    got = forward(kg, seeded_params(cfg))
+    assert [e.entity_id for e in got] == [e.entity_id for e in want]
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.vector, b.vector)
+
+
+def test_seeded_params_draw_init_params_values_one_pass():
+    cfg = ModelConfig(layers=3, heads=2, hidden_dim=8, max_dist=4,
+                      edge_types=8, input_dim=6, seed=21)
+    lazy = seeded_params(cfg)
+    assert not isinstance(lazy.layers, list)
+    for ta, tb in zip(all_tensors(init_params(cfg)), all_tensors(lazy), strict=True):
+        assert np.array_equal(ta, tb)
+    assert list(lazy.layers) == []  # drawn once, by the pass that walked them
+
+
+def test_forward_rejects_a_second_pass_over_seeded_layers():
+    kg = three_node_kg()
+    lazy = seeded_params(SMALL)
+    forward(kg, lazy)
+    with pytest.raises(ShapeMismatch, match="params gave 0 layers, the model has 1"):
+        forward(kg, lazy)
+
+
+# sha256 over each (name, tensor bytes) of ``_tensor_map(init_params(cfg))``,
+# as the draws were when every layer was drawn up front.
+INIT_DIGESTS = {
+    0: "91de39136211ae9952fea31a966b6ab3a4752e58a67d659de0fc9e8fddf54315",
+    7: "fa32a07d1d09fb7c8bb241a723ea84eab371024e3764a43234ddfe26b4b9a8d6",
+    2**32 - 1: "8507c00d4f6a638c07bf84685140d60446834b2bfc73e752d0449e7a8e80a6ab",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(INIT_DIGESTS))
+def test_init_params_values_are_pinned(seed):
+    cfg = ModelConfig(layers=3, heads=4, hidden_dim=16, max_dist=5,
+                      edge_types=8, input_dim=6, seed=seed)
+    digest = hashlib.sha256()
+    for name, t in _tensor_map(init_params(cfg)).items():
+        digest.update(name.encode())
+        digest.update(t.tobytes())
+    assert digest.hexdigest() == INIT_DIGESTS[seed]
+
+
+def transform_peak(kg, layers):
+    """Peak traced bytes of the seeded ``transform`` with this many layers."""
+    cfg = PipelineConfig(model_layers=layers, model_heads=2, model_hidden_dim=64,
+                         model_max_dist=6, seed=4)
+    tracemalloc.start()
+    try:
+        transform(kg, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_seeded_transform_holds_one_layer_at_a_time():
+    # tracemalloc sees numpy's buffers.  Drawing every layer up front adds
+    # one layer's weights to the peak per layer, and keeping a layer while
+    # the next is drawn adds almost one; holding one at a time adds neither.
+    kg = multigraph_kg(np.random.default_rng(61), 6, 16)
+    layer = init_params(ModelConfig(layers=1, heads=2, hidden_dim=64, input_dim=16)).layers[0]
+    layer_bytes = sum(t.nbytes for t in vars(layer).values())
+    transform_peak(kg, 1)  # first-call allocations stay out of the comparison
+    assert transform_peak(kg, 8) - transform_peak(kg, 1) < layer_bytes / 2
 
 
 def permuted_copy(kg, perm):
