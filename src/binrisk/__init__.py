@@ -19,6 +19,7 @@ from .cpg import (
     EdgeKind,
     NodeKind,
     VerifyResult,
+    cpg_chunks,
     dumps_cpg,
     load_cpg,
     loads_cpg,
@@ -64,6 +65,7 @@ from .graphormer import (
     ModelConfig,
     ModelParams,
     NodeEmbedding,
+    embeddings_chunks,
     forward,
     init_params,
     load_params,
@@ -114,6 +116,7 @@ from .ssckg import (
     extract_relations,
     load_ssckg,
     semantic_clustering,
+    ssckg_chunks,
     structural_collapse,
 )
 

@@ -48,25 +48,36 @@ of the input.  Graphs are immutable after construction; the indexes
 over them (``function_rows``, the rows of each function, and
 ``pdg_csr``, the data-dependence adjacency that ``verify_claims``
 walks) are built on first use and cached.
+
+Neither direction holds a whole file's structure.  ``loads_cpg``
+decodes the ``nodes`` and ``edges`` arrays a chunk of rows at a time
+and turns each chunk into typed columns before it decodes the next, so
+no JSON tree of the whole graph is built; a fault, or text the chunks
+cannot be cut from, is read again as one tree, which names the first
+fault.  ``cpg_chunks`` fills the row templates a block of rows at a
+time, and ``dumps_cpg`` is its join.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
 from operator import itemgetter
+from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, UnknownNode, json_rows
+from .errors import ParseError, SchemaError, UnknownNode, json_chunks
 
 
 class NodeKind(str, Enum):
@@ -153,7 +164,11 @@ class CpgGraph:
 
     def _build(self, binary_id: str, node_columns: tuple, edge_columns: tuple,
                raw_rows: RawRows) -> None:
-        """The validating core: type checks, graph checks, canonical order."""
+        """The validating core: type checks, graph checks, canonical order.
+
+        The id and kind columns are lists of JSON values, or typed arrays
+        from the streamed reader (int64 ids, int8 kind codes).
+        """
         ids, kinds, functions, blocks, opcodes, attrs = node_columns
         srcs, dsts, edge_kinds, labels = edge_columns
         node_id, node_function, node_block = _int64(ids), _int64(functions), _int64(blocks)
@@ -283,8 +298,11 @@ def group_rows(keys: np.ndarray) -> dict[int, np.ndarray]:
     return dict(zip(distinct.tolist(), np.split(order, starts[1:])))
 
 
-def _int64(values: list) -> np.ndarray | None:
-    """values as int64, or None unless each is a plain int in range."""
+def _int64(values: list | np.ndarray) -> np.ndarray | None:
+    """values as int64, or None unless each is a plain int in range; an
+    int64 array is its own column."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values
     if not set(map(type, values)) <= {int}:
         return None
     try:
@@ -293,8 +311,11 @@ def _int64(values: list) -> np.ndarray | None:
         return None
 
 
-def _codes(values: list, table: Mapping) -> np.ndarray | None:
-    """Each value's code in table, or None if a value has none."""
+def _codes(values: list | np.ndarray, table: Mapping) -> np.ndarray | None:
+    """Each value's code in table, or None if a value has none; an int8
+    array is taken to hold codes already."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int8:
+        return values
     try:
         return np.array(list(map(table.__getitem__, values)), dtype=np.int8)
     except (KeyError, TypeError):
@@ -386,6 +407,8 @@ def _check_edge(raw, pos: int) -> None:
 
 
 _REQUIRED = object()
+_NODE_KEYS = ("id", "kind", "function_id", "block_id")  # the required fields
+_EDGE_KEYS = ("src", "dst", "kind")
 
 
 def _column(rows: list, key: str, default=_REQUIRED) -> list:
@@ -398,18 +421,157 @@ def _column(rows: list, key: str, default=_REQUIRED) -> list:
         return [row.get(key, default) for row in rows]
 
 
+_CHUNK = 1 << 18  # characters of row text decoded per json.loads call
+_SCAN = make_scanner(json.JSONDecoder())
+# A row that ends before the next row of its array starts, and the first
+# row that ends its array (unless a string holds the same characters).
+_ROW_END = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*(?=\{)")
+_LAST_ROW_END = re.compile(r"\}[ \t\n\r]*\]")
+_NO_ATTRS: dict = {}  # shared by every row without attrs; never written to
+
+
+class _WholeTree(Exception):
+    """The streamed reader met text that only the whole-tree reader takes."""
+
+
+def _whole_tree() -> NoReturn:
+    raise _WholeTree
+
+
+def _skip(text: str, pos: int) -> int:
+    return WHITESPACE.match(text, pos).end()
+
+
 def loads_cpg(text: str) -> CpgGraph:
+    """Parse and validate a graph document.
+
+    The ``nodes`` and ``edges`` arrays are cut into chunks of about
+    ``_CHUNK`` characters, each ending with a row, and each chunk is
+    decoded and turned into typed columns before the next.  A cut inside
+    a string or a nested value makes its chunk invalid JSON, so a chunk
+    that decodes was cut between rows.  Anything the chunks do not take
+    (a fault, or a string holding a row separator) is read again as one
+    tree, whose error names the first fault.
+    """
     # Parsing builds no reference cycles, so the cyclic collector would
     # only rescan the rows built so far, again and again as they grow.
     collect = gc.isenabled()
     gc.disable()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from None
+        try:
+            return _loads_streamed(text)
+        except _WholeTree:
+            return _loads_tree(text)
     finally:
         if collect:
             gc.enable()
+
+
+def _loads_streamed(text: str) -> CpgGraph:
+    """The top-level object, walked key by key; raises _WholeTree."""
+    if not isinstance(text, str):
+        _whole_tree()
+    interned: dict[str, str] = {}
+    doc, columns = {}, {}
+    pos = _skip(text, 0)
+    if not text.startswith("{", pos):
+        _whole_tree()
+    pos = _skip(text, pos + 1)
+    try:
+        while True:
+            if not text.startswith('"', pos):
+                _whole_tree()
+            key, pos = scanstring(text, pos + 1)
+            pos = _skip(text, pos)
+            if not text.startswith(":", pos):
+                _whole_tree()
+            pos = _skip(text, pos + 1)
+            # A repeated key keeps its last value, as json.loads does.
+            if key in _ROW_COLUMNS and text.startswith("[", pos):
+                columns[key], pos = _stream_rows(text, pos, _ROW_COLUMNS[key], interned)
+            else:
+                columns.pop(key, None)
+                doc[key], pos = _SCAN(text, pos)
+            pos = _skip(text, pos)
+            if text.startswith("}", pos):
+                break
+            if not text.startswith(",", pos):
+                _whole_tree()
+            pos = _skip(text, pos + 1)
+    except (StopIteration, ValueError, RecursionError):
+        _whole_tree()
+    if _skip(text, pos + 1) != len(text) or len(columns) < 2:
+        _whole_tree()
+    # Every row passed its chunk's checks; were a column check to fail
+    # all the same, the whole-tree reader would name the row.
+    return CpgGraph._from_columns(str(doc.get("binary_id", "")), columns["nodes"],
+                                  columns["edges"], _whole_tree)
+
+
+def _stream_rows(text: str, start: int, convert: Callable[[list, dict], tuple],
+                 interned: dict[str, str]) -> tuple[tuple, int]:
+    """The columns of the array of rows opening at ``text[start]``, and the
+    position after it."""
+    pos = _skip(text, start + 1)
+    if text.startswith("]", pos):
+        return convert([], interned), pos + 1
+    last = _LAST_ROW_END.search(text, pos)
+    if last is None:
+        _whole_tree()
+    stop = last.start() + 1
+    chunks = []
+    while pos < stop:
+        cut = _ROW_END.search(text, pos + _CHUNK, stop)
+        end = cut.start() + 1 if cut else stop
+        try:
+            rows = json.loads("[" + text[pos:end] + "]")
+        except (ValueError, RecursionError):
+            _whole_tree()
+        chunks.append(convert(rows, interned))
+        del rows  # before the next chunk's rows are built
+        pos = cut.end() if cut else stop
+    return tuple(np.concatenate(parts) if isinstance(parts[0], np.ndarray)
+                 else list(chain.from_iterable(parts)) for parts in zip(*chunks)), last.end()
+
+
+def _node_columns(rows: list, interned: dict[str, str]) -> tuple:
+    """Typed columns of node rows; raises _WholeTree on a fault."""
+    try:
+        ids, kinds, functions, blocks = (_column(rows, key) for key in _NODE_KEYS)
+        opcodes, attrs = _column(rows, "opcode", ""), _column(rows, "attrs", _NO_ATTRS)
+    except (KeyError, TypeError, AttributeError):
+        _whole_tree()
+    typed = (_int64(ids), _codes(kinds, _NODE_CODES), _int64(functions), _int64(blocks))
+    if any(column is None for column in typed) or not set(map(type, attrs)) <= {dict}:
+        _whole_tree()
+    opcodes = _strs(opcodes)
+    return (*typed, list(map(interned.setdefault, opcodes, opcodes)),
+            [a or _NO_ATTRS for a in attrs])
+
+
+def _edge_columns(rows: list, interned: dict[str, str]) -> tuple:
+    """Typed columns of edge rows; raises _WholeTree on a fault."""
+    try:
+        srcs, dsts, kinds = (_column(rows, key) for key in _EDGE_KEYS)
+        labels = _column(rows, "label", "")
+    except (KeyError, TypeError, AttributeError):
+        _whole_tree()
+    typed = (_int64(srcs), _int64(dsts), _codes(kinds, _EDGE_CODES))
+    if any(column is None for column in typed):
+        _whole_tree()
+    labels = _strs(labels)
+    return (*typed, list(map(interned.setdefault, labels, labels)))
+
+
+_ROW_COLUMNS = {"nodes": _node_columns, "edges": _edge_columns}
+
+
+def _loads_tree(text: str) -> CpgGraph:
+    """The whole-tree reader, which names the first fault of any document."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top-level document must be an object")
     try:
@@ -420,10 +582,9 @@ def loads_cpg(text: str) -> CpgGraph:
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise SchemaError("document 'nodes' and 'edges' must be lists")
     try:
-        node_columns = (*(_column(raw_nodes, key) for key in ("id", "kind", "function_id",
-                                                              "block_id")),
+        node_columns = (*(_column(raw_nodes, key) for key in _NODE_KEYS),
                         _column(raw_nodes, "opcode", ""), _column(raw_nodes, "attrs", {}))
-        edge_columns = (*(_column(raw_edges, key) for key in ("src", "dst", "kind")),
+        edge_columns = (*(_column(raw_edges, key) for key in _EDGE_KEYS),
                         _column(raw_edges, "label", ""))
     except (KeyError, TypeError, AttributeError):  # a row is no object or lacks a field
         _raise_first_fault(raw_nodes, raw_edges)
@@ -437,17 +598,18 @@ def load_cpg(path: str | Path) -> CpgGraph:
 
 
 def _node_template(kind: NodeKind) -> str:
-    return ('    {\n      "attrs": %s,\n      "block_id": %d,\n      "function_id": %d,\n'
+    return ('{\n      "attrs": %s,\n      "block_id": %d,\n      "function_id": %d,\n'
             '      "id": %d,\n      "kind": "' + kind.value + '",\n      "opcode": %s\n    }')
 
 
 def _edge_template(kind: EdgeKind) -> str:
-    return ('    {\n      "dst": %d,\n      "kind": "' + kind.value + '",\n'
+    return ('{\n      "dst": %d,\n      "kind": "' + kind.value + '",\n'
             '      "label": %s,\n      "src": %d\n    }')
 
 
 _NODE_TEMPLATES = [_node_template(k) for k in NODE_KINDS]
 _EDGE_TEMPLATES = [_edge_template(k) for k in EDGE_KINDS]
+_ROW_BLOCK = 1024  # rows per chunk cpg_chunks yields
 
 
 def _attrs_text(attrs: Mapping[str, str]) -> str:
@@ -457,24 +619,38 @@ def _attrs_text(attrs: Mapping[str, str]) -> str:
 
 
 def dumps_cpg(g: CpgGraph) -> str:
-    """Canonical serialization; loads_cpg(dumps_cpg(g)) reproduces g.
+    """Canonical serialization; loads_cpg(dumps_cpg(g)) reproduces g."""
+    return "".join(cpg_chunks(g))
+
+
+def cpg_chunks(g: CpgGraph) -> Iterator[str]:
+    """The canonical text of g in chunks, for ``pipeline.write_atomic``.
 
     The bytes are those ``errors.dumps_json`` writes for the graph's
-    document; each row is filled into a template for its kind.
+    document; each row is filled into a template for its kind, a block
+    of rows at a time.
     """
-    attrs = ["{}"] * len(g)
-    for row, row_attrs in g.attrs.items():
-        attrs[row] = _attrs_text(row_attrs)
-    opcodes = {o: encode_basestring_ascii(o) for o in set(g.opcode)}
-    nodes = [_NODE_TEMPLATES[k] % (a, b, f, i, o) for k, a, b, f, i, o in zip(
-        g.node_kind.tolist(), attrs, g.node_block.tolist(), g.node_function.tolist(),
-        g.node_id.tolist(), map(opcodes.__getitem__, g.opcode))]
-    labels = list(map(encode_basestring_ascii, g.labels))
-    edges = [_EDGE_TEMPLATES[k] % (d, labels[c], s) for k, d, c, s in zip(
-        g.edge_kind.tolist(), g.edge_dst.tolist(), g.edge_label.tolist(), g.edge_src.tolist())]
-    return ('{\n  "binary_id": ' + encode_basestring_ascii(g.binary_id)
-            + ',\n  "edges": ' + json_rows(edges)
-            + ',\n  "nodes": ' + json_rows(nodes) + "\n}\n")
+    quote = encode_basestring_ascii
+    labels = list(map(quote, g.labels))
+    opcodes = {o: quote(o) for o in set(g.opcode)}
+
+    def edges(lo: int, hi: int) -> list[str]:
+        return [_EDGE_TEMPLATES[k] % (d, labels[c], s) for k, d, c, s in zip(
+            g.edge_kind[lo:hi].tolist(), g.edge_dst[lo:hi].tolist(),
+            g.edge_label[lo:hi].tolist(), g.edge_src[lo:hi].tolist())]
+
+    def nodes(lo: int, hi: int) -> list[str]:
+        attrs = [_attrs_text(a) if a else "{}" for a in map(g.attrs.get, range(lo, hi))]
+        return [_NODE_TEMPLATES[k] % (a, b, f, i, o) for k, a, b, f, i, o in zip(
+            g.node_kind[lo:hi].tolist(), attrs, g.node_block[lo:hi].tolist(),
+            g.node_function[lo:hi].tolist(), g.node_id[lo:hi].tolist(),
+            map(opcodes.__getitem__, g.opcode[lo:hi]))]
+
+    yield '{\n  "binary_id": ' + quote(g.binary_id) + ',\n  "edges": '
+    yield from json_chunks(edges, len(g.edge_src), _ROW_BLOCK, 1)
+    yield ',\n  "nodes": '
+    yield from json_chunks(nodes, len(g), _ROW_BLOCK, 1)
+    yield "\n}\n"
 
 
 def _reachable(indptr: np.ndarray, succ: np.ndarray, source: int, sink: int) -> bool:

@@ -8,11 +8,15 @@ JSON writer.  Every JSON file the package writes, and every summary the
 CLI prints, has the canonical byte form ``dumps_json`` produces:
 two-space indent, sorted keys, non-ASCII text as ``\\u`` escapes and a
 trailing newline, so identical documents always give identical bytes.
+The writers of the large files (CPG, knowledge graph, embeddings) yield
+the same text in chunks, list items a block at a time, through
+``json_value`` and ``json_chunks``.
 """
 
 import json
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Callable, Iterator
 
 
 class BinriskError(Exception):
@@ -134,13 +138,30 @@ def dumps_json(doc) -> str:
     return _encode(doc, "\n") + "\n"
 
 
-def json_rows(rows: list[str]) -> str:
-    """The text of a top-level document's list, given the text of each row.
+def json_value(value, depth: int) -> str:
+    """The text ``dumps_json`` writes for value nested depth levels deep,
+    less the indent of the line it starts on."""
+    return _encode(value, "\n" + "  " * depth)
 
-    Each row is written at the indent of a list item one level down, as
-    ``dumps_json`` would write it; row templates fill them.
+
+def json_chunks(items: Callable[[int, int], list[str]], count: int, block: int,
+                depth: int, brackets: str = "[]") -> Iterator[str]:
+    """Chunks of the text of a list (or, with brackets "{}", an object) of
+    count items nested depth levels deep, which join into what
+    ``dumps_json`` writes.
+
+    ``items(lo, hi)`` gives the text of items lo to hi - 1, each without
+    the indent of its first line (an object's item is ``"key": value``);
+    it is called for one block of at most ``block`` items per chunk.
     """
-    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    if not count:
+        yield brackets
+        return
+    inner = "\n" + "  " * (depth + 1)
+    for lo in range(0, count, block):
+        yield ("," if lo else brackets[0]) + inner + ("," + inner).join(
+            items(lo, min(lo + block, count)))
+    yield "\n" + "  " * depth + brackets[1]
 
 
 def _encode(value, newline: str) -> str:

@@ -50,6 +50,7 @@ import json
 import math
 import zipfile
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -63,7 +64,8 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
     VersionMismatch,
-    dumps_json,
+    json_chunks,
+    json_value,
     read_json,
 )
 from .ssckg import RELATION_INDEX, SsckgGraph
@@ -271,11 +273,20 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    """The exact GELU, x/2 (1 + erf(x/sqrt 2)), written over ``x``."""
-    e = _erf(x / np.sqrt(2.0))
-    e += 1.0
-    x *= 0.5
-    x *= e
+    """The exact GELU, x/2 (1 + erf(x/sqrt 2)), written over ``x``.
+
+    ``x`` must be C-contiguous.  It is taken ``_ERF_BLOCK`` values at a
+    time, so the erf temporaries stay one block long.
+    """
+    if not x.flags.c_contiguous:
+        raise ValueError("GELU is written over a C-contiguous array")
+    flat = x.reshape(-1)  # a view, since x is C-contiguous
+    for lo in range(0, flat.size, _ERF_BLOCK):
+        b = flat[lo:lo + _ERF_BLOCK]
+        e = _erf(b / np.sqrt(2.0))
+        e += 1.0
+        b *= 0.5
+        b *= e
     return x
 
 
@@ -518,8 +529,25 @@ def load_params(path: str | Path, expected: ModelConfig | None = None) -> ModelP
     return _params_from(cfg, tensors)
 
 
+_EMBEDDING_BLOCK = 16  # vectors per chunk embeddings_chunks yields
+
+
 def dumps_embeddings(embeddings: Sequence[NodeEmbedding]) -> str:
-    return dumps_json({str(e.entity_id): e.vector.tolist() for e in embeddings})
+    """The flat ``{entity_id: [...]}`` document, as ``dumps_json`` writes it."""
+    return "".join(embeddings_chunks(embeddings))
+
+
+def embeddings_chunks(embeddings: Sequence[NodeEmbedding]) -> Iterator[str]:
+    """The text of ``dumps_embeddings`` in chunks, for ``pipeline.write_atomic``."""
+    vectors = {str(e.entity_id): e.vector for e in embeddings}  # a repeated id keeps its last
+    keys = sorted(vectors)
+
+    def items(lo: int, hi: int) -> list[str]:
+        return [encode_basestring_ascii(k) + ": " + json_value(vectors[k].tolist(), 1)
+                for k in keys[lo:hi]]
+
+    yield from json_chunks(items, len(keys), _EMBEDDING_BLOCK, 0, "{}")
+    yield "\n"
 
 
 def load_embeddings(path: str | Path) -> list[NodeEmbedding]:

@@ -11,7 +11,9 @@ wrapper uses, so running the subcommands by hand against the same
 config writes the same bytes.  ``write_atomic`` (temp file + rename)
 is the one write path, and all serialization is canonical (sorted
 keys, no timestamps), so a repeated run over the same inputs
-reproduces every byte.
+reproduces every byte.  The CPG, knowledge-graph and embeddings files
+are written from their chunk generators, so no whole file's text is
+held at once.
 """
 
 from __future__ import annotations
@@ -21,18 +23,18 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .config import PipelineConfig
-from .cpg import CpgGraph, dumps_cpg, load_cpg
+from .cpg import CpgGraph, cpg_chunks, load_cpg
 from .embedding import FileEmbeddings, HashEmbedder
 from .errors import ConfigError, SchemaError, dumps_json, read_json
 from .fingerprint import load_repository, match_and_alert, select_threshold
 from .graphormer import (
     ModelConfig,
     NodeEmbedding,
-    dumps_embeddings,
+    embeddings_chunks,
     forward,
     load_embeddings,
     load_params,
@@ -56,24 +58,28 @@ from .ssckg import (
     RelationType,
     SsckgGraph,
     construction_stats,
-    dumps_ssckg,
     embed_entities,
     extract_relations,
     load_cves,
     load_ssckg,
     semantic_clustering,
+    ssckg_chunks,
     structural_collapse,
     to_dot,
 )
 
 
-def write_atomic(path: str | Path, text: str) -> None:
+def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write text, or the concatenation of an iterable of text chunks, to
+    path: to a temporary file beside it, renamed over it once complete."""
+    if isinstance(text, str):
+        text = (text,)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -245,7 +251,7 @@ def render_dot(kg: SsckgGraph, risk_doc: Mapping | None, cfg: PipelineConfig) ->
 def stage_ingest(cpg_path: str | Path, out_path: str | Path) -> CpgGraph:
     """Validate a graph file and write its canonical form."""
     g = load_cpg(cpg_path)
-    write_atomic(out_path, dumps_cpg(g))
+    write_atomic(out_path, cpg_chunks(g))
     return g
 
 
@@ -260,14 +266,14 @@ def stage_build_kg(cpg_path: str | Path, corpus_path: str | Path,
                    cfg: PipelineConfig, out_path: str | Path) -> SsckgGraph:
     corpus = load_corpus(corpus_path, build_lattice(cfg))
     kg = build_kg(load_cpg(cpg_path), corpus, cfg)
-    write_atomic(out_path, dumps_ssckg(kg))
+    write_atomic(out_path, ssckg_chunks(kg))
     return kg
 
 
 def stage_forward(kg_path: str | Path, cfg: PipelineConfig,
                   out_path: str | Path) -> list[NodeEmbedding]:
     embeddings = transform(load_ssckg(kg_path), cfg)
-    write_atomic(out_path, dumps_embeddings(embeddings))
+    write_atomic(out_path, embeddings_chunks(embeddings))
     return embeddings
 
 
@@ -344,16 +350,16 @@ def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path,
     """
     bid = binary_id(g, cpg_path)
 
-    def write(suffix: str, text: str) -> None:
+    def write(suffix: str, text: str | Iterable[str]) -> None:
         write_atomic(Path(outdir) / f"{bid}.{suffix}", text)
 
-    write("cpg.json", dumps_cpg(g))
+    write("cpg.json", cpg_chunks(g))
     corpus = lift(g, cfg)
     write("corpus.jsonl", dumps_corpus(corpus))
     kg = build_kg(g, corpus, cfg)
-    write("kg.json", dumps_ssckg(kg))
+    write("kg.json", ssckg_chunks(kg))
     embeddings = transform(kg, cfg)
-    write("embeddings.json", dumps_embeddings(embeddings))
+    write("embeddings.json", embeddings_chunks(embeddings))
     risk_doc = score(kg, cfg)
     write("risk.json", dumps_json(risk_doc))
     match_doc = None

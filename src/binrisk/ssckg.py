@@ -32,8 +32,9 @@ booleans, and every weight is finite and positive.
 relations)`` feed one validating core.  It checks whole columns at
 once, and only when a check fails does it walk the rows in input order
 for the first offender, so the error names the same row whatever the
-size of the input.  ``dumps_ssckg`` fills one row template per
-relation and writes the bytes ``errors.dumps_json`` would.
+size of the input.  ``dumps_ssckg`` is the join of ``ssckg_chunks``,
+which writes the bytes ``errors.dumps_json`` would a block of rows at a
+time, each relation filled into a row template.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
 from .cpg import AST_CODE, PDG_CODE, CpgGraph, _codes, _int64, _is_id, _search, group_rows
 from .embedding import EmbeddingVector, cosine, stack
-from .errors import SchemaError, ZeroVector, dumps_json, json_rows, read_json
+from .errors import SchemaError, ZeroVector, json_chunks, json_value, read_json
 from .lattice import TOP, Label, join, leq
 from .lifting import Annotation, VerifiedCorpus
 
@@ -804,41 +805,56 @@ def load_cves(path: str | Path, provider) -> list[CveRecord]:
 
 def _relation_template(rel_type: RelationType) -> str:
     dst = "%s" if rel_type is RelationType.VULNERABLE_TO else "%d"
-    return ('    {\n      "dst": ' + dst + ',\n      "rel_type": "' + rel_type.value + '",\n'
+    return ('{\n      "dst": ' + dst + ',\n      "rel_type": "' + rel_type.value + '",\n'
             '      "src": %d,\n      "weight": %r\n    }')
 
 
 _RELATION_TEMPLATES = [_relation_template(t) for t in RELATION_TYPES]
+_RELATION_BLOCK = 1024  # relation rows per chunk ssckg_chunks yields
+_ENTITY_BLOCK = 16  # entity rows per chunk: each may hold a long vector
+
+
+def _entity_doc(e: Entity) -> dict:
+    return {
+        "id": e.id,
+        "name": e.name,
+        "label": str(e.label),
+        "members": sorted(e.members),
+        "summary": e.summary,
+        "embedding": e.embedding.values.tolist() if e.embedding is not None else None,
+        "external": e.external,
+        "cluster_id": e.cluster_id,
+    }
 
 
 def dumps_ssckg(kg: SsckgGraph) -> str:
     """Canonical serialization: the bytes ``errors.dumps_json`` writes for
-    the graph's document, with each relation filled into a row template."""
-    head = dumps_json({
-        "clustering": kg.clustering,
-        "entities": [
-            {
-                "id": e.id,
-                "name": e.name,
-                "label": str(e.label),
-                "members": sorted(e.members),
-                "summary": e.summary,
-                "embedding": e.embedding.values.tolist() if e.embedding is not None else None,
-                "external": e.external,
-                "cluster_id": e.cluster_id,
-            }
-            for e in kg.entities
-        ],
-    })
+    the graph's document."""
+    return "".join(ssckg_chunks(kg))
+
+
+def ssckg_chunks(kg: SsckgGraph) -> Iterator[str]:
+    """The text of ``dumps_ssckg`` in chunks, for ``pipeline.write_atomic``."""
     cols = kg.relation_columns
-    dst = cols.dst.tolist()
-    for row, cve_id in cols.cve.items():
-        dst[row] = encode_basestring_ascii(cve_id)
-    rows = [_RELATION_TEMPLATES[c] % (d, s, w) for c, d, s, w in zip(
-        cols.type_code.tolist(), dst, cols.src.tolist(), cols.weight.tolist())]
-    # head ends with the entities and then "\n}\n"; the other keys sort after them.
-    return (head[:-3] + ',\n  "relations": ' + json_rows(rows)
-            + ',\n  "source_binary": ' + encode_basestring_ascii(kg.source_binary) + "\n}\n")
+    entities = kg.entities
+
+    def relations(lo: int, hi: int) -> list[str]:
+        dst = cols.dst[lo:hi].tolist()
+        for row in np.flatnonzero(cols.type_code[lo:hi] == VULN_CODE).tolist():
+            dst[row] = encode_basestring_ascii(cols.cve[lo + row])
+        return [_RELATION_TEMPLATES[c] % (d, s, w) for c, d, s, w in zip(
+            cols.type_code[lo:hi].tolist(), dst, cols.src[lo:hi].tolist(),
+            cols.weight[lo:hi].tolist())]
+
+    def entity_rows(lo: int, hi: int) -> list[str]:
+        return [json_value(_entity_doc(e), 2) for e in entities[lo:hi]]
+
+    # The keys in sorted order: clustering, entities, relations, source_binary.
+    yield '{\n  "clustering": ' + json_value(kg.clustering, 1) + ',\n  "entities": '
+    yield from json_chunks(entity_rows, len(entities), _ENTITY_BLOCK, 1)
+    yield ',\n  "relations": '
+    yield from json_chunks(relations, len(cols), _RELATION_BLOCK, 1)
+    yield ',\n  "source_binary": ' + encode_basestring_ascii(kg.source_binary) + "\n}\n"
 
 
 def load_ssckg(path: str | Path) -> SsckgGraph:

@@ -1,6 +1,8 @@
 """Graph parsing, validation, claim verification, and hop distances."""
 
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from binrisk.cpg import (
     DataFlowClaim,
     EdgeKind,
     NodeKind,
+    cpg_chunks,
     dumps_cpg,
     load_cpg,
     loads_cpg,
@@ -20,6 +23,7 @@ from binrisk.cpg import (
 )
 from binrisk.errors import ParseError, SchemaError, UnknownNode
 from binrisk.lifting import function_subgraph
+from binrisk.pipeline import write_atomic
 
 
 def inst(nid, fn=0, block=0, opcode="mov", **attrs):
@@ -83,6 +87,44 @@ def test_round_trip_preserves_graph(fixtures_dir):
     assert dumps_cpg(again) == text
     assert len(again.nodes) == len(g.nodes)
     assert len(again.edges) == len(g.edges)
+
+
+def generated_cpg_text(n: int) -> str:
+    """A compact CPG of n nodes in functions of 25 and a chain of n - 1
+    Cfg edges, written the way the benchmark's generator writes one."""
+    nodes = [{"id": i, "kind": "Call" if i % 7 == 6 else "Instruction",
+              "opcode": ("mov", "add", "call")[i % 3], "function_id": i // 25,
+              "block_id": i // 5, "attrs": {"callee": "recv"} if i % 7 == 6 else {}}
+             for i in range(n)]
+    edges = [{"src": i, "dst": i + 1, "kind": "Cfg", "label": ""} for i in range(n - 1)]
+    return json.dumps({"binary_id": "guard", "nodes": nodes, "edges": edges},
+                      separators=(",", ":"))
+
+
+def traced_peak(fn, *args):
+    """(the tracemalloc peak while fn runs, fn's result)"""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_and_write_hold_no_whole_file_structure(tmp_path):
+    # The reader decodes a chunk of rows at a time, so it never holds the
+    # JSON tree of the whole graph (reading the file itself takes twice
+    # its length for a moment); the writer holds one block of rows.
+    text = generated_cpg_text(20_000)
+    path = tmp_path / "in.cpg.json"
+    path.write_text(text, encoding="utf-8")
+    tree_peak, _ = traced_peak(json.loads, text)
+    load_peak, g = traced_peak(load_cpg, path)
+    assert load_peak < tree_peak / 2
+    out = tmp_path / "out.cpg.json"
+    write_peak, _ = traced_peak(write_atomic, out, cpg_chunks(g))
+    assert write_peak < os.path.getsize(out)
+    assert out.read_text(encoding="utf-8") == dumps_cpg(loads_cpg(text))
 
 
 def test_canonical_form_sorts_nodes_and_edges():

@@ -4,20 +4,23 @@ was written."""
 
 import json
 import math
+import random
 import subprocess
 import sys
 from enum import Enum
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from binrisk import cpg
 from binrisk.cpg import (CpgEdge, CpgGraph, CpgNode, DataFlowClaim, EdgeKind, NodeKind,
                          dumps_cpg, loads_cpg)
 from binrisk.embedding import EmbeddingVector
-from binrisk.errors import SchemaError, dumps_json
+from binrisk.errors import ParseError, SchemaError, dumps_json
 from binrisk.fingerprint import Fingerprint, dumps_fingerprint, load_fingerprint
 from binrisk.graphormer import NodeEmbedding, dumps_embeddings, load_embeddings
 from binrisk.lattice import Lattice
@@ -302,6 +305,105 @@ def test_first_fault_message_is_the_row_by_row_one(doc):
     with pytest.raises(SchemaError) as info:
         loads_cpg(json.dumps(doc))
     assert str(info.value) == expected
+
+
+# --- the streamed CPG reader against the whole-tree reader -----------------------
+
+# Strings that hold the text the streamed reader cuts rows at.
+SEPARATORS = st.sampled_from(["},{", "}]", "{", '"', "} ,\r{", "}\t]", '"},{"id": 0}'])
+ROW_TEXT = SEPARATORS | TEXT
+
+
+class Pairs(list):
+    """An object as (key, value) pairs, so that a key may repeat."""
+
+
+def spaced(rnd, value, ascii_only: bool) -> str:
+    """value as JSON text with random whitespace and key order."""
+    def blank() -> str:
+        return "".join(rnd.choices(" \t\n\r", k=rnd.choice([0, 0, 1, 3])))
+
+    if isinstance(value, (dict, Pairs)):
+        pairs = list(value.items()) if isinstance(value, dict) else list(value)
+        rnd.shuffle(pairs)
+        body = ",".join(blank() + json.dumps(k, ensure_ascii=ascii_only) + blank() + ":"
+                        + blank() + spaced(rnd, v, ascii_only) + blank() for k, v in pairs)
+        return "{" + (body or blank()) + "}"
+    if isinstance(value, list):
+        body = ",".join(blank() + spaced(rnd, v, ascii_only) + blank() for v in value)
+        return "[" + (body or blank()) + "]"
+    return json.dumps(value, ensure_ascii=ascii_only)
+
+
+@st.composite
+def separator_documents(draw) -> dict:
+    """A valid graph document whose opcodes, labels and attrs may hold
+    row separators."""
+    nodes, edges, binary_id = draw(graph_rows())
+    return {
+        "binary_id": binary_id,
+        "nodes": [{"id": n.id, "kind": n.kind.value, "opcode": draw(ROW_TEXT),
+                   "function_id": n.function_id, "block_id": n.block_id,
+                   "attrs": draw(st.dictionaries(ROW_TEXT, ROW_TEXT, max_size=2))}
+                  for n in nodes],
+        "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind.value, "label": draw(ROW_TEXT)}
+                  for e in edges],
+    }
+
+
+def strings(value):
+    """Every key and string in a JSON value."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            yield k
+            yield from strings(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from strings(v)
+
+
+@st.composite
+def streamed_texts(draw) -> tuple[str, bool]:
+    """CPG text in any layout json.loads reads, and whether the streamed
+    reader must take it without the whole-tree reader: a valid document
+    with no repeated key, no bracket in a string, no BOM and nothing after it."""
+    doc = draw(separator_documents() | faulty_documents()
+               | st.just({"binary_id": "", "nodes": [], "edges": []}))
+    pairs = Pairs(doc.items())
+    if draw(st.booleans()):
+        pairs.append(("nodes", draw(st.sampled_from([[], 5, "x", None, doc["nodes"]]))))
+    if draw(st.booleans()):
+        pairs.append(("meta", draw(st.sampled_from([None, [], {"nodes": [1]}, [{"a": "}]"}]]))))
+    text = spaced(random.Random(draw(st.integers(0, 2 ** 32))), pairs, draw(st.booleans()))
+    bom = draw(st.sampled_from([""] * 5 + ["\ufeff"]))
+    tail = draw(st.sampled_from([""] * 12 + [" x", "{}", "]"]))
+    cut = draw(st.integers(0, len(text))) if draw(st.sampled_from([0] * 5 + [1])) else None
+    text = (bom + text + tail)[:cut]
+    plain = (not bom and not tail and cut is None and len(pairs) == 3
+             and not any("}" in t or "]" in t for t in strings(doc)))
+    return text, plain
+
+
+def read(reader, text: str) -> tuple[str, str]:
+    """("ok", the canonical text) of the graph a reader reads, or its error."""
+    try:
+        return "ok", dumps_cpg(reader(text))
+    except (SchemaError, ParseError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(streamed_texts())
+def test_streamed_reader_agrees_with_whole_tree_reader(case):
+    text, plain = case
+    want = read(cpg._loads_tree, text)
+    for chunk in (1, 7, 64):
+        with mock.patch.object(cpg, "_CHUNK", chunk):
+            assert read(loads_cpg, text) == want
+            if plain and want[0] == "ok":
+                assert read(cpg._loads_streamed, text) == want
 
 
 VECTORS = st.lists(FINITE, min_size=1, max_size=6)

@@ -22,6 +22,7 @@ from binrisk.errors import (
     VersionMismatch,
 )
 from binrisk.graphormer import (
+    _ERF_BLOCK,
     _erf,
     _gelu,
     _layer_norm,
@@ -135,6 +136,19 @@ def test_erf_equals_scipy_bit_for_bit():
     assert np.array_equal(_erf(grid).view(np.int64), erf(grid).view(np.int64))
     assert _erf(np.float64(0.5)).shape == ()
     assert _erf(np.float64(0.5)) == erf(0.5)
+
+
+def test_gelu_in_blocks_equals_the_whole_array_formula():
+    # Each value goes through the same ufuncs in the same order as in one
+    # pass over the whole array, so the bits agree across block edges too.
+    x = np.random.default_rng(1996).normal(0.0, 3.0, size=(3, _ERF_BLOCK + 17))
+    e = _erf(x / np.sqrt(2.0))
+    e += 1.0
+    want = x * 0.5
+    want *= e
+    assert np.array_equal(_gelu(x.copy()).view(np.int64), want.view(np.int64))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _gelu(x[:, ::2])
 
 
 def layer_norm_ref(x, gain, offset):
