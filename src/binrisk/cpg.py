@@ -49,10 +49,11 @@ over them (``function_rows``, the rows of each function, and
 ``pdg_csr``, the data-dependence adjacency that ``verify_claims``
 walks) are built on first use and cached.
 
-Neither direction holds a whole file's structure.  ``loads_cpg``
-decodes the ``nodes`` and ``edges`` arrays a chunk of rows at a time
-and turns each chunk into typed columns before it decodes the next, so
-no JSON tree of the whole graph is built; a fault, or text the chunks
+Neither direction holds a whole file's structure.  ``load_cpg`` reads
+the file in windows (``errors.read_rows``), decodes the ``nodes`` and
+``edges`` arrays a chunk of rows at a time and turns each chunk into
+typed columns before it decodes the next, so neither the file's text
+nor a JSON tree of the whole graph is held; a fault, or text the chunks
 cannot be cut from, is read again as one tree, which names the first
 fault.  ``cpg_chunks`` fills the row templates a block of rows at a
 time, and ``dumps_cpg`` is its join.
@@ -60,24 +61,21 @@ time, and ``dumps_cpg`` is its join.
 
 from __future__ import annotations
 
-import gc
 import json
-import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress
 from operator import itemgetter
-from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring_ascii
-from json.scanner import make_scanner
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, UnknownNode, json_chunks
+from .errors import (ParseError, SchemaError, UnknownNode, _WholeTree, _whole_tree,
+                     collector_paused, json_chunks, read_rows)
 
 
 class NodeKind(str, Enum):
@@ -421,117 +419,52 @@ def _column(rows: list, key: str, default=_REQUIRED) -> list:
         return [row.get(key, default) for row in rows]
 
 
-_CHUNK = 1 << 18  # characters of row text decoded per json.loads call
-_SCAN = make_scanner(json.JSONDecoder())
-# A row that ends before the next row of its array starts, and the first
-# row that ends its array (unless a string holds the same characters).
-_ROW_END = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*(?=\{)")
-_LAST_ROW_END = re.compile(r"\}[ \t\n\r]*\]")
 _NO_ATTRS: dict = {}  # shared by every row without attrs; never written to
 
 
-class _WholeTree(Exception):
-    """The streamed reader met text that only the whole-tree reader takes."""
-
-
-def _whole_tree() -> NoReturn:
-    raise _WholeTree
-
-
-def _skip(text: str, pos: int) -> int:
-    return WHITESPACE.match(text, pos).end()
-
-
 def loads_cpg(text: str) -> CpgGraph:
-    """Parse and validate a graph document.
+    """Parse and validate a graph document, as ``load_cpg`` reads a file."""
+    return _read_cpg(text, lambda: text)
 
-    The ``nodes`` and ``edges`` arrays are cut into chunks of about
-    ``_CHUNK`` characters, each ending with a row, and each chunk is
-    decoded and turned into typed columns before the next.  A cut inside
-    a string or a nested value makes its chunk invalid JSON, so a chunk
-    that decodes was cut between rows.  Anything the chunks do not take
-    (a fault, or a string holding a row separator) is read again as one
-    tree, whose error names the first fault.
+
+def load_cpg(path: str | Path) -> CpgGraph:
+    """Parse and validate a graph file, preserving node and edge counts.
+
+    ``errors.read_rows`` reads the file in windows, and each chunk of
+    node or edge rows becomes typed columns before the next is decoded.
+    Anything the streamed reader does not take (a fault, or a string
+    holding a row separator) is read again as one tree, whose error names
+    the first fault.
     """
-    # Parsing builds no reference cycles, so the cyclic collector would
-    # only rescan the rows built so far, again and again as they grow.
-    collect = gc.isenabled()
-    gc.disable()
-    try:
+    path = Path(path)
+    with open(path, encoding="utf-8") as source:
+        return _read_cpg(source, lambda: path.read_text(encoding="utf-8"))
+
+
+def _read_cpg(source: str | TextIO, text: Callable[[], str]) -> CpgGraph:
+    with collector_paused():
         try:
-            return _loads_streamed(text)
+            return _loads_streamed(source)
         except _WholeTree:
-            return _loads_tree(text)
-    finally:
-        if collect:
-            gc.enable()
+            return _loads_tree(text())
 
 
-def _loads_streamed(text: str) -> CpgGraph:
-    """The top-level object, walked key by key; raises _WholeTree."""
-    if not isinstance(text, str):
-        _whole_tree()
+def _loads_streamed(source: str | TextIO) -> CpgGraph:
+    """The graph of a well-formed document; raises _WholeTree."""
     interned: dict[str, str] = {}
-    doc, columns = {}, {}
-    pos = _skip(text, 0)
-    if not text.startswith("{", pos):
-        _whole_tree()
-    pos = _skip(text, pos + 1)
-    try:
-        while True:
-            if not text.startswith('"', pos):
-                _whole_tree()
-            key, pos = scanstring(text, pos + 1)
-            pos = _skip(text, pos)
-            if not text.startswith(":", pos):
-                _whole_tree()
-            pos = _skip(text, pos + 1)
-            # A repeated key keeps its last value, as json.loads does.
-            if key in _ROW_COLUMNS and text.startswith("[", pos):
-                columns[key], pos = _stream_rows(text, pos, _ROW_COLUMNS[key], interned)
-            else:
-                columns.pop(key, None)
-                doc[key], pos = _SCAN(text, pos)
-            pos = _skip(text, pos)
-            if text.startswith("}", pos):
-                break
-            if not text.startswith(",", pos):
-                _whole_tree()
-            pos = _skip(text, pos + 1)
-    except (StopIteration, ValueError, RecursionError):
-        _whole_tree()
-    if _skip(text, pos + 1) != len(text) or len(columns) < 2:
-        _whole_tree()
+    doc, columns = read_rows(source, {
+        "nodes": (partial(_node_columns, interned=interned), _joined),
+        "edges": (partial(_edge_columns, interned=interned), _joined)})
     # Every row passed its chunk's checks; were a column check to fail
     # all the same, the whole-tree reader would name the row.
     return CpgGraph._from_columns(str(doc.get("binary_id", "")), columns["nodes"],
                                   columns["edges"], _whole_tree)
 
 
-def _stream_rows(text: str, start: int, convert: Callable[[list, dict], tuple],
-                 interned: dict[str, str]) -> tuple[tuple, int]:
-    """The columns of the array of rows opening at ``text[start]``, and the
-    position after it."""
-    pos = _skip(text, start + 1)
-    if text.startswith("]", pos):
-        return convert([], interned), pos + 1
-    last = _LAST_ROW_END.search(text, pos)
-    if last is None:
-        _whole_tree()
-    stop = last.start() + 1
-    chunks = []
-    while pos < stop:
-        cut = _ROW_END.search(text, pos + _CHUNK, stop)
-        end = cut.start() + 1 if cut else stop
-        try:
-            rows = json.loads("[" + text[pos:end] + "]")
-        except (ValueError, RecursionError):
-            _whole_tree()
-        chunks.append(convert(rows, interned))
-        del rows  # before the next chunk's rows are built
-        pos = cut.end() if cut else stop
-    return tuple(np.concatenate(parts) if isinstance(parts[0], np.ndarray)
-                 else list(chain.from_iterable(parts)) for parts in zip(*chunks)), last.end()
+def _joined(parts: list[tuple]) -> tuple:
+    """The columns of each chunk of an array, joined."""
+    return tuple(np.concatenate(column) if isinstance(column[0], np.ndarray)
+                 else list(chain.from_iterable(column)) for column in zip(*parts))
 
 
 def _node_columns(rows: list, interned: dict[str, str]) -> tuple:
@@ -563,9 +496,6 @@ def _edge_columns(rows: list, interned: dict[str, str]) -> tuple:
     return (*typed, list(map(interned.setdefault, labels, labels)))
 
 
-_ROW_COLUMNS = {"nodes": _node_columns, "edges": _edge_columns}
-
-
 def _loads_tree(text: str) -> CpgGraph:
     """The whole-tree reader, which names the first fault of any document."""
     try:
@@ -590,11 +520,6 @@ def _loads_tree(text: str) -> CpgGraph:
         _raise_first_fault(raw_nodes, raw_edges)
     return CpgGraph._from_columns(str(doc.get("binary_id", "")), node_columns, edge_columns,
                                   lambda: (raw_nodes, raw_edges))
-
-
-def load_cpg(path: str | Path) -> CpgGraph:
-    """Parse and validate a graph file, preserving node and edge counts."""
-    return loads_cpg(Path(path).read_text(encoding="utf-8"))
 
 
 def _node_template(kind: NodeKind) -> str:

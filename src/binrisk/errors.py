@@ -3,7 +3,7 @@
 Everything raised on purpose derives from BinriskError so callers can
 catch one base class at the CLI boundary.
 
-``read_json`` is the one JSON file reader and ``dumps_json`` the one
+``read_json`` reads a JSON file whole and ``dumps_json`` is the one
 JSON writer.  Every JSON file the package writes, and every summary the
 CLI prints, has the canonical byte form ``dumps_json`` produces:
 two-space indent, sorted keys, non-ASCII text as ``\\u`` escapes and a
@@ -11,12 +11,24 @@ trailing newline, so identical documents always give identical bytes.
 The writers of the large files (CPG, knowledge graph, embeddings) yield
 the same text in chunks, list items a block at a time, through
 ``json_value`` and ``json_chunks``.
+
+The two large inputs (CPG, knowledge graph) are read by ``read_rows``,
+which walks the top-level object through a window of the text and
+hands each of its large arrays to a converter a chunk of rows at a
+time, so neither the whole text nor its JSON tree is held.  It takes
+only well-formed text: anything else raises ``_WholeTree``, and the
+caller reads the file again whole, whose error names the first fault.
 """
 
+import gc
 import json
+import re
+from contextlib import contextmanager
+from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping, NoReturn, TextIO
 
 
 class BinriskError(Exception):
@@ -124,6 +136,172 @@ def read_json(path: str | Path, what: str):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ParseError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+_CHUNK = 1 << 18  # characters read from a file at a time, and of rows per json.loads call
+_SCAN = make_scanner(json.JSONDecoder())
+# A row that ends before the next row of its array starts, and the first
+# row that ends its array (unless a string holds the same characters).
+_ROW_END = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*(?=\{)")
+_LAST_ROW_END = re.compile(r"\}[ \t\n\r]*\]")
+
+
+class _WholeTree(Exception):
+    """The streamed reader met text that only the whole-tree reader takes."""
+
+
+def _whole_tree() -> NoReturn:
+    raise _WholeTree
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector while a file is parsed.
+
+    Parsing builds no reference cycles, so the collector would only
+    rescan the rows built so far, again and again as they grow.
+    """
+    collect = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collect:
+            gc.enable()
+
+
+def _scan_key(text: str, pos: int) -> tuple[str, int]:
+    return scanstring(text, pos + 1)
+
+
+class _Window:
+    """The text of a source, a str or a text file read ``_CHUNK``
+    characters at a time.  ``text[pos:]`` has been read but not walked;
+    reading more drops the text before pos."""
+
+    def __init__(self, source: str | TextIO):
+        self.read = None if isinstance(source, str) else source.read
+        self.text = source if self.read is None else ""
+        self.pos = 0
+
+    def more(self, size: int = 0) -> bool:
+        """Read at least ``_CHUNK`` and at least size more characters;
+        False at the end of the source."""
+        chunk = self.read(max(size, _CHUNK)) if self.read else ""
+        if not chunk:
+            self.read = None
+            return False
+        self.text = self.text[self.pos:] + chunk
+        self.pos = 0
+        return True
+
+    def peek(self) -> str:
+        """Skip whitespace: the next character, or "" at the end."""
+        while True:
+            self.pos = WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self.more():
+                return self.text[self.pos:self.pos + 1]
+
+    def value(self, scan: Callable):
+        """The value ``scan(text, pos)`` reads at pos, once the window
+        holds all of it (a number cut at the window's end looks whole)."""
+        while True:
+            try:
+                value, end = scan(self.text, self.pos)
+            except (StopIteration, ValueError):
+                end = None
+            if end is not None and (end < len(self.text) or self.read is None):
+                self.pos = end
+                return value
+            # Doubling the window reads a long value in linear time.
+            if not self.more(len(self.text) - self.pos):
+                _whole_tree()
+
+    def rows(self, convert: Callable[[list], object]) -> list:
+        """convert(rows) of each chunk of rows of the array at pos, in order."""
+        self.pos += 1
+        if self.peek() == "]":
+            self.pos += 1
+            return [convert([])]
+        parts = []
+        while True:
+            text, pos = self.text, self.pos
+            # One search per window: the text before pos holds no row end.
+            last = _LAST_ROW_END.search(text, pos)
+            stop = last.start() + 1 if last else len(text)
+            while True:
+                cut = _ROW_END.search(text, pos + _CHUNK, stop)
+                if cut is None and last is None:
+                    break
+                end = cut.start() + 1 if cut else stop
+                try:
+                    parts.append(convert(json.loads("[" + text[pos:end] + "]")))
+                except Exception:  # any fault: the whole-tree reader is the one to name it
+                    _whole_tree()
+                if cut is None:
+                    self.pos = last.end()
+                    return parts
+                pos = cut.end()
+            self.pos = pos
+            if not self.more(len(text) - pos):
+                _whole_tree()
+
+
+def read_rows(source: str | TextIO,
+              arrays: Mapping[str, tuple[Callable, Callable]]) -> tuple[dict, dict]:
+    """Walk the JSON object that is all of source, a str or a text file.
+
+    ``arrays`` maps a key to a pair ``(convert, join)``.  Returns the
+    object's other values (for a repeated key, the last one, as
+    ``json.loads`` keeps them), and the array of each key of ``arrays``
+    as ``join(parts)``, where parts holds ``convert(rows)`` for each chunk
+    of the array's rows, in order (an empty array is one empty chunk).
+
+    A chunk is about ``_CHUNK`` characters of whole rows, decoded by one
+    ``json.loads`` call.  It is cut only before a row's opening brace, and
+    a cut inside a string or a nested value leaves invalid JSON, so a
+    chunk that decodes was cut between rows.  The window holds about two
+    chunks of the text, and each array is joined as soon as it ends.
+
+    Raises _WholeTree on anything else: text that is not valid JSON, a
+    BOM or text after the object, a key of ``arrays`` that is missing or
+    holds no array of objects, a converter that raises, or a string that
+    holds the characters an array is cut at.
+    """
+    if not isinstance(source, str) and not hasattr(source, "read"):
+        _whole_tree()  # bytes, which json.loads also takes
+    window = _Window(source)
+    doc, arrays_read = {}, {}
+    try:
+        if window.peek() != "{":
+            _whole_tree()
+        window.pos += 1
+        while True:
+            if window.peek() != '"':
+                _whole_tree()
+            key = window.value(_scan_key)
+            if window.peek() != ":":
+                _whole_tree()
+            window.pos += 1
+            if key in arrays and window.peek() == "[":
+                convert, join = arrays[key]
+                arrays_read[key] = join(window.rows(convert))
+            else:
+                arrays_read.pop(key, None)
+                window.peek()
+                doc[key] = window.value(_SCAN)
+            mark = window.peek()
+            window.pos += 1
+            if mark == "}":
+                break
+            if mark != ",":
+                _whole_tree()
+        tail = window.peek()
+    except (StopIteration, ValueError, RecursionError):  # ValueError covers a UnicodeDecodeError
+        _whole_tree()
+    if tail or arrays_read.keys() != arrays.keys():
+        _whole_tree()
+    return doc, arrays_read
 
 
 def dumps_json(doc) -> str:

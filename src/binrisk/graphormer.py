@@ -562,6 +562,9 @@ def load_embeddings(path: str | Path) -> list[NodeEmbedding]:
             if vector.ndim != 1:
                 raise SchemaError(f"embeddings file {path}: entity {k} vector "
                                   "must be a flat list of numbers")
+            if not np.isfinite(vector).all():
+                raise SchemaError(f"embeddings file {path}: entity {k} vector "
+                                  "holds a non-finite value")
             out.append(NodeEmbedding(entity_id=int(k), vector=vector))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"embeddings file {path}: {exc}") from None

@@ -19,6 +19,7 @@ held at once.
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .config import PipelineConfig
-from .cpg import CpgGraph, cpg_chunks, load_cpg
+from .cpg import CpgGraph, _is_id, cpg_chunks, load_cpg
 from .embedding import FileEmbeddings, HashEmbedder
 from .errors import ConfigError, SchemaError, dumps_json, read_json
 from .fingerprint import load_repository, match_and_alert, select_threshold
@@ -241,9 +242,28 @@ def render_dot(kg: SsckgGraph, risk_doc: Mapping | None, cfg: PipelineConfig) ->
     """DOT text of the graph, colored by the risk document's scores if given."""
     risk_scores = None
     if risk_doc is not None:
-        risk_scores = {int(row["entity_id"]): float(row["score"])
-                       for row in risk_doc["ranking"]}
+        risk_scores = {row["entity_id"]: row["score"] for row in risk_doc["ranking"]}
     return to_dot(kg, risk=risk_scores, bands=cfg.risk_bands)
+
+
+def load_risk(path: str | Path) -> dict:
+    """A risk file, as ``score`` writes it: its ``ranking`` is a list of
+    objects, each with an integer ``entity_id`` and a finite ``score``."""
+    doc = read_json(path, "risk file")
+    ranking = doc.get("ranking") if isinstance(doc, dict) else None
+    if not isinstance(ranking, list):
+        raise SchemaError(f"risk file {path} must be an object with a 'ranking' list")
+    for pos, row in enumerate(ranking):
+        if not (isinstance(row, dict) and _is_id(row.get("entity_id"))
+                and _finite_number(row.get("score"))):
+            raise SchemaError(f"risk file {path}: ranking row {pos} needs an integer "
+                              "'entity_id' and a finite numeric 'score'")
+    return doc
+
+
+def _finite_number(value) -> bool:
+    # abs() <= max is False for NaN, for +-inf and for an int past the float range.
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 # --- stages: load the input files, run the core, write the output ---------------
@@ -318,7 +338,7 @@ def stage_threshold(scores_path: str | Path, cfg: PipelineConfig,
 
 def stage_export_dot(kg_path: str | Path, risk_path: str | Path | None,
                      cfg: PipelineConfig, out_path: str | Path) -> str:
-    risk_doc = read_json(risk_path, "risk file") if risk_path else None
+    risk_doc = load_risk(risk_path) if risk_path else None
     text = render_dot(load_ssckg(kg_path), risk_doc, cfg)
     write_atomic(out_path, text)
     return text

@@ -32,7 +32,10 @@ booleans, and every weight is finite and positive.
 relations)`` feed one validating core.  It checks whole columns at
 once, and only when a check fails does it walk the rows in input order
 for the first offender, so the error names the same row whatever the
-size of the input.  ``dumps_ssckg`` is the join of ``ssckg_chunks``,
+size of the input.  ``load_ssckg`` reads the file in windows
+(``errors.read_rows``) and turns each chunk of entity rows into
+entities, and each chunk of relation rows into columns, before it
+decodes the next; a fault is read again as one tree, which names it.  ``dumps_ssckg`` is the join of ``ssckg_chunks``,
 which writes the bytes ``errors.dumps_json`` would a block of rows at a
 time, each relation filled into a row template.
 """
@@ -54,7 +57,8 @@ import numpy as np
 
 from .cpg import AST_CODE, PDG_CODE, CpgGraph, _codes, _int64, _is_id, _search, group_rows
 from .embedding import EmbeddingVector, cosine, stack
-from .errors import SchemaError, ZeroVector, json_chunks, json_value, read_json
+from .errors import (SchemaError, ZeroVector, _WholeTree, collector_paused, json_chunks,
+                     json_value, read_json, read_rows)
 from .lattice import TOP, Label, join, leq
 from .lifting import Annotation, VerifiedCorpus
 
@@ -160,6 +164,18 @@ class RelationColumns:
         self.dst = dst
         self.weight = weight
         self.cve = dict(cve)  # row -> CVE id, in row order
+
+    @classmethod
+    def joined(cls, parts: Sequence[RelationColumns]) -> RelationColumns:
+        """The rows of parts one after another: the cve rows of each part
+        shift by the rows of the parts before it."""
+        if len(parts) == 1:
+            return parts[0]
+        starts = np.cumsum([0] + [len(p) for p in parts]).tolist()
+        return cls(*(np.concatenate([getattr(p, name) for p in parts])
+                     for name in ("src", "type_code", "dst", "weight")),
+                   {start + row: cve_id for p, start in zip(parts, starts)
+                    for row, cve_id in p.cve.items()})
 
     def __len__(self) -> int:
         return len(self.src)
@@ -858,52 +874,110 @@ def ssckg_chunks(kg: SsckgGraph) -> Iterator[str]:
 
 
 def load_ssckg(path: str | Path) -> SsckgGraph:
-    doc = read_json(path, "KG file")
-    if not isinstance(doc, dict):
-        raise SchemaError(f"KG file {path}: top-level document must be an object")
+    """Read and validate a KG file.
+
+    ``errors.read_rows`` reads the file in windows: each chunk of entity
+    rows becomes ``Entity`` objects, and each chunk of relation rows a
+    part of the relation columns, before the next chunk is decoded.
+    Anything the streamed reader does not take (a fault, or a string
+    holding a row separator) is read again as one tree, whose error names
+    the first fault.
+    """
     try:
-        return _ssckg_from_doc(doc)
-    except KeyError as exc:
-        raise SchemaError(f"KG file {path}: an entry is missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError, SchemaError) as exc:
+        with collector_paused():
+            try:
+                with open(path, encoding="utf-8") as source:
+                    doc, rows = read_rows(source, _KG_ARRAYS)
+                return _ssckg(rows["entities"], rows["relations"], doc)
+            except _WholeTree:
+                return _ssckg_from_doc(read_json(path, "KG file"))
+    except SchemaError as exc:
         raise SchemaError(f"KG file {path}: {exc}") from None
 
 
-def _ssckg_from_doc(doc: Mapping) -> SsckgGraph:
-    entities = []
-    for pos, raw in enumerate(doc.get("entities", ())):
-        emb = raw.get("embedding")
-        name, summary = raw["name"], raw.get("summary", "")
-        external, cluster_id = raw.get("external", False), raw.get("cluster_id")
-        for key, value in (("name", name), ("summary", summary)):
-            if type(value) is not str:
-                raise SchemaError(f"entity at index {pos} has non-string {key} {value!r}")
-        if type(external) is not bool:
-            raise SchemaError(f"entity at index {pos} has non-boolean external {external!r}")
-        if cluster_id is not None and type(cluster_id) is not int:
-            raise SchemaError(f"entity at index {pos} has cluster_id {cluster_id!r}, "
-                              "which is neither an integer nor null")
-        entities.append(Entity(
-            id=raw["id"],
-            name=name,
-            label=Label.parse(raw["label"]),
-            members=frozenset(raw.get("members", ())),
-            summary=summary,
-            embedding=EmbeddingVector(emb) if emb is not None else None,
-            external=external,
-            cluster_id=cluster_id,
-        ))
-    raw_rows = doc.get("relations", [])
-    if not isinstance(raw_rows, list):
-        raise SchemaError("'relations' must be a list")
+def _ssckg_from_doc(doc) -> SsckgGraph:
+    """The whole-tree reader, which names the first fault of any document."""
+    if not isinstance(doc, dict):
+        raise SchemaError("top-level document must be an object")
+    return _ssckg(_entities(_rows(doc, "entities")), _relations(_rows(doc, "relations")), doc)
+
+
+def _rows(doc: Mapping, key: str) -> list:
+    rows = doc.get(key, [])
+    if not isinstance(rows, list):
+        raise SchemaError(f"'{key}' must be a list")
+    return rows
+
+
+def _entities(raw_rows: list) -> list[Entity]:
+    """The entities of a KG file's rows; a SchemaError names the first
+    faulty row (by its index in raw_rows) and field."""
+    return [_entity(raw, pos) for pos, raw in enumerate(raw_rows)]
+
+
+def _entity(raw, pos: int) -> Entity:
+    if type(raw) is not dict:
+        raise SchemaError(f"entity at index {pos} must be an object")
+    try:
+        entity_id, name, label = raw["id"], raw["name"], raw["label"]
+    except KeyError as exc:
+        raise SchemaError(f"entity at index {pos} is missing required field {exc}") from None
+    summary, members, emb = raw.get("summary", ""), raw.get("members", []), raw.get("embedding")
+    external, cluster_id = raw.get("external", False), raw.get("cluster_id")
+    for key, value in (("name", name), ("summary", summary)):
+        if type(value) is not str:
+            raise SchemaError(f"entity at index {pos} has non-string {key} {value!r}")
+    if type(external) is not bool:
+        raise SchemaError(f"entity at index {pos} has non-boolean external {external!r}")
+    if cluster_id is not None and type(cluster_id) is not int:
+        raise SchemaError(f"entity at index {pos} has cluster_id {cluster_id!r}, "
+                          "which is neither an integer nor null")
+    if type(label) is not str:
+        raise SchemaError(f"entity at index {pos} has non-string label {label!r}")
+    if type(members) is not list:
+        raise SchemaError(f"entity at index {pos} has members {members!r}, which is not a list")
+    try:
+        members = frozenset(members)
+    except TypeError:  # a list or an object among them; other types are the core's to name
+        member = next(m for m in members if isinstance(m, (list, dict)))
+        raise SchemaError(f"entity at index {pos} has non-integer member {member!r}") from None
+    if emb is not None:
+        if type(emb) is not list or not set(map(type, emb)) <= {int, float}:
+            raise SchemaError(f"entity at index {pos} has an embedding that is not "
+                              "a flat list of numbers")
+        try:
+            emb = EmbeddingVector(emb)
+        except (OverflowError, ValueError):  # NaN, +-inf, or an int past the float range
+            raise SchemaError(f"entity at index {pos} has an embedding with "
+                              "a non-finite value") from None
+    return Entity(id=entity_id, name=name, label=Label.parse(label), members=members,
+                  summary=summary, embedding=emb, external=external, cluster_id=cluster_id)
+
+
+def _relations(raw_rows: list) -> RelationColumns:
+    """The columns of a KG file's relation rows; a SchemaError names the
+    first faulty row."""
     try:
         columns = [list(map(itemgetter(key), raw_rows))
                    for key in ("src", "rel_type", "dst", "weight")]
     except (KeyError, TypeError):  # a row is no object or lacks a field
         _raise_first_relation_fault(raw_rows)
-    relations = _relation_columns(*columns, lambda: raw_rows)
+    return _relation_columns(*columns, lambda: raw_rows)
+
+
+# The arrays of a KG file, as read_rows takes them: (convert, join).
+_KG_ARRAYS = {"entities": (_entities, lambda parts: list(chain.from_iterable(parts))),
+              "relations": (_relations, RelationColumns.joined)}
+
+
+def _ssckg(entities: list[Entity], relations: RelationColumns, doc: Mapping) -> SsckgGraph:
+    """The graph of a KG file's entities and relations and the small
+    values of its document."""
+    clustering = doc.get("clustering")
+    if clustering is not None and type(clustering) is not dict:
+        raise SchemaError(f"'clustering' must be an object or null, got {clustering!r}")
     return SsckgGraph(entities, relations, source_binary=str(doc.get("source_binary", "")),
-                      clustering=doc.get("clustering"))
+                      clustering=clustering)
 
 
 _BAND_COLORS = {"high": "firebrick", "medium": "orange", "low": "gray70"}

@@ -618,6 +618,13 @@ def kg_text(entity=(), relation=()) -> str:
                        **dict(relation)}]})
 
 
+EXPORT_BAD_RISK = ["export-dot", "--kg", "{toy}/toy_modbus.kg.json", "--risk", "{bad}",
+                   "--out", "{tmp}/kg.dot"]
+RISK_ROW_FAULT = ("risk file {bad}: ranking row 0 needs an integer 'entity_id' and a finite "
+                  "numeric 'score'")
+MATCH_BAD_EMBEDDINGS = ["match", "--kg-embeddings", "{bad}", "--repo", "{fx}/fingerprints",
+                        "--out", "{tmp}/alerts.json"]
+
 BUILD_BAD_CORPUS = ["build-ssckg", "--cpg", "{fx}/toy_modbus.cpg.json", "--corpus", "{bad}",
                     "--out", "{tmp}/kg.json"]
 CORPUS_TRAILER = '{"trailer": {"accepted": 0, "failed": 0, "rejected": 0, "total": 0}}\n'
@@ -743,6 +750,40 @@ BAD_INPUTS = {
                              "an integer nor null", SCORE_BAD_KG),
     "kg_boolean_cluster_id": ("kg.json", kg_text(entity={"cluster_id": True}),
                               "{bad}: entity at index 1 has cluster_id True", SCORE_BAD_KG),
+    "kg_entities_object": ("kg.json", '{"entities": {"0": {}}, "relations": []}',
+                           "{bad}: 'entities' must be a list", SCORE_BAD_KG),
+    "kg_numeric_label": ("kg.json", kg_text(entity={"label": 5}),
+                         "{bad}: entity at index 1 has non-string label 5", SCORE_BAD_KG),
+    "kg_nested_member": ("kg.json", kg_text(entity={"members": [[1]]}),
+                         "{bad}: entity at index 1 has non-integer member [1]", SCORE_BAD_KG),
+    "kg_integer_members": ("kg.json", kg_text(entity={"members": 5}),
+                           "{bad}: entity at index 1 has members 5, which is not a list",
+                           SCORE_BAD_KG),
+    "kg_integer_clustering": ("kg.json", json.dumps({**json.loads(kg_text()), "clustering": 5}),
+                              "{bad}: 'clustering' must be an object or null, got 5",
+                              SCORE_BAD_KG),
+    "kg_nested_embedding": ("kg.json", kg_text(entity={"embedding": [[0.5]]}),
+                            "{bad}: entity at index 1 has an embedding that is not a flat list "
+                            "of numbers", SCORE_BAD_KG),
+    "kg_nan_embedding": ("kg.json", kg_text(entity={"embedding": [0.5, float("nan")]}),
+                         "{bad}: entity at index 1 has an embedding with a non-finite value",
+                         SCORE_BAD_KG),
+    "risk_empty_object": ("risk.json", "{}",
+                          "risk file {bad} must be an object with a 'ranking' list",
+                          EXPORT_BAD_RISK),
+    "risk_list": ("risk.json", "[1, 2]", "risk file {bad} must be an object with a 'ranking' list",
+                  EXPORT_BAD_RISK),
+    "risk_string_entity_id": ("risk.json", '{"ranking": [{"entity_id": "a", "score": 1}]}',
+                              RISK_ROW_FAULT, EXPORT_BAD_RISK),
+    "risk_missing_score": ("risk.json", '{"ranking": [{"entity_id": 1}]}', RISK_ROW_FAULT,
+                           EXPORT_BAD_RISK),
+    "risk_nan_score": ("risk.json", '{"ranking": [{"entity_id": 1, "score": NaN}]}',
+                       RISK_ROW_FAULT, EXPORT_BAD_RISK),
+    "embeddings_nan_value": ("emb.json", '{"3": [0.1, NaN]}', "embeddings file {bad}: entity 3 "
+                             "vector holds a non-finite value", MATCH_BAD_EMBEDDINGS),
+    "embeddings_infinite_value": ("emb.json", '{"3": [-Infinity, 0.2]}', "embeddings file "
+                                  "{bad}: entity 3 vector holds a non-finite value",
+                                  MATCH_BAD_EMBEDDINGS),
     "corpus_string_rejected_count": (
         "corpus.jsonl", '{"trailer": {"accepted": 0, "failed": 0, "rejected": "x", "total": 0}}\n',
         "corpus file {bad} line 1: trailer", BUILD_BAD_CORPUS),

@@ -7,6 +7,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from enum import Enum
 from pathlib import Path
 from unittest import mock
@@ -16,11 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from binrisk import cpg
+from binrisk import cpg, errors, ssckg
 from binrisk.cpg import (CpgEdge, CpgGraph, CpgNode, DataFlowClaim, EdgeKind, NodeKind,
-                         dumps_cpg, loads_cpg)
+                         dumps_cpg, load_cpg, loads_cpg)
 from binrisk.embedding import EmbeddingVector
-from binrisk.errors import ParseError, SchemaError, dumps_json
+from binrisk.errors import BinriskError, ParseError, SchemaError, dumps_json
 from binrisk.fingerprint import Fingerprint, dumps_fingerprint, load_fingerprint
 from binrisk.graphormer import NodeEmbedding, dumps_embeddings, load_embeddings
 from binrisk.lattice import Lattice
@@ -365,25 +366,36 @@ def strings(value):
 
 
 @st.composite
-def streamed_texts(draw) -> tuple[str, bool]:
-    """CPG text in any layout json.loads reads, and whether the streamed
-    reader must take it without the whole-tree reader: a valid document
-    with no repeated key, no bracket in a string, no BOM and nothing after it."""
-    doc = draw(separator_documents() | faulty_documents()
-               | st.just({"binary_id": "", "nodes": [], "edges": []}))
-    pairs = Pairs(doc.items())
-    if draw(st.booleans()):
-        pairs.append(("nodes", draw(st.sampled_from([[], 5, "x", None, doc["nodes"]]))))
-    if draw(st.booleans()):
-        pairs.append(("meta", draw(st.sampled_from([None, [], {"nodes": [1]}, [{"a": "}]"}]]))))
+def laid_out(draw, docs, arrays: tuple[str, str]) -> tuple[str, bool]:
+    """A document of docs as text in any layout json.loads reads, and
+    whether the streamed reader must take it without the whole-tree
+    reader: a valid document with each key once, no bracket in a string,
+    no BOM and nothing after it.  Either of the arrays may be missing or
+    repeated (the last one counts)."""
+    doc = draw(docs)
+    dropped = draw(st.sampled_from([None] * 9 + list(arrays)))
+    pairs = Pairs((key, value) for key, value in doc.items() if key != dropped)
+    rarely = st.sampled_from([False] * 3 + [True])
+    if draw(rarely):
+        key = draw(st.sampled_from(arrays))
+        rows = doc[key] if isinstance(doc.get(key), list) else []
+        pairs.append((key, draw(st.sampled_from([[], 5, "x", None, rows, rows[::-1]]))))
+    if draw(rarely):
+        pairs.append(("meta", draw(st.sampled_from([None, [], {arrays[0]: [1]}, [{"a": "}]"}]]))))
     text = spaced(random.Random(draw(st.integers(0, 2 ** 32))), pairs, draw(st.booleans()))
     bom = draw(st.sampled_from([""] * 5 + ["\ufeff"]))
     tail = draw(st.sampled_from([""] * 12 + [" x", "{}", "]"]))
     cut = draw(st.integers(0, len(text))) if draw(st.sampled_from([0] * 5 + [1])) else None
     text = (bom + text + tail)[:cut]
-    plain = (not bom and not tail and cut is None and len(pairs) == 3
+    plain = (not bom and not tail and cut is None and dropped is None
+             and len(pairs) == len(doc)
              and not any("}" in t or "]" in t for t in strings(doc)))
     return text, plain
+
+
+def streamed_texts():
+    return laid_out(separator_documents() | faulty_documents()
+                    | st.just({"binary_id": "", "nodes": [], "edges": []}), ("nodes", "edges"))
 
 
 def read(reader, text: str) -> tuple[str, str]:
@@ -400,7 +412,7 @@ def test_streamed_reader_agrees_with_whole_tree_reader(case):
     text, plain = case
     want = read(cpg._loads_tree, text)
     for chunk in (1, 7, 64):
-        with mock.patch.object(cpg, "_CHUNK", chunk):
+        with mock.patch.object(errors, "_CHUNK", chunk):
             assert read(loads_cpg, text) == want
             if plain and want[0] == "ok":
                 assert read(cpg._loads_streamed, text) == want
@@ -410,27 +422,27 @@ VECTORS = st.lists(FINITE, min_size=1, max_size=6)
 
 
 @st.composite
-def knowledge_graphs(draw):
+def knowledge_graphs(draw, text=TEXT):
     ids = draw(st.lists(st.integers(min_value=0, max_value=10 ** 6), unique=True,
                         min_size=1, max_size=8))
     dim = draw(st.integers(min_value=1, max_value=5))
     # Bounded so that the norm EmbeddingVector caches stays finite.
     values = st.floats(min_value=-1e100, max_value=1e100)
     vector = st.lists(values, min_size=dim, max_size=dim).map(EmbeddingVector)
-    entities = [Entity(id=i, name=draw(TEXT), label=draw(st.sampled_from(LAT.labels())),
-                       members=draw(st.frozensets(IDS, max_size=5)), summary=draw(TEXT),
+    entities = [Entity(id=i, name=draw(text), label=draw(st.sampled_from(LAT.labels())),
+                       members=draw(st.frozensets(IDS, max_size=5)), summary=draw(text),
                        embedding=draw(st.none() | vector), external=draw(st.booleans()),
                        cluster_id=draw(st.none() | st.integers(min_value=-1, max_value=9)))
                 for i in ids]
     relations = []
     for _ in range(draw(st.integers(min_value=0, max_value=12))):
         rel_type = draw(st.sampled_from(list(RelationType)))
-        dst = draw(TEXT if rel_type is RelationType.VULNERABLE_TO else st.sampled_from(ids))
+        dst = draw(text if rel_type is RelationType.VULNERABLE_TO else st.sampled_from(ids))
         relations.append(Relation(src=draw(st.sampled_from(ids)), rel_type=rel_type, dst=dst,
                                   weight=draw(st.floats(min_value=1e-9, max_value=1e9))))
     clustering = draw(st.none() | st.fixed_dictionaries(
         {"points": IDS, "noise": IDS, "clusters": IDS}))
-    return SsckgGraph(entities, relations, source_binary=draw(TEXT), clustering=clustering)
+    return SsckgGraph(entities, relations, source_binary=draw(text), clustering=clustering)
 
 
 def entity_fields(e: Entity) -> tuple:
@@ -450,8 +462,34 @@ def test_ssckg_round_trip(tmp_path_factory, kg):
     assert dumps_ssckg(back) == dumps_ssckg(kg)
 
 
+def entity_row_fault(raw) -> str | None:
+    """What is wrong with an entity row on its own, for the faults
+    faulty_knowledge_graphs makes, in the order the reader checks them."""
+    if not isinstance(raw, dict):
+        return "must be an object"
+    for key in ("id", "name", "label"):
+        if key not in raw:
+            return f"is missing required field '{key}'"
+    if not isinstance(raw["label"], str):
+        return f"has non-string label {raw['label']!r}"
+    members = raw.get("members", [])
+    if not isinstance(members, list):
+        return f"has members {members!r}, which is not a list"
+    for member in members:
+        if isinstance(member, (list, dict)):
+            return f"has non-integer member {member!r}"
+    vector = raw.get("embedding")
+    if vector is not None:
+        if not isinstance(vector, list) or any(type(v) not in (int, float) for v in vector):
+            return "has an embedding that is not a flat list of numbers"
+        if not all(map(math.isfinite, vector)):
+            return "has an embedding with a non-finite value"
+    return None
+
+
 def first_kg_fault(doc: dict) -> str | None:
-    """The error of reading a KG row by row: each relation row's types,
+    """The error of reading a KG row by row: the entities list and each
+    entity row on its own, each relation row's types, the clustering,
     then entity ids, members and duplicates, then each relation's weight
     and ends; None for a valid document."""
     def is_id(value):
@@ -463,6 +501,12 @@ def first_kg_fault(doc: dict) -> str | None:
         except OverflowError:
             return False
 
+    if not isinstance(doc["entities"], list):
+        return "'entities' must be a list"
+    for pos, raw in enumerate(doc["entities"]):
+        fault = entity_row_fault(raw)
+        if fault is not None:
+            return f"entity at index {pos} {fault}"
     names = {t.value for t in RelationType}
     for pos, raw in enumerate(doc["relations"]):
         if not isinstance(raw, dict):
@@ -482,6 +526,8 @@ def first_kg_fault(doc: dict) -> str | None:
         weight = raw["weight"]
         if type(weight) not in (int, float) or not is_float(weight):
             return f"relation at index {pos} has weight {weight!r}, which is no float"
+    if doc["clustering"] is not None and not isinstance(doc["clustering"], dict):
+        return f"'clustering' must be an object or null, got {doc['clustering']!r}"
     for pos, raw in enumerate(doc["entities"]):
         if not is_id(raw["id"]):
             return f"entity at index {pos} has non-integer id {raw['id']!r}"
@@ -504,27 +550,37 @@ def first_kg_fault(doc: dict) -> str | None:
     return None
 
 
-# Damage done to one row, as for the CPG above.
+# Damage done to one row, as for the CPG above, or to the document.
 ENTITY_FAULTS = [("id", 0.5), ("id", True), ("id", "3"), ("id", "duplicate"),
-                 ("members", ["a"]), ("members", [1.5])]
+                 ("members", ["a"]), ("members", [1.5]), ("members", [[1]]), ("members", 5),
+                 ("label", 5), ("name", ...), ("embedding", [[0.5]]),
+                 ("embedding", [float("nan")]), ("row", 3)]
 RELATION_FAULTS = [("src", True), ("src", 0.5), ("src", "dangling"), ("src", ...),
                    ("dst", "1"), ("dst", "dangling"), ("dst", 2 ** 63), ("weight", 0.0),
                    ("weight", -2), ("weight", float("nan")), ("weight", float("-inf")),
                    ("weight", "x"), ("weight", 10 ** 400), ("rel_type", "bogus"),
                    ("rel_type", "vulnerable_to"), ("row", [1])]
+DOCUMENT_FAULTS = [("entities", {"0": {}}), ("clustering", 5), ("clustering", [1])]
 
 
 @st.composite
-def faulty_knowledge_graphs(draw) -> dict:
-    doc = json.loads(dumps_ssckg(draw(knowledge_graphs())))
+def faulty_knowledge_graphs(draw, text=TEXT) -> dict:
+    doc = json.loads(dumps_ssckg(draw(knowledge_graphs(text))))
     for _ in range(draw(st.integers(min_value=1, max_value=2))):
-        rows = draw(st.sampled_from(["entities", "relations"] if doc["relations"]
-                                    else ["entities"]))
+        rows = draw(st.sampled_from(["entities", "relations", "document"]))
+        if rows == "document":
+            key, value = draw(st.sampled_from(DOCUMENT_FAULTS))
+            doc[key] = value
+            continue
+        if not isinstance(doc[rows], list) or not doc[rows]:
+            continue
         pos = draw(st.integers(min_value=0, max_value=len(doc[rows]) - 1))
         key, value = draw(st.sampled_from(ENTITY_FAULTS if rows == "entities"
                                           else RELATION_FAULTS))
         if value == "duplicate":
-            value = doc["entities"][draw(st.integers(0, len(doc["entities"]) - 1))]["id"]
+            # The first pass may have replaced an entity row by a non-object.
+            objects = [raw for raw in doc["entities"] if isinstance(raw, dict)] or [{}]
+            value = draw(st.sampled_from(objects)).get("id")
         elif value == "dangling":
             value = 10 ** 6 + 1  # past every generated entity id
         if key == "row":
@@ -548,6 +604,123 @@ def test_kg_first_fault_message_is_the_row_by_row_one(tmp_path_factory, doc):
     with pytest.raises(SchemaError) as info:
         load_ssckg(path)
     assert str(info.value) == f"KG file {path}: {expected}"
+
+
+# --- the streamed file readers against the whole-tree readers --------------------
+
+@st.composite
+def input_files(draw, texts) -> tuple[bytes, bool]:
+    """The bytes of a text of texts, perhaps with a byte that is no UTF-8
+    put in, and whether the streamed reader must take them."""
+    text, plain = draw(texts)
+    data = text.encode("utf-8")
+    if draw(st.sampled_from([False] * 9 + [True])):
+        cut = draw(st.integers(0, len(data)))
+        data, plain = data[:cut] + b"\xff" + data[cut:], False
+    return data, plain
+
+
+def read_file(load, dump, path: Path) -> tuple[str, str]:
+    """("ok", the canonical text) of what load reads from path, or its error."""
+    try:
+        return "ok", dump(load(path))
+    except (BinriskError, ValueError) as exc:  # a ValueError: text that is no UTF-8
+        return type(exc).__name__, str(exc)
+
+
+def check_file_reader(path: Path, case: tuple[bytes, bool], module, load, dump,
+                      whole_tree: str) -> None:
+    """load reads path as its whole-tree reader does, through any window,
+    and reads a plain file without it; whole_tree names the module's call
+    that reads the file whole."""
+    data, plain = case
+    path.write_bytes(data)
+    with mock.patch.object(module, "read_rows", side_effect=errors._WholeTree):
+        want = read_file(load, dump, path)
+    for chunk in (1, 7, 64):
+        with mock.patch.object(errors, "_CHUNK", chunk):
+            assert read_file(load, dump, path) == want
+            if plain and want[0] == "ok":
+                with mock.patch.object(module, whole_tree, side_effect=AssertionError):
+                    assert read_file(load, dump, path) == want
+
+
+@settings(PROPERTY, max_examples=100)
+@given(input_files(streamed_texts()))
+def test_cpg_file_reader_agrees_with_whole_tree_reader(tmp_path_factory, case):
+    path = tmp_path_factory.mktemp("cpg") / "in.cpg.json"
+    check_file_reader(path, case, cpg, load_cpg, dumps_cpg, "_loads_tree")
+
+
+KG_TEXTS = laid_out((knowledge_graphs() | knowledge_graphs(ROW_TEXT)).map(
+    lambda kg: json.loads(dumps_ssckg(kg))) | faulty_knowledge_graphs(ROW_TEXT),
+                    ("entities", "relations"))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(input_files(KG_TEXTS))
+def test_kg_file_reader_agrees_with_whole_tree_reader(tmp_path_factory, case):
+    path = tmp_path_factory.mktemp("kg") / "in.kg.json"
+    check_file_reader(path, case, ssckg, load_ssckg, dumps_ssckg, "read_json")
+
+
+# Escapes, multi-byte characters (one outside the BMP, a surrogate pair
+# when escaped) and numbers, for a window to cut inside of.
+CUT_CPG = ('{"binary_id": "caf\\u00e9 \u00e9\U0001f600", "nodes": [\n'
+           ' {"id": 10, "kind": "Call", "function_id": 0, "block_id": 0, "opcode": "\\u00e9",'
+           ' "attrs": {"k\\u00e9y": "\u00e9\\ud83d\\ude00"}},\n'
+           ' {"id": 2, "kind": "Return", "function_id": 12345, "block_id": 1}],\n'
+           ' "edges": [{"src": 10, "dst": 2, "kind": "Pdg", "label": "\U0001f600"}]}')
+CUT_KG = ('{"clustering": {"points": 2}, "entities": [\n'
+          ' {"id": 0, "name": "\\u00e9\u00e9", "label": "TOP", "members": [10, 2],'
+          ' "embedding": [0.125, -1e-300, 3]},\n'
+          ' {"id": 71, "name": "\U0001f600", "label": "TOP", "summary": "\\ud83d\\ude00"}],\n'
+          ' "relations": [{"src": 0, "rel_type": "vulnerable_to", "dst": "CVE-\u00e9",'
+          ' "weight": 1.0},\n {"src": 71, "rel_type": "calls", "dst": 0, "weight": 0.3}],'
+          ' "source_binary": "b\u00e9"}')
+
+
+def test_window_may_cut_anywhere(tmp_path):
+    cases = [(CUT_CPG, cpg, load_cpg, dumps_cpg, "_loads_tree"),
+             (CUT_KG, ssckg, load_ssckg, dumps_ssckg, "read_json")]
+    for text, module, load, dump, whole_tree in cases:
+        path = tmp_path / "in.json"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(module, "read_rows", side_effect=errors._WholeTree):
+            want = dump(load(path))
+        for chunk in range(1, len(text) + 1):
+            with (mock.patch.object(errors, "_CHUNK", chunk),
+                  mock.patch.object(module, whole_tree, side_effect=AssertionError)):
+                assert dump(load(path)) == want, chunk
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak while fn runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kg_load_holds_less_than_the_json_tree(tmp_path):
+    # The reader turns each chunk of rows into entities or relation
+    # columns before it decodes the next, through a window of the file,
+    # so its peak stays well below the JSON tree of the file: holding the
+    # tree, or the file's text beside the graph, would not.
+    rng = np.random.default_rng(0)
+    entities = [Entity(id=i, name=f"fn_{i}", label=LAT.labels()[i % 5],
+                       members=frozenset(range(5 * i, 5 * i + 5)), summary="reads a frame",
+                       embedding=EmbeddingVector(rng.standard_normal(64)))
+                for i in range(400)]
+    relations = [Relation(int(a), RelationType.REACHES, int(b), 0.8)
+                 for a, b in rng.integers(0, 400, (20_000, 2))]
+    text = dumps_ssckg(SsckgGraph(entities, relations))
+    path = tmp_path / "in.kg.json"
+    path.write_text(text, encoding="utf-8")
+    assert traced_peak(load_ssckg, path) < traced_peak(json.loads, text) * 0.75
+    assert dumps_ssckg(load_ssckg(path)) == text
 
 
 @PROPERTY
