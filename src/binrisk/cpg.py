@@ -40,23 +40,25 @@ traverses like its canonical copy.
 want rows.  The pipeline reads only the columns, and so does an
 annotator's one-function view (``lifting.function_subgraph``).
 
-``loads_cpg`` and the row constructor ``CpgGraph(nodes, edges)`` feed
-one validating core.  It checks whole columns at once, and only when a
-check fails does it walk the rows in input order for the first
-offender, so the error names the same row and field whatever the size
-of the input.  Graphs are immutable after construction; the indexes
-over them (``function_rows``, the rows of each function, and
+One converter per array, ``_node_columns`` and ``_edge_columns``, turns
+JSON-shaped rows into typed columns, for the streamed reader (a chunk of
+rows at a time), the whole-tree reader (nodes before edges) and the row
+constructor ``CpgGraph(nodes, edges)``.  It checks all its rows at once
+and, only when a check fails, walks them for the first offender, so the
+error names the same row and field whatever the size of the input.  The
+core takes the typed columns, checks ids across the graph and puts them
+in canonical order.  Graphs are immutable after construction; the
+indexes over them (``function_rows``, the rows of each function, and
 ``pdg_csr``, the data-dependence adjacency that ``verify_claims``
 walks) are built on first use and cached.
 
 Neither direction holds a whole file's structure.  ``load_cpg`` reads
-the file in windows (``errors.read_rows``), decodes the ``nodes`` and
-``edges`` arrays a chunk of rows at a time and turns each chunk into
-typed columns before it decodes the next, so neither the file's text
-nor a JSON tree of the whole graph is held; a fault, or text the chunks
-cannot be cut from, is read again as one tree, which names the first
-fault.  ``cpg_chunks`` fills the row templates a block of rows at a
-time, and ``dumps_cpg`` is its join.
+the file in windows (``errors.read_rows``) and converts each chunk of
+``nodes`` or ``edges`` rows before it decodes the next, so neither the
+file's text nor a JSON tree of the whole graph is held; a fault, or
+text the chunks cannot be cut from, is read again as one tree, which
+names the first fault.  ``cpg_chunks`` fills the row templates a block
+of rows at a time, and ``dumps_cpg`` is its join.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, Te
 
 import numpy as np
 
-from .errors import (ParseError, SchemaError, UnknownNode, _WholeTree, _whole_tree,
-                     collector_paused, json_chunks, read_rows)
+from .errors import (ParseError, SchemaError, UnknownNode, _WholeTree, collector_paused,
+                     json_chunks, read_rows)
 
 
 class NodeKind(str, Enum):
@@ -135,48 +137,30 @@ AST_CODE, PDG_CODE = EDGE_KINDS.index(EdgeKind.AST), EDGE_KINDS.index(EdgeKind.P
 
 _INT64 = range(-2 ** 63, 2 ** 63)
 
-# (raw nodes, raw edges) as JSON-shaped rows, for finding the first fault.
-RawRows = Callable[[], tuple[Sequence, Sequence]]
-
 
 class CpgGraph:
     """Validated, immutable code property graph, stored as columns."""
 
     def __init__(self, nodes: Sequence[CpgNode], edges: Sequence[CpgEdge],
                  binary_id: str = ""):
-        nodes, edges = list(nodes), list(edges)
-        self._build(
-            binary_id,
-            ([n.id for n in nodes], [n.kind for n in nodes], [n.function_id for n in nodes],
-             [n.block_id for n in nodes], [n.opcode for n in nodes], [n.attrs for n in nodes]),
-            ([e.src for e in edges], [e.dst for e in edges], [e.kind for e in edges],
-             [e.label for e in edges]),
-            lambda: ([_node_doc(n) for n in nodes], [_edge_doc(e) for e in edges]))
+        interned: dict[str, str] = {}
+        self._build(binary_id, _node_columns(list(map(_node_doc, nodes)), interned),
+                    _edge_columns(list(map(_edge_doc, edges)), interned))
 
     @classmethod
-    def _from_columns(cls, binary_id: str, node_columns: tuple, edge_columns: tuple,
-                      raw_rows: RawRows) -> "CpgGraph":
+    def _from_columns(cls, binary_id: str, node_columns: tuple,
+                      edge_columns: tuple) -> "CpgGraph":
         g = cls.__new__(cls)
-        g._build(binary_id, node_columns, edge_columns, raw_rows)
+        g._build(binary_id, node_columns, edge_columns)
         return g
 
-    def _build(self, binary_id: str, node_columns: tuple, edge_columns: tuple,
-               raw_rows: RawRows) -> None:
-        """The validating core: type checks, graph checks, canonical order.
-
-        The id and kind columns are lists of JSON values, or typed arrays
-        from the streamed reader (int64 ids, int8 kind codes).
-        """
-        ids, kinds, functions, blocks, opcodes, attrs = node_columns
-        srcs, dsts, edge_kinds, labels = edge_columns
-        node_id, node_function, node_block = _int64(ids), _int64(functions), _int64(blocks)
-        edge_src, edge_dst = _int64(srcs), _int64(dsts)
-        node_kind, edge_kind = _codes(kinds, _NODE_CODES), _codes(edge_kinds, _EDGE_CODES)
-        if (node_id is None or node_function is None or node_block is None
-                or edge_src is None or edge_dst is None or node_kind is None
-                or edge_kind is None or not set(map(type, attrs)) <= {dict}):
-            _raise_first_fault(*raw_rows())
-
+    def _build(self, binary_id: str, node_columns: tuple, edge_columns: tuple) -> None:
+        """The validating core: graph checks and canonical order, over the
+        typed columns of ``_node_columns`` and ``_edge_columns``."""
+        if type(binary_id) is not str:
+            raise SchemaError(f"'binary_id' must be a string, got {binary_id!r}")
+        node_id, node_kind, node_function, node_block, opcodes, attrs = node_columns
+        edge_src, edge_dst, edge_kind, labels = edge_columns
         n = len(node_id)
         order = None
         if n > 1 and not np.all(node_id[1:] > node_id[:-1]):
@@ -189,21 +173,17 @@ class CpgGraph:
         if bad.any():
             i = int(np.argmax(bad))
             if duplicate[i]:
-                raise SchemaError(f"duplicate node id {ids[i]}")
-            raise SchemaError(f"node {ids[i]} has negative function or block id")
+                raise SchemaError(f"duplicate node id {node_id[i]}")
+            raise SchemaError(f"node {node_id[i]} has negative function or block id")
         src_row, src_found = _search(sorted_id, edge_src)
         dst_row, dst_found = _search(sorted_id, edge_dst)
         bad = ~(src_found & dst_found)
         if bad.any():
             i = int(np.argmax(bad))
-            missing = srcs[i] if not src_found[i] else dsts[i]
+            missing = edge_src[i] if not src_found[i] else edge_dst[i]
             raise SchemaError(f"edge {i} references missing node {missing}")
 
-        opcodes = _strs(opcodes)
         attrs = {i: attrs[i] for i in compress(range(n), attrs)}  # the rows that set some
-        texts = chain.from_iterable(chain(a, a.values()) for a in attrs.values())
-        if not set(map(type, texts)) <= {str}:
-            attrs = {i: {str(k): str(v) for k, v in a.items()} for i, a in attrs.items()}
         if order is not None:
             row_of = np.empty(n, dtype=np.int64)
             row_of[order] = np.arange(n)
@@ -211,14 +191,13 @@ class CpgGraph:
             node_kind = node_kind[order]
             opcodes = [opcodes[i] for i in order.tolist()]
             attrs = dict(zip(row_of[list(attrs)].tolist(), attrs.values()))
-        labels = _strs(labels)
         distinct = sorted(set(labels))
         rank = {lab: code for code, lab in enumerate(distinct)}
         edge_label = np.array(list(map(rank.__getitem__, labels)), dtype=np.int64)
         # lexsort's last key is the primary one.
         edge_order = np.lexsort((edge_label, edge_kind, edge_dst, edge_src))
 
-        self.binary_id = str(binary_id)
+        self.binary_id = binary_id
         self.node_id = sorted_id
         self.node_function = node_function
         self.node_block = node_block
@@ -296,11 +275,8 @@ def group_rows(keys: np.ndarray) -> dict[int, np.ndarray]:
     return dict(zip(distinct.tolist(), np.split(order, starts[1:])))
 
 
-def _int64(values: list | np.ndarray) -> np.ndarray | None:
-    """values as int64, or None unless each is a plain int in range; an
-    int64 array is its own column."""
-    if isinstance(values, np.ndarray) and values.dtype == np.int64:
-        return values
+def _int64(values: list) -> np.ndarray | None:
+    """values as int64, or None unless each is a plain int in range."""
     if not set(map(type, values)) <= {int}:
         return None
     try:
@@ -309,11 +285,8 @@ def _int64(values: list | np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _codes(values: list | np.ndarray, table: Mapping) -> np.ndarray | None:
-    """Each value's code in table, or None if a value has none; an int8
-    array is taken to hold codes already."""
-    if isinstance(values, np.ndarray) and values.dtype == np.int8:
-        return values
+def _codes(values: list, table: Mapping) -> np.ndarray | None:
+    """Each value's code in table, or None if a value has none."""
     try:
         return np.array(list(map(table.__getitem__, values)), dtype=np.int8)
     except (KeyError, TypeError):
@@ -348,12 +321,10 @@ def _is_id(value) -> bool:
     return type(value) is int and value in _INT64
 
 
-def _raise_first_fault(raw_nodes: Sequence, raw_edges: Sequence) -> NoReturn:
-    """Raise the SchemaError of the first faulty row, nodes before edges."""
-    for pos, raw in enumerate(raw_nodes):
-        _check_node(raw, pos)
-    for pos, raw in enumerate(raw_edges):
-        _check_edge(raw, pos)
+def _raise_first_fault(rows: Sequence, check: Callable[[object, int], None]) -> NoReturn:
+    """Raise the SchemaError check gives the first faulty row."""
+    for pos, raw in enumerate(rows):
+        check(raw, pos)
     raise AssertionError("a column check failed but every row passes")
 
 
@@ -434,11 +405,16 @@ def load_cpg(path: str | Path) -> CpgGraph:
     node or edge rows becomes typed columns before the next is decoded.
     Anything the streamed reader does not take (a fault, or a string
     holding a row separator) is read again as one tree, whose error names
-    the first fault.
+    the first fault.  A ParseError or SchemaError names the file.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as source:
-        return _read_cpg(source, lambda: path.read_text(encoding="utf-8"))
+    try:
+        with open(path, encoding="utf-8") as source:
+            return _read_cpg(source, lambda: path.read_text(encoding="utf-8"))
+    except (ParseError, SchemaError) as exc:
+        raise type(exc)(f"CPG file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # the whole-tree read of a file that is no UTF-8
+        raise ParseError(f"CPG file {path}: not valid JSON: {exc}") from None
 
 
 def _read_cpg(source: str | TextIO, text: Callable[[], str]) -> CpgGraph:
@@ -455,10 +431,7 @@ def _loads_streamed(source: str | TextIO) -> CpgGraph:
     doc, columns = read_rows(source, {
         "nodes": (partial(_node_columns, interned=interned), _joined),
         "edges": (partial(_edge_columns, interned=interned), _joined)})
-    # Every row passed its chunk's checks; were a column check to fail
-    # all the same, the whole-tree reader would name the row.
-    return CpgGraph._from_columns(str(doc.get("binary_id", "")), columns["nodes"],
-                                  columns["edges"], _whole_tree)
+    return CpgGraph._from_columns(doc.get("binary_id", ""), columns["nodes"], columns["edges"])
 
 
 def _joined(parts: list[tuple]) -> tuple:
@@ -468,30 +441,41 @@ def _joined(parts: list[tuple]) -> tuple:
 
 
 def _node_columns(rows: list, interned: dict[str, str]) -> tuple:
-    """Typed columns of node rows; raises _WholeTree on a fault."""
+    """The typed columns of JSON-shaped node rows: int64 ids, int8 kind
+    codes, int64 function and block ids, str opcodes, and each row's
+    attrs as a dict of str (``_NO_ATTRS`` for a row without).
+
+    A fault raises the SchemaError of the first faulty row.
+    """
     try:
         ids, kinds, functions, blocks = (_column(rows, key) for key in _NODE_KEYS)
         opcodes, attrs = _column(rows, "opcode", ""), _column(rows, "attrs", _NO_ATTRS)
-    except (KeyError, TypeError, AttributeError):
-        _whole_tree()
+    except (KeyError, TypeError, AttributeError):  # a row is no object or lacks a field
+        _raise_first_fault(rows, _check_node)
     typed = (_int64(ids), _codes(kinds, _NODE_CODES), _int64(functions), _int64(blocks))
     if any(column is None for column in typed) or not set(map(type, attrs)) <= {dict}:
-        _whole_tree()
+        _raise_first_fault(rows, _check_node)
     opcodes = _strs(opcodes)
-    return (*typed, list(map(interned.setdefault, opcodes, opcodes)),
-            [a or _NO_ATTRS for a in attrs])
+    attrs = [a or _NO_ATTRS for a in attrs]
+    if not set(map(type, chain.from_iterable(chain(a, a.values()) for a in attrs))) <= {str}:
+        attrs = [{str(k): str(v) for k, v in a.items()} if a else a for a in attrs]
+    return (*typed, list(map(interned.setdefault, opcodes, opcodes)), attrs)
 
 
 def _edge_columns(rows: list, interned: dict[str, str]) -> tuple:
-    """Typed columns of edge rows; raises _WholeTree on a fault."""
+    """The typed columns of JSON-shaped edge rows: int64 endpoints, int8
+    kind codes and str labels.
+
+    A fault raises the SchemaError of the first faulty row.
+    """
     try:
         srcs, dsts, kinds = (_column(rows, key) for key in _EDGE_KEYS)
         labels = _column(rows, "label", "")
-    except (KeyError, TypeError, AttributeError):
-        _whole_tree()
+    except (KeyError, TypeError, AttributeError):  # a row is no object or lacks a field
+        _raise_first_fault(rows, _check_edge)
     typed = (_int64(srcs), _int64(dsts), _codes(kinds, _EDGE_CODES))
     if any(column is None for column in typed):
-        _whole_tree()
+        _raise_first_fault(rows, _check_edge)
     labels = _strs(labels)
     return (*typed, list(map(interned.setdefault, labels, labels)))
 
@@ -500,7 +484,7 @@ def _loads_tree(text: str) -> CpgGraph:
     """The whole-tree reader, which names the first fault of any document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top-level document must be an object")
@@ -511,15 +495,9 @@ def _loads_tree(text: str) -> CpgGraph:
         raise SchemaError(f"document is missing required field {exc}") from None
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise SchemaError("document 'nodes' and 'edges' must be lists")
-    try:
-        node_columns = (*(_column(raw_nodes, key) for key in _NODE_KEYS),
-                        _column(raw_nodes, "opcode", ""), _column(raw_nodes, "attrs", {}))
-        edge_columns = (*(_column(raw_edges, key) for key in _EDGE_KEYS),
-                        _column(raw_edges, "label", ""))
-    except (KeyError, TypeError, AttributeError):  # a row is no object or lacks a field
-        _raise_first_fault(raw_nodes, raw_edges)
-    return CpgGraph._from_columns(str(doc.get("binary_id", "")), node_columns, edge_columns,
-                                  lambda: (raw_nodes, raw_edges))
+    interned: dict[str, str] = {}
+    return CpgGraph._from_columns(doc.get("binary_id", ""), _node_columns(raw_nodes, interned),
+                                  _edge_columns(raw_edges, interned))
 
 
 def _node_template(kind: NodeKind) -> str:

@@ -15,9 +15,13 @@ the same text in chunks, list items a block at a time, through
 The two large inputs (CPG, knowledge graph) are read by ``read_rows``,
 which walks the top-level object through a window of the text and
 hands each of its large arrays to a converter a chunk of rows at a
-time, so neither the whole text nor its JSON tree is held.  It takes
-only well-formed text: anything else raises ``_WholeTree``, and the
-caller reads the file again whole, whose error names the first fault.
+time, so neither the whole text nor its JSON tree is held.  The
+converter is the one its format has for that array, which the
+whole-tree reader and the row constructor use too.  ``read_rows`` takes
+only well-formed text: anything else, a converter's error included,
+raises ``_WholeTree``, and the caller reads the file again whole, whose
+error names the first fault.  JSON nested deeper than the decoder
+recurses is a ParseError like any other text that is no JSON.
 """
 
 import gc
@@ -134,7 +138,7 @@ def read_json(path: str | Path, what: str):
     """Parse a JSON input file; malformed text raises ParseError naming it."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ParseError(f"{what} {path} is not valid JSON: {exc}") from None
 
 

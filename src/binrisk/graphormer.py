@@ -491,7 +491,7 @@ def load_params(path: str | Path, expected: ModelConfig | None = None) -> ModelP
         raise VersionMismatch(f"weight file {path} carries no format marker")
     try:
         meta = json.loads(bytes(raw["__meta__"]).decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise CorruptFile(f"weight file {path}: unreadable metadata: {exc}") from None
     fmt = meta.get("format") if isinstance(meta, dict) else None
     if fmt != PARAMS_FORMAT:
@@ -555,17 +555,27 @@ def load_embeddings(path: str | Path) -> list[NodeEmbedding]:
     doc = read_json(path, "embeddings file")
     if not isinstance(doc, dict):
         raise SchemaError(f"embeddings file {path}: top-level document must be an object")
+    vectors = {}
+    for key, value in doc.items():
+        try:
+            entity_id = int(key)
+        except ValueError:
+            entity_id = None
+        # One spelling per id: int() also reads "03" and " 3" as entity 3.
+        if entity_id is None or str(entity_id) != key:
+            raise SchemaError(f"embeddings file {path}: key {key!r} is not an entity id")
+        vectors[entity_id] = value
     out = []
     try:
-        for k, v in sorted(doc.items(), key=lambda kv: int(kv[0])):
-            vector = np.asarray(v, dtype=np.float64)
+        for entity_id, value in sorted(vectors.items()):
+            vector = np.asarray(value, dtype=np.float64)
             if vector.ndim != 1:
-                raise SchemaError(f"embeddings file {path}: entity {k} vector "
+                raise SchemaError(f"embeddings file {path}: entity {entity_id} vector "
                                   "must be a flat list of numbers")
             if not np.isfinite(vector).all():
-                raise SchemaError(f"embeddings file {path}: entity {k} vector "
+                raise SchemaError(f"embeddings file {path}: entity {entity_id} vector "
                                   "holds a non-finite value")
-            out.append(NodeEmbedding(entity_id=int(k), vector=vector))
+            out.append(NodeEmbedding(entity_id=entity_id, vector=vector))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"embeddings file {path}: {exc}") from None
     return out

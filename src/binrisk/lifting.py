@@ -355,13 +355,17 @@ def dumps_corpus(corpus: VerifiedCorpus) -> str:
 def load_corpus(path: str | Path, lattice: Lattice) -> VerifiedCorpus:
     corpus = VerifiedCorpus()
     seen_trailer = False
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"corpus file {path} is not valid UTF-8: {exc}") from None
+    for i, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
         where = f"corpus file {path} line {i + 1}"
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"{where}: {exc}") from None
         if not isinstance(raw, dict):
             raise SchemaError(f"{where} must hold an object, got {raw!r}")

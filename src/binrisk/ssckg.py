@@ -28,16 +28,17 @@ columns, ``SsckgGraph.relations`` and ``entity_relations`` build
 ``Relation`` objects on demand.  Relation ids are plain integers, not
 booleans, and every weight is finite and positive.
 
-``load_ssckg`` and the row constructor ``SsckgGraph(entities,
-relations)`` feed one validating core.  It checks whole columns at
-once, and only when a check fails does it walk the rows in input order
-for the first offender, so the error names the same row whatever the
-size of the input.  ``load_ssckg`` reads the file in windows
+One converter, ``_relations``, turns JSON-shaped relation rows into
+columns, for the streamed reader, the whole-tree reader and the row
+constructor ``SsckgGraph(entities, relations)``; as ``cpg``'s
+converters do, it walks the rows for the first offender only when a
+check over all of them fails.  ``load_ssckg`` reads the file in windows
 (``errors.read_rows``) and turns each chunk of entity rows into
 entities, and each chunk of relation rows into columns, before it
-decodes the next; a fault is read again as one tree, which names it.  ``dumps_ssckg`` is the join of ``ssckg_chunks``,
-which writes the bytes ``errors.dumps_json`` would a block of rows at a
-time, each relation filled into a row template.
+decodes the next; a fault is read again as one tree, which names it.
+``dumps_ssckg`` is the join of ``ssckg_chunks``, which writes the bytes
+``errors.dumps_json`` would a block of rows at a time, each relation
+filled into a row template.
 """
 
 from __future__ import annotations
@@ -51,11 +52,12 @@ from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .cpg import AST_CODE, PDG_CODE, CpgGraph, _codes, _int64, _is_id, _search, group_rows
+from .cpg import (AST_CODE, PDG_CODE, CpgGraph, _codes, _int64, _is_id, _raise_first_fault,
+                  _search, group_rows)
 from .embedding import EmbeddingVector, cosine, stack
 from .errors import (SchemaError, ZeroVector, _WholeTree, collector_paused, json_chunks,
                      json_value, read_json, read_rows)
@@ -210,30 +212,6 @@ class RelationColumns:
         return self.type_code != VULN_CODE
 
 
-def _relation_columns(srcs: list, types: list, dsts: list, weights: list,
-                      raw_rows: Callable[[], Sequence]) -> RelationColumns:
-    """Typed columns of JSON-shaped relation columns.
-
-    A value of the wrong type anywhere raises the SchemaError of the
-    first faulty row of ``raw_rows()``.
-    """
-    src, code, weight = _int64(srcs), _codes(types, _TYPE_CODES), _floats(weights)
-    dst, cve = None, {}
-    if code is not None:
-        vuln = code == VULN_CODE
-        cve = {row: dsts[row] for row in np.flatnonzero(vuln).tolist()}
-        if not cve:
-            dst = _int64(dsts)
-        elif set(map(type, cve.values())) <= {str}:
-            entity_dst = _int64(list(compress(dsts, (~vuln).tolist())))
-            if entity_dst is not None:
-                dst = np.zeros(len(dsts), dtype=np.int64)
-                dst[~vuln] = entity_dst
-    if src is None or code is None or dst is None or weight is None:
-        _raise_first_relation_fault(raw_rows())
-    return RelationColumns(src, code, dst, weight, cve)
-
-
 def _floats(values: list) -> np.ndarray | None:
     """values as float64, or None unless each is a plain int or float in range."""
     if not set(map(type, values)) <= {int, float}:
@@ -244,30 +222,27 @@ def _floats(values: list) -> np.ndarray | None:
         return None
 
 
-def _raise_first_relation_fault(raw_rows: Sequence) -> NoReturn:
-    for pos, raw in enumerate(raw_rows):
-        if not isinstance(raw, dict):
-            raise SchemaError(f"relation at index {pos} must be an object")
-        try:
-            src, type_name, dst, weight = raw["src"], raw["rel_type"], raw["dst"], raw["weight"]
-        except KeyError as exc:
-            raise SchemaError(f"relation at index {pos} is missing required field {exc}") from None
-        try:
-            code = _TYPE_CODES[type_name]
-        except (KeyError, TypeError):
-            raise SchemaError(f"relation at index {pos} has unknown rel_type "
-                              f"{type_name!r}") from None
-        if not _is_id(src):
-            raise SchemaError(f"relation at index {pos} has non-integer src {src!r}")
-        if code == VULN_CODE and type(dst) is not str:
-            raise SchemaError(f"relation at index {pos} is vulnerable_to, whose dst must be "
-                              f"a CVE id string, got {dst!r}")
-        if code != VULN_CODE and not _is_id(dst):
-            raise SchemaError(f"relation at index {pos} has non-integer dst {dst!r}")
-        if _floats([weight]) is None:
-            raise SchemaError(f"relation at index {pos} has weight {weight!r}, "
-                              "which is no float")
-    raise AssertionError("a column check failed but every row passes")
+def _check_relation(raw, pos: int) -> None:
+    if not isinstance(raw, dict):
+        raise SchemaError(f"relation at index {pos} must be an object")
+    try:
+        src, type_name, dst, weight = raw["src"], raw["rel_type"], raw["dst"], raw["weight"]
+    except KeyError as exc:
+        raise SchemaError(f"relation at index {pos} is missing required field {exc}") from None
+    try:
+        code = _TYPE_CODES[type_name]
+    except (KeyError, TypeError):
+        raise SchemaError(f"relation at index {pos} has unknown rel_type "
+                          f"{type_name!r}") from None
+    if not _is_id(src):
+        raise SchemaError(f"relation at index {pos} has non-integer src {src!r}")
+    if code == VULN_CODE and type(dst) is not str:
+        raise SchemaError(f"relation at index {pos} is vulnerable_to, whose dst must be "
+                          f"a CVE id string, got {dst!r}")
+    if code != VULN_CODE and not _is_id(dst):
+        raise SchemaError(f"relation at index {pos} has non-integer dst {dst!r}")
+    if _floats([weight]) is None:
+        raise SchemaError(f"relation at index {pos} has weight {weight!r}, which is no float")
 
 
 def _relation_doc(r: Relation) -> dict:
@@ -285,10 +260,9 @@ class SsckgGraph:
                  relations: RelationColumns | Sequence[Relation],
                  source_binary: str = "", clustering: Mapping | None = None):
         if not isinstance(relations, RelationColumns):
-            rows = list(relations)
-            relations = _relation_columns(
-                [r.src for r in rows], [r.rel_type for r in rows], [r.dst for r in rows],
-                [r.weight for r in rows], lambda: list(map(_relation_doc, rows)))
+            relations = _relations(list(map(_relation_doc, relations)))
+        if type(source_binary) is not str:
+            raise SchemaError(f"'source_binary' must be a string, got {source_binary!r}")
         self._build(list(entities), relations)
         self.source_binary = source_binary
         self.clustering = dict(clustering) if clustering else None
@@ -955,14 +929,28 @@ def _entity(raw, pos: int) -> Entity:
 
 
 def _relations(raw_rows: list) -> RelationColumns:
-    """The columns of a KG file's relation rows; a SchemaError names the
-    first faulty row."""
+    """The typed columns of JSON-shaped relation rows; a fault raises the
+    SchemaError of the first faulty row."""
     try:
-        columns = [list(map(itemgetter(key), raw_rows))
-                   for key in ("src", "rel_type", "dst", "weight")]
+        srcs, types, dsts, weights = (list(map(itemgetter(key), raw_rows))
+                                      for key in ("src", "rel_type", "dst", "weight"))
     except (KeyError, TypeError):  # a row is no object or lacks a field
-        _raise_first_relation_fault(raw_rows)
-    return _relation_columns(*columns, lambda: raw_rows)
+        _raise_first_fault(raw_rows, _check_relation)
+    src, code, weight = _int64(srcs), _codes(types, _TYPE_CODES), _floats(weights)
+    dst, cve = None, {}
+    if code is not None:
+        vuln = code == VULN_CODE
+        cve = {row: dsts[row] for row in np.flatnonzero(vuln).tolist()}
+        if not cve:
+            dst = _int64(dsts)
+        elif set(map(type, cve.values())) <= {str}:
+            entity_dst = _int64(list(compress(dsts, (~vuln).tolist())))
+            if entity_dst is not None:
+                dst = np.zeros(len(dsts), dtype=np.int64)
+                dst[~vuln] = entity_dst
+    if src is None or code is None or dst is None or weight is None:
+        _raise_first_fault(raw_rows, _check_relation)
+    return RelationColumns(src, code, dst, weight, cve)
 
 
 # The arrays of a KG file, as read_rows takes them: (convert, join).
@@ -976,7 +964,7 @@ def _ssckg(entities: list[Entity], relations: RelationColumns, doc: Mapping) -> 
     clustering = doc.get("clustering")
     if clustering is not None and type(clustering) is not dict:
         raise SchemaError(f"'clustering' must be an object or null, got {clustering!r}")
-    return SsckgGraph(entities, relations, source_binary=str(doc.get("source_binary", "")),
+    return SsckgGraph(entities, relations, source_binary=doc.get("source_binary", ""),
                       clustering=clustering)
 
 

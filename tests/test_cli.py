@@ -631,10 +631,14 @@ CORPUS_TRAILER = '{"trailer": {"accepted": 0, "failed": 0, "rejected": 0, "total
 
 REPORT_BAD_CONFIG = ["report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
                      "--outdir", "{tmp}/out"]
+INGEST_BAD_CPG = ["ingest", "--cpg", "{bad}", "--out", "{tmp}/c.json"]
+# JSON nested deeper than the decoder recurses.
+NESTED = "[" * 100_000 + "]" * 100_000
 
-# Damaged input files for the commands that read them: (file, content,
-# text the error must name, argv).  {bad} is the damaged file; {tmp},
-# {fx}, {toy} and {fw} are the scratch, fixture and report directories.
+# Damaged input files for the commands that read them: (file, content
+# as text or bytes, text the error must name, argv).  {bad} is the
+# damaged file; {tmp}, {fx}, {toy} and {fw} are the scratch, fixture and
+# report directories.
 BAD_INPUTS = {
     "fingerprint_truncated": (
         "repo/bad.json", '{"name": "x", "embeddings": [[0.1, 0.2', "{bad}",
@@ -816,6 +820,33 @@ BAD_INPUTS = {
         "lattice.json", '{"Hardware": 5}', "lattice file {bad}: lattice category 'Hardware'",
         ["lift", "--config", "{tmp}/cfg.json", "--cpg", "{fx}/toy_modbus.cpg.json",
          "--out", "{tmp}/corpus.jsonl"]),
+    "cpg_nested": ("cpg.json", NESTED, "CPG file {bad}: not valid JSON: maximum recursion "
+                   "depth exceeded", INGEST_BAD_CPG),
+    "kg_nested": ("kg.json", NESTED, "KG file {bad} is not valid JSON: maximum recursion depth "
+                  "exceeded", SCORE_BAD_KG),
+    "corpus_nested": ("corpus.jsonl", NESTED + "\n" + CORPUS_TRAILER,
+                      "corpus file {bad} line 1: maximum recursion depth exceeded",
+                      BUILD_BAD_CORPUS),
+    "config_nested": ("cfg.json", NESTED, "config file {bad} is not valid JSON: maximum "
+                      "recursion depth exceeded", REPORT_BAD_CONFIG),
+    "cpg_missing_kind": (
+        "cpg.json", '{"nodes": [{"id": 0, "function_id": 0, "block_id": 0}], "edges": []}',
+        "CPG file {bad}: node at index 0 is missing required field 'kind'", INGEST_BAD_CPG),
+    "cpg_null_binary_id": ("cpg.json", '{"binary_id": null, "nodes": [], "edges": []}',
+                           "CPG file {bad}: 'binary_id' must be a string, got None",
+                           INGEST_BAD_CPG),
+    "kg_null_source_binary": ("kg.json", json.dumps({**json.loads(kg_text()),
+                                                     "source_binary": None}),
+                              "KG file {bad}: 'source_binary' must be a string, got None",
+                              SCORE_BAD_KG),
+    "embeddings_padded_key": ("emb.json", '{"03": [0.1, 0.2]}',
+                              "embeddings file {bad}: key '03' is not an entity id",
+                              MATCH_BAD_EMBEDDINGS),
+    "cpg_not_utf8": ("cpg.json", b'{"nodes": [], "edges": [], "binary_id": "\xff"}',
+                     "CPG file {bad}: not valid JSON: 'utf-8' codec can't decode",
+                     INGEST_BAD_CPG),
+    "corpus_not_utf8": ("corpus.jsonl", b"\xff\n" + CORPUS_TRAILER.encode(),
+                        "corpus file {bad} is not valid UTF-8", BUILD_BAD_CORPUS),
     "fingerprint_non_integer_entity_id": (
         "repo/bad.json", '{"name": "x", "embeddings": [[0.1], [0.2], [0.3]],'
         ' "entity_ids": [true, 1.5, "2"]}', "{bad}: entity id True is not an integer",
@@ -835,7 +866,10 @@ def test_bad_input_file_gives_one_error_line(capsys, fixtures_dir, toy_run, firm
     name, content, needle, argv = BAD_INPUTS[probe]
     bad = tmp_path / name
     bad.parent.mkdir(parents=True, exist_ok=True)
-    bad.write_text(content, encoding="utf-8")
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content, encoding="utf-8")
     for side, text in SIDE_FILES.get(probe, {}).items():
         (tmp_path / side).write_text(text, encoding="utf-8")
     places = {"bad": bad, "tmp": tmp_path, "fx": fixtures_dir, "toy": toy_run,

@@ -5,6 +5,7 @@ was written."""
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -306,6 +307,42 @@ def test_first_fault_message_is_the_row_by_row_one(doc):
     with pytest.raises(SchemaError) as info:
         loads_cpg(json.dumps(doc))
     assert str(info.value) == expected
+
+
+def whole_rows(doc: dict) -> bool:
+    """Whether every row is an object that holds every required field."""
+    return (all(isinstance(raw, dict) and {"id", "kind", "function_id", "block_id"} <= raw.keys()
+                for raw in doc["nodes"])
+            and all(isinstance(raw, dict) and {"src", "dst", "kind"} <= raw.keys()
+                    for raw in doc["edges"]))
+
+
+@PROPERTY
+@given(faulty_documents().filter(whole_rows))
+def test_row_constructor_names_the_first_fault(doc):
+    # The row constructor converts its rows as the loaders do, so a faulty
+    # value in a row gives the loaders' error.
+    nodes = [CpgNode(**raw) for raw in doc["nodes"]]
+    edges = [CpgEdge(**raw) for raw in doc["edges"]]
+    expected = first_fault(doc)
+    if expected is None:
+        CpgGraph(nodes, edges)
+        return
+    with pytest.raises(SchemaError) as info:
+        CpgGraph(nodes, edges)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("binary_id", [None, 5, ["x"]])
+def test_binary_id_must_be_a_string(binary_id):
+    message = f"'binary_id' must be a string, got {binary_id!r}"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        loads_cpg(json.dumps({"binary_id": binary_id, "nodes": [], "edges": []}))
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        CpgGraph([], [], binary_id)
+    message = f"'source_binary' must be a string, got {binary_id!r}"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        SsckgGraph([], [], source_binary=binary_id)
 
 
 # --- the streamed CPG reader against the whole-tree reader -----------------------
@@ -624,7 +661,7 @@ def read_file(load, dump, path: Path) -> tuple[str, str]:
     """("ok", the canonical text) of what load reads from path, or its error."""
     try:
         return "ok", dump(load(path))
-    except (BinriskError, ValueError) as exc:  # a ValueError: text that is no UTF-8
+    except BinriskError as exc:
         return type(exc).__name__, str(exc)
 
 

@@ -18,6 +18,7 @@ from binrisk.errors import (
     ConfigError,
     CorruptFile,
     EmptyGraph,
+    SchemaError,
     ShapeMismatch,
     VersionMismatch,
 )
@@ -624,6 +625,14 @@ def test_params_meta_must_be_an_object(tmp_path):
         load_params(path)
 
 
+def test_params_meta_nested_too_deep_is_corrupt(tmp_path):
+    path = tmp_path / "w.npz"
+    nested = b"[" * 100_000 + b"]" * 100_000
+    np.savez(path, __meta__=np.frombuffer(nested, dtype=np.uint8))
+    with pytest.raises(CorruptFile, match=f"{re.escape(str(path))}: unreadable metadata"):
+        load_params(path)
+
+
 def test_params_expected_config_mismatch(tmp_path):
     path = tmp_path / "w.npz"
     save_params(init_params(SMALL), path)
@@ -666,3 +675,21 @@ def test_embeddings_file_round_trip(tmp_path):
         assert np.array_equal(e.vector, by_id[e.entity_id])
     assert dumps_embeddings(back) == dumps_embeddings(sorted(
         embs, key=lambda e: e.entity_id))
+
+
+@pytest.mark.parametrize("key", ["03", " 4", "3.0", "+3", "-0", "1_0", "x", ""])
+def test_embeddings_key_must_spell_an_entity_id(tmp_path, key):
+    # int() reads "03" as 3: loading {"3": ..., "03": ...} would give
+    # entity 3 twice.
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps({"3": [0.1, 0.2], key: [0.3, 0.4]}), encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_embeddings(path)
+    assert str(info.value) == f"embeddings file {path}: key {key!r} is not an entity id"
+
+
+def test_embeddings_keys_are_signed_integers(tmp_path):
+    path = tmp_path / "emb.json"
+    path.write_text('{"12": [1.0], "-1": [2.0], "0": [3.0]}', encoding="utf-8")
+    assert [(e.entity_id, e.vector.tolist()) for e in load_embeddings(path)] == [
+        (-1, [2.0]), (0, [3.0]), (12, [1.0])]

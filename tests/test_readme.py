@@ -1,0 +1,30 @@
+"""The README's "Library use" examples run as written."""
+
+import re
+from pathlib import Path
+
+from binrisk.cpg import dumps_cpg
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def library_snippets() -> list[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
+
+
+def test_library_use_snippets_run(tmp_path, monkeypatch, capsys):
+    snippets = library_snippets()
+    assert len(snippets) == 3
+    # The snippets name fixtures/ and build/ relative to the checkout;
+    # run them beside a link to the fixtures so build/ is made here.
+    (tmp_path / "fixtures").symlink_to(ROOT / "fixtures", target_is_directory=True)
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    for snippet in snippets:  # later snippets use the names of earlier ones
+        exec(compile(snippet, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.startswith("[(")
+    assert len(namespace["embeddings"]) == len(namespace["kg"])
+    written = (tmp_path / "build" / "toy_modbus.cpg.json").read_text(encoding="utf-8")
+    assert written == dumps_cpg(namespace["g"])
