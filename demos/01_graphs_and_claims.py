@@ -13,6 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 from binrisk import DataFlowClaim, SchemaError, load_cpg, loads_cpg, verify_claims
+from binrisk.cpg import EDGE_KINDS
 from binrisk.lifting import function_subgraph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -20,9 +21,10 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def main():
     g = load_cpg(FIXTURES / "toy_modbus.cpg.json")
-    print(f"loaded '{g.binary_id}': {len(g.nodes)} nodes, {len(g.edges)} edges")
+    # the graph is stored as columns: one array per node or edge field
+    print(f"loaded '{g.binary_id}': {len(g)} nodes, {len(g.edge_src)} edges")
 
-    kinds = Counter(e.kind.value for e in g.edges)
+    kinds = Counter(EDGE_KINDS[code].value for code in g.edge_kind.tolist())
     print("edge kinds:", dict(sorted(kinds.items())))
 
     print("\nfunctions:")

@@ -39,7 +39,7 @@ def main():
     provider = HashEmbedder(dimension=384, seed=42)
 
     corpus = build_corpus(g, g.function_ids, RuleAnnotator(load_rules(FIXTURES / "rules.json"), lat))
-    print(f"'{g.binary_id}': {len(g.nodes)} nodes, "
+    print(f"'{g.binary_id}': {len(g)} nodes, "
           f"{len(corpus.accepted)} lifted functions")
 
     entities = structural_collapse(g, Granularity.FUNCTION, corpus)

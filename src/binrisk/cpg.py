@@ -41,11 +41,11 @@ want rows.  The pipeline reads only the columns, and so does an
 annotator's one-function view (``lifting.function_subgraph``).
 
 One converter per array, ``_node_columns`` and ``_edge_columns``, turns
-JSON-shaped rows into typed columns, for the streamed reader (a chunk of
-rows at a time), the whole-tree reader (nodes before edges) and the row
-constructor ``CpgGraph(nodes, edges)``.  It checks all its rows at once
-and, only when a check fails, walks them for the first offender, so the
-error names the same row and field whatever the size of the input.  The
+JSON-shaped rows into typed columns, for the reader (a chunk of rows at
+a time) and the row constructor ``CpgGraph(nodes, edges)``.  It checks
+all its rows at once and, only when a check fails, walks them for the
+first offender, so the error names the same row (by its index in the
+whole array) and field whatever the size of the input.  The
 core takes the typed columns, checks ids across the graph and puts them
 in canonical order.  Graphs are immutable after construction; the
 indexes over them (``function_rows``, the rows of each function, and
@@ -55,15 +55,16 @@ walks) are built on first use and cached.
 Neither direction holds a whole file's structure.  ``load_cpg`` reads
 the file in windows (``errors.read_rows``) and converts each chunk of
 ``nodes`` or ``edges`` rows before it decodes the next, so neither the
-file's text nor a JSON tree of the whole graph is held; a fault, or
-text the chunks cannot be cut from, is read again as one tree, which
-names the first fault.  ``cpg_chunks`` fills the row templates a block
-of rows at a time, and ``dumps_cpg`` is its join.
+file's text nor a JSON tree of the whole graph is held.  A faulty file
+is read the same way: the first fault is named as a reading of the
+whole file would name it, a syntax fault anywhere first, then the
+document's fields, the node rows and the edge rows.  ``cpg_chunks``
+fills the row templates a block of rows at a time, and ``dumps_cpg`` is
+its join.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -76,8 +77,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, Te
 
 import numpy as np
 
-from .errors import (ParseError, SchemaError, UnknownNode, _WholeTree, collector_paused,
-                     json_chunks, read_rows)
+from .errors import ParseError, SchemaError, UnknownNode, collector_paused, json_chunks, read_rows
 
 
 class NodeKind(str, Enum):
@@ -144,8 +144,8 @@ class CpgGraph:
     def __init__(self, nodes: Sequence[CpgNode], edges: Sequence[CpgEdge],
                  binary_id: str = ""):
         interned: dict[str, str] = {}
-        self._build(binary_id, _node_columns(list(map(_node_doc, nodes)), interned),
-                    _edge_columns(list(map(_edge_doc, edges)), interned))
+        self._build(binary_id, _node_columns(list(map(_node_doc, nodes)), 0, interned),
+                    _edge_columns(list(map(_edge_doc, edges)), 0, interned))
 
     @classmethod
     def _from_columns(cls, binary_id: str, node_columns: tuple,
@@ -321,9 +321,11 @@ def _is_id(value) -> bool:
     return type(value) is int and value in _INT64
 
 
-def _raise_first_fault(rows: Sequence, check: Callable[[object, int], None]) -> NoReturn:
-    """Raise the SchemaError check gives the first faulty row."""
-    for pos, raw in enumerate(rows):
+def _raise_first_fault(rows: Sequence, start: int,
+                       check: Callable[[object, int], None]) -> NoReturn:
+    """Raise the SchemaError check gives the first faulty row, each row
+    named by its index, counted from start."""
+    for pos, raw in enumerate(rows, start):
         check(raw, pos)
     raise AssertionError("a column check failed but every row passes")
 
@@ -395,43 +397,46 @@ _NO_ATTRS: dict = {}  # shared by every row without attrs; never written to
 
 def loads_cpg(text: str) -> CpgGraph:
     """Parse and validate a graph document, as ``load_cpg`` reads a file."""
-    return _read_cpg(text, lambda: text)
+    return _read_cpg(text)
 
 
 def load_cpg(path: str | Path) -> CpgGraph:
     """Parse and validate a graph file, preserving node and edge counts.
 
     ``errors.read_rows`` reads the file in windows, and each chunk of
-    node or edge rows becomes typed columns before the next is decoded.
-    Anything the streamed reader does not take (a fault, or a string
-    holding a row separator) is read again as one tree, whose error names
-    the first fault.  A ParseError or SchemaError names the file.
+    node or edge rows becomes typed columns before the next is decoded,
+    for a faulty file too.  The error names the first fault: a syntax
+    fault anywhere in the file, then the document's fields, then the
+    node rows, the edge rows and the graph.  A ParseError or SchemaError
+    names the file.
     """
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as source:
-            return _read_cpg(source, lambda: path.read_text(encoding="utf-8"))
+            return _read_cpg(source)
     except (ParseError, SchemaError) as exc:
         raise type(exc)(f"CPG file {path}: {exc}") from None
-    except UnicodeDecodeError as exc:  # the whole-tree read of a file that is no UTF-8
-        raise ParseError(f"CPG file {path}: not valid JSON: {exc}") from None
 
 
-def _read_cpg(source: str | TextIO, text: Callable[[], str]) -> CpgGraph:
+def _read_cpg(source: str | TextIO) -> CpgGraph:
+    interned: dict[str, str] = {}
     with collector_paused():
         try:
-            return _loads_streamed(source)
-        except _WholeTree:
-            return _loads_tree(text())
-
-
-def _loads_streamed(source: str | TextIO) -> CpgGraph:
-    """The graph of a well-formed document; raises _WholeTree."""
-    interned: dict[str, str] = {}
-    doc, columns = read_rows(source, {
-        "nodes": (partial(_node_columns, interned=interned), _joined),
-        "edges": (partial(_edge_columns, interned=interned), _joined)})
-    return CpgGraph._from_columns(doc.get("binary_id", ""), columns["nodes"], columns["edges"])
+            doc, columns = read_rows(source, {
+                "nodes": (partial(_node_columns, interned=interned), _joined),
+                "edges": (partial(_edge_columns, interned=interned), _joined)})
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+            raise ParseError(f"not valid JSON: {exc}") from None
+        for key in ("nodes", "edges"):
+            if key not in doc and key not in columns:
+                raise SchemaError(f"document is missing required field '{key}'")
+        if "nodes" in doc or "edges" in doc:
+            raise SchemaError("document 'nodes' and 'edges' must be lists")
+        for key in ("nodes", "edges"):
+            if isinstance(columns[key], Exception):  # the first faulty row
+                raise columns[key]
+        return CpgGraph._from_columns(doc.get("binary_id", ""), columns["nodes"],
+                                      columns["edges"])
 
 
 def _joined(parts: list[tuple]) -> tuple:
@@ -440,21 +445,22 @@ def _joined(parts: list[tuple]) -> tuple:
                  else list(chain.from_iterable(column)) for column in zip(*parts))
 
 
-def _node_columns(rows: list, interned: dict[str, str]) -> tuple:
+def _node_columns(rows: list, start: int, interned: dict[str, str]) -> tuple:
     """The typed columns of JSON-shaped node rows: int64 ids, int8 kind
     codes, int64 function and block ids, str opcodes, and each row's
     attrs as a dict of str (``_NO_ATTRS`` for a row without).
 
-    A fault raises the SchemaError of the first faulty row.
+    A fault raises the SchemaError of the first faulty row, which is named
+    by its index in the array, start being that of the first row here.
     """
     try:
         ids, kinds, functions, blocks = (_column(rows, key) for key in _NODE_KEYS)
         opcodes, attrs = _column(rows, "opcode", ""), _column(rows, "attrs", _NO_ATTRS)
     except (KeyError, TypeError, AttributeError):  # a row is no object or lacks a field
-        _raise_first_fault(rows, _check_node)
+        _raise_first_fault(rows, start, _check_node)
     typed = (_int64(ids), _codes(kinds, _NODE_CODES), _int64(functions), _int64(blocks))
     if any(column is None for column in typed) or not set(map(type, attrs)) <= {dict}:
-        _raise_first_fault(rows, _check_node)
+        _raise_first_fault(rows, start, _check_node)
     opcodes = _strs(opcodes)
     attrs = [a or _NO_ATTRS for a in attrs]
     if not set(map(type, chain.from_iterable(chain(a, a.values()) for a in attrs))) <= {str}:
@@ -462,42 +468,23 @@ def _node_columns(rows: list, interned: dict[str, str]) -> tuple:
     return (*typed, list(map(interned.setdefault, opcodes, opcodes)), attrs)
 
 
-def _edge_columns(rows: list, interned: dict[str, str]) -> tuple:
+def _edge_columns(rows: list, start: int, interned: dict[str, str]) -> tuple:
     """The typed columns of JSON-shaped edge rows: int64 endpoints, int8
     kind codes and str labels.
 
-    A fault raises the SchemaError of the first faulty row.
+    A fault raises the SchemaError of the first faulty row, as
+    ``_node_columns`` does.
     """
     try:
         srcs, dsts, kinds = (_column(rows, key) for key in _EDGE_KEYS)
         labels = _column(rows, "label", "")
     except (KeyError, TypeError, AttributeError):  # a row is no object or lacks a field
-        _raise_first_fault(rows, _check_edge)
+        _raise_first_fault(rows, start, _check_edge)
     typed = (_int64(srcs), _int64(dsts), _codes(kinds, _EDGE_CODES))
     if any(column is None for column in typed):
-        _raise_first_fault(rows, _check_edge)
+        _raise_first_fault(rows, start, _check_edge)
     labels = _strs(labels)
     return (*typed, list(map(interned.setdefault, labels, labels)))
-
-
-def _loads_tree(text: str) -> CpgGraph:
-    """The whole-tree reader, which names the first fault of any document."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level document must be an object")
-    try:
-        raw_nodes = doc["nodes"]
-        raw_edges = doc["edges"]
-    except KeyError as exc:
-        raise SchemaError(f"document is missing required field {exc}") from None
-    if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
-        raise SchemaError("document 'nodes' and 'edges' must be lists")
-    interned: dict[str, str] = {}
-    return CpgGraph._from_columns(doc.get("binary_id", ""), _node_columns(raw_nodes, interned),
-                                  _edge_columns(raw_edges, interned))
 
 
 def _node_template(kind: NodeKind) -> str:

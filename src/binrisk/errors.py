@@ -3,7 +3,7 @@
 Everything raised on purpose derives from BinriskError so callers can
 catch one base class at the CLI boundary.
 
-``read_json`` reads a JSON file whole and ``dumps_json`` is the one
+``read_json`` reads a small JSON file whole and ``dumps_json`` is the one
 JSON writer.  Every JSON file the package writes, and every summary the
 CLI prints, has the canonical byte form ``dumps_json`` produces:
 two-space indent, sorted keys, non-ASCII text as ``\\u`` escapes and a
@@ -16,14 +16,17 @@ The two large inputs (CPG, knowledge graph) are read by ``read_rows``,
 which walks the top-level object through a window of the text and
 hands each of its large arrays to a converter a chunk of rows at a
 time, so neither the whole text nor its JSON tree is held.  The
-converter is the one its format has for that array, which the
-whole-tree reader and the row constructor use too.  ``read_rows`` takes
-only well-formed text: anything else, a converter's error included,
-raises ``_WholeTree``, and the caller reads the file again whole, whose
-error names the first fault.  JSON nested deeper than the decoder
-recurses is a ParseError like any other text that is no JSON.
+converter is the one its format has for that array, which the row
+constructor uses too.  ``read_rows`` is the only reader of those files,
+faulty or not: a chunk that does not decode is scanned again one row at
+a time, a syntax fault raises the error ``json.loads`` would give for
+the whole text, and a converter's error is held until the rest of the
+text has been decoded, so that a syntax fault further on comes first.
+JSON nested deeper than the decoder recurses is a ParseError like any
+other text that is no JSON.
 """
 
+import codecs
 import gc
 import json
 import re
@@ -32,7 +35,7 @@ from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NoReturn, TextIO
+from typing import BinaryIO, Callable, Iterator, Mapping, TextIO
 
 
 class BinriskError(Exception):
@@ -148,14 +151,8 @@ _SCAN = make_scanner(json.JSONDecoder())
 # row that ends its array (unless a string holds the same characters).
 _ROW_END = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*(?=\{)")
 _LAST_ROW_END = re.compile(r"\}[ \t\n\r]*\]")
-
-
-class _WholeTree(Exception):
-    """The streamed reader met text that only the whole-tree reader takes."""
-
-
-def _whole_tree() -> NoReturn:
-    raise _WholeTree
+# How far past the end of a value or fault the scanner may have looked.
+_LOOKAHEAD = 16
 
 
 @contextmanager
@@ -180,13 +177,16 @@ def _scan_key(text: str, pos: int) -> tuple[str, int]:
 
 class _Window:
     """The text of a source, a str or a text file read ``_CHUNK``
-    characters at a time.  ``text[pos:]`` has been read but not walked;
-    reading more drops the text before pos."""
+    characters at a time (``io.StringIO`` would hold a str again, at four
+    bytes a character).  ``text[pos:]`` has been read but not walked;
+    reading more drops the text before pos, keeping its length
+    (``start``), its newlines and where its last line starts, so that a
+    fault is named by its place in the whole text."""
 
     def __init__(self, source: str | TextIO):
         self.read = None if isinstance(source, str) else source.read
         self.text = source if self.read is None else ""
-        self.pos = 0
+        self.pos = self.start = self.lines = self.line_start = 0
 
     def more(self, size: int = 0) -> bool:
         """Read at least ``_CHUNK`` and at least size more characters;
@@ -195,9 +195,20 @@ class _Window:
         if not chunk:
             self.read = None
             return False
-        self.text = self.text[self.pos:] + chunk
-        self.pos = 0
+        text, pos = self.text, self.pos
+        self.lines += text.count("\n", 0, pos)
+        if (newline := text.rfind("\n", 0, pos)) >= 0:
+            self.line_start = self.start + newline + 1
+        self.start += pos
+        self.text, self.pos = text[pos:] + chunk, 0
         return True
+
+    def error(self, message: str, pos: int) -> ValueError:
+        """The error ``json.loads`` gives the whole text for a fault at pos."""
+        line = self.lines + self.text.count("\n", 0, pos) + 1
+        newline = self.text.rfind("\n", 0, pos)
+        column = pos - newline if newline >= 0 else self.start + pos - self.line_start + 1
+        return ValueError(f"{message}: line {line} column {column} (char {self.start + pos})")
 
     def peek(self) -> str:
         """Skip whitespace: the next character, or "" at the end."""
@@ -206,28 +217,39 @@ class _Window:
             if self.pos < len(self.text) or not self.more():
                 return self.text[self.pos:self.pos + 1]
 
+    def expect(self, mark: str, message: str) -> None:
+        """Step past mark, the next character, or raise message."""
+        if self.peek() != mark:
+            raise self.error(message, self.pos)
+        self.pos += 1
+
     def value(self, scan: Callable):
         """The value ``scan(text, pos)`` reads at pos, once the window
-        holds all of it (a number cut at the window's end looks whole)."""
+        holds all of it and what the scanner looks at past it; a fault
+        raises the error ``json.loads`` names it by."""
         while True:
+            fault = None
             try:
                 value, end = scan(self.text, self.pos)
-            except (StopIteration, ValueError):
-                end = None
-            if end is not None and (end < len(self.text) or self.read is None):
+            except StopIteration as exc:
+                fault, end = "Expecting value", exc.value
+            except json.JSONDecodeError as exc:
+                fault, end = exc.msg, exc.pos
+            if self.read is None or (end + _LOOKAHEAD < len(self.text) and not (
+                    fault or "").startswith("Unterminated")):
+                if fault:
+                    raise self.error(fault, end)
                 self.pos = end
                 return value
-            # Doubling the window reads a long value in linear time.
-            if not self.more(len(self.text) - self.pos):
-                _whole_tree()
+            self.more(len(self.text) - self.pos)  # doubling: linear in a long value
 
-    def rows(self, convert: Callable[[list], object]) -> list:
-        """convert(rows) of each chunk of rows of the array at pos, in order."""
+    def rows(self, take: Callable[[list], None]) -> None:
+        """take(rows) for each chunk of rows of the array at pos, in order
+        (an empty array is one empty chunk)."""
         self.pos += 1
         if self.peek() == "]":
             self.pos += 1
-            return [convert([])]
-        parts = []
+            return take([])
         while True:
             text, pos = self.text, self.pos
             # One search per window: the text before pos holds no row end.
@@ -235,20 +257,46 @@ class _Window:
             stop = last.start() + 1 if last else len(text)
             while True:
                 cut = _ROW_END.search(text, pos + _CHUNK, stop)
-                if cut is None and last is None:
+                if cut is None and last is None:  # no row ends in the window
+                    self.pos = pos
+                    if len(text) - pos > 2 * _CHUNK:  # rows that are no objects, or a long one
+                        if self.walk(take, self.start + len(text)):
+                            return
+                    elif not self.more(len(text) - pos):
+                        self.walk(take, None)
+                        return
                     break
                 end = cut.start() + 1 if cut else stop
                 try:
-                    parts.append(convert(json.loads("[" + text[pos:end] + "]")))
-                except Exception:  # any fault: the whole-tree reader is the one to name it
-                    _whole_tree()
+                    rows = json.loads("[" + text[pos:end] + "]")
+                except (ValueError, RecursionError):  # a fault, or not cut between rows
+                    self.pos = pos
+                    # Scan at least a chunk's worth: a part per row costs more than its rows.
+                    if self.walk(take, self.start + max(end, pos + _CHUNK)):
+                        return
+                    break
+                take(rows)
+                del rows
                 if cut is None:
                     self.pos = last.end()
-                    return parts
+                    return
                 pos = cut.end()
-            self.pos = pos
-            if not self.more(len(text) - pos):
-                _whole_tree()
+
+    def walk(self, take: Callable[[list], None], until: int | None) -> bool:
+        """take(rows) of the rows from pos, scanned one at a time as
+        ``json.loads`` scans an array, up to the first comma at or past
+        offset until (None: the array's end); True if the array ended."""
+        rows = []
+        while True:
+            self.peek()
+            rows.append(self.value(_SCAN))
+            mark = self.peek()
+            if mark == "]" or (mark == "," and until is not None
+                               and self.start + self.pos >= until):
+                self.pos += 1
+                take(rows)
+                return mark == "]"
+            self.expect(",", "Expecting ',' delimiter")
 
 
 def read_rows(source: str | TextIO,
@@ -256,56 +304,112 @@ def read_rows(source: str | TextIO,
     """Walk the JSON object that is all of source, a str or a text file.
 
     ``arrays`` maps a key to a pair ``(convert, join)``.  Returns the
-    object's other values (for a repeated key, the last one, as
-    ``json.loads`` keeps them), and the array of each key of ``arrays``
-    as ``join(parts)``, where parts holds ``convert(rows)`` for each chunk
-    of the array's rows, in order (an empty array is one empty chunk).
+    object's other values, with each key of ``arrays`` whose value is no
+    array (for a repeated key, the last one, as ``json.loads`` keeps
+    them), and the value of each key of ``arrays`` that is an array:
+    ``join(parts)``, where parts holds ``convert(rows, start)`` for each
+    chunk of its rows, start being the index of the chunk's first row,
+    or the first error convert raised, after which the rows are decoded
+    but not converted.  Each caller decides what a missing array means.
 
     A chunk is about ``_CHUNK`` characters of whole rows, decoded by one
     ``json.loads`` call.  It is cut only before a row's opening brace, and
     a cut inside a string or a nested value leaves invalid JSON, so a
-    chunk that decodes was cut between rows.  The window holds about two
-    chunks of the text, and each array is joined as soon as it ends.
+    chunk that decodes was cut between rows; one that does not (a fault,
+    a string holding the characters cut at) is scanned one row at a time.
+    The window holds about two chunks of the text, and each array is
+    joined as soon as it ends.
 
-    Raises _WholeTree on anything else: text that is not valid JSON, a
-    BOM or text after the object, a key of ``arrays`` that is missing or
-    holds no array of objects, a converter that raises, or a string that
-    holds the characters an array is cut at.
+    Text ``json.loads`` would not take raises the ValueError or
+    RecursionError it would raise for the whole file: a byte that is no
+    UTF-8, then a BOM, then the first fault.  Valid JSON that is no
+    object raises SchemaError.
     """
-    if not isinstance(source, str) and not hasattr(source, "read"):
-        _whole_tree()  # bytes, which json.loads also takes
     window = _Window(source)
-    doc, arrays_read = {}, {}
     try:
-        if window.peek() != "{":
-            _whole_tree()
-        window.pos += 1
-        while True:
-            if window.peek() != '"':
-                _whole_tree()
-            key = window.value(_scan_key)
-            if window.peek() != ":":
-                _whole_tree()
-            window.pos += 1
-            if key in arrays and window.peek() == "[":
-                convert, join = arrays[key]
-                arrays_read[key] = join(window.rows(convert))
-            else:
-                arrays_read.pop(key, None)
-                window.peek()
-                doc[key] = window.value(_SCAN)
-            mark = window.peek()
-            window.pos += 1
-            if mark == "}":
-                break
-            if mark != ",":
-                _whole_tree()
-        tail = window.peek()
-    except (StopIteration, ValueError, RecursionError):  # ValueError covers a UnicodeDecodeError
-        _whole_tree()
-    if tail or arrays_read.keys() != arrays.keys():
-        _whole_tree()
-    return doc, arrays_read
+        try:
+            return _read_object(window, arrays)
+        except (ValueError, RecursionError) as exc:
+            while not isinstance(exc, UnicodeDecodeError) and window.read and window.read(_CHUNK):
+                pass  # a byte that is no UTF-8 further on comes first
+            raise
+    except UnicodeDecodeError as exc:
+        raise ValueError(_undecodable(source.buffer, exc)) from None
+
+
+def _read_object(window: _Window, arrays: Mapping[str, tuple[Callable, Callable]]) -> tuple:
+    window.more()
+    if window.text.startswith("\ufeff"):
+        raise window.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+    doc, read = {}, {}
+    if (mark := window.peek()) != "{":
+        if mark == "[":
+            window.rows(lambda rows: None)
+        else:
+            window.value(_SCAN)
+        if window.peek():
+            raise window.error("Extra data", window.pos)
+        raise SchemaError("top-level document must be an object")
+    window.pos += 1
+    mark = "}" if window.peek() == "}" else ","
+    while mark == ",":
+        if window.peek() != '"':
+            raise window.error("Expecting property name enclosed in double quotes", window.pos)
+        key = window.value(_scan_key)
+        window.expect(":", "Expecting ':' delimiter")
+        doc.pop(key, None)  # the last copy of a key counts
+        read.pop(key, None)
+        if key in arrays and window.peek() == "[":
+            read[key] = _converted(window, *arrays[key])
+        else:
+            window.peek()
+            doc[key] = window.value(_SCAN)
+        if (mark := window.peek()) != "}":
+            window.expect(",", "Expecting ',' delimiter")
+    window.pos += 1
+    if window.peek():
+        raise window.error("Extra data", window.pos)
+    return doc, read
+
+
+def _converted(window: _Window, convert: Callable, join: Callable) -> object | BinriskError:
+    """join(parts) of the array at the window's pos, or the first error
+    convert raised, held while the rest is decoded: a syntax fault comes
+    first."""
+    parts, start = [], 0
+
+    def take(rows: list) -> None:
+        nonlocal parts, start
+        if isinstance(parts, list):
+            try:
+                parts.append(convert(rows, start))
+            except BinriskError as exc:
+                parts = exc
+        start += len(rows)
+
+    window.rows(take)
+    return join(parts) if isinstance(parts, list) else parts
+
+
+def _undecodable(raw: BinaryIO, found: UnicodeDecodeError) -> str:
+    """The message of the UnicodeDecodeError that decoding all of the
+    binary file raw as UTF-8 raises, found a block at a time (or that of
+    found, which reading the file raised, if it decodes now)."""
+    raw.seek(0)
+    decoder, done = codecs.getincrementaldecoder("utf-8")(), 0
+    while True:
+        block = raw.read(_CHUNK)
+        try:
+            decoder.decode(block, final=not block)
+        except UnicodeDecodeError as exc:
+            shift = done - len(exc.object) + len(block)  # exc.object holds the cut bytes before
+            start, end = exc.start + shift, exc.end + shift
+            where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+                     if end == start + 1 else f"bytes in position {start}-{end - 1}")
+            return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
+        if not block:
+            return str(found)
+        done += len(block)
 
 
 def dumps_json(doc) -> str:

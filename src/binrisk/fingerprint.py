@@ -32,6 +32,7 @@ from .errors import (
     read_json,
 )
 from .graphormer import NodeEmbedding
+from .ssckg import _floats
 
 MALICIOUS = "malicious"
 BENIGN = "benign"
@@ -241,24 +242,26 @@ def load_fingerprint(path: str | Path) -> Fingerprint:
     for key in ("name", "embeddings"):
         if key not in doc:
             raise SchemaError(f"fingerprint file {path} is missing '{key}'")
-    try:
-        vectors = [np.asarray(v, dtype=np.float64) for v in doc["embeddings"]]
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"fingerprint file {path}: {exc}") from None
+    name, provenance, rows = doc["name"], doc.get("provenance", ""), doc["embeddings"]
+    for key, value in (("name", name), ("provenance", provenance)):
+        if type(value) is not str:
+            raise SchemaError(f"fingerprint file {path}: '{key}' must be a string, got {value!r}")
+    # A bool or a numeric string is no vector value, though np.asarray takes it.
+    vectors = [_floats(row) if type(row) is list else None
+               for row in (rows if type(rows) is list else [None])]
+    if not all(v is not None and np.isfinite(v).all() for v in vectors):
+        raise SchemaError(f"fingerprint file {path}: every embedding must be "
+                          "a flat list of finite numbers")
     ids = doc.get("entity_ids", list(range(len(vectors))))
     if not isinstance(ids, list):
         raise SchemaError(f"fingerprint file {path}: entity_ids must be a list, got {ids!r}")
     for i in ids:
         if type(i) is not int:  # not a boolean, a float or a string
             raise SchemaError(f"fingerprint file {path}: entity id {i!r} is not an integer")
-    if any(v.ndim != 1 for v in vectors):
-        raise SchemaError(f"fingerprint file {path}: every embedding must be "
-                          "a flat list of numbers")
     if len(ids) != len(vectors):
         raise SchemaError(f"fingerprint file {path}: entity_ids length mismatch")
     nodes = tuple(NodeEmbedding(entity_id=i, vector=v) for i, v in zip(ids, vectors))
-    return Fingerprint(name=str(doc["name"]), node_embeddings=nodes,
-                       provenance=str(doc.get("provenance", "")))
+    return Fingerprint(name=name, node_embeddings=nodes, provenance=provenance)
 
 
 def load_repository(directory: str | Path) -> list[Fingerprint]:

@@ -315,11 +315,14 @@ def stage_threshold(scores_path: str | Path, cfg: PipelineConfig,
                     out_path: str | Path) -> dict:
     """Pick the alert threshold from a JSON list of {score, label} rows."""
     doc = read_json(scores_path, "scores file")
-    try:
-        scores = [(float(row["score"]), str(row["label"])) for row in doc]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"scores file {scores_path}: every row needs a numeric "
-                          f"'score' and a 'label' ({type(exc).__name__}: {exc})") from None
+    if not isinstance(doc, list):
+        raise SchemaError(f"scores file {scores_path} must be a JSON list")
+    for pos, row in enumerate(doc):
+        if not (isinstance(row, dict) and _finite_number(row.get("score"))
+                and type(row.get("label")) is str):
+            raise SchemaError(f"scores file {scores_path}: row {pos} needs a finite numeric "
+                              "'score' and a string 'label'")
+    scores = [(float(row["score"]), row["label"]) for row in doc]
     report = select_threshold(scores, grid_lo=cfg.grid_lo, grid_hi=cfg.grid_hi,
                               grid_step=cfg.grid_step, fpr_cap=cfg.fpr_cap)
     out = {

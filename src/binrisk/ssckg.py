@@ -29,13 +29,14 @@ columns, ``SsckgGraph.relations`` and ``entity_relations`` build
 booleans, and every weight is finite and positive.
 
 One converter, ``_relations``, turns JSON-shaped relation rows into
-columns, for the streamed reader, the whole-tree reader and the row
-constructor ``SsckgGraph(entities, relations)``; as ``cpg``'s
-converters do, it walks the rows for the first offender only when a
-check over all of them fails.  ``load_ssckg`` reads the file in windows
-(``errors.read_rows``) and turns each chunk of entity rows into
-entities, and each chunk of relation rows into columns, before it
-decodes the next; a fault is read again as one tree, which names it.
+columns, for the reader and the row constructor ``SsckgGraph(entities,
+relations)``; as ``cpg``'s converters do, it walks the rows for the
+first offender only when a check over all of them fails.
+``load_ssckg`` reads the file in windows (``errors.read_rows``) and
+turns each chunk of entity rows into entities, and each chunk of
+relation rows into columns, before it decodes the next, for a faulty
+file too, whose first fault it names as a reading of the whole file
+would.
 ``dumps_ssckg`` is the join of ``ssckg_chunks``, which writes the bytes
 ``errors.dumps_json`` would a block of rows at a time, each relation
 filled into a row template.
@@ -59,7 +60,7 @@ import numpy as np
 from .cpg import (AST_CODE, PDG_CODE, CpgGraph, _codes, _int64, _is_id, _raise_first_fault,
                   _search, group_rows)
 from .embedding import EmbeddingVector, cosine, stack
-from .errors import (SchemaError, ZeroVector, _WholeTree, collector_paused, json_chunks,
+from .errors import (ParseError, SchemaError, ZeroVector, collector_paused, json_chunks,
                      json_value, read_json, read_rows)
 from .lattice import TOP, Label, join, leq
 from .lifting import Annotation, VerifiedCorpus
@@ -852,41 +853,34 @@ def load_ssckg(path: str | Path) -> SsckgGraph:
 
     ``errors.read_rows`` reads the file in windows: each chunk of entity
     rows becomes ``Entity`` objects, and each chunk of relation rows a
-    part of the relation columns, before the next chunk is decoded.
-    Anything the streamed reader does not take (a fault, or a string
-    holding a row separator) is read again as one tree, whose error names
-    the first fault.
+    part of the relation columns, before the next chunk is decoded, for a
+    faulty file too.  The error names the first fault: a syntax fault
+    anywhere in the file, then the entities, the relations, the
+    clustering and the graph.  A missing array is an empty one.
     """
     try:
         with collector_paused():
-            try:
-                with open(path, encoding="utf-8") as source:
+            with open(path, encoding="utf-8") as source:
+                try:
                     doc, rows = read_rows(source, _KG_ARRAYS)
-                return _ssckg(rows["entities"], rows["relations"], doc)
-            except _WholeTree:
-                return _ssckg_from_doc(read_json(path, "KG file"))
+                except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+                    raise ParseError(f"KG file {path} is not valid JSON: {exc}") from None
+            for key in _KG_ARRAYS:
+                if key in doc:
+                    raise SchemaError(f"'{key}' must be a list")
+                if isinstance(rows.get(key), Exception):  # the first faulty row
+                    raise rows[key]
+            relations = rows["relations"] if "relations" in rows else _relations([])
+            return _ssckg(rows.get("entities", []), relations, doc)
     except SchemaError as exc:
         raise SchemaError(f"KG file {path}: {exc}") from None
 
 
-def _ssckg_from_doc(doc) -> SsckgGraph:
-    """The whole-tree reader, which names the first fault of any document."""
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level document must be an object")
-    return _ssckg(_entities(_rows(doc, "entities")), _relations(_rows(doc, "relations")), doc)
-
-
-def _rows(doc: Mapping, key: str) -> list:
-    rows = doc.get(key, [])
-    if not isinstance(rows, list):
-        raise SchemaError(f"'{key}' must be a list")
-    return rows
-
-
-def _entities(raw_rows: list) -> list[Entity]:
+def _entities(raw_rows: list, start: int = 0) -> list[Entity]:
     """The entities of a KG file's rows; a SchemaError names the first
-    faulty row (by its index in raw_rows) and field."""
-    return [_entity(raw, pos) for pos, raw in enumerate(raw_rows)]
+    faulty row (by its index in the array, start being that of the first
+    row here) and field."""
+    return [_entity(raw, pos) for pos, raw in enumerate(raw_rows, start)]
 
 
 def _entity(raw, pos: int) -> Entity:
@@ -928,14 +922,14 @@ def _entity(raw, pos: int) -> Entity:
                   summary=summary, embedding=emb, external=external, cluster_id=cluster_id)
 
 
-def _relations(raw_rows: list) -> RelationColumns:
+def _relations(raw_rows: list, start: int = 0) -> RelationColumns:
     """The typed columns of JSON-shaped relation rows; a fault raises the
-    SchemaError of the first faulty row."""
+    SchemaError of the first faulty row, named as by ``_entities``."""
     try:
         srcs, types, dsts, weights = (list(map(itemgetter(key), raw_rows))
                                       for key in ("src", "rel_type", "dst", "weight"))
     except (KeyError, TypeError):  # a row is no object or lacks a field
-        _raise_first_fault(raw_rows, _check_relation)
+        _raise_first_fault(raw_rows, start, _check_relation)
     src, code, weight = _int64(srcs), _codes(types, _TYPE_CODES), _floats(weights)
     dst, cve = None, {}
     if code is not None:
@@ -949,11 +943,12 @@ def _relations(raw_rows: list) -> RelationColumns:
                 dst = np.zeros(len(dsts), dtype=np.int64)
                 dst[~vuln] = entity_dst
     if src is None or code is None or dst is None or weight is None:
-        _raise_first_fault(raw_rows, _check_relation)
+        _raise_first_fault(raw_rows, start, _check_relation)
     return RelationColumns(src, code, dst, weight, cve)
 
 
-# The arrays of a KG file, as read_rows takes them: (convert, join).
+# The arrays of a KG file, as read_rows takes them, (convert, join), in the
+# order their faults are named.
 _KG_ARRAYS = {"entities": (_entities, lambda parts: list(chain.from_iterable(parts))),
               "relations": (_relations, RelationColumns.joined)}
 

@@ -625,6 +625,14 @@ RISK_ROW_FAULT = ("risk file {bad}: ranking row 0 needs an integer 'entity_id' a
 MATCH_BAD_EMBEDDINGS = ["match", "--kg-embeddings", "{bad}", "--repo", "{fx}/fingerprints",
                         "--out", "{tmp}/alerts.json"]
 
+MATCH_BAD_REPO = ["match", "--kg-embeddings", "{fw}/firmware_update.embeddings.json",
+                  "--repo", "{tmp}/repo", "--out", "{tmp}/alerts.json"]
+FINGERPRINT_VECTOR_FAULT = ("fingerprint file {bad}: every embedding must be a flat list of "
+                            "finite numbers")
+THRESHOLD_BAD_SCORES = ["threshold", "--scores", "{bad}", "--out", "{tmp}/th.json"]
+SCORES_ROW_FAULT = ("scores file {{bad}}: row {row} needs a finite numeric 'score' and a "
+                    "string 'label'")
+
 BUILD_BAD_CORPUS = ["build-ssckg", "--cpg", "{fx}/toy_modbus.cpg.json", "--corpus", "{bad}",
                     "--out", "{tmp}/kg.json"]
 CORPUS_TRAILER = '{"trailer": {"accepted": 0, "failed": 0, "rejected": 0, "total": 0}}\n'
@@ -847,6 +855,34 @@ BAD_INPUTS = {
                      INGEST_BAD_CPG),
     "corpus_not_utf8": ("corpus.jsonl", b"\xff\n" + CORPUS_TRAILER.encode(),
                         "corpus file {bad} is not valid UTF-8", BUILD_BAD_CORPUS),
+    "fingerprint_null_name": ("repo/bad.json", '{"name": null, "embeddings": [[0.5]]}',
+                              "fingerprint file {bad}: 'name' must be a string, got None",
+                              MATCH_BAD_REPO),
+    "fingerprint_numeric_provenance": (
+        "repo/bad.json", '{"name": "x", "provenance": 5, "embeddings": [[0.5]]}',
+        "fingerprint file {bad}: 'provenance' must be a string, got 5", MATCH_BAD_REPO),
+    "fingerprint_numeric_string_value": (
+        "repo/bad.json", '{"name": "x", "embeddings": [["0.5", 1]]}',
+        FINGERPRINT_VECTOR_FAULT, MATCH_BAD_REPO),
+    "fingerprint_boolean_value": (
+        "repo/bad.json", '{"name": "x", "embeddings": [[0.5, true, 1]]}',
+        FINGERPRINT_VECTOR_FAULT, MATCH_BAD_REPO),
+    "fingerprint_nan_value": ("repo/bad.json", '{"name": "x", "embeddings": [[0.5], [NaN]]}',
+                              FINGERPRINT_VECTOR_FAULT, MATCH_BAD_REPO),
+    "fingerprint_value_past_float_range": (
+        "repo/bad.json", '{"name": "x", "embeddings": [[1' + "0" * 400 + ']]}',
+        FINGERPRINT_VECTOR_FAULT, MATCH_BAD_REPO),
+    "scores_string_number": ("scores.json", '[{"score": "0.9", "label": "malicious"}]',
+                             SCORES_ROW_FAULT.format(row=0), THRESHOLD_BAD_SCORES),
+    "scores_nan": ("scores.json", '[{"score": 0.1, "label": "benign"}, '
+                   '{"score": NaN, "label": "malicious"}]', SCORES_ROW_FAULT.format(row=1),
+                   THRESHOLD_BAD_SCORES),
+    "scores_boolean": ("scores.json", '[{"score": true, "label": "malicious"}]',
+                       SCORES_ROW_FAULT.format(row=0), THRESHOLD_BAD_SCORES),
+    "scores_numeric_label": ("scores.json", '[{"score": 0.5, "label": 1}]',
+                             SCORES_ROW_FAULT.format(row=0), THRESHOLD_BAD_SCORES),
+    "scores_object": ("scores.json", '{"score": 0.5, "label": "benign"}',
+                      "scores file {bad} must be a JSON list", THRESHOLD_BAD_SCORES),
     "fingerprint_non_integer_entity_id": (
         "repo/bad.json", '{"name": "x", "embeddings": [[0.1], [0.2], [0.3]],'
         ' "entity_ids": [true, 1.5, "2"]}', "{bad}: entity id True is not an integer",
@@ -879,3 +915,5 @@ def test_bad_input_file_gives_one_error_line(capsys, fixtures_dir, toy_run, firm
     assert one_error_line(err)
     assert needle.format(**places) in err
     assert not any((tmp_path / "out").glob("*"))  # rejected before any stage wrote
+    if "--out" in argv:
+        assert not Path(argv[argv.index("--out") + 1].format(**places)).exists()

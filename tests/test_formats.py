@@ -8,7 +8,6 @@ import random
 import re
 import subprocess
 import sys
-import tracemalloc
 from enum import Enum
 from pathlib import Path
 from unittest import mock
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from binrisk import cpg, errors, ssckg
+from binrisk import errors
 from binrisk.cpg import (CpgEdge, CpgGraph, CpgNode, DataFlowClaim, EdgeKind, NodeKind,
                          dumps_cpg, load_cpg, loads_cpg)
 from binrisk.embedding import EmbeddingVector
@@ -30,6 +29,9 @@ from binrisk.lifting import (Annotation, VerifiedCorpus, dumps_corpus, function_
                              load_corpus)
 from binrisk.pipeline import write_atomic
 from binrisk.ssckg import Entity, Relation, RelationType, SsckgGraph, dumps_ssckg, load_ssckg
+
+import oracles
+from test_cpg import generated_cpg_text, traced_peak
 
 LAT = Lattice.default()
 PROPERTY = settings(max_examples=60, deadline=None,
@@ -389,26 +391,11 @@ def separator_documents(draw) -> dict:
     }
 
 
-def strings(value):
-    """Every key and string in a JSON value."""
-    if isinstance(value, str):
-        yield value
-    elif isinstance(value, dict):
-        for k, v in value.items():
-            yield k
-            yield from strings(v)
-    elif isinstance(value, list):
-        for v in value:
-            yield from strings(v)
-
-
 @st.composite
-def laid_out(draw, docs, arrays: tuple[str, str]) -> tuple[str, bool]:
-    """A document of docs as text in any layout json.loads reads, and
-    whether the streamed reader must take it without the whole-tree
-    reader: a valid document with each key once, no bracket in a string,
-    no BOM and nothing after it.  Either of the arrays may be missing or
-    repeated (the last one counts)."""
+def laid_out(draw, docs, arrays: tuple[str, str]) -> str:
+    """A document of docs as text in any layout json.loads reads, perhaps
+    with a BOM, text after it or its end cut off.  Either of the arrays
+    may be missing or repeated (the last one counts)."""
     doc = draw(docs)
     dropped = draw(st.sampled_from([None] * 9 + list(arrays)))
     pairs = Pairs((key, value) for key, value in doc.items() if key != dropped)
@@ -423,16 +410,24 @@ def laid_out(draw, docs, arrays: tuple[str, str]) -> tuple[str, bool]:
     bom = draw(st.sampled_from([""] * 5 + ["\ufeff"]))
     tail = draw(st.sampled_from([""] * 12 + [" x", "{}", "]"]))
     cut = draw(st.integers(0, len(text))) if draw(st.sampled_from([0] * 5 + [1])) else None
-    text = (bom + text + tail)[:cut]
-    plain = (not bom and not tail and cut is None and dropped is None
-             and len(pairs) == len(doc)
-             and not any("}" in t or "]" in t for t in strings(doc)))
-    return text, plain
+    return (bom + text + tail)[:cut]
 
 
 def streamed_texts():
     return laid_out(separator_documents() | faulty_documents()
                     | st.just({"binary_id": "", "nodes": [], "edges": []}), ("nodes", "edges"))
+
+
+def whole_text_refused(text: str):
+    """A patch under which json.loads refuses text: the reader under test
+    decodes a chunk of rows at a time, never the whole document."""
+    loads = json.loads
+
+    def chunk_only(s, *args, **kwargs):
+        assert s != text, "the whole text was decoded at once"
+        return loads(s, *args, **kwargs)
+
+    return mock.patch("json.loads", chunk_only)
 
 
 def read(reader, text: str) -> tuple[str, str]:
@@ -445,14 +440,11 @@ def read(reader, text: str) -> tuple[str, str]:
 
 @settings(PROPERTY, max_examples=100)
 @given(streamed_texts())
-def test_streamed_reader_agrees_with_whole_tree_reader(case):
-    text, plain = case
-    want = read(cpg._loads_tree, text)
+def test_streamed_reader_agrees_with_whole_tree_reader(text):
+    want = read(oracles.loads_tree, text)
     for chunk in (1, 7, 64):
-        with mock.patch.object(errors, "_CHUNK", chunk):
+        with mock.patch.object(errors, "_CHUNK", chunk), whole_text_refused(text):
             assert read(loads_cpg, text) == want
-            if plain and want[0] == "ok":
-                assert read(cpg._loads_streamed, text) == want
 
 
 VECTORS = st.lists(FINITE, min_size=1, max_size=6)
@@ -646,15 +638,14 @@ def test_kg_first_fault_message_is_the_row_by_row_one(tmp_path_factory, doc):
 # --- the streamed file readers against the whole-tree readers --------------------
 
 @st.composite
-def input_files(draw, texts) -> tuple[bytes, bool]:
+def input_files(draw, texts) -> bytes:
     """The bytes of a text of texts, perhaps with a byte that is no UTF-8
-    put in, and whether the streamed reader must take them."""
-    text, plain = draw(texts)
-    data = text.encode("utf-8")
+    put in."""
+    data = draw(texts).encode("utf-8")
     if draw(st.sampled_from([False] * 9 + [True])):
         cut = draw(st.integers(0, len(data)))
-        data, plain = data[:cut] + b"\xff" + data[cut:], False
-    return data, plain
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
 
 
 def read_file(load, dump, path: Path) -> tuple[str, str]:
@@ -665,28 +656,27 @@ def read_file(load, dump, path: Path) -> tuple[str, str]:
         return type(exc).__name__, str(exc)
 
 
-def check_file_reader(path: Path, case: tuple[bytes, bool], module, load, dump,
-                      whole_tree: str) -> None:
-    """load reads path as its whole-tree reader does, through any window,
-    and reads a plain file without it; whole_tree names the module's call
-    that reads the file whole."""
-    data, plain = case
+def file_read_whole_refused():
+    """A patch under which a file cannot be read whole, as the whole-tree
+    readers read it."""
+    return mock.patch.object(Path, "read_text", side_effect=AssertionError)
+
+
+def check_file_reader(path: Path, data: bytes, load, dump, whole_tree) -> None:
+    """load reads path as whole_tree, its whole-tree reader, does, through
+    any window, and without reading the file whole."""
     path.write_bytes(data)
-    with mock.patch.object(module, "read_rows", side_effect=errors._WholeTree):
-        want = read_file(load, dump, path)
+    want = read_file(whole_tree, dump, path)
     for chunk in (1, 7, 64):
-        with mock.patch.object(errors, "_CHUNK", chunk):
+        with mock.patch.object(errors, "_CHUNK", chunk), file_read_whole_refused():
             assert read_file(load, dump, path) == want
-            if plain and want[0] == "ok":
-                with mock.patch.object(module, whole_tree, side_effect=AssertionError):
-                    assert read_file(load, dump, path) == want
 
 
 @settings(PROPERTY, max_examples=100)
 @given(input_files(streamed_texts()))
-def test_cpg_file_reader_agrees_with_whole_tree_reader(tmp_path_factory, case):
+def test_cpg_file_reader_agrees_with_whole_tree_reader(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("cpg") / "in.cpg.json"
-    check_file_reader(path, case, cpg, load_cpg, dumps_cpg, "_loads_tree")
+    check_file_reader(path, data, load_cpg, dumps_cpg, oracles.load_cpg_tree)
 
 
 KG_TEXTS = laid_out((knowledge_graphs() | knowledge_graphs(ROW_TEXT)).map(
@@ -696,9 +686,9 @@ KG_TEXTS = laid_out((knowledge_graphs() | knowledge_graphs(ROW_TEXT)).map(
 
 @settings(PROPERTY, max_examples=100)
 @given(input_files(KG_TEXTS))
-def test_kg_file_reader_agrees_with_whole_tree_reader(tmp_path_factory, case):
+def test_kg_file_reader_agrees_with_whole_tree_reader(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("kg") / "in.kg.json"
-    check_file_reader(path, case, ssckg, load_ssckg, dumps_ssckg, "read_json")
+    check_file_reader(path, data, load_ssckg, dumps_ssckg, oracles.load_ssckg_tree)
 
 
 # Escapes, multi-byte characters (one outside the BMP, a surrogate pair
@@ -718,34 +708,18 @@ CUT_KG = ('{"clustering": {"points": 2}, "entities": [\n'
 
 
 def test_window_may_cut_anywhere(tmp_path):
-    cases = [(CUT_CPG, cpg, load_cpg, dumps_cpg, "_loads_tree"),
-             (CUT_KG, ssckg, load_ssckg, dumps_ssckg, "read_json")]
-    for text, module, load, dump, whole_tree in cases:
+    cases = [(CUT_CPG, load_cpg, dumps_cpg, oracles.load_cpg_tree),
+             (CUT_KG, load_ssckg, dumps_ssckg, oracles.load_ssckg_tree)]
+    for text, load, dump, whole_tree in cases:
         path = tmp_path / "in.json"
         path.write_text(text, encoding="utf-8")
-        with mock.patch.object(module, "read_rows", side_effect=errors._WholeTree):
-            want = dump(load(path))
+        want = dump(whole_tree(path))
         for chunk in range(1, len(text) + 1):
-            with (mock.patch.object(errors, "_CHUNK", chunk),
-                  mock.patch.object(module, whole_tree, side_effect=AssertionError)):
+            with mock.patch.object(errors, "_CHUNK", chunk), file_read_whole_refused():
                 assert dump(load(path)) == want, chunk
 
 
-def traced_peak(fn, *args) -> int:
-    """The tracemalloc peak while fn runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_kg_load_holds_less_than_the_json_tree(tmp_path):
-    # The reader turns each chunk of rows into entities or relation
-    # columns before it decodes the next, through a window of the file,
-    # so its peak stays well below the JSON tree of the file: holding the
-    # tree, or the file's text beside the graph, would not.
+def guard_kg_text() -> str:
     rng = np.random.default_rng(0)
     entities = [Entity(id=i, name=f"fn_{i}", label=LAT.labels()[i % 5],
                        members=frozenset(range(5 * i, 5 * i + 5)), summary="reads a frame",
@@ -753,11 +727,51 @@ def test_kg_load_holds_less_than_the_json_tree(tmp_path):
                 for i in range(400)]
     relations = [Relation(int(a), RelationType.REACHES, int(b), 0.8)
                  for a, b in rng.integers(0, 400, (20_000, 2))]
-    text = dumps_ssckg(SsckgGraph(entities, relations))
+    return dumps_ssckg(SsckgGraph(entities, relations))
+
+
+def test_kg_load_holds_less_than_the_json_tree(tmp_path):
+    # The reader turns each chunk of rows into entities or relation
+    # columns before it decodes the next, through a window of the file,
+    # so its peak stays well below the JSON tree of the file: holding the
+    # tree, or the file's text beside the graph, would not.
+    text = guard_kg_text()
     path = tmp_path / "in.kg.json"
     path.write_text(text, encoding="utf-8")
-    assert traced_peak(load_ssckg, path) < traced_peak(json.loads, text) * 0.75
-    assert dumps_ssckg(load_ssckg(path)) == text
+    load_peak, kg = traced_peak(load_ssckg, path)
+    tree_peak, _ = traced_peak(json.loads, text)
+    assert load_peak < tree_peak * 0.75
+    assert dumps_ssckg(kg) == text
+
+
+def test_faulty_and_odd_files_load_within_a_window(tmp_path):
+    # A fault in the last row, or a string holding the characters rows
+    # are cut at, costs the reader a chunk scanned row by row (or, when
+    # every row holds them, every chunk): no file is read again as one
+    # tree, so the peak stays well below the JSON tree of the file, and
+    # the error is the whole-tree reader's.
+    text = generated_cpg_text(12_000)
+    last = text.rindex('"kind":"Cfg"')
+    cases = [(text[:last] + '"kind":"Bogus"' + text[last + len('"kind":"Cfg"'):], load_cpg,
+              dumps_cpg, oracles.load_cpg_tree,
+              "CPG file {}: edge at index 11998 has unknown kind 'Bogus'"),
+             (text.replace('"label":""', '"label":"}]"', 1), load_cpg, dumps_cpg,
+              oracles.load_cpg_tree, None),
+             (text.replace('"label":""', '"label":"},{}]"'), load_cpg, dumps_cpg,
+              oracles.load_cpg_tree, None)]
+    text = guard_kg_text()
+    last = text.rindex('"weight": 0.8')
+    cases.append((text[:last] + '"weight": "x"' + text[last + len('"weight": 0.8'):],
+                  load_ssckg, dumps_ssckg, oracles.load_ssckg_tree,
+                  "KG file {}: relation at index 19999 has weight 'x', which is no float"))
+    path = tmp_path / "in.json"
+    for text, load, dump, whole_tree, fault in cases:
+        path.write_text(text, encoding="utf-8")
+        tree_peak, _ = traced_peak(json.loads, text)
+        load_peak, got = traced_peak(read_file, load, dump, path)
+        assert got == read_file(whole_tree, dump, path)
+        assert got[0] == "ok" if fault is None else got[1] == fault.format(path)
+        assert load_peak < tree_peak * 0.75
 
 
 @PROPERTY
