@@ -160,7 +160,9 @@ def _cmd_threshold(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_report(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    reports = run_pipeline(cfg, args.cpg, args.outdir, workers=args.workers)
+    if args.workers < 1:
+        raise ConfigError("workers must be at least 1")
+    reports = run_pipeline(cfg, args.cpg, args.outdir)
     summary = [{"binary_id": r.binary_id, "alerts": list(r.alerts)}
                for r in reports]
     _emit(summary)
@@ -284,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--cpg", required=True, nargs="+")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--workers", type=int, default=1, help="parallel binaries (default 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; binaries run one at a time")
     p.set_defaults(handler=_cmd_report)
 
     p = subs.add_parser("export-dot", help="render a knowledge graph to DOT")

@@ -285,6 +285,18 @@ def _int64(values: list) -> np.ndarray | None:
         return None
 
 
+def _floats(values) -> np.ndarray | None:
+    """values as float64, or None unless values is a list and each item a
+    plain int or float in range: a bool or a numeric string is no number
+    here, though np.array takes it."""
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
+
+
 def _codes(values: list, table: Mapping) -> np.ndarray | None:
     """Each value's code in table, or None if a value has none."""
     try:

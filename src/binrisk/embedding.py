@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cpg import _floats
 from .errors import DimensionMismatch, MissingEmbedding, SchemaError, ZeroVector, read_json
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
@@ -117,9 +118,13 @@ class FileEmbeddings:
         self._table: dict[str, EmbeddingVector] = {}
         dim: int | None = None
         for key, values in doc.items():
+            floats = _floats(values)
+            if floats is None:
+                raise SchemaError(f"embedding file {path}: key '{key}' must map to a flat "
+                                  "list of numbers")
             try:
-                vec = EmbeddingVector(values)
-            except (TypeError, ValueError) as exc:
+                vec = EmbeddingVector(floats)
+            except ValueError as exc:
                 raise SchemaError(f"embedding file {path}: key '{key}': {exc}") from None
             if dim is None:
                 dim = vec.dimension

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cpg import _floats
 from .errors import (
     DimensionMismatch,
     EmptyTarget,
@@ -32,7 +33,6 @@ from .errors import (
     read_json,
 )
 from .graphormer import NodeEmbedding
-from .ssckg import _floats
 
 MALICIOUS = "malicious"
 BENIGN = "benign"
@@ -246,9 +246,7 @@ def load_fingerprint(path: str | Path) -> Fingerprint:
     for key, value in (("name", name), ("provenance", provenance)):
         if type(value) is not str:
             raise SchemaError(f"fingerprint file {path}: '{key}' must be a string, got {value!r}")
-    # A bool or a numeric string is no vector value, though np.asarray takes it.
-    vectors = [_floats(row) if type(row) is list else None
-               for row in (rows if type(rows) is list else [None])]
+    vectors = list(map(_floats, rows if type(rows) is list else [None]))
     if not all(v is not None and np.isfinite(v).all() for v in vectors):
         raise SchemaError(f"fingerprint file {path}: every embedding must be "
                           "a flat list of finite numbers")

@@ -56,7 +56,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .cpg import shortest_path_matrix
+from .cpg import _floats, shortest_path_matrix
 from .errors import (
     ConfigError,
     CorruptFile,
@@ -566,16 +566,13 @@ def load_embeddings(path: str | Path) -> list[NodeEmbedding]:
             raise SchemaError(f"embeddings file {path}: key {key!r} is not an entity id")
         vectors[entity_id] = value
     out = []
-    try:
-        for entity_id, value in sorted(vectors.items()):
-            vector = np.asarray(value, dtype=np.float64)
-            if vector.ndim != 1:
-                raise SchemaError(f"embeddings file {path}: entity {entity_id} vector "
-                                  "must be a flat list of numbers")
-            if not np.isfinite(vector).all():
-                raise SchemaError(f"embeddings file {path}: entity {entity_id} vector "
-                                  "holds a non-finite value")
-            out.append(NodeEmbedding(entity_id=entity_id, vector=vector))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"embeddings file {path}: {exc}") from None
+    for entity_id, value in sorted(vectors.items()):
+        vector = _floats(value)
+        if vector is None:
+            raise SchemaError(f"embeddings file {path}: entity {entity_id} vector "
+                              "must be a flat list of numbers")
+        if not np.isfinite(vector).all():
+            raise SchemaError(f"embeddings file {path}: entity {entity_id} vector "
+                              "holds a non-finite value")
+        out.append(NodeEmbedding(entity_id=entity_id, vector=vector))
     return out

@@ -4,24 +4,27 @@ Each stage is a core over in-memory objects (``lift``, ``build_kg``,
 ``transform``, ``score``, ``match``, ``render_dot``) plus a ``stage_*``
 wrapper that loads the stage's input files, runs the core and writes
 its output, which is what each CLI subcommand calls.  ``report``
-(``run_pipeline``) parses each CPG once and ``run_one`` chains the
-cores in memory; files are its outputs, not the transport between its
-stages.  It writes every intermediate through the same serializer the
-wrapper uses, so running the subcommands by hand against the same
-config writes the same bytes.  ``write_atomic`` (temp file + rename)
-is the one write path, and all serialization is canonical (sorted
-keys, no timestamps), so a repeated run over the same inputs
-reproduces every byte.  The CPG, knowledge-graph and embeddings files
-are written from their chunk generators, so no whole file's text is
-held at once.
+(``run_pipeline``) takes the binaries one at a time: it parses each
+CPG once, ``run_one`` chains the cores in memory, and the graph is
+dropped before the next CPG is parsed.  Files are its outputs, not the
+transport between its stages.  It writes every intermediate through the
+same serializer the wrapper uses, so running the subcommands by hand
+against the same config writes the same bytes.  Its files go to a
+staging directory first and are moved into the output directory only
+once every binary is done, so ``report`` writes every binary's files or
+none.  ``write_atomic`` (temp file + rename) is the one write path, and
+all serialization is canonical (sorted keys, no timestamps), so a
+repeated run over the same inputs reproduces every byte.  The CPG,
+knowledge-graph and embeddings files are written from their chunk
+generators, so no whole file's text is held at once.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -361,8 +364,13 @@ class RiskReport:
 
 
 def binary_id(g: CpgGraph, cpg_path: str | Path) -> str:
-    """The id a binary's outputs are named by: its binary_id, else the file stem."""
-    return g.binary_id or Path(cpg_path).stem
+    """The id a binary's outputs are named by: its binary_id, else the file
+    stem.  It must name a file directly inside the output directory."""
+    bid = g.binary_id or Path(cpg_path).stem
+    if bid in (".", "..") or any(sep in bid for sep in (os.sep, os.altsep, "\0") if sep):
+        raise SchemaError(f"CPG file {cpg_path} has binary id {bid!r}, which cannot name "
+                          "a file directly inside the output directory")
+    return bid
 
 
 def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path,
@@ -412,32 +420,37 @@ def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path,
 
 
 def run_pipeline(cfg: PipelineConfig, cpg_paths: Sequence[str | Path],
-                 outdir: str | Path, workers: int = 1) -> list[RiskReport]:
-    """Process binaries through the full chain, optionally in parallel.
+                 outdir: str | Path) -> list[RiskReport]:
+    """Process binaries through the full chain, one at a time, in input order.
 
-    Every input is parsed, once, before any output is written, and two
-    inputs with the same binary id are rejected, since their outputs
-    would overwrite each other.  Results come back in input order
-    regardless of worker count, and per-binary outputs are independent
-    files, so parallelism never changes any produced byte.  Each graph
-    is released once its binary is done.
+    Each CPG is parsed when its turn comes and its graph is dropped
+    before the next is parsed, so one input graph is live at a time.
+    Every binary's files are written to a staging directory inside
+    outdir and moved into outdir only after the last binary is done, so
+    the run writes every binary's files or none: a bad input, a failing
+    stage, or two inputs with the same binary id (whose outputs would
+    overwrite each other) leave outdir as it was.
     """
-    if workers < 1:
-        raise ConfigError("workers must be at least 1")
-    graphs = [load_cpg(p) for p in cpg_paths]
-    seen: dict[str, str | Path] = {}
-    for g, path in zip(graphs, cpg_paths):
-        bid = binary_id(g, path)
-        if bid in seen:
-            raise ConfigError(f"inputs {seen[bid]} and {path} have the same binary id "
-                              f"'{bid}', so their outputs would overwrite each other")
-        seen[bid] = path
-
-    def run(i: int) -> RiskReport:
-        g, graphs[i] = graphs[i], None
-        return run_one(cfg, cpg_paths[i], outdir, g)
-
-    if workers == 1 or len(cpg_paths) <= 1:
-        return [run(i) for i in range(len(cpg_paths))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(len(cpg_paths))))
+    outdir = Path(outdir)
+    made = not outdir.exists()
+    outdir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(dir=outdir, prefix=".staging-"))
+    try:
+        reports = []
+        seen: dict[str, str | Path] = {}
+        for path in cpg_paths:
+            g = load_cpg(path)
+            bid = binary_id(g, path)
+            if bid in seen:
+                raise ConfigError(f"inputs {seen[bid]} and {path} have the same binary id "
+                                  f"'{bid}', so their outputs would overwrite each other")
+            seen[bid] = path
+            reports.append(run_one(cfg, path, staging, g))
+            del g
+        for name in sorted(os.listdir(staging)):
+            os.replace(staging / name, outdir / name)
+        return reports
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+        if made and not os.listdir(outdir):
+            os.rmdir(outdir)

@@ -57,8 +57,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .cpg import (AST_CODE, PDG_CODE, CpgGraph, _codes, _int64, _is_id, _raise_first_fault,
-                  _search, group_rows)
+from .cpg import (AST_CODE, PDG_CODE, CpgGraph, _codes, _floats, _int64, _is_id,
+                  _raise_first_fault, _search, group_rows)
 from .embedding import EmbeddingVector, cosine, stack
 from .errors import (ParseError, SchemaError, ZeroVector, collector_paused, json_chunks,
                      json_value, read_json, read_rows)
@@ -211,16 +211,6 @@ class RelationColumns:
     def entity_rows(self) -> np.ndarray:
         """Mask of the rows between two entities (everything but CVE links)."""
         return self.type_code != VULN_CODE
-
-
-def _floats(values: list) -> np.ndarray | None:
-    """values as float64, or None unless each is a plain int or float in range."""
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError:
-        return None
 
 
 def _check_relation(raw, pos: int) -> None:

@@ -7,12 +7,14 @@ import shlex
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import binrisk
+import binrisk.pipeline
 from binrisk.cli import EXIT_ALERTS, EXIT_ERROR, EXIT_OK, main
 from binrisk.cpg import CpgEdge, CpgNode, EdgeKind, load_cpg
 from binrisk.graphormer import ModelConfig, _tensor_map, init_params
@@ -504,8 +506,71 @@ def test_report_rejects_colliding_binary_ids(capsys, fixtures_dir, tmp_path, wor
         assert code == EXIT_ERROR
         assert one_error_line(err)
         assert str(tmp_path / first) in err and str(tmp_path / second) in err
-        assert not any(outdir.glob("*"))
+        assert not outdir.exists()  # the run made it and took it away again
 
+
+
+def test_report_holds_one_input_graph(capsys, fixtures_dir, tmp_path, monkeypatch):
+    """report drops each input graph before it parses the next CPG."""
+    toy = json.loads((fixtures_dir / "toy_modbus.cpg.json").read_text(encoding="utf-8"))
+    (tmp_path / "copy.json").write_text(json.dumps({**toy, "binary_id": "copy"}),
+                                        encoding="utf-8")
+    load, graphs = binrisk.pipeline.load_cpg, []
+
+    def tracked(path):
+        assert all(ref() is None for ref in graphs), f"an input graph is live as {path} loads"
+        g = load(path)
+        graphs.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(binrisk.pipeline, "load_cpg", tracked)
+    code = main(["report", "--config", str(fixtures_dir / "config_toy.json"),
+                 "--cpg", str(fixtures_dir / "toy_modbus.cpg.json"),
+                 str(fixtures_dir / "diamond.cpg.json"), str(tmp_path / "copy.json"),
+                 "--outdir", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert len(graphs) == 3
+
+
+@pytest.mark.parametrize("position, text, needle", [
+    (2, '{"nodes": [{"id": 0', "not valid JSON"),
+    (1, '{"nodes": [], "edges": []}', "forward pass needs at least one entity"),
+])
+def test_report_writes_every_file_or_none(capsys, fixtures_dir, tmp_path, position, text,
+                                          needle):
+    """A bad input after good ones leaves --outdir as it was, staging included."""
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "notes.txt").write_bytes(b"kept\n")
+    (outdir / "toy_modbus.report.json").write_bytes(b"an earlier run's report\n")
+    before = {name: (outdir / name).read_bytes() for name in os.listdir(outdir)}
+    bad = tmp_path / "bad.cpg.json"
+    bad.write_text(text, encoding="utf-8")
+    cpgs = [str(fixtures_dir / "toy_modbus.cpg.json"), str(fixtures_dir / "diamond.cpg.json")]
+    cpgs.insert(position, str(bad))
+    code, _, err = run(capsys, "report", "--config", str(fixtures_dir / "config_toy.json"),
+                       "--cpg", *cpgs, "--outdir", str(outdir))
+    assert code == EXIT_ERROR
+    assert one_error_line(err)
+    assert needle in err
+    assert {name: (outdir / name).read_bytes() for name in os.listdir(outdir)} == before
+
+
+@pytest.mark.parametrize("bid", ["../escaped", "sub/evil", "..", ".", "nul\0byte"])
+def test_report_rejects_binary_id_outside_outdir(capsys, fixtures_dir, tmp_path, bid):
+    toy = json.loads((fixtures_dir / "toy_modbus.cpg.json").read_text(encoding="utf-8"))
+    cpg = tmp_path / "named.cpg.json"
+    cpg.write_text(json.dumps({**toy, "binary_id": bid}), encoding="utf-8")
+    outdir = tmp_path / "run" / "out"
+    outdir.mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    code, _, err = run(capsys, "report", "--config", str(fixtures_dir / "config_toy.json"),
+                       "--cpg", str(cpg), "--outdir", str(outdir))
+    assert code == EXIT_ERROR
+    assert one_error_line(err)
+    assert str(cpg) in err and repr(bid) in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 def one_error_line(err):
     lines = err.strip().splitlines()
@@ -639,6 +704,9 @@ CORPUS_TRAILER = '{"trailer": {"accepted": 0, "failed": 0, "rejected": 0, "total
 
 REPORT_BAD_CONFIG = ["report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
                      "--outdir", "{tmp}/out"]
+# report with file embeddings: the damaged file is the side config's embedding_path.
+REPORT_FILE_EMBEDDINGS = ["report", "--config", "{tmp}/cfg.json", "--cpg",
+                          "{fx}/toy_modbus.cpg.json", "--outdir", "{tmp}/out"]
 INGEST_BAD_CPG = ["ingest", "--cpg", "{bad}", "--out", "{tmp}/c.json"]
 # JSON nested deeper than the decoder recurses.
 NESTED = "[" * 100_000 + "]" * 100_000
@@ -847,6 +915,18 @@ BAD_INPUTS = {
                                                      "source_binary": None}),
                               "KG file {bad}: 'source_binary' must be a string, got None",
                               SCORE_BAD_KG),
+    "embeddings_numeric_string_value": ("emb.json", '{"3": ["0.5", 1]}',
+                                        "embeddings file {bad}: entity 3 vector must be a flat "
+                                        "list of numbers", MATCH_BAD_EMBEDDINGS),
+    "embeddings_boolean_value": ("emb.json", '{"3": [0.5, 1], "4": [true, false]}',
+                                 "embeddings file {bad}: entity 4 vector must be a flat list "
+                                 "of numbers", MATCH_BAD_EMBEDDINGS),
+    "embedding_file_numeric_string_value": ("emb.json", '{"a": [0.5, 1], "b": ["0.5", 1]}',
+                                            "embedding file {bad}: key 'b' must map to a flat "
+                                            "list of numbers", REPORT_FILE_EMBEDDINGS),
+    "embedding_file_boolean_value": ("emb.json", '{"a": [true, false]}',
+                                     "embedding file {bad}: key 'a' must map to a flat list "
+                                     "of numbers", REPORT_FILE_EMBEDDINGS),
     "embeddings_padded_key": ("emb.json", '{"03": [0.1, 0.2]}',
                               "embeddings file {bad}: key '03' is not an entity id",
                               MATCH_BAD_EMBEDDINGS),
@@ -893,6 +973,8 @@ BAD_INPUTS = {
 # Files a probe reads beside the damaged one, by probe: name -> content.
 SIDE_FILES = {
     "lattice_number_category": {"cfg.json": '{"lattice_path": "lattice.json"}'},
+    **{probe: {"cfg.json": '{"embedding_type": "file", "embedding_path": "emb.json"}'}
+       for probe in ("embedding_file_numeric_string_value", "embedding_file_boolean_value")},
 }
 
 
