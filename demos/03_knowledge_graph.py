@@ -27,7 +27,7 @@ from binrisk import (
     structural_collapse,
     SsckgGraph,
 )
-from binrisk.ssckg import embed_entities, load_cves, to_dot
+from binrisk.ssckg import RELATION_TYPES, embed_entities, load_cves, to_dot
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 OUT = Path(__file__).resolve().parent.parent / "build" / "demo_out"
@@ -64,8 +64,10 @@ def main():
     cves = load_cves(FIXTURES / "cves.json", provider)
     relations = extract_relations(g, entities, cves, cve_match_threshold=0.85)
     print(f"\nextracted {len(relations)} relations against {len(cves)} CVE records:")
-    for r in relations:
-        print(f"  {r.src} -{r.rel_type.value}-> {r.dst}  (weight {r.weight})")
+    types = [RELATION_TYPES[code].value for code in relations.type_code.tolist()]
+    for src, rel_type, dst, weight in zip(relations.src.tolist(), types,
+                                          relations.dst_values(), relations.weight.tolist()):
+        print(f"  {src} -{rel_type}-> {dst}  (weight {weight})")
 
     kg = SsckgGraph(entities, relations, source_binary=g.binary_id,
                     clustering=clustering)

@@ -27,7 +27,7 @@ from binrisk.config import PipelineConfig
 from binrisk.fingerprint import Fingerprint, dumps_fingerprint, load_repository, match_and_alert
 from binrisk.graphormer import NodeEmbedding, load_embeddings
 from binrisk.pipeline import run_pipeline, stage_build_kg, stage_ingest, stage_lift, write_atomic
-from binrisk.ssckg import load_ssckg
+from binrisk.ssckg import RELATION_TYPES, load_ssckg
 
 HERE = Path(__file__).resolve().parent
 SEED = 42
@@ -52,7 +52,9 @@ def check(name: str, ok: bool, detail: str = "") -> None:
 
 
 def relation_triples(kg):
-    return sorted((r.src, r.rel_type.value, str(r.dst)) for r in kg.relations)
+    cols = kg.relation_columns
+    types = [RELATION_TYPES[c].value for c in cols.type_code.tolist()]
+    return sorted(zip(cols.src.tolist(), types, map(str, cols.dst_values())))
 
 
 def main() -> None:

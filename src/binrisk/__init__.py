@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 
 from .config import PipelineConfig
 from .cpg import (
-    CpgEdge,
     CpgGraph,
-    CpgNode,
     DataFlowClaim,
     EdgeKind,
     NodeKind,
@@ -59,7 +57,6 @@ from .fingerprint import (
     match_and_alert,
     roc_auc,
     select_threshold,
-    similarity,
 )
 from .graphormer import (
     ModelConfig,
@@ -106,7 +103,6 @@ from .ssckg import (
     CveRecord,
     Entity,
     Granularity,
-    Relation,
     RelationColumns,
     RelationType,
     SsckgGraph,

@@ -9,6 +9,7 @@ fingerprint alerts were raised (for CI gating), 1 on any error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import shlex
 import sys
 
@@ -43,7 +44,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     else:
         cfg = PipelineConfig()
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)  # checked as a config value
     return cfg
 
 

@@ -19,7 +19,7 @@ from .embedding import HashEmbedder
 from .errors import ConfigError, DimensionMismatch, SchemaError, read_json
 from .graphormer import ModelConfig
 from .risk import PropagationConfig
-from .ssckg import check_dbscan_params, check_relation_weight, relation_type
+from .ssckg import RelationType, check_dbscan_params, check_relation_weight
 
 _SCALARS = {"int": int, "float": (int, float), "str": str}
 
@@ -110,7 +110,7 @@ class PipelineConfig:
                                  self.structural_edge_labels.values())):
             for rel in relations:
                 try:
-                    relation_type(rel)
+                    RelationType(rel)
                 except ValueError as exc:
                     raise ConfigError(f"config field '{name}': {exc}") from None
         try:
@@ -133,7 +133,8 @@ class PipelineConfig:
         PropagationConfig(beta=self.beta, tolerance=self.tolerance,
                           max_iterations=self.max_iterations)
         ModelConfig(layers=self.model_layers, heads=self.model_heads,
-                    hidden_dim=self.model_hidden_dim, max_dist=self.model_max_dist)
+                    hidden_dim=self.model_hidden_dim, max_dist=self.model_max_dist,
+                    seed=self.seed)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":

@@ -35,19 +35,20 @@ the kind values do) and ``edge_label`` (an index into ``labels``, the
 sorted distinct labels).  A graph read from any file therefore
 traverses like its canonical copy.
 
-``nodes`` and ``edges`` are the row view: they build ``CpgNode`` and
-``CpgEdge`` objects on demand, for tests, demos and other callers that
-want rows.  The pipeline reads only the columns, and so does an
-annotator's one-function view (``lifting.function_subgraph``).
+The columns are the graph's one representation: every stage reads
+them, and so does an annotator's one-function view
+(``lifting.function_subgraph``).
 
 One converter per array, ``_node_columns`` and ``_edge_columns``, turns
-JSON-shaped rows into typed columns, for the reader (a chunk of rows at
-a time) and the row constructor ``CpgGraph(nodes, edges)``.  It checks
-all its rows at once and, only when a check fails, walks them for the
-first offender, so the error names the same row (by its index in the
-whole array) and field whatever the size of the input.  The
-core takes the typed columns, checks ids across the graph and puts them
-in canonical order.  Graphs are immutable after construction; the
+JSON-shaped rows into typed columns, a chunk of rows at a time.  It
+checks all its rows at once and, only when a check fails, walks them
+for the first offender, so the error names the same row (by its index
+in the whole array) and field whatever the size of the input.  A value
+of the wrong type is an error, never coerced: an opcode, label or attrs
+value must be a string.  The constructor, ``CpgGraph(binary_id,
+node_columns, edge_columns)``, takes the typed columns, checks ids
+across the graph and puts them in canonical order.  Graphs are
+immutable after construction; the
 indexes over them (``function_rows``, the rows of each function, and
 ``pdg_csr``, the data-dependence adjacency that ``verify_claims``
 walks) are built on first use and cached.
@@ -66,7 +67,7 @@ its join.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, compress
@@ -92,24 +93,6 @@ class EdgeKind(str, Enum):
     AST = "Ast"
     CFG = "Cfg"
     PDG = "Pdg"
-
-
-@dataclass(frozen=True, slots=True)
-class CpgNode:
-    id: int
-    kind: NodeKind
-    opcode: str
-    function_id: int
-    block_id: int
-    attrs: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True, slots=True)
-class CpgEdge:
-    src: int
-    dst: int
-    kind: EdgeKind
-    label: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,22 +124,9 @@ _INT64 = range(-2 ** 63, 2 ** 63)
 class CpgGraph:
     """Validated, immutable code property graph, stored as columns."""
 
-    def __init__(self, nodes: Sequence[CpgNode], edges: Sequence[CpgEdge],
-                 binary_id: str = ""):
-        interned: dict[str, str] = {}
-        self._build(binary_id, _node_columns(list(map(_node_doc, nodes)), 0, interned),
-                    _edge_columns(list(map(_edge_doc, edges)), 0, interned))
-
-    @classmethod
-    def _from_columns(cls, binary_id: str, node_columns: tuple,
-                      edge_columns: tuple) -> "CpgGraph":
-        g = cls.__new__(cls)
-        g._build(binary_id, node_columns, edge_columns)
-        return g
-
-    def _build(self, binary_id: str, node_columns: tuple, edge_columns: tuple) -> None:
-        """The validating core: graph checks and canonical order, over the
-        typed columns of ``_node_columns`` and ``_edge_columns``."""
+    def __init__(self, binary_id: str, node_columns: tuple, edge_columns: tuple):
+        """Check ids across the graph and put the typed columns of
+        ``_node_columns`` and ``_edge_columns`` in canonical order."""
         if type(binary_id) is not str:
             raise SchemaError(f"'binary_id' must be a string, got {binary_id!r}")
         node_id, node_kind, node_function, node_block, opcodes, attrs = node_columns
@@ -240,23 +210,6 @@ class CpgGraph:
         return list(self.function_rows)
 
     @cached_property
-    def nodes(self) -> tuple[CpgNode, ...]:
-        """Row view of every node, in id order."""
-        attrs = self.attrs
-        return tuple(CpgNode(i, NODE_KINDS[k], o, f, b, attrs.get(r, {}))
-                     for r, (i, k, o, f, b) in enumerate(zip(
-                         self.node_id.tolist(), self.node_kind.tolist(), self.opcode,
-                         self.node_function.tolist(), self.node_block.tolist())))
-
-    @cached_property
-    def edges(self) -> tuple[CpgEdge, ...]:
-        """Row view of every edge, in canonical order."""
-        labels = self.labels
-        return tuple(CpgEdge(s, d, EDGE_KINDS[k], labels[c])
-                     for s, d, k, c in zip(self.edge_src.tolist(), self.edge_dst.tolist(),
-                                           self.edge_kind.tolist(), self.edge_label.tolist()))
-
-    @cached_property
     def pdg_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Data-dependence adjacency over rows: (indptr, successor rows).
 
@@ -305,28 +258,12 @@ def _codes(values: list, table: Mapping) -> np.ndarray | None:
         return None
 
 
-def _strs(values: list) -> list[str]:
-    """values with each one that is not a str replaced by its str()."""
-    if set(map(type, values)) <= {str}:
-        return values
-    return [v if type(v) is str else str(v) for v in values]
-
-
 def _search(sorted_id: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row, found) of each key in the sorted id column."""
     rows = np.searchsorted(sorted_id, keys)
     found = rows < len(sorted_id)
     found[found] = sorted_id[rows[found]] == keys[found]
     return rows, found
-
-
-def _node_doc(n: CpgNode) -> dict:
-    return {"id": n.id, "kind": n.kind, "opcode": n.opcode, "function_id": n.function_id,
-            "block_id": n.block_id, "attrs": n.attrs}
-
-
-def _edge_doc(e: CpgEdge) -> dict:
-    return {"src": e.src, "dst": e.dst, "kind": e.kind, "label": e.label}
 
 
 def _is_id(value) -> bool:
@@ -367,6 +304,12 @@ def _check_node(raw, pos: int) -> None:
         raise SchemaError(f"node {node_id} has non-integer function_id {function_id!r}")
     if not _is_id(block_id):
         raise SchemaError(f"node {node_id} has non-integer block_id {block_id!r}")
+    opcode = raw.get("opcode", "")
+    if type(opcode) is not str:
+        raise SchemaError(f"node {node_id} has non-string opcode {opcode!r}")
+    for key, value in raw.get("attrs", {}).items():
+        if type(key) is not str or type(value) is not str:
+            raise SchemaError(f"node {node_id} has non-string attrs entry {key!r}: {value!r}")
 
 
 def _check_edge(raw, pos: int) -> None:
@@ -387,6 +330,9 @@ def _check_edge(raw, pos: int) -> None:
         raise SchemaError(f"edge at index {pos} is missing required field {exc}") from None
     if not _is_id(src) or not _is_id(dst):
         raise SchemaError(f"edge at index {pos} has a non-integer endpoint {src!r} -> {dst!r}")
+    label = raw.get("label", "")
+    if type(label) is not str:
+        raise SchemaError(f"edge at index {pos} has non-string label {label!r}")
 
 
 _REQUIRED = object()
@@ -407,11 +353,6 @@ def _column(rows: list, key: str, default=_REQUIRED) -> list:
 _NO_ATTRS: dict = {}  # shared by every row without attrs; never written to
 
 
-def loads_cpg(text: str) -> CpgGraph:
-    """Parse and validate a graph document, as ``load_cpg`` reads a file."""
-    return _read_cpg(text)
-
-
 def load_cpg(path: str | Path) -> CpgGraph:
     """Parse and validate a graph file, preserving node and edge counts.
 
@@ -425,12 +366,14 @@ def load_cpg(path: str | Path) -> CpgGraph:
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as source:
-            return _read_cpg(source)
+            return loads_cpg(source)
     except (ParseError, SchemaError) as exc:
         raise type(exc)(f"CPG file {path}: {exc}") from None
 
 
-def _read_cpg(source: str | TextIO) -> CpgGraph:
+def loads_cpg(source: str | TextIO) -> CpgGraph:
+    """Parse and validate a graph document, its text or a text file open
+    for reading, as ``load_cpg`` reads a file."""
     interned: dict[str, str] = {}
     with collector_paused():
         try:
@@ -447,8 +390,7 @@ def _read_cpg(source: str | TextIO) -> CpgGraph:
         for key in ("nodes", "edges"):
             if isinstance(columns[key], Exception):  # the first faulty row
                 raise columns[key]
-        return CpgGraph._from_columns(doc.get("binary_id", ""), columns["nodes"],
-                                      columns["edges"])
+        return CpgGraph(doc.get("binary_id", ""), columns["nodes"], columns["edges"])
 
 
 def _joined(parts: list[tuple]) -> tuple:
@@ -471,12 +413,12 @@ def _node_columns(rows: list, start: int, interned: dict[str, str]) -> tuple:
     except (KeyError, TypeError, AttributeError):  # a row is no object or lacks a field
         _raise_first_fault(rows, start, _check_node)
     typed = (_int64(ids), _codes(kinds, _NODE_CODES), _int64(functions), _int64(blocks))
-    if any(column is None for column in typed) or not set(map(type, attrs)) <= {dict}:
+    if (any(column is None for column in typed) or not set(map(type, attrs)) <= {dict}
+            or not set(map(type, opcodes)) <= {str}
+            or not set(map(type, chain.from_iterable(chain(a, a.values())
+                                                     for a in attrs))) <= {str}):
         _raise_first_fault(rows, start, _check_node)
-    opcodes = _strs(opcodes)
     attrs = [a or _NO_ATTRS for a in attrs]
-    if not set(map(type, chain.from_iterable(chain(a, a.values()) for a in attrs))) <= {str}:
-        attrs = [{str(k): str(v) for k, v in a.items()} if a else a for a in attrs]
     return (*typed, list(map(interned.setdefault, opcodes, opcodes)), attrs)
 
 
@@ -493,9 +435,8 @@ def _edge_columns(rows: list, start: int, interned: dict[str, str]) -> tuple:
     except (KeyError, TypeError, AttributeError):  # a row is no object or lacks a field
         _raise_first_fault(rows, start, _check_edge)
     typed = (_int64(srcs), _int64(dsts), _codes(kinds, _EDGE_CODES))
-    if any(column is None for column in typed):
+    if any(column is None for column in typed) or not set(map(type, labels)) <= {str}:
         _raise_first_fault(rows, start, _check_edge)
-    labels = _strs(labels)
     return (*typed, list(map(interned.setdefault, labels, labels)))
 
 

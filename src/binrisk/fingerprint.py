@@ -111,16 +111,11 @@ def _best_matches(target: Sequence[NodeEmbedding], fp: Fingerprint):
     return pairs
 
 
-def similarity(target: Sequence[NodeEmbedding], fp: Fingerprint) -> float:
-    """Mean best-match clamped cosine over the fingerprint's nodes."""
-    pairs = _best_matches(target, fp)
-    return float(np.mean([p[2] for p in pairs]))
-
-
 def match_and_alert(target: Sequence[NodeEmbedding],
                     fingerprints: Sequence[Fingerprint],
                     tau: float) -> list[MatchResult]:
-    """Score every fingerprint; alert on similarity strictly above tau."""
+    """Score every fingerprint, its similarity being the mean best-match
+    clamped cosine over its nodes; alert on similarity strictly above tau."""
     results = []
     for fp in fingerprints:
         pairs = _best_matches(target, fp)

@@ -95,6 +95,8 @@ class ModelConfig:
             raise ConfigError(f"edge_types must be {len(RELATION_INDEX)}")
         if self.input_dim < 1:
             raise ConfigError("input_dim must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def head_dim(self) -> int:
@@ -349,39 +351,9 @@ def _attention(z: np.ndarray, dist: np.ndarray, flat: np.ndarray, edge_vals: np.
     return _softmax_rows(scores)
 
 
-def attention_matrix(z: np.ndarray, dist: np.ndarray,
-                     edges: Sequence[tuple[int, int, int, float]],
-                     params: ModelParams, layer: int, head: int) -> np.ndarray:
-    """Row-stochastic attention for one head of one layer.
-
-    Pre-softmax score (i, j) is the scaled query-key product plus the
-    spatial bias for the hop-distance bucket from i to j plus, when
-    directed relations i -> j exist, the sum of their type-bias entries
-    scaled by the relation weights.  The diagonal uses distance bucket 0
-    and never takes an edge term.
-    """
-    cfg = params.config
-    n = z.shape[0]
-    if z.ndim != 2 or z.shape[1] != cfg.hidden_dim:
-        raise ShapeMismatch(f"state must be (n, {cfg.hidden_dim}), got {z.shape}")
-    if dist.shape != (n, n):
-        raise ShapeMismatch(f"distance matrix must be {(n, n)}, got {dist.shape}")
-    rows = np.array(edges, dtype=np.float64).reshape(-1, 4)
-    src, dst, type_index = rows[:, :3].astype(np.int64).T
-    flat, vals = _edge_bias_terms(n, src, dst, type_index, rows[:, 3],
-                                  params.edge_bias[head:head + 1])
-    d = cfg.head_dim
-    return _attention(z, dist, flat, vals[0], params.layers[layer],
-                      params.spatial_bias[head], slice(head * d, (head + 1) * d))
-
-
-def relation_edges(kg: SsckgGraph) -> list[tuple[int, int, int, float]]:
-    """Entity-to-entity relations as (src_index, dst_index, type_index, weight)."""
-    return list(zip(*(column.tolist() for column in _relation_arrays(kg))))
-
-
 def _relation_arrays(kg: SsckgGraph) -> tuple[np.ndarray, ...]:
-    """The columns of ``relation_edges``: src and dst positions, type index, weight."""
+    """The relations between two entities as columns: src and dst
+    positions in ``kg.entities``, type index and weight."""
     cols = kg.relation_columns
     between = cols.entity_rows()
     return (kg.positions(cols.src[between]), kg.positions(cols.dst[between]),

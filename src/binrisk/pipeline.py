@@ -75,14 +75,21 @@ from .ssckg import (
 
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     """Write text, or the concatenation of an iterable of text chunks, to
-    path: to a temporary file beside it, renamed over it once complete."""
+    path: to a temporary file beside it, renamed over it once complete.
+
+    The file gets the mode ``open`` would give a new file under the
+    process umask, not the owner-only mode of the temporary file.
+    """
     if isinstance(text, str):
         text = (text,)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    umask = os.umask(0)  # reading the umask means setting it; it is put back at once
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(fd, 0o666 & ~umask)
             handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:

@@ -23,15 +23,14 @@ one object per relation.  In row order they are: int64 ``src``, int8
 model's bias-table index), int64 ``dst``, float64 ``weight``, and
 ``cve``, the CVE id of each vulnerable_to row by row (whose ``dst`` is
 0).  ``extract_relations`` returns them sorted by src, then type name,
-then dst as a string.  ``Relation`` is the row view: iterating the
-columns, ``SsckgGraph.relations`` and ``entity_relations`` build
-``Relation`` objects on demand.  Relation ids are plain integers, not
-booleans, and every weight is finite and positive.
+then dst as a string.  Relation ids are plain integers, not booleans,
+and every weight is finite and positive.
 
 One converter, ``_relations``, turns JSON-shaped relation rows into
-columns, for the reader and the row constructor ``SsckgGraph(entities,
-relations)``; as ``cpg``'s converters do, it walks the rows for the
-first offender only when a check over all of them fails.
+columns; as ``cpg``'s converters do, it walks the rows for the first
+offender only when a check over all of them fails.  The constructor,
+``SsckgGraph(entities, relations)``, takes the columns and checks the
+ids, ends and weights across the graph.
 ``load_ssckg`` reads the file in windows (``errors.read_rows``) and
 turns each chunk of entity rows into entities, and each chunk of
 relation rows into columns, before it decodes the next, for a faulty
@@ -48,7 +47,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -88,13 +86,6 @@ VULN_CODE = RELATION_INDEX[RelationType.VULNERABLE_TO]
 _NAME_RANK = np.argsort(np.argsort([t.value for t in RELATION_TYPES])).astype(np.int8)
 
 
-def relation_type(name) -> RelationType:
-    """The relation type named name; ValueError when there is none."""
-    try:
-        return RELATION_TYPES[_TYPE_CODES[name]]
-    except (KeyError, TypeError):
-        raise ValueError(f"{name!r} is not a valid RelationType") from None
-
 DEFAULT_WEIGHTS: dict[RelationType, float] = {
     RelationType.TAINTS: 1.0,
     RelationType.REACHES: 0.8,
@@ -128,22 +119,9 @@ class Entity:
 
 
 def check_relation_weight(weight: float) -> None:
-    """The weight rule of Relation; SchemaError unless weight is finite and positive."""
+    """The weight rule of a relation; SchemaError unless weight is finite and positive."""
     if not (math.isfinite(weight) and weight > 0):
         raise SchemaError(f"relation weight must be finite and positive, got {weight}")
-
-
-@dataclass(frozen=True)
-class Relation:
-    src: int
-    rel_type: RelationType
-    dst: int | str  # entity id, or CVE id for vulnerable_to
-    weight: float
-
-    def __post_init__(self):
-        check_relation_weight(self.weight)
-        if (self.rel_type is RelationType.VULNERABLE_TO) != isinstance(self.dst, str):
-            raise SchemaError("only vulnerable_to relations may target a CVE id")
 
 
 @dataclass(frozen=True)
@@ -156,8 +134,7 @@ class CveRecord:
 class RelationColumns:
     """Relations as columns, in row order; see the module docstring.
 
-    ``len`` is the number of relations.  Iterating, ``rows`` and ``==``
-    (against columns or any sequence of ``Relation``) use the row view.
+    ``len`` is the number of relations.
     """
 
     def __init__(self, src: np.ndarray, type_code: np.ndarray, dst: np.ndarray,
@@ -182,24 +159,6 @@ class RelationColumns:
 
     def __len__(self) -> int:
         return len(self.src)
-
-    @cached_property
-    def rows(self) -> tuple[Relation, ...]:
-        return tuple(map(Relation, self.src.tolist(),
-                         map(RELATION_TYPES.__getitem__, self.type_code.tolist()),
-                         self.dst_values(), self.weight.tolist()))
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __eq__(self, other):
-        if isinstance(other, RelationColumns):
-            return self.rows == other.rows
-        if isinstance(other, (list, tuple)):
-            return self.rows == tuple(other)
-        return NotImplemented
-
-    __hash__ = None
 
     def dst_values(self) -> list[int | str]:
         """Each row's target: an entity id, or a CVE id on vulnerable_to rows."""
@@ -236,30 +195,16 @@ def _check_relation(raw, pos: int) -> None:
         raise SchemaError(f"relation at index {pos} has weight {weight!r}, which is no float")
 
 
-def _relation_doc(r: Relation) -> dict:
-    return {"src": r.src, "rel_type": r.rel_type, "dst": r.dst, "weight": r.weight}
-
-
 class SsckgGraph:
-    """Entity-level knowledge graph, immutable after construction.
+    """Entity-level knowledge graph, immutable after construction."""
 
-    ``relations`` may be ``RelationColumns`` or any sequence of
-    ``Relation``; either way the graph stores columns.
-    """
-
-    def __init__(self, entities: Sequence[Entity],
-                 relations: RelationColumns | Sequence[Relation],
+    def __init__(self, entities: Sequence[Entity], relations: RelationColumns,
                  source_binary: str = "", clustering: Mapping | None = None):
-        if not isinstance(relations, RelationColumns):
-            relations = _relations(list(map(_relation_doc, relations)))
+        """Check the entity ids and members and the relations' ends and
+        weights; entities are kept in id order."""
         if type(source_binary) is not str:
             raise SchemaError(f"'source_binary' must be a string, got {source_binary!r}")
-        self._build(list(entities), relations)
-        self.source_binary = source_binary
-        self.clustering = dict(clustering) if clustering else None
-
-    def _build(self, entities: list[Entity], columns: RelationColumns) -> None:
-        """The graph checks: entity ids and members, relation ends and weights."""
+        entities = list(entities)
         ids = _int64([e.id for e in entities])
         if ids is None:
             pos = next(i for i, e in enumerate(entities) if not _is_id(e.id))
@@ -274,25 +219,28 @@ class SsckgGraph:
         if duplicate.any():
             raise SchemaError(f"duplicate entity id {ids[np.argmax(duplicate)]}")
 
-        _, src_found = _search(sorted_ids, columns.src)
-        _, dst_found = _search(sorted_ids, columns.dst)
-        weight_ok = np.isfinite(columns.weight) & (columns.weight > 0)
-        dst_found |= ~columns.entity_rows()
+        _, src_found = _search(sorted_ids, relations.src)
+        _, dst_found = _search(sorted_ids, relations.dst)
+        weight_ok = np.isfinite(relations.weight) & (relations.weight > 0)
+        dst_found |= ~relations.entity_rows()
         bad = ~(src_found & dst_found & weight_ok)
         if bad.any():
             i = int(np.argmax(bad))
             try:
-                check_relation_weight(float(columns.weight[i]))
+                check_relation_weight(float(relations.weight[i]))
             except SchemaError as exc:
                 raise SchemaError(f"relation at index {i}: {exc}") from None
             if not src_found[i]:
-                raise SchemaError(f"relation at index {i}: source {columns.src[i]} "
+                raise SchemaError(f"relation at index {i}: source {relations.src[i]} "
                                   "is not an entity")
-            raise SchemaError(f"relation at index {i}: target {columns.dst[i]} is not an entity")
+            raise SchemaError(f"relation at index {i}: target {relations.dst[i]} "
+                              "is not an entity")
 
         self.entities: tuple[Entity, ...] = tuple(entities[i] for i in order.tolist())
         self.entity_ids = sorted_ids
-        self.relation_columns = columns
+        self.relation_columns = relations
+        self.source_binary = source_binary
+        self.clustering = dict(clustering) if clustering else None
         self._by_id = dict(zip(sorted_ids.tolist(), self.entities))
 
     def __len__(self) -> int:
@@ -304,15 +252,6 @@ class SsckgGraph:
     def positions(self, entity_ids: np.ndarray) -> np.ndarray:
         """Position in ``entities`` of each of the graph's entity ids."""
         return np.searchsorted(self.entity_ids, entity_ids)
-
-    @property
-    def relations(self) -> tuple[Relation, ...]:
-        """Row view of every relation, in stored order."""
-        return self.relation_columns.rows
-
-    def entity_relations(self) -> list[Relation]:
-        """Relations between two entities (everything but CVE links)."""
-        return [r for r in self.relations if isinstance(r.dst, int)]
 
 
 def structural_collapse(g: CpgGraph, granularity: Granularity = Granularity.FUNCTION,

@@ -16,31 +16,18 @@ import pytest
 
 import binrisk
 from binrisk.cli import EXIT_ALERTS, EXIT_OK, main
-from binrisk.cpg import (
-    CpgEdge,
-    CpgGraph,
-    CpgNode,
-    DataFlowClaim,
-    EdgeKind,
-    NodeKind,
-    verify_claims,
-)
-from binrisk.fingerprint import BENIGN, MALICIOUS, Fingerprint, select_threshold, similarity
-from binrisk.graphormer import (
-    ModelConfig,
-    NodeEmbedding,
-    attention_matrix,
-    forward,
-    init_params,
-    relation_edges,
-)
+from binrisk.cpg import DataFlowClaim, EdgeKind, NodeKind, verify_claims
+from binrisk.fingerprint import (BENIGN, MALICIOUS, Fingerprint, match_and_alert,
+                                 select_threshold)
+from binrisk.graphormer import ModelConfig, NodeEmbedding, forward, init_params
 from binrisk.lattice import TOP, EvrMode, GoldenRecord, Label, Lattice, evr, join, leq
 from binrisk.lifting import Annotation, build_corpus
 from binrisk.metrics import ConfusionCounts, classification_metrics, cohen_kappa
 from binrisk.risk import PropagationConfig, propagate
-from binrisk.ssckg import Granularity, SsckgGraph, construction_stats, dbscan, structural_collapse
+from binrisk.ssckg import Granularity, construction_stats, dbscan, structural_collapse
 
 from conftest import SESSION_T0
+from oracles import CpgEdge, CpgNode, attention_matrix, relation_edges, row_cpg, row_kg
 from test_fingerprint import similarity_oracle, threshold_oracle
 from test_graphormer import (
     forward_oracle,
@@ -131,7 +118,7 @@ def test_criterion_03_verifier_gate_rejection_rate():
         nodes.append(CpgNode(id=2 * f + 1, kind=NodeKind.INSTRUCTION, opcode="mov",
                              function_id=f, block_id=0, attrs=attrs))
         edges.append(CpgEdge(src=2 * f, dst=2 * f + 1, kind=EdgeKind.PDG))
-    g = CpgGraph(nodes, edges)
+    g = row_cpg(nodes, edges)
     corpus = build_corpus(g, range(n_functions), _FlowAnnotator(n_bad))
     assert corpus.rejected_count == n_bad
     assert len(corpus.accepted) == n_functions - n_bad
@@ -181,10 +168,10 @@ def test_criterion_05_compression_at_scale():
                                  function_id=f, block_id=0, attrs=attrs))
             nid += 1
     assert nid == 847_000
-    g = CpgGraph(nodes, [])
+    g = row_cpg(nodes, [])
     entities = structural_collapse(g, Granularity.FUNCTION)
     assert len(entities) == 3_420
-    stats = construction_stats(g, SsckgGraph(entities, []))
+    stats = construction_stats(g, row_kg(entities, []))
     assert stats["cpg_nodes"] == 847_000
     assert stats["entities"] == 3_420
     assert abs(stats["compression_ratio"] - 247.7) <= 0.1
@@ -262,7 +249,7 @@ def test_criterion_07_transformer_invariants():
 
     # (d) single-node closed form within 1e-10
     lone = model_entity(0, Label.parse("Memory"), unit(np.random.default_rng(2), 6))
-    got1 = forward(SsckgGraph([lone], []), hand_params)[0].vector
+    got1 = forward(row_kg([lone], []), hand_params)[0].vector
     z = lone.embedding.values @ hand_params.w_input + hand_params.tier_embed[1]
     for lp in hand_params.layers:
         mixed = (z @ lp.w_v) @ lp.w_o
@@ -286,20 +273,21 @@ def test_criterion_08_similarity_oracle_equivalence():
         pattern = Fingerprint(name=f"f{case}", node_embeddings=tuple(
             NodeEmbedding(entity_id=i, vector=rng.standard_normal(dim))
             for i in range(n_fp)))
-        got = similarity(target, pattern)
+        got = match_and_alert(target, [pattern], 0.0)[0].similarity
         worst = max(worst, abs(got - similarity_oracle(target, pattern)))
         assert worst <= 1e-12
         # superset monotonicity on every fuzz case
         extra = target + [NodeEmbedding(entity_id=100 + j,
                                         vector=rng.standard_normal(dim))
                           for j in range(int(rng.integers(1, 4)))]
-        assert similarity(extra, pattern) >= got - 1e-12
+        assert match_and_alert(extra, [pattern], 0.0)[0].similarity >= got - 1e-12
     # self similarity on unit-norm sets
     vecs = rng.standard_normal((8, 16))
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
     selves = [NodeEmbedding(entity_id=i, vector=v) for i, v in enumerate(vecs)]
     self_fp = Fingerprint(name="self", node_embeddings=tuple(selves))
-    assert abs(similarity(selves, self_fp) - 1.0) <= 1e-12
+    [match] = match_and_alert(selves, [self_fp], 0.0)
+    assert abs(match.similarity - 1.0) <= 1e-12
     print(f"criterion 08 PASS: 500 fuzzed pairs within {worst:.1e} <= 1e-12 "
           f"of the double-loop oracle; Sim(G,G)=1; superset monotonicity held")
 

@@ -4,7 +4,6 @@ import json
 import os
 import random
 import shlex
-import shutil
 import subprocess
 import sys
 import weakref
@@ -16,9 +15,10 @@ import pytest
 import binrisk
 import binrisk.pipeline
 from binrisk.cli import EXIT_ALERTS, EXIT_ERROR, EXIT_OK, main
-from binrisk.cpg import CpgEdge, CpgNode, EdgeKind, load_cpg
+from binrisk.cpg import EdgeKind, load_cpg
 from binrisk.graphormer import ModelConfig, _tensor_map, init_params
-from binrisk.ssckg import Relation
+
+from oracles import edge_rows, node_rows
 
 
 def run(capsys, *argv):
@@ -86,30 +86,18 @@ def test_report_needs_no_scipy(capsys, fixtures_dir, tmp_path):
             (tmp_path / "in_process" / name).read_bytes(), name
 
 
-def test_report_builds_no_row_objects(capsys, fixtures_dir, tmp_path, monkeypatch):
-    """report reads the graphs' columns only: with the row classes made
-    unbuildable it writes the same bytes and prints the same lines."""
-    def built(self, *args, **kwargs):
-        raise AssertionError(f"report built a {type(self).__name__}")
-
-    for bid, cfg in (("toy_modbus", "config_toy.json"),
-                     ("firmware_update", "config_firmware.json")):
-        def report(outdir):
-            return main(["report", "--config", str(fixtures_dir / cfg),
-                         "--cpg", str(fixtures_dir / f"{bid}.cpg.json"),
-                         "--outdir", str(outdir)])
-
-        plain_code, plain_out = report(tmp_path / bid / "plain"), capsys.readouterr().out
-        with monkeypatch.context() as patch:
-            for cls in (CpgNode, CpgEdge, Relation):
-                patch.setattr(cls, "__init__", built)
-            code = report(tmp_path / bid / "guarded")
-        assert (code, capsys.readouterr().out) == (plain_code, plain_out)
-        names = sorted(p.name for p in (tmp_path / bid / "plain").iterdir())
-        assert sorted(p.name for p in (tmp_path / bid / "guarded").iterdir()) == names
-        for name in names:
-            assert (tmp_path / bid / "guarded" / name).read_bytes() == \
-                (tmp_path / bid / "plain" / name).read_bytes(), name
+def test_graphs_have_one_representation():
+    """The graphs are built from columns only: the package defines no row
+    classes, row views or second constructors, and none of the references
+    the tests keep in oracles.py."""
+    gone = {"CpgNode", "CpgEdge", "Relation", "similarity", "attention_matrix",
+            "relation_edges", "entity_relations", "_node_doc", "_edge_doc", "_relation_doc"}
+    for module in (binrisk, binrisk.cpg, binrisk.ssckg, binrisk.graphormer,
+                   binrisk.fingerprint):
+        assert not gone & set(vars(module)), module.__name__
+    for cls in (binrisk.CpgGraph, binrisk.SsckgGraph):
+        assert not {"_from_columns", "_build", "nodes", "edges", "relations"} & set(vars(cls))
+    assert not {"rows", "__iter__", "__eq__"} & set(vars(binrisk.RelationColumns))
 
 
 # --- single commands ---------------------------------------------------------
@@ -192,13 +180,13 @@ def test_cmd_annotator_requests_equal_the_row_view(capsys, fixtures_dir, tmp_pat
     g = load_cpg(fixtures_dir / "firmware_update.cpg.json")
     expected = []
     for fid in g.function_ids:
-        nodes = [n for n in g.nodes if n.function_id == fid]
+        nodes = [n for n in node_rows(g) if n.function_id == fid]
         inside = {n.id for n in nodes}
         expected.append(json.dumps({
             "function_id": fid, "binary_id": g.binary_id,
             "nodes": [{"id": n.id, "kind": n.kind.value, "opcode": n.opcode,
                        "attrs": dict(sorted(n.attrs.items()))} for n in nodes],
-            "pdg_edges": [[e.src, e.dst] for e in g.edges if e.kind is EdgeKind.PDG
+            "pdg_edges": [[e.src, e.dst] for e in edge_rows(g) if e.kind is EdgeKind.PDG
                           and e.src in inside and e.dst in inside],
         }))
     assert lift_with_recorder(capsys, fixtures_dir, tmp_path)[2] == expected
@@ -557,6 +545,24 @@ def test_report_writes_every_file_or_none(capsys, fixtures_dir, tmp_path, positi
     assert {name: (outdir / name).read_bytes() for name in os.listdir(outdir)} == before
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_take_the_mode_of_the_umask(fixtures_dir, tmp_path, umask, mode):
+    """Files are written through an owner-only temporary file, but each
+    output gets the mode a new file gets under the process umask."""
+    cpg = str(fixtures_dir / "toy_modbus.cpg.json")
+    old = os.umask(umask)
+    try:
+        codes = [main(["report", "--config", str(fixtures_dir / "config_toy.json"), "--cpg", cpg,
+                       "--outdir", str(tmp_path / "out")]),
+                 main(["ingest", "--cpg", cpg, "--out", str(tmp_path / "canon.json")])]
+    finally:
+        os.umask(old)
+    assert codes == [EXIT_OK, EXIT_OK]
+    modes = {p.name: oct(p.stat().st_mode & 0o777)
+             for p in [*(tmp_path / "out").iterdir(), tmp_path / "canon.json"]}
+    assert len(modes) == 8 and set(modes.values()) == {oct(mode)}, modes
+
+
 @pytest.mark.parametrize("bid", ["../escaped", "sub/evil", "..", ".", "nul\0byte"])
 def test_report_rejects_binary_id_outside_outdir(capsys, fixtures_dir, tmp_path, bid):
     toy = json.loads((fixtures_dir / "toy_modbus.cpg.json").read_text(encoding="utf-8"))
@@ -776,6 +782,15 @@ BAD_INPUTS = {
                                   REPORT_BAD_CONFIG),
     "config_negative_dbscan_eps": ("cfg.json", '{"dbscan_eps": -1.0}', "eps",
                                    REPORT_BAD_CONFIG),
+    "config_negative_seed": ("cfg.json", '{"seed": -1}', "seed must be non-negative, got -1",
+                             REPORT_BAD_CONFIG),
+    # A valid config whose seed the flag overrides with a bad one.
+    "report_negative_seed": ("cfg.json", '{"seed": 3}', "seed must be non-negative, got -1",
+                             ["report", "--config", "{bad}", "--seed", "-1", "--cpg",
+                              "{fx}/toy_modbus.cpg.json", "--outdir", "{tmp}/out"]),
+    "forward_negative_seed": ("cfg.json", "{}", "seed must be non-negative, got -1",
+                              ["forward", "--config", "{bad}", "--seed", "-1", "--kg",
+                               "{toy}/toy_modbus.kg.json", "--out", "{tmp}/emb.json"]),
     "cpg_boolean_id": (
         "cpg.json", '{"nodes": [{"id": true, "kind": "Call", "function_id": 0,'
         ' "block_id": false}], "edges": []}', "non-integer id True",
@@ -997,5 +1012,6 @@ def test_bad_input_file_gives_one_error_line(capsys, fixtures_dir, toy_run, firm
     assert one_error_line(err)
     assert needle.format(**places) in err
     assert not any((tmp_path / "out").glob("*"))  # rejected before any stage wrote
-    if "--out" in argv:
-        assert not Path(argv[argv.index("--out") + 1].format(**places)).exists()
+    for flag in ("--out", "--outdir"):
+        if flag in argv:
+            assert not Path(argv[argv.index(flag) + 1].format(**places)).exists()

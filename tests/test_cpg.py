@@ -8,12 +8,8 @@ import numpy as np
 import pytest
 
 from binrisk.cpg import (
-    CpgEdge,
-    CpgGraph,
-    CpgNode,
     DataFlowClaim,
     EdgeKind,
-    NodeKind,
     cpg_chunks,
     dumps_cpg,
     load_cpg,
@@ -25,14 +21,7 @@ from binrisk.errors import ParseError, SchemaError, UnknownNode
 from binrisk.lifting import function_subgraph
 from binrisk.pipeline import write_atomic
 
-
-def inst(nid, fn=0, block=0, opcode="mov", **attrs):
-    return CpgNode(id=nid, kind=NodeKind.INSTRUCTION, opcode=opcode,
-                   function_id=fn, block_id=block, attrs=attrs)
-
-
-def pdg(a, b):
-    return CpgEdge(src=a, dst=b, kind=EdgeKind.PDG)
+from oracles import CpgEdge, inst, pdg, row_cpg
 
 
 # --- parsing and validation ---------------------------------------------------
@@ -40,25 +29,23 @@ def pdg(a, b):
 def test_load_toy_fixture(fixtures_dir):
     g = load_cpg(fixtures_dir / "toy_modbus.cpg.json")
     assert g.binary_id == "toy_modbus"
-    assert len(g.nodes) == 20
+    assert len(g) == 20
     assert g.function_ids == [0, 1, 2, 3, 4]
 
 
 def test_duplicate_node_id_rejected():
     with pytest.raises(SchemaError, match="duplicate node id 7"):
-        CpgGraph([inst(7), inst(7)], [])
+        row_cpg([inst(7), inst(7)], [])
 
 
 def test_dangling_edge_rejected():
     with pytest.raises(SchemaError, match="missing node 9"):
-        CpgGraph([inst(0), inst(1)], [pdg(0, 9)])
+        row_cpg([inst(0), inst(1)], [pdg(0, 9)])
 
 
 def test_negative_function_id_rejected():
-    bad = CpgNode(id=0, kind=NodeKind.INSTRUCTION, opcode="mov",
-                  function_id=-1, block_id=0, attrs={})
     with pytest.raises(SchemaError):
-        CpgGraph([bad], [])
+        row_cpg([inst(0, fn=-1)], [])
 
 
 def test_bad_json_is_parse_error():
@@ -85,8 +72,8 @@ def test_round_trip_preserves_graph(fixtures_dir):
     text = dumps_cpg(g)
     again = loads_cpg(text)
     assert dumps_cpg(again) == text
-    assert len(again.nodes) == len(g.nodes)
-    assert len(again.edges) == len(g.edges)
+    assert len(again) == len(g)
+    assert len(again.edge_src) == len(g.edge_src)
 
 
 def generated_cpg_text(n: int) -> str:
@@ -133,7 +120,7 @@ def test_load_and_write_hold_no_whole_file_structure(tmp_path):
 
 
 def test_canonical_form_sorts_nodes_and_edges():
-    g = CpgGraph([inst(3), inst(1), inst(2)],
+    g = row_cpg([inst(3), inst(1), inst(2)],
                  [pdg(3, 1), pdg(1, 2), pdg(1, 3)])
     doc = json.loads(dumps_cpg(g))
     assert [n["id"] for n in doc["nodes"]] == [1, 2, 3]
@@ -142,7 +129,7 @@ def test_canonical_form_sorts_nodes_and_edges():
 
 def test_function_view_keeps_only_internal_pdg_edges():
     nodes = [inst(0, fn=0), inst(1, fn=0), inst(2, fn=1)]
-    g = CpgGraph(nodes, [pdg(0, 1), pdg(1, 2), CpgEdge(src=0, dst=1, kind=EdgeKind.CFG)])
+    g = row_cpg(nodes, [pdg(0, 1), pdg(1, 2), CpgEdge(src=0, dst=1, kind=EdgeKind.CFG)])
     indptr, succ = g.pdg_csr
     assert (indptr.tolist(), succ.tolist()) == ([0, 1, 2, 2], [1, 2])
     assert function_subgraph(g, 0).pdg_edges == [(0, 1)]
@@ -156,7 +143,7 @@ def graph_with_chain():
     nodes = [inst(i) for i in range(4)]
     edges = [pdg(0, 1), pdg(1, 2),
              CpgEdge(src=0, dst=3, kind=EdgeKind.CFG)]
-    return CpgGraph(nodes, edges)
+    return row_cpg(nodes, edges)
 
 
 def test_direct_and_transitive_claims_hold():

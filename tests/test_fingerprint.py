@@ -24,7 +24,6 @@ from binrisk.fingerprint import (
     match_and_alert,
     roc_auc,
     select_threshold,
-    similarity,
 )
 from binrisk.graphormer import NodeEmbedding
 from binrisk.pipeline import write_atomic
@@ -59,7 +58,8 @@ def test_similarity_hand_case():
     pattern = fp(node(0, [1, 0]), node(1, [1, 1]))
     # first node matches exactly; second is 45 degrees from both targets
     want = (1.0 + math.cos(math.pi / 4)) / 2
-    assert similarity(target, pattern) == pytest.approx(want, abs=1e-12)
+    [match] = match_and_alert(target, [pattern], 0.0)
+    assert match.similarity == pytest.approx(want, abs=1e-12)
 
 
 def test_similarity_matches_oracle_on_random_pairs():
@@ -70,7 +70,7 @@ def test_similarity_matches_oracle_on_random_pairs():
                   for i in range(int(rng.integers(1, 11)))]
         pattern = fp(*[node(i, rng.standard_normal(dim))
                        for i in range(int(rng.integers(1, 7)))])
-        got = similarity(target, pattern)
+        got = match_and_alert(target, [pattern], 0.0)[0].similarity
         assert abs(got - similarity_oracle(target, pattern)) < 1e-12
 
 
@@ -80,7 +80,8 @@ def test_self_similarity_is_one_for_unit_norm():
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
     target = [node(i, v) for i, v in enumerate(vecs)]
     pattern = fp(*target)
-    assert abs(similarity(target, pattern) - 1.0) < 1e-12
+    [match] = match_and_alert(target, [pattern], 0.0)
+    assert abs(match.similarity - 1.0) < 1e-12
 
 
 def test_adding_target_entities_never_lowers_similarity():
@@ -90,7 +91,8 @@ def test_adding_target_entities_never_lowers_similarity():
         base = [node(i, rng.standard_normal(dim)) for i in range(4)]
         extra = base + [node(9 + i, rng.standard_normal(dim)) for i in range(3)]
         pattern = fp(*[node(i, rng.standard_normal(dim)) for i in range(3)])
-        assert similarity(extra, pattern) >= similarity(base, pattern) - 1e-12
+        [wider], [narrower] = (match_and_alert(t, [pattern], 0.0) for t in (extra, base))
+        assert wider.similarity >= narrower.similarity - 1e-12
 
 
 def test_best_match_tie_breaks_to_lowest_entity_id():
@@ -103,13 +105,13 @@ def test_best_match_tie_breaks_to_lowest_entity_id():
 def test_negative_cosines_clamp_to_zero():
     target = [node(0, [-1.0, 0.0])]
     pattern = fp(node(0, [1.0, 0.0]))
-    assert similarity(target, pattern) == 0.0
+    assert match_and_alert(target, [pattern], 0.0)[0].similarity == 0.0
 
 
 def test_zero_norm_vectors_score_zero_not_nan():
     target = [node(0, [0.0, 0.0]), node(1, [1.0, 0.0])]
     pattern = fp(node(0, [1.0, 0.0]), node(1, [0.0, 0.0]))
-    got = similarity(target, pattern)
+    got = match_and_alert(target, [pattern], 0.0)[0].similarity
     assert got == pytest.approx(0.5)  # only the aligned pair contributes
 
 
@@ -126,11 +128,11 @@ def test_alert_requires_strict_exceedance():
 def test_similarity_input_validation():
     pattern = fp(node(0, [1.0, 0.0]))
     with pytest.raises(EmptyTarget):
-        similarity([], pattern)
+        match_and_alert([], [pattern], 0.0)
     with pytest.raises(DimensionMismatch, match="mixed"):
-        similarity([node(0, [1.0, 0.0]), node(1, [1.0, 0.0, 0.0])], pattern)
+        match_and_alert([node(0, [1.0, 0.0]), node(1, [1.0, 0.0, 0.0])], [pattern], 0.0)
     with pytest.raises(DimensionMismatch, match="fingerprint"):
-        similarity([node(0, [1.0, 0.0, 0.0])], pattern)
+        match_and_alert([node(0, [1.0, 0.0, 0.0])], [pattern], 0.0)
     with pytest.raises(SchemaError, match="no node embeddings"):
         Fingerprint(name="empty", node_embeddings=())
 

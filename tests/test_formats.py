@@ -18,8 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from binrisk import errors
-from binrisk.cpg import (CpgEdge, CpgGraph, CpgNode, DataFlowClaim, EdgeKind, NodeKind,
-                         dumps_cpg, load_cpg, loads_cpg)
+from binrisk.cpg import (CpgGraph, DataFlowClaim, EdgeKind, NodeKind, dumps_cpg, load_cpg,
+                         loads_cpg)
 from binrisk.embedding import EmbeddingVector
 from binrisk.errors import BinriskError, ParseError, SchemaError, dumps_json
 from binrisk.fingerprint import Fingerprint, dumps_fingerprint, load_fingerprint
@@ -28,9 +28,11 @@ from binrisk.lattice import Lattice
 from binrisk.lifting import (Annotation, VerifiedCorpus, dumps_corpus, function_subgraph,
                              load_corpus)
 from binrisk.pipeline import write_atomic
-from binrisk.ssckg import Entity, Relation, RelationType, SsckgGraph, dumps_ssckg, load_ssckg
+from binrisk.ssckg import Entity, RelationType, dumps_ssckg, load_ssckg
 
 import oracles
+from oracles import (CpgEdge, CpgNode, Relation, edge_rows, node_rows, relation_rows, row_cpg,
+                     row_kg)
 from test_cpg import generated_cpg_text, traced_peak
 
 LAT = Lattice.default()
@@ -112,17 +114,17 @@ def graph_rows(draw) -> tuple[list[CpgNode], list[CpgEdge], str]:
 
 
 def graphs():
-    return graph_rows().map(lambda rows: CpgGraph(*rows))
+    return graph_rows().map(lambda rows: row_cpg(*rows))
 
 
 def cpg_document(g: CpgGraph) -> dict:
-    """The graph's document, from its row view."""
+    """The graph's document, from its rows."""
     return {
         "binary_id": g.binary_id,
         "nodes": [{"id": n.id, "kind": n.kind, "opcode": n.opcode, "function_id": n.function_id,
-                   "block_id": n.block_id, "attrs": n.attrs} for n in g.nodes],
+                   "block_id": n.block_id, "attrs": n.attrs} for n in node_rows(g)],
         "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind, "label": e.label}
-                  for e in g.edges],
+                  for e in edge_rows(g)],
     }
 
 
@@ -131,7 +133,8 @@ def cpg_document(g: CpgGraph) -> dict:
 def test_cpg_round_trip(g):
     text = dumps_cpg(g)
     back = loads_cpg(text)
-    assert (back.binary_id, back.nodes, back.edges) == (g.binary_id, g.nodes, g.edges)
+    assert (back.binary_id, node_rows(back), edge_rows(back)) == (
+        g.binary_id, node_rows(g), edge_rows(g))
     assert dumps_cpg(back) == text
 
 
@@ -142,12 +145,12 @@ def test_dumps_cpg_equals_canonical_writer(g):
 
 
 def row_function_view(g: CpgGraph, function_id: int) -> tuple:
-    """One function's node columns and inner Pdg edges, from the row view."""
-    nodes = [n for n in g.nodes if n.function_id == function_id]
+    """One function's node columns and inner Pdg edges, from the graph's rows."""
+    nodes = [n for n in node_rows(g) if n.function_id == function_id]
     inside = {n.id for n in nodes}
     return ([n.id for n in nodes], [n.kind for n in nodes], [n.opcode for n in nodes],
             [n.attrs for n in nodes],
-            [(e.src, e.dst) for e in g.edges
+            [(e.src, e.dst) for e in edge_rows(g)
              if e.kind is EdgeKind.PDG and e.src in inside and e.dst in inside])
 
 
@@ -160,42 +163,45 @@ def test_function_view_equals_row_view(g):
                 view.pdg_edges) == row_function_view(g, fid)
 
 
-# JSON values a reader coerces with str(): an opcode or attrs value that
-# is not a string.
+# JSON values where a reader wants a string (an opcode, a label or an attrs
+# value), strings among them: the readers refuse the others, never coerce.
 LOOSE = TEXT | st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False)
 
 
 @st.composite
 def cpg_texts(draw) -> tuple[str, list[CpgNode], list[CpgEdge], str]:
     """A CPG file with optional fields left out and loose values, and the
-    rows it holds once those values are coerced."""
+    rows it holds."""
     nodes, edges, binary_id = draw(graph_rows())
-    raw_nodes, coerced = [], []
+    values = draw(st.sampled_from([TEXT, LOOSE]))  # so that half the files are valid
+    raw_nodes, loose_nodes = [], []
     for n in nodes:
         raw = {"id": n.id, "kind": n.kind.value, "function_id": n.function_id,
                "block_id": n.block_id}
-        opcode = draw(st.just(n.opcode) | LOOSE)
+        opcode = draw(st.just(n.opcode) | values)
         if opcode != "" or draw(st.booleans()):
             raw["opcode"] = opcode
-        attrs = draw(st.just(n.attrs) | st.dictionaries(TEXT, LOOSE, max_size=3))
+        attrs = draw(st.just(n.attrs) | st.dictionaries(TEXT, values, max_size=3))
         if attrs or draw(st.booleans()):
             raw["attrs"] = attrs
         raw_nodes.append(raw)
-        coerced.append(CpgNode(n.id, n.kind, str(opcode), n.function_id, n.block_id,
-                               {k: str(v) for k, v in attrs.items()}))
-    raw_edges = []
+        loose_nodes.append(CpgNode(n.id, n.kind, opcode, n.function_id, n.block_id, attrs))
+    raw_edges, loose_edges = [], []
     for e in edges:
         raw = {"src": e.src, "dst": e.dst, "kind": e.kind.value}
-        if e.label or draw(st.booleans()):
-            raw["label"] = e.label
+        label = draw(st.just(e.label) | values)
+        if label != "" or draw(st.booleans()):
+            raw["label"] = label
         raw_edges.append(raw)
+        loose_edges.append(CpgEdge(e.src, e.dst, e.kind, label))
     doc = {"binary_id": binary_id, "nodes": raw_nodes, "edges": raw_edges}
-    return json.dumps(doc), coerced, edges, binary_id
+    return json.dumps(doc), loose_nodes, loose_edges, binary_id
 
 
 def graph_views(g: CpgGraph) -> tuple:
     fids = g.function_ids
-    return (g.binary_id, g.nodes, g.edges, fids, [function_subgraph(g, f) for f in fids],
+    return (g.binary_id, node_rows(g), edge_rows(g), fids,
+            [function_subgraph(g, f) for f in fids],
             [column.tolist() for column in g.pdg_csr], dumps_cpg(g))
 
 
@@ -203,11 +209,22 @@ def graph_views(g: CpgGraph) -> tuple:
 @given(cpg_texts())
 def test_loads_cpg_agrees_with_row_constructor(case):
     text, nodes, edges, binary_id = case
-    from_rows = CpgGraph(nodes, edges, binary_id)
+    texts = [n.opcode for n in nodes] + [e.label for e in edges]
+    texts += [v for n in nodes for v in n.attrs.values()]
+    if not all(isinstance(t, str) for t in texts):
+        # Both readers refuse a value that is no string, with one error.
+        faults = []
+        for read in (lambda: loads_cpg(text), lambda: row_cpg(nodes, edges, binary_id)):
+            with pytest.raises(SchemaError, match="non-string") as info:
+                read()
+            faults.append(str(info.value))
+        assert faults[0] == faults[1]
+        return
+    from_rows = row_cpg(nodes, edges, binary_id)
     assert graph_views(loads_cpg(text)) == graph_views(from_rows)
     # Canonical order: nodes by id, edges by (src, dst, kind value, label).
-    assert list(from_rows.nodes) == sorted(nodes, key=lambda n: n.id)
-    assert list(from_rows.edges) == sorted(
+    assert node_rows(from_rows) == sorted(nodes, key=lambda n: n.id)
+    assert edge_rows(from_rows) == sorted(
         edges, key=lambda e: (e.src, e.dst, e.kind.value, e.label))
 
 
@@ -236,6 +253,11 @@ def first_fault(doc: dict) -> str | None:
         for key in ("function_id", "block_id"):
             if not is_id(raw[key]):
                 return f"node {raw['id']} has non-integer {key} {raw[key]!r}"
+        if not isinstance(raw.get("opcode", ""), str):
+            return f"node {raw['id']} has non-string opcode {raw['opcode']!r}"
+        for key, value in raw.get("attrs", {}).items():
+            if not isinstance(value, str):
+                return f"node {raw['id']} has non-string attrs entry {key!r}: {value!r}"
     for pos, raw in enumerate(doc["edges"]):
         if not isinstance(raw, dict):
             return f"edge at index {pos} must be an object"
@@ -249,6 +271,8 @@ def first_fault(doc: dict) -> str | None:
         if not is_id(raw["src"]) or not is_id(raw["dst"]):
             return (f"edge at index {pos} has a non-integer endpoint "
                     f"{raw['src']!r} -> {raw['dst']!r}")
+        if not isinstance(raw.get("label", ""), str):
+            return f"edge at index {pos} has non-string label {raw['label']!r}"
     seen = set()
     for raw in doc["nodes"]:
         if raw["id"] in seen:
@@ -268,10 +292,11 @@ def first_fault(doc: dict) -> str | None:
 NODE_FAULTS = [("id", "duplicate"), ("function_id", -1), ("id", True), ("id", 2 ** 64),
                ("id", "7"), ("block_id", False), ("function_id", "a"), ("attrs", ["x"]),
                ("attrs", None), ("kind", "Widget"), ("block_id", ...), ("id", ...),
-               ("kind", ...), ("row", [1])]
+               ("kind", ...), ("row", [1]), ("opcode", 5), ("opcode", None),
+               ("attrs", {"external": True})]
 EDGE_FAULTS = [("src", "dangling"), ("dst", "dangling"), ("ends", "dangling"), ("src", False),
                ("dst", -(2 ** 63) - 1), ("kind", "Data"), ("dst", ...), ("kind", ...),
-               ("row", None)]
+               ("row", None), ("label", None), ("label", 1.5)]
 
 
 @st.composite
@@ -328,10 +353,10 @@ def test_row_constructor_names_the_first_fault(doc):
     edges = [CpgEdge(**raw) for raw in doc["edges"]]
     expected = first_fault(doc)
     if expected is None:
-        CpgGraph(nodes, edges)
+        row_cpg(nodes, edges)
         return
     with pytest.raises(SchemaError) as info:
-        CpgGraph(nodes, edges)
+        row_cpg(nodes, edges)
     assert str(info.value) == expected
 
 
@@ -341,10 +366,10 @@ def test_binary_id_must_be_a_string(binary_id):
     with pytest.raises(SchemaError, match=re.escape(message)):
         loads_cpg(json.dumps({"binary_id": binary_id, "nodes": [], "edges": []}))
     with pytest.raises(SchemaError, match=re.escape(message)):
-        CpgGraph([], [], binary_id)
+        row_cpg([], [], binary_id)
     message = f"'source_binary' must be a string, got {binary_id!r}"
     with pytest.raises(SchemaError, match=re.escape(message)):
-        SsckgGraph([], [], source_binary=binary_id)
+        row_kg([], [], source_binary=binary_id)
 
 
 # --- the streamed CPG reader against the whole-tree reader -----------------------
@@ -471,7 +496,7 @@ def knowledge_graphs(draw, text=TEXT):
                                   weight=draw(st.floats(min_value=1e-9, max_value=1e9))))
     clustering = draw(st.none() | st.fixed_dictionaries(
         {"points": IDS, "noise": IDS, "clusters": IDS}))
-    return SsckgGraph(entities, relations, source_binary=draw(text), clustering=clustering)
+    return row_kg(entities, relations, source_binary=draw(text), clustering=clustering)
 
 
 def entity_fields(e: Entity) -> tuple:
@@ -486,7 +511,7 @@ def test_ssckg_round_trip(tmp_path_factory, kg):
     write_atomic(path, dumps_ssckg(kg))
     back = load_ssckg(path)
     assert [entity_fields(e) for e in back.entities] == [entity_fields(e) for e in kg.entities]
-    assert back.relations == kg.relations
+    assert relation_rows(back) == relation_rows(kg)
     assert (back.source_binary, back.clustering) == (kg.source_binary, kg.clustering)
     assert dumps_ssckg(back) == dumps_ssckg(kg)
 
@@ -727,7 +752,7 @@ def guard_kg_text() -> str:
                 for i in range(400)]
     relations = [Relation(int(a), RelationType.REACHES, int(b), 0.8)
                  for a, b in rng.integers(0, 400, (20_000, 2))]
-    return dumps_ssckg(SsckgGraph(entities, relations))
+    return dumps_ssckg(row_kg(entities, relations))
 
 
 def test_kg_load_holds_less_than_the_json_tree(tmp_path):

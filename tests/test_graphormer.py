@@ -29,22 +29,21 @@ from binrisk.graphormer import (
     _layer_norm,
     _tensor_map,
     ModelConfig,
-    ModelParams,
     NodeEmbedding,
-    attention_matrix,
     dumps_embeddings,
     forward,
     init_params,
     load_embeddings,
     load_params,
-    relation_edges,
     save_params,
     seeded_params,
 )
 from binrisk.config import PipelineConfig
 from binrisk.lattice import TOP, Label
 from binrisk.pipeline import transform, write_atomic
-from binrisk.ssckg import Entity, Relation, RelationType, SsckgGraph
+from binrisk.ssckg import Entity, RelationType
+
+from oracles import Relation, attention_matrix, relation_edges, relation_rows, row_kg
 
 SMALL = ModelConfig(layers=1, heads=2, hidden_dim=8, max_dist=4,
                     edge_types=8, input_dim=6, seed=3)
@@ -205,7 +204,7 @@ def three_node_kg(dim=6, seed=11):
         Relation(0, RelationType.TAINTS, 1, 1.0),  # parallel pair on (0, 1)
         Relation(1, RelationType.REACHES, 2, 0.8),
     ]
-    return SsckgGraph(ents, rels)
+    return row_kg(ents, rels)
 
 
 def random_kg(rng, n, dim, with_parallel=True):
@@ -226,7 +225,7 @@ def random_kg(rng, n, dim, with_parallel=True):
         rels.append(Relation(a, t, b, float(rng.uniform(0.1, 1.0))))
     if not with_parallel:
         rels = rels[:1]
-    return SsckgGraph(ents, rels)
+    return row_kg(ents, rels)
 
 
 # --- attention ----------------------------------------------------------------
@@ -304,7 +303,7 @@ def test_forward_single_node_closed_form():
                       edge_types=8, input_dim=6, seed=9)
     params = init_params(cfg)
     ent = entity(0, Label.parse("Memory"), unit(rng, 6))
-    kg = SsckgGraph([ent], [])
+    kg = row_kg([ent], [])
     got = forward(kg, params)[0].vector
 
     # a lone node attends only to itself, so each layer reduces to
@@ -333,14 +332,14 @@ def test_forward_matches_oracle_on_random_graphs():
 def multigraph_kg(rng, n, dim):
     """Random KG with parallel, duplicated and self relations."""
     base = random_kg(rng, n, dim)
-    rels = list(base.relations)
+    rels = relation_rows(base)
     rels += rels[:len(rels) // 3]
     types = [t for t in RelationType if t is not RelationType.VULNERABLE_TO]
     for v in rng.integers(0, n, size=2).tolist():
         rels.append(Relation(v, types[int(rng.integers(len(types)))], v,
                              float(rng.uniform(0.1, 1.0))))
     order = rng.permutation(len(rels))
-    return SsckgGraph(list(base.entities), [rels[int(k)] for k in order])
+    return row_kg(list(base.entities), [rels[int(k)] for k in order])
 
 
 def per_head_reference(kg, params):
@@ -478,8 +477,8 @@ def permuted_copy(kg, perm):
             for e in kg.entities]
     rels = [Relation(perm[r.src], r.rel_type,
                      perm[r.dst] if isinstance(r.dst, int) else r.dst, r.weight)
-            for r in kg.relations]
-    return SsckgGraph(ents, rels)
+            for r in relation_rows(kg)]
+    return row_kg(ents, rels)
 
 
 def test_forward_is_permutation_equivariant():
@@ -500,13 +499,13 @@ def test_forward_is_permutation_equivariant():
 def test_forward_input_validation():
     params = init_params(SMALL)
     with pytest.raises(EmptyGraph):
-        forward(SsckgGraph([], []), params)
+        forward(row_kg([], []), params)
     bare = Entity(0, "x", TOP, frozenset({0}))  # no embedding
     with pytest.raises(ShapeMismatch, match="no summary embedding"):
-        forward(SsckgGraph([bare], []), params)
+        forward(row_kg([bare], []), params)
     wrong = entity(0, TOP, EmbeddingVector(np.ones(SMALL.input_dim + 2)))
     with pytest.raises(ShapeMismatch, match="dimension"):
-        forward(SsckgGraph([wrong], []), params)
+        forward(row_kg([wrong], []), params)
 
 
 def test_config_validation():
@@ -518,6 +517,8 @@ def test_config_validation():
         ModelConfig(edge_types=4)
     with pytest.raises(ConfigError):
         ModelConfig(max_dist=0)
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        ModelConfig(seed=-1)
     assert ModelConfig(heads=4, hidden_dim=16).head_dim == 4
 
 

@@ -7,11 +7,7 @@ import sys
 import pytest
 
 from binrisk.cpg import (
-    CpgEdge,
-    CpgGraph,
-    CpgNode,
     DataFlowClaim,
-    EdgeKind,
     NodeKind,
     load_cpg,
 )
@@ -36,6 +32,8 @@ from binrisk.lifting import (
     load_rules,
 )
 from binrisk.pipeline import write_atomic
+
+from oracles import CpgNode, inst, pdg, row_cpg
 
 LAT = Lattice.default()
 
@@ -83,13 +81,8 @@ def test_rule_labels_on_fixture(fixtures_dir):
 def test_rule_order_decides():
     rules = [("mov", "Memory"), ("socket*", "Network/Socket_Init")]
     annotator = RuleAnnotator(rules, LAT)
-    nodes = [
-        CpgNode(id=0, kind=NodeKind.INSTRUCTION, opcode="socket_open",
-                function_id=0, block_id=0, attrs={}),
-        CpgNode(id=1, kind=NodeKind.INSTRUCTION, opcode="mov",
-                function_id=0, block_id=0, attrs={}),
-    ]
-    view = function_subgraph(CpgGraph(nodes, []), 0)
+    nodes = [inst(0, opcode="socket_open"), inst(1)]
+    view = function_subgraph(row_cpg(nodes, []), 0)
     # both rules match some node; the earlier one wins
     assert str(annotator.annotate(view, {}).label) == "Memory"
 
@@ -98,7 +91,7 @@ def test_rules_match_callee_attribute():
     annotator = RuleAnnotator([("memcpy", "Memory")], LAT)
     nodes = [CpgNode(id=0, kind=NodeKind.CALL, opcode="call",
                      function_id=0, block_id=0, attrs={"callee": "memcpy"})]
-    view = function_subgraph(CpgGraph(nodes, []), 0)
+    view = function_subgraph(row_cpg(nodes, []), 0)
     assert str(annotator.annotate(view, {}).label) == "Memory"
 
 
@@ -146,14 +139,9 @@ class ScriptedAnnotator:
 
 
 def gate_graph():
-    nodes = [
-        CpgNode(id=0, kind=NodeKind.INSTRUCTION, opcode="a", function_id=0, block_id=0, attrs={}),
-        CpgNode(id=1, kind=NodeKind.INSTRUCTION, opcode="b", function_id=0, block_id=0, attrs={}),
-        CpgNode(id=2, kind=NodeKind.INSTRUCTION, opcode="c", function_id=1, block_id=1, attrs={}),
-        CpgNode(id=3, kind=NodeKind.INSTRUCTION, opcode="d", function_id=2, block_id=2, attrs={}),
-    ]
-    edges = [CpgEdge(src=0, dst=1, kind=EdgeKind.PDG)]
-    return CpgGraph(nodes, edges)
+    nodes = [inst(0, opcode="a"), inst(1, opcode="b"), inst(2, fn=1, block=1, opcode="c"),
+             inst(3, fn=2, block=2, opcode="d")]
+    return row_cpg(nodes, [pdg(0, 1)])
 
 
 def test_gate_accepts_rejects_and_fails():

@@ -4,7 +4,7 @@ Each reference below is the loop the columnar code replaced: relation
 extraction with one BFS per taint source and one ``emit`` per row,
 sorted by ``(src, type name, str(dst))``; weight normalization over a
 dict; the serialized document built row by row; the DOT edges and the
-model's edge list read off ``Relation`` rows.  The columnar stages must
+model's edge list read off relation rows.  The columnar stages must
 give the same rows, the same floats and the same bytes.
 """
 
@@ -15,10 +15,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 
-from binrisk.cpg import CpgEdge, CpgGraph, CpgNode, EdgeKind, NodeKind
+from binrisk.cpg import EdgeKind, NodeKind
 from binrisk.embedding import HashEmbedder, cosine
 from binrisk.errors import dumps_json
-from binrisk.graphormer import relation_edges
 from binrisk.lattice import TOP, Label, leq
 from binrisk.risk import normalize_weights
 from binrisk.ssckg import (
@@ -26,10 +25,8 @@ from binrisk.ssckg import (
     CveRecord,
     Entity,
     Granularity,
-    Relation,
     RelationConfig,
     RelationType,
-    SsckgGraph,
     _reach,
     _strong_components,
     dumps_ssckg,
@@ -37,6 +34,9 @@ from binrisk.ssckg import (
     structural_collapse,
     to_dot,
 )
+
+from oracles import (CpgEdge, CpgNode, Relation, edge_rows, relation_edges, relation_rows,
+                     row_cpg, row_kg)
 
 PROPERTY = settings(max_examples=80, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -87,7 +87,7 @@ def extract_relations_ref(g, entities, cves=(), cve_match_threshold=0.85, config
             found[src, rel_type, dst] = Relation(src, rel_type, dst, cfg.weights[rel_type])
 
     pdg_adj = {}
-    for edge in g.edges:
+    for edge in edge_rows(g):
         a, b = owner.get(edge.src), owner.get(edge.dst)
         if a is None or b is None or a == b:
             continue
@@ -124,7 +124,7 @@ def extract_relations_ref(g, entities, cves=(), cve_match_threshold=0.85, config
 
 def normalize_weights_ref(kg, rel_types):
     incoming = {}
-    for r in kg.relations:
+    for r in relation_rows(kg):
         if r.rel_type in rel_types and isinstance(r.dst, int) and r.src != r.dst:
             incoming.setdefault(r.dst, {}).setdefault(r.src, 0.0)
             incoming[r.dst][r.src] += r.weight
@@ -145,13 +145,13 @@ def document_ref(kg):
                       "external": e.external, "cluster_id": e.cluster_id}
                      for e in kg.entities],
         "relations": [{"src": r.src, "rel_type": r.rel_type, "dst": r.dst, "weight": r.weight}
-                      for r in kg.relations],
+                      for r in relation_rows(kg)],
     }
 
 
 def dot_edges_ref(kg):
     lines, cves = [], []
-    for r in kg.relations:
+    for r in relation_rows(kg):
         if isinstance(r.dst, str):
             cves += [] if r.dst in cves else [r.dst]
             lines.append(f'  e{r.src} -> "cve_{r.dst}" [label="{r.rel_type.value}"];')
@@ -163,7 +163,7 @@ def dot_edges_ref(kg):
 def relation_edges_ref(kg):
     index = {e.id: i for i, e in enumerate(kg.entities)}
     return [(index[r.src], index[r.dst], RELATION_INDEX[r.rel_type], r.weight)
-            for r in kg.relations if isinstance(r.dst, int)]
+            for r in relation_rows(kg) if isinstance(r.dst, int)]
 
 
 # --- generated inputs -----------------------------------------------------------
@@ -180,7 +180,7 @@ def relation_inputs(draw):
     ends = st.integers(0, rows - 1)
     edges = [CpgEdge(a, b, kind, label) for a, b, (kind, label) in draw(st.lists(
         st.tuples(ends, ends, st.sampled_from(EDGE_KINDS)), max_size=4 * rows))]
-    g = CpgGraph(nodes, edges)  # duplicates stay: parallel edges
+    g = row_cpg(nodes, edges)  # duplicates stay: parallel edges
     granularity = draw(st.sampled_from(list(Granularity)))
     entities = structural_collapse(g, granularity)
     ids = draw(st.lists(st.integers(0, 30), min_size=len(entities), max_size=len(entities),
@@ -202,7 +202,7 @@ def test_columnar_extraction_equals_row_reference(inputs):
     g, entities, cves, threshold = inputs
     got = extract_relations(g, entities, cves, threshold, CONFIG)
     want = extract_relations_ref(g, entities, cves, threshold, CONFIG)
-    assert got == want
+    assert relation_rows(got) == want
     assert len(got) == len(want)
 
 
@@ -210,13 +210,13 @@ def test_columnar_extraction_equals_row_reference(inputs):
 @given(relation_inputs(), st.randoms(use_true_random=False))
 def test_relation_consumers_equal_row_references(inputs, rnd):
     g, entities, cves, threshold = inputs
-    rows = list(extract_relations(g, entities, cves, threshold, CONFIG))
+    rows = relation_rows(extract_relations(g, entities, cves, threshold, CONFIG))
     # Shuffled rows with fresh weights: parallel pairs and first-seen
     # order then differ from the extraction order.
     rows += rnd.sample(rows, len(rows) // 2)
     rnd.shuffle(rows)
     rows = [replace(r, weight=rnd.choice([0.1, 0.3, 1 / 3, 0.7, 2.5])) for r in rows]
-    kg = SsckgGraph(entities, rows, source_binary="b", clustering={"points": 1})
+    kg = row_kg(entities, rows, source_binary="b", clustering={"points": 1})
     assert dumps_ssckg(kg) == dumps_json(document_ref(kg))
     for types in (frozenset(RelationType), frozenset({RelationType.CALLS,
                                                       RelationType.REACHES})):
@@ -237,22 +237,23 @@ def test_normalize_weights_equals_dict_reference(draws):
     entities = [Entity(i, f"e{i}", TOP, frozenset({i})) for i in range(4)]
     rows = [Relation(a, t, "CVE-1" if t is RelationType.VULNERABLE_TO else b, w)
             for a, t, b, w in draws]
-    kg = SsckgGraph(entities, rows)
+    kg = row_kg(entities, rows)
     for types in (frozenset(RelationType), frozenset({RelationType.CALLS})):
         assert normalize_weights(kg, types) == normalize_weights_ref(kg, types)
 
 
 def chain_graph(n, pdg_pairs):
     nodes = [CpgNode(i, NodeKind.INSTRUCTION, "mov", i, 0) for i in range(n)]
-    return CpgGraph(nodes, [CpgEdge(a, b, EdgeKind.PDG) for a, b in pdg_pairs])
+    return row_cpg(nodes, [CpgEdge(a, b, EdgeKind.PDG) for a, b in pdg_pairs])
 
 
 def test_a_source_and_sink_taints_itself_only_around_a_cycle():
     memory = Label.parse("Memory")
     ents = [Entity(i, f"e{i}", memory if i == 0 else TOP, frozenset({i})) for i in range(2)]
-    acyclic = extract_relations(chain_graph(2, [(0, 1)]), ents, config=CONFIG)
+    acyclic = relation_rows(extract_relations(chain_graph(2, [(0, 1)]), ents, config=CONFIG))
     assert (0, RelationType.TAINTS, 0) not in {(r.src, r.rel_type, r.dst) for r in acyclic}
-    cyclic = extract_relations(chain_graph(2, [(0, 1), (1, 0)]), ents, config=CONFIG)
+    cyclic = relation_rows(extract_relations(chain_graph(2, [(0, 1), (1, 0)]), ents,
+                                             config=CONFIG))
     assert {(r.src, r.dst) for r in cyclic if r.rel_type is RelationType.TAINTS} == {(0, 0)}
     assert cyclic == extract_relations_ref(chain_graph(2, [(0, 1), (1, 0)]), ents,
                                            config=CONFIG)
@@ -262,7 +263,7 @@ def test_targets_sort_as_strings():
     coil = Label.parse("Hardware/Coil_Write")
     ents = [Entity(2, "src", Label.parse("Network/Protocol_Parse"), frozenset({0})),
             Entity(9, "a", coil, frozenset({1})), Entity(10, "b", coil, frozenset({2}))]
-    rels = extract_relations(chain_graph(3, [(0, 1), (0, 2)]), ents)
+    rels = relation_rows(extract_relations(chain_graph(3, [(0, 1), (0, 2)]), ents))
     assert [(r.src, r.rel_type.value, r.dst) for r in rels] == [
         (2, "reaches", 10), (2, "reaches", 9), (2, "taints", 10), (2, "taints", 9),
         (2, "writes_to", 10), (2, "writes_to", 9)]

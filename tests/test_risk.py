@@ -18,7 +18,6 @@ from binrisk.risk import (
 from binrisk.ssckg import (
     Entity,
     Granularity,
-    Relation,
     RelationType,
     SsckgGraph,
     embed_entities,
@@ -26,6 +25,8 @@ from binrisk.ssckg import (
     load_cves,
     structural_collapse,
 )
+
+from oracles import Relation, relation_rows, row_kg
 
 TIGHT = PropagationConfig(beta=0.15, tolerance=1e-12, max_iterations=5000)
 
@@ -49,7 +50,7 @@ def solve_oracle(kg, inherent, beta):
     index = {eid: i for i, eid in enumerate(order)}
     n = len(order)
     incoming = {}
-    for r in kg.relations:
+    for r in relation_rows(kg):
         if not isinstance(r.dst, int) or r.src == r.dst:
             continue
         incoming.setdefault(r.dst, {})
@@ -83,7 +84,7 @@ def random_kg(rng, n):
         rels.append(Relation(a, t, b, float(rng.uniform(0.1, 1.0))))
     if rng.random() < 0.3:
         rels.append(Relation(0, RelationType.VULNERABLE_TO, "CVE-NOISE", 1.0))
-    return SsckgGraph([ent(i) for i in range(n)], rels)
+    return row_kg([ent(i) for i in range(n)], rels)
 
 
 # --- inherent scoring -----------------------------------------------------------
@@ -121,7 +122,7 @@ def fake_cve(values):
 # --- weight normalization ----------------------------------------------------------
 
 def test_normalize_weights_convex_rows():
-    kg = SsckgGraph([ent(0), ent(1), ent(2)], [
+    kg = row_kg([ent(0), ent(1), ent(2)], [
         rel(0, RelationType.CALLS, 2),        # 0.3
         rel(1, RelationType.WRITES_TO, 2),    # 0.6
         rel(1, RelationType.TAINTS, 2),       # 1.0, parallel with writes_to
@@ -135,7 +136,7 @@ def test_normalize_weights_convex_rows():
 
 
 def test_normalize_weights_drops_self_loops_and_cve_links():
-    kg = SsckgGraph([ent(0), ent(1)], [
+    kg = row_kg([ent(0), ent(1)], [
         rel(0, RelationType.CALLS, 0),
         rel(0, RelationType.VULNERABLE_TO, "CVE-X"),
         rel(0, RelationType.CALLS, 1),
@@ -145,7 +146,7 @@ def test_normalize_weights_drops_self_loops_and_cve_links():
 
 
 def test_normalize_weights_respects_type_filter():
-    kg = SsckgGraph([ent(0), ent(1)], [
+    kg = row_kg([ent(0), ent(1)], [
         rel(0, RelationType.CALLS, 1),
         rel(0, RelationType.TAINTS, 1),
     ])
@@ -189,7 +190,7 @@ def test_diamond_fixed_point(fixtures_dir):
     g = load_cpg(fixtures_dir / "diamond.cpg.json")
     ents = structural_collapse(g)
     rels = extract_relations(g, ents)
-    assert {(r.src, r.rel_type, r.dst) for r in rels} == {
+    assert {(r.src, r.rel_type, r.dst) for r in relation_rows(rels)} == {
         (0, RelationType.CALLS, 1), (0, RelationType.CALLS, 2),
         (1, RelationType.CALLS, 3), (2, RelationType.CALLS, 3)}
     kg = SsckgGraph(ents, rels)
@@ -219,7 +220,7 @@ def test_propagate_matches_dense_solve_on_random_graphs():
 
 
 def test_isolated_entities_keep_inherent_exactly():
-    kg = SsckgGraph([ent(0), ent(1), ent(2)], [rel(0, RelationType.CALLS, 1)])
+    kg = row_kg([ent(0), ent(1), ent(2)], [rel(0, RelationType.CALLS, 1)])
     inh = {0: 0.37, 1: 0.5, 2: 0.925}
     result = propagate(kg, inh, TIGHT)
     assert result.scores[0] == 0.37   # no in-relations
@@ -229,7 +230,7 @@ def test_isolated_entities_keep_inherent_exactly():
 
 def test_propagate_reports_connected_entities():
     # Self-loops and CVE links bring no in-neighbor; only entity 1 has one.
-    kg = SsckgGraph([ent(0), ent(1), ent(2)], [
+    kg = row_kg([ent(0), ent(1), ent(2)], [
         rel(0, RelationType.CALLS, 0),
         rel(0, RelationType.VULNERABLE_TO, "CVE-X"),
         rel(0, RelationType.CALLS, 1),
@@ -239,7 +240,7 @@ def test_propagate_reports_connected_entities():
 
 
 def test_beta_one_returns_inherent_in_one_sweep():
-    kg = SsckgGraph([ent(0), ent(1)], [rel(0, RelationType.TAINTS, 1)])
+    kg = row_kg([ent(0), ent(1)], [rel(0, RelationType.TAINTS, 1)])
     inh = {0: 0.9, 1: 0.1}
     result = propagate(kg, inh, PropagationConfig(beta=1.0))
     assert result.scores == {0: 0.9, 1: 0.1}
@@ -271,7 +272,7 @@ def test_default_budget_suffices_for_small_graphs():
 
 
 def test_nonconvergence_carries_diagnostics():
-    kg = SsckgGraph([ent(0), ent(1)], [rel(0, RelationType.CALLS, 1)])
+    kg = row_kg([ent(0), ent(1)], [rel(0, RelationType.CALLS, 1)])
     cfg = PropagationConfig(beta=0.15, tolerance=1e-15, max_iterations=1)
     with pytest.raises(NonConvergence) as err:
         propagate(kg, {0: 1.0, 1: 0.0}, cfg)
@@ -282,8 +283,8 @@ def test_nonconvergence_carries_diagnostics():
 
 def test_propagate_input_validation():
     with pytest.raises(EmptyGraph):
-        propagate(SsckgGraph([], []), {})
-    kg = SsckgGraph([ent(0)], [])
+        propagate(row_kg([], []), {})
+    kg = row_kg([ent(0)], [])
     with pytest.raises(ConfigError, match="outside"):
         propagate(kg, {0: 1.5})
     with pytest.raises(ConfigError, match="outside"):

@@ -5,17 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from binrisk.cpg import CpgEdge, CpgGraph, CpgNode, EdgeKind, NodeKind, load_cpg
+from binrisk.cpg import EdgeKind, load_cpg
 from binrisk.embedding import EmbeddingVector, HashEmbedder
 from binrisk.errors import SchemaError, ZeroVector
 from binrisk.lattice import TOP, Label, Lattice
 from binrisk.lifting import Annotation, RuleAnnotator, build_corpus, load_rules
 from binrisk.pipeline import write_atomic
 from binrisk.ssckg import (
-    DEFAULT_WEIGHTS,
     Entity,
     Granularity,
-    Relation,
     RelationConfig,
     RelationType,
     SsckgGraph,
@@ -31,14 +29,7 @@ from binrisk.ssckg import (
     to_dot,
 )
 
-
-def inst(nid, fn=0, block=0, opcode="mov", **attrs):
-    return CpgNode(id=nid, kind=NodeKind.INSTRUCTION, opcode=opcode,
-                   function_id=fn, block_id=block, attrs=attrs)
-
-
-def pdg(a, b):
-    return CpgEdge(src=a, dst=b, kind=EdgeKind.PDG)
+from oracles import CpgEdge, Relation, inst, pdg, relation_rows, row_cpg, row_kg, row_relations
 
 
 def call(a, b):
@@ -72,7 +63,7 @@ def test_collapse_toy_partition(fixtures_dir):
     for e in ents:
         assert not (union & e.members)
         union |= e.members
-    assert union == {n.id for n in g.nodes}
+    assert union == set(g.node_id.tolist())
     assert ents[2].members == frozenset(range(8, 13))
     assert not any(e.external for e in ents)
 
@@ -102,7 +93,7 @@ def test_collapse_without_corpus_everything_top(fixtures_dir):
 def test_collapse_block_granularity_groups_by_block():
     nodes = [inst(0, fn=0, block=3), inst(1, fn=0, block=3),
              inst(2, fn=0, block=5), inst(3, fn=1, block=9)]
-    ents = structural_collapse(CpgGraph(nodes, []), Granularity.BLOCK)
+    ents = structural_collapse(row_cpg(nodes, []), Granularity.BLOCK)
     # ids follow ascending block key
     assert [(e.id, sorted(e.members)) for e in ents] == [
         (0, [0, 1]), (1, [2]), (2, [3])]
@@ -117,7 +108,7 @@ def test_collapse_block_spanning_functions_joins_labels():
         0: Annotation("0", label("Network/Socket_Init"), "a"),
         1: Annotation("1", label("Hardware/Coil_Write"), "b"),
     }
-    ents = structural_collapse(CpgGraph(nodes, []), Granularity.BLOCK, corpus)
+    ents = structural_collapse(row_cpg(nodes, []), Granularity.BLOCK, corpus)
     assert len(ents) == 1
     assert ents[0].label is TOP
     assert ents[0].summary == "a b"
@@ -128,20 +119,20 @@ def test_collapse_top_annotation_dominates_fold():
     nodes = [inst(0, fn=0, block=7), inst(1, fn=1, block=7)]
     corpus = {0: Annotation("0", TOP, "x"),
               1: Annotation("1", label("Hardware/Coil_Write"), "y")}
-    ents = structural_collapse(CpgGraph(nodes, []), Granularity.BLOCK, corpus)
+    ents = structural_collapse(row_cpg(nodes, []), Granularity.BLOCK, corpus)
     assert ents[0].label is TOP
 
 
 def test_collapse_names_from_first_node_with_name():
     nodes = [inst(0, fn=4), inst(1, fn=4, function_name="handler")]
-    ents = structural_collapse(CpgGraph(nodes, []))
+    ents = structural_collapse(row_cpg(nodes, []))
     assert ents[0].name == "handler"
-    assert structural_collapse(CpgGraph([inst(0, fn=4)], []))[0].name == "func_4"
+    assert structural_collapse(row_cpg([inst(0, fn=4)], []))[0].name == "func_4"
 
 
 def test_collapse_external_flag_any_member():
     nodes = [inst(0, fn=0), inst(1, fn=0, external="true"), inst(2, fn=1)]
-    ents = structural_collapse(CpgGraph(nodes, []))
+    ents = structural_collapse(row_cpg(nodes, []))
     assert ents[0].external and not ents[1].external
 
 
@@ -311,7 +302,7 @@ def test_semantic_clustering_merged_label_is_join():
 # --- relation extraction -----------------------------------------------------------
 
 def rel_tuples(relations):
-    return {(r.src, r.rel_type, r.dst, r.weight) for r in relations}
+    return {(r.src, r.rel_type, r.dst, r.weight) for r in relation_rows(relations)}
 
 
 def toy_kg_inputs(fixtures_dir, dim=384):
@@ -337,13 +328,14 @@ def test_extract_relations_toy_exact_set(fixtures_dir):
         (2, RelationType.REACHES, 4, 0.8),
     }
     # output is sorted and stable
-    assert rels == sorted(rels, key=lambda r: (r.src, r.rel_type.value, str(r.dst)))
+    rows = relation_rows(rels)
+    assert rows == sorted(rows, key=lambda r: (r.src, r.rel_type.value, str(r.dst)))
 
 
 def test_extract_relations_toy_cve_link(fixtures_dir):
     g, ents, provider = toy_kg_inputs(fixtures_dir)
     cves = load_cves(fixtures_dir / "cves.json", provider)
-    rels = extract_relations(g, ents, cves, cve_match_threshold=0.85)
+    rels = relation_rows(extract_relations(g, ents, cves, cve_match_threshold=0.85))
     vuln = [r for r in rels if r.rel_type is RelationType.VULNERABLE_TO]
     assert [(r.src, r.dst) for r in vuln] == [(4, "CVE-TEST-0001")]
     assert len(rels) == 9
@@ -352,7 +344,7 @@ def test_extract_relations_toy_cve_link(fixtures_dir):
 def test_reads_and_writes_directions():
     # entity 0: read action, entity 1: Memory (read and write), entity 2: top
     nodes = [inst(0, fn=0), inst(1, fn=1), inst(2, fn=2)]
-    g = CpgGraph(nodes, [pdg(0, 1), pdg(2, 0)])
+    g = row_cpg(nodes, [pdg(0, 1), pdg(2, 0)])
     ents = [
         Entity(0, "a", label("Hardware/Register_Read"), frozenset({0})),
         Entity(1, "b", label("Memory"), frozenset({1})),
@@ -368,16 +360,16 @@ def test_reads_and_writes_directions():
 
 def test_intra_entity_edges_produce_nothing():
     nodes = [inst(0, fn=0), inst(1, fn=0)]
-    g = CpgGraph(nodes, [pdg(0, 1), call(0, 1)])
+    g = row_cpg(nodes, [pdg(0, 1), call(0, 1)])
     ents = [Entity(0, "a", label("Memory"), frozenset({0, 1}))]
-    assert extract_relations(g, ents) == []
+    assert relation_rows(extract_relations(g, ents)) == []
 
 
 def test_taints_requires_data_dependence_path():
     # source --calls--> middle --pdg--> sink: reachable over the combined
     # graph but not over data dependence alone, so reaches without taints
     nodes = [inst(0, fn=0), inst(1, fn=1), inst(2, fn=2)]
-    g = CpgGraph(nodes, [call(0, 1), pdg(1, 2)])
+    g = row_cpg(nodes, [call(0, 1), pdg(1, 2)])
     ents = [
         Entity(0, "src", label("Network/Protocol_Parse"), frozenset({0})),
         Entity(1, "mid", TOP, frozenset({1})),
@@ -390,7 +382,7 @@ def test_taints_requires_data_dependence_path():
 
 def test_taints_transitive_over_data_dependence():
     nodes = [inst(0, fn=0), inst(1, fn=1), inst(2, fn=2)]
-    g = CpgGraph(nodes, [pdg(0, 1), pdg(1, 2)])
+    g = row_cpg(nodes, [pdg(0, 1), pdg(1, 2)])
     ents = [
         Entity(0, "src", label("FileSystem"), frozenset({0})),
         Entity(1, "mid", TOP, frozenset({1})),
@@ -418,10 +410,10 @@ def test_taints_subset_of_reaches_on_random_graphs():
             e = pdg(2 * int(a), 2 * int(b)) if kind == "pdg" else call(
                 2 * int(a) + 1, 2 * int(b))
             edges.append(e)
-        g = CpgGraph(nodes, edges)
+        g = row_cpg(nodes, edges)
         ents = [Entity(i, f"f{i}", pool[int(rng.integers(len(pool)))],
                        frozenset({2 * i, 2 * i + 1})) for i in range(k)]
-        rels = extract_relations(g, ents)
+        rels = relation_rows(extract_relations(g, ents))
         reaches = {(r.src, r.dst) for r in rels if r.rel_type is RelationType.REACHES}
         taints = {(r.src, r.dst) for r in rels if r.rel_type is RelationType.TAINTS}
         assert taints <= reaches
@@ -429,7 +421,7 @@ def test_taints_subset_of_reaches_on_random_graphs():
 
 def test_parallel_pdg_edges_deduplicate():
     nodes = [inst(0, fn=0), inst(1, fn=0), inst(2, fn=1)]
-    g = CpgGraph(nodes, [pdg(0, 2), pdg(1, 2)])
+    g = row_cpg(nodes, [pdg(0, 2), pdg(1, 2)])
     ents = [Entity(0, "a", TOP, frozenset({0, 1})),
             Entity(1, "b", label("Memory"), frozenset({2}))]
     rels = extract_relations(g, ents)
@@ -438,7 +430,7 @@ def test_parallel_pdg_edges_deduplicate():
 
 def test_structural_label_map_and_weight_override():
     nodes = [inst(0, fn=0), inst(1, fn=1)]
-    g = CpgGraph(nodes, [CpgEdge(src=0, dst=1, kind=EdgeKind.AST, label="import")])
+    g = row_cpg(nodes, [CpgEdge(src=0, dst=1, kind=EdgeKind.AST, label="import")])
     ents = [Entity(0, "a", TOP, frozenset({0})),
             Entity(1, "b", TOP, frozenset({1}))]
     rels = extract_relations(g, ents)
@@ -452,53 +444,54 @@ def test_structural_label_map_and_weight_override():
 
 def test_unmapped_syntax_labels_ignored():
     nodes = [inst(0, fn=0), inst(1, fn=1)]
-    g = CpgGraph(nodes, [CpgEdge(src=0, dst=1, kind=EdgeKind.AST, label="arg")])
+    g = row_cpg(nodes, [CpgEdge(src=0, dst=1, kind=EdgeKind.AST, label="arg")])
     ents = [Entity(0, "a", TOP, frozenset({0})),
             Entity(1, "b", TOP, frozenset({1}))]
-    assert extract_relations(g, ents) == []
+    assert relation_rows(extract_relations(g, ents)) == []
 
 
 # --- relation and graph validation ----------------------------------------------
-
-def test_relation_weight_must_be_positive():
-    with pytest.raises(SchemaError):
-        Relation(0, RelationType.CALLS, 1, 0.0)
-    with pytest.raises(SchemaError):
-        Relation(0, RelationType.CALLS, 1, -0.5)
-
-
-def test_cve_relations_take_string_targets_only():
-    with pytest.raises(SchemaError):
-        Relation(0, RelationType.VULNERABLE_TO, 1, 1.0)
-    with pytest.raises(SchemaError):
-        Relation(0, RelationType.CALLS, "CVE-X", 0.3)
-    Relation(0, RelationType.VULNERABLE_TO, "CVE-X", 1.0)
-
 
 def ent(eid, lab=None):
     return Entity(eid, f"e{eid}", lab or TOP, frozenset({eid}))
 
 
+def test_relation_weight_must_be_positive():
+    with pytest.raises(SchemaError):
+        row_kg([ent(0), ent(1)], [Relation(0, RelationType.CALLS, 1, 0.0)])
+    with pytest.raises(SchemaError):
+        row_kg([ent(0), ent(1)], [Relation(0, RelationType.CALLS, 1, -0.5)])
+
+
+def test_cve_relations_take_string_targets_only():
+    with pytest.raises(SchemaError):
+        row_relations([Relation(0, RelationType.VULNERABLE_TO, 1, 1.0)])
+    with pytest.raises(SchemaError):
+        row_relations([Relation(0, RelationType.CALLS, "CVE-X", 0.3)])
+    row_relations([Relation(0, RelationType.VULNERABLE_TO, "CVE-X", 1.0)])
+
+
 def test_graph_rejects_duplicate_entities_and_dangling_relations():
     with pytest.raises(SchemaError, match="duplicate entity id"):
-        SsckgGraph([ent(0), ent(0)], [])
+        row_kg([ent(0), ent(0)], [])
     with pytest.raises(SchemaError, match="source"):
-        SsckgGraph([ent(0)], [Relation(5, RelationType.CALLS, 0, 0.3)])
+        row_kg([ent(0)], [Relation(5, RelationType.CALLS, 0, 0.3)])
     with pytest.raises(SchemaError, match="target"):
-        SsckgGraph([ent(0)], [Relation(0, RelationType.CALLS, 5, 0.3)])
+        row_kg([ent(0)], [Relation(0, RelationType.CALLS, 5, 0.3)])
     # CVE targets need no entity
-    SsckgGraph([ent(0)], [Relation(0, RelationType.VULNERABLE_TO, "CVE-X", 1.0)])
+    row_kg([ent(0)], [Relation(0, RelationType.VULNERABLE_TO, "CVE-X", 1.0)])
 
 
 def test_graph_sorts_entities_and_filters_cve_links():
-    kg = SsckgGraph([ent(2), ent(0)], [
+    kg = row_kg([ent(2), ent(0)], [
         Relation(0, RelationType.CALLS, 2, 0.3),
         Relation(2, RelationType.VULNERABLE_TO, "CVE-X", 1.0),
     ])
     assert [e.id for e in kg.entities] == [0, 2]
     assert len(kg) == 2
     assert kg.entity(2).name == "e2"
-    assert [r.dst for r in kg.entity_relations()] == [2]
+    cols = kg.relation_columns
+    assert cols.dst[cols.entity_rows()].tolist() == [2]
 
 
 # --- serialization and reporting -------------------------------------------------
@@ -524,13 +517,13 @@ def test_ssckg_round_trip(fixtures_dir, tmp_path):
             orig.id, orig.name, str(orig.label), orig.members, orig.summary,
             orig.external, orig.cluster_id)
         assert np.array_equal(got.embedding.values, orig.embedding.values)
-    assert back.relations == kg.relations
+    assert relation_rows(back) == relation_rows(kg)
     # serialization is deterministic
     assert dumps_ssckg(back) == dumps_ssckg(kg)
 
 
 def test_ssckg_round_trip_without_embeddings(tmp_path):
-    kg = SsckgGraph([ent(0)], [], source_binary="x")
+    kg = row_kg([ent(0)], [], source_binary="x")
     path = tmp_path / "kg.json"
     write_atomic(path, dumps_ssckg(kg))
     back = load_ssckg(path)
@@ -554,7 +547,7 @@ def test_construction_stats_with_clustering(fixtures_dir):
     provider = HashEmbedder(dimension=384, seed=42)
     merged = semantic_clustering(embed_entities(ents, provider), provider,
                                  eps=0.3, min_samples=2)
-    kg = SsckgGraph(merged, [], clustering={"points": 3, "noise": 1, "clusters": 1})
+    kg = row_kg(merged, [], clustering={"points": 3, "noise": 1, "clusters": 1})
     stats = construction_stats(g, kg)
     assert stats["entities"] == 5
     assert stats["noise_fraction"] == pytest.approx(1 / 3)
