@@ -1,16 +1,15 @@
 """Command line interface.
 
 Subcommands mirror the pipeline stages one to one; ``report`` chains
-them.  Every command reads an optional shared config file and accepts
-flag overrides for the knobs it owns.  Exit codes: 0 success, 2 when
-fingerprint alerts were raised (for CI gating), 1 on any error.
+them.  Every pipeline knob comes from the checked ``--config`` file,
+which only the commands that read a knob take; the other flags name
+input and output files.  Exit codes: 0 success, 2 when fingerprint
+alerts were raised (for CI gating), 1 on any error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import shlex
 import sys
 
 from . import __version__
@@ -40,12 +39,8 @@ EXIT_ALERTS = 2
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "config", None):
-        cfg = PipelineConfig.from_file(args.config)
-    else:
-        cfg = PipelineConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)  # checked as a config value
-    return cfg
+        return PipelineConfig.from_file(args.config)
+    return PipelineConfig()
 
 
 def _emit(doc) -> None:
@@ -62,17 +57,6 @@ def _cmd_ingest(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_lift(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    if args.annotator:
-        cfg.annotator_type = args.annotator
-    if args.rules:
-        cfg.rules_path = args.rules
-    if args.replay:
-        cfg.replay_path = args.replay
-    if args.cmd:
-        try:
-            cfg.annotator_cmd = shlex.split(args.cmd)
-        except ValueError as exc:
-            raise ConfigError(f"--cmd {args.cmd!r}: {exc}") from None
     corpus = stage_lift(args.cpg, cfg, args.out)
     _emit({"accepted": len(corpus.accepted), "rejected": corpus.rejected_count,
            "failed": corpus.failed_count,
@@ -81,8 +65,6 @@ def _cmd_lift(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_build_ssckg(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    if args.cves:
-        cfg.cves_path = args.cves
     kg = stage_build_kg(args.cpg, args.corpus, cfg, args.out)
     _emit({"entities": len(kg.entities), "relations": len(kg.relation_columns)})
     return EXIT_OK
@@ -104,8 +86,6 @@ def _cmd_embed(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_forward(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    if args.params:
-        cfg.params_path = args.params
     embeddings = stage_forward(args.kg, cfg, args.out)
     _emit({"entities": len(embeddings),
            "dimension": int(embeddings[0].vector.shape[0]) if embeddings else 0})
@@ -113,10 +93,6 @@ def _cmd_forward(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_score(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    if args.cves:
-        cfg.cves_path = args.cves
-    if args.beta is not None:
-        cfg.beta = args.beta
     doc = stage_score(args.kg, cfg, args.out)
     top = doc["ranking"][0] if doc["ranking"] else None
     _emit({"iterations": doc["iterations"], "residual": doc["residual"],
@@ -146,8 +122,7 @@ def _cmd_fingerprint_extract(cfg: PipelineConfig, args: argparse.Namespace) -> i
 
 
 def _cmd_match(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    tau = cfg.tau if args.tau is None else args.tau
-    doc = stage_match(args.kg_embeddings, args.repo, tau, args.out)
+    doc = stage_match(args.kg_embeddings, args.repo, cfg.tau, args.out)
     _emit({"tau": doc["tau"], "alerts": doc["alerts"],
            "matches": len(doc["matches"])})
     return EXIT_ALERTS if doc["alerts"] else EXIT_OK
@@ -197,9 +172,8 @@ def _cmd_metrics(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 # --- parser ----------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_config(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="pipeline config JSON file")
-    sub.add_argument("--seed", type=int, help="override the config seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,55 +185,44 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("ingest", help="validate a CPG and write canonical JSON")
-    _add_common(p)
     p.add_argument("--cpg", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_ingest)
 
     p = subs.add_parser("lift", help="annotate functions and build the verified corpus")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--cpg", required=True)
-    p.add_argument("--annotator", choices=["rules", "replay", "cmd"])
-    p.add_argument("--rules", help="rules JSON for the rules annotator")
-    p.add_argument("--replay", help="recorded annotations for the replay annotator")
-    p.add_argument("--cmd", help="external annotator command line, split into "
-                   "arguments as a shell would")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_lift)
 
     p = subs.add_parser("build-ssckg", help="collapse the CPG into a knowledge graph")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--cpg", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--cves", help="CVE corpus JSON")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_build_ssckg)
 
     p = subs.add_parser("embed", help="embed a JSON object of name -> text")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--texts", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_embed)
 
     p = subs.add_parser("forward", help="run the graph transformer over a knowledge graph")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--kg", required=True)
-    p.add_argument("--params", help="saved model parameters (.npz)")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_forward)
 
     p = subs.add_parser("score", help="compute and propagate entity risk")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--kg", required=True)
-    p.add_argument("--cves", help="CVE corpus JSON")
-    p.add_argument("--beta", type=float, help="inherent-risk damping factor")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_score)
 
     p = subs.add_parser("fingerprint", help="fingerprint repository tools")
     fp_subs = p.add_subparsers(dest="fingerprint_command", required=True)
     pe = fp_subs.add_parser("extract", help="extract a fingerprint from entity embeddings")
-    _add_common(pe)
     pe.add_argument("--embeddings", required=True)
     pe.add_argument("--ids", required=True,
                     help="comma-separated entity ids to include")
@@ -269,22 +232,21 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(handler=_cmd_fingerprint_extract)
 
     p = subs.add_parser("match", help="match fingerprints against entity embeddings")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--kg-embeddings", dest="kg_embeddings", required=True)
     p.add_argument("--repo", required=True, help="directory of fingerprint JSON files")
-    p.add_argument("--tau", type=float, help="alert threshold")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_match)
 
     p = subs.add_parser("threshold", help="select an alert threshold from scored samples")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--scores", required=True,
                    help="JSON list of {score, label} rows")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_threshold)
 
     p = subs.add_parser("report", help="run the full pipeline over one or more CPGs")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--cpg", required=True, nargs="+")
     p.add_argument("--outdir", required=True)
     p.add_argument("--workers", type=int, default=1,
@@ -292,14 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_report)
 
     p = subs.add_parser("export-dot", help="render a knowledge graph to DOT")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--kg", required=True)
     p.add_argument("--risk", help="risk JSON for band coloring")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_export_dot)
 
     p = subs.add_parser("metrics", help="classification metrics from a confusion matrix")
-    _add_common(p)
     p.add_argument("--confusion", required=True, help="tp,fp,tn,fn")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_metrics)

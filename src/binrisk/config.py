@@ -1,31 +1,39 @@
-"""Pipeline configuration: one JSON file, flag overrides, full defaults.
+"""Pipeline configuration: one JSON file with full defaults.
 
-Every knob the pipeline stages expose lives here so a single config
-file drives both the chained subcommands and the one-shot run.  Paths
-in a config file are resolved relative to the file's own directory.
-Unknown keys, values of the wrong type, unknown relation names, risk
-bands other than exactly ``high`` and ``medium``, and values out of a
-stage's range are rejected when the config is built,
-before any stage runs, rather than silently ignored.  The range rules
-stay with the stages: the config builds their own parameter objects.
+Every knob the pipeline stages expose lives here, and the config file
+is the one way to set it: the command line names only input and
+output files, so a single file drives both the chained subcommands
+and the one-shot run.  Paths in a config file are resolved relative
+to the file's own directory.  Unknown keys, values of the wrong type,
+numbers that are not finite, unknown relation names, risk bands other
+than exactly ``high`` and ``medium``, and values out of a stage's
+range are rejected when the config is built, before any stage runs,
+rather than silently ignored.  The range rules stay with the stages:
+the config builds their own parameter objects or calls their checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .embedding import HashEmbedder
 from .errors import ConfigError, DimensionMismatch, SchemaError, read_json
+from .fingerprint import check_threshold_grid
 from .graphormer import ModelConfig
 from .risk import PropagationConfig
 from .ssckg import RelationType, check_dbscan_params, check_relation_weight
 
 _SCALARS = {"int": int, "float": (int, float), "str": str}
+# How an error message names a type; the others go by their annotation.
+_TYPE_NAMES = {"float": "a finite number", "dict[str, float]": "an object of finite numbers"}
 
 
 def _has_type(value, annotation: str) -> bool:
-    """Whether value matches a field annotation such as 'dict[str, float]'."""
+    """Whether value matches a field annotation such as 'dict[str, float]'.
+    A float must be finite: a NaN threshold compares false with every
+    score, and an infinite one is never reached."""
     if annotation.endswith(" | None"):
         return value is None or _has_type(value, annotation[:-len(" | None")])
     if annotation.startswith("list["):
@@ -35,6 +43,8 @@ def _has_type(value, annotation: str) -> bool:
         return isinstance(value, dict) and all(
             isinstance(k, str) and _has_type(v, annotation[10:-1])
             for k, v in value.items())
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     return not isinstance(value, bool) and isinstance(value, _SCALARS[annotation])
 
 
@@ -98,7 +108,8 @@ class PipelineConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if not _has_type(value, f.type):
-                raise ConfigError(f"config field '{f.name}' must be {f.type}, got {value!r}")
+                raise ConfigError(f"config field '{f.name}' must be "
+                                  f"{_TYPE_NAMES.get(f.type, f.type)}, got {value!r}")
         if self.annotator_type not in ("rules", "replay", "cmd"):
             raise ConfigError(f"unknown annotator type '{self.annotator_type}'")
         if self.embedding_type not in ("hash", "file"):
@@ -116,6 +127,10 @@ class PipelineConfig:
         try:
             check_dbscan_params(self.dbscan_eps, self.dbscan_min_samples)
         except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        try:
+            check_threshold_grid(self.grid_lo, self.grid_hi, self.grid_step)
+        except SchemaError as exc:
             raise ConfigError(str(exc)) from None
         for name, weight in self.relation_weights.items():
             try:

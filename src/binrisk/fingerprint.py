@@ -129,6 +129,21 @@ def match_and_alert(target: Sequence[NodeEmbedding],
     return results
 
 
+# Grid values are whole ticks of 1 / _GRID_SCALE, so none accumulates float error.
+_GRID_SCALE = 1_000_000
+
+
+def check_threshold_grid(grid_lo: float, grid_hi: float, grid_step: float) -> None:
+    """The grid rule of select_threshold: the similarities tau is picked
+    for lie in [0, 1], and the step is at least one tick."""
+    if not 0.0 <= grid_lo <= grid_hi <= 1.0:
+        raise SchemaError("threshold grid needs 0 <= grid_lo <= grid_hi <= 1, got "
+                          f"grid_lo {grid_lo} and grid_hi {grid_hi}")
+    if round(grid_step * _GRID_SCALE) <= 0:
+        raise SchemaError(f"threshold grid_step must round to at least one tick of 1e-06, "
+                          f"got {grid_step}")
+
+
 def select_threshold(scores: Sequence[tuple[float, str]],
                      grid_lo: float = 0.50, grid_hi: float = 0.95,
                      grid_step: float = 0.01,
@@ -141,6 +156,7 @@ def select_threshold(scores: Sequence[tuple[float, str]],
     feasible point the minimum-FPR point is returned (ties again by
     larger J, then smaller threshold) and the report is flagged.
     """
+    check_threshold_grid(grid_lo, grid_hi, grid_step)
     labels = {label for _, label in scores}
     bad = labels - {MALICIOUS, BENIGN}
     if bad:
@@ -150,15 +166,10 @@ def select_threshold(scores: Sequence[tuple[float, str]],
     malicious = np.array([s for s, label in scores if label == MALICIOUS])
     benign = np.array([s for s, label in scores if label == BENIGN])
 
-    # Integer ticks keep grid values exact (no accumulated float step).
-    scale = 1_000_000
-    lo, hi = round(grid_lo * scale), round(grid_hi * scale)
-    step = round(grid_step * scale)
-    if step <= 0 or hi < lo:
-        raise SchemaError("bad threshold grid")
+    lo, hi = round(grid_lo * _GRID_SCALE), round(grid_hi * _GRID_SCALE)
     points = []
-    for tick in range(lo, hi + 1, step):
-        tau = tick / scale
+    for tick in range(lo, hi + 1, round(grid_step * _GRID_SCALE)):
+        tau = tick / _GRID_SCALE
         tpr = float(np.mean(malicious > tau))
         fpr = float(np.mean(benign > tau))
         points.append(GridPoint(tau=tau, tpr=tpr, fpr=fpr, j=tpr - fpr))

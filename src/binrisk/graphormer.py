@@ -28,10 +28,11 @@ Moshier's ndtr.c, the one scipy ships), so it gives the same bits as
 ``scipy.special.erf`` without importing scipy.
 
 ``forward`` walks the layers once, in order.  With ``seeded_params``
-(what ``report`` and ``forward`` without ``--params`` use) each layer's
-weights are drawn when the pass reaches it and dropped before the next
-is drawn, so the pass holds the shared tensors, one layer's weights and,
-per head, O(n^2) scores for n entities.  ``init_params`` draws the same
+(what ``report`` and ``forward`` use when the config has no
+``params_path``) each layer's weights are drawn when the pass reaches
+it and dropped before the next is drawn, so the pass holds the shared
+tensors, one layer's weights and, per head, O(n^2) scores for n
+entities.  ``init_params`` draws the same
 values and holds them all, for callers that index the layers.  Scores,
 softmax, GELU and layer norm overwrite arrays the pass made itself, with
 the same operations in the same order, so the bits do not change.
@@ -97,10 +98,6 @@ class ModelConfig:
             raise ConfigError("input_dim must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_dim // self.heads
 
 
 def _layer_tensor(shape: tuple[int, ...], init: int | float):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import EmptyGoldenSet, SchemaError, UnknownLabel, read_json
 
@@ -157,22 +157,11 @@ class Lattice:
     def __contains__(self, label: Label) -> bool:
         return label in self._members
 
-    def _check(self, label: Label) -> Label:
+    def parse(self, text: str) -> Label:
+        label = Label.parse(text)
         if label not in self._members:
             raise UnknownLabel(f"label '{label}' is not in the lattice")
         return label
-
-    def parse(self, text: str) -> Label:
-        return self._check(Label.parse(text))
-
-    def leq(self, a: Label, b: Label) -> bool:
-        return leq(self._check(a), self._check(b))
-
-    def join(self, a: Label, b: Label) -> Label:
-        return join(self._check(a), self._check(b))
-
-    def covers(self, predicted: Label, truth: Label) -> bool:
-        return covers(self._check(predicted), self._check(truth))
 
 
 @dataclass(frozen=True, slots=True)

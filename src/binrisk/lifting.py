@@ -236,6 +236,10 @@ class ReplayAnnotator:
 
 # --- external command annotator ----------------------------------------------
 
+# Seconds one external annotator call may run before its function fails.
+ANNOTATOR_TIMEOUT_S = 60.0
+
+
 class CommandAnnotator:
     """Runs an external annotator process per function.
 
@@ -253,12 +257,12 @@ class CommandAnnotator:
     ``nodes`` lists the function's nodes in id order and ``pdg_edges``
     its inner data-dependence edges in canonical edge order.  ``argv``
     is a list of arguments; one string is rejected, not split.
-    Non-zero exit, unparseable output, or an unknown label raise
-    AnnotatorFailure (the corpus builder then counts the function as
-    failed and moves on).
+    Non-zero exit, a run past ``ANNOTATOR_TIMEOUT_S``, unparseable
+    output, or an unknown label raise AnnotatorFailure (``build_corpus``
+    then counts the function as failed and moves on).
     """
 
-    def __init__(self, argv: Sequence[str], lattice: Lattice, timeout: float = 60.0):
+    def __init__(self, argv: Sequence[str], lattice: Lattice):
         if isinstance(argv, str):
             raise InvalidRule(f"external annotator command {argv!r} must be a list of "
                               "arguments, not one string")
@@ -266,7 +270,6 @@ class CommandAnnotator:
             raise InvalidRule("external annotator needs a command")
         self.argv = list(argv)
         self.lattice = lattice
-        self.timeout = timeout
 
     def annotate(self, view: FunctionSubgraph, context: Mapping) -> Annotation:
         request = {
@@ -281,7 +284,7 @@ class CommandAnnotator:
         try:
             proc = subprocess.run(
                 self.argv, input=json.dumps(request).encode("utf-8"),
-                capture_output=True, timeout=self.timeout)
+                capture_output=True, timeout=ANNOTATOR_TIMEOUT_S)
         except (OSError, subprocess.TimeoutExpired) as exc:
             raise AnnotatorFailure(view.function_id, str(exc)) from None
         if proc.returncode != 0:

@@ -30,10 +30,7 @@ import numpy as np
 
 from .embedding import cosine
 from .errors import ConfigError, EmptyGraph, NonConvergence
-from .ssckg import RELATION_INDEX, CveRecord, Entity, RelationType, SsckgGraph
-
-RISK_BEARING: frozenset[RelationType] = frozenset(
-    t for t in RelationType if t is not RelationType.VULNERABLE_TO)
+from .ssckg import CveRecord, Entity, SsckgGraph
 
 
 @dataclass(frozen=True)
@@ -71,19 +68,17 @@ def inherent_risk(entity: Entity, cves: Sequence[CveRecord]) -> float:
     return min(1.0, max(0.0, best))
 
 
-def normalize_weights(kg: SsckgGraph,
-                      rel_types: frozenset[RelationType] = RISK_BEARING,
-                      ) -> dict[int, dict[int, float]]:
+def normalize_weights(kg: SsckgGraph) -> dict[int, dict[int, float]]:
     """Per-entity convex in-neighbor coefficients.
 
+    Every relation between two entities bears risk; CVE links do not.
     Parallel relations between the same ordered pair add their weights
     before normalizing; self-loops carry no risk and are dropped.  For
     every entity with at least one in-neighbor the returned
     coefficients sum to exactly one.
     """
     cols = kg.relation_columns
-    codes = [RELATION_INDEX[t] for t in rel_types if t is not RelationType.VULNERABLE_TO]
-    keep = np.isin(cols.type_code, codes) & (cols.src != cols.dst)
+    keep = cols.entity_rows() & (cols.src != cols.dst)
     src, dst, weight = cols.src[keep], cols.dst[keep], cols.weight[keep]
     # Add each distinct (dst, src) pair's weights in relation order
     # (np.add.at is unbuffered and in order), then each target's pair

@@ -241,13 +241,9 @@ class SsckgGraph:
         self.relation_columns = relations
         self.source_binary = source_binary
         self.clustering = dict(clustering) if clustering else None
-        self._by_id = dict(zip(sorted_ids.tolist(), self.entities))
 
     def __len__(self) -> int:
         return len(self.entities)
-
-    def entity(self, entity_id: int) -> Entity:
-        return self._by_id[entity_id]
 
     def positions(self, entity_ids: np.ndarray) -> np.ndarray:
         """Position in ``entities`` of each of the graph's entity ids."""
@@ -320,7 +316,7 @@ def embed_entities(entities: Sequence[Entity], provider) -> list[Entity]:
 
 def check_dbscan_params(eps: float, min_samples: int) -> None:
     """The parameter rule of dbscan; ValueError names the bad one."""
-    if eps < 0:
+    if not eps >= 0:  # NaN too: it would make every point noise
         raise ValueError(f"dbscan eps must be non-negative, got {eps}")
     if min_samples < 1:
         raise ValueError(f"dbscan min_samples must be at least 1, got {min_samples}")

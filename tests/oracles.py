@@ -191,7 +191,7 @@ def attention_matrix(z: np.ndarray, dist: np.ndarray,
     src, dst, type_index = rows[:, :3].astype(np.int64).T
     flat, vals = _edge_bias_terms(n, src, dst, type_index, rows[:, 3],
                                   params.edge_bias[head:head + 1])
-    d = cfg.head_dim
+    d = cfg.hidden_dim // cfg.heads
     return _attention(z, dist, flat, vals[0], params.layers[layer],
                       params.spatial_bias[head], slice(head * d, (head + 1) * d))
 

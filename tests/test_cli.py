@@ -1,9 +1,10 @@
 """End-to-end command line behavior: exit codes, outputs, stage isolation."""
 
+import argparse
+import dataclasses
 import json
 import os
 import random
-import shlex
 import subprocess
 import sys
 import weakref
@@ -14,7 +15,8 @@ import pytest
 
 import binrisk
 import binrisk.pipeline
-from binrisk.cli import EXIT_ALERTS, EXIT_ERROR, EXIT_OK, main
+from binrisk.cli import EXIT_ALERTS, EXIT_ERROR, EXIT_OK, build_parser, main
+from binrisk.config import PipelineConfig
 from binrisk.cpg import EdgeKind, load_cpg
 from binrisk.graphormer import ModelConfig, _tensor_map, init_params
 
@@ -26,6 +28,21 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     doc = json.loads(captured.out) if captured.out.strip() else None
     return code, doc, captured.err
+
+
+def write_config(tmp_path, base=None, **knobs):
+    """tmp_path/cfg.json: the fixture config ``base``, its paths made
+    absolute, if one is given, with ``knobs`` set on top."""
+    doc = {}
+    if base is not None:
+        doc = json.loads(base.read_text(encoding="utf-8"))
+        for key, value in doc.items():
+            if key.endswith(("_path", "_dir")):
+                doc[key] = str(base.parent / value)
+    doc.update(knobs)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +117,43 @@ def test_graphs_have_one_representation():
     assert not {"rows", "__iter__", "__eq__"} & set(vars(binrisk.RelationColumns))
 
 
+def cli_options(parser, command=()):
+    """(subcommand words, option string, dest) for every option of every
+    subcommand, help aside."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from cli_options(sub, (*command, name))
+        elif command and action.option_strings and not isinstance(action, argparse._HelpAction):
+            yield command, action.option_strings[0], action.dest
+
+
+def test_every_knob_comes_from_the_config_file():
+    """No flag sets a config field, and --config is on exactly the
+    commands that read a knob."""
+    options = list(cli_options(build_parser()))
+    assert len(options) == 40
+    knobs = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert not [o for o in options if o[2] in knobs]
+    assert sorted(" ".join(c) for c, flag, _ in options if flag == "--config") == [
+        "build-ssckg", "embed", "export-dot", "forward", "lift", "match", "report", "score",
+        "threshold"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--config", "c.json", "--cpg", "g.json", "--out", "o.json"],
+    ["lift", "--seed", "7", "--cpg", "g.json", "--out", "o.jsonl"],
+    ["lift", "--cmd", "tool", "--cpg", "g.json", "--out", "o.jsonl"],
+    ["score", "--beta", "0.5", "--kg", "kg.json", "--out", "o.json"],
+    ["match", "--tau", "nan", "--kg-embeddings", "e.json", "--repo", "r", "--out", "o.json"],
+], ids=["ingest_config", "lift_seed", "lift_cmd", "score_beta", "match_tau"])
+def test_removed_flags_are_unrecognized(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # --- single commands ---------------------------------------------------------
 
 def test_ingest_reports_graph_shape(capsys, fixtures_dir, tmp_path):
@@ -126,9 +180,9 @@ def test_missing_input_gives_error_exit(capsys, tmp_path):
 def test_bad_config_key_gives_error_exit(capsys, fixtures_dir, tmp_path):
     bad = tmp_path / "cfg.json"
     bad.write_text('{"not_a_real_knob": 1}', encoding="utf-8")
-    code, _, err = run(capsys, "ingest", "--config", str(bad),
+    code, _, err = run(capsys, "lift", "--config", str(bad),
                        "--cpg", str(fixtures_dir / "toy_modbus.cpg.json"),
-                       "--out", str(tmp_path / "o.json"))
+                       "--out", str(tmp_path / "o.jsonl"))
     assert code == EXIT_ERROR
     assert "not_a_real_knob" in err
 
@@ -156,18 +210,19 @@ print(json.dumps({"label": "Memory", "summary": "recorded", "claims": req["pdg_e
 
 
 def lift_with_recorder(capsys, fixtures_dir, tmp_path):
-    """Lift the firmware fixture with --cmd running the recording
-    annotator: (exit code, summary, the requests it read)."""
+    """Lift the firmware fixture with the config's annotator_cmd running
+    the recording annotator: (exit code, summary, the requests it read)."""
     script, log = tmp_path / "recorder.py", tmp_path / "requests.log"
     script.write_text(RECORDING_ANNOTATOR, encoding="utf-8")
-    code, doc, _ = run(capsys, "lift", "--cpg", str(fixtures_dir / "firmware_update.cpg.json"),
-                       "--annotator", "cmd",
-                       "--cmd", shlex.join([sys.executable, str(script), str(log)]),
+    cfg = write_config(tmp_path, annotator_type="cmd",
+                       annotator_cmd=[sys.executable, str(script), str(log)])
+    code, doc, _ = run(capsys, "lift", "--config", str(cfg),
+                       "--cpg", str(fixtures_dir / "firmware_update.cpg.json"),
                        "--out", str(tmp_path / "corpus.jsonl"))
     return code, doc, log.read_text(encoding="utf-8").splitlines()
 
 
-def test_lift_cmd_flag_runs_a_script_annotator(capsys, fixtures_dir, tmp_path):
+def test_lift_runs_a_script_annotator(capsys, fixtures_dir, tmp_path):
     code, doc, requests = lift_with_recorder(capsys, fixtures_dir, tmp_path)
     assert code == EXIT_OK
     assert doc == {"accepted": 6, "rejected": 0, "failed": 0, "rejection_rate": 0.0}
@@ -190,15 +245,6 @@ def test_cmd_annotator_requests_equal_the_row_view(capsys, fixtures_dir, tmp_pat
                           and e.src in inside and e.dst in inside],
         }))
     assert lift_with_recorder(capsys, fixtures_dir, tmp_path)[2] == expected
-
-
-def test_lift_cmd_flag_with_unbalanced_quote(capsys, fixtures_dir, tmp_path):
-    code, _, err = run(capsys, "lift", "--cpg", str(fixtures_dir / "toy_modbus.cpg.json"),
-                       "--annotator", "cmd", "--cmd", "tool 'unclosed",
-                       "--out", str(tmp_path / "corpus.jsonl"))
-    assert code == EXIT_ERROR
-    assert one_error_line(err) and "--cmd" in err
-    assert not (tmp_path / "corpus.jsonl").exists()
 
 
 def test_threshold_command(capsys, fixtures_dir, tmp_path):
@@ -240,7 +286,8 @@ def test_embed_command_is_seeded(capsys, fixtures_dir, tmp_path):
     assert doc == {"embedded": 2, "dimension": 384}
     run(capsys, "embed", "--texts", str(texts), "--out", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
-    run(capsys, "embed", "--texts", str(texts), "--seed", "7", "--out", str(out3))
+    run(capsys, "embed", "--config", str(write_config(tmp_path, seed=7)), "--texts", str(texts),
+        "--out", str(out3))
     assert out1.read_bytes() != out3.read_bytes()
     vectors = json.loads(out1.read_text())
     assert set(vectors) == {"a", "b"}
@@ -336,14 +383,9 @@ def test_manual_chain_equals_report_outputs(capsys, fixtures_dir, tmp_path, toy_
     rng.shuffle(doc["edges"])
     shuffled = tmp_path / "shuffled.cpg.json"
     shuffled.write_text(json.dumps(doc), encoding="utf-8")
-    cfg_doc = json.loads((fixtures_dir / "config_firmware.json").read_text(encoding="utf-8"))
-    for key in ("lattice_path", "cves_path", "fingerprints_dir"):
-        cfg_doc[key] = str(fixtures_dir / cfg_doc[key])
-    del cfg_doc["rules_path"]
-    cfg_doc.update(annotator_type="cmd",
-                   annotator_cmd=[sys.executable, "-c", ORDER_ANNOTATOR])
-    cmd_cfg = tmp_path / "cmd_config.json"
-    cmd_cfg.write_text(json.dumps(cfg_doc), encoding="utf-8")
+    cmd_cfg = write_config(tmp_path, fixtures_dir / "config_firmware.json",
+                           annotator_type="cmd",
+                           annotator_cmd=[sys.executable, "-c", ORDER_ANNOTATOR])
     shuffled_run = tmp_path / "shuffled_run"
     assert main(["report", "--config", str(cmd_cfg), "--cpg", str(shuffled),
                  "--outdir", str(shuffled_run)]) in (EXIT_OK, EXIT_ALERTS)
@@ -404,11 +446,10 @@ def test_manual_match_equals_report_alerts(capsys, fixtures_dir, tmp_path,
 
 def test_match_tau_override_silences_alert(capsys, fixtures_dir, firmware_run,
                                            tmp_path):
-    code, doc, _ = run(capsys, "match",
+    code, doc, _ = run(capsys, "match", "--config", str(write_config(tmp_path, tau=0.99)),
                        "--kg-embeddings",
                        str(firmware_run / "firmware_update.embeddings.json"),
                        "--repo", str(fixtures_dir / "fingerprints"),
-                       "--tau", "0.99",
                        "--out", str(tmp_path / "alerts.json"))
     assert code == EXIT_OK
     assert doc["alerts"] == []
@@ -426,8 +467,8 @@ def test_fingerprint_extract_and_self_match(capsys, firmware_run, tmp_path):
     assert code == EXIT_OK
     assert doc == {"name": "self_probe", "nodes": 2}
     # embeddings extracted from the target itself match it perfectly
-    code, doc, _ = run(capsys, "match", "--kg-embeddings", str(emb),
-                       "--repo", str(repo), "--tau", "0.999",
+    code, doc, _ = run(capsys, "match", "--config", str(write_config(tmp_path, tau=0.999)),
+                       "--kg-embeddings", str(emb), "--repo", str(repo),
                        "--out", str(tmp_path / "alerts.json"))
     assert code == EXIT_ALERTS
     assert doc["alerts"] == ["self_probe"]
@@ -630,8 +671,9 @@ def test_forward_bad_params_gives_one_error_line(capsys, fixtures_dir, toy_run, 
                                                  config):
     params = tmp_path / "w.npz"
     params_container(params, config)
-    code, _, err = run(capsys, "forward", "--config", str(fixtures_dir / "config_toy.json"),
-                       "--kg", str(toy_run / "toy_modbus.kg.json"), "--params", str(params),
+    cfg = write_config(tmp_path, fixtures_dir / "config_toy.json", params_path=str(params))
+    code, _, err = run(capsys, "forward", "--config", str(cfg),
+                       "--kg", str(toy_run / "toy_modbus.kg.json"),
                        "--out", str(tmp_path / "emb.json"))
     assert code == EXIT_ERROR
     assert one_error_line(err)
@@ -642,8 +684,9 @@ def test_forward_bad_params_gives_one_error_line(capsys, fixtures_dir, toy_run, 
 def test_forward_rejects_non_finite_params(capsys, fixtures_dir, toy_run, tmp_path):
     params = tmp_path / "w.npz"
     params_container(params, TOY_MODEL, nan_in="w_input")
-    code, _, err = run(capsys, "forward", "--config", str(fixtures_dir / "config_toy.json"),
-                       "--kg", str(toy_run / "toy_modbus.kg.json"), "--params", str(params),
+    cfg = write_config(tmp_path, fixtures_dir / "config_toy.json", params_path=str(params))
+    code, _, err = run(capsys, "forward", "--config", str(cfg),
+                       "--kg", str(toy_run / "toy_modbus.kg.json"),
                        "--out", str(tmp_path / "emb.json"))
     assert code == EXIT_ERROR
     assert one_error_line(err)
@@ -654,8 +697,9 @@ def test_forward_rejects_non_finite_params(capsys, fixtures_dir, toy_run, tmp_pa
 def test_forward_params_with_legacy_sum_fold(capsys, fixtures_dir, toy_run, tmp_path):
     params = tmp_path / "w.npz"
     params_container(params, {**TOY_MODEL, "edge_combine": "sum"})
-    code, _, _ = run(capsys, "forward", "--config", str(fixtures_dir / "config_toy.json"),
-                     "--kg", str(toy_run / "toy_modbus.kg.json"), "--params", str(params),
+    cfg = write_config(tmp_path, fixtures_dir / "config_toy.json", params_path=str(params))
+    code, _, _ = run(capsys, "forward", "--config", str(cfg),
+                     "--kg", str(toy_run / "toy_modbus.kg.json"),
                      "--out", str(tmp_path / "emb.json"))
     assert code == EXIT_OK
     assert ((tmp_path / "emb.json").read_bytes()
@@ -710,6 +754,22 @@ CORPUS_TRAILER = '{"trailer": {"accepted": 0, "failed": 0, "rejected": 0, "total
 
 REPORT_BAD_CONFIG = ["report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
                      "--outdir", "{tmp}/out"]
+THRESHOLD_BAD_CONFIG = ["threshold", "--config", "{bad}", "--scores",
+                        "{fx}/threshold_scores.json", "--out", "{tmp}/th.json"]
+# Commands whose side config (SIDE_FILES) names the damaged file.
+SCORE_SIDE_CONFIG = ["score", "--config", "{tmp}/cfg.json", "--kg", "{toy}/toy_modbus.kg.json",
+                     "--out", "{tmp}/risk.json"]
+LIFT_SIDE_CONFIG = ["lift", "--config", "{tmp}/cfg.json", "--cpg", "{fx}/toy_modbus.cpg.json",
+                    "--out", "{tmp}/corpus.jsonl"]
+# Float knobs, each as NaN and as Infinity: knob -> (JSON value around
+# the bad number, text the error must name).
+NON_FINITE_KNOBS = {
+    **{knob: ("{}", f"config field '{knob}' must be a finite number, got {{}}")
+       for knob in ("tau", "cve_match_threshold", "fpr_cap", "grid_lo", "dbscan_eps")},
+    "risk_bands": ('{{"high": {}, "medium": 0.4}}',
+                   "config field 'risk_bands' must be an object of finite numbers"),
+}
+GRID_FAULT = "threshold grid needs 0 <= grid_lo <= grid_hi <= 1, got grid_lo {lo} and grid_hi {hi}"
 # report with file embeddings: the damaged file is the side config's embedding_path.
 REPORT_FILE_EMBEDDINGS = ["report", "--config", "{tmp}/cfg.json", "--cpg",
                           "{fx}/toy_modbus.cpg.json", "--outdir", "{tmp}/out"]
@@ -742,24 +802,17 @@ BAD_INPUTS = {
     "config_string_band": ("cfg.json", '{"risk_bands": {"high": "x"}}', "risk_bands", [
         "report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
         "--outdir", "{tmp}/out"]),
-    "cves_truncated": ("cves.json", '[{"cve_id": "CVE-1", "descr', "{bad}", [
-        "score", "--kg", "{toy}/toy_modbus.kg.json", "--cves", "{bad}",
-        "--out", "{tmp}/risk.json"]),
-    "cves_missing_description": ("cves.json", '[{"cve_id": "CVE-1"}]', "{bad}", [
-        "score", "--kg", "{toy}/toy_modbus.kg.json", "--cves", "{bad}",
-        "--out", "{tmp}/risk.json"]),
+    "cves_truncated": ("cves.json", '[{"cve_id": "CVE-1", "descr', "{bad}", SCORE_SIDE_CONFIG),
+    "cves_missing_description": ("cves.json", '[{"cve_id": "CVE-1"}]', "{bad}",
+                                 SCORE_SIDE_CONFIG),
     "cves_numeric_id": ("cves.json", '[{"cve_id": 7, "description": null}]',
-                        "CVE corpus {bad}: record 0 has non-string cve_id 7", [
-                            "score", "--kg", "{toy}/toy_modbus.kg.json", "--cves", "{bad}",
-                            "--out", "{tmp}/risk.json"]),
+                        "CVE corpus {bad}: record 0 has non-string cve_id 7", SCORE_SIDE_CONFIG),
     "cves_null_description": ("cves.json", '[{"cve_id": "CVE-1", "description": null}]',
-                              "CVE corpus {bad}: record 0 has non-string description None", [
-                                  "score", "--kg", "{toy}/toy_modbus.kg.json", "--cves",
-                                  "{bad}", "--out", "{tmp}/risk.json"]),
+                              "CVE corpus {bad}: record 0 has non-string description None",
+                              SCORE_SIDE_CONFIG),
     "rules_numeric_pattern": ("rules.json", '[{"pattern": 5, "label": "Memory"}]',
-                              "rule file {bad}: rule 0 has non-string pattern 5", [
-                                  "lift", "--cpg", "{fx}/toy_modbus.cpg.json", "--rules",
-                                  "{bad}", "--out", "{tmp}/corpus.jsonl"]),
+                              "rule file {bad}: rule 0 has non-string pattern 5",
+                              LIFT_SIDE_CONFIG),
     "scores_truncated": ("scores.json", '[{"score": 0.5, "lab', "{bad}", [
         "threshold", "--scores", "{bad}", "--out", "{tmp}/th.json"]),
     "scores_missing_label": ("scores.json", '[{"score": 0.5}]', "{bad}", [
@@ -784,13 +837,19 @@ BAD_INPUTS = {
                                    REPORT_BAD_CONFIG),
     "config_negative_seed": ("cfg.json", '{"seed": -1}', "seed must be non-negative, got -1",
                              REPORT_BAD_CONFIG),
-    # A valid config whose seed the flag overrides with a bad one.
-    "report_negative_seed": ("cfg.json", '{"seed": 3}', "seed must be non-negative, got -1",
-                             ["report", "--config", "{bad}", "--seed", "-1", "--cpg",
-                              "{fx}/toy_modbus.cpg.json", "--outdir", "{tmp}/out"]),
-    "forward_negative_seed": ("cfg.json", "{}", "seed must be non-negative, got -1",
-                              ["forward", "--config", "{bad}", "--seed", "-1", "--kg",
-                               "{toy}/toy_modbus.kg.json", "--out", "{tmp}/emb.json"]),
+    **{f"config_{word}_{knob}": ("cfg.json", f'{{"{knob}": {value.format(token)}}}',
+                                 needle.format(shown), REPORT_BAD_CONFIG)
+       for knob, (value, needle) in NON_FINITE_KNOBS.items()
+       for word, token, shown in (("nan", "NaN", "nan"), ("infinite", "Infinity", "inf"))},
+    "config_grid_above_one": ("cfg.json", '{"grid_hi": 1e9}',
+                              GRID_FAULT.format(lo=0.5, hi=1e9), THRESHOLD_BAD_CONFIG),
+    "config_grid_below_zero": ("cfg.json", '{"grid_lo": -0.5}',
+                               GRID_FAULT.format(lo=-0.5, hi=0.95), THRESHOLD_BAD_CONFIG),
+    "config_grid_reversed": ("cfg.json", '{"grid_lo": 0.9, "grid_hi": 0.5}',
+                             GRID_FAULT.format(lo=0.9, hi=0.5), THRESHOLD_BAD_CONFIG),
+    "config_grid_zero_step": ("cfg.json", '{"grid_step": 0}',
+                              "threshold grid_step must round to at least one tick",
+                              THRESHOLD_BAD_CONFIG),
     "cpg_boolean_id": (
         "cpg.json", '{"nodes": [{"id": true, "kind": "Call", "function_id": 0,'
         ' "block_id": false}], "edges": []}', "non-integer id True",
@@ -900,17 +959,13 @@ BAD_INPUTS = {
         BUILD_BAD_CORPUS),
     "replay_numeric_label": (
         "replay.json", '{"0": {"label": 3, "summary": "s"}}', "replay file {bad}: annotation "
-        "for function 0 has non-string label 3",
-        ["lift", "--cpg", "{fx}/toy_modbus.cpg.json", "--annotator", "replay",
-         "--replay", "{bad}", "--out", "{tmp}/corpus.jsonl"]),
+        "for function 0 has non-string label 3", LIFT_SIDE_CONFIG),
     "replay_number_entry": (
         "replay.json", '{"0": 5}', "replay file {bad}: annotation for function 0 must be an "
-        "object", ["lift", "--cpg", "{fx}/toy_modbus.cpg.json", "--annotator", "replay",
-                   "--replay", "{bad}", "--out", "{tmp}/corpus.jsonl"]),
+        "object", LIFT_SIDE_CONFIG),
     "lattice_number_category": (
         "lattice.json", '{"Hardware": 5}', "lattice file {bad}: lattice category 'Hardware'",
-        ["lift", "--config", "{tmp}/cfg.json", "--cpg", "{fx}/toy_modbus.cpg.json",
-         "--out", "{tmp}/corpus.jsonl"]),
+        LIFT_SIDE_CONFIG),
     "cpg_nested": ("cpg.json", NESTED, "CPG file {bad}: not valid JSON: maximum recursion "
                    "depth exceeded", INGEST_BAD_CPG),
     "kg_nested": ("kg.json", NESTED, "KG file {bad} is not valid JSON: maximum recursion depth "
@@ -988,6 +1043,12 @@ BAD_INPUTS = {
 # Files a probe reads beside the damaged one, by probe: name -> content.
 SIDE_FILES = {
     "lattice_number_category": {"cfg.json": '{"lattice_path": "lattice.json"}'},
+    "rules_numeric_pattern": {"cfg.json": '{"rules_path": "rules.json"}'},
+    **{probe: {"cfg.json": '{"annotator_type": "replay", "replay_path": "replay.json"}'}
+       for probe in ("replay_numeric_label", "replay_number_entry")},
+    **{probe: {"cfg.json": '{"cves_path": "cves.json"}'}
+       for probe in ("cves_truncated", "cves_missing_description", "cves_numeric_id",
+                     "cves_null_description")},
     **{probe: {"cfg.json": '{"embedding_type": "file", "embedding_path": "emb.json"}'}
        for probe in ("embedding_file_numeric_string_value", "embedding_file_boolean_value")},
 }

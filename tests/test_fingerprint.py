@@ -229,6 +229,12 @@ def test_threshold_input_validation():
     with pytest.raises(SchemaError, match="grid"):
         select_threshold([(0.5, BENIGN), (0.6, MALICIOUS)],
                          grid_lo=0.9, grid_hi=0.5)
+    # Similarities lie in [0, 1]: a grid past them is refused, not walked.
+    for bounds in ({"grid_lo": -0.5}, {"grid_hi": 1e9}, {"grid_lo": float("nan")}):
+        with pytest.raises(SchemaError, match="0 <= grid_lo <= grid_hi <= 1"):
+            select_threshold([(0.5, BENIGN), (0.6, MALICIOUS)], **bounds)
+    with pytest.raises(SchemaError, match="grid_step"):
+        select_threshold([(0.5, BENIGN), (0.6, MALICIOUS)], grid_step=1e-9)
 
 
 # --- ranking quality ---------------------------------------------------------------

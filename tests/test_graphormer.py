@@ -55,7 +55,7 @@ def attention_oracle(z, dist, edges, params, layer, head):
     """Scalar re-derivation of one head's attention, no matrix ops."""
     cfg = params.config
     n = z.shape[0]
-    d = cfg.head_dim
+    d = cfg.hidden_dim // cfg.heads
     lp = params.layers[layer]
     lo = head * d
     rows = []
@@ -170,7 +170,7 @@ def forward_oracle(kg, params):
     edges = relation_edges(kg)
     dist = hop_oracle(len(ents), [(i, j) for i, j, _, _ in edges], cfg.max_dist)
     z = feats @ params.w_input + params.tier_embed[np.array(tiers)]
-    d = cfg.head_dim
+    d = cfg.hidden_dim // cfg.heads
     for layer in range(cfg.layers):
         lp = params.layers[layer]
         heads = []
@@ -351,7 +351,7 @@ def per_head_reference(kg, params):
                                 max_dist=cfg.max_dist)
     z = (np.stack([e.embedding.values for e in ents]) @ params.w_input
          + params.tier_embed[np.array([e.label.tier for e in ents])])
-    d = cfg.head_dim
+    d = cfg.hidden_dim // cfg.heads
     for layer, lp in enumerate(params.layers):
         heads = [attention_matrix(z, dist, edges, params, layer, h)
                  @ (z @ lp.w_v[:, h * d:(h + 1) * d]) for h in range(cfg.heads)]
@@ -519,7 +519,6 @@ def test_config_validation():
         ModelConfig(max_dist=0)
     with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
         ModelConfig(seed=-1)
-    assert ModelConfig(heads=4, hidden_dim=16).head_dim == 4
 
 
 # --- initialization and persistence ----------------------------------------------

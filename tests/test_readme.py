@@ -1,8 +1,11 @@
-"""The README's "Library use" examples run as written."""
+"""The README's "Library use" examples run as written, and its shell
+commands parse."""
 
 import re
+import shlex
 from pathlib import Path
 
+from binrisk.cli import build_parser
 from binrisk.cpg import dumps_cpg
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,3 +31,25 @@ def test_library_use_snippets_run(tmp_path, monkeypatch, capsys):
     assert len(namespace["embeddings"]) == len(namespace["kg"])
     written = (tmp_path / "build" / "toy_modbus.cpg.json").read_text(encoding="utf-8")
     assert written == dumps_cpg(namespace["g"])
+
+
+def shell_commands() -> list[list[str]]:
+    """Each ``binrisk ...`` command in README's shell blocks, as argv
+    after the program name, with ``\\`` continuations joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line.removeprefix("$ "))
+            if words[:1] == ["binrisk"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_shell_commands_parse():
+    """No README command uses a flag the CLI does not have."""
+    commands = shell_commands()
+    assert len(commands) == 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

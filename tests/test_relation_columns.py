@@ -122,10 +122,10 @@ def extract_relations_ref(g, entities, cves=(), cve_match_threshold=0.85, config
     return sorted(found.values(), key=lambda r: (r.src, r.rel_type.value, str(r.dst)))
 
 
-def normalize_weights_ref(kg, rel_types):
+def normalize_weights_ref(kg):
     incoming = {}
     for r in relation_rows(kg):
-        if r.rel_type in rel_types and isinstance(r.dst, int) and r.src != r.dst:
+        if isinstance(r.dst, int) and r.src != r.dst:
             incoming.setdefault(r.dst, {}).setdefault(r.src, 0.0)
             incoming[r.dst][r.src] += r.weight
     out = {}
@@ -218,9 +218,7 @@ def test_relation_consumers_equal_row_references(inputs, rnd):
     rows = [replace(r, weight=rnd.choice([0.1, 0.3, 1 / 3, 0.7, 2.5])) for r in rows]
     kg = row_kg(entities, rows, source_binary="b", clustering={"points": 1})
     assert dumps_ssckg(kg) == dumps_json(document_ref(kg))
-    for types in (frozenset(RelationType), frozenset({RelationType.CALLS,
-                                                      RelationType.REACHES})):
-        assert normalize_weights(kg, types) == normalize_weights_ref(kg, types)
+    assert normalize_weights(kg) == normalize_weights_ref(kg)
     assert to_dot(kg).splitlines()[3 + len(entities):-1] == dot_edges_ref(kg)
     assert relation_edges(kg) == relation_edges_ref(kg)
 
@@ -238,8 +236,7 @@ def test_normalize_weights_equals_dict_reference(draws):
     rows = [Relation(a, t, "CVE-1" if t is RelationType.VULNERABLE_TO else b, w)
             for a, t, b, w in draws]
     kg = row_kg(entities, rows)
-    for types in (frozenset(RelationType), frozenset({RelationType.CALLS})):
-        assert normalize_weights(kg, types) == normalize_weights_ref(kg, types)
+    assert normalize_weights(kg) == normalize_weights_ref(kg)
 
 
 def chain_graph(n, pdg_pairs):

@@ -9,7 +9,6 @@ from binrisk.errors import ConfigError, EmptyGraph, NonConvergence
 from binrisk.lattice import TOP, Lattice
 from binrisk.lifting import RuleAnnotator, build_corpus, load_rules
 from binrisk.risk import (
-    RISK_BEARING,
     PropagationConfig,
     inherent_risk,
     normalize_weights,
@@ -146,13 +145,12 @@ def test_normalize_weights_drops_self_loops_and_cve_links():
 
 
 def test_normalize_weights_respects_type_filter():
-    kg = row_kg([ent(0), ent(1)], [
-        rel(0, RelationType.CALLS, 1),
-        rel(0, RelationType.TAINTS, 1),
-    ])
-    only_calls = normalize_weights(kg, rel_types=frozenset({RelationType.CALLS}))
-    assert only_calls == {1: {0: 1.0}}
-    assert RelationType.VULNERABLE_TO not in RISK_BEARING
+    """Every relation type but vulnerable_to bears risk."""
+    types = [t for t in RelationType if t is not RelationType.VULNERABLE_TO]
+    kg = row_kg([ent(i) for i in range(len(types) + 1)],
+                [rel(i, t, len(types)) for i, t in enumerate(types)])
+    assert set(normalize_weights(kg)) == {len(types)}
+    assert set(normalize_weights(kg)[len(types)]) == set(range(len(types)))
 
 
 # --- propagation --------------------------------------------------------------

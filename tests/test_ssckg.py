@@ -226,6 +226,8 @@ def test_dbscan_input_validation():
     pts = on_circle([0, 5])
     with pytest.raises(ValueError):
         dbscan(pts, eps=-0.1, min_samples=2)
+    with pytest.raises(ValueError, match="eps must be non-negative, got nan"):
+        dbscan(pts, eps=float("nan"), min_samples=2)
     with pytest.raises(ValueError):
         dbscan(pts, eps=0.1, min_samples=0)
     with pytest.raises(ZeroVector):
@@ -489,7 +491,7 @@ def test_graph_sorts_entities_and_filters_cve_links():
     ])
     assert [e.id for e in kg.entities] == [0, 2]
     assert len(kg) == 2
-    assert kg.entity(2).name == "e2"
+    assert [e.name for e in kg.entities] == ["e0", "e2"]
     cols = kg.relation_columns
     assert cols.dst[cols.entity_rows()].tolist() == [2]
 
