@@ -6,15 +6,16 @@ output files, so a single file drives both the chained subcommands
 and the one-shot run.  Paths in a config file are resolved relative
 to the file's own directory.  Unknown keys, values of the wrong type,
 numbers that are not finite, unknown relation names, risk bands other
-than exactly ``high`` and ``medium``, and values out of a stage's
-range are rejected when the config is built, before any stage runs,
-rather than silently ignored.  The range rules stay with the stages:
-the config builds their own parameter objects or calls their checks.
+than exactly ``high`` and ``medium``, similarities outside [0, 1] and
+values out of a stage's range are rejected when the config is built,
+before any stage runs, rather than silently ignored.  The range rules
+stay with the stages: the config builds their parameter objects or
+calls their checks.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -25,9 +26,14 @@ from .graphormer import ModelConfig
 from .risk import PropagationConfig
 from .ssckg import RelationType, check_dbscan_params, check_relation_weight
 
-_SCALARS = {"int": int, "float": (int, float), "str": str}
+_SCALARS = {"int": int, "str": str}
 # How an error message names a type; the others go by their annotation.
 _TYPE_NAMES = {"float": "a finite number", "dict[str, float]": "an object of finite numbers"}
+
+
+def _finite_number(value) -> bool:
+    # abs() <= max is False for NaN, for +-inf and for an int past the float range.
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _has_type(value, annotation: str) -> bool:
@@ -43,8 +49,8 @@ def _has_type(value, annotation: str) -> bool:
         return isinstance(value, dict) and all(
             isinstance(k, str) and _has_type(v, annotation[10:-1])
             for k, v in value.items())
-    if isinstance(value, float) and not math.isfinite(value):
-        return False
+    if annotation == "float":
+        return _finite_number(value)
     return not isinstance(value, bool) and isinstance(value, _SCALARS[annotation])
 
 
@@ -110,6 +116,10 @@ class PipelineConfig:
             if not _has_type(value, f.type):
                 raise ConfigError(f"config field '{f.name}' must be "
                                   f"{_TYPE_NAMES.get(f.type, f.type)}, got {value!r}")
+        for name in ("tau", "cve_match_threshold"):  # cosine similarities
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"config field '{name}' must lie in [0, 1], "
+                                  f"got {getattr(self, name)!r}")
         if self.annotator_type not in ("rules", "replay", "cmd"):
             raise ConfigError(f"unknown annotator type '{self.annotator_type}'")
         if self.embedding_type not in ("hash", "file"):

@@ -540,7 +540,9 @@ def shortest_path_matrix(num_nodes: int, edges: Iterable[tuple[int, int]],
 
     Entry (i, j) is the unweighted shortest-path hop count from i to j,
     clamped to max_dist.  Unreachable pairs get the sentinel bucket
-    max_dist + 1.  The diagonal is 0.
+    max_dist + 1.  The diagonal is 0.  The dtype is the narrowest that
+    holds the sentinel, ``np.min_scalar_type(max_dist + 1)``: uint8 up
+    to max_dist 254.
 
     A breadth-first search from every node at once, one level at a
     time: the next frontiers are one float32 product of the current
@@ -561,7 +563,8 @@ def shortest_path_matrix(num_nodes: int, edges: Iterable[tuple[int, int]],
         raise ValueError(f"edge endpoint out of range for {num_nodes} nodes")
     adj = np.zeros((num_nodes, num_nodes), dtype=np.float32)
     adj[pairs[:, 0], pairs[:, 1]] = 1.0
-    hops = np.full((num_nodes, num_nodes), max_dist + 1, dtype=np.int64)
+    hops = np.full((num_nodes, num_nodes), max_dist + 1,
+                   dtype=np.min_scalar_type(max_dist + 1))
     np.fill_diagonal(hops, 0)
     seen = np.eye(num_nodes, dtype=bool)
     open_rows = np.arange(num_nodes)  # the sources whose search still finds nodes
@@ -574,10 +577,12 @@ def shortest_path_matrix(num_nodes: int, edges: Iterable[tuple[int, int]],
             return hops
         if level > max_dist:
             break
-        rows, cols = np.nonzero(fresh)
-        rows = open_rows[rows]
-        seen[rows, cols] = True
-        hops[rows, cols] = level
+        # A row gather and a masked write: no index pairs of the frontiers.
+        block = hops[open_rows]
+        block[fresh] = level
+        hops[open_rows] = block
+        del block
+        seen[open_rows] |= fresh
         # Only the nodes on some frontier contribute to the next product.
         on = np.flatnonzero(fresh.any(axis=0))
         fresh = fresh[:, on].astype(np.float32) @ adj[on] > 0

@@ -14,7 +14,9 @@ Both biases depend only on the graph and the head, never on the layer
 or the state, so ``forward`` builds them once per pass: the hop matrix
 through a breadth-first search from every entity at once, and each
 head's edge term as values at the distinct related pairs, which every
-layer adds onto its scores.
+layer adds onto its scores.  The hop matrix is one byte per pair up to
+max_dist 254 (its clamped values fit), and the spatial bias is gathered
+from it a block of rows at a time, so no n x n bias or index array is made.
 
 Each layer applies multi-head attention, then a position-wise
 feed-forward expansion, with a single residual connection and a single
@@ -27,12 +29,12 @@ Its ``erf`` is a port of the Cephes rational approximation (S. L.
 Moshier's ndtr.c, the one scipy ships), so it gives the same bits as
 ``scipy.special.erf`` without importing scipy.
 
-``forward`` walks the layers once, in order.  With ``seeded_params``
-(what ``report`` and ``forward`` use when the config has no
-``params_path``) each layer's weights are drawn when the pass reaches
-it and dropped before the next is drawn, so the pass holds the shared
-tensors, one layer's weights and, per head, O(n^2) scores for n
-entities.  ``init_params`` draws the same
+``forward`` takes the tensors as one stream, in draw order.  Given a
+``ModelConfig`` (what ``report`` and ``forward`` use when the config has
+no ``params_path``) it draws the seeded weights as the pass needs them
+and holds each tensor from its first use to its last, so the pass holds
+the spatial bias table, a layer's tensors while they are in use and,
+per head, O(n^2) scores for n entities.  ``init_params`` draws the same
 values and holds them all, for callers that index the layers.  Scores,
 softmax, GELU and layer norm overwrite arrays the pass made itself, with
 the same operations in the same order, so the bits do not change.
@@ -46,14 +48,14 @@ reaches the model through the bias tables.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import math
 import zipfile
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -129,8 +131,7 @@ class ModelParams:
     tier_embed: np.ndarray  # (4, hidden): top, category, action, risk context
     spatial_bias: np.ndarray  # (heads, max_dist + 2); last bucket = unreachable
     edge_bias: np.ndarray     # (heads, edge_types)
-    # A list, or the one-pass iterator of ``seeded_params``
-    layers: Iterable[LayerParams] = field(default_factory=list)
+    layers: list[LayerParams] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -189,24 +190,6 @@ def _drawn_tensors(cfg: ModelConfig) -> Iterator[tuple[str, np.ndarray]]:
 def init_params(cfg: ModelConfig) -> ModelParams:
     """Seeded initialization: every tensor of ``_drawn_tensors``, held at once."""
     return _params_from(cfg, dict(_drawn_tensors(cfg)))
-
-
-def seeded_params(cfg: ModelConfig) -> ModelParams:
-    """``init_params(cfg)`` for one ``forward`` pass, drawn as it goes.
-
-    The four shared tensors are drawn now.  ``layers`` is a one-pass
-    iterator that draws each layer's tensors, from the same generator
-    and in the same order, when the pass reaches that layer, so every
-    value equals ``init_params(cfg)``'s and ``forward`` holds one
-    layer's weights at a time.
-    """
-    draws = _drawn_tensors(cfg)
-    shared = dict(itertools.islice(draws, 4))  # w_input, tier_embed, spatial_bias, edge_bias
-    per_layer = len(fields(LayerParams))
-    layers = (LayerParams(**{name.partition(".")[2]: t
-                             for name, t in itertools.islice(draws, per_layer)})
-              for _ in range(cfg.layers))
-    return ModelParams(config=cfg, layers=layers, **shared)
 
 
 # Cephes ndtr.c (S. L. Moshier): erf(x) = x T(x^2) / U(x^2) for |x| <= 1,
@@ -331,19 +314,23 @@ def _edge_bias_terms(n: int, src: np.ndarray, dst: np.ndarray, type_index: np.nd
     return flat, np.ascontiguousarray(vals.T)
 
 
-def _attention(z: np.ndarray, dist: np.ndarray, flat: np.ndarray, edge_vals: np.ndarray,
-               lp: LayerParams, spatial_bias: np.ndarray, cols: slice) -> np.ndarray:
+_BIAS_ROWS = 64  # score rows per spatial-bias gather
+
+
+def _attention(q: np.ndarray, k: np.ndarray, dist: np.ndarray, flat: np.ndarray,
+               edge_vals: np.ndarray, spatial_bias: np.ndarray) -> np.ndarray:
     """Softmax of q.k / sqrt(d) + spatial bias, plus ``edge_vals`` at ``flat``.
 
-    ``spatial_bias`` is the head's row of the table and ``cols`` the
-    head's columns of the projections.  Only the fresh score matrix is
+    ``q`` and ``k`` are one head's projections and ``spatial_bias`` is
+    that head's row of the table.  The bias is gathered ``_BIAS_ROWS``
+    rows of ``dist`` at a time; the sum is elementwise, so the bits are
+    those of one whole-matrix gather.  Only the fresh score matrix is
     written to.
     """
-    q = z @ lp.w_q[:, cols]
-    k = z @ lp.w_k[:, cols]
     scores = q @ k.T  # a fresh C-order array, so ravel below is a view
-    scores /= np.sqrt(cols.stop - cols.start)
-    scores += np.take(spatial_bias, dist)
+    scores /= np.sqrt(q.shape[1])
+    for lo in range(0, len(scores), _BIAS_ROWS):
+        scores[lo:lo + _BIAS_ROWS] += np.take(spatial_bias, dist[lo:lo + _BIAS_ROWS])
     scores.ravel()[flat] += edge_vals
     return _softmax_rows(scores)
 
@@ -357,38 +344,48 @@ def _relation_arrays(kg: SsckgGraph) -> tuple[np.ndarray, ...]:
             cols.type_code[between].astype(np.int64), cols.weight[between])
 
 
-def _layer(z: np.ndarray, lp: LayerParams, dist: np.ndarray, flat: np.ndarray,
+def _layer(z: np.ndarray, tensors: Iterator[np.ndarray], dist: np.ndarray, flat: np.ndarray,
            edge_vals: np.ndarray, spatial_bias: np.ndarray, heads: int) -> np.ndarray:
     """One layer, layer_norm(z + ffn(attention(z))), as a fresh array.
 
-    Each head's attention matrix is dropped once its product is taken,
-    so one head's O(n^2) arrays are live at a time.
+    ``tensors`` gives the layer's weights in ``LayerParams`` field
+    order.  Each is taken when first needed and dropped after its last
+    use, and each head's attention matrix once its product is taken, so
+    one head's O(n^2) arrays are live at a time.
     """
     d = z.shape[1] // heads
+    w_q, w_k, w_v = next(tensors), next(tensors), next(tensors)
     heads_out = []
     for head in range(heads):
         cols = slice(head * d, (head + 1) * d)
-        heads_out.append(_attention(z, dist, flat, edge_vals[head], lp, spatial_bias[head],
-                                    cols) @ (z @ lp.w_v[:, cols]))
-    mixed = np.concatenate(heads_out, axis=1) @ lp.w_o
+        heads_out.append(_attention(z @ w_q[:, cols], z @ w_k[:, cols], dist, flat,
+                                    edge_vals[head], spatial_bias[head]) @ (z @ w_v[:, cols]))
+    del w_q, w_k, w_v
+    mixed = np.concatenate(heads_out, axis=1) @ next(tensors)  # w_o
     del heads_out
-    h = mixed @ lp.ffn_w1
-    h += lp.ffn_b1
-    expanded = _gelu(h) @ lp.ffn_w2
+    h = mixed @ next(tensors)  # ffn_w1
+    del mixed
+    h += next(tensors)  # ffn_b1
+    expanded = _gelu(h) @ next(tensors)  # ffn_w2
     del h
-    expanded += lp.ffn_b2
+    expanded += next(tensors)  # ffn_b2
     expanded += z
-    return _layer_norm(expanded, lp.ln_gain, lp.ln_offset)
+    return _layer_norm(expanded, next(tensors), next(tensors))  # ln_gain, ln_offset
 
 
-def forward(kg: SsckgGraph, params: ModelParams) -> list[NodeEmbedding]:
+def forward(kg: SsckgGraph, params: ModelParams | ModelConfig) -> list[NodeEmbedding]:
     """Run the full stack and return one vector per entity, in id order.
 
-    ``params.layers`` is walked once, in order, so it may be the one-pass
-    iterator of ``seeded_params``; the pass then holds one layer's
-    weights at a time.  It must give ``config.layers`` layers.
+    ``params`` is the weights, or a ``ModelConfig`` whose seeded weights
+    (``init_params``'s values) are drawn as the pass needs them.  Either
+    way the pass reads the tensors once, in draw order.
     """
-    cfg = params.config
+    if isinstance(params, ModelConfig):  # nothing is drawn before the first next()
+        cfg, tensors = params, map(itemgetter(1), _drawn_tensors(params))
+    else:
+        cfg, tensors = params.config, iter(_tensor_map(params).values())
+        if len(params.layers) != cfg.layers:
+            raise ShapeMismatch(f"params hold {len(params.layers)} layers, config {cfg.layers}")
     if len(kg) == 0:
         raise EmptyGraph("forward pass needs at least one entity")
     order = kg.entity_ids.tolist()
@@ -406,18 +403,14 @@ def forward(kg: SsckgGraph, params: ModelParams) -> list[NodeEmbedding]:
     src, dst, type_index, weight = _relation_arrays(kg)
     dist = shortest_path_matrix(len(order), np.column_stack((src, dst)),
                                 max_dist=cfg.max_dist)
-
-    z = np.stack(feats) @ params.w_input
-    z += params.tier_embed[np.array(tiers)]
+    z = np.stack(feats) @ next(tensors)  # w_input
+    z += next(tensors)[np.array(tiers)]  # tier_embed
+    spatial_bias = next(tensors)
     flat, edge_vals = _edge_bias_terms(len(order), src, dst, type_index, weight,
-                                       params.edge_bias)
-    walked = 0
-    for lp in params.layers:
-        z = _layer(z, lp, dist, flat, edge_vals, params.spatial_bias, cfg.heads)
-        del lp  # else the loop target keeps this layer alive while the next is drawn
-        walked += 1
-    if walked != cfg.layers:  # e.g. a second pass over seeded_params' layers
-        raise ShapeMismatch(f"params gave {walked} layers, the model has {cfg.layers}")
+                                       next(tensors))  # edge_bias
+    del src, dst, type_index, weight
+    for _ in range(cfg.layers):
+        z = _layer(z, tensors, dist, flat, edge_vals, spatial_bias, cfg.heads)
     return [NodeEmbedding(entity_id=eid, vector=z[i].copy())
             for i, eid in enumerate(order)]
 

@@ -4,9 +4,9 @@ Each stage is a core over in-memory objects (``lift``, ``build_kg``,
 ``transform``, ``score``, ``match``, ``render_dot``) plus a ``stage_*``
 wrapper that loads the stage's input files, runs the core and writes
 its output, which is what each CLI subcommand calls.  ``report``
-(``run_pipeline``) takes the binaries one at a time: it parses each
-CPG once, ``run_one`` chains the cores in memory, and the graph is
-dropped before the next CPG is parsed.  Files are its outputs, not the
+(``run_pipeline``) takes the binaries one at a time: ``run_one`` parses
+each CPG once, chains the cores in memory, and drops the graph and the
+corpus once the knowledge graph is built.  Files are its outputs, not the
 transport between its stages.  It writes every intermediate through the
 same serializer the wrapper uses, so running the subcommands by hand
 against the same config writes the same bytes.  Its files go to a
@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import os
 import shutil
-import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .config import PipelineConfig
+from .config import PipelineConfig, _finite_number
 from .cpg import CpgGraph, _is_id, cpg_chunks, load_cpg
 from .embedding import FileEmbeddings, HashEmbedder
 from .errors import ConfigError, SchemaError, dumps_json, read_json
@@ -42,7 +41,6 @@ from .graphormer import (
     forward,
     load_embeddings,
     load_params,
-    seeded_params,
 )
 from .lattice import Lattice
 from .lifting import (
@@ -189,7 +187,7 @@ def transform(kg: SsckgGraph, cfg: PipelineConfig) -> list[NodeEmbedding]:
         seed=cfg.seed)
     if cfg.params_path:
         return forward(kg, load_params(cfg.params_path, expected=model_cfg))
-    return forward(kg, seeded_params(model_cfg))
+    return forward(kg, model_cfg)
 
 
 def score(kg: SsckgGraph, cfg: PipelineConfig) -> dict:
@@ -269,11 +267,6 @@ def load_risk(path: str | Path) -> dict:
             raise SchemaError(f"risk file {path}: ranking row {pos} needs an integer "
                               "'entity_id' and a finite numeric 'score'")
     return doc
-
-
-def _finite_number(value) -> bool:
-    # abs() <= max is False for NaN, for +-inf and for an int past the float range.
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 # --- stages: load the input files, run the core, write the output ---------------
@@ -381,12 +374,20 @@ def binary_id(g: CpgGraph, cpg_path: str | Path) -> str:
 
 
 def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path,
-            g: CpgGraph) -> RiskReport:
-    """Run every stage core for one binary, writing each stage's file.
+            seen: dict[str, str | Path]) -> RiskReport:
+    """Parse cpg_path and run every stage core on it, writing each stage's file.
 
-    g is the graph parsed from cpg_path.
+    ``seen`` maps each binary id already run to its input path; a
+    repeated id is rejected before anything is written.  The graph and
+    the corpus are dropped once the knowledge graph is built, since no
+    later stage reads them.
     """
+    g = load_cpg(cpg_path)
     bid = binary_id(g, cpg_path)
+    if bid in seen:
+        raise ConfigError(f"inputs {seen[bid]} and {cpg_path} have the same binary id "
+                          f"'{bid}', so their outputs would overwrite each other")
+    seen[bid] = cpg_path
 
     def write(suffix: str, text: str | Iterable[str]) -> None:
         write_atomic(Path(outdir) / f"{bid}.{suffix}", text)
@@ -395,6 +396,11 @@ def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path,
     corpus = lift(g, cfg)
     write("corpus.jsonl", dumps_corpus(corpus))
     kg = build_kg(g, corpus, cfg)
+    stats = construction_stats(g, kg)
+    counts = {"accepted": len(corpus.accepted), "rejected": corpus.rejected_count,
+              "failed": corpus.failed_count, "total": corpus.total,
+              "rejection_rate": corpus.rejection_rate}
+    del g, corpus
     write("kg.json", ssckg_chunks(kg))
     embeddings = transform(kg, cfg)
     write("embeddings.json", embeddings_chunks(embeddings))
@@ -410,14 +416,8 @@ def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path,
         "binary_id": bid,
         "version": __version__,
         "config": cfg.to_dict(),
-        "corpus": {
-            "accepted": len(corpus.accepted),
-            "rejected": corpus.rejected_count,
-            "failed": corpus.failed_count,
-            "total": corpus.total,
-            "rejection_rate": corpus.rejection_rate,
-        },
-        "stats": construction_stats(g, kg),
+        "corpus": counts,
+        "stats": stats,
         "risk": risk_doc,
         "fingerprints": match_doc,
     }
@@ -430,8 +430,8 @@ def run_pipeline(cfg: PipelineConfig, cpg_paths: Sequence[str | Path],
                  outdir: str | Path) -> list[RiskReport]:
     """Process binaries through the full chain, one at a time, in input order.
 
-    Each CPG is parsed when its turn comes and its graph is dropped
-    before the next is parsed, so one input graph is live at a time.
+    Each CPG is parsed when its turn comes (by ``run_one``) and its graph
+    is dropped before ``transform``, so at most one input graph is live.
     Every binary's files are written to a staging directory inside
     outdir and moved into outdir only after the last binary is done, so
     the run writes every binary's files or none: a bad input, a failing
@@ -446,14 +446,7 @@ def run_pipeline(cfg: PipelineConfig, cpg_paths: Sequence[str | Path],
         reports = []
         seen: dict[str, str | Path] = {}
         for path in cpg_paths:
-            g = load_cpg(path)
-            bid = binary_id(g, path)
-            if bid in seen:
-                raise ConfigError(f"inputs {seen[bid]} and {path} have the same binary id "
-                                  f"'{bid}', so their outputs would overwrite each other")
-            seen[bid] = path
-            reports.append(run_one(cfg, path, staging, g))
-            del g
+            reports.append(run_one(cfg, path, staging, seen))
         for name in sorted(os.listdir(staging)):
             os.replace(staging / name, outdir / name)
         return reports

@@ -192,8 +192,9 @@ def attention_matrix(z: np.ndarray, dist: np.ndarray,
     flat, vals = _edge_bias_terms(n, src, dst, type_index, rows[:, 3],
                                   params.edge_bias[head:head + 1])
     d = cfg.hidden_dim // cfg.heads
-    return _attention(z, dist, flat, vals[0], params.layers[layer],
-                      params.spatial_bias[head], slice(head * d, (head + 1) * d))
+    cols, lp = slice(head * d, (head + 1) * d), params.layers[layer]
+    return _attention(z @ lp.w_q[:, cols], z @ lp.w_k[:, cols], dist, flat, vals[0],
+                      params.spatial_bias[head])
 
 
 def relation_edges(kg: SsckgGraph) -> list[tuple[int, int, int, float]]:

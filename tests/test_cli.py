@@ -562,6 +562,40 @@ def test_report_holds_one_input_graph(capsys, fixtures_dir, tmp_path, monkeypatc
     assert len(graphs) == 3
 
 
+def test_report_drops_graph_and_corpus_before_forward(capsys, fixtures_dir, tmp_path,
+                                                     monkeypatch):
+    """No stage after build_kg reads the input graph or the corpus, so report
+    drops both before the transformer runs."""
+    load, lift, fwd, inputs, entered = (binrisk.pipeline.load_cpg, binrisk.pipeline.lift,
+                                        binrisk.pipeline.forward, [], [])
+
+    def tracked_load(path):
+        g = load(path)
+        inputs.append(("graph", weakref.ref(g)))
+        return g
+
+    def tracked_lift(g, cfg):
+        corpus = lift(g, cfg)
+        inputs.append(("corpus", weakref.ref(corpus)))
+        return corpus
+
+    def tracked_forward(kg, params):
+        live = [name for name, ref in inputs if ref() is not None]
+        assert not live, f"{live} live as forward starts"
+        entered.append(kg)
+        return fwd(kg, params)
+
+    monkeypatch.setattr(binrisk.pipeline, "load_cpg", tracked_load)
+    monkeypatch.setattr(binrisk.pipeline, "lift", tracked_lift)
+    monkeypatch.setattr(binrisk.pipeline, "forward", tracked_forward)
+    code = main(["report", "--config", str(fixtures_dir / "config_toy.json"),
+                 "--cpg", str(fixtures_dir / "toy_modbus.cpg.json"),
+                 str(fixtures_dir / "diamond.cpg.json"), "--outdir", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert len(entered) == 2 and len(inputs) == 4
+
+
 @pytest.mark.parametrize("position, text, needle", [
     (2, '{"nodes": [{"id": 0', "not valid JSON"),
     (1, '{"nodes": [], "edges": []}', "forward pass needs at least one entity"),
@@ -802,6 +836,26 @@ BAD_INPUTS = {
     "config_string_band": ("cfg.json", '{"risk_bands": {"high": "x"}}', "risk_bands", [
         "report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
         "--outdir", "{tmp}/out"]),
+    "config_tau_above_one": ("cfg.json", '{"tau": 1.5}', "'tau' must lie in [0, 1]", [
+        "report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
+        "--outdir", "{tmp}/out"]),
+    "config_tau_negative": ("cfg.json", '{"tau": -3.0}', "'tau' must lie in [0, 1]", [
+        "report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
+        "--outdir", "{tmp}/out"]),
+    "config_cve_threshold_above_one": (
+        "cfg.json", '{"cve_match_threshold": 2}', "'cve_match_threshold' must lie in [0, 1]",
+        ["report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
+         "--outdir", "{tmp}/out"]),
+    # A JSON integer past the float range is no finite number.
+    "config_huge_integer_tolerance": (
+        "cfg.json", '{"tolerance": 1' + "0" * 400 + "}", "'tolerance' must be a finite number",
+        ["report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
+         "--outdir", "{tmp}/out"]),
+    "config_huge_integer_relation_weight": (
+        "cfg.json", '{"relation_weights": {"calls": 1' + "0" * 400 + "}}",
+        "'relation_weights' must be an object of finite numbers",
+        ["lift", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
+         "--out", "{tmp}/corpus.jsonl"]),
     "cves_truncated": ("cves.json", '[{"cve_id": "CVE-1", "descr', "{bad}", SCORE_SIDE_CONFIG),
     "cves_missing_description": ("cves.json", '[{"cve_id": "CVE-1"}]', "{bad}",
                                  SCORE_SIDE_CONFIG),

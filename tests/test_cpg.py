@@ -255,7 +255,7 @@ def test_distance_matrix_matches_floyd_warshall_larger_multigraphs():
             edges += [(v, v) for v in rng.integers(0, n, size=3).tolist()]
         max_dist = int(rng.integers(1, 12))
         got = shortest_path_matrix(n, edges, max_dist=max_dist)
-        assert got.dtype == np.int64
+        assert got.dtype == np.min_scalar_type(max_dist + 1)
         assert np.array_equal(got, floyd_warshall(n, edges, max_dist))
 
 
@@ -265,10 +265,23 @@ def test_distance_matrix_matches_floyd_warshall_on_long_paths_and_cycles():
     cases = [(30, path), (30, path[::-1]), (9, cycle), (12, cycle + [(8, 9), (10, 11)]),
              (1, []), (1, [(0, 0)])]
     for n, edges in cases:
-        for max_dist in (1, 2, 3, 5, 20, 40):
+        for max_dist in (1, 2, 3, 5, 20, 40, 300):  # 300 needs uint16 for its sentinel
             got = shortest_path_matrix(n, edges, max_dist=max_dist)
-            assert got.dtype == np.int64
+            assert got.dtype == np.min_scalar_type(max_dist + 1)
             assert np.array_equal(got, floyd_warshall(n, edges, max_dist)), (n, max_dist)
+
+
+def test_distance_matrix_holds_no_index_pairs_or_wide_result():
+    # n^2 bytes each for the result, seen and a frontier, 4 n^2 for the
+    # float32 adjacency and about as much per operand of a level's product:
+    # about 20 n^2 in all.  int64 index pairs of a level's frontiers or an
+    # int64 result would add 8 n^2 or more.
+    rng = np.random.default_rng(3)
+    n = 300
+    edges = rng.integers(0, n, size=(2700, 2))
+    shortest_path_matrix(n, edges)  # first-call allocations stay out of the peak
+    peak, _ = traced_peak(shortest_path_matrix, n, edges)
+    assert peak < 24 * n * n
 
 
 def test_distance_matrix_rejects_empty_and_bad_budget():

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ from binrisk.graphormer import (
     load_embeddings,
     load_params,
     save_params,
-    seeded_params,
 )
+from binrisk import graphormer
 from binrisk.config import PipelineConfig
 from binrisk.lattice import TOP, Label
 from binrisk.pipeline import transform, write_atomic
@@ -403,28 +404,35 @@ def test_seeded_forward_equals_init_params_forward(layers, heads, seed, n, graph
                       edge_types=8, input_dim=5, seed=seed)
     kg = multigraph_kg(np.random.default_rng(graph_seed), n, cfg.input_dim)
     want = forward(kg, init_params(cfg))
-    got = forward(kg, seeded_params(cfg))
+    got = forward(kg, cfg)
     assert [e.entity_id for e in got] == [e.entity_id for e in want]
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a.vector, b.vector)
 
 
-def test_seeded_params_draw_init_params_values_one_pass():
+def test_forward_from_config_draws_every_init_params_value_once(monkeypatch):
+    # A pass given a ModelConfig draws each tensor of init_params, in draw
+    # order and with the same values, and gives init_params' embeddings.
     cfg = ModelConfig(layers=3, heads=2, hidden_dim=8, max_dist=4,
                       edge_types=8, input_dim=6, seed=21)
-    lazy = seeded_params(cfg)
-    assert not isinstance(lazy.layers, list)
-    for ta, tb in zip(all_tensors(init_params(cfg)), all_tensors(lazy), strict=True):
-        assert np.array_equal(ta, tb)
-    assert list(lazy.layers) == []  # drawn once, by the pass that walked them
+    kg = multigraph_kg(np.random.default_rng(67), 7, cfg.input_dim)
+    params = init_params(cfg)
+    want = forward(kg, params)
+    draw, drawn = graphormer._drawn_tensors, []
 
+    def recorded(model_cfg):
+        for name, t in draw(model_cfg):
+            drawn.append((name, t.copy()))
+            yield name, t
 
-def test_forward_rejects_a_second_pass_over_seeded_layers():
-    kg = three_node_kg()
-    lazy = seeded_params(SMALL)
-    forward(kg, lazy)
-    with pytest.raises(ShapeMismatch, match="params gave 0 layers, the model has 1"):
-        forward(kg, lazy)
+    monkeypatch.setattr(graphormer, "_drawn_tensors", recorded)
+    got = forward(kg, cfg)
+    tensors = _tensor_map(params)
+    assert [name for name, _ in drawn] == list(tensors)
+    for name, t in drawn:
+        assert np.array_equal(t, tensors[name]), name
+    for a, b in zip(got, want, strict=True):
+        assert a.entity_id == b.entity_id and np.array_equal(a.vector, b.vector)
 
 
 # sha256 over each (name, tensor bytes) of ``_tensor_map(init_params(cfg))``,
@@ -470,6 +478,27 @@ def test_seeded_transform_holds_one_layer_at_a_time():
     assert transform_peak(kg, 8) - transform_peak(kg, 1) < layer_bytes / 2
 
 
+def test_seeded_forward_drops_each_query_weight_before_the_ffn_output_weight(monkeypatch):
+    # Each tensor of a seeded pass lives from its first use to its last:
+    # a layer's w_q is dead by the time that layer's ffn_w2 is drawn.
+    cfg = ModelConfig(layers=3, heads=2, hidden_dim=16, max_dist=4, input_dim=6, seed=2)
+    kg = multigraph_kg(np.random.default_rng(71), 6, cfg.input_dim)
+    draw, refs, checked = graphormer._drawn_tensors, {}, []
+
+    def recorded(model_cfg):
+        for name, t in draw(model_cfg):
+            layer, _, field_name = name.partition(".")
+            if field_name == "ffn_w2":
+                assert refs[f"{layer}.w_q"]() is None, f"{layer}.w_q is live at its ffn_w2"
+                checked.append(layer)
+            refs[name] = weakref.ref(t)
+            yield name, t
+
+    monkeypatch.setattr(graphormer, "_drawn_tensors", recorded)
+    forward(kg, cfg)
+    assert checked == ["layer0", "layer1", "layer2"]
+
+
 def permuted_copy(kg, perm):
     """Relabel entity ids through perm, keeping everything else."""
     from dataclasses import replace
@@ -506,6 +535,9 @@ def test_forward_input_validation():
     wrong = entity(0, TOP, EmbeddingVector(np.ones(SMALL.input_dim + 2)))
     with pytest.raises(ShapeMismatch, match="dimension"):
         forward(row_kg([wrong], []), params)
+    params.layers.pop()
+    with pytest.raises(ShapeMismatch, match="params hold 0 layers, config 1"):
+        forward(three_node_kg(), params)
 
 
 def test_config_validation():

@@ -1,11 +1,13 @@
 """The README's "Library use" examples run as written, and its shell
 commands parse."""
 
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
 from binrisk.cli import build_parser
+from binrisk.config import PipelineConfig
 from binrisk.cpg import dumps_cpg
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +33,15 @@ def test_library_use_snippets_run(tmp_path, monkeypatch, capsys):
     assert len(namespace["embeddings"]) == len(namespace["kg"])
     written = (tmp_path / "build" / "toy_modbus.cpg.json").read_text(encoding="utf-8")
     assert written == dumps_cpg(namespace["g"])
+
+
+def test_config_field_list_names_every_field():
+    """README "File formats" lists every PipelineConfig field, in order."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullet = text.split("- **Config**:", 1)[1].split("\n- **", 1)[0]
+    listed = " ".join(bullet.split()).split("Its fields, every one optional: ", 1)[1]
+    names = re.findall(r"`(\w+)`", listed.split(". ", 1)[0])
+    assert names == [f.name for f in dataclasses.fields(PipelineConfig)]
 
 
 def shell_commands() -> list[list[str]]:
