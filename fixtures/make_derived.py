@@ -26,7 +26,17 @@ import numpy as np
 from binrisk.config import PipelineConfig
 from binrisk.fingerprint import Fingerprint, dumps_fingerprint, load_repository, match_and_alert
 from binrisk.graphormer import NodeEmbedding, load_embeddings
-from binrisk.pipeline import run_pipeline, stage_build_kg, stage_ingest, stage_lift, write_atomic
+from binrisk.cpg import load_cpg
+from binrisk.lifting import build_corpus
+from binrisk.pipeline import (
+    build_annotator,
+    build_cves,
+    build_kg,
+    build_lattice,
+    build_provider,
+    run_pipeline,
+    write_atomic,
+)
 from binrisk.ssckg import RELATION_TYPES, load_ssckg
 
 HERE = Path(__file__).resolve().parent
@@ -67,6 +77,7 @@ def main() -> None:
         print("toy_modbus checks")
         toy_cfg = PipelineConfig.from_file(HERE / "config_toy.json")
         [report] = run_pipeline(toy_cfg, [HERE / "toy_modbus.cpg.json"], tmp / "toy")
+        toy_report = json.loads((tmp / "toy" / "toy_modbus.report.json").read_text("utf-8"))
         kg = load_ssckg(tmp / "toy" / "toy_modbus.kg.json")
         labels = {e.id: str(e.label) for e in kg.entities}
         check("entity labels", labels == {
@@ -85,7 +96,7 @@ def main() -> None:
             (4, "vulnerable_to", "CVE-TEST-0001"),
         ], key=lambda t: (t[0], t[1], t[2]))
         check("relation set (9 incl CVE link)", triples == expected, str(triples))
-        ranking = report.document["risk"]["ranking"]
+        ranking = toy_report["risk"]["ranking"]
         check("taint sink ranks first", ranking[0]["name"] == "write_coil",
               json.dumps([(r["name"], round(r["score"], 4)) for r in ranking]))
         inh = {r["name"]: r["inherent"] for r in ranking}
@@ -95,14 +106,10 @@ def main() -> None:
         check("no alerts without a repo", report.alerts == ())
 
         print("firmware_update checks")
-        paths = {
-            "cpg": tmp / "fw.cpg.json",
-            "corpus": tmp / "fw.corpus.jsonl",
-            "kg": tmp / "fw.kg.json",
-        }
-        stage_ingest(HERE / "firmware_update.cpg.json", paths["cpg"])
-        stage_lift(paths["cpg"], cfg, paths["corpus"])
-        kg = stage_build_kg(paths["cpg"], paths["corpus"], cfg, paths["kg"])
+        g = load_cpg(HERE / "firmware_update.cpg.json")
+        corpus = build_corpus(g, g.function_ids, build_annotator(cfg, build_lattice(cfg)))
+        provider = build_provider(cfg)
+        kg = build_kg(g, corpus, cfg, provider, build_cves(cfg, provider))
         check("clustering merged the socket pair",
               kg.clustering == {"points": 3, "noise": 1, "clusters": 1},
               str(kg.clustering))

@@ -115,4 +115,11 @@ from .ssckg import (
     structural_collapse,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The documented surface: what README "Library use" imports from here.  The
+# other names above stay importable for the demos.
+__all__ = [
+    "Granularity", "HashEmbedder", "Lattice", "ModelConfig", "PropagationConfig",
+    "RuleAnnotator", "SsckgGraph", "build_corpus", "cpg_chunks", "extract_relations",
+    "forward", "inherent_risk", "load_cpg", "load_rules", "propagate",
+    "structural_collapse", "write_atomic",
+]

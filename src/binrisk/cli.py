@@ -1,10 +1,12 @@
 """Command line interface.
 
 Subcommands mirror the pipeline stages one to one; ``report`` chains
-them.  Every pipeline knob comes from the checked ``--config`` file,
-which only the commands that read a knob take; the other flags name
-input and output files.  Exit codes: 0 success, 2 when fingerprint
-alerts were raised (for CI gating), 1 on any error.
+them.  Each handler loads its inputs, calls one stage core and writes
+its output, calling every loader, core and writer through
+``binrisk.pipeline``.  Every pipeline knob comes from the checked
+``--config`` file, which only the commands that read a knob take; the
+other flags name input and output files.  Exit codes: 0 success, 2
+when fingerprint alerts were raised (for CI gating), 1 on any error.
 """
 
 from __future__ import annotations
@@ -12,25 +14,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__
+from . import __version__, pipeline
 from .config import PipelineConfig
 from .errors import BinriskError, ConfigError, SchemaError, dumps_json, read_json
 from .fingerprint import Fingerprint, dumps_fingerprint
-from .graphormer import NodeEmbedding, load_embeddings
+from .graphormer import NodeEmbedding
 from .metrics import ConfusionCounts, classification_metrics
-from .pipeline import (
-    build_provider,
-    run_pipeline,
-    stage_build_kg,
-    stage_export_dot,
-    stage_forward,
-    stage_ingest,
-    stage_lift,
-    stage_match,
-    stage_score,
-    stage_threshold,
-    write_atomic,
-)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -50,14 +39,18 @@ def _emit(doc) -> None:
 # --- handlers ----------------------------------------------------------------
 
 def _cmd_ingest(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    g = stage_ingest(args.cpg, args.out)
+    g = pipeline.load_cpg(args.cpg)
+    pipeline.write_atomic(args.out, pipeline.cpg_chunks(g))
     _emit({"binary_id": g.binary_id, "nodes": len(g),
            "edges": len(g.edge_src), "functions": len(g.function_ids)})
     return EXIT_OK
 
 
 def _cmd_lift(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    corpus = stage_lift(args.cpg, cfg, args.out)
+    g = pipeline.load_cpg(args.cpg)
+    annotator = pipeline.build_annotator(cfg, pipeline.build_lattice(cfg))
+    corpus = pipeline.build_corpus(g, g.function_ids, annotator)
+    pipeline.write_atomic(args.out, pipeline.dumps_corpus(corpus))
     _emit({"accepted": len(corpus.accepted), "rejected": corpus.rejected_count,
            "failed": corpus.failed_count,
            "rejection_rate": corpus.rejection_rate})
@@ -65,13 +58,17 @@ def _cmd_lift(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_build_ssckg(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    kg = stage_build_kg(args.cpg, args.corpus, cfg, args.out)
+    corpus = pipeline.load_corpus(args.corpus, pipeline.build_lattice(cfg))
+    g = pipeline.load_cpg(args.cpg)
+    provider = pipeline.build_provider(cfg)
+    kg = pipeline.build_kg(g, corpus, cfg, provider, pipeline.build_cves(cfg, provider))
+    pipeline.write_atomic(args.out, pipeline.ssckg_chunks(kg))
     _emit({"entities": len(kg.entities), "relations": len(kg.relation_columns)})
     return EXIT_OK
 
 
 def _cmd_embed(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    provider = build_provider(cfg)
+    provider = pipeline.build_provider(cfg)
     doc = read_json(args.texts, "texts file")
     if not isinstance(doc, dict):
         raise ConfigError("--texts must be a JSON object of name -> text")
@@ -80,20 +77,23 @@ def _cmd_embed(cfg: PipelineConfig, args: argparse.Namespace) -> int:
             raise SchemaError(f"texts file {args.texts}: key {key!r} has non-string "
                               f"text {text!r}")
     out = {key: provider.embed(text).values.tolist() for key, text in doc.items()}
-    write_atomic(args.out, dumps_json(out))
+    pipeline.write_atomic(args.out, dumps_json(out))
     _emit({"embedded": len(out), "dimension": provider.dimension()})
     return EXIT_OK
 
 
 def _cmd_forward(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    embeddings = stage_forward(args.kg, cfg, args.out)
+    embeddings = pipeline.transform(pipeline.load_ssckg(args.kg), cfg)
+    pipeline.write_atomic(args.out, pipeline.embeddings_chunks(embeddings))
     _emit({"entities": len(embeddings),
            "dimension": int(embeddings[0].vector.shape[0]) if embeddings else 0})
     return EXIT_OK
 
 
 def _cmd_score(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    doc = stage_score(args.kg, cfg, args.out)
+    kg = pipeline.load_ssckg(args.kg)
+    doc = pipeline.score(kg, cfg, pipeline.build_cves(cfg, pipeline.build_provider(cfg)))
+    pipeline.write_atomic(args.out, dumps_json(doc))
     top = doc["ranking"][0] if doc["ranking"] else None
     _emit({"iterations": doc["iterations"], "residual": doc["residual"],
            "top": top})
@@ -101,7 +101,7 @@ def _cmd_score(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_fingerprint_extract(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    embeddings = load_embeddings(args.embeddings)
+    embeddings = pipeline.load_embeddings(args.embeddings)
     by_id = {e.entity_id: e for e in embeddings}
     try:
         wanted = [int(tok) for tok in args.ids.split(",") if tok.strip()]
@@ -116,20 +116,23 @@ def _cmd_fingerprint_extract(cfg: PipelineConfig, args: argparse.Namespace) -> i
         NodeEmbedding(entity_id=i, vector=by_id[i].vector) for i in wanted)
     fp = Fingerprint(name=args.name, node_embeddings=nodes,
                      provenance=args.provenance or "")
-    write_atomic(args.out, dumps_fingerprint(fp))
+    pipeline.write_atomic(args.out, dumps_fingerprint(fp))
     _emit({"name": fp.name, "nodes": len(fp.node_embeddings)})
     return EXIT_OK
 
 
 def _cmd_match(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    doc = stage_match(args.kg_embeddings, args.repo, cfg.tau, args.out)
+    embeddings = pipeline.load_embeddings(args.kg_embeddings)
+    doc = pipeline.match(embeddings, pipeline.load_repository(args.repo), cfg.tau)
+    pipeline.write_atomic(args.out, dumps_json(doc))
     _emit({"tau": doc["tau"], "alerts": doc["alerts"],
            "matches": len(doc["matches"])})
     return EXIT_ALERTS if doc["alerts"] else EXIT_OK
 
 
 def _cmd_threshold(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    doc = stage_threshold(args.scores, cfg, args.out)
+    doc = pipeline.threshold(pipeline.load_scores(args.scores), cfg)
+    pipeline.write_atomic(args.out, dumps_json(doc))
     _emit({k: doc[k] for k in
            ("tau", "j_statistic", "tpr", "fpr", "fpr_cap_satisfied")})
     return EXIT_OK
@@ -138,15 +141,17 @@ def _cmd_threshold(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 def _cmd_report(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError("workers must be at least 1")
-    reports = run_pipeline(cfg, args.cpg, args.outdir)
+    reports = pipeline.run_pipeline(cfg, args.cpg, args.outdir)
     summary = [{"binary_id": r.binary_id, "alerts": list(r.alerts)}
                for r in reports]
     _emit(summary)
-    return EXIT_ALERTS if any(r.has_alerts for r in reports) else EXIT_OK
+    return EXIT_ALERTS if any(r.alerts for r in reports) else EXIT_OK
 
 
 def _cmd_export_dot(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    stage_export_dot(args.kg, args.risk, cfg, args.out)
+    risk_doc = pipeline.load_risk(args.risk) if args.risk else None
+    pipeline.write_atomic(args.out, pipeline.render_dot(pipeline.load_ssckg(args.kg),
+                                                        risk_doc, cfg))
     _emit({"written": str(args.out)})
     return EXIT_OK
 
@@ -165,7 +170,7 @@ def _cmd_metrics(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         "mcc": m.mcc, "fpr": m.fpr, "flagged": sorted(m.flagged),
     }
     if args.out:
-        write_atomic(args.out, dumps_json(doc))
+        pipeline.write_atomic(args.out, dumps_json(doc))
     _emit(doc)
     return EXIT_OK
 

@@ -1,21 +1,22 @@
-"""Pipeline stages and the end-to-end runner.
+"""Pipeline stage cores and the end-to-end runner.
 
-Each stage is a core over in-memory objects (``lift``, ``build_kg``,
-``transform``, ``score``, ``match``, ``render_dot``) plus a ``stage_*``
-wrapper that loads the stage's input files, runs the core and writes
-its output, which is what each CLI subcommand calls.  ``report``
-(``run_pipeline``) takes the binaries one at a time: ``run_one`` parses
-each CPG once, chains the cores in memory, and drops the graph and the
-corpus once the knowledge graph is built.  Files are its outputs, not the
-transport between its stages.  It writes every intermediate through the
-same serializer the wrapper uses, so running the subcommands by hand
-against the same config writes the same bytes.  Its files go to a
-staging directory first and are moved into the output directory only
-once every binary is done, so ``report`` writes every binary's files or
-none.  ``write_atomic`` (temp file + rename) is the one write path, and
-all serialization is canonical (sorted keys, no timestamps), so a
-repeated run over the same inputs reproduces every byte.  The CPG,
-knowledge-graph and embeddings files are written from their chunk
+The stage cores (``build_kg``, ``transform``, ``score``, ``match``,
+``threshold``, ``render_dot``) are functions over in-memory objects;
+none reads a file but ``transform``'s weight container.  I/O is the
+callers': each CLI subcommand loads its inputs, calls its core and
+writes the result, reaching every loader, core and writer by its name
+in this module.  ``report`` (``run_pipeline``) builds the annotator,
+the embedding provider, the CVE list and the fingerprints once per run,
+before the first binary, then takes the binaries one at a time:
+``run_one`` parses each CPG once, chains the cores in memory, and drops
+the graph and the corpus once the knowledge graph is built.  It writes
+every intermediate through the serializer its subcommand uses, so the
+subcommands run by hand against the same config write the same bytes.
+Its files go to a staging directory and move into the output directory
+once every binary is done, so ``report`` writes every binary's files
+or none.  ``write_atomic`` (temp file + rename) is the one write path,
+and all serialization is canonical (sorted keys, no timestamps); the
+CPG, knowledge-graph and embeddings files are written from their chunk
 generators, so no whole file's text is held at once.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -33,7 +34,7 @@ from .config import PipelineConfig, _finite_number
 from .cpg import CpgGraph, _is_id, cpg_chunks, load_cpg
 from .embedding import FileEmbeddings, HashEmbedder
 from .errors import ConfigError, SchemaError, dumps_json, read_json
-from .fingerprint import load_repository, match_and_alert, select_threshold
+from .fingerprint import Fingerprint, load_repository, match_and_alert, select_threshold
 from .graphormer import (
     ModelConfig,
     NodeEmbedding,
@@ -55,6 +56,7 @@ from .lifting import (
 )
 from .risk import PropagationConfig, inherent_risk, propagate
 from .ssckg import (
+    CveRecord,
     Granularity,
     RelationConfig,
     RelationType,
@@ -69,6 +71,9 @@ from .ssckg import (
     structural_collapse,
     to_dot,
 )
+
+# load_corpus, load_embeddings and load_ssckg are unused here: they are
+# imported for the CLI, which calls every loader through this module.
 
 
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
@@ -124,6 +129,11 @@ def build_annotator(cfg: PipelineConfig, lattice: Lattice):
     return CommandAnnotator(cfg.annotator_cmd, lattice)
 
 
+def build_cves(cfg: PipelineConfig, provider) -> list[CveRecord]:
+    """The config's CVE corpus, embedded by provider; empty without cves_path."""
+    return load_cves(cfg.cves_path, provider) if cfg.cves_path else []
+
+
 def build_relation_config(cfg: PipelineConfig) -> RelationConfig:
     rel_cfg = RelationConfig()
     if cfg.structural_edge_labels:
@@ -148,15 +158,9 @@ def build_relation_config(cfg: PipelineConfig) -> RelationConfig:
 
 # --- stage cores -----------------------------------------------------------------
 
-def lift(g: CpgGraph, cfg: PipelineConfig) -> VerifiedCorpus:
-    """Annotate every function and keep the verifier-approved corpus."""
-    annotator = build_annotator(cfg, build_lattice(cfg))
-    return build_corpus(g, g.function_ids, annotator)
-
-
-def build_kg(g: CpgGraph, corpus: VerifiedCorpus, cfg: PipelineConfig) -> SsckgGraph:
+def build_kg(g: CpgGraph, corpus: VerifiedCorpus, cfg: PipelineConfig, provider,
+             cves: Sequence[CveRecord]) -> SsckgGraph:
     """Collapse the graph to entities, cluster, and extract relations."""
-    provider = build_provider(cfg)
     entities = structural_collapse(g, Granularity(cfg.granularity), corpus)
     entities = embed_entities(entities, provider)
     eligible = sum(1 for e in entities if e.external)
@@ -169,7 +173,6 @@ def build_kg(g: CpgGraph, corpus: VerifiedCorpus, cfg: PipelineConfig) -> SsckgG
         clusters = len({e.cluster_id for e in entities
                         if e.cluster_id is not None and e.cluster_id >= 0})
         clustering = {"points": eligible, "noise": noise, "clusters": clusters}
-    cves = load_cves(cfg.cves_path, provider) if cfg.cves_path else []
     relations = extract_relations(
         g, entities, cves, cve_match_threshold=cfg.cve_match_threshold,
         config=build_relation_config(cfg))
@@ -178,7 +181,13 @@ def build_kg(g: CpgGraph, corpus: VerifiedCorpus, cfg: PipelineConfig) -> SsckgG
 
 
 def transform(kg: SsckgGraph, cfg: PipelineConfig) -> list[NodeEmbedding]:
-    """Run the graph transformer: one vector per entity."""
+    """Run the graph transformer: one vector per entity.
+
+    The model's input width is the dimension of the knowledge graph's own
+    entity embeddings (``forward --kg`` reads them from the KG file), so
+    a ``params_path`` container, the one file this core reads, must
+    match it.
+    """
     dims = {e.embedding.dimension for e in kg.entities if e.embedding is not None}
     model_cfg = ModelConfig(
         layers=cfg.model_layers, heads=cfg.model_heads,
@@ -190,10 +199,8 @@ def transform(kg: SsckgGraph, cfg: PipelineConfig) -> list[NodeEmbedding]:
     return forward(kg, model_cfg)
 
 
-def score(kg: SsckgGraph, cfg: PipelineConfig) -> dict:
+def score(kg: SsckgGraph, cfg: PipelineConfig, cves: Sequence[CveRecord]) -> dict:
     """Inherent risk from CVE matching, then damped propagation."""
-    provider = build_provider(cfg)
-    cves = load_cves(cfg.cves_path, provider) if cfg.cves_path else []
     inherent = {e.id: inherent_risk(e, cves) for e in kg.entities}
     result = propagate(kg, inherent, PropagationConfig(
         beta=cfg.beta, tolerance=cfg.tolerance,
@@ -228,22 +235,18 @@ def score(kg: SsckgGraph, cfg: PipelineConfig) -> dict:
     }
 
 
-def match(embeddings: Sequence[NodeEmbedding], repo_dir: str | Path, tau: float) -> dict:
-    """Score the fingerprint repository against target embeddings."""
-    matches = match_and_alert(embeddings, load_repository(repo_dir), tau)
-    return {
-        "tau": tau,
-        "matches": [
-            {
-                "fingerprint": m.fingerprint,
-                "similarity": m.similarity,
-                "alert": m.alert,
-                "pairs": [list(p) for p in m.pairs],
-            }
-            for m in matches
-        ],
-        "alerts": sorted(m.fingerprint for m in matches if m.alert),
-    }
+def match(embeddings: Sequence[NodeEmbedding], fingerprints: Sequence[Fingerprint],
+          tau: float) -> dict:
+    """Score the fingerprints against target embeddings."""
+    matches = match_and_alert(embeddings, fingerprints, tau)
+    return {"tau": tau, "matches": [asdict(m) for m in matches],
+            "alerts": sorted(m.fingerprint for m in matches if m.alert)}
+
+
+def threshold(scores: Sequence[tuple[float, str]], cfg: PipelineConfig) -> dict:
+    """Pick the alert threshold over the config's grid from (score, label) rows."""
+    return asdict(select_threshold(scores, grid_lo=cfg.grid_lo, grid_hi=cfg.grid_hi,
+                                   grid_step=cfg.grid_step, fpr_cap=cfg.fpr_cap))
 
 
 def render_dot(kg: SsckgGraph, risk_doc: Mapping | None, cfg: PipelineConfig) -> str:
@@ -253,6 +256,8 @@ def render_dot(kg: SsckgGraph, risk_doc: Mapping | None, cfg: PipelineConfig) ->
         risk_scores = {row["entity_id"]: row["score"] for row in risk_doc["ranking"]}
     return to_dot(kg, risk=risk_scores, bands=cfg.risk_bands)
 
+
+# --- loaders of the files only the CLI reads --------------------------------------
 
 def load_risk(path: str | Path) -> dict:
     """A risk file, as ``score`` writes it: its ``ranking`` is a list of
@@ -269,85 +274,18 @@ def load_risk(path: str | Path) -> dict:
     return doc
 
 
-# --- stages: load the input files, run the core, write the output ---------------
-
-def stage_ingest(cpg_path: str | Path, out_path: str | Path) -> CpgGraph:
-    """Validate a graph file and write its canonical form."""
-    g = load_cpg(cpg_path)
-    write_atomic(out_path, cpg_chunks(g))
-    return g
-
-
-def stage_lift(cpg_path: str | Path, cfg: PipelineConfig,
-               out_path: str | Path) -> VerifiedCorpus:
-    corpus = lift(load_cpg(cpg_path), cfg)
-    write_atomic(out_path, dumps_corpus(corpus))
-    return corpus
-
-
-def stage_build_kg(cpg_path: str | Path, corpus_path: str | Path,
-                   cfg: PipelineConfig, out_path: str | Path) -> SsckgGraph:
-    corpus = load_corpus(corpus_path, build_lattice(cfg))
-    kg = build_kg(load_cpg(cpg_path), corpus, cfg)
-    write_atomic(out_path, ssckg_chunks(kg))
-    return kg
-
-
-def stage_forward(kg_path: str | Path, cfg: PipelineConfig,
-                  out_path: str | Path) -> list[NodeEmbedding]:
-    embeddings = transform(load_ssckg(kg_path), cfg)
-    write_atomic(out_path, embeddings_chunks(embeddings))
-    return embeddings
-
-
-def stage_score(kg_path: str | Path, cfg: PipelineConfig,
-                out_path: str | Path) -> dict:
-    doc = score(load_ssckg(kg_path), cfg)
-    write_atomic(out_path, dumps_json(doc))
-    return doc
-
-
-def stage_match(embeddings_path: str | Path, repo_dir: str | Path, tau: float,
-                out_path: str | Path) -> dict:
-    doc = match(load_embeddings(embeddings_path), repo_dir, tau)
-    write_atomic(out_path, dumps_json(doc))
-    return doc
-
-
-def stage_threshold(scores_path: str | Path, cfg: PipelineConfig,
-                    out_path: str | Path) -> dict:
-    """Pick the alert threshold from a JSON list of {score, label} rows."""
-    doc = read_json(scores_path, "scores file")
+def load_scores(path: str | Path) -> list[tuple[float, str]]:
+    """A scores file: a JSON list of {score, label} rows, each with a
+    finite numeric ``score`` and a string ``label``."""
+    doc = read_json(path, "scores file")
     if not isinstance(doc, list):
-        raise SchemaError(f"scores file {scores_path} must be a JSON list")
+        raise SchemaError(f"scores file {path} must be a JSON list")
     for pos, row in enumerate(doc):
         if not (isinstance(row, dict) and _finite_number(row.get("score"))
                 and type(row.get("label")) is str):
-            raise SchemaError(f"scores file {scores_path}: row {pos} needs a finite numeric "
+            raise SchemaError(f"scores file {path}: row {pos} needs a finite numeric "
                               "'score' and a string 'label'")
-    scores = [(float(row["score"]), row["label"]) for row in doc]
-    report = select_threshold(scores, grid_lo=cfg.grid_lo, grid_hi=cfg.grid_hi,
-                              grid_step=cfg.grid_step, fpr_cap=cfg.fpr_cap)
-    out = {
-        "tau": report.tau,
-        "j_statistic": report.j_statistic,
-        "tpr": report.tpr,
-        "fpr": report.fpr,
-        "fpr_cap": report.fpr_cap,
-        "fpr_cap_satisfied": report.fpr_cap_satisfied,
-        "grid": [{"tau": p.tau, "tpr": p.tpr, "fpr": p.fpr, "j": p.j}
-                 for p in report.grid],
-    }
-    write_atomic(out_path, dumps_json(out))
-    return out
-
-
-def stage_export_dot(kg_path: str | Path, risk_path: str | Path | None,
-                     cfg: PipelineConfig, out_path: str | Path) -> str:
-    risk_doc = load_risk(risk_path) if risk_path else None
-    text = render_dot(load_ssckg(kg_path), risk_doc, cfg)
-    write_atomic(out_path, text)
-    return text
+    return [(float(row["score"]), row["label"]) for row in doc]
 
 
 # --- end-to-end runner ------------------------------------------------------------
@@ -355,12 +293,7 @@ def stage_export_dot(kg_path: str | Path, risk_path: str | Path | None,
 @dataclass(frozen=True)
 class RiskReport:
     binary_id: str
-    document: dict
     alerts: tuple[str, ...]
-
-    @property
-    def has_alerts(self) -> bool:
-        return bool(self.alerts)
 
 
 def binary_id(g: CpgGraph, cpg_path: str | Path) -> str:
@@ -374,13 +307,17 @@ def binary_id(g: CpgGraph, cpg_path: str | Path) -> str:
 
 
 def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path,
-            seen: dict[str, str | Path]) -> RiskReport:
+            seen: dict[str, str | Path], *, annotator, provider,
+            cves: Sequence[CveRecord],
+            fingerprints: Sequence[Fingerprint] | None) -> RiskReport:
     """Parse cpg_path and run every stage core on it, writing each stage's file.
 
     ``seen`` maps each binary id already run to its input path; a
-    repeated id is rejected before anything is written.  The graph and
-    the corpus are dropped once the knowledge graph is built, since no
-    later stage reads them.
+    repeated id is rejected before anything is written.  The annotator,
+    the embedding provider, the CVE list and the fingerprints (None when
+    the config names no repository) are the run's, built once.  The
+    graph and the corpus are dropped once the knowledge graph is built,
+    since no later stage reads them.
     """
     g = load_cpg(cpg_path)
     bid = binary_id(g, cpg_path)
@@ -393,9 +330,9 @@ def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path,
         write_atomic(Path(outdir) / f"{bid}.{suffix}", text)
 
     write("cpg.json", cpg_chunks(g))
-    corpus = lift(g, cfg)
+    corpus = build_corpus(g, g.function_ids, annotator)
     write("corpus.jsonl", dumps_corpus(corpus))
-    kg = build_kg(g, corpus, cfg)
+    kg = build_kg(g, corpus, cfg, provider, cves)
     stats = construction_stats(g, kg)
     counts = {"accepted": len(corpus.accepted), "rejected": corpus.rejected_count,
               "failed": corpus.failed_count, "total": corpus.total,
@@ -404,15 +341,15 @@ def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path,
     write("kg.json", ssckg_chunks(kg))
     embeddings = transform(kg, cfg)
     write("embeddings.json", embeddings_chunks(embeddings))
-    risk_doc = score(kg, cfg)
+    risk_doc = score(kg, cfg, cves)
     write("risk.json", dumps_json(risk_doc))
     match_doc = None
-    if cfg.fingerprints_dir:
-        match_doc = match(embeddings, cfg.fingerprints_dir, cfg.tau)
+    if fingerprints is not None:
+        match_doc = match(embeddings, fingerprints, cfg.tau)
         write("alerts.json", dumps_json(match_doc))
     write("dot", render_dot(kg, risk_doc, cfg))
 
-    report = {
+    write("report.json", dumps_json({
         "binary_id": bid,
         "version": __version__,
         "config": cfg.to_dict(),
@@ -420,24 +357,30 @@ def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path,
         "stats": stats,
         "risk": risk_doc,
         "fingerprints": match_doc,
-    }
-    write("report.json", dumps_json(report))
-    alerts = tuple(match_doc["alerts"]) if match_doc else ()
-    return RiskReport(binary_id=bid, document=report, alerts=alerts)
+    }))
+    return RiskReport(binary_id=bid, alerts=tuple(match_doc["alerts"]) if match_doc else ())
 
 
 def run_pipeline(cfg: PipelineConfig, cpg_paths: Sequence[str | Path],
                  outdir: str | Path) -> list[RiskReport]:
     """Process binaries through the full chain, one at a time, in input order.
 
-    Each CPG is parsed when its turn comes (by ``run_one``) and its graph
-    is dropped before ``transform``, so at most one input graph is live.
-    Every binary's files are written to a staging directory inside
-    outdir and moved into outdir only after the last binary is done, so
-    the run writes every binary's files or none: a bad input, a failing
-    stage, or two inputs with the same binary id (whose outputs would
-    overwrite each other) leave outdir as it was.
+    The annotator, the embedding provider, the CVE list and the
+    fingerprint repository are built once, before the first CPG is
+    parsed, so each file the config names is read once per run and a
+    bad one ends the run before any graph is read.  Each CPG is parsed
+    when its turn comes (by ``run_one``) and its graph is dropped before
+    ``transform``, so at most one input graph is live.  Every binary's
+    files are written to a staging directory inside outdir and moved
+    into outdir only after the last binary is done, so the run writes
+    every binary's files or none: a bad input, a failing stage, or two
+    inputs with the same binary id (whose outputs would overwrite each
+    other) leave outdir as it was.
     """
+    annotator = build_annotator(cfg, build_lattice(cfg))
+    provider = build_provider(cfg)
+    cves = build_cves(cfg, provider)
+    fingerprints = load_repository(cfg.fingerprints_dir) if cfg.fingerprints_dir else None
     outdir = Path(outdir)
     made = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)
@@ -446,7 +389,8 @@ def run_pipeline(cfg: PipelineConfig, cpg_paths: Sequence[str | Path],
         reports = []
         seen: dict[str, str | Path] = {}
         for path in cpg_paths:
-            reports.append(run_one(cfg, path, staging, seen))
+            reports.append(run_one(cfg, path, staging, seen, annotator=annotator,
+                                   provider=provider, cves=cves, fingerprints=fingerprints))
         for name in sorted(os.listdir(staging)):
             os.replace(staging / name, outdir / name)
         return reports

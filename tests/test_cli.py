@@ -566,16 +566,17 @@ def test_report_drops_graph_and_corpus_before_forward(capsys, fixtures_dir, tmp_
                                                      monkeypatch):
     """No stage after build_kg reads the input graph or the corpus, so report
     drops both before the transformer runs."""
-    load, lift, fwd, inputs, entered = (binrisk.pipeline.load_cpg, binrisk.pipeline.lift,
-                                        binrisk.pipeline.forward, [], [])
+    load, corpus_of, fwd, inputs, entered = (binrisk.pipeline.load_cpg,
+                                             binrisk.pipeline.build_corpus,
+                                             binrisk.pipeline.forward, [], [])
 
     def tracked_load(path):
         g = load(path)
         inputs.append(("graph", weakref.ref(g)))
         return g
 
-    def tracked_lift(g, cfg):
-        corpus = lift(g, cfg)
+    def tracked_build_corpus(g, function_ids, annotator):
+        corpus = corpus_of(g, function_ids, annotator)
         inputs.append(("corpus", weakref.ref(corpus)))
         return corpus
 
@@ -586,7 +587,7 @@ def test_report_drops_graph_and_corpus_before_forward(capsys, fixtures_dir, tmp_
         return fwd(kg, params)
 
     monkeypatch.setattr(binrisk.pipeline, "load_cpg", tracked_load)
-    monkeypatch.setattr(binrisk.pipeline, "lift", tracked_lift)
+    monkeypatch.setattr(binrisk.pipeline, "build_corpus", tracked_build_corpus)
     monkeypatch.setattr(binrisk.pipeline, "forward", tracked_forward)
     code = main(["report", "--config", str(fixtures_dir / "config_toy.json"),
                  "--cpg", str(fixtures_dir / "toy_modbus.cpg.json"),
@@ -594,6 +595,95 @@ def test_report_drops_graph_and_corpus_before_forward(capsys, fixtures_dir, tmp_
     capsys.readouterr()
     assert code == EXIT_OK
     assert len(entered) == 2 and len(inputs) == 4
+
+
+def counting(monkeypatch, names):
+    """Wrap each named function of binrisk.pipeline with a call counter."""
+    calls = dict.fromkeys(names, 0)
+
+    def wrap(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(binrisk.pipeline, name, wrap(name, getattr(binrisk.pipeline, name)))
+    return calls
+
+
+def test_report_builds_each_resource_once(capsys, fixtures_dir, tmp_path, monkeypatch):
+    """The annotator, the provider, the CVE list and the fingerprints are
+    built once per run, however many binaries it takes."""
+    toy = json.loads((fixtures_dir / "toy_modbus.cpg.json").read_text(encoding="utf-8"))
+    (tmp_path / "copy.json").write_text(json.dumps({**toy, "binary_id": "copy"}),
+                                        encoding="utf-8")
+    calls = counting(monkeypatch, ["load_cves", "build_provider", "build_annotator",
+                                   "load_repository"])
+    code = main(["report", "--config", str(fixtures_dir / "config_firmware.json"),
+                 "--cpg", str(fixtures_dir / "firmware_update.cpg.json"),
+                 str(fixtures_dir / "diamond.cpg.json"),
+                 str(fixtures_dir / "toy_modbus.cpg.json"), str(tmp_path / "copy.json"),
+                 "--outdir", str(tmp_path / "out")])
+    assert json.loads(capsys.readouterr().out)[0]["alerts"] == ["planted_apt"]
+    assert code == EXIT_ALERTS
+    assert calls == dict.fromkeys(calls, 1)
+
+
+def test_report_rejects_a_bad_cve_file_before_any_graph(capsys, fixtures_dir, tmp_path,
+                                                        monkeypatch):
+    """A faulty file the config names ends report before a CPG is parsed,
+    so it is the one error even when a later CPG is faulty too."""
+    cves = tmp_path / "cves.json"
+    cves.write_text(truncated((fixtures_dir / "cves.json").read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    (tmp_path / "bad.cpg.json").write_text('{"nodes": [{"id": 0', encoding="utf-8")
+    calls = counting(monkeypatch, ["load_cpg"])
+    outdir = tmp_path / "out"
+    code, _, err = run(capsys, "report", "--config",
+                       str(write_config(tmp_path, fixtures_dir / "config_toy.json",
+                                        cves_path=str(cves))),
+                       "--cpg", str(fixtures_dir / "toy_modbus.cpg.json"),
+                       str(tmp_path / "bad.cpg.json"), "--outdir", str(outdir))
+    assert code == EXIT_ERROR
+    assert one_error_line(err)
+    assert f"CVE corpus {cves}" in err
+    assert calls == {"load_cpg": 0}
+    assert not outdir.exists()
+
+
+def test_every_subcommand_calls_through_the_pipeline_module(capsys, fixtures_dir, tmp_path,
+                                                            monkeypatch):
+    """Each stage subcommand reaches its loaders, cores and writer by their
+    names in binrisk.pipeline, so wrapping a name there sees every call."""
+    calls = counting(monkeypatch, ["load_cpg", "load_corpus", "load_ssckg", "load_embeddings",
+                                   "load_repository", "build_corpus", "write_atomic"])
+    config, out = str(fixtures_dir / "config_firmware.json"), tmp_path
+    steps = [
+        (["ingest", "--cpg", str(fixtures_dir / "firmware_update.cpg.json"),
+          "--out", f"{out}/cpg.json"], EXIT_OK, {"load_cpg"}),
+        (["lift", "--config", config, "--cpg", f"{out}/cpg.json",
+          "--out", f"{out}/corpus.jsonl"], EXIT_OK, {"load_cpg", "build_corpus"}),
+        (["build-ssckg", "--config", config, "--cpg", f"{out}/cpg.json",
+          "--corpus", f"{out}/corpus.jsonl", "--out", f"{out}/kg.json"], EXIT_OK,
+         {"load_corpus", "load_cpg"}),
+        (["forward", "--config", config, "--kg", f"{out}/kg.json",
+          "--out", f"{out}/emb.json"], EXIT_OK, {"load_ssckg"}),
+        (["score", "--config", config, "--kg", f"{out}/kg.json",
+          "--out", f"{out}/risk.json"], EXIT_OK, {"load_ssckg"}),
+        (["match", "--config", config, "--kg-embeddings", f"{out}/emb.json",
+          "--repo", str(fixtures_dir / "fingerprints"), "--out", f"{out}/alerts.json"],
+         EXIT_ALERTS, {"load_embeddings", "load_repository"}),
+        (["export-dot", "--config", config, "--kg", f"{out}/kg.json",
+          "--risk", f"{out}/risk.json", "--out", f"{out}/g.dot"], EXIT_OK, {"load_ssckg"}),
+    ]
+    for argv, expected_code, entered in steps:
+        before = dict(calls)
+        code = main(argv)
+        capsys.readouterr()
+        assert code == expected_code, argv[0]
+        assert {name for name in calls if calls[name] > before[name]} == \
+            entered | {"write_atomic"}, argv[0]
 
 
 @pytest.mark.parametrize("position, text, needle", [

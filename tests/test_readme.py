@@ -1,11 +1,13 @@
 """The README's "Library use" examples run as written, and its shell
 commands parse."""
 
+import ast
 import dataclasses
 import re
 import shlex
 from pathlib import Path
 
+import binrisk
 from binrisk.cli import build_parser
 from binrisk.config import PipelineConfig
 from binrisk.cpg import dumps_cpg
@@ -33,6 +35,18 @@ def test_library_use_snippets_run(tmp_path, monkeypatch, capsys):
     assert len(namespace["embeddings"]) == len(namespace["kg"])
     written = (tmp_path / "build" / "toy_modbus.cpg.json").read_text(encoding="utf-8")
     assert written == dumps_cpg(namespace["g"])
+
+
+def test_all_is_what_library_use_imports():
+    """binrisk.__all__ names exactly what "Library use" imports from binrisk."""
+    documented = set()
+    for snippet in library_snippets():
+        for node in ast.walk(ast.parse(snippet)):
+            if isinstance(node, ast.ImportFrom) and node.module == "binrisk":
+                documented.update(alias.name for alias in node.names)
+    assert len(binrisk.__all__) == len(set(binrisk.__all__))
+    assert set(binrisk.__all__) == documented
+    assert all(hasattr(binrisk, name) for name in binrisk.__all__)
 
 
 def test_config_field_list_names_every_field():
