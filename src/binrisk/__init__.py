@@ -10,113 +10,28 @@ fingerprint matching in embedding space.
 
 __version__ = "0.1.0"
 
-from .config import PipelineConfig
-from .cpg import (
-    CpgGraph,
-    DataFlowClaim,
-    EdgeKind,
-    NodeKind,
-    VerifyResult,
-    cpg_chunks,
-    dumps_cpg,
-    load_cpg,
-    loads_cpg,
-    verify_claims,
-)
-from .embedding import EmbeddingVector, HashEmbedder, cosine
-from .errors import (
-    AnnotatorFailure,
-    BinriskError,
-    ConfigError,
-    CorruptFile,
-    DimensionMismatch,
-    EmptyGoldenSet,
-    EmptyGraph,
-    EmptyTarget,
-    LengthMismatch,
-    MissingAnnotation,
-    MissingEmbedding,
-    NonConvergence,
-    ParseError,
-    SchemaError,
-    ShapeMismatch,
-    SingleClassInput,
-    UnknownFunction,
-    UnknownLabel,
-    UnknownNode,
-    VersionMismatch,
-    ZeroVector,
-)
-from .fingerprint import (
-    Fingerprint,
-    MatchResult,
-    ThresholdReport,
-    dumps_fingerprint,
-    load_fingerprint,
-    load_repository,
-    match_and_alert,
-    roc_auc,
-    select_threshold,
-)
-from .graphormer import (
-    ModelConfig,
-    ModelParams,
-    NodeEmbedding,
-    embeddings_chunks,
-    forward,
-    init_params,
-    load_params,
-    save_params,
-)
-from .lattice import (
-    EvrMode,
-    GoldenRecord,
-    Label,
-    Lattice,
-    TOP,
-    covers,
-    evr,
-    join,
-    leq,
-)
-from .lifting import (
-    Annotation,
-    CommandAnnotator,
-    ReplayAnnotator,
-    RuleAnnotator,
-    VerifiedCorpus,
-    build_corpus,
-    dumps_corpus,
-    load_corpus,
-    load_rules,
-)
-from .metrics import (
-    ClassificationMetrics,
-    ConfusionCounts,
-    classification_metrics,
-    cohen_kappa,
-)
-from .pipeline import RiskReport, run_pipeline, write_atomic
-from .risk import PropagationConfig, RiskVector, inherent_risk, propagate
+from .cpg import DataFlowClaim, cpg_chunks, load_cpg, loads_cpg, verify_claims
+from .embedding import HashEmbedder
+from .errors import NonConvergence, SchemaError
+from .fingerprint import load_repository, match_and_alert, roc_auc, select_threshold
+from .graphormer import ModelConfig, forward, init_params
+from .lattice import TOP, EvrMode, GoldenRecord, Label, Lattice, evr, join, leq
+from .lifting import Annotation, RuleAnnotator, build_corpus, load_rules
+from .metrics import ConfusionCounts, classification_metrics
+from .pipeline import write_atomic
+from .risk import PropagationConfig, inherent_risk, propagate
 from .ssckg import (
-    CveRecord,
-    Entity,
     Granularity,
-    RelationColumns,
-    RelationType,
     SsckgGraph,
     construction_stats,
-    dbscan,
-    dumps_ssckg,
     extract_relations,
-    load_ssckg,
     semantic_clustering,
-    ssckg_chunks,
     structural_collapse,
 )
 
 # The documented surface: what README "Library use" imports from here.  The
-# other names above stay importable for the demos.
+# other names above are what the demos import from here; every name the
+# package defines stays importable from its own module.
 __all__ = [
     "Granularity", "HashEmbedder", "Lattice", "ModelConfig", "PropagationConfig",
     "RuleAnnotator", "SsckgGraph", "build_corpus", "cpg_chunks", "extract_relations",

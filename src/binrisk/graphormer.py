@@ -35,9 +35,10 @@ no ``params_path``) it draws the seeded weights as the pass needs them
 and holds each tensor from its first use to its last, so the pass holds
 the spatial bias table, a layer's tensors while they are in use and,
 per head, O(n^2) scores for n entities.  ``init_params`` draws the same
-values and holds them all, for callers that index the layers.  Scores,
-softmax, GELU and layer norm overwrite arrays the pass made itself, with
-the same operations in the same order, so the bits do not change.
+values and holds them all, by container name, for callers that index a
+tensor or save the weights.  Scores, softmax, GELU and layer norm
+overwrite arrays the pass made itself, with the same operations in the
+same order, so the bits do not change.
 
 Input features are the entity summary embeddings through a learned
 projection, plus a label-tier embedding (top, category, action, risk
@@ -51,7 +52,8 @@ import io
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
+from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -102,36 +104,22 @@ class ModelConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
-def _layer_tensor(shape: tuple[int, ...], init: int | float):
-    """A ``LayerParams`` field: its shape in units of hidden_dim, and the
-    fan-in of its uniform draw in units of hidden_dim (an int) or its
-    constant fill (a float)."""
-    return field(metadata={"shape": shape, "init": init})
-
-
-@dataclass
-class LayerParams:
-    """One layer's tensors, in the order ``init_params`` draws them."""
-    w_q: np.ndarray = _layer_tensor((1, 1), 1)
-    w_k: np.ndarray = _layer_tensor((1, 1), 1)
-    w_v: np.ndarray = _layer_tensor((1, 1), 1)
-    w_o: np.ndarray = _layer_tensor((1, 1), 1)
-    ffn_w1: np.ndarray = _layer_tensor((1, 4), 1)
-    ffn_b1: np.ndarray = _layer_tensor((4,), 0.0)
-    ffn_w2: np.ndarray = _layer_tensor((4, 1), 4)
-    ffn_b2: np.ndarray = _layer_tensor((1,), 0.0)
-    ln_gain: np.ndarray = _layer_tensor((1,), 1.0)
-    ln_offset: np.ndarray = _layer_tensor((1,), 0.0)
+# One layer's tensors in draw order: container name after "layer{i}.",
+# shape in units of hidden_dim, and the fan-in of its uniform draw in units
+# of hidden_dim (an int) or its constant fill (a float).
+_LAYER_TENSORS = (
+    ("w_q", (1, 1), 1), ("w_k", (1, 1), 1), ("w_v", (1, 1), 1), ("w_o", (1, 1), 1),
+    ("ffn_w1", (1, 4), 1), ("ffn_b1", (4,), 0.0), ("ffn_w2", (4, 1), 4), ("ffn_b2", (1,), 0.0),
+    ("ln_gain", (1,), 1.0), ("ln_offset", (1,), 0.0),
+)
 
 
 @dataclass
 class ModelParams:
+    """The weights: every tensor of ``_tensor_specs(config)`` by its
+    container name, in draw order."""
     config: ModelConfig
-    w_input: np.ndarray    # (input_dim, hidden)
-    tier_embed: np.ndarray  # (4, hidden): top, category, action, risk context
-    spatial_bias: np.ndarray  # (heads, max_dist + 2); last bucket = unreachable
-    edge_bias: np.ndarray     # (heads, edge_types)
-    layers: list[LayerParams] = field(default_factory=list)
+    tensors: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -151,20 +139,10 @@ def _tensor_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int | fl
         ("edge_bias", (cfg.heads, cfg.edge_types), cfg.edge_types),
     ]
     for i in range(cfg.layers):
-        for f in fields(LayerParams):
-            init = f.metadata["init"]
-            specs.append((f"layer{i}.{f.name}", tuple(h * k for k in f.metadata["shape"]),
+        for name, shape, init in _LAYER_TENSORS:
+            specs.append((f"layer{i}.{name}", tuple(h * k for k in shape),
                           h * init if isinstance(init, int) else init))
     return specs
-
-
-def _params_from(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelParams:
-    """Assemble the tensors of ``_tensor_specs(cfg)``, keyed by name."""
-    layers = [LayerParams(**{f.name: tensors[f"layer{i}.{f.name}"]
-                             for f in fields(LayerParams)})
-              for i in range(cfg.layers)]
-    return ModelParams(config=cfg, layers=layers,
-                       **{name: t for name, t in tensors.items() if "." not in name})
 
 
 def _drawn_tensors(cfg: ModelConfig) -> Iterator[tuple[str, np.ndarray]]:
@@ -189,7 +167,7 @@ def _drawn_tensors(cfg: ModelConfig) -> Iterator[tuple[str, np.ndarray]]:
 
 def init_params(cfg: ModelConfig) -> ModelParams:
     """Seeded initialization: every tensor of ``_drawn_tensors``, held at once."""
-    return _params_from(cfg, dict(_drawn_tensors(cfg)))
+    return ModelParams(cfg, dict(_drawn_tensors(cfg)))
 
 
 # Cephes ndtr.c (S. L. Moshier): erf(x) = x T(x^2) / U(x^2) for |x| <= 1,
@@ -348,10 +326,10 @@ def _layer(z: np.ndarray, tensors: Iterator[np.ndarray], dist: np.ndarray, flat:
            edge_vals: np.ndarray, spatial_bias: np.ndarray, heads: int) -> np.ndarray:
     """One layer, layer_norm(z + ffn(attention(z))), as a fresh array.
 
-    ``tensors`` gives the layer's weights in ``LayerParams`` field
-    order.  Each is taken when first needed and dropped after its last
-    use, and each head's attention matrix once its product is taken, so
-    one head's O(n^2) arrays are live at a time.
+    ``tensors`` gives the layer's weights in ``_LAYER_TENSORS`` order.
+    Each is taken when first needed and dropped after its last use, and
+    each head's attention matrix once its product is taken, so one
+    head's O(n^2) arrays are live at a time.
     """
     d = z.shape[1] // heads
     w_q, w_k, w_v = next(tensors), next(tensors), next(tensors)
@@ -383,9 +361,11 @@ def forward(kg: SsckgGraph, params: ModelParams | ModelConfig) -> list[NodeEmbed
     if isinstance(params, ModelConfig):  # nothing is drawn before the first next()
         cfg, tensors = params, map(itemgetter(1), _drawn_tensors(params))
     else:
-        cfg, tensors = params.config, iter(_tensor_map(params).values())
-        if len(params.layers) != cfg.layers:
-            raise ShapeMismatch(f"params hold {len(params.layers)} layers, config {cfg.layers}")
+        cfg, tensors = params.config, iter(params.tensors.values())
+        names = (name for name, _, _ in _tensor_specs(cfg))
+        for i, (held, drawn) in enumerate(zip_longest(params.tensors, names)):
+            if held != drawn:
+                raise ShapeMismatch(f"params tensor {i} is {held!r}, config draws {drawn!r}")
     if len(kg) == 0:
         raise EmptyGraph("forward pass needs at least one entity")
     order = kg.entity_ids.tolist()
@@ -417,28 +397,20 @@ def forward(kg: SsckgGraph, params: ModelParams | ModelConfig) -> list[NodeEmbed
 
 # --- weight container -------------------------------------------------------
 
-def _tensor_map(params: ModelParams) -> dict[str, np.ndarray]:
-    """Every tensor by its container name, in draw order."""
-    tensors = {name: t for name, t in vars(params).items() if isinstance(t, np.ndarray)}
-    for i, lp in enumerate(params.layers):
-        tensors.update({f"layer{i}.{name}": t for name, t in vars(lp).items()})
-    return tensors
+def dumps_params(params: ModelParams) -> bytes:
+    """A versioned weight container (bitwise round-trip safe): every
+    tensor by name, plus the ``__meta__`` format marker and config echo."""
+    meta = {"format": PARAMS_FORMAT, "config": asdict(params.config)}
+    buf = io.BytesIO()
+    np.savez(buf, **params.tensors, __meta__=np.frombuffer(
+        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8))
+    return buf.getvalue()
 
 
 def save_params(params: ModelParams, path: str | Path) -> None:
-    """Write a versioned weight container (bitwise round-trip safe)."""
-    cfg = params.config
-    meta = {"format": PARAMS_FORMAT, "config": {
-        "layers": cfg.layers, "heads": cfg.heads, "hidden_dim": cfg.hidden_dim,
-        "max_dist": cfg.max_dist, "edge_types": cfg.edge_types,
-        "input_dim": cfg.input_dim, "seed": cfg.seed,
-    }}
-    tensors = _tensor_map(params)
-    tensors["__meta__"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    buf = io.BytesIO()
-    np.savez(buf, **tensors)
-    Path(path).write_bytes(buf.getvalue())
+    """Write ``dumps_params(params)`` through ``pipeline.write_atomic``."""
+    from .pipeline import write_atomic  # pipeline imports this module
+    write_atomic(path, dumps_params(params))
 
 
 def load_params(path: str | Path, expected: ModelConfig | None = None) -> ModelParams:
@@ -488,7 +460,7 @@ def load_params(path: str | Path, expected: ModelConfig | None = None) -> ModelP
                                 f"{tensors[name].shape}, expected {shape}")
         if not np.isfinite(tensors[name]).all():
             raise CorruptFile(f"weight file {path}: tensor '{name}' holds a non-finite value")
-    return _params_from(cfg, tensors)
+    return ModelParams(cfg, tensors)
 
 
 _EMBEDDING_BLOCK = 16  # vectors per chunk embeddings_chunks yields

@@ -133,7 +133,6 @@ class Lattice:
                 for risk in risks:
                     n_risks += 1
                     members.add(Label((cat, act, risk)))
-        self._tree = {c: {a: list(r) for a, r in acts.items()} for c, acts in tree.items()}
         self._members = members
         self.counts = (len(tree), n_actions, n_risks)
 
@@ -200,12 +199,18 @@ def load_golden_set(path: str | Path, lattice: Lattice) -> list[GoldenRecord]:
     """Read a JSON list of {function_id, truth, predicted} records."""
     doc = read_json(path, "golden set file")
     if not isinstance(doc, list):
-        raise SchemaError("golden set file must be a JSON list")
+        raise SchemaError(f"golden set file {path} must be a JSON list")
     out = []
     for i, raw in enumerate(doc):
+        if not isinstance(raw, dict):
+            raise SchemaError(f"golden set file {path}: record {i} must be an object")
         for key in ("function_id", "truth", "predicted"):
             if key not in raw:
-                raise SchemaError(f"golden record {i} is missing '{key}'")
+                raise SchemaError(f"golden set file {path}: record {i} is missing '{key}'")
+        for key in ("truth", "predicted"):
+            if not isinstance(raw[key], str):
+                raise SchemaError(f"golden set file {path}: record {i} '{key}' "
+                                  "must be a string")
         out.append(GoldenRecord(
             function_id=str(raw["function_id"]),
             truth=lattice.parse(raw["truth"]),

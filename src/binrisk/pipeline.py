@@ -76,14 +76,16 @@ from .ssckg import (
 # imported for the CLI, which calls every loader through this module.
 
 
-def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
-    """Write text, or the concatenation of an iterable of text chunks, to
-    path: to a temporary file beside it, renamed over it once complete.
+def write_atomic(path: str | Path, text: str | bytes | Iterable[str]) -> None:
+    """Write text, the concatenation of an iterable of text chunks, or
+    bytes to path: to a temporary file beside it, renamed over it once
+    complete.
 
     The file gets the mode ``open`` would give a new file under the
     process umask, not the owner-only mode of the temporary file.
     """
-    if isinstance(text, str):
+    mode, encoding = ("wb", None) if isinstance(text, bytes) else ("w", "utf-8")
+    if isinstance(text, (str, bytes)):
         text = (text,)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -91,7 +93,7 @@ def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     umask = os.umask(0)  # reading the umask means setting it; it is put back at once
     os.umask(umask)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, mode, encoding=encoding) as handle:
             os.fchmod(fd, 0o666 & ~umask)
             handle.writelines(text)
         os.replace(tmp, path)

@@ -11,6 +11,7 @@ with one ``json.loads`` call and so name the first fault of any
 document as the streamed readers must.
 
 ``attention_matrix``: one head of one layer, for ``forward``'s algebra.
+``layer_tensors``: one layer's weights by their short names.
 """
 
 import json
@@ -190,11 +191,18 @@ def attention_matrix(z: np.ndarray, dist: np.ndarray,
     rows = np.array(edges, dtype=np.float64).reshape(-1, 4)
     src, dst, type_index = rows[:, :3].astype(np.int64).T
     flat, vals = _edge_bias_terms(n, src, dst, type_index, rows[:, 3],
-                                  params.edge_bias[head:head + 1])
+                                  params.tensors["edge_bias"][head:head + 1])
     d = cfg.hidden_dim // cfg.heads
-    cols, lp = slice(head * d, (head + 1) * d), params.layers[layer]
-    return _attention(z @ lp.w_q[:, cols], z @ lp.w_k[:, cols], dist, flat, vals[0],
-                      params.spatial_bias[head])
+    cols, lp = slice(head * d, (head + 1) * d), layer_tensors(params, layer)
+    return _attention(z @ lp["w_q"][:, cols], z @ lp["w_k"][:, cols], dist, flat, vals[0],
+                      params.tensors["spatial_bias"][head])
+
+
+def layer_tensors(params: ModelParams, layer: int) -> dict[str, np.ndarray]:
+    """Layer ``layer``'s tensors, keyed by name without the ``layer{i}.`` prefix."""
+    prefix = f"layer{layer}."
+    return {name.removeprefix(prefix): t for name, t in params.tensors.items()
+            if name.startswith(prefix)}
 
 
 def relation_edges(kg: SsckgGraph) -> list[tuple[int, int, int, float]]:

@@ -27,7 +27,8 @@ from binrisk.risk import PropagationConfig, propagate
 from binrisk.ssckg import Granularity, construction_stats, dbscan, structural_collapse
 
 from conftest import SESSION_T0
-from oracles import CpgEdge, CpgNode, attention_matrix, relation_edges, row_cpg, row_kg
+from oracles import (CpgEdge, CpgNode, attention_matrix, layer_tensors, relation_edges,
+                     row_cpg, row_kg)
 from test_fingerprint import similarity_oracle, threshold_oracle
 from test_graphormer import (
     forward_oracle,
@@ -250,11 +251,12 @@ def test_criterion_07_transformer_invariants():
     # (d) single-node closed form within 1e-10
     lone = model_entity(0, Label.parse("Memory"), unit(np.random.default_rng(2), 6))
     got1 = forward(row_kg([lone], []), hand_params)[0].vector
-    z = lone.embedding.values @ hand_params.w_input + hand_params.tier_embed[1]
-    for lp in hand_params.layers:
-        mixed = (z @ lp.w_v) @ lp.w_o
-        y = gelu_ref(mixed @ lp.ffn_w1 + lp.ffn_b1) @ lp.ffn_w2 + lp.ffn_b2
-        z = layer_norm_ref((z + y)[None, :], lp.ln_gain, lp.ln_offset)[0]
+    z = (lone.embedding.values @ hand_params.tensors["w_input"]
+         + hand_params.tensors["tier_embed"][1])
+    for lp in (layer_tensors(hand_params, layer) for layer in range(hand_cfg.layers)):
+        mixed = (z @ lp["w_v"]) @ lp["w_o"]
+        y = gelu_ref(mixed @ lp["ffn_w1"] + lp["ffn_b1"]) @ lp["ffn_w2"] + lp["ffn_b2"]
+        z = layer_norm_ref((z + y)[None, :], lp["ln_gain"], lp["ln_offset"])[0]
     assert float(np.max(np.abs(got1 - z))) <= 1e-10
     print(f"criterion 07 PASS: equivariance {worst:.1e} <= 1e-6, row sums "
           f"{row_err:.1e} <= 1e-9, hand instance {hand_err:.1e} <= 1e-10, "

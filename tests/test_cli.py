@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -18,7 +19,7 @@ import binrisk.pipeline
 from binrisk.cli import EXIT_ALERTS, EXIT_ERROR, EXIT_OK, build_parser, main
 from binrisk.config import PipelineConfig
 from binrisk.cpg import EdgeKind, load_cpg
-from binrisk.graphormer import ModelConfig, _tensor_map, init_params
+from binrisk.graphormer import ModelConfig, init_params, save_params
 
 from oracles import edge_rows, node_rows
 
@@ -112,9 +113,18 @@ def test_graphs_have_one_representation():
     for module in (binrisk, binrisk.cpg, binrisk.ssckg, binrisk.graphormer,
                    binrisk.fingerprint):
         assert not gone & set(vars(module)), module.__name__
-    for cls in (binrisk.CpgGraph, binrisk.SsckgGraph):
+    for cls in (binrisk.cpg.CpgGraph, binrisk.ssckg.SsckgGraph):
         assert not {"_from_columns", "_build", "nodes", "edges", "relations"} & set(vars(cls))
-    assert not {"rows", "__iter__", "__eq__"} & set(vars(binrisk.RelationColumns))
+    assert not {"rows", "__iter__", "__eq__"} & set(vars(binrisk.ssckg.RelationColumns))
+
+
+def test_package_writes_only_through_write_atomic():
+    """No module of the package writes a file but through ``write_atomic``:
+    no ``write_bytes`` or ``write_text`` call and no ``open`` for writing."""
+    for path in Path(binrisk.__file__).resolve().parent.glob("*.py"):
+        text = re.sub(r"\ndef write_atomic\(.*?(?=\ndef )", "", path.read_text(encoding="utf-8"),
+                      flags=re.S)
+        assert not re.search(r"\.write_(bytes|text)\(|open\([^)]*[\"'][wax]b?[\"']", text), path
 
 
 def cli_options(parser, command=()):
@@ -780,7 +790,7 @@ TOY_MODEL = {"layers": 2, "heads": 4, "hidden_dim": 64, "max_dist": 6, "edge_typ
 def params_container(path, config, nan_in=None):
     """The toy model's weights under a hand-written ``config`` echo, with
     a NaN as the first value of tensor ``nan_in`` if one is named."""
-    tensors = _tensor_map(init_params(ModelConfig(**TOY_MODEL)))
+    tensors = init_params(ModelConfig(**TOY_MODEL)).tensors
     if nan_in is not None:
         tensors[nan_in] = tensors[nan_in].copy()
         tensors[nan_in].flat[0] = np.nan
@@ -828,6 +838,35 @@ def test_forward_params_with_legacy_sum_fold(capsys, fixtures_dir, toy_run, tmp_
     assert code == EXIT_OK
     assert ((tmp_path / "emb.json").read_bytes()
             == (toy_run / "toy_modbus.embeddings.json").read_bytes())
+
+
+# config_firmware.json's model, with the input width of its hash embeddings.
+FIRMWARE_MODEL = {"layers": 2, "heads": 4, "hidden_dim": 64, "max_dist": 6,
+                  "input_dim": 384, "seed": 42}
+
+
+def test_report_with_the_seeded_model_saved_matches_the_seeded_report(capsys, fixtures_dir,
+                                                                      tmp_path):
+    # A saved init_params container is the model report draws when the
+    # config names none: every binary file, stdout and the exit code agree.
+    params = tmp_path / "w.npz"
+    save_params(init_params(ModelConfig(**FIRMWARE_MODEL)), params)
+    configs = {"seeded": fixtures_dir / "config_firmware.json",
+               "loaded": write_config(tmp_path, fixtures_dir / "config_firmware.json",
+                                      params_path=str(params))}
+    outs = {}
+    for name, cfg in configs.items():
+        code = main(["report", "--config", str(cfg),
+                     "--cpg", str(fixtures_dir / "firmware_update.cpg.json"),
+                     "--outdir", str(tmp_path / name)])
+        outs[name] = (code, capsys.readouterr().out)
+    assert outs["loaded"] == outs["seeded"]
+    assert outs["seeded"][0] == EXIT_ALERTS
+    for suffix in ("cpg.json", "corpus.jsonl", "kg.json", "embeddings.json", "risk.json",
+                   "alerts.json", "dot"):
+        name = f"firmware_update.{suffix}"
+        assert (tmp_path / "loaded" / name).read_bytes() == \
+            (tmp_path / "seeded" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("content", ['{"3": [0.1, 0.2', '{"3": "x"}'],

@@ -1,9 +1,11 @@
 """Deterministic transformer forward pass: attention math, equivariance, IO."""
 
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import os
 import re
 import tracemalloc
 import weakref
@@ -28,8 +30,8 @@ from binrisk.graphormer import (
     _erf,
     _gelu,
     _layer_norm,
-    _tensor_map,
     ModelConfig,
+    ModelParams,
     NodeEmbedding,
     dumps_embeddings,
     forward,
@@ -44,7 +46,8 @@ from binrisk.lattice import TOP, Label
 from binrisk.pipeline import transform, write_atomic
 from binrisk.ssckg import Entity, RelationType
 
-from oracles import Relation, attention_matrix, relation_edges, relation_rows, row_kg
+from oracles import (Relation, attention_matrix, layer_tensors, relation_edges, relation_rows,
+                     row_kg)
 
 SMALL = ModelConfig(layers=1, heads=2, hidden_dim=8, max_dist=4,
                     edge_types=8, input_dim=6, seed=3)
@@ -57,20 +60,20 @@ def attention_oracle(z, dist, edges, params, layer, head):
     cfg = params.config
     n = z.shape[0]
     d = cfg.hidden_dim // cfg.heads
-    lp = params.layers[layer]
+    lp = layer_tensors(params, layer)
     lo = head * d
     rows = []
     for i in range(n):
         scores = []
         for j in range(n):
-            q = [sum(z[i][a] * lp.w_q[a][lo + c] for a in range(cfg.hidden_dim))
+            q = [sum(z[i][a] * lp["w_q"][a][lo + c] for a in range(cfg.hidden_dim))
                  for c in range(d)]
-            k = [sum(z[j][a] * lp.w_k[a][lo + c] for a in range(cfg.hidden_dim))
+            k = [sum(z[j][a] * lp["w_k"][a][lo + c] for a in range(cfg.hidden_dim))
                  for c in range(d)]
             s = sum(qq * kk for qq, kk in zip(q, k)) / math.sqrt(d)
-            s += params.spatial_bias[head][dist[i][j]]
+            s += params.tensors["spatial_bias"][head][dist[i][j]]
             if i != j:
-                terms = [params.edge_bias[head, t] * w
+                terms = [params.tensors["edge_bias"][head, t] * w
                          for (a, b, t, w) in edges if a == i and b == j]
                 s += sum(terms)
             scores.append(s)
@@ -170,17 +173,17 @@ def forward_oracle(kg, params):
     tiers = [e.label.tier for e in ents]
     edges = relation_edges(kg)
     dist = hop_oracle(len(ents), [(i, j) for i, j, _, _ in edges], cfg.max_dist)
-    z = feats @ params.w_input + params.tier_embed[np.array(tiers)]
+    z = feats @ params.tensors["w_input"] + params.tensors["tier_embed"][np.array(tiers)]
     d = cfg.hidden_dim // cfg.heads
     for layer in range(cfg.layers):
-        lp = params.layers[layer]
+        lp = layer_tensors(params, layer)
         heads = []
         for h in range(cfg.heads):
             attn = attention_oracle(z, dist, edges, params, layer, h)
-            heads.append(attn @ (z @ lp.w_v[:, h * d:(h + 1) * d]))
-        mixed = np.concatenate(heads, axis=1) @ lp.w_o
-        expanded = gelu_ref(mixed @ lp.ffn_w1 + lp.ffn_b1) @ lp.ffn_w2 + lp.ffn_b2
-        z = layer_norm_ref(z + expanded, lp.ln_gain, lp.ln_offset)
+            heads.append(attn @ (z @ lp["w_v"][:, h * d:(h + 1) * d]))
+        mixed = np.concatenate(heads, axis=1) @ lp["w_o"]
+        expanded = gelu_ref(mixed @ lp["ffn_w1"] + lp["ffn_b1"]) @ lp["ffn_w2"] + lp["ffn_b2"]
+        z = layer_norm_ref(z + expanded, lp["ln_gain"], lp["ln_offset"])
     return z
 
 
@@ -309,11 +312,11 @@ def test_forward_single_node_closed_form():
 
     # a lone node attends only to itself, so each layer reduces to
     # layer_norm(z + ffn((z Wv) Wo))
-    z = ent.embedding.values @ params.w_input + params.tier_embed[1]
-    for lp in params.layers:
-        mixed = (z @ lp.w_v) @ lp.w_o
-        y = gelu_ref(mixed @ lp.ffn_w1 + lp.ffn_b1) @ lp.ffn_w2 + lp.ffn_b2
-        z = layer_norm_ref((z + y)[None, :], lp.ln_gain, lp.ln_offset)[0]
+    z = ent.embedding.values @ params.tensors["w_input"] + params.tensors["tier_embed"][1]
+    for lp in (layer_tensors(params, layer) for layer in range(cfg.layers)):
+        mixed = (z @ lp["w_v"]) @ lp["w_o"]
+        y = gelu_ref(mixed @ lp["ffn_w1"] + lp["ffn_b1"]) @ lp["ffn_w2"] + lp["ffn_b2"]
+        z = layer_norm_ref((z + y)[None, :], lp["ln_gain"], lp["ln_offset"])[0]
     assert np.max(np.abs(got - z)) < 1e-10
 
 
@@ -350,15 +353,16 @@ def per_head_reference(kg, params):
     edges = relation_edges(kg)
     dist = shortest_path_matrix(len(ents), [(i, j) for i, j, _, _ in edges],
                                 max_dist=cfg.max_dist)
-    z = (np.stack([e.embedding.values for e in ents]) @ params.w_input
-         + params.tier_embed[np.array([e.label.tier for e in ents])])
+    z = (np.stack([e.embedding.values for e in ents]) @ params.tensors["w_input"]
+         + params.tensors["tier_embed"][np.array([e.label.tier for e in ents])])
     d = cfg.hidden_dim // cfg.heads
-    for layer, lp in enumerate(params.layers):
+    for layer in range(cfg.layers):
+        lp = layer_tensors(params, layer)
         heads = [attention_matrix(z, dist, edges, params, layer, h)
-                 @ (z @ lp.w_v[:, h * d:(h + 1) * d]) for h in range(cfg.heads)]
-        mixed = np.concatenate(heads, axis=1) @ lp.w_o
-        expanded = _gelu(mixed @ lp.ffn_w1 + lp.ffn_b1) @ lp.ffn_w2 + lp.ffn_b2
-        z = _layer_norm(z + expanded, lp.ln_gain, lp.ln_offset)
+                 @ (z @ lp["w_v"][:, h * d:(h + 1) * d]) for h in range(cfg.heads)]
+        mixed = np.concatenate(heads, axis=1) @ lp["w_o"]
+        expanded = _gelu(mixed @ lp["ffn_w1"] + lp["ffn_b1"]) @ lp["ffn_w2"] + lp["ffn_b2"]
+        z = _layer_norm(z + expanded, lp["ln_gain"], lp["ln_offset"])
     return z
 
 
@@ -427,15 +431,14 @@ def test_forward_from_config_draws_every_init_params_value_once(monkeypatch):
 
     monkeypatch.setattr(graphormer, "_drawn_tensors", recorded)
     got = forward(kg, cfg)
-    tensors = _tensor_map(params)
-    assert [name for name, _ in drawn] == list(tensors)
+    assert [name for name, _ in drawn] == list(params.tensors)
     for name, t in drawn:
-        assert np.array_equal(t, tensors[name]), name
+        assert np.array_equal(t, params.tensors[name]), name
     for a, b in zip(got, want, strict=True):
         assert a.entity_id == b.entity_id and np.array_equal(a.vector, b.vector)
 
 
-# sha256 over each (name, tensor bytes) of ``_tensor_map(init_params(cfg))``,
+# sha256 over each (name, tensor bytes) of ``init_params(cfg).tensors``,
 # as the draws were when every layer was drawn up front.
 INIT_DIGESTS = {
     0: "91de39136211ae9952fea31a966b6ab3a4752e58a67d659de0fc9e8fddf54315",
@@ -449,7 +452,7 @@ def test_init_params_values_are_pinned(seed):
     cfg = ModelConfig(layers=3, heads=4, hidden_dim=16, max_dist=5,
                       edge_types=8, input_dim=6, seed=seed)
     digest = hashlib.sha256()
-    for name, t in _tensor_map(init_params(cfg)).items():
+    for name, t in init_params(cfg).tensors.items():
         digest.update(name.encode())
         digest.update(t.tobytes())
     assert digest.hexdigest() == INIT_DIGESTS[seed]
@@ -472,8 +475,9 @@ def test_seeded_transform_holds_one_layer_at_a_time():
     # one layer's weights to the peak per layer, and keeping a layer while
     # the next is drawn adds almost one; holding one at a time adds neither.
     kg = multigraph_kg(np.random.default_rng(61), 6, 16)
-    layer = init_params(ModelConfig(layers=1, heads=2, hidden_dim=64, input_dim=16)).layers[0]
-    layer_bytes = sum(t.nbytes for t in vars(layer).values())
+    layer = layer_tensors(init_params(ModelConfig(layers=1, heads=2, hidden_dim=64,
+                                                  input_dim=16)), 0)
+    layer_bytes = sum(t.nbytes for t in layer.values())
     transform_peak(kg, 1)  # first-call allocations stay out of the comparison
     assert transform_peak(kg, 8) - transform_peak(kg, 1) < layer_bytes / 2
 
@@ -535,9 +539,18 @@ def test_forward_input_validation():
     wrong = entity(0, TOP, EmbeddingVector(np.ones(SMALL.input_dim + 2)))
     with pytest.raises(ShapeMismatch, match="dimension"):
         forward(row_kg([wrong], []), params)
-    params.layers.pop()
-    with pytest.raises(ShapeMismatch, match="params hold 0 layers, config 1"):
-        forward(three_node_kg(), params)
+    # The params must hold exactly the tensors the config draws, in draw order.
+    names = list(params.tensors)
+    names[4], names[5] = names[5], names[4]  # layer0.w_q and layer0.w_k
+    swapped = {n: params.tensors[n] for n in names}
+    missing_layer = {n: t for n, t in params.tensors.items() if not n.startswith("layer0.")}
+    extra = {**params.tensors, "layer1.w_q": params.tensors["layer0.w_q"]}
+    for tensors, message in [
+            (missing_layer, "params tensor 4 is None, config draws 'layer0.w_q'"),
+            (extra, f"params tensor {len(names)} is 'layer1.w_q', config draws None"),
+            (swapped, "params tensor 4 is 'layer0.w_k', config draws 'layer0.w_q'")]:
+        with pytest.raises(ShapeMismatch, match=re.escape(message)):
+            forward(three_node_kg(), ModelParams(SMALL, tensors))
 
 
 def test_config_validation():
@@ -556,14 +569,7 @@ def test_config_validation():
 # --- initialization and persistence ----------------------------------------------
 
 def all_tensors(params):
-    yield params.w_input
-    yield params.tier_embed
-    yield params.spatial_bias
-    yield params.edge_bias
-    for lp in params.layers:
-        for name in ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_b1",
-                     "ffn_w2", "ffn_b2", "ln_gain", "ln_offset"):
-            yield getattr(lp, name)
+    yield from params.tensors.values()
 
 
 def test_init_is_seeded_and_deterministic():
@@ -572,11 +578,33 @@ def test_init_is_seeded_and_deterministic():
         assert np.array_equal(ta, tb)
     other = init_params(ModelConfig(layers=1, heads=2, hidden_dim=8, max_dist=4,
                                     edge_types=8, input_dim=6, seed=4))
-    assert not np.array_equal(a.w_input, other.w_input)
+    assert not np.array_equal(a.tensors["w_input"], other.tensors["w_input"])
     # additive vectors start neutral
-    assert np.all(a.layers[0].ffn_b1 == 0)
-    assert np.all(a.layers[0].ln_gain == 1)
-    assert np.all(a.layers[0].ln_offset == 0)
+    assert np.all(a.tensors["layer0.ffn_b1"] == 0)
+    assert np.all(a.tensors["layer0.ln_gain"] == 1)
+    assert np.all(a.tensors["layer0.ln_offset"] == 0)
+
+
+def test_model_params_are_the_named_tensors():
+    # One form for the weights: the config and the container's tensors by name.
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["config", "tensors"]
+    gone = {"LayerParams", "_layer_tensor", "_params_from", "_tensor_map"}
+    assert not gone & set(vars(graphormer))
+
+
+def test_save_params_failed_overwrite_keeps_the_old_container(tmp_path, monkeypatch):
+    path = tmp_path / "w.npz"
+    save_params(init_params(SMALL), path)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        save_params(init_params(dataclasses.replace(SMALL, seed=4)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["w.npz"]
 
 
 def test_params_round_trip_is_bitwise(tmp_path):
@@ -615,7 +643,7 @@ def test_params_file_version_and_corruption_errors(tmp_path):
 def write_container(path, params, config):
     """A weight container holding ``params``' tensors under a hand-written config."""
     meta = {"format": "entity-transformer-v1", "config": config}
-    tensors = _tensor_map(params)
+    tensors = dict(params.tensors)
     tensors["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **tensors)
 

@@ -1,6 +1,7 @@
 """Label order, join, coverage, and the violation-rate calculation."""
 
 import json
+import re
 
 import pytest
 
@@ -147,3 +148,20 @@ def test_golden_set_loader(tmp_path):
     assert len(records) == 2
     assert evr(records, EvrMode.LATTICE_COVER) == 0.0
     assert evr(records, EvrMode.EXACT_TIER_MATCH) == 0.5
+
+
+GOOD_RECORD = {"function_id": "a", "truth": "Memory", "predicted": "Memory"}
+
+
+@pytest.mark.parametrize("record, message", [
+    (5, "record 1 must be an object"),
+    ({"function_id": "b", "truth": 5, "predicted": "Memory"}, "record 1 'truth' must be a string"),
+    ({"function_id": "b", "truth": "Memory", "predicted": None},
+     "record 1 'predicted' must be a string"),
+    ({"function_id": "b", "truth": "Memory"}, "record 1 is missing 'predicted'"),
+], ids=["not_an_object", "truth_int", "predicted_null", "missing_key"])
+def test_golden_set_rejects_malformed_records(tmp_path, record, message):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps([GOOD_RECORD, record]), encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(f"golden set file {path}: {message}")):
+        load_golden_set(path, Lattice.default())

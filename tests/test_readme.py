@@ -37,16 +37,34 @@ def test_library_use_snippets_run(tmp_path, monkeypatch, capsys):
     assert written == dumps_cpg(namespace["g"])
 
 
+def imported_from_binrisk(source: str) -> set[str]:
+    """The names ``source`` imports ``from binrisk``."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "binrisk" and not node.level
+            for alias in node.names}
+
+
 def test_all_is_what_library_use_imports():
     """binrisk.__all__ names exactly what "Library use" imports from binrisk."""
     documented = set()
     for snippet in library_snippets():
-        for node in ast.walk(ast.parse(snippet)):
-            if isinstance(node, ast.ImportFrom) and node.module == "binrisk":
-                documented.update(alias.name for alias in node.names)
+        documented |= imported_from_binrisk(snippet)
     assert len(binrisk.__all__) == len(set(binrisk.__all__))
     assert set(binrisk.__all__) == documented
     assert all(hasattr(binrisk, name) for name in binrisk.__all__)
+
+
+def test_package_reexports_only_what_is_imported_from_it():
+    """Every name binrisk/__init__.py imports is in __all__ or is imported
+    from binrisk by a demo, a fixture script or a benchmark file."""
+    used = set(binrisk.__all__)
+    for folder in ("demos", "fixtures", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            used |= imported_from_binrisk(path.read_text(encoding="utf-8"))
+    init = ast.parse(Path(binrisk.__file__).read_text(encoding="utf-8"))
+    reexported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+    assert sorted(reexported - used) == []
 
 
 def test_config_field_list_names_every_field():
