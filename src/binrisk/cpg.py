@@ -50,7 +50,7 @@ node_columns, edge_columns)``, takes the typed columns, checks ids
 across the graph and puts them in canonical order.  Graphs are
 immutable after construction; the
 indexes over them (``function_rows``, the rows of each function, and
-``pdg_csr``, the data-dependence adjacency that ``verify_claims``
+``pdg_csr``, the data-dependence adjacency that ``failing_claims``
 walks) are built on first use and cached.
 
 Neither direction holds a whole file's structure.  ``load_cpg`` reads
@@ -513,6 +513,50 @@ def _reachable(indptr: np.ndarray, succ: np.ndarray, source: int, sink: int) -> 
     return False
 
 
+def failing_claims(g: CpgGraph, claim_lists: Sequence[Sequence[DataFlowClaim]],
+                   ) -> list[DataFlowClaim | None]:
+    """Each list's first claim that fails, or None when every claim holds.
+
+    A claim holds when its sink is reachable from its source over Pdg
+    edges alone (control and syntax edges carry no data); a claim naming
+    a node id absent from the graph fails.  The endpoints of every claim
+    are looked up at once.  A claim whose ends are one node, or one Pdg
+    edge, holds by a search in the sorted edge keys; only the other
+    claims of a list, up to its first failure, are searched for a path.
+    """
+    counts = [len(claims) for claims in claim_lists]
+    flat = [claim for claims in claim_lists for claim in claims]
+    rows = g.rows_of([end for claim in flat for end in (claim.source_node, claim.sink_node)])
+    src, dst = rows[0::2], rows[1::2]
+    n = len(g)
+    pdg = g.edge_kind == PDG_CODE
+    edge_keys = g.edge_src_row[pdg] * n + g.edge_dst_row[pdg]  # ascending: edges sort by src, dst
+    missing = (src < 0) | (dst < 0)
+    keys = src * n + dst
+    pos = np.searchsorted(edge_keys, keys)
+    direct = pos < len(edge_keys)
+    direct[direct] = edge_keys[pos[direct]] == keys[direct]
+    settled = ~missing & (direct | (src == dst))
+    del pdg, edge_keys, keys, pos, direct
+    out: list[DataFlowClaim | None] = [None] * len(claim_lists)
+    owner = np.repeat(np.arange(len(claim_lists)), counts)
+    open_lists = np.flatnonzero(np.bincount(owner[~settled],
+                                            minlength=len(claim_lists))).tolist()
+    if not open_lists:
+        return out
+    indptr, succ = g.pdg_csr
+    starts = np.cumsum([0] + counts).tolist()
+    settled, missing, src, dst = settled.tolist(), missing.tolist(), src.tolist(), dst.tolist()
+    for k in open_lists:
+        for i in range(starts[k], starts[k + 1]):
+            if settled[i]:
+                continue
+            if missing[i] or not _reachable(indptr, succ, src[i], dst[i]):
+                out[k] = flat[i]
+                break
+    return out
+
+
 def verify_claims(g: CpgGraph, claims: Sequence[DataFlowClaim]) -> VerifyResult:
     """Check claimed data flows against directed data-dependence reachability.
 
@@ -522,16 +566,14 @@ def verify_claims(g: CpgGraph, claims: Sequence[DataFlowClaim]) -> VerifyResult:
     claim.  A claim naming a node id absent from the graph raises
     UnknownNode.
     """
-    indptr, succ = g.pdg_csr
-    rows = g.rows_of([end for c in claims for end in (c.source_node, c.sink_node)]).tolist()
-    for claim, source, sink in zip(claims, rows[::2], rows[1::2]):
-        if source < 0:
-            raise UnknownNode(f"claim references missing node {claim.source_node}")
-        if sink < 0:
-            raise UnknownNode(f"claim references missing node {claim.sink_node}")
-        if not _reachable(indptr, succ, source, sink):
-            return VerifyResult(sat=False, failing_claim=claim)
-    return VerifyResult(sat=True)
+    failing = failing_claims(g, [claims])[0]
+    if failing is None:
+        return VerifyResult(sat=True)
+    for end, row in zip((failing.source_node, failing.sink_node),
+                        g.rows_of([failing.source_node, failing.sink_node]).tolist()):
+        if row < 0:
+            raise UnknownNode(f"claim references missing node {end}")
+    return VerifyResult(sat=False, failing_claim=failing)
 
 
 def shortest_path_matrix(num_nodes: int, edges: Iterable[tuple[int, int]],

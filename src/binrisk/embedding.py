@@ -72,6 +72,11 @@ class HashEmbedder:
     token contributions accumulate and the result is L2-normalized.
     Text with no tokens maps to the first standard basis vector, so
     every output has unit norm.
+
+    A token's (bucket, sign) depends only on the seed and the dimension,
+    so each instance hashes a token once and keeps its slot.  The bucket
+    sums are small integers, exact in any order, so a vector's bits do
+    not depend on which tokens were seen before.
     """
 
     def __init__(self, dimension: int = 384, seed: int = 0):
@@ -79,23 +84,28 @@ class HashEmbedder:
             raise DimensionMismatch("hash embedder needs dimension >= 2")
         self._dim = dimension
         self._seed = seed
+        self._slots: dict[str, tuple[int, float]] = {}  # token -> (bucket, sign)
 
     def dimension(self) -> int:
         return self._dim
 
+    def _slot(self, token: str) -> tuple[int, float]:
+        digest = hashlib.blake2b(
+            f"{self._seed}:{token}".encode("utf-8"), digest_size=16
+        ).digest()
+        h = int.from_bytes(digest, "big")
+        slot = self._slots[token] = (h % self._dim, 1.0 if (h >> 127) & 1 == 0 else -1.0)
+        return slot
+
     def embed(self, text: str) -> EmbeddingVector:
         acc = np.zeros(self._dim, dtype=np.float64)
+        slots = self._slots
         any_token = False
         for token in _TOKEN_SPLIT.split(text.lower()):
             if not token:
                 continue
             any_token = True
-            digest = hashlib.blake2b(
-                f"{self._seed}:{token}".encode("utf-8"), digest_size=16
-            ).digest()
-            h = int.from_bytes(digest, "big")
-            bucket = h % self._dim
-            sign = 1.0 if (h >> 127) & 1 == 0 else -1.0
+            bucket, sign = slots.get(token) or self._slot(token)
             acc[bucket] += sign
         if not any_token:
             acc[0] = 1.0

@@ -356,16 +356,22 @@ def forward(kg: SsckgGraph, params: ModelParams | ModelConfig) -> list[NodeEmbed
 
     ``params`` is the weights, or a ``ModelConfig`` whose seeded weights
     (``init_params``'s values) are drawn as the pass needs them.  Either
-    way the pass reads the tensors once, in draw order.
+    way the pass reads the tensors once, in draw order.  Weights must
+    hold the config's tensors by name, in draw order and each of its
+    shape; anything else raises ShapeMismatch before the pass starts.
     """
     if isinstance(params, ModelConfig):  # nothing is drawn before the first next()
         cfg, tensors = params, map(itemgetter(1), _drawn_tensors(params))
     else:
         cfg, tensors = params.config, iter(params.tensors.values())
-        names = (name for name, _, _ in _tensor_specs(cfg))
-        for i, (held, drawn) in enumerate(zip_longest(params.tensors, names)):
+        specs = _tensor_specs(cfg)
+        for i, (held, spec) in enumerate(zip_longest(params.tensors, specs)):
+            drawn, shape = spec[:2] if spec else (None, None)
             if held != drawn:
                 raise ShapeMismatch(f"params tensor {i} is {held!r}, config draws {drawn!r}")
+            if np.shape(params.tensors[held]) != shape:
+                raise ShapeMismatch(f"params tensor '{held}' has shape "
+                                    f"{np.shape(params.tensors[held])}, config draws {shape}")
     if len(kg) == 0:
         raise EmptyGraph("forward pass needs at least one entity")
     order = kg.entity_ids.tolist()

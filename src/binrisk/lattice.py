@@ -196,7 +196,12 @@ def evr(records: Sequence[GoldenRecord], mode: EvrMode = EvrMode.LATTICE_COVER) 
 
 
 def load_golden_set(path: str | Path, lattice: Lattice) -> list[GoldenRecord]:
-    """Read a JSON list of {function_id, truth, predicted} records."""
+    """Read a JSON list of {function_id, truth, predicted} records.
+
+    A ``function_id`` is a string or an integer (kept as its decimal
+    text, as corpus ids are); a boolean, a float, null or any other value
+    is a SchemaError naming the file and the record index.
+    """
     doc = read_json(path, "golden set file")
     if not isinstance(doc, list):
         raise SchemaError(f"golden set file {path} must be a JSON list")
@@ -211,6 +216,9 @@ def load_golden_set(path: str | Path, lattice: Lattice) -> list[GoldenRecord]:
             if not isinstance(raw[key], str):
                 raise SchemaError(f"golden set file {path}: record {i} '{key}' "
                                   "must be a string")
+        if type(raw["function_id"]) not in (str, int):
+            raise SchemaError(f"golden set file {path}: record {i} 'function_id' must be "
+                              f"a string or an integer, got {raw['function_id']!r}")
         out.append(GoldenRecord(
             function_id=str(raw["function_id"]),
             truth=lattice.parse(raw["truth"]),

@@ -9,6 +9,14 @@ the whole annotation as rejected; nothing from a rejected annotation
 is retained.  An annotator that raises is counted as a failure and
 skipped, separately from rejections.
 
+``build_corpus`` does its graph work over columns, once per call rather
+than once per function: ``function_views`` cuts every function's view
+from one stable sort of the inner data-dependence edges by function,
+and one ``cpg.failing_claims`` pass looks up every claim's endpoints at
+once and settles each claim whose ends are one node or one edge by a
+search in the sorted edge keys; only the claims left walk the graph.
+Rule patterns compile into one regex alternation.
+
 Three annotators ship here:
 
   * RuleAnnotator     ordered opcode/callee pattern table -> label
@@ -23,14 +31,16 @@ followed by a trailer line with the gate counters.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 from dataclasses import dataclass, field
+from itertools import starmap
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .cpg import NODE_KINDS, CpgGraph, DataFlowClaim, NodeKind, verify_claims
+from .cpg import NODE_KINDS, PDG_CODE, CpgGraph, DataFlowClaim, NodeKind, failing_claims
 from .errors import (
     AnnotatorFailure,
     InvalidRule,
@@ -38,7 +48,6 @@ from .errors import (
     ParseError,
     SchemaError,
     UnknownFunction,
-    UnknownNode,
     read_json,
 )
 from .lattice import TOP, Label, Lattice
@@ -100,25 +109,46 @@ class Annotator(Protocol):
 
 
 def function_subgraph(g: CpgGraph, function_id: int) -> FunctionSubgraph:
-    """One function's columns, sliced from the graph's."""
-    rows = g.function_rows.get(function_id)
-    if rows is None:
-        raise UnknownFunction(f"no nodes with function id {function_id}")
-    # The Pdg successors of each row, rows in id order and each row's
-    # successors in edge order: the function's Pdg edges in canonical order.
-    indptr, succ = g.pdg_csr
-    starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
-    src = np.repeat(rows, counts)
-    dst = succ[np.arange(len(src)) + np.repeat(starts - np.cumsum(counts) + counts, counts)]
-    inner = g.node_function[dst] == function_id
-    row_list = rows.tolist()
-    return FunctionSubgraph(
-        function_id=function_id,
-        node_ids=g.node_id[rows].tolist(),
-        kinds=[NODE_KINDS[k] for k in g.node_kind[rows].tolist()],
-        opcodes=[g.opcode[r] for r in row_list],
-        attrs=[g.attrs.get(r, {}) for r in row_list],
-        pdg_edges=list(zip(g.node_id[src[inner]].tolist(), g.node_id[dst[inner]].tolist())))
+    """One function's view: ``function_views`` of it alone."""
+    return next(function_views(g, [function_id]))
+
+
+def function_views(g: CpgGraph, functions: Sequence[int]) -> Iterator[FunctionSubgraph]:
+    """The view of each function in the order given, its columns sliced
+    from the graph's.
+
+    Every id is checked before the first view is made: an id with no
+    nodes raises UnknownFunction.  The inner Pdg edges are put in
+    function order by one stable sort, which keeps each function's in
+    canonical order.  Each view's lists are built from slices when its
+    turn comes, so only one function's lists are held at a time.
+    """
+    functions = list(functions)
+    rows_of = g.function_rows
+    for fid in functions:
+        if fid not in rows_of:
+            raise UnknownFunction(f"no nodes with function id {fid}")
+    pdg = np.flatnonzero(g.edge_kind == PDG_CODE)
+    owner = g.node_function[g.edge_src_row[pdg]]
+    inner = owner == g.node_function[g.edge_dst_row[pdg]]
+    pdg, owner = pdg[inner], owner[inner]
+    order = np.argsort(owner, kind="stable")
+    pdg, owner = pdg[order], owner[order]
+    edge_src, edge_dst = g.edge_src[pdg], g.edge_dst[pdg]
+    keys = np.array([int(fid) for fid in functions], dtype=np.int64)
+    los = np.searchsorted(owner, keys, side="left").tolist()
+    his = np.searchsorted(owner, keys, side="right").tolist()
+    del pdg, owner, inner, order, keys
+    for fid, lo, hi in zip(functions, los, his):
+        rows = rows_of[fid]
+        row_list = rows.tolist()
+        yield FunctionSubgraph(
+            function_id=fid,
+            node_ids=g.node_id[rows].tolist(),
+            kinds=list(map(NODE_KINDS.__getitem__, g.node_kind[rows].tolist())),
+            opcodes=list(map(g.opcode.__getitem__, row_list)),
+            attrs=[g.attrs.get(r, {}) for r in row_list],
+            pdg_edges=list(zip(edge_src[lo:hi].tolist(), edge_dst[lo:hi].tolist())))
 
 
 def build_corpus(g: CpgGraph, functions: Sequence[int],
@@ -128,23 +158,22 @@ def build_corpus(g: CpgGraph, functions: Sequence[int],
     Acceptance is all-or-nothing per annotation: one unsupported claim
     rejects the whole annotation.  A claim naming a node id that does
     not exist is an unsupported claim like any other (the annotator
-    invented the endpoint), so it rejects rather than raises.
+    invented the endpoint), so it rejects rather than raises.  The
+    views come from ``function_views`` and the verdicts from one
+    ``failing_claims`` pass over every annotation's claims, which
+    decides each as ``verify_claims`` does.
     """
     corpus = VerifiedCorpus()
     context = {"binary_id": g.binary_id}
-    for fid in functions:
-        view = function_subgraph(g, fid)
+    annotations = []
+    for view in function_views(g, functions):
         try:
-            ann = annotator.annotate(view, context)
+            annotations.append(annotator.annotate(view, context))
         except Exception:
             corpus.failed_count += 1
-            continue
-        try:
-            result = verify_claims(g, ann.claims)
-        except UnknownNode:
-            corpus.rejected_count += 1
-            continue
-        if result.sat:
+    verdicts = failing_claims(g, [ann.claims for ann in annotations])
+    for ann, failing in zip(annotations, verdicts):
+        if failing is None:
             corpus.accepted.append(ann)
         else:
             corpus.rejected_count += 1
@@ -170,11 +199,11 @@ def load_rules(path: str | Path) -> list[tuple[str, str]]:
     return out
 
 
-def _pattern_matches(pattern: str, text: str) -> bool:
+def _rule_regex(pattern: str) -> str:
     # Literal match, or prefix match when the pattern ends with '*'.
     if pattern.endswith("*"):
-        return text.startswith(pattern[:-1])
-    return text == pattern
+        return "(" + re.escape(pattern[:-1]) + ")"
+    return "(" + re.escape(pattern) + r"\Z)"
 
 
 class RuleAnnotator:
@@ -185,6 +214,9 @@ class RuleAnnotator:
     function stays at top (unknown behavior).  Claims are emitted from
     the function's actual intra-function data-dependence edges, so
     rule annotations always survive the verifier.
+
+    The rules compile into one regex alternation, one group per rule in
+    order, so a match's ``lastindex`` is the first rule matching a name.
     """
 
     def __init__(self, rules: Sequence[tuple[str, str]], lattice: Lattice):
@@ -197,15 +229,17 @@ class RuleAnnotator:
             except Exception as exc:
                 raise InvalidRule(f"rule '{pattern}' -> '{label_text}': {exc}") from None
             self.rules.append((pattern, label))
+        # "(?!)" matches nothing: no rules leave every function at top.
+        self._match = re.compile("|".join(_rule_regex(p) for p, _ in self.rules) or "(?!)").match
 
     def annotate(self, view: FunctionSubgraph, context: Mapping) -> Annotation:
         opcodes = set(view.opcodes)
         callees = {attrs["callee"] for attrs in view.attrs if "callee" in attrs}
         # A rule hits when it matches any opcode or any non-empty callee.
         names = opcodes | (callees - {""})
-        label = next((candidate for pattern, candidate in self.rules
-                      if any(_pattern_matches(pattern, name) for name in names)), TOP)
-        claims = tuple(DataFlowClaim(src, dst) for src, dst in view.pdg_edges)
+        first = min((m.lastindex for m in map(self._match, names) if m), default=0)
+        label = self.rules[first - 1][1] if first else TOP
+        claims = tuple(starmap(DataFlowClaim, view.pdg_edges))
         tokens = sorted((opcodes - {""}) | callees)
         behavior = "unknown behavior" if label.is_top else " ".join(label.path).replace("_", " ").lower()
         summary = f"{behavior} routine using {' '.join(tokens)}" if tokens else behavior

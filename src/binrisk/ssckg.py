@@ -37,8 +37,8 @@ relation rows into columns, before it decodes the next, for a faulty
 file too, whose first fault it names as a reading of the whole file
 would.
 ``dumps_ssckg`` is the join of ``ssckg_chunks``, which writes the bytes
-``errors.dumps_json`` would a block of rows at a time, each relation
-filled into a row template.
+``errors.dumps_json`` would a block of rows at a time, each entity and
+each relation filled into a row template.
 """
 
 from __future__ import annotations
@@ -250,6 +250,15 @@ class SsckgGraph:
         return np.searchsorted(self.entity_ids, entity_ids)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: ``np.unique(values)``, which without
+    index or count outputs imports ``numpy.ma`` to check for a mask."""
+    values = np.sort(values)
+    fresh = np.ones(len(values), dtype=bool)
+    fresh[1:] = values[1:] != values[:-1]
+    return values[fresh]
+
+
 def structural_collapse(g: CpgGraph, granularity: Granularity = Granularity.FUNCTION,
                         corpus: VerifiedCorpus | Mapping[str, Annotation] | None = None,
                         ) -> list[Entity]:
@@ -288,7 +297,7 @@ def structural_collapse(g: CpgGraph, granularity: Granularity = Granularity.FUNC
     prefix = "block" if by_block else "func"
     entities: list[Entity] = []
     for eid, (key, rows) in enumerate(groups.items()):
-        fids = np.unique(g.node_function[rows]).tolist() if by_block else [key]
+        fids = _distinct(g.node_function[rows]).tolist() if by_block else [key]
         covered = [annotations[str(fid)] for fid in fids if str(fid) in annotations]
         # Fold the covered functions' labels with join; no annotation
         # leaves the entity at top.
@@ -531,11 +540,11 @@ def _reach(n: int, src: np.ndarray, dst: np.ndarray, sources: np.ndarray,
     count, component = _strong_components(n, src, dst)
     csrc, cdst = component[src], component[dst]
     inner = csrc == cdst
-    link = np.unique(csrc[~inner] * count + cdst[~inner])
+    link = _distinct(csrc[~inner] * count + cdst[~inner])
     heads = np.searchsorted(link // count, np.arange(count + 1))
     succ = (link % count).tolist()
     bits = [0] * count
-    for c in np.unique(csrc[inner]).tolist():
+    for c in _distinct(csrc[inner]).tolist():
         bits[c] = 1 << c
     for c, (lo, hi) in enumerate(zip(heads[:-1].tolist(), heads[1:].tolist())):
         reach = bits[c]
@@ -604,7 +613,7 @@ def extract_relations(g: CpgGraph, entities: Sequence[Entity],
     # Distinct inter-entity data-dependence pairs, and data-flow
     # relations over them.
     pdg = between & (g.edge_kind == PDG_CODE)
-    pair = np.unique(src_entity[pdg] * n + dst_entity[pdg])
+    pair = _distinct(src_entity[pdg] * n + dst_entity[pdg])
     pdg_src, pdg_dst = pair // n, pair % n
     writes, reads = is_write[pdg_dst], is_read[pdg_src]
 
@@ -662,7 +671,7 @@ def extract_relations(g: CpgGraph, entities: Sequence[Entity],
     src, code, dst = src[fresh], code[fresh], dst[fresh]
 
     weights = np.zeros(len(RELATION_TYPES))
-    for c in np.unique(code).tolist():
+    for c in _distinct(code).tolist():
         weights[c] = cfg.weights[RELATION_TYPES[c]]
         check_relation_weight(weights[c])
     vuln = code == VULN_CODE
@@ -730,17 +739,39 @@ _RELATION_BLOCK = 1024  # relation rows per chunk ssckg_chunks yields
 _ENTITY_BLOCK = 16  # entity rows per chunk: each may hold a long vector
 
 
-def _entity_doc(e: Entity) -> dict:
-    return {
-        "id": e.id,
-        "name": e.name,
-        "label": str(e.label),
-        "members": sorted(e.members),
-        "summary": e.summary,
-        "embedding": e.embedding.values.tolist() if e.embedding is not None else None,
-        "external": e.external,
-        "cluster_id": e.cluster_id,
-    }
+# An entity row nested two levels deep, its keys in sorted order.
+_ENTITY_TEMPLATE = ('{\n      "cluster_id": %s,\n      "embedding": %s,\n      "external": %s,'
+                    '\n      "id": %s,\n      "label": %s,\n      "members": %s,'
+                    '\n      "name": %s,\n      "summary": %s\n    }')
+_ITEM_SEP = ",\n        "  # between the items of a list inside an entity row
+
+
+def _listed(items: list[str]) -> str:
+    """A list of item texts inside an entity row, as ``dumps_json`` writes it."""
+    return "[\n        " + _ITEM_SEP.join(items) + "\n      ]" if items else "[]"
+
+
+def _vector_text(vector: EmbeddingVector | None) -> str:
+    """An entity embedding's text.  Only the entries whose bits are not
+    all zero (so -0.0 too) take a ``repr``; the rest are +0.0, which
+    most entries of a hash embedding are."""
+    if vector is None:
+        return "null"
+    values = vector.values
+    items = ["0.0"] * len(values)
+    nonzero = np.flatnonzero(values.view(np.int64))
+    for i, text in zip(nonzero.tolist(), map(float.__repr__, values[nonzero].tolist())):
+        items[i] = text
+    return _listed(items)
+
+
+def _entity_text(e: Entity) -> str:
+    """An entity row's text, as ``dumps_json`` writes the row's object."""
+    return _ENTITY_TEMPLATE % (
+        json_value(e.cluster_id, 3), _vector_text(e.embedding), json_value(e.external, 3),
+        json_value(e.id, 3), encode_basestring_ascii(str(e.label)),
+        _listed(list(map(int.__repr__, sorted(e.members)))), json_value(e.name, 3),
+        json_value(e.summary, 3))
 
 
 def dumps_ssckg(kg: SsckgGraph) -> str:
@@ -763,7 +794,7 @@ def ssckg_chunks(kg: SsckgGraph) -> Iterator[str]:
             cols.weight[lo:hi].tolist())]
 
     def entity_rows(lo: int, hi: int) -> list[str]:
-        return [json_value(_entity_doc(e), 2) for e in entities[lo:hi]]
+        return list(map(_entity_text, entities[lo:hi]))
 
     # The keys in sorted order: clustering, entities, relations, source_binary.
     yield '{\n  "clustering": ' + json_value(kg.clustering, 1) + ',\n  "entities": '

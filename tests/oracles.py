@@ -10,6 +10,14 @@ Whole-tree readers of the CPG and KG files, which read the whole text
 with one ``json.loads`` call and so name the first fault of any
 document as the streamed readers must.
 
+``function_subgraph``: one function's view from the Pdg adjacency of
+its rows; ``verify_claims``: the claims one at a time, each by a
+breadth-first search over the Pdg edge rows; ``build_corpus``: the
+corpus gate one function at a time through both.
+
+``kg_document``: a knowledge graph's document, which ``dumps_json``
+writes as ``dumps_ssckg`` must.
+
 ``attention_matrix``: one head of one layer, for ``forward``'s algebra.
 ``layer_tensors``: one layer's weights by their short names.
 """
@@ -21,10 +29,12 @@ from typing import Sequence
 
 import numpy as np
 
-from binrisk.cpg import (EDGE_KINDS, NODE_KINDS, CpgGraph, EdgeKind, NodeKind, _edge_columns,
-                         _node_columns)
-from binrisk.errors import ParseError, SchemaError, ShapeMismatch, collector_paused, read_json
+from binrisk.cpg import (EDGE_KINDS, NODE_KINDS, CpgGraph, DataFlowClaim, EdgeKind, NodeKind,
+                         VerifyResult, _edge_columns, _node_columns)
+from binrisk.errors import (ParseError, SchemaError, ShapeMismatch, UnknownFunction, UnknownNode,
+                            collector_paused, read_json)
 from binrisk.graphormer import ModelParams, _attention, _edge_bias_terms, _relation_arrays
+from binrisk.lifting import FunctionSubgraph, VerifiedCorpus
 from binrisk.ssckg import (RELATION_TYPES, RelationColumns, RelationType, SsckgGraph, _entities,
                            _relations, _ssckg)
 
@@ -166,6 +176,90 @@ def load_ssckg_tree(path: str | Path) -> SsckgGraph:
             return _ssckg_from_doc(read_json(path, "KG file"))
     except SchemaError as exc:
         raise SchemaError(f"KG file {path}: {exc}") from None
+
+
+# --- corpus gate and KG document ----------------------------------------------------
+
+def function_subgraph(g: CpgGraph, function_id: int) -> FunctionSubgraph:
+    """One function's view: the Pdg successors of each of its rows, rows
+    in id order and each row's successors in edge order, give its inner
+    Pdg edges in canonical order."""
+    rows = g.function_rows.get(function_id)
+    if rows is None:
+        raise UnknownFunction(f"no nodes with function id {function_id}")
+    indptr, succ = g.pdg_csr
+    starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
+    src = np.repeat(rows, counts)
+    dst = succ[np.arange(len(src)) + np.repeat(starts - np.cumsum(counts) + counts, counts)]
+    inner = g.node_function[dst] == function_id
+    row_list = rows.tolist()
+    return FunctionSubgraph(
+        function_id=function_id,
+        node_ids=g.node_id[rows].tolist(),
+        kinds=[NODE_KINDS[k] for k in g.node_kind[rows].tolist()],
+        opcodes=[g.opcode[r] for r in row_list],
+        attrs=[g.attrs.get(r, {}) for r in row_list],
+        pdg_edges=list(zip(g.node_id[src[inner]].tolist(), g.node_id[dst[inner]].tolist())))
+
+
+def verify_claims(g: CpgGraph, claims: Sequence[DataFlowClaim]) -> VerifyResult:
+    """Each claim in turn: a missing end raises UnknownNode, and a sink
+    the source reaches by no Pdg path (the empty one included) is Unsat."""
+    ids = set(g.node_id.tolist())
+    succ: dict[int, list[int]] = {}
+    for e in edge_rows(g):
+        if e.kind is EdgeKind.PDG:
+            succ.setdefault(e.src, []).append(e.dst)
+    for claim in claims:
+        for end in (claim.source_node, claim.sink_node):
+            # As rows_of: an int or numpy integer naming a node; nothing else.
+            if not (isinstance(end, (int, np.integer)) and int(end) in ids):
+                raise UnknownNode(f"claim references missing node {end}")
+        seen, frontier = {int(claim.source_node)}, [int(claim.source_node)]
+        while frontier:
+            frontier = [d for s in frontier for d in succ.get(s, []) if d not in seen]
+            seen.update(frontier)
+        if int(claim.sink_node) not in seen:
+            return VerifyResult(sat=False, failing_claim=claim)
+    return VerifyResult(sat=True)
+
+
+def build_corpus(g: CpgGraph, functions: Sequence[int], annotator) -> VerifiedCorpus:
+    """The corpus gate one function at a time: annotate, then verify."""
+    corpus = VerifiedCorpus()
+    context = {"binary_id": g.binary_id}
+    for fid in functions:
+        view = function_subgraph(g, fid)
+        try:
+            ann = annotator.annotate(view, context)
+        except Exception:
+            corpus.failed_count += 1
+            continue
+        try:
+            result = verify_claims(g, ann.claims)
+        except UnknownNode:
+            corpus.rejected_count += 1
+            continue
+        if result.sat:
+            corpus.accepted.append(ann)
+        else:
+            corpus.rejected_count += 1
+    return corpus
+
+
+def kg_document(kg: SsckgGraph) -> dict:
+    """The graph's document, entity by entity and relation by relation."""
+    return {
+        "source_binary": kg.source_binary,
+        "clustering": kg.clustering,
+        "entities": [{"id": e.id, "name": e.name, "label": str(e.label),
+                      "members": sorted(e.members), "summary": e.summary,
+                      "embedding": None if e.embedding is None else e.embedding.values.tolist(),
+                      "external": e.external, "cluster_id": e.cluster_id}
+                     for e in kg.entities],
+        "relations": [{"src": r.src, "rel_type": r.rel_type, "dst": r.dst, "weight": r.weight}
+                      for r in relation_rows(kg)],
+    }
 
 
 # --- attention --------------------------------------------------------------------

@@ -104,6 +104,54 @@ def test_report_needs_no_scipy(capsys, fixtures_dir, tmp_path):
             (tmp_path / "in_process" / name).read_bytes(), name
 
 
+# Runs the CLI, then fails if numpy.ma was imported along the way.
+NO_NUMPY_MA_CLI = """
+import sys
+import binrisk.cli
+code = binrisk.cli.main(sys.argv[1:])
+if "numpy.ma" in sys.modules:
+    raise SystemExit("numpy.ma was imported")
+raise SystemExit(code)
+"""
+
+
+def test_report_does_not_import_numpy_ma(fixtures_dir, tmp_path):
+    # A plain np.unique imports numpy.ma to look for a mask; report and
+    # its knowledge-graph build use a sort instead.
+    src = str(Path(binrisk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_MA_CLI, "report", "--config",
+                           str(fixtures_dir / "config_firmware.json"), "--cpg",
+                           str(fixtures_dir / "firmware_update.cpg.json"),
+                           str(fixtures_dir / "diamond.cpg.json"), "--outdir", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_ALERTS, proc.stderr
+
+
+def test_reports_sharing_a_warm_embedder_write_the_same_bytes(monkeypatch, fixtures_dir,
+                                                              tmp_path):
+    # The embedder keeps each token's slot once hashed; a second report
+    # through the same, now warm, instance writes the first one's bytes.
+    shared = {}
+
+    def one_provider(cfg):
+        return shared.setdefault("provider", build_provider(cfg))
+
+    build_provider = binrisk.pipeline.build_provider
+    monkeypatch.setattr(binrisk.pipeline, "build_provider", one_provider)
+    argv = ["report", "--config", str(fixtures_dir / "config_firmware.json"), "--cpg",
+            str(fixtures_dir / "firmware_update.cpg.json"), str(fixtures_dir / "diamond.cpg.json")]
+    for name in ("cold", "warm"):
+        assert main(argv + ["--outdir", str(tmp_path / name)]) == EXIT_ALERTS
+    assert shared["provider"]._slots
+    names = sorted(p.name for p in (tmp_path / "cold").iterdir())
+    assert len(names) == 16 and names == sorted(p.name for p in (tmp_path / "warm").iterdir())
+    for name in names:
+        assert (tmp_path / "warm" / name).read_bytes() == \
+            (tmp_path / "cold" / name).read_bytes(), name
+
+
 def test_graphs_have_one_representation():
     """The graphs are built from columns only: the package defines no row
     classes, row views or second constructors, and none of the references

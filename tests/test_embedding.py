@@ -1,6 +1,8 @@
 """Deterministic text embeddings and cosine arithmetic."""
 
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -105,3 +107,34 @@ def test_stack_shape():
     emb = HashEmbedder(dimension=32, seed=0)
     mat = stack([emb.embed("a"), emb.embed("b"), emb.embed("c")])
     assert mat.shape == (3, 32)
+
+
+def hash_embedding_ref(text: str, dimension: int, seed: int) -> np.ndarray:
+    """Feature hashing with every token hashed where it occurs."""
+    acc = np.zeros(dimension)
+    tokens = [t for t in re.split(r"[^0-9a-z]+", text.lower()) if t]
+    for token in tokens:
+        h = int.from_bytes(hashlib.blake2b(f"{seed}:{token}".encode("utf-8"),
+                                           digest_size=16).digest(), "big")
+        acc[h % dimension] += 1.0 if (h >> 127) & 1 == 0 else -1.0
+    if not tokens or np.linalg.norm(acc) == 0.0:
+        acc[:] = 0.0
+        acc[0] = 1.0
+        return acc
+    return acc / np.linalg.norm(acc)
+
+
+TEXTS = ["coil write routine using mmio_write", "", "  ,,", "é unicode Ω tokens 42",
+         "a a a b", "Coil_Write, param!", "x"]
+
+
+@pytest.mark.parametrize("order", [TEXTS, TEXTS[::-1], TEXTS + TEXTS])
+def test_warm_embedder_writes_the_cold_bits(order):
+    # Token slots are kept per instance: whatever was embedded before, a
+    # text gets the bits of a cold embedder and of the hash-per-token
+    # reference.
+    warm = HashEmbedder(dimension=16, seed=7)
+    for text in order:
+        got = warm.embed(text).values
+        assert got.tobytes() == HashEmbedder(dimension=16, seed=7).embed(text).values.tobytes()
+        assert got.tobytes() == hash_embedding_ref(text, 16, 7).tobytes()

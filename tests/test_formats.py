@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from binrisk import errors
 from binrisk.cpg import (CpgGraph, DataFlowClaim, EdgeKind, NodeKind, dumps_cpg, load_cpg,
                          loads_cpg)
-from binrisk.embedding import EmbeddingVector
+from binrisk.embedding import EmbeddingVector, HashEmbedder
 from binrisk.errors import BinriskError, ParseError, SchemaError, dumps_json
 from binrisk.fingerprint import Fingerprint, dumps_fingerprint, load_fingerprint
 from binrisk.graphormer import NodeEmbedding, dumps_embeddings, load_embeddings
@@ -514,6 +514,57 @@ def test_ssckg_round_trip(tmp_path_factory, kg):
     assert relation_rows(back) == relation_rows(kg)
     assert (back.source_binary, back.clustering) == (kg.source_binary, kg.clustering)
     assert dumps_ssckg(back) == dumps_ssckg(kg)
+
+
+# Vector entries whose text must come out exactly: both zeros, the
+# subnormals and the ends of the range the norm stays finite over.
+ODD_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                              1e-310, 1e100, -1e100, 0.1, 1 / 3])
+KG_VECTORS = (st.lists(ODD_FLOATS | FINITE.filter(lambda x: abs(x) <= 1e100), max_size=9)
+              | st.lists(st.sampled_from([0.0] * 6 + [1.0, -0.5]), max_size=24)
+              | TEXT.map(HashEmbedder(dimension=16, seed=5).embed).map(lambda v: v.values))
+
+
+@st.composite
+def odd_entity_graphs(draw):
+    """Knowledge graphs whose entity rows hold what the row template must
+    spell as dumps_json does: -0.0, subnormals, sparse (hash) and dense
+    (file-provider) vectors, an empty vector, no embedding, no cluster
+    id, no members and names from the whole of Unicode."""
+    ids = draw(st.lists(INT64, unique=True, min_size=1, max_size=6))
+    entities = [Entity(id=i, name=draw(TEXT), label=draw(st.sampled_from(LAT.labels())),
+                       members=draw(st.frozensets(INT64, max_size=4)), summary=draw(TEXT),
+                       embedding=draw(st.none() | KG_VECTORS.map(EmbeddingVector)),
+                       external=draw(st.booleans()),
+                       cluster_id=draw(st.none() | st.integers(-1, 2 ** 40)))
+                for i in ids]
+    relations = [Relation(draw(st.sampled_from(ids)), RelationType.CALLS,
+                          draw(st.sampled_from(ids)), 0.3)
+                 for _ in range(draw(st.integers(0, 3)))]
+    clustering = draw(st.none() | st.just({"points": 2, "noise": 1, "clusters": 1}))
+    return row_kg(entities, relations, source_binary=draw(TEXT), clustering=clustering)
+
+
+@PROPERTY
+@given(odd_entity_graphs())
+def test_dumps_ssckg_equals_the_documents_json(kg):
+    assert dumps_ssckg(kg) == dumps_json(oracles.kg_document(kg))
+    assert dumps_ssckg(kg) == stdlib(oracles.kg_document(kg))
+
+
+def test_entity_rows_spell_zeros_and_subnormals_as_the_document():
+    vector = EmbeddingVector([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0])
+    kg = row_kg([Entity(0, "é\u00a0名 \"q\"", LAT.labels()[1], frozenset(), "", vector),
+                 Entity(1, "", LAT.labels()[0], frozenset({3, -2 ** 63}), "s", None,
+                        cluster_id=-1),
+                 Entity(2, "x", LAT.labels()[0], frozenset({1}), embedding=EmbeddingVector([]))],
+                [])
+    text = dumps_ssckg(kg)
+    assert text == dumps_json(oracles.kg_document(kg))
+    assert ('"embedding": [\n        0.0,\n        -0.0,\n        5e-324,\n        -5e-324,'
+            '\n        2.2250738585072014e-308,\n        0.0\n      ]') in text
+    assert '"members": [],' in text and '"embedding": [],' in text
+    assert '"cluster_id": -1,\n      "embedding": null,' in text
 
 
 def entity_row_fault(raw) -> str | None:

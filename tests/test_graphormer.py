@@ -551,6 +551,13 @@ def test_forward_input_validation():
             (swapped, "params tensor 4 is 'layer0.w_k', config draws 'layer0.w_q'")]:
         with pytest.raises(ShapeMismatch, match=re.escape(message)):
             forward(three_node_kg(), ModelParams(SMALL, tensors))
+    # ... and each of the shape the config draws it in.
+    h = SMALL.hidden_dim
+    for name, shape in [("layer0.w_q", (3, 3)), ("tier_embed", (h, 4)), ("layer0.ffn_b1", ())]:
+        wrong = {**params.tensors, name: np.zeros(shape)}
+        message = f"params tensor '{name}' has shape {shape}, config draws "
+        with pytest.raises(ShapeMismatch, match=re.escape(message)):
+            forward(three_node_kg(), ModelParams(SMALL, wrong))
 
 
 def test_config_validation():

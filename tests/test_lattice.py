@@ -146,6 +146,8 @@ def test_golden_set_loader(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     records = load_golden_set(path, Lattice.default())
     assert len(records) == 2
+    path.write_text(json.dumps([dict(doc[0], function_id=7)]), encoding="utf-8")
+    assert [r.function_id for r in load_golden_set(path, Lattice.default())] == ["7"]
     assert evr(records, EvrMode.LATTICE_COVER) == 0.0
     assert evr(records, EvrMode.EXACT_TIER_MATCH) == 0.5
 
@@ -159,7 +161,16 @@ GOOD_RECORD = {"function_id": "a", "truth": "Memory", "predicted": "Memory"}
     ({"function_id": "b", "truth": "Memory", "predicted": None},
      "record 1 'predicted' must be a string"),
     ({"function_id": "b", "truth": "Memory"}, "record 1 is missing 'predicted'"),
-], ids=["not_an_object", "truth_int", "predicted_null", "missing_key"])
+    ({"function_id": None, "truth": "Memory", "predicted": "Memory"},
+     "record 1 'function_id' must be a string or an integer, got None"),
+    ({"function_id": True, "truth": "Memory", "predicted": "Memory"},
+     "record 1 'function_id' must be a string or an integer, got True"),
+    ({"function_id": 1.5, "truth": "Memory", "predicted": "Memory"},
+     "record 1 'function_id' must be a string or an integer, got 1.5"),
+    ({"function_id": [1], "truth": "Memory", "predicted": "Memory"},
+     "record 1 'function_id' must be a string or an integer, got [1]"),
+], ids=["not_an_object", "truth_int", "predicted_null", "missing_key", "function_id_null",
+        "function_id_bool", "function_id_float", "function_id_list"])
 def test_golden_set_rejects_malformed_records(tmp_path, record, message):
     path = tmp_path / "golden.json"
     path.write_text(json.dumps([GOOD_RECORD, record]), encoding="utf-8")

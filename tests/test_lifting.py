@@ -5,11 +5,17 @@ import re
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from binrisk import cpg
 from binrisk.cpg import (
     DataFlowClaim,
+    EdgeKind,
     NodeKind,
+    failing_claims,
     load_cpg,
+    verify_claims,
 )
 from binrisk.errors import (
     AnnotatorFailure,
@@ -18,6 +24,7 @@ from binrisk.errors import (
     ParseError,
     SchemaError,
     UnknownFunction,
+    UnknownNode,
 )
 from binrisk.lattice import Label, Lattice, TOP
 from binrisk.lifting import (
@@ -28,12 +35,14 @@ from binrisk.lifting import (
     build_corpus,
     dumps_corpus,
     function_subgraph,
+    function_views,
     load_corpus,
     load_rules,
 )
 from binrisk.pipeline import write_atomic
 
-from oracles import CpgNode, inst, pdg, row_cpg
+import oracles
+from oracles import CpgEdge, CpgNode, inst, pdg, row_cpg
 
 LAT = Lattice.default()
 
@@ -93,6 +102,35 @@ def test_rules_match_callee_attribute():
                      function_id=0, block_id=0, attrs={"callee": "memcpy"})]
     view = function_subgraph(row_cpg(nodes, []), 0)
     assert str(annotator.annotate(view, {}).label) == "Memory"
+
+
+def first_rule_ref(rules, names):
+    """The label of the first rule matching any name, each pattern a
+    literal or, ending in '*', a prefix."""
+    for pattern, label in rules:
+        for name in names:
+            if name.startswith(pattern[:-1]) if pattern.endswith("*") else name == pattern:
+                return label
+    return TOP
+
+
+# Regex metacharacters, a newline and '*' inside a pattern are literal text.
+RULE_TEXT = st.text(alphabet="ab.*+\\()[]^$\n|?", max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(RULE_TEXT.filter(bool), st.sampled_from(LAT.labels())), max_size=5),
+       st.lists(RULE_TEXT, max_size=4), st.lists(RULE_TEXT, max_size=3))
+def test_rule_alternation_picks_the_first_matching_rule(rules, opcodes, callees):
+    annotator = RuleAnnotator([(p, str(label)) for p, label in rules], LAT)
+    nodes = [inst(i, opcode=o) for i, o in enumerate(opcodes)]
+    nodes += [CpgNode(len(opcodes) + i, NodeKind.CALL, "call", 0, 0, {"callee": c})
+              for i, c in enumerate(callees)]
+    if not nodes:
+        return
+    view = function_subgraph(row_cpg(nodes, []), 0)
+    names = set(opcodes) | {"call" for _ in callees} | (set(callees) - {""})
+    assert annotator.annotate(view, {}).label == first_rule_ref(rules, names)
 
 
 def test_rule_claims_are_internal_data_edges(fixtures_dir):
@@ -282,3 +320,95 @@ def test_corpus_loader_rejects_bad_json(tmp_path):
     path.write_text("{oops\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_corpus(path, LAT)
+
+
+# --- one-pass corpus against the per-function oracle ----------------------------------
+
+OPCODES = ["mov", "socket_open", "mmio_write", "", "é"]
+ATTRS = [{}, {"callee": "memcpy"}, {"callee": ""}, {"callee": "mmio_read", "function_name": "f"}]
+
+
+@st.composite
+def lifting_cases(draw):
+    """A graph of a few functions; the functions to annotate, out of order
+    and some twice; per function the claims an annotator makes (direct,
+    multi-hop, unreachable, self and missing-node ones) and whether it
+    raises instead."""
+    ids = draw(st.lists(st.integers(-2 ** 40, 2 ** 40), unique=True, min_size=1, max_size=14))
+    nodes = [CpgNode(i, draw(st.sampled_from(list(NodeKind))), draw(st.sampled_from(OPCODES)),
+                     draw(st.integers(0, 4)), draw(st.integers(0, 3)),
+                     draw(st.sampled_from(ATTRS))) for i in ids]
+    # Mostly Pdg edges, so that paths of several hops form within and
+    # across functions; parallel edges too.
+    edge_kind = st.sampled_from([EdgeKind.PDG] * 4 + [EdgeKind.CFG, EdgeKind.AST])
+    edges = draw(st.lists(st.builds(CpgEdge, st.sampled_from(ids), st.sampled_from(ids),
+                                    edge_kind, st.sampled_from(["", "call"])), max_size=30))
+    g = row_cpg(draw(st.permutations(nodes)), draw(st.permutations(edges)))
+    pdg_pairs = [(e.src, e.dst) for e in edges if e.kind is EdgeKind.PDG]
+    absent = max(ids) + 1
+    end = st.sampled_from(ids) | st.sampled_from([absent, 2 ** 70, "x"])
+    claim = (st.tuples(end, end) | st.sampled_from(ids).map(lambda i: (i, i))
+             | (st.sampled_from(pdg_pairs) if pdg_pairs else st.nothing()))
+    table = {fid: (TOP, tuple(DataFlowClaim(*pair) for pair in draw(st.lists(claim, max_size=5))))
+             for fid in g.function_ids}
+    boom = draw(st.sets(st.sampled_from(g.function_ids)))
+    functions = draw(st.permutations(g.function_ids)) + draw(
+        st.lists(st.sampled_from(g.function_ids), max_size=3))
+    return g, ScriptedAnnotator(table, boom), functions
+
+
+def first_failing_ref(g, claims):
+    """The first claim the reference rejects or finds a missing node in."""
+    for claim in claims:
+        try:
+            if not oracles.verify_claims(g, [claim]).sat:
+                return claim
+        except UnknownNode:
+            return claim
+    return None
+
+
+def verdict(verify, g, claims):
+    try:
+        return verify(g, claims)
+    except UnknownNode as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lifting_cases())
+def test_one_pass_corpus_equals_per_function_oracle(case):
+    g, annotator, functions = case
+    got = build_corpus(g, functions, annotator)
+    assert dumps_corpus(got) == dumps_corpus(oracles.build_corpus(g, functions, annotator))
+    views = [oracles.function_subgraph(g, f) for f in functions]
+    assert list(function_views(g, functions)) == views
+    claim_lists = [annotator.table[f][1] for f in functions]
+    assert failing_claims(g, claim_lists) == [first_failing_ref(g, c) for c in claim_lists]
+    for claims in claim_lists:
+        assert verdict(verify_claims, g, claims) == verdict(oracles.verify_claims, g, claims)
+    unknown = max(g.function_ids) + 1
+    for at in (0, len(functions)):
+        with pytest.raises(UnknownFunction, match=f"no nodes with function id {unknown}"):
+            build_corpus(g, functions[:at] + [unknown] + functions[at:], annotator)
+
+
+def test_claims_settle_without_a_walk_unless_they_need_one(monkeypatch):
+    # 0 -> 1 -> 2 over Pdg edges, 3 alone: a direct edge and a self claim
+    # hold with no graph walk; a two-hop claim walks once; a list stops
+    # at its first failing claim.
+    g = row_cpg([inst(0), inst(1), inst(2), inst(3, fn=1, block=1)], [pdg(0, 1), pdg(1, 2)])
+    walks = []
+    real = cpg._reachable
+    monkeypatch.setattr(cpg, "_reachable",
+                        lambda indptr, succ, s, d: walks.append((s, d)) or real(indptr, succ, s, d))
+    claim_lists = [
+        (DataFlowClaim(0, 1), DataFlowClaim(1, 2), DataFlowClaim(2, 2)),  # direct and self
+        (DataFlowClaim(0, 2),),  # two hops
+        (DataFlowClaim(0, 1), DataFlowClaim(2, 0), DataFlowClaim(0, 2)),  # unreachable first
+        (DataFlowClaim(0, 404), DataFlowClaim(2, 0)),  # missing node first
+        (),
+    ]
+    assert failing_claims(g, claim_lists) == [None, None, DataFlowClaim(2, 0),
+                                              DataFlowClaim(0, 404), None]
+    assert walks == [(0, 2), (2, 0)]  # rows: node ids equal rows here

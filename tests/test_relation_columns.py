@@ -35,8 +35,8 @@ from binrisk.ssckg import (
     to_dot,
 )
 
-from oracles import (CpgEdge, CpgNode, Relation, edge_rows, relation_edges, relation_rows,
-                     row_cpg, row_kg)
+from oracles import (CpgEdge, CpgNode, Relation, edge_rows, kg_document, relation_edges,
+                     relation_rows, row_cpg, row_kg)
 
 PROPERTY = settings(max_examples=80, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -135,20 +135,6 @@ def normalize_weights_ref(kg):
     return out
 
 
-def document_ref(kg):
-    return {
-        "source_binary": kg.source_binary,
-        "clustering": kg.clustering,
-        "entities": [{"id": e.id, "name": e.name, "label": str(e.label),
-                      "members": sorted(e.members), "summary": e.summary,
-                      "embedding": None if e.embedding is None else e.embedding.values.tolist(),
-                      "external": e.external, "cluster_id": e.cluster_id}
-                     for e in kg.entities],
-        "relations": [{"src": r.src, "rel_type": r.rel_type, "dst": r.dst, "weight": r.weight}
-                      for r in relation_rows(kg)],
-    }
-
-
 def dot_edges_ref(kg):
     lines, cves = [], []
     for r in relation_rows(kg):
@@ -217,7 +203,7 @@ def test_relation_consumers_equal_row_references(inputs, rnd):
     rnd.shuffle(rows)
     rows = [replace(r, weight=rnd.choice([0.1, 0.3, 1 / 3, 0.7, 2.5])) for r in rows]
     kg = row_kg(entities, rows, source_binary="b", clustering={"points": 1})
-    assert dumps_ssckg(kg) == dumps_json(document_ref(kg))
+    assert dumps_ssckg(kg) == dumps_json(kg_document(kg))
     assert normalize_weights(kg) == normalize_weights_ref(kg)
     assert to_dot(kg).splitlines()[3 + len(entities):-1] == dot_edges_ref(kg)
     assert relation_edges(kg) == relation_edges_ref(kg)
