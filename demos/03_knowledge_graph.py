@@ -53,7 +53,7 @@ def main():
     entities = semantic_clustering(entities, provider, eps=0.3, min_samples=2)
     print(f"\nafter semantic clustering: {len(entities)} entities")
     for e in entities:
-        members = ",".join(str(m) for m in sorted(e.members))
+        members = ",".join(map(str, e.members.tolist()))
         cl = {None: "untouched", -1: "noise"}.get(e.cluster_id, f"cluster {e.cluster_id}")
         print(f"  [{e.id}] {e.name:<14} {str(e.label):<28} members {members:<9} {cl}")
     clustering = {"points": eligible,

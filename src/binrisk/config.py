@@ -19,6 +19,7 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .cpg import _is_id
 from .embedding import HashEmbedder
 from .errors import ConfigError, DimensionMismatch, SchemaError, read_json
 from .fingerprint import check_threshold_grid
@@ -26,9 +27,9 @@ from .graphormer import ModelConfig
 from .risk import PropagationConfig
 from .ssckg import RelationType, check_dbscan_params, check_relation_weight
 
-_SCALARS = {"int": int, "str": str}
 # How an error message names a type; the others go by their annotation.
-_TYPE_NAMES = {"float": "a finite number", "dict[str, float]": "an object of finite numbers"}
+_TYPE_NAMES = {"float": "a finite number", "dict[str, float]": "an object of finite numbers",
+               "int": "a signed 64-bit integer"}
 
 
 def _finite_number(value) -> bool:
@@ -39,7 +40,8 @@ def _finite_number(value) -> bool:
 def _has_type(value, annotation: str) -> bool:
     """Whether value matches a field annotation such as 'dict[str, float]'.
     A float must be finite: a NaN threshold compares false with every
-    score, and an infinite one is never reached."""
+    score, and an infinite one is never reached.  An int must fit in
+    64 signed bits, as an id must."""
     if annotation.endswith(" | None"):
         return value is None or _has_type(value, annotation[:-len(" | None")])
     if annotation.startswith("list["):
@@ -51,7 +53,9 @@ def _has_type(value, annotation: str) -> bool:
             for k, v in value.items())
     if annotation == "float":
         return _finite_number(value)
-    return not isinstance(value, bool) and isinstance(value, _SCALARS[annotation])
+    if annotation == "int":
+        return _is_id(value)
+    return isinstance(value, str)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -82,6 +83,8 @@ class HashEmbedder:
     def __init__(self, dimension: int = 384, seed: int = 0):
         if dimension < 2:
             raise DimensionMismatch("hash embedder needs dimension >= 2")
+        if dimension > sys.maxsize // 8:  # numpy makes no array that large
+            raise DimensionMismatch(f"hash embedder dimension {dimension} is larger than any array")
         self._dim = dimension
         self._seed = seed
         self._slots: dict[str, tuple[int, float]] = {}  # token -> (bucket, sign)

@@ -51,9 +51,10 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 import zipfile
 from dataclasses import asdict, dataclass
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -102,6 +103,12 @@ class ModelConfig:
             raise ConfigError("input_dim must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        # numpy makes no array of more bytes than an index counts ("array is
+        # too big"); every layer has the first layer's shapes.
+        for name, shape, _ in islice(_tensor_specs(self), 4 + len(_LAYER_TENSORS)):
+            if math.prod(shape) > sys.maxsize // 8:
+                raise ConfigError(f"model tensor '{name}' of shape {shape} is larger than "
+                                  "any array")
 
 
 # One layer's tensors in draw order: container name after "layer{i}.",
@@ -128,21 +135,18 @@ class NodeEmbedding:
     vector: np.ndarray
 
 
-def _tensor_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int | float]]:
+def _tensor_specs(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...], int | float]]:
     """Every tensor in draw order: container name, shape, and the fan-in
     of its uniform draw (an int) or its constant fill (a float)."""
     h = cfg.hidden_dim
-    specs = [
-        ("w_input", (cfg.input_dim, h), cfg.input_dim),
-        ("tier_embed", (4, h), h),
-        ("spatial_bias", (cfg.heads, cfg.max_dist + 2), cfg.max_dist + 2),
-        ("edge_bias", (cfg.heads, cfg.edge_types), cfg.edge_types),
-    ]
+    yield ("w_input", (cfg.input_dim, h), cfg.input_dim)
+    yield ("tier_embed", (4, h), h)
+    yield ("spatial_bias", (cfg.heads, cfg.max_dist + 2), cfg.max_dist + 2)
+    yield ("edge_bias", (cfg.heads, cfg.edge_types), cfg.edge_types)
     for i in range(cfg.layers):
         for name, shape, init in _LAYER_TENSORS:
-            specs.append((f"layer{i}.{name}", tuple(h * k for k in shape),
-                          h * init if isinstance(init, int) else init))
-    return specs
+            yield (f"layer{i}.{name}", tuple(h * k for k in shape),
+                   h * init if isinstance(init, int) else init)
 
 
 def _drawn_tensors(cfg: ModelConfig) -> Iterator[tuple[str, np.ndarray]]:

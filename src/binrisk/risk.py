@@ -12,6 +12,8 @@ where u ranges over v's in-neighbors (relations pointing at v: risk
 flows in the relation direction) and the coefficients for each v are
 the in-relation weights normalized to sum to one, so the propagated
 term is a convex combination and every score stays in [0, 1].
+The coefficients are three columns (``normalize_weights``), which
+fill the transition matrix in one indexed assignment.
 Updates are synchronous from the inherent vector until the L1 change
 drops below tolerance.  Entities with no in-neighbors keep their
 inherent score exactly.
@@ -68,14 +70,17 @@ def inherent_risk(entity: Entity, cves: Sequence[CveRecord]) -> float:
     return min(1.0, max(0.0, best))
 
 
-def normalize_weights(kg: SsckgGraph) -> dict[int, dict[int, float]]:
-    """Per-entity convex in-neighbor coefficients.
+def normalize_weights(kg: SsckgGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-entity convex in-neighbor coefficients, as three columns:
+    target position, source position (both in ``kg.entities``) and
+    coefficient, one row per distinct (target, source) pair, sorted by
+    target, then source.
 
     Every relation between two entities bears risk; CVE links do not.
     Parallel relations between the same ordered pair add their weights
     before normalizing; self-loops carry no risk and are dropped.  For
-    every entity with at least one in-neighbor the returned
-    coefficients sum to exactly one.
+    every entity with at least one in-neighbor the coefficients sum to
+    exactly one.
     """
     cols = kg.relation_columns
     keep = cols.entity_rows() & (cols.src != cols.dst)
@@ -90,15 +95,11 @@ def normalize_weights(kg: SsckgGraph) -> dict[int, dict[int, float]]:
     sums = np.zeros(len(pairs))
     np.add.at(sums, inverse, weight)
     # Pairs sort by target, so each target's pairs are one run.
-    targets, target, counts = np.unique(pairs // n, return_inverse=True, return_counts=True)
+    targets, target = np.unique(pairs // n, return_inverse=True)
     totals = np.zeros(len(targets))
     seen = np.argsort(first)
     np.add.at(totals, target[seen], sums[seen])
-    ids = kg.entity_ids
-    srcs, coeffs = ids[pairs % n].tolist(), (sums / totals[target]).tolist()
-    ends = np.cumsum(counts).tolist()
-    return {d: dict(zip(srcs[a:b], coeffs[a:b]))
-            for d, a, b in zip(ids[targets].tolist(), [0] + ends[:-1], ends)}
+    return pairs // n, pairs % n, sums / totals[target]
 
 
 def propagate(kg: SsckgGraph, inherent: Mapping[int, float],
@@ -111,21 +112,16 @@ def propagate(kg: SsckgGraph, inherent: Mapping[int, float],
     cfg = config or PropagationConfig()
     if len(kg) == 0:
         raise EmptyGraph("cannot propagate over zero entities")
-    order = [e.id for e in kg.entities]
-    index = {eid: i for i, eid in enumerate(order)}
-    inh = np.zeros(len(order))
-    for eid, i in index.items():
-        value = float(inherent.get(eid, 0.0))
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"inherent risk for entity {eid} outside [0, 1]")
-        inh[i] = value
+    order = kg.entity_ids.tolist()
+    inh = np.array([float(inherent.get(eid, 0.0)) for eid in order])
+    outside = ~((inh >= 0.0) & (inh <= 1.0))  # NaN too
+    if outside.any():
+        raise ConfigError(f"inherent risk for entity {order[np.argmax(outside)]} outside [0, 1]")
 
-    coeffs = normalize_weights(kg)
+    dst, src, coeff = normalize_weights(kg)
     transition = np.zeros((len(order), len(order)))
-    connected = np.zeros(len(order), dtype=bool)
-    for dst, weights in coeffs.items():
-        connected[index[dst]] = True
-        transition[index[dst], list(map(index.__getitem__, weights))] = list(weights.values())
+    transition[dst, src] = coeff
+    connected = np.bincount(dst, minlength=len(order)) > 0
 
     beta = cfg.beta
     scores = inh.copy()
@@ -137,9 +133,9 @@ def propagate(kg: SsckgGraph, inherent: Mapping[int, float],
         scores = nxt
         if residual < cfg.tolerance:
             return RiskVector(
-                scores={eid: float(scores[index[eid]]) for eid in order},
+                scores=dict(zip(order, scores.tolist())),
                 iterations=iteration,
                 residual=residual,
-                connected=frozenset(coeffs),
+                connected=frozenset(kg.entity_ids[connected].tolist()),
             )
     raise NonConvergence(residual=residual, iterations=cfg.max_iterations)

@@ -17,6 +17,10 @@ every other relation connects two entities.  Parallel relations of
 distinct types between the same pair are meaningful and kept; exact
 (src, type, dst) duplicates are dropped.
 
+An entity's ``members`` are its node ids as one int64 array, ascending,
+each id once, however it is made (collapse, the cluster merge, or the
+loader, which takes a row's members in any order and more than once).
+
 A graph's relations are stored as columns (``RelationColumns``), not as
 one object per relation.  In row order they are: int64 ``src``, int8
 ``type_code`` (an index into ``RELATION_TYPES``, which is also the
@@ -105,12 +109,12 @@ class Granularity(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Entity:
-    """An elevated entity: a set of instruction nodes with one identity."""
+    """An elevated entity: instruction nodes (``members``) with one identity."""
 
     id: int
     name: str
     label: Label
-    members: frozenset[int]
+    members: np.ndarray
     summary: str = ""
     embedding: EmbeddingVector | None = None
     external: bool = False
@@ -209,9 +213,9 @@ class SsckgGraph:
         if ids is None:
             pos = next(i for i, e in enumerate(entities) if not _is_id(e.id))
             raise SchemaError(f"entity at index {pos} has non-integer id {entities[pos].id!r}")
-        if not set(map(type, chain.from_iterable(e.members for e in entities))) <= {int}:
-            ent, member = next((e, m) for e in entities for m in e.members if type(m) is not int)
-            raise SchemaError(f"entity {ent.id} has non-integer member {member!r}")
+        for e in entities:
+            if type(e.members) is not np.ndarray or e.members.dtype != np.int64:
+                raise SchemaError(f"entity {e.id} has members that are not an int64 array")
         order = np.argsort(ids, kind="stable")
         sorted_ids = ids[order]
         duplicate = np.zeros(len(ids), dtype=bool)
@@ -311,7 +315,7 @@ def structural_collapse(g: CpgGraph, granularity: Granularity = Granularity.FUNC
             id=eid,
             name=names.get(eid, f"{prefix}_{key}"),
             label=label,
-            members=frozenset(g.node_id[rows].tolist()),
+            members=g.node_id[rows],
             summary=" ".join(a.summary for a in covered),
             external=eid in external,
         ))
@@ -416,7 +420,7 @@ def semantic_clustering(entities: Sequence[Entity], provider,
         merged_label = members_ents[0].label
         for ent in members_ents[1:]:
             merged_label = join(merged_label, ent.label)
-        merged_members = frozenset().union(*(e.members for e in members_ents))
+        merged_members = _distinct(np.concatenate([e.members for e in members_ents]))
         base = min(e.name for e in members_ents)
         summary = " ".join(e.summary for e in members_ents)
         out.append(Entity(
@@ -581,9 +585,9 @@ def extract_relations(g: CpgGraph, entities: Sequence[Entity],
     ids = np.array([e.id for e in entities], dtype=np.int64)
     # The entity position of each node row that some entity lists; a
     # node listed twice belongs to the later entity.
-    member_rows = g.rows_of(chain.from_iterable(e.members for e in entities))
+    member_rows, listed = _search(g.node_id, np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [e.members for e in entities]))
     owner = np.repeat(np.arange(n), [len(e.members) for e in entities])
-    listed = member_rows >= 0
     rows, last = np.unique(member_rows[listed][::-1], return_index=True)
     entity_of_row = np.zeros(len(g), dtype=np.int64)
     entity_of_row[rows] = owner[listed][::-1][last]
@@ -770,7 +774,7 @@ def _entity_text(e: Entity) -> str:
     return _ENTITY_TEMPLATE % (
         json_value(e.cluster_id, 3), _vector_text(e.embedding), json_value(e.external, 3),
         json_value(e.id, 3), encode_basestring_ascii(str(e.label)),
-        _listed(list(map(int.__repr__, sorted(e.members)))), json_value(e.name, 3),
+        _listed(list(map(int.__repr__, e.members.tolist()))), json_value(e.name, 3),
         json_value(e.summary, 3))
 
 
@@ -860,11 +864,10 @@ def _entity(raw, pos: int) -> Entity:
         raise SchemaError(f"entity at index {pos} has non-string label {label!r}")
     if type(members) is not list:
         raise SchemaError(f"entity at index {pos} has members {members!r}, which is not a list")
-    try:
-        members = frozenset(members)
-    except TypeError:  # a list or an object among them; other types are the core's to name
-        member = next(m for m in members if isinstance(m, (list, dict)))
-        raise SchemaError(f"entity at index {pos} has non-integer member {member!r}") from None
+    ids = _int64(members)
+    if ids is None:
+        member = next(m for m in members if not _is_id(m))
+        raise SchemaError(f"entity at index {pos} has non-integer member {member!r}")
     if emb is not None:
         if type(emb) is not list or not set(map(type, emb)) <= {int, float}:
             raise SchemaError(f"entity at index {pos} has an embedding that is not "
@@ -874,7 +877,7 @@ def _entity(raw, pos: int) -> Entity:
         except (OverflowError, ValueError):  # NaN, +-inf, or an int past the float range
             raise SchemaError(f"entity at index {pos} has an embedding with "
                               "a non-finite value") from None
-    return Entity(id=entity_id, name=name, label=Label.parse(label), members=members,
+    return Entity(id=entity_id, name=name, label=Label.parse(label), members=_distinct(ids),
                   summary=summary, embedding=emb, external=external, cluster_id=cluster_id)
 
 
@@ -925,9 +928,16 @@ _DOT_EDGE_TEMPLATES = ['  e%d -> "cve_%s" [label="vulnerable_to"];'
                        else '  e%d -> e%d [label="' + t.value + '"];' for t in RELATION_TYPES]
 
 
+def _dot_text(text: str) -> str:
+    """text inside a DOT string: each backslash and double quote escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(kg: SsckgGraph, risk: Mapping[int, float] | None = None,
            bands: Mapping[str, float] | None = None) -> str:
-    """Render the graph as DOT; risk scores color entities by band."""
+    """Render the graph as DOT; risk scores color entities by band.  Names,
+    labels and CVE ids are escaped (``_dot_text``); the ``\\n`` between an
+    entity's name and label is a DOT line break."""
     bands = dict(bands or {"high": 0.7, "medium": 0.4})
     lines = ["digraph ssckg {", "  rankdir=LR;", "  node [shape=box];"]
     for e in kg.entities:
@@ -943,11 +953,13 @@ def to_dot(kg: SsckgGraph, risk: Mapping[int, float] | None = None,
             color = _BAND_COLORS[band]
             extra = f"\\nrisk={score:.3f}"
         lines.append(
-            f'  e{e.id} [label="{e.name}\\n{e.label}{extra}", style=filled, fillcolor="{color}"];')
+            f'  e{e.id} [label="{_dot_text(e.name)}\\n{_dot_text(str(e.label))}{extra}", '
+            f'style=filled, fillcolor="{color}"];')
     cols = kg.relation_columns
-    lines += [_DOT_EDGE_TEMPLATES[c] % (s, d) for c, s, d in zip(
-        cols.type_code.tolist(), cols.src.tolist(), cols.dst_values())]
-    for cve_id in dict.fromkeys(cols.cve.values()):
+    dst = [d if type(d) is int else _dot_text(d) for d in cols.dst_values()]
+    lines += [_DOT_EDGE_TEMPLATES[c] % (s, d)
+              for c, s, d in zip(cols.type_code.tolist(), cols.src.tolist(), dst)]
+    for cve_id in map(_dot_text, dict.fromkeys(cols.cve.values())):
         lines.append(f'  "cve_{cve_id}" [shape=ellipse, label="{cve_id}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

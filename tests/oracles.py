@@ -5,6 +5,8 @@ relation.  ``row_cpg``, ``row_relations`` and ``row_kg`` build graphs
 of them through the package's converters, each array one chunk of
 JSON-shaped rows: a second path beside the streamed readers.
 ``node_rows``, ``edge_rows`` and ``relation_rows`` read columns back.
+``node_ids`` builds an entity's members; ``coefficient_dict`` reads
+``normalize_weights``' columns back as {target id: {source id: coefficient}}.
 
 Whole-tree readers of the CPG and KG files, which read the whole text
 with one ``json.loads`` call and so name the first fault of any
@@ -35,6 +37,7 @@ from binrisk.errors import (ParseError, SchemaError, ShapeMismatch, UnknownFunct
                             collector_paused, read_json)
 from binrisk.graphormer import ModelParams, _attention, _edge_bias_terms, _relation_arrays
 from binrisk.lifting import FunctionSubgraph, VerifiedCorpus
+from binrisk.risk import normalize_weights
 from binrisk.ssckg import (RELATION_TYPES, RelationColumns, RelationType, SsckgGraph, _entities,
                            _relations, _ssckg)
 
@@ -89,6 +92,24 @@ def row_relations(relations: Sequence[Relation]) -> RelationColumns:
     """The columns of relation rows, as a file holding them reads."""
     return _relations([{"src": r.src, "rel_type": r.rel_type, "dst": r.dst, "weight": r.weight}
                        for r in relations])
+
+
+def node_ids(*ids: int) -> np.ndarray:
+    """An entity's members: the given node ids as int64, ascending, each once."""
+    return np.array(sorted(set(ids)), dtype=np.int64)
+
+
+def coefficient_dict(kg: SsckgGraph) -> dict[int, dict[int, float]]:
+    """The coefficients of ``normalize_weights(kg)`` by entity id, after
+    checking that its rows are distinct pairs sorted by target, then source."""
+    dst, src, coeff = normalize_weights(kg)
+    pairs = list(zip(dst.tolist(), src.tolist()))
+    assert pairs == sorted(set(pairs)) and len(pairs) == len(coeff)
+    ids = kg.entity_ids.tolist()
+    out: dict[int, dict[int, float]] = {}
+    for (d, s), c in zip(pairs, coeff.tolist()):
+        out.setdefault(ids[d], {})[ids[s]] = c
+    return out
 
 
 def row_kg(entities, relations: Sequence[Relation], source_binary: str = "",
@@ -253,7 +274,7 @@ def kg_document(kg: SsckgGraph) -> dict:
         "source_binary": kg.source_binary,
         "clustering": kg.clustering,
         "entities": [{"id": e.id, "name": e.name, "label": str(e.label),
-                      "members": sorted(e.members), "summary": e.summary,
+                      "members": sorted(e.members.tolist()), "summary": e.summary,
                       "embedding": None if e.embedding is None else e.embedding.values.tolist(),
                       "external": e.external, "cluster_id": e.cluster_id}
                      for e in kg.entities],

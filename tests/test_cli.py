@@ -31,9 +31,9 @@ def run(capsys, *argv):
     return code, doc, captured.err
 
 
-def write_config(tmp_path, base=None, **knobs):
-    """tmp_path/cfg.json: the fixture config ``base``, its paths made
-    absolute, if one is given, with ``knobs`` set on top."""
+def config_text(base=None, **knobs) -> str:
+    """The fixture config ``base``, its paths made absolute, if one is
+    given, with ``knobs`` set on top."""
     doc = {}
     if base is not None:
         doc = json.loads(base.read_text(encoding="utf-8"))
@@ -41,8 +41,13 @@ def write_config(tmp_path, base=None, **knobs):
             if key.endswith(("_path", "_dir")):
                 doc[key] = str(base.parent / value)
     doc.update(knobs)
+    return json.dumps(doc)
+
+
+def write_config(tmp_path, base=None, **knobs):
+    """tmp_path/cfg.json holding ``config_text(base, **knobs)``."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(config_text(base, **knobs), encoding="utf-8")
     return path
 
 
@@ -965,6 +970,11 @@ CORPUS_TRAILER = '{"trailer": {"accepted": 0, "failed": 0, "rejected": 0, "total
 
 REPORT_BAD_CONFIG = ["report", "--config", "{bad}", "--cpg", "{fx}/toy_modbus.cpg.json",
                      "--outdir", "{tmp}/out"]
+# The firmware fixture config with one bad integer knob, and a report over it.
+FIRMWARE_CONFIG = Path(__file__).resolve().parent.parent / "fixtures" / "config_firmware.json"
+REPORT_FIRMWARE_BAD_CONFIG = ["report", "--config", "{bad}", "--cpg",
+                              "{fx}/firmware_update.cpg.json", "--outdir", "{tmp}/out"]
+INT64_FAULT = "config field '{}' must be a signed 64-bit integer, got 1180591620717411303424"
 THRESHOLD_BAD_CONFIG = ["threshold", "--config", "{bad}", "--scores",
                         "{fx}/threshold_scores.json", "--out", "{tmp}/th.json"]
 # Commands whose side config (SIDE_FILES) names the damaged file.
@@ -1098,6 +1108,26 @@ BAD_INPUTS = {
                                              "embedding_dimension", REPORT_BAD_CONFIG),
     "config_nan_relation_weight": ("cfg.json", '{"relation_weights": {"calls": NaN}}',
                                    "relation_weights", REPORT_BAD_CONFIG),
+    "config_huge_embedding_dimension": (
+        "cfg.json", config_text(FIRMWARE_CONFIG, embedding_dimension=2 ** 70),
+        INT64_FAULT.format("embedding_dimension"), REPORT_FIRMWARE_BAD_CONFIG),
+    "config_huge_hidden_dim": (
+        "cfg.json", config_text(FIRMWARE_CONFIG, model_hidden_dim=2 ** 70, model_heads=1),
+        INT64_FAULT.format("model_hidden_dim"), REPORT_FIRMWARE_BAD_CONFIG),
+    "config_huge_max_dist": (
+        "cfg.json", config_text(FIRMWARE_CONFIG, model_max_dist=2 ** 70),
+        INT64_FAULT.format("model_max_dist"), REPORT_FIRMWARE_BAD_CONFIG),
+    "config_max_dist_past_any_array": (
+        "cfg.json", config_text(FIRMWARE_CONFIG, model_max_dist=2 ** 62),
+        "model tensor 'spatial_bias' of shape (4, 4611686018427387906) is larger than any array",
+        REPORT_FIRMWARE_BAD_CONFIG),
+    "config_embedding_dimension_past_any_array": (
+        "cfg.json", config_text(FIRMWARE_CONFIG, embedding_dimension=2 ** 62),
+        "hash embedder dimension 4611686018427387904 is larger than any array",
+        REPORT_FIRMWARE_BAD_CONFIG),
+    "config_embedding_dimension_past_memory": (  # numpy's MemoryError, as one line
+        "cfg.json", config_text(FIRMWARE_CONFIG, embedding_dimension=2 ** 40),
+        "error: Unable to allocate 8.00 TiB", REPORT_FIRMWARE_BAD_CONFIG),
     "kg_boolean_src": ("kg.json", kg_text(relation={"src": True}),
                        "{bad}: relation at index 0 has non-integer src True", SCORE_BAD_KG),
     "kg_fractional_src": ("kg.json", kg_text(relation={"src": 0.5}),
@@ -1110,7 +1140,7 @@ BAD_INPUTS = {
                                 "{bad}: entity at index 1 has non-integer id 0.7",
                                 SCORE_BAD_KG),
     "kg_string_member": ("kg.json", kg_text(entity={"members": ["a"]}),
-                         "{bad}: entity 1 has non-integer member 'a'", SCORE_BAD_KG),
+                         "{bad}: entity at index 1 has non-integer member 'a'", SCORE_BAD_KG),
     "kg_nan_weight": ("kg.json", kg_text(relation={"weight": float("nan")}),
                       "{bad}: relation at index 0: relation weight must be finite and positive",
                       SCORE_BAD_KG),

@@ -31,8 +31,8 @@ from binrisk.pipeline import write_atomic
 from binrisk.ssckg import Entity, RelationType, dumps_ssckg, load_ssckg
 
 import oracles
-from oracles import (CpgEdge, CpgNode, Relation, edge_rows, node_rows, relation_rows, row_cpg,
-                     row_kg)
+from oracles import (CpgEdge, CpgNode, Relation, edge_rows, node_ids, node_rows, relation_rows,
+                     row_cpg, row_kg)
 from test_cpg import generated_cpg_text, traced_peak
 
 LAT = Lattice.default()
@@ -484,7 +484,8 @@ def knowledge_graphs(draw, text=TEXT):
     values = st.floats(min_value=-1e100, max_value=1e100)
     vector = st.lists(values, min_size=dim, max_size=dim).map(EmbeddingVector)
     entities = [Entity(id=i, name=draw(text), label=draw(st.sampled_from(LAT.labels())),
-                       members=draw(st.frozensets(IDS, max_size=5)), summary=draw(text),
+                       members=node_ids(*draw(st.frozensets(IDS, max_size=5))),
+                       summary=draw(text),
                        embedding=draw(st.none() | vector), external=draw(st.booleans()),
                        cluster_id=draw(st.none() | st.integers(min_value=-1, max_value=9)))
                 for i in ids]
@@ -501,7 +502,8 @@ def knowledge_graphs(draw, text=TEXT):
 
 def entity_fields(e: Entity) -> tuple:
     vector = None if e.embedding is None else e.embedding.values.tolist()
-    return (e.id, e.name, e.label, e.members, e.summary, vector, e.external, e.cluster_id)
+    return (e.id, e.name, e.label, e.members.tolist(), e.summary, vector, e.external,
+            e.cluster_id)
 
 
 @PROPERTY
@@ -533,7 +535,8 @@ def odd_entity_graphs(draw):
     id, no members and names from the whole of Unicode."""
     ids = draw(st.lists(INT64, unique=True, min_size=1, max_size=6))
     entities = [Entity(id=i, name=draw(TEXT), label=draw(st.sampled_from(LAT.labels())),
-                       members=draw(st.frozensets(INT64, max_size=4)), summary=draw(TEXT),
+                       members=node_ids(*draw(st.frozensets(INT64, max_size=4))),
+                       summary=draw(TEXT),
                        embedding=draw(st.none() | KG_VECTORS.map(EmbeddingVector)),
                        external=draw(st.booleans()),
                        cluster_id=draw(st.none() | st.integers(-1, 2 ** 40)))
@@ -554,10 +557,10 @@ def test_dumps_ssckg_equals_the_documents_json(kg):
 
 def test_entity_rows_spell_zeros_and_subnormals_as_the_document():
     vector = EmbeddingVector([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0])
-    kg = row_kg([Entity(0, "é\u00a0名 \"q\"", LAT.labels()[1], frozenset(), "", vector),
-                 Entity(1, "", LAT.labels()[0], frozenset({3, -2 ** 63}), "s", None,
+    kg = row_kg([Entity(0, "é\u00a0名 \"q\"", LAT.labels()[1], node_ids(), "", vector),
+                 Entity(1, "", LAT.labels()[0], node_ids(3, -2 ** 63), "s", None,
                         cluster_id=-1),
-                 Entity(2, "x", LAT.labels()[0], frozenset({1}), embedding=EmbeddingVector([]))],
+                 Entity(2, "x", LAT.labels()[0], node_ids(1), embedding=EmbeddingVector([]))],
                 [])
     text = dumps_ssckg(kg)
     assert text == dumps_json(oracles.kg_document(kg))
@@ -581,7 +584,7 @@ def entity_row_fault(raw) -> str | None:
     if not isinstance(members, list):
         return f"has members {members!r}, which is not a list"
     for member in members:
-        if isinstance(member, (list, dict)):
+        if type(member) is not int or not -2 ** 63 <= member < 2 ** 63:
             return f"has non-integer member {member!r}"
     vector = raw.get("embedding")
     if vector is not None:
@@ -595,7 +598,7 @@ def entity_row_fault(raw) -> str | None:
 def first_kg_fault(doc: dict) -> str | None:
     """The error of reading a KG row by row: the entities list and each
     entity row on its own, each relation row's types, the clustering,
-    then entity ids, members and duplicates, then each relation's weight
+    then entity ids and duplicates, then each relation's weight
     and ends; None for a valid document."""
     def is_id(value):
         return type(value) is int and -2 ** 63 <= value < 2 ** 63
@@ -636,10 +639,6 @@ def first_kg_fault(doc: dict) -> str | None:
     for pos, raw in enumerate(doc["entities"]):
         if not is_id(raw["id"]):
             return f"entity at index {pos} has non-integer id {raw['id']!r}"
-    for raw in doc["entities"]:
-        for member in raw["members"]:
-            if type(member) is not int:
-                return f"entity {raw['id']} has non-integer member {member!r}"
     ids = [raw["id"] for raw in doc["entities"]]
     for pos, entity_id in enumerate(ids):
         if entity_id in ids[:pos]:
@@ -658,6 +657,7 @@ def first_kg_fault(doc: dict) -> str | None:
 # Damage done to one row, as for the CPG above, or to the document.
 ENTITY_FAULTS = [("id", 0.5), ("id", True), ("id", "3"), ("id", "duplicate"),
                  ("members", ["a"]), ("members", [1.5]), ("members", [[1]]), ("members", 5),
+                 ("members", [2 ** 63]),
                  ("label", 5), ("name", ...), ("embedding", [[0.5]]),
                  ("embedding", [float("nan")]), ("row", 3)]
 RELATION_FAULTS = [("src", True), ("src", 0.5), ("src", "dangling"), ("src", ...),
@@ -798,7 +798,7 @@ def test_window_may_cut_anywhere(tmp_path):
 def guard_kg_text() -> str:
     rng = np.random.default_rng(0)
     entities = [Entity(id=i, name=f"fn_{i}", label=LAT.labels()[i % 5],
-                       members=frozenset(range(5 * i, 5 * i + 5)), summary="reads a frame",
+                       members=node_ids(*range(5 * i, 5 * i + 5)), summary="reads a frame",
                        embedding=EmbeddingVector(rng.standard_normal(64)))
                 for i in range(400)]
     relations = [Relation(int(a), RelationType.REACHES, int(b), 0.8)

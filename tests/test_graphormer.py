@@ -46,8 +46,8 @@ from binrisk.lattice import TOP, Label
 from binrisk.pipeline import transform, write_atomic
 from binrisk.ssckg import Entity, RelationType
 
-from oracles import (Relation, attention_matrix, layer_tensors, relation_edges, relation_rows,
-                     row_kg)
+from oracles import (Relation, attention_matrix, layer_tensors, node_ids, relation_edges,
+                     relation_rows, row_kg)
 
 SMALL = ModelConfig(layers=1, heads=2, hidden_dim=8, max_dist=4,
                     edge_types=8, input_dim=6, seed=3)
@@ -195,7 +195,7 @@ def unit(rng, dim):
 
 
 def entity(eid, lab, emb):
-    return Entity(id=eid, name=f"e{eid}", label=lab, members=frozenset({eid}),
+    return Entity(id=eid, name=f"e{eid}", label=lab, members=node_ids(eid),
                   summary="", embedding=emb)
 
 
@@ -506,7 +506,7 @@ def test_seeded_forward_drops_each_query_weight_before_the_ffn_output_weight(mon
 def permuted_copy(kg, perm):
     """Relabel entity ids through perm, keeping everything else."""
     from dataclasses import replace
-    ents = [replace(e, id=perm[e.id], members=frozenset({perm[e.id]}))
+    ents = [replace(e, id=perm[e.id], members=node_ids(perm[e.id]))
             for e in kg.entities]
     rels = [Relation(perm[r.src], r.rel_type,
                      perm[r.dst] if isinstance(r.dst, int) else r.dst, r.weight)
@@ -533,7 +533,7 @@ def test_forward_input_validation():
     params = init_params(SMALL)
     with pytest.raises(EmptyGraph):
         forward(row_kg([], []), params)
-    bare = Entity(0, "x", TOP, frozenset({0}))  # no embedding
+    bare = Entity(0, "x", TOP, node_ids(0))  # no embedding
     with pytest.raises(ShapeMismatch, match="no summary embedding"):
         forward(row_kg([bare], []), params)
     wrong = entity(0, TOP, EmbeddingVector(np.ones(SMALL.input_dim + 2)))

@@ -19,7 +19,6 @@ from binrisk.cpg import EdgeKind, NodeKind
 from binrisk.embedding import HashEmbedder, cosine
 from binrisk.errors import dumps_json
 from binrisk.lattice import TOP, Label, leq
-from binrisk.risk import normalize_weights
 from binrisk.ssckg import (
     RELATION_INDEX,
     CveRecord,
@@ -35,8 +34,8 @@ from binrisk.ssckg import (
     to_dot,
 )
 
-from oracles import (CpgEdge, CpgNode, Relation, edge_rows, kg_document, relation_edges,
-                     relation_rows, row_cpg, row_kg)
+from oracles import (CpgEdge, CpgNode, Relation, coefficient_dict, edge_rows, kg_document,
+                     node_ids, relation_edges, relation_rows, row_cpg, row_kg)
 
 PROPERTY = settings(max_examples=80, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -78,7 +77,7 @@ def extract_relations_ref(g, entities, cves=(), cve_match_threshold=0.85, config
     by_id = {e.id: e for e in entities}
     owner = {}
     for e in entities:  # a node listed twice belongs to the later entity
-        for m in e.members:
+        for m in e.members.tolist():
             owner[m] = e.id
     found = {}
 
@@ -136,14 +135,17 @@ def normalize_weights_ref(kg):
 
 
 def dot_edges_ref(kg):
+    def quoted(text):  # inside a DOT string: backslash and double quote escaped
+        return "".join("\\" + ch if ch in '\\"' else ch for ch in text)
+
     lines, cves = [], []
     for r in relation_rows(kg):
         if isinstance(r.dst, str):
             cves += [] if r.dst in cves else [r.dst]
-            lines.append(f'  e{r.src} -> "cve_{r.dst}" [label="{r.rel_type.value}"];')
+            lines.append(f'  e{r.src} -> "cve_{quoted(r.dst)}" [label="{r.rel_type.value}"];')
         else:
             lines.append(f'  e{r.src} -> e{r.dst} [label="{r.rel_type.value}"];')
-    return lines + [f'  "cve_{c}" [shape=ellipse, label="{c}"];' for c in cves]
+    return lines + [f'  "cve_{quoted(c)}" [shape=ellipse, label="{quoted(c)}"];' for c in cves]
 
 
 def relation_edges_ref(kg):
@@ -176,8 +178,10 @@ def relation_inputs(draw):
                         embedding=draw(st.none() | summary.map(EMBEDDER.embed)))
                 for e, i in zip(entities, ids)]
     entities = draw(st.permutations(entities))
-    cves = [CveRecord(f"CVE-{draw(st.integers(1, 12))}", text, EMBEDDER.embed(text))
-            for text in draw(st.lists(summary, max_size=4))]  # cve ids may repeat
+    # CVE ids may repeat, and may end in what a DOT string escapes.
+    tails = st.sampled_from(["", '"', "\\"])
+    cves = [CveRecord(f"CVE-{draw(st.integers(1, 12))}{draw(tails)}", text, EMBEDDER.embed(text))
+            for text in draw(st.lists(summary, max_size=4))]
     threshold = draw(st.sampled_from([0.2, 0.5, 0.85]))
     return g, entities, cves, threshold
 
@@ -204,7 +208,7 @@ def test_relation_consumers_equal_row_references(inputs, rnd):
     rows = [replace(r, weight=rnd.choice([0.1, 0.3, 1 / 3, 0.7, 2.5])) for r in rows]
     kg = row_kg(entities, rows, source_binary="b", clustering={"points": 1})
     assert dumps_ssckg(kg) == dumps_json(kg_document(kg))
-    assert normalize_weights(kg) == normalize_weights_ref(kg)
+    assert coefficient_dict(kg) == normalize_weights_ref(kg)
     assert to_dot(kg).splitlines()[3 + len(entities):-1] == dot_edges_ref(kg)
     assert relation_edges(kg) == relation_edges_ref(kg)
 
@@ -218,11 +222,11 @@ def test_relation_consumers_equal_row_references(inputs, rnd):
 def test_normalize_weights_equals_dict_reference(draws):
     # Few entities and many relations: parallel pairs, and targets with
     # several sources whose sums round differently in another order.
-    entities = [Entity(i, f"e{i}", TOP, frozenset({i})) for i in range(4)]
+    entities = [Entity(i, f"e{i}", TOP, node_ids(i)) for i in range(4)]
     rows = [Relation(a, t, "CVE-1" if t is RelationType.VULNERABLE_TO else b, w)
             for a, t, b, w in draws]
     kg = row_kg(entities, rows)
-    assert normalize_weights(kg) == normalize_weights_ref(kg)
+    assert coefficient_dict(kg) == normalize_weights_ref(kg)
 
 
 def chain_graph(n, pdg_pairs):
@@ -232,7 +236,7 @@ def chain_graph(n, pdg_pairs):
 
 def test_a_source_and_sink_taints_itself_only_around_a_cycle():
     memory = Label.parse("Memory")
-    ents = [Entity(i, f"e{i}", memory if i == 0 else TOP, frozenset({i})) for i in range(2)]
+    ents = [Entity(i, f"e{i}", memory if i == 0 else TOP, node_ids(i)) for i in range(2)]
     acyclic = relation_rows(extract_relations(chain_graph(2, [(0, 1)]), ents, config=CONFIG))
     assert (0, RelationType.TAINTS, 0) not in {(r.src, r.rel_type, r.dst) for r in acyclic}
     cyclic = relation_rows(extract_relations(chain_graph(2, [(0, 1), (1, 0)]), ents,
@@ -244,8 +248,8 @@ def test_a_source_and_sink_taints_itself_only_around_a_cycle():
 
 def test_targets_sort_as_strings():
     coil = Label.parse("Hardware/Coil_Write")
-    ents = [Entity(2, "src", Label.parse("Network/Protocol_Parse"), frozenset({0})),
-            Entity(9, "a", coil, frozenset({1})), Entity(10, "b", coil, frozenset({2}))]
+    ents = [Entity(2, "src", Label.parse("Network/Protocol_Parse"), node_ids(0)),
+            Entity(9, "a", coil, node_ids(1)), Entity(10, "b", coil, node_ids(2))]
     rels = relation_rows(extract_relations(chain_graph(3, [(0, 1), (0, 2)]), ents))
     assert [(r.src, r.rel_type.value, r.dst) for r in rels] == [
         (2, "reaches", 10), (2, "reaches", 9), (2, "taints", 10), (2, "taints", 9),

@@ -11,7 +11,6 @@ from binrisk.lifting import RuleAnnotator, build_corpus, load_rules
 from binrisk.risk import (
     PropagationConfig,
     inherent_risk,
-    normalize_weights,
     propagate,
 )
 from binrisk.ssckg import (
@@ -25,13 +24,13 @@ from binrisk.ssckg import (
     structural_collapse,
 )
 
-from oracles import Relation, relation_rows, row_kg
+from oracles import Relation, coefficient_dict, node_ids, relation_rows, row_kg
 
 TIGHT = PropagationConfig(beta=0.15, tolerance=1e-12, max_iterations=5000)
 
 
 def ent(eid, lab=None):
-    return Entity(eid, f"e{eid}", lab or TOP, frozenset({eid}))
+    return Entity(eid, f"e{eid}", lab or TOP, node_ids(eid))
 
 
 def rel(a, t, b, w=None):
@@ -91,7 +90,7 @@ def random_kg(rng, n):
 def test_inherent_risk_is_best_clamped_match(fixtures_dir):
     provider = HashEmbedder(dimension=384, seed=42)
     cves = load_cves(fixtures_dir / "cves.json", provider)
-    e = Entity(0, "w", TOP, frozenset({0}),
+    e = Entity(0, "w", TOP, node_ids(0),
                summary="hardware coil write routine using cmp mmio_write param ret",
                embedding=provider.embed(
                    "hardware coil write routine using cmp mmio_write param ret"))
@@ -104,7 +103,7 @@ def test_inherent_risk_is_best_clamped_match(fixtures_dir):
 
 def test_inherent_risk_edge_cases():
     vec = EmbeddingVector([1.0, 0.0])
-    e = Entity(0, "a", TOP, frozenset({0}), embedding=vec)
+    e = Entity(0, "a", TOP, node_ids(0), embedding=vec)
     assert inherent_risk(e, []) == 0.0
     assert inherent_risk(ent(0), [fake_cve([0.0, 1.0])]) == 0.0  # no embedding
     # anti-aligned descriptions clamp to zero instead of going negative
@@ -126,7 +125,7 @@ def test_normalize_weights_convex_rows():
         rel(1, RelationType.WRITES_TO, 2),    # 0.6
         rel(1, RelationType.TAINTS, 2),       # 1.0, parallel with writes_to
     ])
-    coeffs = normalize_weights(kg)
+    coeffs = coefficient_dict(kg)
     assert set(coeffs) == {2}
     row = coeffs[2]
     assert row[0] == pytest.approx(0.3 / 1.9)
@@ -140,7 +139,7 @@ def test_normalize_weights_drops_self_loops_and_cve_links():
         rel(0, RelationType.VULNERABLE_TO, "CVE-X"),
         rel(0, RelationType.CALLS, 1),
     ])
-    coeffs = normalize_weights(kg)
+    coeffs = coefficient_dict(kg)
     assert coeffs == {1: {0: 1.0}}
 
 
@@ -149,8 +148,8 @@ def test_normalize_weights_respects_type_filter():
     types = [t for t in RelationType if t is not RelationType.VULNERABLE_TO]
     kg = row_kg([ent(i) for i in range(len(types) + 1)],
                 [rel(i, t, len(types)) for i, t in enumerate(types)])
-    assert set(normalize_weights(kg)) == {len(types)}
-    assert set(normalize_weights(kg)[len(types)]) == set(range(len(types)))
+    assert set(coefficient_dict(kg)) == {len(types)}
+    assert set(coefficient_dict(kg)[len(types)]) == set(range(len(types)))
 
 
 # --- propagation --------------------------------------------------------------
@@ -234,7 +233,7 @@ def test_propagate_reports_connected_entities():
         rel(0, RelationType.CALLS, 1),
     ])
     result = propagate(kg, {0: 0.2, 1: 0.4, 2: 0.6}, TIGHT)
-    assert result.connected == frozenset(normalize_weights(kg)) == {1}
+    assert result.connected == frozenset(coefficient_dict(kg)) == {1}
 
 
 def test_beta_one_returns_inherent_in_one_sweep():

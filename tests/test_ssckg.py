@@ -1,16 +1,20 @@
 """Entity collapse, density clustering, and typed relation extraction."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from binrisk.config import PipelineConfig
 from binrisk.cpg import EdgeKind, load_cpg
 from binrisk.embedding import EmbeddingVector, HashEmbedder
 from binrisk.errors import SchemaError, ZeroVector
 from binrisk.lattice import TOP, Label, Lattice
 from binrisk.lifting import Annotation, RuleAnnotator, build_corpus, load_rules
-from binrisk.pipeline import write_atomic
+from binrisk.pipeline import (build_annotator, build_cves, build_kg, build_lattice, build_provider,
+                              write_atomic)
 from binrisk.ssckg import (
     Entity,
     Granularity,
@@ -29,7 +33,8 @@ from binrisk.ssckg import (
     to_dot,
 )
 
-from oracles import CpgEdge, Relation, inst, pdg, relation_rows, row_cpg, row_kg, row_relations
+from oracles import (CpgEdge, Relation, inst, node_ids, pdg, relation_rows, row_cpg, row_kg,
+                     row_relations)
 
 
 def call(a, b):
@@ -61,10 +66,10 @@ def test_collapse_toy_partition(fixtures_dir):
     # members partition the node set
     union = set()
     for e in ents:
-        assert not (union & e.members)
-        union |= e.members
+        assert not (union & set(e.members.tolist()))
+        union |= set(e.members.tolist())
     assert union == set(g.node_id.tolist())
-    assert ents[2].members == frozenset(range(8, 13))
+    assert ents[2].members.tolist() == list(range(8, 13))
     assert not any(e.external for e in ents)
 
 
@@ -95,7 +100,7 @@ def test_collapse_block_granularity_groups_by_block():
              inst(2, fn=0, block=5), inst(3, fn=1, block=9)]
     ents = structural_collapse(row_cpg(nodes, []), Granularity.BLOCK)
     # ids follow ascending block key
-    assert [(e.id, sorted(e.members)) for e in ents] == [
+    assert [(e.id, e.members.tolist()) for e in ents] == [
         (0, [0, 1]), (1, [2]), (2, [3])]
     assert [e.name for e in ents] == ["block_3", "block_5", "block_9"]
 
@@ -268,7 +273,8 @@ def test_semantic_clustering_merges_socket_wrappers(fixtures_dir):
     assert merged.id == 1
     assert merged.name == "net_fetch.c0"
     assert merged.external
-    assert merged.members == ents[1].members | ents[2].members
+    assert merged.members.tolist() == sorted(set(ents[1].members.tolist())
+                                             | set(ents[2].members.tolist()))
     assert str(merged.label) == "Network/Socket_Init"
     noise = next(e for e in out if e.cluster_id == -1)
     assert noise.name == "cfg_load"
@@ -288,16 +294,16 @@ def test_semantic_clustering_merged_label_is_join():
     provider = HashEmbedder(dimension=64, seed=0)
     shared = "identical summary text for both"
     a = Entity(id=3, name="zeta", label=label("Network/Socket_Init"),
-               members=frozenset({0}), summary=shared, external=True)
+               members=node_ids(0), summary=shared, external=True)
     b = Entity(id=7, name="alpha", label=label("Hardware/Coil_Write"),
-               members=frozenset({1}), summary=shared, external=True)
+               members=node_ids(1), summary=shared, external=True)
     out = semantic_clustering([a, b], provider, eps=0.05, min_samples=2)
     assert len(out) == 1
     merged = out[0]
     assert merged.id == 3
     assert merged.name == "alpha.c0"  # smallest name, not smallest id
     assert merged.label is TOP
-    assert merged.members == frozenset({0, 1})
+    assert merged.members.tolist() == [0, 1]
     assert merged.summary == f"{shared} {shared}"
 
 
@@ -348,9 +354,9 @@ def test_reads_and_writes_directions():
     nodes = [inst(0, fn=0), inst(1, fn=1), inst(2, fn=2)]
     g = row_cpg(nodes, [pdg(0, 1), pdg(2, 0)])
     ents = [
-        Entity(0, "a", label("Hardware/Register_Read"), frozenset({0})),
-        Entity(1, "b", label("Memory"), frozenset({1})),
-        Entity(2, "c", TOP, frozenset({2})),
+        Entity(0, "a", label("Hardware/Register_Read"), node_ids(0)),
+        Entity(1, "b", label("Memory"), node_ids(1)),
+        Entity(2, "c", TOP, node_ids(2)),
     ]
     rels = rel_tuples(extract_relations(g, ents))
     # 0 -> 1 flows into a write action and out of a read action; the
@@ -363,7 +369,7 @@ def test_reads_and_writes_directions():
 def test_intra_entity_edges_produce_nothing():
     nodes = [inst(0, fn=0), inst(1, fn=0)]
     g = row_cpg(nodes, [pdg(0, 1), call(0, 1)])
-    ents = [Entity(0, "a", label("Memory"), frozenset({0, 1}))]
+    ents = [Entity(0, "a", label("Memory"), node_ids(0, 1))]
     assert relation_rows(extract_relations(g, ents)) == []
 
 
@@ -373,9 +379,9 @@ def test_taints_requires_data_dependence_path():
     nodes = [inst(0, fn=0), inst(1, fn=1), inst(2, fn=2)]
     g = row_cpg(nodes, [call(0, 1), pdg(1, 2)])
     ents = [
-        Entity(0, "src", label("Network/Protocol_Parse"), frozenset({0})),
-        Entity(1, "mid", TOP, frozenset({1})),
-        Entity(2, "sink", label("Hardware/Coil_Write"), frozenset({2})),
+        Entity(0, "src", label("Network/Protocol_Parse"), node_ids(0)),
+        Entity(1, "mid", TOP, node_ids(1)),
+        Entity(2, "sink", label("Hardware/Coil_Write"), node_ids(2)),
     ]
     rels = rel_tuples(extract_relations(g, ents))
     assert (0, RelationType.REACHES, 2, 0.8) in rels
@@ -386,9 +392,9 @@ def test_taints_transitive_over_data_dependence():
     nodes = [inst(0, fn=0), inst(1, fn=1), inst(2, fn=2)]
     g = row_cpg(nodes, [pdg(0, 1), pdg(1, 2)])
     ents = [
-        Entity(0, "src", label("FileSystem"), frozenset({0})),
-        Entity(1, "mid", TOP, frozenset({1})),
-        Entity(2, "sink", label("Hardware/Firmware_Update"), frozenset({2})),
+        Entity(0, "src", label("FileSystem"), node_ids(0)),
+        Entity(1, "mid", TOP, node_ids(1)),
+        Entity(2, "sink", label("Hardware/Firmware_Update"), node_ids(2)),
     ]
     rels = rel_tuples(extract_relations(g, ents))
     assert (0, RelationType.TAINTS, 2, 1.0) in rels
@@ -414,7 +420,7 @@ def test_taints_subset_of_reaches_on_random_graphs():
             edges.append(e)
         g = row_cpg(nodes, edges)
         ents = [Entity(i, f"f{i}", pool[int(rng.integers(len(pool)))],
-                       frozenset({2 * i, 2 * i + 1})) for i in range(k)]
+                       node_ids(2 * i, 2 * i + 1)) for i in range(k)]
         rels = relation_rows(extract_relations(g, ents))
         reaches = {(r.src, r.dst) for r in rels if r.rel_type is RelationType.REACHES}
         taints = {(r.src, r.dst) for r in rels if r.rel_type is RelationType.TAINTS}
@@ -424,8 +430,8 @@ def test_taints_subset_of_reaches_on_random_graphs():
 def test_parallel_pdg_edges_deduplicate():
     nodes = [inst(0, fn=0), inst(1, fn=0), inst(2, fn=1)]
     g = row_cpg(nodes, [pdg(0, 2), pdg(1, 2)])
-    ents = [Entity(0, "a", TOP, frozenset({0, 1})),
-            Entity(1, "b", label("Memory"), frozenset({2}))]
+    ents = [Entity(0, "a", TOP, node_ids(0, 1)),
+            Entity(1, "b", label("Memory"), node_ids(2))]
     rels = extract_relations(g, ents)
     assert rel_tuples(rels) == {(0, RelationType.WRITES_TO, 1, 0.6)}
 
@@ -433,8 +439,8 @@ def test_parallel_pdg_edges_deduplicate():
 def test_structural_label_map_and_weight_override():
     nodes = [inst(0, fn=0), inst(1, fn=1)]
     g = row_cpg(nodes, [CpgEdge(src=0, dst=1, kind=EdgeKind.AST, label="import")])
-    ents = [Entity(0, "a", TOP, frozenset({0})),
-            Entity(1, "b", TOP, frozenset({1}))]
+    ents = [Entity(0, "a", TOP, node_ids(0)),
+            Entity(1, "b", TOP, node_ids(1))]
     rels = extract_relations(g, ents)
     assert rel_tuples(rels) == {(0, RelationType.IMPORTS, 1, 0.2)}
 
@@ -447,15 +453,15 @@ def test_structural_label_map_and_weight_override():
 def test_unmapped_syntax_labels_ignored():
     nodes = [inst(0, fn=0), inst(1, fn=1)]
     g = row_cpg(nodes, [CpgEdge(src=0, dst=1, kind=EdgeKind.AST, label="arg")])
-    ents = [Entity(0, "a", TOP, frozenset({0})),
-            Entity(1, "b", TOP, frozenset({1}))]
+    ents = [Entity(0, "a", TOP, node_ids(0)),
+            Entity(1, "b", TOP, node_ids(1))]
     assert relation_rows(extract_relations(g, ents)) == []
 
 
 # --- relation and graph validation ----------------------------------------------
 
 def ent(eid, lab=None):
-    return Entity(eid, f"e{eid}", lab or TOP, frozenset({eid}))
+    return Entity(eid, f"e{eid}", lab or TOP, node_ids(eid))
 
 
 def test_relation_weight_must_be_positive():
@@ -505,6 +511,48 @@ def toy_kg(fixtures_dir):
     return g, SsckgGraph(ents, rels, source_binary=g.binary_id)
 
 
+def assert_members_ascend(kg):
+    for e in kg.entities:
+        assert type(e.members) is np.ndarray and e.members.dtype == np.int64
+        assert (np.diff(e.members) > 0).all()  # ascending, no id listed twice
+
+
+def test_members_are_ascending_int64_arrays(fixtures_dir, tmp_path):
+    cfg = PipelineConfig.from_file(fixtures_dir / "config_firmware.json")
+    provider = build_provider(cfg)
+    annotator = build_annotator(cfg, build_lattice(cfg))
+    merged = 0
+    for name in ("firmware_update", "diamond"):
+        g = load_cpg(fixtures_dir / f"{name}.cpg.json")
+        kg = build_kg(g, build_corpus(g, g.function_ids, annotator), cfg, provider,
+                      build_cves(cfg, provider))
+        merged += sum(e.cluster_id is not None and e.cluster_id >= 0 for e in kg.entities)
+        assert_members_ascend(kg)
+        path = tmp_path / f"{name}.kg.json"
+        write_atomic(path, dumps_ssckg(kg))
+        assert_members_ascend(load_ssckg(path))
+    assert merged  # the cluster merge ran
+
+    # A file may list members in any order and more than once.
+    def kg_file(members):
+        path = tmp_path / "members.kg.json"
+        path.write_text(json.dumps({"entities": [
+            {"id": 0, "name": "a", "label": "TOP", "members": [0]},
+            {"id": 1, "name": "b", "label": "TOP", "members": members}]}), encoding="utf-8")
+        return path
+
+    kg = load_ssckg(kg_file([10, 2, 2]))
+    assert_members_ascend(kg)
+    assert kg.entities[1].members.tolist() == [2, 10]
+    assert '"members": [\n        2,\n        10\n      ],' in dumps_ssckg(kg)
+    for member in (2 ** 63, "a"):
+        with pytest.raises(SchemaError, match=re.escape(
+                f"entity at index 1 has non-integer member {member!r}")):
+            load_ssckg(kg_file([3, member]))
+    with pytest.raises(SchemaError, match="entity 0 has members that are not an int64 array"):
+        SsckgGraph([Entity(0, "a", TOP, frozenset({0}))], row_relations([]))
+
+
 def test_ssckg_round_trip(fixtures_dir, tmp_path):
     _, kg = toy_kg(fixtures_dir)
     path = tmp_path / "kg.json"
@@ -514,9 +562,9 @@ def test_ssckg_round_trip(fixtures_dir, tmp_path):
     assert back.clustering == kg.clustering
     assert len(back) == len(kg)
     for orig, got in zip(kg.entities, back.entities):
-        assert (got.id, got.name, str(got.label), got.members, got.summary,
+        assert (got.id, got.name, str(got.label), got.members.tolist(), got.summary,
                 got.external, got.cluster_id) == (
-            orig.id, orig.name, str(orig.label), orig.members, orig.summary,
+            orig.id, orig.name, str(orig.label), orig.members.tolist(), orig.summary,
             orig.external, orig.cluster_id)
         assert np.array_equal(got.embedding.values, orig.embedding.values)
     assert relation_rows(back) == relation_rows(kg)
@@ -565,6 +613,20 @@ def test_to_dot_renders_entities_and_cves(fixtures_dir):
     assert 'e2 -> e4 [label="taints"]' in dot
     assert '"cve_CVE-TEST-0001" [shape=ellipse' in dot
     assert to_dot(kg) == dot  # deterministic
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    ents = [Entity(0, 'pump"ctl\\x', label("Memory"), node_ids(0)),
+            Entity(1, "plain", TOP, node_ids(1))]
+    kg = row_kg(ents, [Relation(0, RelationType.CALLS, 1, 0.3),
+                       Relation(0, RelationType.VULNERABLE_TO, 'CVE-"9\\', 1.0)])
+    lines = to_dot(kg, risk={0: 0.5}).splitlines()
+    assert lines[3] == ('  e0 [label="pump\\"ctl\\\\x\\nMemory\\nrisk=0.500", style=filled, '
+                        'fillcolor="orange"];')
+    assert lines[4] == '  e1 [label="plain\\nTOP", style=filled, fillcolor="gray90"];'
+    assert lines[5:] == ['  e0 -> e1 [label="calls"];',
+                         '  e0 -> "cve_CVE-\\"9\\\\" [label="vulnerable_to"];',
+                         '  "cve_CVE-\\"9\\\\" [shape=ellipse, label="CVE-\\"9\\\\"];', "}"]
 
 
 def test_to_dot_risk_bands(fixtures_dir):
