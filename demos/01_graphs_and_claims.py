@@ -3,7 +3,8 @@
 The graph file is plain JSON: typed nodes grouped into functions and
 basic blocks, plus syntax / control-flow / data-dependence edges.  A
 claim names a source node and a sink node; it holds when the sink is
-reachable from the source over data-dependence edges only.  Everything
+reachable from the source over data-dependence edges only.  A list of
+claims is an int64 array with one (source, sink) row per claim.  Everything
 downstream of this file trusts only claims that survive that check.
 
 Run from anywhere:  python3 demos/01_graphs_and_claims.py
@@ -12,8 +13,10 @@ Run from anywhere:  python3 demos/01_graphs_and_claims.py
 from collections import Counter
 from pathlib import Path
 
-from binrisk import DataFlowClaim, SchemaError, load_cpg, loads_cpg, verify_claims
-from binrisk.cpg import EDGE_KINDS
+import numpy as np
+
+from binrisk import SchemaError, load_cpg, loads_cpg
+from binrisk.cpg import EDGE_KINDS, failing_claims
 from binrisk.lifting import function_subgraph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -22,7 +25,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def main():
     g = load_cpg(FIXTURES / "toy_modbus.cpg.json")
     # the graph is stored as columns: one array per node or edge field
-    print(f"loaded '{g.binary_id}': {len(g)} nodes, {len(g.edge_src)} edges")
+    print(f"loaded '{g.binary_id}': {len(g)} nodes, {len(g.edge_kind)} edges")
 
     kinds = Counter(EDGE_KINDS[code].value for code in g.edge_kind.tolist())
     print("edge kinds:", dict(sorted(kinds.items())))
@@ -35,15 +38,16 @@ def main():
 
     # parse_modbus (function 2) feeds write_coil's mmio node over the
     # data-dependence edges, so this claim verifies
-    good = DataFlowClaim(source_node=9, sink_node=17)
-    result = verify_claims(g, [good])
-    print(f"\nclaim {good.source_node} -> {good.sink_node}: sat={result.sat}")
+    good = np.array([[9, 17]], dtype=np.int64)
+    # failing_claims checks many claim lists at once: each list's first
+    # failing claim, or None when all of them hold
+    failing = failing_claims(g, [good])[0]
+    print(f"\nclaim 9 -> 17: sat={failing is None}")
 
     # the reverse direction has no data-dependence path
-    bad = DataFlowClaim(source_node=17, sink_node=9)
-    result = verify_claims(g, [good, bad])
-    print(f"claim set with {bad.source_node} -> {bad.sink_node} added: "
-          f"sat={result.sat}, first failing={result.failing_claim}")
+    both = np.array([[9, 17], [17, 9]], dtype=np.int64)
+    failing = failing_claims(g, [both])[0]
+    print(f"claim set with 17 -> 9 added: sat={failing is None}, first failing={failing}")
 
     # validation is strict: an edge to a node that does not exist is
     # rejected at load time, not discovered later

@@ -13,10 +13,11 @@ Run from anywhere:  python3 demos/02_lifting_and_lattice.py
 
 from pathlib import Path
 
+import numpy as np
+
 from binrisk import (
     TOP,
     Annotation,
-    DataFlowClaim,
     EvrMode,
     GoldenRecord,
     Label,
@@ -55,7 +56,7 @@ class OverclaimingAnnotator:
         ann = self.inner.annotate(view, context)
         if view.function_id == 4:  # the coil writer: claim it feeds the parser
             return Annotation(ann.function_id, ann.label, ann.summary,
-                              claims=(DataFlowClaim(17, 9),))
+                              claims=np.array([[17, 9]], dtype=np.int64))
         return ann
 
 
@@ -70,7 +71,7 @@ def main():
     print(f"\nhonest annotator: {len(corpus.accepted)} accepted, "
           f"{corpus.rejected_count} rejected")
     for ann in corpus.accepted:
-        claims = ", ".join(f"{c.source_node}->{c.sink_node}" for c in ann.claims) or "none"
+        claims = ", ".join(f"{src}->{dst}" for src, dst in ann.claims.tolist()) or "none"
         print(f"  function {ann.function_id}: {ann.label}  claims: {claims}")
 
     gated = build_corpus(g, g.function_ids, OverclaimingAnnotator(honest))

@@ -10,7 +10,7 @@ fingerprint matching in embedding space.
 
 __version__ = "0.1.0"
 
-from .cpg import DataFlowClaim, cpg_chunks, load_cpg, loads_cpg, verify_claims
+from .cpg import cpg_chunks, load_cpg, loads_cpg
 from .embedding import HashEmbedder
 from .errors import NonConvergence, SchemaError
 from .fingerprint import load_repository, match_and_alert, roc_auc, select_threshold

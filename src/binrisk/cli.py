@@ -6,13 +6,16 @@ its output, calling every loader, core and writer through
 ``binrisk.pipeline``.  Every pipeline knob comes from the checked
 ``--config`` file, which only the commands that read a knob take; the
 other flags name input and output files.  Exit codes: 0 success, 2
-when fingerprint alerts were raised (for CI gating), 1 on any error.
+when fingerprint alerts were raised (for CI gating), 1 on any error,
+143 on SIGTERM, which unwinds a command as Ctrl-C does.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 
 from . import __version__, pipeline
 from .config import PipelineConfig
@@ -42,7 +45,7 @@ def _cmd_ingest(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     g = pipeline.load_cpg(args.cpg)
     pipeline.write_atomic(args.out, pipeline.cpg_chunks(g))
     _emit({"binary_id": g.binary_id, "nodes": len(g),
-           "edges": len(g.edge_src), "functions": len(g.function_ids)})
+           "edges": len(g.edge_kind), "functions": len(g.function_ids)})
     return EXIT_OK
 
 
@@ -273,9 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Only the main thread may set a handler; the caller's is put back on return.
+    main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if main_thread else None
     try:
         cfg = _load_config(args)
         return args.handler(cfg, args)
@@ -288,6 +298,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy names the allocation; a bare one says nothing
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if main_thread:  # None: a handler not set from Python, taken as the default
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
 
 
 if __name__ == "__main__":

@@ -28,12 +28,13 @@ node columns are in id order: int64 arrays ``node_id``,
 ``NODE_KINDS``), the list ``opcode``, and ``attrs``, a dict from row to
 attrs holding only the rows that set some.  The edge columns are in
 (src, dst, kind, label) order, the canonical order ``dumps_cpg``
-writes: int64 arrays ``edge_src`` and ``edge_dst`` (node ids),
-``edge_src_row`` and ``edge_dst_row`` (the same endpoints as node
-rows), ``edge_kind`` (a code into ``EDGE_KINDS``, whose codes rank as
-the kind values do) and ``edge_label`` (an index into ``labels``, the
-sorted distinct labels).  A graph read from any file therefore
-traverses like its canonical copy.
+writes: int64 arrays ``edge_src_row`` and ``edge_dst_row`` (the
+endpoints as node rows; since ``node_id`` ascends with the row, an
+endpoint's id is ``node_id[row]``), ``edge_kind`` (a code into
+``EDGE_KINDS``, whose codes rank as the kind values do) and
+``edge_label`` (an index into ``labels``, the sorted distinct labels,
+of the narrowest unsigned type that holds their count).  A graph read
+from any file therefore traverses like its canonical copy.
 
 The columns are the graph's one representation: every stage reads
 them, and so does an annotator's one-function view
@@ -78,7 +79,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, Te
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, UnknownNode, collector_paused, json_chunks, read_rows
+from .errors import ParseError, SchemaError, collector_paused, json_chunks, read_rows
 
 
 class NodeKind(str, Enum):
@@ -97,16 +98,10 @@ class EdgeKind(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class DataFlowClaim:
-    """A claimed data flow: sink_node is reachable from source_node."""
+    """A claimed data flow (sink_node reachable from source_node) that failed."""
 
     source_node: int
     sink_node: int
-
-
-@dataclass(frozen=True)
-class VerifyResult:
-    sat: bool
-    failing_claim: DataFlowClaim | None = None
 
 
 NODE_KINDS: tuple[NodeKind, ...] = tuple(NodeKind)
@@ -129,7 +124,7 @@ class CpgGraph:
         ``_node_columns`` and ``_edge_columns`` in canonical order."""
         if type(binary_id) is not str:
             raise SchemaError(f"'binary_id' must be a string, got {binary_id!r}")
-        node_id, node_kind, node_function, node_block, opcodes, attrs = node_columns
+        node_id, node_kind, node_function, node_block, opcodes, attr_rows, attrs = node_columns
         edge_src, edge_dst, edge_kind, labels = edge_columns
         n = len(node_id)
         order = None
@@ -153,19 +148,19 @@ class CpgGraph:
             missing = edge_src[i] if not src_found[i] else edge_dst[i]
             raise SchemaError(f"edge {i} references missing node {missing}")
 
-        attrs = {i: attrs[i] for i in compress(range(n), attrs)}  # the rows that set some
         if order is not None:
             row_of = np.empty(n, dtype=np.int64)
             row_of[order] = np.arange(n)
             node_function, node_block = node_function[order], node_block[order]
             node_kind = node_kind[order]
             opcodes = [opcodes[i] for i in order.tolist()]
-            attrs = dict(zip(row_of[list(attrs)].tolist(), attrs.values()))
+            attr_rows = row_of[attr_rows]
         distinct = sorted(set(labels))
         rank = {lab: code for code, lab in enumerate(distinct)}
-        edge_label = np.array(list(map(rank.__getitem__, labels)), dtype=np.int64)
-        # lexsort's last key is the primary one.
-        edge_order = np.lexsort((edge_label, edge_kind, edge_dst, edge_src))
+        edge_label = np.array(list(map(rank.__getitem__, labels)),
+                              dtype=np.min_scalar_type(len(distinct)))
+        # lexsort's last key is the primary one; rows rank as their ids do.
+        edge_order = np.lexsort((edge_label, edge_kind, dst_row, src_row))
 
         self.binary_id = binary_id
         self.node_id = sorted_id
@@ -173,9 +168,7 @@ class CpgGraph:
         self.node_block = node_block
         self.node_kind = node_kind
         self.opcode = opcodes
-        self.attrs = attrs
-        self.edge_src = edge_src[edge_order]
-        self.edge_dst = edge_dst[edge_order]
+        self.attrs = dict(zip(attr_rows.tolist(), attrs))
         self.edge_src_row = src_row[edge_order]
         self.edge_dst_row = dst_row[edge_order]
         self.edge_kind = edge_kind[edge_order]
@@ -186,10 +179,12 @@ class CpgGraph:
         return len(self.node_id)
 
     def rows_of(self, ids: Iterable) -> np.ndarray:
-        """Row of each node id, or -1 for an id the graph does not hold."""
-        ids = list(ids)
-        keys = _int64(ids)
-        valid = None
+        """Row of each node id (an int64 array, or any iterable), or -1 for
+        an id the graph does not hold or a value that is no int64."""
+        keys, valid = ids, None
+        if not (isinstance(ids, np.ndarray) and ids.dtype == np.int64):
+            ids = list(ids)
+            keys = _int64(ids)
         if keys is None:  # a value that is no int64 names no node
             valid = np.array([isinstance(i, (int, np.integer)) and int(i) in _INT64
                               for i in ids], dtype=bool)
@@ -350,9 +345,6 @@ def _column(rows: list, key: str, default=_REQUIRED) -> list:
         return [row.get(key, default) for row in rows]
 
 
-_NO_ATTRS: dict = {}  # shared by every row without attrs; never written to
-
-
 def load_cpg(path: str | Path) -> CpgGraph:
     """Parse and validate a graph file, preserving node and edge counts.
 
@@ -401,25 +393,27 @@ def _joined(parts: list[tuple]) -> tuple:
 
 def _node_columns(rows: list, start: int, interned: dict[str, str]) -> tuple:
     """The typed columns of JSON-shaped node rows: int64 ids, int8 kind
-    codes, int64 function and block ids, str opcodes, and each row's
-    attrs as a dict of str (``_NO_ATTRS`` for a row without).
+    codes, int64 function and block ids, str opcodes, and the attrs of
+    the rows that set some: those rows' int64 indices in the array and
+    their attrs, each a dict of str.
 
     A fault raises the SchemaError of the first faulty row, which is named
     by its index in the array, start being that of the first row here.
     """
     try:
         ids, kinds, functions, blocks = (_column(rows, key) for key in _NODE_KEYS)
-        opcodes, attrs = _column(rows, "opcode", ""), _column(rows, "attrs", _NO_ATTRS)
+        opcodes, attrs = _column(rows, "opcode", ""), _column(rows, "attrs", {})
     except (KeyError, TypeError, AttributeError):  # a row is no object or lacks a field
         _raise_first_fault(rows, start, _check_node)
     typed = (_int64(ids), _codes(kinds, _NODE_CODES), _int64(functions), _int64(blocks))
     if (any(column is None for column in typed) or not set(map(type, attrs)) <= {dict}
-            or not set(map(type, opcodes)) <= {str}
-            or not set(map(type, chain.from_iterable(chain(a, a.values())
-                                                     for a in attrs))) <= {str}):
+            or not set(map(type, opcodes)) <= {str}):
         _raise_first_fault(rows, start, _check_node)
-    attrs = [a or _NO_ATTRS for a in attrs]
-    return (*typed, list(map(interned.setdefault, opcodes, opcodes)), attrs)
+    attr_rows = np.array(list(compress(range(start, start + len(rows)), attrs)), dtype=np.int64)
+    attrs = list(compress(attrs, attrs))
+    if not set(map(type, chain.from_iterable(chain(a, a.values()) for a in attrs))) <= {str}:
+        _raise_first_fault(rows, start, _check_node)
+    return (*typed, list(map(interned.setdefault, opcodes, opcodes)), attr_rows, attrs)
 
 
 def _edge_columns(rows: list, start: int, interned: dict[str, str]) -> tuple:
@@ -479,8 +473,8 @@ def cpg_chunks(g: CpgGraph) -> Iterator[str]:
 
     def edges(lo: int, hi: int) -> list[str]:
         return [_EDGE_TEMPLATES[k] % (d, labels[c], s) for k, d, c, s in zip(
-            g.edge_kind[lo:hi].tolist(), g.edge_dst[lo:hi].tolist(),
-            g.edge_label[lo:hi].tolist(), g.edge_src[lo:hi].tolist())]
+            g.edge_kind[lo:hi].tolist(), g.node_id[g.edge_dst_row[lo:hi]].tolist(),
+            g.edge_label[lo:hi].tolist(), g.node_id[g.edge_src_row[lo:hi]].tolist())]
 
     def nodes(lo: int, hi: int) -> list[str]:
         attrs = [_attrs_text(a) if a else "{}" for a in map(g.attrs.get, range(lo, hi))]
@@ -490,7 +484,7 @@ def cpg_chunks(g: CpgGraph) -> Iterator[str]:
             map(opcodes.__getitem__, g.opcode[lo:hi]))]
 
     yield '{\n  "binary_id": ' + quote(g.binary_id) + ',\n  "edges": '
-    yield from json_chunks(edges, len(g.edge_src), _ROW_BLOCK, 1)
+    yield from json_chunks(edges, len(g.edge_kind), _ROW_BLOCK, 1)
     yield ',\n  "nodes": '
     yield from json_chunks(nodes, len(g), _ROW_BLOCK, 1)
     yield "\n}\n"
@@ -513,20 +507,22 @@ def _reachable(indptr: np.ndarray, succ: np.ndarray, source: int, sink: int) -> 
     return False
 
 
-def failing_claims(g: CpgGraph, claim_lists: Sequence[Sequence[DataFlowClaim]],
-                   ) -> list[DataFlowClaim | None]:
+def failing_claims(g: CpgGraph, claim_lists: Sequence[np.ndarray]) -> list[DataFlowClaim | None]:
     """Each list's first claim that fails, or None when every claim holds.
 
-    A claim holds when its sink is reachable from its source over Pdg
-    edges alone (control and syntax edges carry no data); a claim naming
-    a node id absent from the graph fails.  The endpoints of every claim
-    are looked up at once.  A claim whose ends are one node, or one Pdg
-    edge, holds by a search in the sorted edge keys; only the other
-    claims of a list, up to its first failure, are searched for a path.
+    Each list is a (k, 2) array of (source, sink) node ids, as
+    ``Annotation.claims``.  A claim holds when its sink is reachable from
+    its source over Pdg edges alone (control and syntax edges carry no
+    data); a claim naming an id the graph lacks fails.  The lists are
+    joined into one array, whose ends are looked up at once.  A claim
+    whose ends are one node, or one Pdg edge, holds by a search in the
+    sorted edge keys; only the other claims of a list, up to its first
+    failure, are searched for a path.  Only a failure becomes a
+    ``DataFlowClaim``.
     """
     counts = [len(claims) for claims in claim_lists]
-    flat = [claim for claims in claim_lists for claim in claims]
-    rows = g.rows_of([end for claim in flat for end in (claim.source_node, claim.sink_node)])
+    ends = (np.concatenate(claim_lists) if claim_lists else np.empty((0, 2), np.int64)).ravel()
+    rows = g.rows_of(ends)
     src, dst = rows[0::2], rows[1::2]
     n = len(g)
     pdg = g.edge_kind == PDG_CODE
@@ -552,28 +548,9 @@ def failing_claims(g: CpgGraph, claim_lists: Sequence[Sequence[DataFlowClaim]],
             if settled[i]:
                 continue
             if missing[i] or not _reachable(indptr, succ, src[i], dst[i]):
-                out[k] = flat[i]
+                out[k] = DataFlowClaim(*ends[2 * i:2 * i + 2].tolist())
                 break
     return out
-
-
-def verify_claims(g: CpgGraph, claims: Sequence[DataFlowClaim]) -> VerifyResult:
-    """Check claimed data flows against directed data-dependence reachability.
-
-    Returns Sat when every claimed sink is reachable from its source over
-    Pdg edges alone (control and syntax edges carry no data and are
-    ignored).  On the first claim that fails, returns Unsat carrying that
-    claim.  A claim naming a node id absent from the graph raises
-    UnknownNode.
-    """
-    failing = failing_claims(g, [claims])[0]
-    if failing is None:
-        return VerifyResult(sat=True)
-    for end, row in zip((failing.source_node, failing.sink_node),
-                        g.rows_of([failing.source_node, failing.sink_node]).tolist()):
-        if row < 0:
-            raise UnknownNode(f"claim references missing node {end}")
-    return VerifyResult(sat=False, failing_claim=failing)
 
 
 def shortest_path_matrix(num_nodes: int, edges: Iterable[tuple[int, int]],

@@ -50,10 +50,6 @@ class SchemaError(BinriskError):
     """Input parsed but violates the documented schema."""
 
 
-class UnknownNode(BinriskError):
-    """A claim or edge references a node id absent from the graph."""
-
-
 class UnknownFunction(BinriskError):
     """A function id does not occur in the graph."""
 

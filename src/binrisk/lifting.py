@@ -1,21 +1,21 @@
 """Verifier-gated semantic lifting of functions to behavioral labels.
 
 An annotator proposes, for one function at a time, a behavioral label
-plus a natural-language summary plus a set of data-flow claims.  The
-corpus builder replays every claim against the graph's actual
-data-dependence edges and keeps the annotation only when all of its
-claims check out.  Claimed flows that the graph cannot support mark
-the whole annotation as rejected; nothing from a rejected annotation
+plus a natural-language summary plus data-flow claims, (source, sink)
+rows of node ids.  The corpus builder replays every claim against the
+graph's actual data-dependence edges and keeps the annotation only when
+all of its claims check out.  Claimed flows that the graph cannot
+support mark the whole annotation as rejected; nothing from a rejected annotation
 is retained.  An annotator that raises is counted as a failure and
 skipped, separately from rejections.
 
 ``build_corpus`` does its graph work over columns, once per call rather
 than once per function: ``function_views`` cuts every function's view
 from one stable sort of the inner data-dependence edges by function,
-and one ``cpg.failing_claims`` pass looks up every claim's endpoints at
-once and settles each claim whose ends are one node or one edge by a
-search in the sorted edge keys; only the claims left walk the graph.
-Rule patterns compile into one regex alternation.
+and one ``cpg.failing_claims`` pass looks up the ends of every claim
+as one array and settles each claim whose ends are one node or one
+edge by a search in the sorted edge keys; only the claims left walk the
+graph.  Rule patterns compile into one regex alternation.
 
 Three annotators ship here:
 
@@ -34,13 +34,13 @@ import json
 import re
 import subprocess
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .cpg import NODE_KINDS, PDG_CODE, CpgGraph, DataFlowClaim, NodeKind, failing_claims
+from .cpg import NODE_KINDS, PDG_CODE, CpgGraph, NodeKind, failing_claims
 from .errors import (
     AnnotatorFailure,
     InvalidRule,
@@ -53,17 +53,22 @@ from .errors import (
 from .lattice import TOP, Label, Lattice
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Annotation:
-    """One function's proposed label, summary, and data-flow claims."""
+    """One function's proposed label, summary, and data-flow claims.
+
+    ``claims`` is an int64 array of shape (k, 2), one (source, sink) row
+    of node ids per claim; an id past int64, which no node can have,
+    makes it an array of Python ints (dtype object), which the gate rejects.
+    """
 
     function_id: str
     label: Label
     summary: str
-    claims: tuple[DataFlowClaim, ...] = ()
+    claims: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionSubgraph:
     """What an annotator sees of one function, as columns.
 
@@ -71,7 +76,7 @@ class FunctionSubgraph:
     lists over the function's nodes in id order (``{}`` for a node with
     no attrs).  ``pdg_edges`` holds the (src, dst) node ids of the
     data-dependence edges with both ends in the function, in canonical
-    edge order.
+    edge order, as an int64 (k, 2) slice of one array for all functions.
     """
 
     function_id: int
@@ -79,7 +84,7 @@ class FunctionSubgraph:
     kinds: list[NodeKind]
     opcodes: list[str]
     attrs: list[dict[str, str]]
-    pdg_edges: list[tuple[int, int]]
+    pdg_edges: np.ndarray
 
 
 @dataclass
@@ -134,7 +139,7 @@ def function_views(g: CpgGraph, functions: Sequence[int]) -> Iterator[FunctionSu
     pdg, owner = pdg[inner], owner[inner]
     order = np.argsort(owner, kind="stable")
     pdg, owner = pdg[order], owner[order]
-    edge_src, edge_dst = g.edge_src[pdg], g.edge_dst[pdg]
+    pdg_edges = g.node_id[np.stack((g.edge_src_row[pdg], g.edge_dst_row[pdg]), axis=1)]
     keys = np.array([int(fid) for fid in functions], dtype=np.int64)
     los = np.searchsorted(owner, keys, side="left").tolist()
     his = np.searchsorted(owner, keys, side="right").tolist()
@@ -148,7 +153,7 @@ def function_views(g: CpgGraph, functions: Sequence[int]) -> Iterator[FunctionSu
             kinds=list(map(NODE_KINDS.__getitem__, g.node_kind[rows].tolist())),
             opcodes=list(map(g.opcode.__getitem__, row_list)),
             attrs=[g.attrs.get(r, {}) for r in row_list],
-            pdg_edges=list(zip(edge_src[lo:hi].tolist(), edge_dst[lo:hi].tolist())))
+            pdg_edges=pdg_edges[lo:hi])
 
 
 def build_corpus(g: CpgGraph, functions: Sequence[int],
@@ -160,8 +165,7 @@ def build_corpus(g: CpgGraph, functions: Sequence[int],
     not exist is an unsupported claim like any other (the annotator
     invented the endpoint), so it rejects rather than raises.  The
     views come from ``function_views`` and the verdicts from one
-    ``failing_claims`` pass over every annotation's claims, which
-    decides each as ``verify_claims`` does.
+    ``failing_claims`` pass over every annotation's claims.
     """
     corpus = VerifiedCorpus()
     context = {"binary_id": g.binary_id}
@@ -239,12 +243,11 @@ class RuleAnnotator:
         names = opcodes | (callees - {""})
         first = min((m.lastindex for m in map(self._match, names) if m), default=0)
         label = self.rules[first - 1][1] if first else TOP
-        claims = tuple(starmap(DataFlowClaim, view.pdg_edges))
         tokens = sorted((opcodes - {""}) | callees)
         behavior = "unknown behavior" if label.is_top else " ".join(label.path).replace("_", " ").lower()
         summary = f"{behavior} routine using {' '.join(tokens)}" if tokens else behavior
         return Annotation(function_id=str(view.function_id), label=label,
-                          summary=summary, claims=claims)
+                          summary=summary, claims=view.pdg_edges)
 
 
 # --- replay annotator --------------------------------------------------------
@@ -313,7 +316,7 @@ class CommandAnnotator:
                        "attrs": dict(sorted(attrs.items()))}
                       for i, kind, opcode, attrs in zip(view.node_ids, view.kinds,
                                                         view.opcodes, view.attrs)],
-            "pdg_edges": [[src, dst] for src, dst in view.pdg_edges],
+            "pdg_edges": view.pdg_edges.tolist(),
         }
         try:
             proc = subprocess.run(
@@ -353,16 +356,22 @@ def _annotation_from_dict(function_id: str, raw, lattice: Lattice, where: str) -
     if not isinstance(claims, list):
         raise SchemaError(f"{where}: annotation for function {function_id} has claims "
                           f"{claims!r}, not a list")
-    for pair in claims:
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(type(v) is int for v in pair)):
-            raise SchemaError(f"{where}: annotation for function {function_id} has claim "
-                              f"{pair!r}, not a [source, sink] pair of integer node ids")
+    if not (set(map(type, claims)) <= {list} and set(map(len, claims)) <= {2}
+            and set(map(type, chain.from_iterable(claims))) <= {int}):
+        for pair in claims:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(v) is int for v in pair)):
+                raise SchemaError(f"{where}: annotation for function {function_id} has claim "
+                                  f"{pair!r}, not a [source, sink] pair of integer node ids")
+    try:
+        pairs = np.array(claims, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an id past int64 names no node: the gate rejects the claim
+        pairs = np.array(claims, dtype=object).reshape(-1, 2)
     return Annotation(
         function_id=function_id,
         label=lattice.parse(raw["label"]),
         summary=raw["summary"],
-        claims=tuple(DataFlowClaim(src, dst) for src, dst in claims),
+        claims=pairs,
     )
 
 
@@ -376,7 +385,7 @@ def dumps_corpus(corpus: VerifiedCorpus) -> str:
             "function_id": ann.function_id,
             "label": str(ann.label),
             "summary": ann.summary,
-            "claims": [[c.source_node, c.sink_node] for c in ann.claims],
+            "claims": ann.claims.tolist(),
         }, sort_keys=True, separators=(",", ":")))
     lines.append(json.dumps({
         "trailer": {

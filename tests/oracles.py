@@ -5,17 +5,19 @@ relation.  ``row_cpg``, ``row_relations`` and ``row_kg`` build graphs
 of them through the package's converters, each array one chunk of
 JSON-shaped rows: a second path beside the streamed readers.
 ``node_rows``, ``edge_rows`` and ``relation_rows`` read columns back.
-``node_ids`` builds an entity's members; ``coefficient_dict`` reads
-``normalize_weights``' columns back as {target id: {source id: coefficient}}.
+``node_ids`` builds an entity's members and ``claim_array`` an
+annotation's claims; ``coefficient_dict`` reads ``normalize_weights``'
+columns back as {target id: {source id: coefficient}}.
 
 Whole-tree readers of the CPG and KG files, which read the whole text
 with one ``json.loads`` call and so name the first fault of any
 document as the streamed readers must.
 
 ``function_subgraph``: one function's view from the Pdg adjacency of
-its rows; ``verify_claims``: the claims one at a time, each by a
-breadth-first search over the Pdg edge rows; ``build_corpus``: the
-corpus gate one function at a time through both.
+its rows, which ``view_fields`` reads back; ``first_failing_claim``:
+the claims one at a time, each by a breadth-first search over the Pdg
+edge rows; ``build_corpus``: the corpus gate one function at a time
+through both.
 
 ``kg_document``: a knowledge graph's document, which ``dumps_json``
 writes as ``dumps_ssckg`` must.
@@ -32,8 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from binrisk.cpg import (EDGE_KINDS, NODE_KINDS, CpgGraph, DataFlowClaim, EdgeKind, NodeKind,
-                         VerifyResult, _edge_columns, _node_columns)
-from binrisk.errors import (ParseError, SchemaError, ShapeMismatch, UnknownFunction, UnknownNode,
+                         _edge_columns, _node_columns)
+from binrisk.errors import (ParseError, SchemaError, ShapeMismatch, UnknownFunction,
                             collector_paused, read_json)
 from binrisk.graphormer import ModelParams, _attention, _edge_bias_terms, _relation_arrays
 from binrisk.lifting import FunctionSubgraph, VerifiedCorpus
@@ -99,6 +101,15 @@ def node_ids(*ids: int) -> np.ndarray:
     return np.array(sorted(set(ids)), dtype=np.int64)
 
 
+def claim_array(*pairs) -> np.ndarray:
+    """Claims as an annotation holds them: (source, sink) rows, int64 when
+    every id fits, else Python ints (as a JSON claim past int64 loads)."""
+    try:
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except (OverflowError, ValueError):
+        return np.array(pairs, dtype=object).reshape(-1, 2)
+
+
 def coefficient_dict(kg: SsckgGraph) -> dict[int, dict[int, float]]:
     """The coefficients of ``normalize_weights(kg)`` by entity id, after
     checking that its rows are distinct pairs sorted by target, then source."""
@@ -128,7 +139,8 @@ def node_rows(g: CpgGraph) -> list[CpgNode]:
 def edge_rows(g: CpgGraph) -> list[CpgEdge]:
     """Every edge, in canonical order."""
     return [CpgEdge(s, d, EDGE_KINDS[k], g.labels[c])
-            for s, d, k, c in zip(g.edge_src.tolist(), g.edge_dst.tolist(),
+            for s, d, k, c in zip(g.node_id[g.edge_src_row].tolist(),
+                                  g.node_id[g.edge_dst_row].tolist(),
                                   g.edge_kind.tolist(), g.edge_label.tolist())]
 
 
@@ -220,29 +232,35 @@ def function_subgraph(g: CpgGraph, function_id: int) -> FunctionSubgraph:
         kinds=[NODE_KINDS[k] for k in g.node_kind[rows].tolist()],
         opcodes=[g.opcode[r] for r in row_list],
         attrs=[g.attrs.get(r, {}) for r in row_list],
-        pdg_edges=list(zip(g.node_id[src[inner]].tolist(), g.node_id[dst[inner]].tolist())))
+        pdg_edges=np.array([g.node_id[src[inner]], g.node_id[dst[inner]]]).T.reshape(-1, 2))
 
 
-def verify_claims(g: CpgGraph, claims: Sequence[DataFlowClaim]) -> VerifyResult:
-    """Each claim in turn: a missing end raises UnknownNode, and a sink
-    the source reaches by no Pdg path (the empty one included) is Unsat."""
+def view_fields(view: FunctionSubgraph) -> tuple:
+    """A view's fields, its Pdg edges as their dtype, shape and rows."""
+    return (view.function_id, view.node_ids, view.kinds, view.opcodes, view.attrs,
+            view.pdg_edges.dtype, view.pdg_edges.shape, view.pdg_edges.tolist())
+
+
+def first_failing_claim(g: CpgGraph, claims: np.ndarray) -> DataFlowClaim | None:
+    """Each (source, sink) row in turn: the first with an end that names no
+    node, or whose sink the source reaches by no Pdg path (the empty one
+    included), or None."""
     ids = set(g.node_id.tolist())
     succ: dict[int, list[int]] = {}
     for e in edge_rows(g):
         if e.kind is EdgeKind.PDG:
             succ.setdefault(e.src, []).append(e.dst)
-    for claim in claims:
-        for end in (claim.source_node, claim.sink_node):
-            # As rows_of: an int or numpy integer naming a node; nothing else.
-            if not (isinstance(end, (int, np.integer)) and int(end) in ids):
-                raise UnknownNode(f"claim references missing node {end}")
-        seen, frontier = {int(claim.source_node)}, [int(claim.source_node)]
+    for source, sink in claims.tolist():
+        # As rows_of: an int naming a node; nothing else.
+        if not all(isinstance(end, int) and end in ids for end in (source, sink)):
+            return DataFlowClaim(source, sink)
+        seen, frontier = {source}, [source]
         while frontier:
             frontier = [d for s in frontier for d in succ.get(s, []) if d not in seen]
             seen.update(frontier)
-        if int(claim.sink_node) not in seen:
-            return VerifyResult(sat=False, failing_claim=claim)
-    return VerifyResult(sat=True)
+        if sink not in seen:
+            return DataFlowClaim(source, sink)
+    return None
 
 
 def build_corpus(g: CpgGraph, functions: Sequence[int], annotator) -> VerifiedCorpus:
@@ -256,12 +274,7 @@ def build_corpus(g: CpgGraph, functions: Sequence[int], annotator) -> VerifiedCo
         except Exception:
             corpus.failed_count += 1
             continue
-        try:
-            result = verify_claims(g, ann.claims)
-        except UnknownNode:
-            corpus.rejected_count += 1
-            continue
-        if result.sat:
+        if first_failing_claim(g, ann.claims) is None:
             corpus.accepted.append(ann)
         else:
             corpus.rejected_count += 1

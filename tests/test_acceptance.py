@@ -16,7 +16,7 @@ import pytest
 
 import binrisk
 from binrisk.cli import EXIT_ALERTS, EXIT_OK, main
-from binrisk.cpg import DataFlowClaim, EdgeKind, NodeKind, verify_claims
+from binrisk.cpg import EdgeKind, NodeKind, failing_claims
 from binrisk.fingerprint import (BENIGN, MALICIOUS, Fingerprint, match_and_alert,
                                  select_threshold)
 from binrisk.graphormer import ModelConfig, NodeEmbedding, forward, init_params
@@ -105,7 +105,7 @@ class _FlowAnnotator:
         a, b = 2 * fid, 2 * fid + 1
         src, dst = (b, a) if fid < self.flip_below else (a, b)
         return Annotation(function_id=str(fid), label=TOP, summary="",
-                          claims=(DataFlowClaim(source_node=src, sink_node=dst),))
+                          claims=np.array([[src, dst]], dtype=np.int64))
 
 
 def test_criterion_03_verifier_gate_rejection_rate():
@@ -126,8 +126,8 @@ def test_criterion_03_verifier_gate_rejection_rate():
     assert corpus.failed_count == 0
     assert round(corpus.rejection_rate, 3) == 0.158
     # re-verify: the gate let nothing unreachable through
-    for ann in corpus.accepted:
-        assert verify_claims(g, ann.claims).sat
+    assert failing_claims(g, [ann.claims for ann in corpus.accepted]) == [None] * len(
+        corpus.accepted)
     print(f"criterion 03 PASS: rejection rate {corpus.rejection_rate:.6f} "
           f"rounds to 0.158; {len(corpus.accepted)} accepted annotations "
           f"re-verified clean")

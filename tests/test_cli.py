@@ -6,8 +6,11 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -771,6 +774,59 @@ def test_report_writes_every_file_or_none(capsys, fixtures_dir, tmp_path, positi
     assert one_error_line(err)
     assert needle in err
     assert {name: (outdir / name).read_bytes() for name in os.listdir(outdir)} == before
+
+
+@pytest.mark.parametrize("outdir_exists", [False, True])
+def test_sigterm_leaves_outdir_as_it_was(fixtures_dir, tmp_path, outdir_exists):
+    """SIGTERM, as ``timeout`` sends it, unwinds a running report as Ctrl-C
+    does: its staging directory goes, and so does an --outdir it made."""
+    outdir = tmp_path / "out"
+    if outdir_exists:
+        outdir.mkdir()
+        (outdir / "notes.txt").write_bytes(b"kept\n")
+    before = {name: (outdir / name).read_bytes() for name in os.listdir(outdir)} \
+        if outdir_exists else None
+    # A billion layers keep the forward pass, after the KG is staged, busy.
+    config = write_config(tmp_path, fixtures_dir / "config_toy.json", model_layers=10 ** 9)
+    src = str(Path(binrisk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-m", "binrisk.cli", "report", "--config",
+                             str(config), "--cpg", str(fixtures_dir / "toy_modbus.cpg.json"),
+                             "--outdir", str(outdir)],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(outdir.glob(".staging-*/toy_modbus.kg.json")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 128 + signal.SIGTERM, err
+    if outdir_exists:
+        assert {name: (outdir / name).read_bytes() for name in os.listdir(outdir)} == before
+    else:
+        assert not outdir.exists()
+
+
+def test_main_sets_its_sigterm_handler_for_the_call_only(capsys):
+    """main puts the caller's SIGTERM handler back, and off the main
+    thread, where no handler can be set, it sets none."""
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["metrics", "--confusion", "1,1,1,1"]) == EXIT_OK
+    assert signal.getsignal(signal.SIGTERM) == before
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(
+        main(["metrics", "--confusion", "1,1,1,1"])))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and codes == [EXIT_OK]
+    assert signal.getsignal(signal.SIGTERM) == before
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,15 +14,16 @@ from binrisk.cpg import (
     cpg_chunks,
     dumps_cpg,
     load_cpg,
+    failing_claims,
     loads_cpg,
     shortest_path_matrix,
-    verify_claims,
 )
-from binrisk.errors import ParseError, SchemaError, UnknownNode
+from binrisk import errors
+from binrisk.errors import ParseError, SchemaError
 from binrisk.lifting import function_subgraph
 from binrisk.pipeline import write_atomic
 
-from oracles import CpgEdge, inst, pdg, row_cpg
+from oracles import CpgEdge, claim_array, inst, pdg, row_cpg
 
 
 # --- parsing and validation ---------------------------------------------------
@@ -73,7 +75,7 @@ def test_round_trip_preserves_graph(fixtures_dir):
     again = loads_cpg(text)
     assert dumps_cpg(again) == text
     assert len(again) == len(g)
-    assert len(again.edge_src) == len(g.edge_src)
+    assert len(again.edge_src_row) == len(g.edge_src_row)
 
 
 def generated_cpg_text(n: int) -> str:
@@ -119,6 +121,24 @@ def test_load_and_write_hold_no_whole_file_structure(tmp_path):
     assert out.read_text(encoding="utf-8") == dumps_cpg(loads_cpg(text))
 
 
+def test_bad_attrs_value_after_many_empty_ones_is_named():
+    """Only the rows that set attrs have their types checked, and a bad
+    value past the first chunk of the text, after thousands of rows with
+    empty attrs, is still named by its node."""
+    nodes = [{"id": i, "kind": "Instruction", "function_id": 0, "block_id": 0, "attrs": {}}
+             for i in range(6000)]
+    nodes[10]["attrs"] = {"callee": "recv"}
+    nodes[5998]["attrs"] = {"external": True}
+    text = json.dumps({"nodes": nodes, "edges": []})
+    assert text.index('"external"') > errors._CHUNK
+    with pytest.raises(SchemaError, match=re.escape(
+            "node 5998 has non-string attrs entry 'external': True")):
+        loads_cpg(text)
+    nodes[5998]["attrs"] = {"external": "true"}
+    g = loads_cpg(json.dumps({"nodes": nodes, "edges": []}))
+    assert g.attrs == {10: {"callee": "recv"}, 5998: {"external": "true"}}
+
+
 def test_canonical_form_sorts_nodes_and_edges():
     g = row_cpg([inst(3), inst(1), inst(2)],
                  [pdg(3, 1), pdg(1, 2), pdg(1, 3)])
@@ -132,8 +152,8 @@ def test_function_view_keeps_only_internal_pdg_edges():
     g = row_cpg(nodes, [pdg(0, 1), pdg(1, 2), CpgEdge(src=0, dst=1, kind=EdgeKind.CFG)])
     indptr, succ = g.pdg_csr
     assert (indptr.tolist(), succ.tolist()) == ([0, 1, 2, 2], [1, 2])
-    assert function_subgraph(g, 0).pdg_edges == [(0, 1)]
-    assert function_subgraph(g, 1).pdg_edges == []
+    assert function_subgraph(g, 0).pdg_edges.tolist() == [[0, 1]]
+    assert function_subgraph(g, 1).pdg_edges.shape == (0, 2)
 
 
 # --- claim verification ---------------------------------------------------------
@@ -146,40 +166,40 @@ def graph_with_chain():
     return row_cpg(nodes, edges)
 
 
+def first_failing(g, *pairs):
+    """The first failing claim of one list of (source, sink) pairs."""
+    return failing_claims(g, [claim_array(*pairs)])[0]
+
+
 def test_direct_and_transitive_claims_hold():
     g = graph_with_chain()
-    res = verify_claims(g, [DataFlowClaim(0, 1), DataFlowClaim(0, 2)])
-    assert res.sat and res.failing_claim is None
+    assert first_failing(g, (0, 1), (0, 2)) is None
 
 
 def test_reflexive_claim_holds():
     g = graph_with_chain()
-    assert verify_claims(g, [DataFlowClaim(2, 2)]).sat
+    assert first_failing(g, (2, 2)) is None
 
 
 def test_control_flow_does_not_carry_data_claims():
     g = graph_with_chain()
-    res = verify_claims(g, [DataFlowClaim(0, 3)])
-    assert not res.sat
-    assert res.failing_claim == DataFlowClaim(0, 3)
+    assert first_failing(g, (0, 3)) == DataFlowClaim(0, 3)
 
 
 def test_reverse_direction_fails():
     g = graph_with_chain()
-    assert not verify_claims(g, [DataFlowClaim(2, 0)]).sat
+    assert first_failing(g, (2, 0)) == DataFlowClaim(2, 0)
 
 
-def test_claim_on_missing_node_raises():
+def test_claim_on_missing_node_fails():
     g = graph_with_chain()
-    with pytest.raises(UnknownNode):
-        verify_claims(g, [DataFlowClaim(0, 99)])
+    assert first_failing(g, (0, 99)) == DataFlowClaim(0, 99)
+    assert first_failing(g, (0, 1), (2 ** 70, 1)) == DataFlowClaim(2 ** 70, 1)
 
 
 def test_first_failing_claim_reported():
     g = graph_with_chain()
-    res = verify_claims(g, [DataFlowClaim(0, 2), DataFlowClaim(1, 0),
-                            DataFlowClaim(2, 0)])
-    assert res.failing_claim == DataFlowClaim(1, 0)
+    assert first_failing(g, (0, 2), (1, 0), (2, 0)) == DataFlowClaim(1, 0)
 
 
 # --- hop distance matrix ----------------------------------------------------------
