@@ -49,7 +49,7 @@ def main():
     kg, cves = build_kg()
     names = {e.id: e.name for e in kg.entities}
 
-    inherent = {e.id: inherent_risk(e, cves) for e in kg.entities}
+    inherent = inherent_risk(kg, cves)
     print("inherent risk (best CVE description match per summary):")
     for eid, val in inherent.items():
         print(f"  {names[eid]:<14} {val:.3f}")

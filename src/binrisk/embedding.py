@@ -1,4 +1,4 @@
-"""Text embedding providers and cosine similarity.
+"""Text embedding providers.
 
 Two providers ship with the library.  The default is a seeded
 feature-hashing embedder: it needs no external model, runs anywhere,
@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .cpg import _floats
-from .errors import DimensionMismatch, MissingEmbedding, SchemaError, ZeroVector, read_json
+from .errors import DimensionMismatch, MissingEmbedding, SchemaError, read_json
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -52,17 +52,6 @@ class EmbeddingVector:
 
     def __repr__(self) -> str:
         return f"EmbeddingVector(dim={self.dimension}, norm={self.norm:.4f})"
-
-
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Cosine similarity, clamped into [-1, 1] against rounding drift."""
-    if a.dimension != b.dimension:
-        raise DimensionMismatch(
-            f"cosine of {a.dimension}-dim and {b.dimension}-dim vectors")
-    if a.norm == 0.0 or b.norm == 0.0:
-        raise ZeroVector("cosine with a zero-norm vector is undefined")
-    val = float(np.dot(a.values, b.values) / (a.norm * b.norm))
-    return max(-1.0, min(1.0, val))
 
 
 class HashEmbedder:

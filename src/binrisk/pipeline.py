@@ -16,8 +16,8 @@ Its files go to a staging directory and move into the output directory
 once every binary is done, so ``report`` writes every binary's files
 or none.  ``write_atomic`` (temp file + rename) is the one write path,
 and all serialization is canonical (sorted keys, no timestamps); the
-CPG, knowledge-graph and embeddings files are written from their chunk
-generators, so no whole file's text is held at once.
+CPG, knowledge-graph, embeddings and DOT files are written from their
+chunk generators, so no whole file's text is held at once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import shutil
 import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .config import PipelineConfig, _finite_number
@@ -62,6 +62,7 @@ from .ssckg import (
     RelationType,
     SsckgGraph,
     construction_stats,
+    dot_chunks,
     embed_entities,
     extract_relations,
     load_cves,
@@ -69,7 +70,6 @@ from .ssckg import (
     semantic_clustering,
     ssckg_chunks,
     structural_collapse,
-    to_dot,
 )
 
 # load_corpus, load_embeddings and load_ssckg are unused here: they are
@@ -203,7 +203,7 @@ def transform(kg: SsckgGraph, cfg: PipelineConfig) -> list[NodeEmbedding]:
 
 def score(kg: SsckgGraph, cfg: PipelineConfig, cves: Sequence[CveRecord]) -> dict:
     """Inherent risk from CVE matching, then damped propagation."""
-    inherent = {e.id: inherent_risk(e, cves) for e in kg.entities}
+    inherent = inherent_risk(kg, cves)
     result = propagate(kg, inherent, PropagationConfig(
         beta=cfg.beta, tolerance=cfg.tolerance,
         max_iterations=cfg.max_iterations))
@@ -211,14 +211,10 @@ def score(kg: SsckgGraph, cfg: PipelineConfig, cves: Sequence[CveRecord]) -> dic
     for ent in kg.entities:
         value = result.scores[ent.id]
         inh = inherent[ent.id]
-        # Split the converged score into its damped inherent part and
-        # what arrived over relations; isolated entities are all inherent.
-        if ent.id in result.connected:
-            inherent_part = cfg.beta * inh
-            propagated = value - inherent_part
-        else:
-            inherent_part = inh
-            propagated = 0.0
+        # Split the converged score into its damped inherent part and what
+        # arrived over relations; an isolated entity keeps its inherent
+        # score exactly, so nothing arrived.
+        inherent_part = cfg.beta * inh if ent.id in result.connected else inh
         ranking.append({
             "entity_id": ent.id,
             "name": ent.name,
@@ -226,7 +222,7 @@ def score(kg: SsckgGraph, cfg: PipelineConfig, cves: Sequence[CveRecord]) -> dic
             "score": value,
             "inherent": inh,
             "inherent_contribution": inherent_part,
-            "propagated_contribution": propagated,
+            "propagated_contribution": value - inherent_part,
         })
     ranking.sort(key=lambda row: (-row["score"], row["entity_id"]))
     return {
@@ -251,12 +247,12 @@ def threshold(scores: Sequence[tuple[float, str]], cfg: PipelineConfig) -> dict:
                                    grid_step=cfg.grid_step, fpr_cap=cfg.fpr_cap))
 
 
-def render_dot(kg: SsckgGraph, risk_doc: Mapping | None, cfg: PipelineConfig) -> str:
-    """DOT text of the graph, colored by the risk document's scores if given."""
+def render_dot(kg: SsckgGraph, risk_doc: Mapping | None, cfg: PipelineConfig) -> Iterator[str]:
+    """DOT text chunks of the graph, colored by the risk document's scores if given."""
     risk_scores = None
     if risk_doc is not None:
         risk_scores = {row["entity_id"]: row["score"] for row in risk_doc["ranking"]}
-    return to_dot(kg, risk=risk_scores, bands=cfg.risk_bands)
+    return dot_chunks(kg, risk=risk_scores, bands=cfg.risk_bands)
 
 
 # --- loaders of the files only the CLI reads --------------------------------------

@@ -1,9 +1,10 @@
 """Composite risk scoring over the entity graph.
 
-Each entity starts from an inherent score: the best cosine match
-between its summary embedding and any CVE description embedding,
-clamped into [0, 1] (no CVE corpus means zero inherent risk).  Scores
-then propagate along risk-bearing relations with a damping mix
+Each entity starts from an inherent score: its best cosine match
+against any CVE description, a row maximum of the entity x CVE matrix
+``ssckg.cve_similarity``, clamped into [0, 1] (no CVE corpus, or no
+summary vector, means zero inherent risk).  Scores then propagate
+along risk-bearing relations with a damping mix
 
     score(v) <- beta * inherent(v)
                 + (1 - beta) * sum_u coeff(v, u) * score(u)
@@ -12,11 +13,11 @@ where u ranges over v's in-neighbors (relations pointing at v: risk
 flows in the relation direction) and the coefficients for each v are
 the in-relation weights normalized to sum to one, so the propagated
 term is a convex combination and every score stays in [0, 1].
-The coefficients are three columns (``normalize_weights``), which
-fill the transition matrix in one indexed assignment.
-Updates are synchronous from the inherent vector until the L1 change
-drops below tolerance.  Entities with no in-neighbors keep their
-inherent score exactly.
+The coefficients are three columns (``normalize_weights``); a sweep
+is one sparse step over them (``np.bincount`` adds each target's terms
+in source order), as PageRank's power iteration takes, from the
+inherent vector until the L1 change drops below tolerance.  Entities
+with no in-neighbors keep their inherent score exactly.
 
 vulnerable_to relations target CVE identifiers, not entities, so they
 carry no propagation; they influence scores only through the inherent
@@ -30,9 +31,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embedding import cosine
 from .errors import ConfigError, EmptyGraph, NonConvergence
-from .ssckg import CveRecord, Entity, SsckgGraph
+from .ssckg import CveRecord, SsckgGraph, cve_similarity
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,11 @@ class RiskVector:
     connected: frozenset[int]
 
 
-def inherent_risk(entity: Entity, cves: Sequence[CveRecord]) -> float:
-    """Best CVE-description match for the entity summary, in [0, 1]."""
-    if not cves:
-        return 0.0
-    if entity.embedding is None or entity.embedding.norm == 0.0:
-        return 0.0
-    best = max(cosine(entity.embedding, cve.embedding) for cve in cves)
-    return min(1.0, max(0.0, best))
+def inherent_risk(kg: SsckgGraph, cves: Sequence[CveRecord]) -> dict[int, float]:
+    """Each entity's best CVE-description match, in [0, 1], by entity id."""
+    # initial=0.0 clamps negatives and takes no CVEs; + 0.0 makes -0.0 0.0.
+    best = cve_similarity(kg.entities, cves).max(axis=1, initial=0.0) + 0.0
+    return dict(zip(kg.entity_ids.tolist(), best.tolist()))
 
 
 def normalize_weights(kg: SsckgGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,23 +116,17 @@ def propagate(kg: SsckgGraph, inherent: Mapping[int, float],
         raise ConfigError(f"inherent risk for entity {order[np.argmax(outside)]} outside [0, 1]")
 
     dst, src, coeff = normalize_weights(kg)
-    transition = np.zeros((len(order), len(order)))
-    transition[dst, src] = coeff
-    connected = np.bincount(dst, minlength=len(order)) > 0
+    connected = np.bincount(dst, minlength=len(kg)) > 0
 
     beta = cfg.beta
     scores = inh.copy()
     residual = float("inf")
     for iteration in range(1, cfg.max_iterations + 1):
-        nxt = beta * inh + (1.0 - beta) * (transition @ scores)
+        nxt = beta * inh + (1.0 - beta) * np.bincount(dst, coeff * scores[src], len(kg))
         nxt[~connected] = inh[~connected]
         residual = float(np.abs(nxt - scores).sum())
         scores = nxt
         if residual < cfg.tolerance:
-            return RiskVector(
-                scores=dict(zip(order, scores.tolist())),
-                iterations=iteration,
-                residual=residual,
-                connected=frozenset(kg.entity_ids[connected].tolist()),
-            )
+            return RiskVector(dict(zip(order, scores.tolist())), iteration, residual,
+                              connected=frozenset(kg.entity_ids[connected].tolist()))
     raise NonConvergence(residual=residual, iterations=cfg.max_iterations)

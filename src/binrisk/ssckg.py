@@ -42,7 +42,8 @@ file too, whose first fault it names as a reading of the whole file
 would.
 ``dumps_ssckg`` is the join of ``ssckg_chunks``, which writes the bytes
 ``errors.dumps_json`` would a block of rows at a time, each entity and
-each relation filled into a row template.
+each relation filled into a row template; ``to_dot`` is the join of
+``dot_chunks`` the same way.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ import numpy as np
 
 from .cpg import (AST_CODE, PDG_CODE, CpgGraph, _codes, _floats, _int64, _is_id,
                   _raise_first_fault, _search, group_rows)
-from .embedding import EmbeddingVector, cosine, stack
-from .errors import (ParseError, SchemaError, ZeroVector, collector_paused, json_chunks,
-                     json_value, read_json, read_rows)
+from .embedding import EmbeddingVector, stack
+from .errors import (DimensionMismatch, ParseError, SchemaError, ZeroVector, collector_paused,
+                     json_chunks, json_value, read_json, read_rows)
 from .lattice import TOP, Label, join, leq
 from .lifting import Annotation, VerifiedCorpus
 
@@ -575,10 +576,11 @@ def extract_relations(g: CpgGraph, entities: Sequence[Entity],
     data-dependence edges and the read/write action sets; taints from
     inter-entity data-dependence reachability between taint sources
     and sinks; reaches from reachability over everything extracted so
-    far plus raw inter-entity data dependence; vulnerable_to from
-    summary-to-CVE cosine at or above the threshold.  Edges interior
-    to one entity never produce relations.  The rows are distinct and
-    sorted by src, then type name, then dst as a string.
+    far plus raw inter-entity data dependence; vulnerable_to from each
+    ``cve_similarity`` cosine at or above the threshold (never one of
+    an entity with no summary vector, for a threshold above -1).  Edges
+    interior to one entity never produce relations.  The rows are
+    distinct and sorted by src, then type name, then dst as a string.
     """
     cfg = config or RelationConfig()
     n = len(entities)
@@ -648,22 +650,14 @@ def extract_relations(g: CpgGraph, entities: Sequence[Entity],
     rank = text_rank[dst]
 
     # CVE matches on summary embeddings; a CVE target's rank is its place
-    # among the matched CVE ids.
-    matched: dict[int, dict[str, None]] = {}
-    if cves:
-        for pos, ent in enumerate(entities):
-            if ent.embedding is None or ent.embedding.norm == 0.0:
-                continue
-            hits = dict.fromkeys(cve.cve_id for cve in cves
-                                 if cosine(ent.embedding, cve.embedding) >= cve_match_threshold)
-            if hits:
-                matched[pos] = hits
-    cve_ids = sorted(set(chain.from_iterable(matched.values())))
+    # among the matched CVE ids.  A repeated CVE id links once: the
+    # duplicate rows go with the others below.
+    link_src, cve_pos = np.nonzero(cve_similarity(entities, cves) >= cve_match_threshold)
+    cve_ids = sorted({cves[k].cve_id for k in cve_pos.tolist()})
     cve_rank = {cve_id: i for i, cve_id in enumerate(cve_ids)}
-    links = [(pos, cve_rank[cve_id]) for pos, hits in matched.items() for cve_id in hits]
-    link_src, link_rank = np.array(links, dtype=np.int64).reshape(-1, 2).T
+    link_rank = np.array([cve_rank[cves[k].cve_id] for k in cve_pos.tolist()], dtype=np.int64)
     src = np.concatenate([src, link_src])
-    code = np.concatenate([code, np.full(len(links), VULN_CODE, dtype=np.int8)])
+    code = np.concatenate([code, np.full(len(link_src), VULN_CODE, dtype=np.int8)])
     dst = np.concatenate([dst, link_rank])
     rank = np.concatenate([rank, link_rank])
 
@@ -710,6 +704,31 @@ def construction_stats(g: CpgGraph, kg: SsckgGraph) -> dict:
 
 
 # --- CVE corpus ----------------------------------------------------------------
+
+def cve_similarity(entities: Sequence[Entity], cves: Sequence[CveRecord]) -> np.ndarray:
+    """Each entity summary's cosine against each CVE description, as an
+    (entities, CVEs) matrix from one product, clamped into [-1, 1].  An
+    entity with no summary vector, or a zero one, gets a row of -1.
+
+    Raises DimensionMismatch when the vectors differ in dimension, and
+    ZeroVector for a zero CVE vector, once some entity has a vector.
+    """
+    sims = np.full((len(entities), len(cves)), -1.0)
+    rows = [i for i, e in enumerate(entities)
+            if e.embedding is not None and e.embedding.norm != 0.0]
+    if not rows or not cves:
+        return sims
+    vectors = [entities[i].embedding for i in rows] + [cve.embedding for cve in cves]
+    if len(dims := sorted({v.dimension for v in vectors})) > 1:
+        raise DimensionMismatch(f"summary and CVE vectors of dimensions {dims} cannot be compared")
+    norms = np.array([v.norm for v in vectors])
+    if (norms == 0.0).any():
+        raise ZeroVector("cosine with a zero-norm vector is undefined")
+    mat = stack(vectors)
+    k = len(rows)
+    sims[rows] = np.clip(mat[:k] @ mat[k:].T / np.outer(norms[:k], norms[k:]), -1.0, 1.0)
+    return sims
+
 
 def load_cves(path: str | Path, provider) -> list[CveRecord]:
     """Read a JSON list of {cve_id, description}; embeddings are cached here."""
@@ -923,9 +942,9 @@ def _ssckg(entities: list[Entity], relations: RelationColumns, doc: Mapping) -> 
 
 
 _BAND_COLORS = {"high": "firebrick", "medium": "orange", "low": "gray70"}
-_DOT_EDGE_TEMPLATES = ['  e%d -> "cve_%s" [label="vulnerable_to"];'
+_DOT_EDGE_TEMPLATES = ['  e%d -> "cve_%s" [label="vulnerable_to"];\n'
                        if t is RelationType.VULNERABLE_TO
-                       else '  e%d -> e%d [label="' + t.value + '"];' for t in RELATION_TYPES]
+                       else '  e%d -> e%d [label="' + t.value + '"];\n' for t in RELATION_TYPES]
 
 
 def _dot_text(text: str) -> str:
@@ -935,31 +954,35 @@ def _dot_text(text: str) -> str:
 
 def to_dot(kg: SsckgGraph, risk: Mapping[int, float] | None = None,
            bands: Mapping[str, float] | None = None) -> str:
-    """Render the graph as DOT; risk scores color entities by band.  Names,
-    labels and CVE ids are escaped (``_dot_text``); the ``\\n`` between an
-    entity's name and label is a DOT line break."""
-    bands = dict(bands or {"high": 0.7, "medium": 0.4})
-    lines = ["digraph ssckg {", "  rankdir=LR;", "  node [shape=box];"]
+    """Render the graph as DOT: the join of ``dot_chunks``."""
+    return "".join(dot_chunks(kg, risk, bands))
+
+
+def dot_chunks(kg: SsckgGraph, risk: Mapping[int, float] | None = None,
+               bands: Mapping[str, float] | None = None) -> Iterator[str]:
+    """The DOT text of the graph in chunks, a block of relations at a
+    time, for ``pipeline.write_atomic``; risk scores color entities by
+    band.  Names, labels and CVE ids are escaped (``_dot_text``); the
+    ``\\n`` between an entity's name and label is a DOT line break."""
+    bands = bands or {"high": 0.7, "medium": 0.4}
+    yield "digraph ssckg {\n  rankdir=LR;\n  node [shape=box];\n"
     for e in kg.entities:
-        color = "gray90"
-        extra = ""
+        color, extra = "gray90", ""
         if risk is not None and e.id in risk:
             score = risk[e.id]
-            band = "low"
-            if score >= bands["high"]:
-                band = "high"
-            elif score >= bands["medium"]:
-                band = "medium"
-            color = _BAND_COLORS[band]
+            color = _BAND_COLORS["high" if score >= bands["high"]
+                                 else "medium" if score >= bands["medium"] else "low"]
             extra = f"\\nrisk={score:.3f}"
-        lines.append(
-            f'  e{e.id} [label="{_dot_text(e.name)}\\n{_dot_text(str(e.label))}{extra}", '
-            f'style=filled, fillcolor="{color}"];')
+        yield (f'  e{e.id} [label="{_dot_text(e.name)}\\n{_dot_text(str(e.label))}{extra}", '
+               f'style=filled, fillcolor="{color}"];\n')
     cols = kg.relation_columns
-    dst = [d if type(d) is int else _dot_text(d) for d in cols.dst_values()]
-    lines += [_DOT_EDGE_TEMPLATES[c] % (s, d)
-              for c, s, d in zip(cols.type_code.tolist(), cols.src.tolist(), dst)]
+    for lo in range(0, len(cols), _RELATION_BLOCK):
+        hi = lo + _RELATION_BLOCK
+        codes, dst = cols.type_code[lo:hi], cols.dst[lo:hi].tolist()
+        for row in np.flatnonzero(codes == VULN_CODE).tolist():
+            dst[row] = _dot_text(cols.cve[lo + row])
+        yield "".join(_DOT_EDGE_TEMPLATES[c] % (s, d)
+                      for c, s, d in zip(codes.tolist(), cols.src[lo:hi].tolist(), dst))
     for cve_id in map(_dot_text, dict.fromkeys(cols.cve.values())):
-        lines.append(f'  "cve_{cve_id}" [shape=ellipse, label="{cve_id}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "cve_{cve_id}" [shape=ellipse, label="{cve_id}"];\n'
+    yield "}\n"

@@ -24,6 +24,11 @@ writes as ``dumps_ssckg`` must.
 
 ``attention_matrix``: one head of one layer, for ``forward``'s algebra.
 ``layer_tensors``: one layer's weights by their short names.
+
+Scoring: ``cosine`` is the per-pair cosine, one ``np.dot`` per pair,
+and ``cve_similarity_ref`` fills the entity x CVE matrix with it;
+``propagate_dense`` iterates over a dense n x n transition; ``to_dot_ref``
+builds the DOT text line by line and joins it once.
 """
 
 import json
@@ -35,13 +40,15 @@ import numpy as np
 
 from binrisk.cpg import (EDGE_KINDS, NODE_KINDS, CpgGraph, DataFlowClaim, EdgeKind, NodeKind,
                          _edge_columns, _node_columns)
-from binrisk.errors import (ParseError, SchemaError, ShapeMismatch, UnknownFunction,
-                            collector_paused, read_json)
+from binrisk.embedding import EmbeddingVector
+from binrisk.errors import (DimensionMismatch, NonConvergence, ParseError, SchemaError,
+                            ShapeMismatch, UnknownFunction, ZeroVector, collector_paused,
+                            read_json)
 from binrisk.graphormer import ModelParams, _attention, _edge_bias_terms, _relation_arrays
 from binrisk.lifting import FunctionSubgraph, VerifiedCorpus
-from binrisk.risk import normalize_weights
-from binrisk.ssckg import (RELATION_TYPES, RelationColumns, RelationType, SsckgGraph, _entities,
-                           _relations, _ssckg)
+from binrisk.risk import PropagationConfig, RiskVector, normalize_weights
+from binrisk.ssckg import (RELATION_TYPES, CveRecord, Entity, RelationColumns, RelationType,
+                           SsckgGraph, _entities, _relations, _ssckg)
 
 
 # --- rows -------------------------------------------------------------------------
@@ -336,3 +343,78 @@ def layer_tensors(params: ModelParams, layer: int) -> dict[str, np.ndarray]:
 def relation_edges(kg: SsckgGraph) -> list[tuple[int, int, int, float]]:
     """Entity-to-entity relations as (src_index, dst_index, type_index, weight)."""
     return list(zip(*(column.tolist() for column in _relation_arrays(kg))))
+
+
+# --- scoring ------------------------------------------------------------------------
+
+def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
+    """Cosine similarity, clamped into [-1, 1] against rounding drift."""
+    if a.dimension != b.dimension:
+        raise DimensionMismatch(
+            f"cosine of {a.dimension}-dim and {b.dimension}-dim vectors")
+    if a.norm == 0.0 or b.norm == 0.0:
+        raise ZeroVector("cosine with a zero-norm vector is undefined")
+    val = float(np.dot(a.values, b.values) / (a.norm * b.norm))
+    return max(-1.0, min(1.0, val))
+
+
+def cve_similarity_ref(entities: Sequence[Entity], cves: Sequence[CveRecord]) -> np.ndarray:
+    """The entity x CVE cosines pair by pair; a row of -1 for an entity
+    with no summary vector or a zero one."""
+    sims = np.full((len(entities), len(cves)), -1.0)
+    for i, ent in enumerate(entities):
+        if ent.embedding is not None and ent.embedding.norm != 0.0:
+            sims[i] = [cosine(ent.embedding, cve.embedding) for cve in cves]
+    return sims
+
+
+def propagate_dense(kg: SsckgGraph, inherent: dict[int, float],
+                    config: PropagationConfig) -> RiskVector:
+    """The damped update, each sweep one product with a dense n x n
+    transition filled from ``normalize_weights``' columns."""
+    order = kg.entity_ids.tolist()
+    inh = np.array([float(inherent.get(eid, 0.0)) for eid in order])
+    dst, src, coeff = normalize_weights(kg)
+    transition = np.zeros((len(order), len(order)))
+    transition[dst, src] = coeff
+    connected = np.bincount(dst, minlength=len(order)) > 0
+    scores = inh.copy()
+    residual = float("inf")
+    for iteration in range(1, config.max_iterations + 1):
+        nxt = config.beta * inh + (1.0 - config.beta) * (transition @ scores)
+        nxt[~connected] = inh[~connected]
+        residual = float(np.abs(nxt - scores).sum())
+        scores = nxt
+        if residual < config.tolerance:
+            return RiskVector(dict(zip(order, scores.tolist())), iteration, residual,
+                              frozenset(kg.entity_ids[connected].tolist()))
+    raise NonConvergence(residual=residual, iterations=config.max_iterations)
+
+
+def to_dot_ref(kg: SsckgGraph, risk: dict[int, float] | None = None,
+               bands: dict[str, float] | None = None) -> str:
+    """The DOT text, one line per entity, relation and CVE, joined once."""
+    bands = bands or {"high": 0.7, "medium": 0.4}
+
+    def quoted(text):  # inside a DOT string: backslash and double quote escaped
+        return "".join("\\" + ch if ch in '\\"' else ch for ch in text)
+
+    lines = ["digraph ssckg {", "  rankdir=LR;", "  node [shape=box];"]
+    for e in kg.entities:
+        color, extra = "gray90", ""
+        if risk is not None and e.id in risk:
+            band = ("high" if risk[e.id] >= bands["high"]
+                    else "medium" if risk[e.id] >= bands["medium"] else "low")
+            color = {"high": "firebrick", "medium": "orange", "low": "gray70"}[band]
+            extra = f"\\nrisk={risk[e.id]:.3f}"
+        lines.append(f'  e{e.id} [label="{quoted(e.name)}\\n{quoted(str(e.label))}{extra}", '
+                     f'style=filled, fillcolor="{color}"];')
+    cves = []
+    for r in relation_rows(kg):
+        if isinstance(r.dst, str):
+            cves += [] if r.dst in cves else [r.dst]
+            lines.append(f'  e{r.src} -> "cve_{quoted(r.dst)}" [label="{r.rel_type.value}"];')
+        else:
+            lines.append(f'  e{r.src} -> e{r.dst} [label="{r.rel_type.value}"];')
+    lines += [f'  "cve_{quoted(c)}" [shape=ellipse, label="{quoted(c)}"];' for c in cves]
+    return "\n".join(lines + ["}"]) + "\n"

@@ -11,10 +11,21 @@ from binrisk.embedding import (
     EmbeddingVector,
     FileEmbeddings,
     HashEmbedder,
-    cosine,
     stack,
 )
 from binrisk.errors import DimensionMismatch, MissingEmbedding, ZeroVector
+from binrisk.lattice import TOP
+from binrisk.ssckg import CveRecord, Entity, cve_similarity
+
+from oracles import node_ids
+
+
+def summary(vector):
+    return Entity(0, "e", TOP, node_ids(0), embedding=vector)
+
+
+def cve(vector):
+    return CveRecord("CVE-1", "", vector)
 
 
 def test_same_text_same_vector():
@@ -72,17 +83,22 @@ def test_cosine_bounds_and_identity():
     emb = HashEmbedder(dimension=64, seed=0)
     a = emb.embed("alpha beta gamma")
     b = emb.embed("delta epsilon")
-    assert cosine(a, a) == pytest.approx(1.0, abs=1e-12)
-    assert -1.0 <= cosine(a, b) <= 1.0
+    sims = cve_similarity([summary(a), summary(b)], [cve(a), cve(b)])
+    assert sims[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert sims[1, 1] == pytest.approx(1.0, abs=1e-12)
+    assert np.all((-1.0 <= sims) & (sims <= 1.0))
 
 
 def test_cosine_dimension_and_zero_checks():
     a = EmbeddingVector(np.ones(4))
     b = EmbeddingVector(np.ones(5))
-    with pytest.raises(DimensionMismatch):
-        cosine(a, b)
+    with pytest.raises(DimensionMismatch, match=r"dimensions \[4, 5\] cannot be compared"):
+        cve_similarity([summary(a)], [cve(b)])
     with pytest.raises(ZeroVector):
-        cosine(a, EmbeddingVector(np.zeros(4)))
+        cve_similarity([summary(a)], [cve(EmbeddingVector(np.zeros(4)))])
+    # A zero or missing summary vector is a row of -1, and no error.
+    sims = cve_similarity([summary(EmbeddingVector(np.zeros(4))), summary(None)], [cve(b)])
+    assert sims.tolist() == [[-1.0], [-1.0]]
 
 
 def test_file_provider_round_trip(tmp_path):

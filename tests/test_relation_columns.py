@@ -3,8 +3,10 @@
 Each reference below is the loop the columnar code replaced: relation
 extraction with one BFS per taint source and one ``emit`` per row,
 sorted by ``(src, type name, str(dst))``; weight normalization over a
-dict; the serialized document built row by row; the DOT edges and the
-model's edge list read off relation rows.  The columnar stages must
+dict; the serialized document built row by row; the DOT text built
+line by line (``oracles.to_dot_ref``) and the model's edge list read
+off relation rows.  The CVE links come from the per-pair
+``oracles.cosine``.  The columnar stages must
 give the same rows, the same floats and the same bytes.
 """
 
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from binrisk.cpg import EdgeKind, NodeKind
-from binrisk.embedding import HashEmbedder, cosine
+from binrisk.embedding import HashEmbedder
 from binrisk.errors import dumps_json
 from binrisk.lattice import TOP, Label, leq
 from binrisk.ssckg import (
@@ -28,14 +30,16 @@ from binrisk.ssckg import (
     RelationType,
     _reach,
     _strong_components,
+    dot_chunks,
     dumps_ssckg,
     extract_relations,
     structural_collapse,
     to_dot,
 )
 
-from oracles import (CpgEdge, CpgNode, Relation, coefficient_dict, edge_rows, kg_document,
-                     node_ids, relation_edges, relation_rows, row_cpg, row_kg)
+from oracles import (CpgEdge, CpgNode, Relation, coefficient_dict, cosine, edge_rows,
+                     kg_document, node_ids, relation_edges, relation_rows, row_cpg, row_kg,
+                     to_dot_ref)
 
 PROPERTY = settings(max_examples=80, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -134,20 +138,6 @@ def normalize_weights_ref(kg):
     return out
 
 
-def dot_edges_ref(kg):
-    def quoted(text):  # inside a DOT string: backslash and double quote escaped
-        return "".join("\\" + ch if ch in '\\"' else ch for ch in text)
-
-    lines, cves = [], []
-    for r in relation_rows(kg):
-        if isinstance(r.dst, str):
-            cves += [] if r.dst in cves else [r.dst]
-            lines.append(f'  e{r.src} -> "cve_{quoted(r.dst)}" [label="{r.rel_type.value}"];')
-        else:
-            lines.append(f'  e{r.src} -> e{r.dst} [label="{r.rel_type.value}"];')
-    return lines + [f'  "cve_{quoted(c)}" [shape=ellipse, label="{quoted(c)}"];' for c in cves]
-
-
 def relation_edges_ref(kg):
     index = {e.id: i for i, e in enumerate(kg.entities)}
     return [(index[r.src], index[r.dst], RELATION_INDEX[r.rel_type], r.weight)
@@ -209,7 +199,10 @@ def test_relation_consumers_equal_row_references(inputs, rnd):
     kg = row_kg(entities, rows, source_binary="b", clustering={"points": 1})
     assert dumps_ssckg(kg) == dumps_json(kg_document(kg))
     assert coefficient_dict(kg) == normalize_weights_ref(kg)
-    assert to_dot(kg).splitlines()[3 + len(entities):-1] == dot_edges_ref(kg)
+    risk = {e.id: rnd.choice([0.0, 0.39999, 0.4, 0.7, 0.9996, 1.0])
+            for e in entities if rnd.random() < 0.7}
+    assert to_dot(kg) == to_dot_ref(kg)
+    assert "".join(dot_chunks(kg, risk)) == to_dot(kg, risk) == to_dot_ref(kg, risk)
     assert relation_edges(kg) == relation_edges_ref(kg)
 
 

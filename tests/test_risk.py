@@ -1,5 +1,9 @@
 """Inherent scoring and damped propagation to a fixed point."""
 
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -14,17 +18,21 @@ from binrisk.risk import (
     propagate,
 )
 from binrisk.ssckg import (
+    CveRecord,
     Entity,
     Granularity,
     RelationType,
     SsckgGraph,
+    cve_similarity,
     embed_entities,
     extract_relations,
     load_cves,
     structural_collapse,
 )
 
-from oracles import Relation, coefficient_dict, node_ids, relation_rows, row_kg
+from conftest import FIXTURES
+from oracles import (Relation, coefficient_dict, cosine, cve_similarity_ref, node_ids,
+                     propagate_dense, relation_rows, row_kg)
 
 TIGHT = PropagationConfig(beta=0.15, tolerance=1e-12, max_iterations=5000)
 
@@ -94,27 +102,88 @@ def test_inherent_risk_is_best_clamped_match(fixtures_dir):
                summary="hardware coil write routine using cmp mmio_write param ret",
                embedding=provider.embed(
                    "hardware coil write routine using cmp mmio_write param ret"))
-    score = inherent_risk(e, cves)
+    score = inherent_risk(row_kg([e], []), cves)[0]
     assert 0.85 < score < 1.0
-    assert score == max(
-        min(1.0, max(0.0, float(np.dot(e.embedding.values, c.embedding.values))))
-        for c in cves)
+    assert score == pytest.approx(max(min(1.0, max(0.0, cosine(e.embedding, c.embedding)))
+                                      for c in cves), abs=1e-12)
 
 
 def test_inherent_risk_edge_cases():
     vec = EmbeddingVector([1.0, 0.0])
-    e = Entity(0, "a", TOP, node_ids(0), embedding=vec)
-    assert inherent_risk(e, []) == 0.0
-    assert inherent_risk(ent(0), [fake_cve([0.0, 1.0])]) == 0.0  # no embedding
+    kg = row_kg([Entity(0, "a", TOP, node_ids(0), embedding=vec), ent(1),
+                 Entity(2, "z", TOP, node_ids(2), embedding=EmbeddingVector([0.0, 0.0]))], [])
+    assert inherent_risk(kg, []) == {0: 0.0, 1: 0.0, 2: 0.0}
+    # no or a zero embedding scores zero
+    assert inherent_risk(kg, [fake_cve([0.0, 1.0])]) == {0: 0.0, 1: 0.0, 2: 0.0}
     # anti-aligned descriptions clamp to zero instead of going negative
-    assert inherent_risk(e, [fake_cve([-1.0, 0.0])]) == 0.0
-    assert inherent_risk(e, [fake_cve([-1.0, 0.0]), fake_cve([1.0, 0.0])]) == 1.0
+    assert inherent_risk(kg, [fake_cve([-1.0, 0.0])])[0] == 0.0
+    assert inherent_risk(kg, [fake_cve([-1.0, 0.0]), fake_cve([1.0, 0.0])])[0] == 1.0
+    # a -0.0 cosine scores 0.0, not -0.0
+    assert str(inherent_risk(kg, [fake_cve([-0.0, 1.0])])[0]) == "0.0"
 
 
 def fake_cve(values):
-    from binrisk.ssckg import CveRecord
     return CveRecord(cve_id="CVE-F", description="",
                      embedding=EmbeddingVector(values))
+
+
+# --- the entity x CVE similarity matrix --------------------------------------------
+
+def assert_same_decisions(got, want, thresholds):
+    """Equal within 1e-12, and on the same side of every threshold the
+    reference cosine is more than 1e-12 away from."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12)
+    for threshold in thresholds:
+        clear = np.abs(want - threshold) > 1e-12
+        assert np.array_equal((got >= threshold)[clear], (want >= threshold)[clear])
+
+
+@pytest.mark.parametrize("name", ["toy_modbus", "firmware_update", "diamond"])
+def test_cve_similarity_matches_per_pair_oracle_on_fixtures(fixtures_dir, name):
+    g = load_cpg(fixtures_dir / f"{name}.cpg.json")
+    provider = HashEmbedder(dimension=384, seed=42)
+    corpus = build_corpus(g, g.function_ids, RuleAnnotator(
+        load_rules(fixtures_dir / "rules.json"), Lattice.default()))
+    ents = embed_entities(structural_collapse(g, Granularity.FUNCTION, corpus), provider)
+    cves = load_cves(fixtures_dir / "cves.json", provider)
+    got, want = cve_similarity(ents, cves), cve_similarity_ref(ents, cves)
+    assert_same_decisions(got, want, [0.0, 0.5, 0.85, 0.9])
+    kg = SsckgGraph(ents, extract_relations(g, ents, cves))
+    best = np.clip(want.max(axis=1, initial=0.0), 0.0, 1.0)
+    assert np.allclose(list(inherent_risk(kg, cves).values()), best, rtol=0.0, atol=1e-12)
+
+
+# Summary words from the fixture CVE descriptions, so that some summaries
+# come close to a description.
+WORDS = sorted({w.lower() for c in json.loads((FIXTURES / "cves.json").read_text("utf-8"))
+                for w in c["description"].split()})
+EMBEDDER = HashEmbedder(dimension=384, seed=42)
+PROPERTY = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def summaries_and_cves(draw):
+    text = st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join)
+    vector = (text.map(EMBEDDER.embed) | st.none()
+              | st.just(EmbeddingVector(np.zeros(EMBEDDER.dimension()))))
+    ents = [Entity(i, f"e{i}", TOP, node_ids(i), embedding=v)
+            for i, v in enumerate(draw(st.lists(vector, max_size=8)))]
+    cves = [CveRecord(f"CVE-{k}", t, EMBEDDER.embed(t))
+            for k, t in enumerate(draw(st.lists(text, max_size=5)))]
+    return ents, cves
+
+
+@PROPERTY
+@given(summaries_and_cves(), st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_cve_similarity_matches_per_pair_oracle(inputs, thresholds):
+    ents, cves = inputs
+    got, want = cve_similarity(ents, cves), cve_similarity_ref(ents, cves)
+    assert_same_decisions(got, want, thresholds + [0.0, 0.85])
+    inh = inherent_risk(row_kg(ents, []), cves)
+    assert np.allclose([inh[e.id] for e in ents], np.clip(want.max(axis=1, initial=0.0), 0, 1),
+                       rtol=0.0, atol=1e-12)
 
 
 # --- weight normalization ----------------------------------------------------------
@@ -168,7 +237,7 @@ def toy_kg(fixtures_dir):
 
 def test_toy_fixed_point_matches_closed_form(fixtures_dir):
     kg, cves = toy_kg(fixtures_dir)
-    inh = {e.id: inherent_risk(e, cves) for e in kg.entities}
+    inh = inherent_risk(kg, cves)
     result = propagate(kg, inh, TIGHT)
     # main has no in-relations; each other entity has exactly one upstream
     want = {0: inh[0]}
@@ -214,6 +283,32 @@ def test_propagate_matches_dense_solve_on_random_graphs():
         want = solve_oracle(kg, inh, beta)
         for eid in want:
             assert abs(got[eid] - want[eid]) < 1e-9, (n, beta, eid)
+
+
+@st.composite
+def propagation_inputs(draw):
+    n = draw(st.integers(1, 14))
+    types = [t for t in RelationType if t is not RelationType.VULNERABLE_TO]
+    ends = st.integers(0, n - 1)
+    rows = draw(st.lists(st.tuples(ends, st.sampled_from(types), ends,
+                                   st.floats(0.05, 2.0)), max_size=4 * n))
+    rels = list({(a, t, b): Relation(a, t, b, w) for a, t, b, w in rows}.values())
+    rels += [Relation(0, RelationType.VULNERABLE_TO, "CVE-X", 1.0)] * draw(st.booleans())
+    inherent = {i: draw(st.floats(0.0, 1.0)) for i in range(n)}
+    cfg = PropagationConfig(beta=draw(st.floats(0.05, 1.0)),
+                            tolerance=draw(st.sampled_from([1e-6, 1e-9, 1e-12])),
+                            max_iterations=5000)
+    return row_kg([ent(i) for i in range(n)], rels), inherent, cfg
+
+
+@PROPERTY
+@given(propagation_inputs())
+def test_sparse_step_matches_dense_transition(inputs):
+    kg, inherent, cfg = inputs
+    got, want = propagate(kg, inherent, cfg), propagate_dense(kg, inherent, cfg)
+    assert got.iterations == want.iterations
+    assert got.connected == want.connected
+    assert max(abs(got.scores[i] - want.scores[i]) for i in want.scores) <= 1e-12
 
 
 def test_isolated_entities_keep_inherent_exactly():

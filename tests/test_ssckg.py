@@ -23,6 +23,7 @@ from binrisk.ssckg import (
     SsckgGraph,
     construction_stats,
     dbscan,
+    dot_chunks,
     dumps_ssckg,
     embed_entities,
     extract_relations,
@@ -34,7 +35,7 @@ from binrisk.ssckg import (
 )
 
 from oracles import (CpgEdge, Relation, inst, node_ids, pdg, relation_rows, row_cpg, row_kg,
-                     row_relations)
+                     row_relations, to_dot_ref)
 
 
 def call(a, b):
@@ -636,6 +637,23 @@ def test_to_dot_risk_bands(fixtures_dir):
     assert "risk=0.900" in dot
     # unscored entities keep the neutral fill
     assert 'fillcolor="gray90"' in dot
+
+
+def test_dot_chunks_join_to_the_line_by_line_text_across_blocks():
+    # 60 x 59 calls plus CVE links: the relations span several blocks,
+    # and CVE rows fall on both sides of a block edge.
+    ents = [Entity(i, f'f"{i}', label("Memory") if i % 3 else TOP, node_ids(i))
+            for i in range(60)]
+    rels = [Relation(a, RelationType.CALLS, b, 0.3) for a in range(60) for b in range(60)
+            if a != b]
+    rels += [Relation(a, RelationType.VULNERABLE_TO, f"CVE-{a % 7}\\", 1.0)
+             for a in range(0, 60, 4)]
+    kg = row_kg(ents, rels)
+    risk = {i: i / 59 for i in range(0, 60, 2)}
+    chunks = list(dot_chunks(kg, risk, {"high": 0.8, "medium": 0.3}))
+    assert len(chunks) > 60 + 3
+    assert "".join(chunks) == to_dot_ref(kg, risk, {"high": 0.8, "medium": 0.3})
+    assert "".join(dot_chunks(kg)) == to_dot(kg) == to_dot_ref(kg)
 
 
 def test_load_cves_validation(fixtures_dir, tmp_path):
