@@ -79,7 +79,7 @@ def _cmd_embed(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         if not isinstance(text, str):
             raise SchemaError(f"texts file {args.texts}: key {key!r} has non-string "
                               f"text {text!r}")
-    out = {key: provider.embed(text).values.tolist() for key, text in doc.items()}
+    out = {key: provider.embed(text).tolist() for key, text in doc.items()}
     pipeline.write_atomic(args.out, dumps_json(out))
     _emit({"embedded": len(out), "dimension": provider.dimension()})
     return EXIT_OK

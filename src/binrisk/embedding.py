@@ -7,8 +7,10 @@ downstream scoring stages rely on.  The second reads a precomputed
 JSON map, so deployments can plug in sentence-encoder vectors exported
 offline.
 
-Both return EmbeddingVector objects: fixed-length float64 vectors with
-the Euclidean norm cached at construction.
+Both return plain 1-D float64 numpy arrays, finite and read-only: the
+hash embedder sets each one read-only where it makes it, and the file
+provider checks and freezes each stored vector when it reads the file,
+so no caller can change a vector another holds.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import hashlib
 import re
 import sys
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -25,33 +26,6 @@ from .cpg import _floats
 from .errors import DimensionMismatch, MissingEmbedding, SchemaError, read_json
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
-
-
-class EmbeddingVector:
-    """Immutable 1-D float64 vector with a cached norm."""
-
-    __slots__ = ("values", "norm")
-
-    def __init__(self, values):
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim != 1:
-            raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("embedding contains non-finite values")
-        v = v.copy()
-        v.setflags(write=False)
-        self.values = v
-        self.norm = float(np.linalg.norm(v))
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[0]
-
-    def __len__(self) -> int:
-        return self.dimension
-
-    def __repr__(self) -> str:
-        return f"EmbeddingVector(dim={self.dimension}, norm={self.norm:.4f})"
 
 
 class HashEmbedder:
@@ -89,25 +63,21 @@ class HashEmbedder:
         slot = self._slots[token] = (h % self._dim, 1.0 if (h >> 127) & 1 == 0 else -1.0)
         return slot
 
-    def embed(self, text: str) -> EmbeddingVector:
+    def embed(self, text: str) -> np.ndarray:
         acc = np.zeros(self._dim, dtype=np.float64)
         slots = self._slots
-        any_token = False
         for token in _TOKEN_SPLIT.split(text.lower()):
-            if not token:
-                continue
-            any_token = True
-            bucket, sign = slots.get(token) or self._slot(token)
-            acc[bucket] += sign
-        if not any_token:
-            acc[0] = 1.0
-            return EmbeddingVector(acc)
+            if token:
+                bucket, sign = slots.get(token) or self._slot(token)
+                acc[bucket] += sign
         norm = np.linalg.norm(acc)
         if norm == 0.0:
-            # Possible only when signed counts cancel in every bucket.
+            # No tokens, or signed counts that cancel in every bucket.
             acc[0] = 1.0
-            return EmbeddingVector(acc)
-        return EmbeddingVector(acc / norm)
+        else:
+            acc /= norm
+        acc.setflags(write=False)
+        return acc
 
 
 class FileEmbeddings:
@@ -117,41 +87,30 @@ class FileEmbeddings:
         doc = read_json(path, "embedding file")
         if not isinstance(doc, dict) or not doc:
             raise MissingEmbedding(f"embedding file {path} is empty or not a map")
-        self._table: dict[str, EmbeddingVector] = {}
+        self._table: dict[str, np.ndarray] = {}
         dim: int | None = None
         for key, values in doc.items():
-            floats = _floats(values)
-            if floats is None:
+            vec = _floats(values)
+            if vec is None:
                 raise SchemaError(f"embedding file {path}: key '{key}' must map to a flat "
                                   "list of numbers")
-            try:
-                vec = EmbeddingVector(floats)
-            except ValueError as exc:
-                raise SchemaError(f"embedding file {path}: key '{key}': {exc}") from None
+            if not np.isfinite(vec).all():
+                raise SchemaError(f"embedding file {path}: key '{key}': "
+                                  "embedding contains non-finite values")
             if dim is None:
-                dim = vec.dimension
-            elif vec.dimension != dim:
-                raise DimensionMismatch(
-                    f"key '{key}' has dimension {vec.dimension}, expected {dim}")
+                dim = len(vec)
+            elif len(vec) != dim:
+                raise DimensionMismatch(f"key '{key}' has dimension {len(vec)}, expected {dim}")
+            vec.setflags(write=False)  # embed hands out this one array for every call
             self._table[key] = vec
         self._dim = int(dim)
 
     def dimension(self) -> int:
         return self._dim
 
-    def embed(self, text: str) -> EmbeddingVector:
+    def embed(self, text: str) -> np.ndarray:
         try:
             return self._table[text]
         except KeyError:
             raise MissingEmbedding(f"no embedding stored for key '{text}'") from None
 
-
-def stack(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
-    """Stack same-dimension vectors into an (n, d) matrix."""
-    if not vectors:
-        return np.zeros((0, 0), dtype=np.float64)
-    dim = vectors[0].dimension
-    for v in vectors:
-        if v.dimension != dim:
-            raise DimensionMismatch("vectors of mixed dimension cannot be stacked")
-    return np.stack([v.values for v in vectors])

@@ -384,11 +384,11 @@ def forward(kg: SsckgGraph, params: ModelParams | ModelConfig) -> list[NodeEmbed
     for ent in kg.entities:
         if ent.embedding is None:
             raise ShapeMismatch(f"entity {ent.id} has no summary embedding")
-        if ent.embedding.dimension != cfg.input_dim:
+        if len(ent.embedding) != cfg.input_dim:
             raise ShapeMismatch(
-                f"entity {ent.id} embedding has dimension {ent.embedding.dimension}, "
+                f"entity {ent.id} embedding has dimension {len(ent.embedding)}, "
                 f"model expects {cfg.input_dim}")
-        feats.append(ent.embedding.values)
+        feats.append(ent.embedding)
         tiers.append(ent.label.tier)
     src, dst, type_index, weight = _relation_arrays(kg)
     dist = shortest_path_matrix(len(order), np.column_stack((src, dst)),

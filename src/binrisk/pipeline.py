@@ -190,7 +190,7 @@ def transform(kg: SsckgGraph, cfg: PipelineConfig) -> list[NodeEmbedding]:
     a ``params_path`` container, the one file this core reads, must
     match it.
     """
-    dims = {e.embedding.dimension for e in kg.entities if e.embedding is not None}
+    dims = {len(e.embedding) for e in kg.entities if e.embedding is not None}
     model_cfg = ModelConfig(
         layers=cfg.model_layers, heads=cfg.model_heads,
         hidden_dim=cfg.model_hidden_dim, max_dist=cfg.model_max_dist,

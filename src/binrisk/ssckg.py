@@ -62,7 +62,6 @@ import numpy as np
 
 from .cpg import (AST_CODE, PDG_CODE, CpgGraph, _codes, _floats, _int64, _is_id,
                   _raise_first_fault, _search, group_rows)
-from .embedding import EmbeddingVector, stack
 from .errors import (DimensionMismatch, ParseError, SchemaError, ZeroVector, collector_paused,
                      json_chunks, json_value, read_json, read_rows)
 from .lattice import TOP, Label, join, leq
@@ -117,7 +116,7 @@ class Entity:
     label: Label
     members: np.ndarray
     summary: str = ""
-    embedding: EmbeddingVector | None = None
+    embedding: np.ndarray | None = None  # read-only, as the providers return it
     external: bool = False
     # DBSCAN outcome: None = never clustered, -1 = noise, >=0 = cluster id.
     cluster_id: int | None = None
@@ -129,11 +128,11 @@ def check_relation_weight(weight: float) -> None:
         raise SchemaError(f"relation weight must be finite and positive, got {weight}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CveRecord:
     cve_id: str
     description: str
-    embedding: EmbeddingVector
+    embedding: np.ndarray
 
 
 class RelationColumns:
@@ -344,12 +343,12 @@ def dbscan(points, eps: float, min_samples: int) -> np.ndarray:
     holds at least min_samples points.  Border points go to the first
     cluster discovered that reaches them, which makes the labeling
     deterministic for a fixed input order.  Noise is labeled -1.
+    ``points`` is an (n, d) array or a list of 1-D arrays of one length.
     """
-    if isinstance(points, np.ndarray):
-        mat = np.asarray(points, dtype=np.float64)
-    else:
-        mat = stack(points)
-    n = mat.shape[0]
+    if not isinstance(points, np.ndarray) and len(set(map(np.shape, points))) > 1:
+        raise DimensionMismatch("vectors of mixed dimension cannot be stacked")
+    mat = np.asarray(points, dtype=np.float64)
+    n = len(mat)
     if n == 0:
         return np.empty(0, dtype=np.int64)
     check_dbscan_params(eps, min_samples)
@@ -714,17 +713,19 @@ def cve_similarity(entities: Sequence[Entity], cves: Sequence[CveRecord]) -> np.
     ZeroVector for a zero CVE vector, once some entity has a vector.
     """
     sims = np.full((len(entities), len(cves)), -1.0)
-    rows = [i for i, e in enumerate(entities)
-            if e.embedding is not None and e.embedding.norm != 0.0]
+    summary_norms = {i: np.linalg.norm(e.embedding) for i, e in enumerate(entities)
+                     if e.embedding is not None}
+    rows = [i for i, norm in summary_norms.items() if norm != 0.0]
     if not rows or not cves:
         return sims
     vectors = [entities[i].embedding for i in rows] + [cve.embedding for cve in cves]
-    if len(dims := sorted({v.dimension for v in vectors})) > 1:
+    if len(dims := sorted({len(v) for v in vectors})) > 1:
         raise DimensionMismatch(f"summary and CVE vectors of dimensions {dims} cannot be compared")
-    norms = np.array([v.norm for v in vectors])
+    norms = np.array([summary_norms[i] for i in rows]
+                     + [np.linalg.norm(cve.embedding) for cve in cves])
     if (norms == 0.0).any():
         raise ZeroVector("cosine with a zero-norm vector is undefined")
-    mat = stack(vectors)
+    mat = np.stack(vectors)
     k = len(rows)
     sims[rows] = np.clip(mat[:k] @ mat[k:].T / np.outer(norms[:k], norms[k:]), -1.0, 1.0)
     return sims
@@ -774,13 +775,12 @@ def _listed(items: list[str]) -> str:
     return "[\n        " + _ITEM_SEP.join(items) + "\n      ]" if items else "[]"
 
 
-def _vector_text(vector: EmbeddingVector | None) -> str:
+def _vector_text(values: np.ndarray | None) -> str:
     """An entity embedding's text.  Only the entries whose bits are not
     all zero (so -0.0 too) take a ``repr``; the rest are +0.0, which
     most entries of a hash embedding are."""
-    if vector is None:
+    if values is None:
         return "null"
-    values = vector.values
     items = ["0.0"] * len(values)
     nonzero = np.flatnonzero(values.view(np.int64))
     for i, text in zip(nonzero.tolist(), map(float.__repr__, values[nonzero].tolist())):
@@ -888,14 +888,16 @@ def _entity(raw, pos: int) -> Entity:
         member = next(m for m in members if not _is_id(m))
         raise SchemaError(f"entity at index {pos} has non-integer member {member!r}")
     if emb is not None:
-        if type(emb) is not list or not set(map(type, emb)) <= {int, float}:
-            raise SchemaError(f"entity at index {pos} has an embedding that is not "
-                              "a flat list of numbers")
-        try:
-            emb = EmbeddingVector(emb)
-        except (OverflowError, ValueError):  # NaN, +-inf, or an int past the float range
+        vector = _floats(emb)
+        if vector is None or not np.isfinite(vector).all():
+            if type(emb) is not list or not set(map(type, emb)) <= {int, float}:
+                raise SchemaError(f"entity at index {pos} has an embedding that is not "
+                                  "a flat list of numbers")
+            # NaN, +-inf, or an int past the float range
             raise SchemaError(f"entity at index {pos} has an embedding with "
-                              "a non-finite value") from None
+                              "a non-finite value")
+        vector.setflags(write=False)
+        emb = vector
     return Entity(id=entity_id, name=name, label=Label.parse(label), members=_distinct(ids),
                   summary=summary, embedding=emb, external=external, cluster_id=cluster_id)
 

@@ -5,9 +5,10 @@ relation.  ``row_cpg``, ``row_relations`` and ``row_kg`` build graphs
 of them through the package's converters, each array one chunk of
 JSON-shaped rows: a second path beside the streamed readers.
 ``node_rows``, ``edge_rows`` and ``relation_rows`` read columns back.
-``node_ids`` builds an entity's members and ``claim_array`` an
-annotation's claims; ``coefficient_dict`` reads ``normalize_weights``'
-columns back as {target id: {source id: coefficient}}.
+``node_ids`` builds an entity's members, ``frozen`` a summary or CVE
+vector and ``claim_array`` an annotation's claims; ``coefficient_dict``
+reads ``normalize_weights``' columns back as {target id: {source id:
+coefficient}}.
 
 Whole-tree readers of the CPG and KG files, which read the whole text
 with one ``json.loads`` call and so name the first fault of any
@@ -40,7 +41,6 @@ import numpy as np
 
 from binrisk.cpg import (EDGE_KINDS, NODE_KINDS, CpgGraph, DataFlowClaim, EdgeKind, NodeKind,
                          _edge_columns, _node_columns)
-from binrisk.embedding import EmbeddingVector
 from binrisk.errors import (DimensionMismatch, NonConvergence, ParseError, SchemaError,
                             ShapeMismatch, UnknownFunction, ZeroVector, collector_paused,
                             read_json)
@@ -106,6 +106,14 @@ def row_relations(relations: Sequence[Relation]) -> RelationColumns:
 def node_ids(*ids: int) -> np.ndarray:
     """An entity's members: the given node ids as int64, ascending, each once."""
     return np.array(sorted(set(ids)), dtype=np.int64)
+
+
+def frozen(values) -> np.ndarray:
+    """A summary or CVE vector as the providers hand one out: a read-only
+    1-D float64 array."""
+    vector = np.array(values, dtype=np.float64)
+    vector.setflags(write=False)
+    return vector
 
 
 def claim_array(*pairs) -> np.ndarray:
@@ -295,7 +303,7 @@ def kg_document(kg: SsckgGraph) -> dict:
         "clustering": kg.clustering,
         "entities": [{"id": e.id, "name": e.name, "label": str(e.label),
                       "members": sorted(e.members.tolist()), "summary": e.summary,
-                      "embedding": None if e.embedding is None else e.embedding.values.tolist(),
+                      "embedding": None if e.embedding is None else e.embedding.tolist(),
                       "external": e.external, "cluster_id": e.cluster_id}
                      for e in kg.entities],
         "relations": [{"src": r.src, "rel_type": r.rel_type, "dst": r.dst, "weight": r.weight}
@@ -347,14 +355,14 @@ def relation_edges(kg: SsckgGraph) -> list[tuple[int, int, int, float]]:
 
 # --- scoring ------------------------------------------------------------------------
 
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity, clamped into [-1, 1] against rounding drift."""
-    if a.dimension != b.dimension:
-        raise DimensionMismatch(
-            f"cosine of {a.dimension}-dim and {b.dimension}-dim vectors")
-    if a.norm == 0.0 or b.norm == 0.0:
+    if len(a) != len(b):
+        raise DimensionMismatch(f"cosine of {len(a)}-dim and {len(b)}-dim vectors")
+    norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if norm_a == 0.0 or norm_b == 0.0:
         raise ZeroVector("cosine with a zero-norm vector is undefined")
-    val = float(np.dot(a.values, b.values) / (a.norm * b.norm))
+    val = float(np.dot(a, b) / (norm_a * norm_b))
     return max(-1.0, min(1.0, val))
 
 
@@ -363,7 +371,7 @@ def cve_similarity_ref(entities: Sequence[Entity], cves: Sequence[CveRecord]) ->
     with no summary vector or a zero one."""
     sims = np.full((len(entities), len(cves)), -1.0)
     for i, ent in enumerate(entities):
-        if ent.embedding is not None and ent.embedding.norm != 0.0:
+        if ent.embedding is not None and np.linalg.norm(ent.embedding) != 0.0:
             sims[i] = [cosine(ent.embedding, cve.embedding) for cve in cves]
     return sims
 

@@ -251,7 +251,7 @@ def test_criterion_07_transformer_invariants():
     # (d) single-node closed form within 1e-10
     lone = model_entity(0, Label.parse("Memory"), unit(np.random.default_rng(2), 6))
     got1 = forward(row_kg([lone], []), hand_params)[0].vector
-    z = (lone.embedding.values @ hand_params.tensors["w_input"]
+    z = (lone.embedding @ hand_params.tensors["w_input"]
          + hand_params.tensors["tier_embed"][1])
     for lp in (layer_tensors(hand_params, layer) for layer in range(hand_cfg.layers)):
         mixed = (z @ lp["w_v"]) @ lp["w_o"]

@@ -7,15 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from binrisk.embedding import (
-    EmbeddingVector,
-    FileEmbeddings,
-    HashEmbedder,
-    stack,
-)
-from binrisk.errors import DimensionMismatch, MissingEmbedding, ZeroVector
+from binrisk.embedding import FileEmbeddings, HashEmbedder
+from binrisk.errors import DimensionMismatch, MissingEmbedding, SchemaError, ZeroVector
 from binrisk.lattice import TOP
-from binrisk.ssckg import CveRecord, Entity, cve_similarity
+from binrisk.ssckg import CveRecord, Entity, cve_similarity, embed_entities, load_cves, load_ssckg
 
 from oracles import node_ids
 
@@ -32,25 +27,25 @@ def test_same_text_same_vector():
     emb = HashEmbedder(dimension=64, seed=0)
     a = emb.embed("coil write routine")
     b = emb.embed("coil write routine")
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_seed_changes_vectors():
     a = HashEmbedder(dimension=64, seed=0).embed("coil write")
     b = HashEmbedder(dimension=64, seed=1).embed("coil write")
-    assert not np.array_equal(a.values, b.values)
+    assert not np.array_equal(a, b)
 
 
 def test_output_is_unit_norm():
     v = HashEmbedder(dimension=128, seed=3).embed("socket recv store")
-    assert v.norm == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tokenization_ignores_case_and_punctuation():
     emb = HashEmbedder(dimension=64, seed=0)
     a = emb.embed("Coil_Write, param!")
     b = emb.embed("coil write param")
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_empty_text_falls_back_to_basis_vector():
@@ -58,25 +53,70 @@ def test_empty_text_falls_back_to_basis_vector():
     v = emb.embed("   ")
     want = np.zeros(16)
     want[0] = 1.0
-    assert np.array_equal(v.values, want)
+    assert np.array_equal(v, want)
 
 
 def test_token_multiplicity_matters():
     emb = HashEmbedder(dimension=256, seed=0)
     once = emb.embed("write coil")
     twice = emb.embed("write write coil")
-    assert not np.array_equal(once.values, twice.values)
+    assert not np.array_equal(once, twice)
 
 
 def test_vector_is_write_protected():
     v = HashEmbedder(dimension=8, seed=0).embed("x")
     with pytest.raises(ValueError):
-        v.values[0] = 5.0
+        v[0] = 5.0
 
 
-def test_non_finite_values_rejected():
-    with pytest.raises(ValueError):
-        EmbeddingVector(np.array([1.0, float("nan")]))
+def test_non_finite_values_rejected(tmp_path):
+    path = tmp_path / "vectors.json"
+    path.write_text('{"a": [1.0, 0.0], "b": [1.0, NaN]}', encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^embedding file {re.escape(str(path))}: "
+                       "key 'b': embedding contains non-finite values$"):
+        FileEmbeddings(path)
+
+
+def assert_handed_out(vector):
+    """A summary or CVE vector as the library hands it out: a finite 1-D
+    float64 array that no caller can write."""
+    assert type(vector) is np.ndarray
+    assert vector.dtype == np.float64 and vector.ndim == 1
+    assert np.isfinite(vector).all()
+    with pytest.raises(ValueError, match="read-only"):
+        vector[0] = 5.0
+
+
+def test_every_vector_handed_out_is_a_finite_read_only_array(tmp_path, fixtures_dir):
+    embedder = HashEmbedder(dimension=16, seed=0)
+    for text in ("coil write routine", "", " ,, "):
+        assert_handed_out(embedder.embed(text))
+    assert embedder.embed("").tolist() == [1.0] + [0.0] * 15  # the basis vector
+
+    # Two entities with one summary get the provider's one stored vector,
+    # and neither can change it for the other or for later calls.
+    path = tmp_path / "vectors.json"
+    path.write_text('{"shared": [3, 4.0], "other": [0.0, 1.0]}', encoding="utf-8")
+    provider = FileEmbeddings(path)
+    ents = embed_entities([Entity(i, f"e{i}", TOP, node_ids(i), summary="shared")
+                           for i in range(2)], provider)
+    for ent in ents:
+        assert_handed_out(ent.embedding)
+    assert provider.embed("shared").tolist() == [3.0, 4.0]
+
+    kg_path = tmp_path / "kg.json"
+    kg_path.write_text(json.dumps({
+        "source_binary": "b", "clustering": None, "relations": [],
+        "entities": [{"id": 0, "name": "a", "label": "TOP", "embedding": [1, -0.5, 0]},
+                     {"id": 1, "name": "b", "label": "TOP", "embedding": None}]}),
+        encoding="utf-8")
+    kg = load_ssckg(kg_path)
+    assert_handed_out(kg.entities[0].embedding)
+    assert kg.entities[0].embedding.tolist() == [1.0, -0.5, 0.0]
+    assert kg.entities[1].embedding is None
+
+    for record in load_cves(fixtures_dir / "cves.json", embedder):
+        assert_handed_out(record.embedding)
 
 
 def test_cosine_bounds_and_identity():
@@ -90,14 +130,14 @@ def test_cosine_bounds_and_identity():
 
 
 def test_cosine_dimension_and_zero_checks():
-    a = EmbeddingVector(np.ones(4))
-    b = EmbeddingVector(np.ones(5))
+    a = np.ones(4)
+    b = np.ones(5)
     with pytest.raises(DimensionMismatch, match=r"dimensions \[4, 5\] cannot be compared"):
         cve_similarity([summary(a)], [cve(b)])
     with pytest.raises(ZeroVector):
-        cve_similarity([summary(a)], [cve(EmbeddingVector(np.zeros(4)))])
+        cve_similarity([summary(a)], [cve(np.zeros(4))])
     # A zero or missing summary vector is a row of -1, and no error.
-    sims = cve_similarity([summary(EmbeddingVector(np.zeros(4))), summary(None)], [cve(b)])
+    sims = cve_similarity([summary(np.zeros(4)), summary(None)], [cve(b)])
     assert sims.tolist() == [[-1.0], [-1.0]]
 
 
@@ -107,7 +147,7 @@ def test_file_provider_round_trip(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     provider = FileEmbeddings(path)
     assert provider.dimension() == 3
-    assert provider.embed("hello").values.tolist() == [1.0, 0.0, 0.0]
+    assert provider.embed("hello").tolist() == [1.0, 0.0, 0.0]
     with pytest.raises(MissingEmbedding):
         provider.embed("absent")
 
@@ -117,12 +157,6 @@ def test_file_provider_rejects_mixed_dimensions(tmp_path):
     path.write_text(json.dumps({"a": [1.0], "b": [1.0, 2.0]}), encoding="utf-8")
     with pytest.raises(DimensionMismatch):
         FileEmbeddings(path)
-
-
-def test_stack_shape():
-    emb = HashEmbedder(dimension=32, seed=0)
-    mat = stack([emb.embed("a"), emb.embed("b"), emb.embed("c")])
-    assert mat.shape == (3, 32)
 
 
 def hash_embedding_ref(text: str, dimension: int, seed: int) -> np.ndarray:
@@ -151,6 +185,6 @@ def test_warm_embedder_writes_the_cold_bits(order):
     # reference.
     warm = HashEmbedder(dimension=16, seed=7)
     for text in order:
-        got = warm.embed(text).values
-        assert got.tobytes() == HashEmbedder(dimension=16, seed=7).embed(text).values.tobytes()
+        got = warm.embed(text)
+        assert got.tobytes() == HashEmbedder(dimension=16, seed=7).embed(text).tobytes()
         assert got.tobytes() == hash_embedding_ref(text, 16, 7).tobytes()

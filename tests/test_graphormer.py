@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from binrisk.cpg import shortest_path_matrix
-from binrisk.embedding import EmbeddingVector
 from binrisk.errors import (
     ConfigError,
     CorruptFile,
@@ -46,8 +45,8 @@ from binrisk.lattice import TOP, Label
 from binrisk.pipeline import transform, write_atomic
 from binrisk.ssckg import Entity, RelationType
 
-from oracles import (Relation, attention_matrix, layer_tensors, node_ids, relation_edges,
-                     relation_rows, row_kg)
+from oracles import (Relation, attention_matrix, frozen, layer_tensors, node_ids,
+                     relation_edges, relation_rows, row_kg)
 
 SMALL = ModelConfig(layers=1, heads=2, hidden_dim=8, max_dist=4,
                     edge_types=8, input_dim=6, seed=3)
@@ -169,7 +168,7 @@ def forward_oracle(kg, params):
     """End-to-end reference: oracle attention plus explicit layer algebra."""
     cfg = params.config
     ents = list(kg.entities)
-    feats = np.stack([e.embedding.values for e in ents])
+    feats = np.stack([e.embedding for e in ents])
     tiers = [e.label.tier for e in ents]
     edges = relation_edges(kg)
     dist = hop_oracle(len(ents), [(i, j) for i, j, _, _ in edges], cfg.max_dist)
@@ -191,7 +190,7 @@ def forward_oracle(kg, params):
 
 def unit(rng, dim):
     v = rng.standard_normal(dim)
-    return EmbeddingVector(v / np.linalg.norm(v))
+    return frozen(v / np.linalg.norm(v))
 
 
 def entity(eid, lab, emb):
@@ -312,7 +311,7 @@ def test_forward_single_node_closed_form():
 
     # a lone node attends only to itself, so each layer reduces to
     # layer_norm(z + ffn((z Wv) Wo))
-    z = ent.embedding.values @ params.tensors["w_input"] + params.tensors["tier_embed"][1]
+    z = ent.embedding @ params.tensors["w_input"] + params.tensors["tier_embed"][1]
     for lp in (layer_tensors(params, layer) for layer in range(cfg.layers)):
         mixed = (z @ lp["w_v"]) @ lp["w_o"]
         y = gelu_ref(mixed @ lp["ffn_w1"] + lp["ffn_b1"]) @ lp["ffn_w2"] + lp["ffn_b2"]
@@ -353,7 +352,7 @@ def per_head_reference(kg, params):
     edges = relation_edges(kg)
     dist = shortest_path_matrix(len(ents), [(i, j) for i, j, _, _ in edges],
                                 max_dist=cfg.max_dist)
-    z = (np.stack([e.embedding.values for e in ents]) @ params.tensors["w_input"]
+    z = (np.stack([e.embedding for e in ents]) @ params.tensors["w_input"]
          + params.tensors["tier_embed"][np.array([e.label.tier for e in ents])])
     d = cfg.hidden_dim // cfg.heads
     for layer in range(cfg.layers):
@@ -536,7 +535,7 @@ def test_forward_input_validation():
     bare = Entity(0, "x", TOP, node_ids(0))  # no embedding
     with pytest.raises(ShapeMismatch, match="no summary embedding"):
         forward(row_kg([bare], []), params)
-    wrong = entity(0, TOP, EmbeddingVector(np.ones(SMALL.input_dim + 2)))
+    wrong = entity(0, TOP, frozen(np.ones(SMALL.input_dim + 2)))
     with pytest.raises(ShapeMismatch, match="dimension"):
         forward(row_kg([wrong], []), params)
     # The params must hold exactly the tensors the config draws, in draw order.

@@ -117,7 +117,7 @@ def extract_relations_ref(g, entities, cves=(), cve_match_threshold=0.85, config
         for dst in closure_ref(combined, src) & sinks:
             emit(src, RelationType.REACHES, dst)
     for ent in entities:
-        if ent.embedding is None or ent.embedding.norm == 0.0:
+        if ent.embedding is None or np.linalg.norm(ent.embedding) == 0.0:
             continue
         for cve in cves:
             if cosine(ent.embedding, cve.embedding) >= cve_match_threshold:

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from binrisk.config import PipelineConfig
 from binrisk.cpg import load_cpg
-from binrisk.embedding import EmbeddingVector, HashEmbedder
+from binrisk.embedding import HashEmbedder
 from binrisk.errors import ConfigError, EmptyGraph, NonConvergence
 from binrisk.lattice import TOP, Lattice
 from binrisk.lifting import RuleAnnotator, build_corpus, load_rules
+from binrisk.pipeline import score
 from binrisk.risk import (
     PropagationConfig,
     inherent_risk,
@@ -31,8 +33,8 @@ from binrisk.ssckg import (
 )
 
 from conftest import FIXTURES
-from oracles import (Relation, coefficient_dict, cosine, cve_similarity_ref, node_ids,
-                     propagate_dense, relation_rows, row_kg)
+from oracles import (Relation, coefficient_dict, cosine, cve_similarity_ref, frozen,
+                     node_ids, propagate_dense, relation_rows, row_kg)
 
 TIGHT = PropagationConfig(beta=0.15, tolerance=1e-12, max_iterations=5000)
 
@@ -109,9 +111,9 @@ def test_inherent_risk_is_best_clamped_match(fixtures_dir):
 
 
 def test_inherent_risk_edge_cases():
-    vec = EmbeddingVector([1.0, 0.0])
+    vec = frozen([1.0, 0.0])
     kg = row_kg([Entity(0, "a", TOP, node_ids(0), embedding=vec), ent(1),
-                 Entity(2, "z", TOP, node_ids(2), embedding=EmbeddingVector([0.0, 0.0]))], [])
+                 Entity(2, "z", TOP, node_ids(2), embedding=frozen([0.0, 0.0]))], [])
     assert inherent_risk(kg, []) == {0: 0.0, 1: 0.0, 2: 0.0}
     # no or a zero embedding scores zero
     assert inherent_risk(kg, [fake_cve([0.0, 1.0])]) == {0: 0.0, 1: 0.0, 2: 0.0}
@@ -124,7 +126,7 @@ def test_inherent_risk_edge_cases():
 
 def fake_cve(values):
     return CveRecord(cve_id="CVE-F", description="",
-                     embedding=EmbeddingVector(values))
+                     embedding=frozen(values))
 
 
 # --- the entity x CVE similarity matrix --------------------------------------------
@@ -167,7 +169,7 @@ PROPERTY = settings(max_examples=150, deadline=None,
 def summaries_and_cves(draw):
     text = st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join)
     vector = (text.map(EMBEDDER.embed) | st.none()
-              | st.just(EmbeddingVector(np.zeros(EMBEDDER.dimension()))))
+              | st.just(frozen(np.zeros(EMBEDDER.dimension()))))
     ents = [Entity(i, f"e{i}", TOP, node_ids(i), embedding=v)
             for i, v in enumerate(draw(st.lists(vector, max_size=8)))]
     cves = [CveRecord(f"CVE-{k}", t, EMBEDDER.embed(t))
@@ -250,6 +252,20 @@ def test_toy_fixed_point_matches_closed_form(fixtures_dir):
     # the taint-path sink outranks everything
     ranking = sorted(result.scores, key=lambda e: -result.scores[e])
     assert ranking == [4, 3, 2, 0, 1]
+
+
+def test_ranking_breaks_exact_ties_by_entity_id(fixtures_dir):
+    # With no CVEs every inherent score, so every converged one, is
+    # exactly 0.0: the ranking is then ascending entity id, which is
+    # neither the name order nor the reverse.
+    g = load_cpg(fixtures_dir / "toy_modbus.cpg.json")
+    ents = structural_collapse(g)
+    kg = SsckgGraph(ents, extract_relations(g, ents))
+    ranking = score(kg, PipelineConfig(), [])["ranking"]
+    assert [str(row["score"]) for row in ranking] == ["0.0"] * 5
+    assert [(row["entity_id"], row["name"]) for row in ranking] == [
+        (0, "main"), (1, "recv_frame"), (2, "parse_modbus"), (3, "read_register"),
+        (4, "write_coil")]
 
 
 def test_diamond_fixed_point(fixtures_dir):

@@ -9,8 +9,8 @@ import pytest
 
 from binrisk.config import PipelineConfig
 from binrisk.cpg import EdgeKind, load_cpg
-from binrisk.embedding import EmbeddingVector, HashEmbedder
-from binrisk.errors import SchemaError, ZeroVector
+from binrisk.embedding import HashEmbedder
+from binrisk.errors import DimensionMismatch, SchemaError, ZeroVector
 from binrisk.lattice import TOP, Label, Lattice
 from binrisk.lifting import Annotation, RuleAnnotator, build_corpus, load_rules
 from binrisk.pipeline import (build_annotator, build_cves, build_kg, build_lattice, build_provider,
@@ -34,8 +34,8 @@ from binrisk.ssckg import (
     to_dot,
 )
 
-from oracles import (CpgEdge, Relation, inst, node_ids, pdg, relation_rows, row_cpg, row_kg,
-                     row_relations, to_dot_ref)
+from oracles import (CpgEdge, Relation, frozen, inst, node_ids, pdg, relation_rows, row_cpg,
+                     row_kg, row_relations, to_dot_ref)
 
 
 def call(a, b):
@@ -146,7 +146,7 @@ def test_embed_entities_fills_vectors(fixtures_dir):
     ents = structural_collapse(toy_graph(fixtures_dir))
     out = embed_entities(ents, HashEmbedder(dimension=32, seed=1))
     assert all(e.embedding is not None for e in out)
-    assert all(abs(e.embedding.norm - 1.0) < 1e-12 for e in out)
+    assert all(abs(np.linalg.norm(e.embedding) - 1.0) < 1e-12 for e in out)
     # input list is not mutated
     assert all(e.embedding is None for e in ents)
 
@@ -223,9 +223,17 @@ def test_dbscan_all_noise_and_singleton():
 
 
 def test_dbscan_accepts_embedding_vectors():
-    pts = on_circle([0, 5, 10])
-    vecs = [EmbeddingVector(row) for row in pts]
-    assert np.array_equal(dbscan(vecs, 0.016, 2), dbscan(pts, 0.016, 2))
+    # A list of 1-D arrays, as the providers hand them out, clusters as
+    # its stacked matrix does.
+    pts = on_circle([0, 5, 10, 40, 45, 50, 20])
+    vecs = [frozen(row) for row in pts]
+    labels = dbscan(pts, 0.016, 3).tolist()
+    assert labels == [0, 0, 0, 1, 1, 1, 0]
+    assert dbscan(vecs, 0.016, 3).tolist() == labels
+    assert dbscan([], 0.016, 3).size == 0
+    with pytest.raises(DimensionMismatch,
+                       match="^vectors of mixed dimension cannot be stacked$"):
+        dbscan([frozen([1.0, 0.0]), frozen([1.0, 0.0, 0.0])], 0.016, 1)
 
 
 def test_dbscan_input_validation():
@@ -567,7 +575,7 @@ def test_ssckg_round_trip(fixtures_dir, tmp_path):
                 got.external, got.cluster_id) == (
             orig.id, orig.name, str(orig.label), orig.members.tolist(), orig.summary,
             orig.external, orig.cluster_id)
-        assert np.array_equal(got.embedding.values, orig.embedding.values)
+        assert np.array_equal(got.embedding, orig.embedding)
     assert relation_rows(back) == relation_rows(kg)
     # serialization is deterministic
     assert dumps_ssckg(back) == dumps_ssckg(kg)
@@ -662,7 +670,7 @@ def test_load_cves_validation(fixtures_dir, tmp_path):
     assert [r.cve_id for r in records] == [
         "CVE-TEST-0001", "CVE-TEST-0002", "CVE-TEST-0003",
         "CVE-TEST-0004", "CVE-TEST-0005"]
-    assert all(abs(r.embedding.norm - 1.0) < 1e-12 for r in records)
+    assert all(abs(np.linalg.norm(r.embedding) - 1.0) < 1e-12 for r in records)
 
     bad = tmp_path / "bad.json"
     bad.write_text('{"cve_id": "X"}', encoding="utf-8")
