@@ -80,8 +80,8 @@ def main():
           f"{', '.join(f.name for f in repo)}")
 
     for name in ("toy_modbus.cpg.json", "firmware_update.cpg.json"):
-        target = embeddings_for(name)
-        results = match_and_alert(target, repo, tau=report.tau)
+        ids, vectors = embeddings_for(name)
+        results = match_and_alert(ids, vectors, repo, tau=report.tau)
         print(f"\n{name}:")
         for r in results:
             mark = "ALERT" if r.alert else "ok"

@@ -25,7 +25,7 @@ import numpy as np
 
 from binrisk.config import PipelineConfig
 from binrisk.fingerprint import Fingerprint, dumps_fingerprint, load_repository, match_and_alert
-from binrisk.graphormer import NodeEmbedding, load_embeddings
+from binrisk.graphormer import load_embeddings
 from binrisk.cpg import load_cpg
 from binrisk.lifting import build_corpus
 from binrisk.pipeline import (
@@ -128,30 +128,27 @@ def main() -> None:
         check("relation set (9 incl CVE link)", triples == expected, str(triples))
 
         [fw_report] = run_pipeline(cfg, [HERE / "firmware_update.cpg.json"], tmp / "fw_run")
-        embeddings = load_embeddings(tmp / "fw_run" / "firmware_update.embeddings.json")
-        by_id = {e.entity_id: e.vector for e in embeddings}
+        ids, vectors = load_embeddings(tmp / "fw_run" / "firmware_update.embeddings.json")
+        by_id = dict(zip(ids.tolist(), vectors))
 
         print("fingerprint construction")
         rng = np.random.default_rng(SEED)
         plant_ids = [4, 3]  # flash_write entity, cfg_load entity
-        planted_nodes = tuple(
-            NodeEmbedding(entity_id=i, vector=blend_at_cosine(by_id[eid], rng, PLANT_COSINE))
-            for i, eid in enumerate(plant_ids))
         planted = Fingerprint(
-            name="planted_apt", node_embeddings=planted_nodes,
+            name="planted_apt", entity_ids=np.arange(len(plant_ids)),
+            vectors=np.stack([blend_at_cosine(by_id[eid], rng, PLANT_COSINE) for eid in plant_ids]),
             provenance="synthetic fixture: 0.94-cosine blend against firmware_update entities 4 and 3")
-        decoy_nodes = tuple(
-            NodeEmbedding(entity_id=i, vector=(lambda v: v / np.linalg.norm(v))(rng.standard_normal(cfg.model_hidden_dim)))
-            for i in range(2))
-        decoy = Fingerprint(name="decoy_apt", node_embeddings=decoy_nodes,
-                            provenance="synthetic fixture: seeded random directions")
+        decoy = Fingerprint(
+            name="decoy_apt", entity_ids=np.arange(2),
+            vectors=np.stack([v / np.linalg.norm(v) for v in rng.standard_normal((2, cfg.model_hidden_dim))]),
+            provenance="synthetic fixture: seeded random directions")
         repo_dir = HERE / "fingerprints"
         repo_dir.mkdir(exist_ok=True)
         write_atomic(repo_dir / "planted_apt.json", dumps_fingerprint(planted))
         write_atomic(repo_dir / "decoy_apt.json", dumps_fingerprint(decoy))
 
         repo = load_repository(repo_dir)
-        matches = match_and_alert(embeddings, repo, TAU)
+        matches = match_and_alert(ids, vectors, repo, TAU)
         by_name = {m.fingerprint: m for m in matches}
         check("planted similarity above threshold",
               by_name["planted_apt"].similarity > TAU,

@@ -21,7 +21,6 @@ from . import __version__, pipeline
 from .config import PipelineConfig
 from .errors import BinriskError, ConfigError, SchemaError, dumps_json, read_json
 from .fingerprint import Fingerprint, dumps_fingerprint
-from .graphormer import NodeEmbedding
 from .metrics import ConfusionCounts, classification_metrics
 
 EXIT_OK = 0
@@ -86,10 +85,9 @@ def _cmd_embed(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_forward(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    embeddings = pipeline.transform(pipeline.load_ssckg(args.kg), cfg)
-    pipeline.write_atomic(args.out, pipeline.embeddings_chunks(embeddings))
-    _emit({"entities": len(embeddings),
-           "dimension": int(embeddings[0].vector.shape[0]) if embeddings else 0})
+    ids, vectors = pipeline.transform(pipeline.load_ssckg(args.kg), cfg)
+    pipeline.write_atomic(args.out, pipeline.embeddings_chunks(ids, vectors))
+    _emit({"entities": len(ids), "dimension": vectors.shape[1]})
     return EXIT_OK
 
 
@@ -104,29 +102,28 @@ def _cmd_score(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_fingerprint_extract(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    embeddings = pipeline.load_embeddings(args.embeddings)
-    by_id = {e.entity_id: e for e in embeddings}
+    ids, vectors = pipeline.load_embeddings(args.embeddings)
+    row = {entity_id: i for i, entity_id in enumerate(ids.tolist())}
     try:
         wanted = [int(tok) for tok in args.ids.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"--ids must be comma-separated integers, got {args.ids!r}")
     if not wanted:
         raise ConfigError("--ids selected no entities")
-    missing = [i for i in wanted if i not in by_id]
+    missing = [i for i in wanted if i not in row]
     if missing:
         raise ConfigError(f"entity ids not in embeddings file: {missing}")
-    nodes = tuple(
-        NodeEmbedding(entity_id=i, vector=by_id[i].vector) for i in wanted)
-    fp = Fingerprint(name=args.name, node_embeddings=nodes,
+    rows = [row[i] for i in wanted]
+    fp = Fingerprint(name=args.name, entity_ids=ids[rows], vectors=vectors[rows],
                      provenance=args.provenance or "")
     pipeline.write_atomic(args.out, dumps_fingerprint(fp))
-    _emit({"name": fp.name, "nodes": len(fp.node_embeddings)})
+    _emit({"name": fp.name, "nodes": len(wanted)})
     return EXIT_OK
 
 
 def _cmd_match(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    embeddings = pipeline.load_embeddings(args.kg_embeddings)
-    doc = pipeline.match(embeddings, pipeline.load_repository(args.repo), cfg.tau)
+    ids, vectors = pipeline.load_embeddings(args.kg_embeddings)
+    doc = pipeline.match(ids, vectors, pipeline.load_repository(args.repo), cfg.tau)
     pipeline.write_atomic(args.out, dumps_json(doc))
     _emit({"tau": doc["tau"], "alerts": doc["alerts"],
            "matches": len(doc["matches"])})
@@ -283,6 +280,8 @@ def _terminate(signum, frame):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Else imported at the first weight draw, where a SIGTERM's SystemExit would be lost.
+    import numpy.random  # noqa: F401
     # Only the main thread may set a handler; the caller's is put back on return.
     main_thread = threading.current_thread() is threading.main_thread()
     previous = signal.signal(signal.SIGTERM, _terminate) if main_thread else None

@@ -245,6 +245,16 @@ def _floats(values) -> np.ndarray | None:
         return None
 
 
+def _matrix(rows: list[np.ndarray], source: str) -> np.ndarray:
+    """A file's vectors as one read-only matrix ((0, 0) for none), or a SchemaError."""
+    dims = sorted(set(map(len, rows)))
+    if len(dims) > 1:
+        raise SchemaError(f"{source}: vectors have mixed dimensions {dims}")
+    out = np.stack(rows) if rows else np.empty((0, 0))
+    out.setflags(write=False)
+    return out
+
+
 def _codes(values: list, table: Mapping) -> np.ndarray | None:
     """Each value's code in table, or None if a value has none."""
     try:

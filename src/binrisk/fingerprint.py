@@ -1,11 +1,13 @@
 """Attack-pattern fingerprint matching and operating-point selection.
 
 A fingerprint is a small set of entity embeddings extracted from a
-previously analyzed campaign.  Similarity against a target graph is
-asymmetric best-match coverage: for each fingerprint node take its
-best cosine against any target entity (negative cosines clamp to
-zero), then average over the fingerprint nodes.  A target only has to
-CONTAIN the pattern, so adding target entities never lowers the score.
+previously analyzed campaign: a matrix of node vectors and each row's
+entity id.  Similarity against a target graph (ids beside a matrix, as
+``forward`` gives them) is asymmetric best-match coverage: for each
+fingerprint node take its best cosine against any target entity, one
+product and one argmax per row (negative cosines clamp to zero), then
+average over the fingerprint nodes.  A target only has to CONTAIN the
+pattern, so adding target entities never lowers the score.
 
 Alerts fire on strict exceedance of the decision threshold.  The
 threshold itself is chosen on labeled scores over a fixed grid by
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cpg import _floats
+from .cpg import _floats, _is_id, _matrix
 from .errors import (
     DimensionMismatch,
     EmptyTarget,
@@ -32,20 +34,22 @@ from .errors import (
     dumps_json,
     read_json,
 )
-from .graphormer import NodeEmbedding
 
 MALICIOUS = "malicious"
 BENIGN = "benign"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fingerprint:
+    """A stored pattern: a (k, d) float64 matrix of node vectors and the
+    int64 id of each row, in file row order (an id may repeat)."""
     name: str
-    node_embeddings: tuple[NodeEmbedding, ...]
+    entity_ids: np.ndarray
+    vectors: np.ndarray
     provenance: str = ""
 
     def __post_init__(self):
-        if not self.node_embeddings:
+        if not len(self.entity_ids):
             raise SchemaError(f"fingerprint '{self.name}' has no node embeddings")
 
 
@@ -78,54 +82,41 @@ class ThresholdReport:
     grid: tuple[GridPoint, ...] = field(repr=False)
 
 
-def _best_matches(target: Sequence[NodeEmbedding], fp: Fingerprint):
-    if not target:
+def _best_matches(ids: np.ndarray, vectors: np.ndarray, fp: Fingerprint):
+    if not len(ids):
         raise EmptyTarget("cannot match against an empty target graph")
-    target = sorted(target, key=lambda e: e.entity_id)
-    dim = target[0].vector.shape[0]
-    for e in target:
-        if e.vector.shape != (dim,):
-            raise DimensionMismatch("target embeddings have mixed dimensions")
-    for e in fp.node_embeddings:
-        if e.vector.shape != (dim,):
-            raise DimensionMismatch(
-                f"fingerprint '{fp.name}' dimension {e.vector.shape[0]} != target {dim}")
-    tmat = np.stack([e.vector for e in target])
-    fmat = np.stack([e.vector for e in fp.node_embeddings])
-    tnorm = np.linalg.norm(tmat, axis=1)
-    fnorm = np.linalg.norm(fmat, axis=1)
+    if fp.vectors.shape[1] != vectors.shape[1]:
+        raise DimensionMismatch(f"fingerprint '{fp.name}' dimension {fp.vectors.shape[1]} "
+                                f"!= target {vectors.shape[1]}")
+    tnorm = np.linalg.norm(vectors, axis=1)
+    fnorm = np.linalg.norm(fp.vectors, axis=1)
     # Zero-norm embeddings contribute zero similarity instead of NaN.
     tsafe = np.where(tnorm == 0.0, 1.0, tnorm)
     fsafe = np.where(fnorm == 0.0, 1.0, fnorm)
-    cos = (fmat / fsafe[:, None]) @ (tmat / tsafe[:, None]).T
+    cos = (fp.vectors / fsafe[:, None]) @ (vectors / tsafe[:, None]).T
     cos[fnorm == 0.0, :] = 0.0
     cos[:, tnorm == 0.0] = 0.0
     clamped = np.clip(cos, 0.0, None)
-    pairs = []
-    for row, node in enumerate(fp.node_embeddings):
-        # argmax takes the first maximum; targets are in ascending
-        # entity-id order, so ties resolve to the lowest entity id.
-        best = int(np.argmax(clamped[row]))
-        pairs.append((node.entity_id, target[best].entity_id,
-                      float(clamped[row, best])))
-    return pairs
+    # argmax takes the first maximum; the target ids ascend, so ties
+    # resolve to the lowest entity id.
+    best = np.argmax(clamped, axis=1)
+    return list(zip(fp.entity_ids.tolist(), ids[best].tolist(),
+                    clamped[np.arange(len(best)), best].tolist()))
 
 
-def match_and_alert(target: Sequence[NodeEmbedding],
+def match_and_alert(ids: np.ndarray, vectors: np.ndarray,
                     fingerprints: Sequence[Fingerprint],
                     tau: float) -> list[MatchResult]:
-    """Score every fingerprint, its similarity being the mean best-match
-    clamped cosine over its nodes; alert on similarity strictly above tau."""
+    """Score every fingerprint against the target embeddings, ascending
+    int64 ``ids`` beside the (n, d) matrix ``vectors`` (as ``forward``
+    returns them), its similarity being the mean best-match clamped
+    cosine over its nodes; alert on similarity strictly above tau."""
     results = []
     for fp in fingerprints:
-        pairs = _best_matches(target, fp)
+        pairs = _best_matches(ids, vectors, fp)
         score = float(np.mean([p[2] for p in pairs]))
-        results.append(MatchResult(
-            fingerprint=fp.name,
-            similarity=score,
-            pairs=tuple(pairs),
-            alert=score > tau,
-        ))
+        results.append(MatchResult(fp.name, similarity=score, pairs=tuple(pairs),
+                                   alert=score > tau))
     return results
 
 
@@ -233,9 +224,9 @@ def dumps_fingerprint(fp: Fingerprint) -> str:
     doc = {
         "name": fp.name,
         "provenance": fp.provenance,
-        "embeddings": [e.vector.tolist() for e in fp.node_embeddings],
+        "embeddings": fp.vectors.tolist(),
     }
-    ids = [e.entity_id for e in fp.node_embeddings]
+    ids = fp.entity_ids.tolist()
     if ids != list(range(len(ids))):
         doc["entity_ids"] = ids
     return dumps_json(doc)
@@ -262,10 +253,12 @@ def load_fingerprint(path: str | Path) -> Fingerprint:
     for i in ids:
         if type(i) is not int:  # not a boolean, a float or a string
             raise SchemaError(f"fingerprint file {path}: entity id {i!r} is not an integer")
+        if not _is_id(i):
+            raise SchemaError(f"fingerprint file {path}: entity id {i} does not fit in int64")
     if len(ids) != len(vectors):
         raise SchemaError(f"fingerprint file {path}: entity_ids length mismatch")
-    nodes = tuple(NodeEmbedding(entity_id=i, vector=v) for i, v in zip(ids, vectors))
-    return Fingerprint(name=name, node_embeddings=nodes, provenance=provenance)
+    return Fingerprint(name, np.array(ids, dtype=np.int64),
+                       _matrix(vectors, f"fingerprint file {path}"), provenance)
 
 
 def load_repository(directory: str | Path) -> list[Fingerprint]:

@@ -44,6 +44,11 @@ Input features are the entity summary embeddings through a learned
 projection, plus a label-tier embedding (top, category, action, risk
 context).  There is no centrality term: degree information already
 reaches the model through the bias tables.
+
+A set of entity embeddings has one form: the ascending int64 entity ids
+beside one read-only (n, d) float64 matrix.  ``forward`` returns the
+graph's ids and its last layer in that form, ``load_embeddings`` reads a
+file into it, and ``embeddings_chunks`` writes it.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cpg import _floats, shortest_path_matrix
+from .cpg import _floats, _is_id, _matrix, shortest_path_matrix
 from .errors import (
     ConfigError,
     CorruptFile,
@@ -127,12 +132,6 @@ class ModelParams:
     container name, in draw order."""
     config: ModelConfig
     tensors: dict[str, np.ndarray]
-
-
-@dataclass(frozen=True)
-class NodeEmbedding:
-    entity_id: int
-    vector: np.ndarray
 
 
 def _tensor_specs(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...], int | float]]:
@@ -355,8 +354,9 @@ def _layer(z: np.ndarray, tensors: Iterator[np.ndarray], dist: np.ndarray, flat:
     return _layer_norm(expanded, next(tensors), next(tensors))  # ln_gain, ln_offset
 
 
-def forward(kg: SsckgGraph, params: ModelParams | ModelConfig) -> list[NodeEmbedding]:
-    """Run the full stack and return one vector per entity, in id order.
+def forward(kg: SsckgGraph, params: ModelParams | ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Run the full stack: ``(kg.entity_ids, z)``, the ascending int64 ids
+    and the last layer's read-only (n, hidden_dim) matrix, row i entity i's.
 
     ``params`` is the weights, or a ``ModelConfig`` whose seeded weights
     (``init_params``'s values) are drawn as the pass needs them.  Either
@@ -378,9 +378,7 @@ def forward(kg: SsckgGraph, params: ModelParams | ModelConfig) -> list[NodeEmbed
                                     f"{np.shape(params.tensors[held])}, config draws {shape}")
     if len(kg) == 0:
         raise EmptyGraph("forward pass needs at least one entity")
-    order = kg.entity_ids.tolist()
-    feats = []
-    tiers = []
+    feats, tiers = [], []
     for ent in kg.entities:
         if ent.embedding is None:
             raise ShapeMismatch(f"entity {ent.id} has no summary embedding")
@@ -391,18 +389,18 @@ def forward(kg: SsckgGraph, params: ModelParams | ModelConfig) -> list[NodeEmbed
         feats.append(ent.embedding)
         tiers.append(ent.label.tier)
     src, dst, type_index, weight = _relation_arrays(kg)
-    dist = shortest_path_matrix(len(order), np.column_stack((src, dst)),
+    dist = shortest_path_matrix(len(kg), np.column_stack((src, dst)),
                                 max_dist=cfg.max_dist)
     z = np.stack(feats) @ next(tensors)  # w_input
     z += next(tensors)[np.array(tiers)]  # tier_embed
     spatial_bias = next(tensors)
-    flat, edge_vals = _edge_bias_terms(len(order), src, dst, type_index, weight,
+    flat, edge_vals = _edge_bias_terms(len(kg), src, dst, type_index, weight,
                                        next(tensors))  # edge_bias
     del src, dst, type_index, weight
     for _ in range(cfg.layers):
         z = _layer(z, tensors, dist, flat, edge_vals, spatial_bias, cfg.heads)
-    return [NodeEmbedding(entity_id=eid, vector=z[i].copy())
-            for i, eid in enumerate(order)]
+    z.setflags(write=False)
+    return kg.entity_ids, z
 
 
 # --- weight container -------------------------------------------------------
@@ -476,26 +474,27 @@ def load_params(path: str | Path, expected: ModelConfig | None = None) -> ModelP
 _EMBEDDING_BLOCK = 16  # vectors per chunk embeddings_chunks yields
 
 
-def dumps_embeddings(embeddings: Sequence[NodeEmbedding]) -> str:
+def dumps_embeddings(ids: np.ndarray, vectors: np.ndarray) -> str:
     """The flat ``{entity_id: [...]}`` document, as ``dumps_json`` writes it."""
-    return "".join(embeddings_chunks(embeddings))
+    return "".join(embeddings_chunks(ids, vectors))
 
 
-def embeddings_chunks(embeddings: Sequence[NodeEmbedding]) -> Iterator[str]:
-    """The text of ``dumps_embeddings`` in chunks, for ``pipeline.write_atomic``."""
-    vectors = {str(e.entity_id): e.vector for e in embeddings}  # a repeated id keeps its last
-    keys = sorted(vectors)
+def embeddings_chunks(ids: np.ndarray, vectors: np.ndarray) -> Iterator[str]:
+    """``dumps_embeddings`` in chunks for ``write_atomic``: row i under ``ids[i]``."""
+    rows = {str(i): row for row, i in enumerate(ids.tolist())}  # a repeated id keeps its last
+    keys = sorted(rows)
 
     def items(lo: int, hi: int) -> list[str]:
-        return [encode_basestring_ascii(k) + ": " + json_value(vectors[k].tolist(), 1)
+        return [encode_basestring_ascii(k) + ": " + json_value(vectors[rows[k]].tolist(), 1)
                 for k in keys[lo:hi]]
 
     yield from json_chunks(items, len(keys), _EMBEDDING_BLOCK, 0, "{}")
     yield "\n"
 
 
-def load_embeddings(path: str | Path) -> list[NodeEmbedding]:
-    """Read a flat ``{entity_id: [...]}`` file, in id order."""
+def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a flat ``{entity_id: [...]}`` file as ``forward`` returns it:
+    ascending int64 ids and one read-only matrix of their vectors."""
     doc = read_json(path, "embeddings file")
     if not isinstance(doc, dict):
         raise SchemaError(f"embeddings file {path}: top-level document must be an object")
@@ -508,15 +507,18 @@ def load_embeddings(path: str | Path) -> list[NodeEmbedding]:
         # One spelling per id: int() also reads "03" and " 3" as entity 3.
         if entity_id is None or str(entity_id) != key:
             raise SchemaError(f"embeddings file {path}: key {key!r} is not an entity id")
+        if not _is_id(entity_id):
+            raise SchemaError(f"embeddings file {path}: entity id {key} does not fit in int64")
         vectors[entity_id] = value
-    out = []
-    for entity_id, value in sorted(vectors.items()):
-        vector = _floats(value)
+    ids = sorted(vectors)
+    rows = []
+    for entity_id in ids:
+        vector = _floats(vectors[entity_id])
         if vector is None:
             raise SchemaError(f"embeddings file {path}: entity {entity_id} vector "
                               "must be a flat list of numbers")
         if not np.isfinite(vector).all():
             raise SchemaError(f"embeddings file {path}: entity {entity_id} vector "
                               "holds a non-finite value")
-        out.append(NodeEmbedding(entity_id=entity_id, vector=vector))
-    return out
+        rows.append(vector)
+    return np.array(ids, dtype=np.int64), _matrix(rows, f"embeddings file {path}")

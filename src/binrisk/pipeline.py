@@ -9,7 +9,8 @@ in this module.  ``report`` (``run_pipeline``) builds the annotator,
 the embedding provider, the CVE list and the fingerprints once per run,
 before the first binary, then takes the binaries one at a time:
 ``run_one`` parses each CPG once, chains the cores in memory, and drops
-the graph and the corpus once the knowledge graph is built.  It writes
+the graph and the corpus once the knowledge graph is built; ``transform``
+hands ``match`` and the embeddings writer one (ids, matrix) pair.  It writes
 every intermediate through the serializer its subcommand uses, so the
 subcommands run by hand against the same config write the same bytes.
 Its files go to a staging directory and move into the output directory
@@ -29,20 +30,15 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from . import __version__
 from .config import PipelineConfig, _finite_number
 from .cpg import CpgGraph, _is_id, cpg_chunks, load_cpg
 from .embedding import FileEmbeddings, HashEmbedder
 from .errors import ConfigError, SchemaError, dumps_json, read_json
 from .fingerprint import Fingerprint, load_repository, match_and_alert, select_threshold
-from .graphormer import (
-    ModelConfig,
-    NodeEmbedding,
-    embeddings_chunks,
-    forward,
-    load_embeddings,
-    load_params,
-)
+from .graphormer import ModelConfig, embeddings_chunks, forward, load_embeddings, load_params
 from .lattice import Lattice
 from .lifting import (
     CommandAnnotator,
@@ -182,8 +178,8 @@ def build_kg(g: CpgGraph, corpus: VerifiedCorpus, cfg: PipelineConfig, provider,
                       clustering=clustering)
 
 
-def transform(kg: SsckgGraph, cfg: PipelineConfig) -> list[NodeEmbedding]:
-    """Run the graph transformer: one vector per entity.
+def transform(kg: SsckgGraph, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Run the graph transformer: ``forward``'s (ids, matrix), a row per entity.
 
     The model's input width is the dimension of the knowledge graph's own
     entity embeddings (``forward --kg`` reads them from the KG file), so
@@ -233,10 +229,10 @@ def score(kg: SsckgGraph, cfg: PipelineConfig, cves: Sequence[CveRecord]) -> dic
     }
 
 
-def match(embeddings: Sequence[NodeEmbedding], fingerprints: Sequence[Fingerprint],
+def match(ids: np.ndarray, vectors: np.ndarray, fingerprints: Sequence[Fingerprint],
           tau: float) -> dict:
-    """Score the fingerprints against target embeddings."""
-    matches = match_and_alert(embeddings, fingerprints, tau)
+    """Score the fingerprints against target embeddings, ids beside a matrix."""
+    matches = match_and_alert(ids, vectors, fingerprints, tau)
     return {"tau": tau, "matches": [asdict(m) for m in matches],
             "alerts": sorted(m.fingerprint for m in matches if m.alert)}
 
@@ -337,13 +333,13 @@ def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path,
               "rejection_rate": corpus.rejection_rate}
     del g, corpus
     write("kg.json", ssckg_chunks(kg))
-    embeddings = transform(kg, cfg)
-    write("embeddings.json", embeddings_chunks(embeddings))
+    ids, vectors = transform(kg, cfg)
+    write("embeddings.json", embeddings_chunks(ids, vectors))
     risk_doc = score(kg, cfg, cves)
     write("risk.json", dumps_json(risk_doc))
     match_doc = None
     if fingerprints is not None:
-        match_doc = match(embeddings, fingerprints, cfg.tau)
+        match_doc = match(ids, vectors, fingerprints, cfg.tau)
         write("alerts.json", dumps_json(match_doc))
     write("dot", render_dot(kg, risk_doc, cfg))
 

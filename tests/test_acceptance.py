@@ -19,7 +19,7 @@ from binrisk.cli import EXIT_ALERTS, EXIT_OK, main
 from binrisk.cpg import EdgeKind, NodeKind, failing_claims
 from binrisk.fingerprint import (BENIGN, MALICIOUS, Fingerprint, match_and_alert,
                                  select_threshold)
-from binrisk.graphormer import ModelConfig, NodeEmbedding, forward, init_params
+from binrisk.graphormer import ModelConfig, forward, init_params
 from binrisk.lattice import TOP, EvrMode, GoldenRecord, Label, Lattice, evr, join, leq
 from binrisk.lifting import Annotation, build_corpus
 from binrisk.metrics import ConfusionCounts, classification_metrics, cohen_kappa
@@ -217,9 +217,8 @@ def test_criterion_07_transformer_invariants():
     for _ in range(50):
         kg = random_model_kg(rng, 12, cfg.input_dim)
         perm = {i: int(p) for i, p in enumerate(rng.permutation(12))}
-        base = {e.entity_id: e.vector for e in forward(kg, params)}
-        moved = {e.entity_id: e.vector
-                 for e in forward(permuted_copy(kg, perm), params)}
+        base = dict(zip(*forward(kg, params)))
+        moved = dict(zip(*forward(permuted_copy(kg, perm), params)))
         for i in range(12):
             worst = max(worst, float(np.max(np.abs(base[i] - moved[perm[i]]))))
     assert worst <= 1e-6
@@ -243,14 +242,14 @@ def test_criterion_07_transformer_invariants():
                            edge_types=8, input_dim=6, seed=3)
     hand_params = init_params(hand_cfg)
     kg = three_node_kg()
-    got = np.stack([e.vector for e in forward(kg, hand_params)])
+    got = forward(kg, hand_params)[1]
     want = forward_oracle(kg, hand_params)
     hand_err = float(np.max(np.abs(got - want)))
     assert hand_err <= 1e-10
 
     # (d) single-node closed form within 1e-10
     lone = model_entity(0, Label.parse("Memory"), unit(np.random.default_rng(2), 6))
-    got1 = forward(row_kg([lone], []), hand_params)[0].vector
+    got1 = forward(row_kg([lone], []), hand_params)[1][0]
     z = (lone.embedding @ hand_params.tensors["w_input"]
          + hand_params.tensors["tier_embed"][1])
     for lp in (layer_tensors(hand_params, layer) for layer in range(hand_cfg.layers)):
@@ -270,25 +269,21 @@ def test_criterion_08_similarity_oracle_equivalence():
         dim = int(rng.integers(2, 9))
         n_target = int(rng.integers(1, 11))
         n_fp = int(rng.integers(1, 11))
-        target = [NodeEmbedding(entity_id=i, vector=rng.standard_normal(dim))
-                  for i in range(n_target)]
-        pattern = Fingerprint(name=f"f{case}", node_embeddings=tuple(
-            NodeEmbedding(entity_id=i, vector=rng.standard_normal(dim))
-            for i in range(n_fp)))
-        got = match_and_alert(target, [pattern], 0.0)[0].similarity
-        worst = max(worst, abs(got - similarity_oracle(target, pattern)))
+        target = rng.standard_normal((n_target, dim))
+        pattern = Fingerprint(name=f"f{case}", entity_ids=np.arange(n_fp),
+                              vectors=rng.standard_normal((n_fp, dim)))
+        got = match_and_alert(np.arange(n_target), target, [pattern], 0.0)[0].similarity
+        worst = max(worst, abs(got - similarity_oracle(list(enumerate(target)), pattern)))
         assert worst <= 1e-12
         # superset monotonicity on every fuzz case
-        extra = target + [NodeEmbedding(entity_id=100 + j,
-                                        vector=rng.standard_normal(dim))
-                          for j in range(int(rng.integers(1, 4)))]
-        assert match_and_alert(extra, [pattern], 0.0)[0].similarity >= got - 1e-12
+        extra = np.concatenate([target, rng.standard_normal((int(rng.integers(1, 4)), dim))])
+        assert match_and_alert(np.arange(len(extra)), extra, [pattern],
+                               0.0)[0].similarity >= got - 1e-12
     # self similarity on unit-norm sets
     vecs = rng.standard_normal((8, 16))
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-    selves = [NodeEmbedding(entity_id=i, vector=v) for i, v in enumerate(vecs)]
-    self_fp = Fingerprint(name="self", node_embeddings=tuple(selves))
-    [match] = match_and_alert(selves, [self_fp], 0.0)
+    self_fp = Fingerprint(name="self", entity_ids=np.arange(len(vecs)), vectors=vecs)
+    [match] = match_and_alert(np.arange(len(vecs)), vecs, [self_fp], 0.0)
     assert abs(match.similarity - 1.0) <= 1e-12
     print(f"criterion 08 PASS: 500 fuzzed pairs within {worst:.1e} <= 1e-12 "
           f"of the double-loop oracle; Sim(G,G)=1; superset monotonicity held")

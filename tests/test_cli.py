@@ -806,11 +806,36 @@ def test_sigterm_leaves_outdir_as_it_was(fixtures_dir, tmp_path, outdir_exists):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        proc.stderr.close()  # left open, it warns when collected and fails a later test
     assert proc.returncode == 128 + signal.SIGTERM, err
     if outdir_exists:
         assert {name: (outdir / name).read_bytes() for name in os.listdir(outdir)} == before
     else:
         assert not outdir.exists()
+
+
+def test_numpy_random_is_imported_before_the_sigterm_handler_is_set(tmp_path):
+    """numpy imports numpy.random at the first weight draw, and its Cython
+    modules' import swallows an exception raised inside it, so a SIGTERM
+    landing there left report running; main imports it before it sets the
+    handler."""
+    code = ("import signal, sys\n"
+            "import binrisk.cli as cli\n"
+            "seen, set_handler = [], signal.signal\n"
+            "def recording(signum, handler):\n"
+            "    if handler is cli._terminate:\n"
+            "        seen.append('numpy.random' in sys.modules)\n"
+            "    return set_handler(signum, handler)\n"
+            "signal.signal = recording\n"
+            "assert cli.main(['metrics', '--confusion', '1,1,1,1']) == 0\n"
+            "print(seen)\n")
+    src = str(Path(binrisk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[True]"
 
 
 def test_main_sets_its_sigterm_handler_for_the_call_only(capsys):
@@ -1016,6 +1041,12 @@ MATCH_BAD_REPO = ["match", "--kg-embeddings", "{fw}/firmware_update.embeddings.j
                   "--repo", "{tmp}/repo", "--out", "{tmp}/alerts.json"]
 FINGERPRINT_VECTOR_FAULT = ("fingerprint file {bad}: every embedding must be a flat list of "
                             "finite numbers")
+EXTRACT_BAD_EMBEDDINGS = ["fingerprint", "extract", "--embeddings", "{bad}", "--ids", "3",
+                          "--name", "x", "--out", "{tmp}/fp.json"]
+EMBEDDINGS_MIXED_DIMENSIONS = "embeddings file {bad}: vectors have mixed dimensions [1, 2]"
+# (content, error) of a fingerprint file whose vectors differ in dimension.
+FINGERPRINT_MIXED_DIMENSIONS = ('{"name": "x", "embeddings": [[0.5, 1], [0.5]]}',
+                                "fingerprint file {bad}: vectors have mixed dimensions [1, 2]")
 THRESHOLD_BAD_SCORES = ["threshold", "--scores", "{bad}", "--out", "{tmp}/th.json"]
 SCORES_ROW_FAULT = ("scores file {{bad}}: row {row} needs a finite numeric 'score' and a "
                     "string 'label'")
@@ -1350,6 +1381,25 @@ BAD_INPUTS = {
                              SCORES_ROW_FAULT.format(row=0), THRESHOLD_BAD_SCORES),
     "scores_object": ("scores.json", '{"score": 0.5, "label": "benign"}',
                       "scores file {bad} must be a JSON list", THRESHOLD_BAD_SCORES),
+    # One dimension per file and ids within int64, checked when the file is read.
+    "embeddings_mixed_dimensions": ("emb.json", '{"3": [0.5, 1], "4": [0.5]}',
+                                    EMBEDDINGS_MIXED_DIMENSIONS, MATCH_BAD_EMBEDDINGS),
+    "embeddings_mixed_dimensions_extract": ("emb.json", '{"3": [0.5, 1], "4": [0.5]}',
+                                            EMBEDDINGS_MIXED_DIMENSIONS, EXTRACT_BAD_EMBEDDINGS),
+    "embeddings_key_past_int64": ("emb.json", '{"3": [0.5], "9223372036854775808": [0.5]}',
+                                  "embeddings file {bad}: entity id 9223372036854775808 does "
+                                  "not fit in int64", MATCH_BAD_EMBEDDINGS),
+    "fingerprint_mixed_dimensions": ("repo/bad.json", *FINGERPRINT_MIXED_DIMENSIONS,
+                                     MATCH_BAD_REPO),
+    "fingerprint_mixed_dimensions_report": (
+        "repo/bad.json", *FINGERPRINT_MIXED_DIMENSIONS,
+        ["report", "--config", "{tmp}/cfg.json", "--cpg", "{fx}/toy_modbus.cpg.json",
+         "--outdir", "{tmp}/out"]),
+    "fingerprint_entity_id_past_int64": (
+        "repo/bad.json", '{"name": "x", "embeddings": [[0.5], [0.5]],'
+        ' "entity_ids": [0, -9223372036854775809]}',
+        "fingerprint file {bad}: entity id -9223372036854775809 does not fit in int64",
+        MATCH_BAD_REPO),
     "fingerprint_non_integer_entity_id": (
         "repo/bad.json", '{"name": "x", "embeddings": [[0.1], [0.2], [0.3]],'
         ' "entity_ids": [true, 1.5, "2"]}', "{bad}: entity id True is not an integer",
@@ -1368,6 +1418,7 @@ SIDE_FILES = {
                      "cves_null_description")},
     **{probe: {"cfg.json": '{"embedding_type": "file", "embedding_path": "emb.json"}'}
        for probe in ("embedding_file_numeric_string_value", "embedding_file_boolean_value")},
+    "fingerprint_mixed_dimensions_report": {"cfg.json": '{"fingerprints_dir": "repo"}'},
 }
 
 

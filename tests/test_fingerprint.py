@@ -25,16 +25,27 @@ from binrisk.fingerprint import (
     roc_auc,
     select_threshold,
 )
-from binrisk.graphormer import NodeEmbedding
 from binrisk.pipeline import write_atomic
 
 
 def node(eid, values):
-    return NodeEmbedding(entity_id=eid, vector=np.asarray(values, dtype=np.float64))
+    return eid, np.asarray(values, dtype=np.float64)
+
+
+def embeddings(nodes):
+    """(ids, vectors) of (id, vector) rows, in row order, as forward returns them."""
+    ids, vectors = zip(*nodes)
+    return np.array(ids, dtype=np.int64), np.stack(vectors)
 
 
 def fp(*nodes, name="fp"):
-    return Fingerprint(name=name, node_embeddings=tuple(nodes))
+    ids, vectors = embeddings(nodes)
+    return Fingerprint(name=name, entity_ids=ids, vectors=vectors)
+
+
+def match_and_alert_rows(target, fingerprints, tau):
+    """match_and_alert over a target given as (id, vector) rows."""
+    return match_and_alert(*embeddings(target), fingerprints, tau)
 
 
 # --- similarity --------------------------------------------------------------
@@ -48,8 +59,7 @@ def cos_clamped(a, b):
 
 
 def similarity_oracle(target, pattern):
-    per_node = [max(cos_clamped(n.vector, t.vector) for t in target)
-                for n in pattern.node_embeddings]
+    per_node = [max(cos_clamped(n, t) for _, t in target) for n in pattern.vectors]
     return sum(per_node) / len(per_node)
 
 
@@ -58,7 +68,7 @@ def test_similarity_hand_case():
     pattern = fp(node(0, [1, 0]), node(1, [1, 1]))
     # first node matches exactly; second is 45 degrees from both targets
     want = (1.0 + math.cos(math.pi / 4)) / 2
-    [match] = match_and_alert(target, [pattern], 0.0)
+    [match] = match_and_alert_rows(target, [pattern], 0.0)
     assert match.similarity == pytest.approx(want, abs=1e-12)
 
 
@@ -70,7 +80,7 @@ def test_similarity_matches_oracle_on_random_pairs():
                   for i in range(int(rng.integers(1, 11)))]
         pattern = fp(*[node(i, rng.standard_normal(dim))
                        for i in range(int(rng.integers(1, 7)))])
-        got = match_and_alert(target, [pattern], 0.0)[0].similarity
+        got = match_and_alert_rows(target, [pattern], 0.0)[0].similarity
         assert abs(got - similarity_oracle(target, pattern)) < 1e-12
 
 
@@ -80,7 +90,7 @@ def test_self_similarity_is_one_for_unit_norm():
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
     target = [node(i, v) for i, v in enumerate(vecs)]
     pattern = fp(*target)
-    [match] = match_and_alert(target, [pattern], 0.0)
+    [match] = match_and_alert_rows(target, [pattern], 0.0)
     assert abs(match.similarity - 1.0) < 1e-12
 
 
@@ -91,35 +101,35 @@ def test_adding_target_entities_never_lowers_similarity():
         base = [node(i, rng.standard_normal(dim)) for i in range(4)]
         extra = base + [node(9 + i, rng.standard_normal(dim)) for i in range(3)]
         pattern = fp(*[node(i, rng.standard_normal(dim)) for i in range(3)])
-        [wider], [narrower] = (match_and_alert(t, [pattern], 0.0) for t in (extra, base))
+        [wider], [narrower] = (match_and_alert_rows(t, [pattern], 0.0) for t in (extra, base))
         assert wider.similarity >= narrower.similarity - 1e-12
 
 
 def test_best_match_tie_breaks_to_lowest_entity_id():
     v = [0.6, 0.8]
-    target = [node(5, v), node(2, v)]  # identical vectors, ids out of order
-    results = match_and_alert(target, [fp(node(0, v))], tau=0.5)
+    target = [node(2, v), node(5, v)]  # identical vectors, ids ascending as forward gives
+    results = match_and_alert_rows(target, [fp(node(0, v))], tau=0.5)
     assert results[0].pairs == ((0, 2, pytest.approx(1.0)),)
 
 
 def test_negative_cosines_clamp_to_zero():
     target = [node(0, [-1.0, 0.0])]
     pattern = fp(node(0, [1.0, 0.0]))
-    assert match_and_alert(target, [pattern], 0.0)[0].similarity == 0.0
+    assert match_and_alert_rows(target, [pattern], 0.0)[0].similarity == 0.0
 
 
 def test_zero_norm_vectors_score_zero_not_nan():
     target = [node(0, [0.0, 0.0]), node(1, [1.0, 0.0])]
     pattern = fp(node(0, [1.0, 0.0]), node(1, [0.0, 0.0]))
-    got = match_and_alert(target, [pattern], 0.0)[0].similarity
+    got = match_and_alert_rows(target, [pattern], 0.0)[0].similarity
     assert got == pytest.approx(0.5)  # only the aligned pair contributes
 
 
 def test_alert_requires_strict_exceedance():
     target = [node(0, [1.0, 0.0])]
     pattern = fp(node(0, [1.0, 0.0]))
-    at_tau = match_and_alert(target, [pattern], tau=1.0)
-    below = match_and_alert(target, [pattern], tau=0.999)
+    at_tau = match_and_alert_rows(target, [pattern], tau=1.0)
+    below = match_and_alert_rows(target, [pattern], tau=0.999)
     assert at_tau[0].similarity == 1.0
     assert not at_tau[0].alert
     assert below[0].alert
@@ -128,13 +138,12 @@ def test_alert_requires_strict_exceedance():
 def test_similarity_input_validation():
     pattern = fp(node(0, [1.0, 0.0]))
     with pytest.raises(EmptyTarget):
-        match_and_alert([], [pattern], 0.0)
-    with pytest.raises(DimensionMismatch, match="mixed"):
-        match_and_alert([node(0, [1.0, 0.0]), node(1, [1.0, 0.0, 0.0])], [pattern], 0.0)
+        match_and_alert(np.empty(0, dtype=np.int64), np.empty((0, 2)), [pattern], 0.0)
     with pytest.raises(DimensionMismatch, match="fingerprint"):
-        match_and_alert([node(0, [1.0, 0.0, 0.0])], [pattern], 0.0)
+        match_and_alert_rows([node(0, [1.0, 0.0, 0.0])], [pattern], 0.0)
     with pytest.raises(SchemaError, match="no node embeddings"):
-        Fingerprint(name="empty", node_embeddings=())
+        Fingerprint(name="empty", entity_ids=np.empty(0, dtype=np.int64),
+                    vectors=np.empty((0, 2)))
 
 
 # --- threshold selection ----------------------------------------------------------
@@ -302,18 +311,16 @@ def test_auc_input_validation():
 def test_fingerprint_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     pattern = Fingerprint(
-        name="campaign-x",
-        node_embeddings=(node(3, rng.standard_normal(8)),
-                         node(7, rng.standard_normal(8))),
-        provenance="incident 2026-02/a")
+        name="campaign-x", entity_ids=np.array([3, 7]),
+        vectors=rng.standard_normal((2, 8)), provenance="incident 2026-02/a")
     path = tmp_path / "campaign-x.json"
     write_atomic(path, dumps_fingerprint(pattern))
     back = load_fingerprint(path)
     assert back.name == pattern.name
     assert back.provenance == pattern.provenance
-    assert [n.entity_id for n in back.node_embeddings] == [3, 7]
-    for a, b in zip(pattern.node_embeddings, back.node_embeddings):
-        assert np.array_equal(a.vector, b.vector)
+    assert back.entity_ids.dtype == np.int64 and back.entity_ids.tolist() == [3, 7]
+    assert np.array_equal(back.vectors, pattern.vectors)
+    assert back.vectors.dtype == np.float64 and not back.vectors.flags.writeable
 
 
 def test_fingerprint_default_ids_are_positional(tmp_path):
@@ -321,7 +328,7 @@ def test_fingerprint_default_ids_are_positional(tmp_path):
     path.write_text(json.dumps({
         "name": "n", "embeddings": [[1.0, 0.0], [0.0, 1.0]]}), encoding="utf-8")
     back = load_fingerprint(path)
-    assert [n.entity_id for n in back.node_embeddings] == [0, 1]
+    assert back.entity_ids.tolist() == [0, 1]
 
 
 def test_fingerprint_file_validation(tmp_path):
@@ -339,12 +346,38 @@ def test_fingerprint_file_validation(tmp_path):
         load_fingerprint(path)
 
 
+@pytest.mark.parametrize("doc, fault", [
+    ({"name": "n", "embeddings": [[1.0, 0.0], [1.0]]}, "vectors have mixed dimensions [1, 2]"),
+    ({"name": "n", "embeddings": [[1.0]], "entity_ids": [2 ** 63]},
+     f"entity id {2 ** 63} does not fit in int64"),
+    ({"name": "n", "embeddings": [[1.0], [2.0]], "entity_ids": [0, -2 ** 63 - 1]},
+     f"entity id {-2 ** 63 - 1} does not fit in int64"),
+], ids=["mixed_dimensions", "id_above_int64", "id_below_int64"])
+def test_fingerprint_file_rejects_mixed_dimensions_and_ids_past_int64(tmp_path, doc, fault):
+    path = tmp_path / "fp.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_fingerprint(path)
+    assert str(info.value) == f"fingerprint file {path}: {fault}"
+
+
+def test_fingerprint_rows_keep_file_order_and_repeated_ids(tmp_path):
+    path = tmp_path / "fp.json"
+    path.write_text(json.dumps({"name": "n", "embeddings": [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
+                                "entity_ids": [7, 7, -2 ** 63]}), encoding="utf-8")
+    back = load_fingerprint(path)
+    assert back.entity_ids.tolist() == [7, 7, -2 ** 63]
+    [match] = match_and_alert_rows([node(1, [1.0, 0.0]), node(4, [0.0, 1.0])], [back], 0.0)
+    assert [(a, b) for a, b, _ in match.pairs] == [(7, 4), (7, 1), (-2 ** 63, 1)]
+    assert json.loads(dumps_fingerprint(back))["entity_ids"] == [7, 7, -2 ** 63]
+
+
 def test_repository_loads_fixture_fingerprints(fixtures_dir):
     repo = load_repository(fixtures_dir / "fingerprints")
     assert [f.name for f in repo] == ["decoy_apt", "planted_apt"]  # file order
     planted = repo[1]
-    assert len(planted.node_embeddings) == 2
-    assert all(n.vector.shape == (64,) for n in planted.node_embeddings)
+    assert planted.entity_ids.tolist() == [0, 1]
+    assert planted.vectors.shape == (2, 64)
     assert planted.provenance != ""
 
 

@@ -22,7 +22,7 @@ from binrisk.cpg import CpgGraph, EdgeKind, NodeKind, dumps_cpg, load_cpg, loads
 from binrisk.embedding import HashEmbedder
 from binrisk.errors import BinriskError, ParseError, SchemaError, dumps_json
 from binrisk.fingerprint import Fingerprint, dumps_fingerprint, load_fingerprint
-from binrisk.graphormer import NodeEmbedding, dumps_embeddings, load_embeddings
+from binrisk.graphormer import dumps_embeddings, load_embeddings
 from binrisk.lattice import Lattice
 from binrisk.lifting import (Annotation, VerifiedCorpus, dumps_corpus, function_subgraph,
                              load_corpus)
@@ -471,9 +471,6 @@ def test_streamed_reader_agrees_with_whole_tree_reader(text):
             assert read(loads_cpg, text) == want
 
 
-VECTORS = st.lists(FINITE, min_size=1, max_size=6)
-
-
 @st.composite
 def knowledge_graphs(draw, text=TEXT):
     ids = draw(st.lists(st.integers(min_value=0, max_value=10 ** 6), unique=True,
@@ -848,28 +845,32 @@ def test_faulty_and_odd_files_load_within_a_window(tmp_path):
         assert load_peak < tree_peak * 0.75
 
 
+# A document's vectors share one dimension.
+MATRIX_ROWS = st.integers(1, 6).flatmap(
+    lambda dim: st.lists(st.lists(FINITE, min_size=dim, max_size=dim), min_size=1, max_size=6))
+
+
 @PROPERTY
-@given(st.dictionaries(IDS, VECTORS, max_size=6))
-def test_embeddings_round_trip(tmp_path_factory, vectors):
-    embeddings = [NodeEmbedding(i, np.asarray(v)) for i, v in sorted(vectors.items())]
+@given(st.lists(INT64, min_size=6, max_size=6, unique=True), MATRIX_ROWS)
+def test_embeddings_round_trip(tmp_path_factory, ids, rows):
+    ids, vectors = np.array(sorted(ids[:len(rows)])), np.array(rows)
     path = tmp_path_factory.mktemp("emb") / "emb.json"
-    write_atomic(path, dumps_embeddings(embeddings))
-    back = load_embeddings(path)
-    assert [(e.entity_id, e.vector.tolist()) for e in back] == [
-        (e.entity_id, e.vector.tolist()) for e in embeddings]
+    write_atomic(path, dumps_embeddings(ids, vectors))
+    back_ids, back = load_embeddings(path)
+    assert back_ids.tolist() == ids.tolist() and back.tolist() == vectors.tolist()
 
 
 @PROPERTY
-@given(TEXT, TEXT, st.lists(st.tuples(st.integers(), VECTORS), min_size=1, max_size=5))
-def test_fingerprint_round_trip(tmp_path_factory, name, provenance, rows):
-    fp = Fingerprint(name=name, provenance=provenance, node_embeddings=tuple(
-        NodeEmbedding(i, np.asarray(v)) for i, v in rows))
+@given(TEXT, TEXT, st.lists(INT64, min_size=6, max_size=6), MATRIX_ROWS)
+def test_fingerprint_round_trip(tmp_path_factory, name, provenance, ids, rows):
+    fp = Fingerprint(name=name, provenance=provenance, entity_ids=np.array(ids[:len(rows)]),
+                     vectors=np.array(rows))
     path = tmp_path_factory.mktemp("fp") / "fp.json"
     write_atomic(path, dumps_fingerprint(fp))
     back = load_fingerprint(path)
     assert (back.name, back.provenance) == (fp.name, fp.provenance)
-    assert [(e.entity_id, e.vector.tolist()) for e in back.node_embeddings] == [
-        (e.entity_id, e.vector.tolist()) for e in fp.node_embeddings]
+    assert back.entity_ids.tolist() == fp.entity_ids.tolist()
+    assert back.vectors.tolist() == fp.vectors.tolist()
 
 
 ANNOTATIONS = st.builds(

@@ -31,7 +31,6 @@ from binrisk.graphormer import (
     _layer_norm,
     ModelConfig,
     ModelParams,
-    NodeEmbedding,
     dumps_embeddings,
     forward,
     init_params,
@@ -293,11 +292,10 @@ def test_attention_shape_validation():
 def test_forward_matches_oracle_on_hand_instance():
     kg = three_node_kg()
     params = init_params(SMALL)
-    got = forward(kg, params)
+    ids, got = forward(kg, params)
     want = forward_oracle(kg, params)
-    assert [e.entity_id for e in got] == [0, 1, 2]
-    for i, emb in enumerate(got):
-        assert np.max(np.abs(emb.vector - want[i])) < 1e-10
+    assert ids.tolist() == [0, 1, 2]
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_forward_single_node_closed_form():
@@ -307,7 +305,7 @@ def test_forward_single_node_closed_form():
     params = init_params(cfg)
     ent = entity(0, Label.parse("Memory"), unit(rng, 6))
     kg = row_kg([ent], [])
-    got = forward(kg, params)[0].vector
+    got = forward(kg, params)[1][0]
 
     # a lone node attends only to itself, so each layer reduces to
     # layer_norm(z + ffn((z Wv) Wo))
@@ -327,7 +325,7 @@ def test_forward_matches_oracle_on_random_graphs():
     for _ in range(8):
         n = int(rng.integers(1, 7))
         kg = random_kg(rng, n, cfg.input_dim)
-        got = np.stack([e.vector for e in forward(kg, params)])
+        got = forward(kg, params)[1]
         want = forward_oracle(kg, params)
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -375,7 +373,7 @@ def test_forward_is_bit_identical_to_per_head_attention(combine):
     params = init_params(cfg)
     for _ in range(10):
         kg = multigraph_kg(rng, int(rng.integers(1, 25)), cfg.input_dim)
-        got = np.stack([e.vector for e in forward(kg, params)])
+        got = forward(kg, params)[1]
         assert np.array_equal(got, per_head_reference(kg, params))
 
 
@@ -406,11 +404,10 @@ def test_seeded_forward_equals_init_params_forward(layers, heads, seed, n, graph
     cfg = ModelConfig(layers=layers, heads=heads, hidden_dim=16, max_dist=4,
                       edge_types=8, input_dim=5, seed=seed)
     kg = multigraph_kg(np.random.default_rng(graph_seed), n, cfg.input_dim)
-    want = forward(kg, init_params(cfg))
-    got = forward(kg, cfg)
-    assert [e.entity_id for e in got] == [e.entity_id for e in want]
-    for a, b in zip(got, want, strict=True):
-        assert np.array_equal(a.vector, b.vector)
+    want_ids, want = forward(kg, init_params(cfg))
+    got_ids, got = forward(kg, cfg)
+    assert np.array_equal(got_ids, want_ids)
+    assert np.array_equal(got, want)
 
 
 def test_forward_from_config_draws_every_init_params_value_once(monkeypatch):
@@ -433,8 +430,7 @@ def test_forward_from_config_draws_every_init_params_value_once(monkeypatch):
     assert [name for name, _ in drawn] == list(params.tensors)
     for name, t in drawn:
         assert np.array_equal(t, params.tensors[name]), name
-    for a, b in zip(got, want, strict=True):
-        assert a.entity_id == b.entity_id and np.array_equal(a.vector, b.vector)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # sha256 over each (name, tensor bytes) of ``init_params(cfg).tensors``,
@@ -522,8 +518,8 @@ def test_forward_is_permutation_equivariant():
         n = int(rng.integers(2, 10))
         kg = random_kg(rng, n, cfg.input_dim)
         perm = {i: int(p) for i, p in enumerate(rng.permutation(n))}
-        base = {e.entity_id: e.vector for e in forward(kg, params)}
-        moved = {e.entity_id: e.vector for e in forward(permuted_copy(kg, perm), params)}
+        base = dict(zip(*forward(kg, params)))
+        moved = dict(zip(*forward(permuted_copy(kg, perm), params)))
         for i in range(n):
             assert np.max(np.abs(base[i] - moved[perm[i]])) < 1e-6
 
@@ -623,10 +619,7 @@ def test_params_round_trip_is_bitwise(tmp_path):
         assert np.array_equal(ta, tb)
     # loaded weights drive the exact same forward pass
     kg = three_node_kg()
-    a = forward(kg, params)
-    b = forward(kg, back)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.vector, y.vector)
+    assert np.array_equal(forward(kg, params)[1], forward(kg, back)[1])
 
 
 def test_params_file_version_and_corruption_errors(tmp_path):
@@ -730,17 +723,45 @@ def test_params_tensor_shape_tampering_detected(tmp_path):
 
 def test_embeddings_file_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    embs = [NodeEmbedding(entity_id=i, vector=rng.standard_normal(16))
-            for i in (4, 0, 11)]
+    ids, vectors = np.array([4, 0, 11]), rng.standard_normal((3, 16))
     path = tmp_path / "emb.json"
-    write_atomic(path, dumps_embeddings(embs))
-    back = load_embeddings(path)
-    assert [e.entity_id for e in back] == [0, 4, 11]
-    by_id = {e.entity_id: e.vector for e in embs}
-    for e in back:
-        assert np.array_equal(e.vector, by_id[e.entity_id])
-    assert dumps_embeddings(back) == dumps_embeddings(sorted(
-        embs, key=lambda e: e.entity_id))
+    write_atomic(path, dumps_embeddings(ids, vectors))
+    back_ids, back = load_embeddings(path)
+    assert back_ids.dtype == np.int64 and back_ids.tolist() == [0, 4, 11]
+    assert back.dtype == np.float64 and not back.flags.writeable
+    assert np.array_equal(back, vectors[[1, 0, 2]])
+    assert dumps_embeddings(back_ids, back) == dumps_embeddings(ids, vectors)
+
+
+def test_forward_returns_the_graph_ids_beside_one_read_only_matrix():
+    kg = three_node_kg()
+    ids, z = forward(kg, init_params(SMALL))
+    assert ids is kg.entity_ids and ids.dtype == np.int64
+    assert z.shape == (len(kg), SMALL.hidden_dim) and z.dtype == np.float64
+    assert z.flags.c_contiguous and not z.flags.writeable
+    with pytest.raises(ValueError):
+        z[0, 0] = 1.0
+
+
+def test_embeddings_file_rejects_mixed_dimensions_and_ids_past_int64(tmp_path):
+    path = tmp_path / "emb.json"
+    for text, fault in [
+            ('{"3": [0.1, 0.2], "4": [0.3]}', "vectors have mixed dimensions [1, 2]"),
+            ('{"3": [0.1], "9223372036854775808": [0.3]}',
+             "entity id 9223372036854775808 does not fit in int64"),
+            ('{"-9223372036854775809": [0.3]}',
+             "entity id -9223372036854775809 does not fit in int64")]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"embeddings file {path}: {fault}"
+    path.write_text('{"9223372036854775807": [1.0], "-9223372036854775808": [2.0]}',
+                    encoding="utf-8")
+    ids, vectors = load_embeddings(path)
+    assert ids.tolist() == [-2 ** 63, 2 ** 63 - 1] and vectors.tolist() == [[2.0], [1.0]]
+    path.write_text("{}", encoding="utf-8")
+    ids, vectors = load_embeddings(path)
+    assert ids.shape == (0,) and vectors.shape == (0, 0)
 
 
 @pytest.mark.parametrize("key", ["03", " 4", "3.0", "+3", "-0", "1_0", "x", ""])
@@ -757,5 +778,5 @@ def test_embeddings_key_must_spell_an_entity_id(tmp_path, key):
 def test_embeddings_keys_are_signed_integers(tmp_path):
     path = tmp_path / "emb.json"
     path.write_text('{"12": [1.0], "-1": [2.0], "0": [3.0]}', encoding="utf-8")
-    assert [(e.entity_id, e.vector.tolist()) for e in load_embeddings(path)] == [
-        (-1, [2.0]), (0, [3.0]), (12, [1.0])]
+    ids, vectors = load_embeddings(path)
+    assert list(zip(ids.tolist(), vectors.tolist())) == [(-1, [2.0]), (0, [3.0]), (12, [1.0])]

@@ -32,7 +32,8 @@ def test_library_use_snippets_run(tmp_path, monkeypatch, capsys):
     for snippet in snippets:  # later snippets use the names of earlier ones
         exec(compile(snippet, "README.md", "exec"), namespace)
     assert capsys.readouterr().out.startswith("[(")
-    assert len(namespace["embeddings"]) == len(namespace["kg"])
+    assert namespace["ids"].tolist() == namespace["kg"].entity_ids.tolist()
+    assert namespace["vectors"].shape == (len(namespace["kg"]), 256)
     written = (tmp_path / "build" / "toy_modbus.cpg.json").read_text(encoding="utf-8")
     assert written == dumps_cpg(namespace["g"])
 
