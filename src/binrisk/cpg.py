@@ -563,6 +563,26 @@ def failing_claims(g: CpgGraph, claim_lists: Sequence[np.ndarray]) -> list[DataF
     return out
 
 
+_HOP_ROWS = 256  # sources per block of the breadth-first search
+_HOP_CHUNK = 256  # frontier nodes per float32 product, so its path counts are exact
+
+
+def _next_frontier(frontier: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """``frontier @ adj > 0`` for a bool (rows, n) frontier and the bool
+    (n, n) adjacency: the nodes one edge past each row's frontier.
+
+    The product is taken over chunks of ``_HOP_CHUNK`` nodes that are on
+    some frontier, each in float32: its path counts are at most the chunk
+    size, so they are exact, and only their sign is read.
+    """
+    out = np.zeros(frontier.shape, dtype=bool)
+    on = np.flatnonzero(frontier.any(axis=0))
+    for lo in range(0, len(on), _HOP_CHUNK):
+        chunk = on[lo:lo + _HOP_CHUNK]
+        out |= frontier[:, chunk].astype(np.float32) @ adj[chunk].astype(np.float32) > 0
+    return out
+
+
 def shortest_path_matrix(num_nodes: int, edges: Iterable[tuple[int, int]],
                          max_dist: int = 20) -> np.ndarray:
     """Directed hop-count matrix with clamping.
@@ -573,13 +593,14 @@ def shortest_path_matrix(num_nodes: int, edges: Iterable[tuple[int, int]],
     holds the sentinel, ``np.min_scalar_type(max_dist + 1)``: uint8 up
     to max_dist 254.
 
-    A breadth-first search from every node at once, one level at a
-    time: the next frontiers are one float32 product of the current
-    ones with the 0/1 adjacency (the path counts it sums are exact, and
-    only their sign is read).  If some search still finds new nodes
-    past max_dist levels, squaring the reachability matrix until it
-    stops changing tells the pairs beyond max_dist (clamped) from the
-    unreachable ones.
+    A breadth-first search from ``_HOP_ROWS`` sources at a time, one
+    level at a time, over the bool adjacency: a block's next frontiers
+    are ``_next_frontier`` of its current ones, so besides the result
+    and the adjacency (n^2 bytes each) only a block's frontiers and one
+    chunk's float32 product are held.  If some searches still find new
+    nodes past max_dist levels, their rows of the reachability matrix
+    are squared until they stop changing, which tells the pairs beyond
+    max_dist (clamped) from the unreachable ones.
     """
     if num_nodes < 1:
         raise ValueError("graph must be non-empty")
@@ -590,36 +611,41 @@ def shortest_path_matrix(num_nodes: int, edges: Iterable[tuple[int, int]],
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if len(pairs) and (pairs.min() < 0 or pairs.max() >= num_nodes):
         raise ValueError(f"edge endpoint out of range for {num_nodes} nodes")
-    adj = np.zeros((num_nodes, num_nodes), dtype=np.float32)
-    adj[pairs[:, 0], pairs[:, 1]] = 1.0
-    hops = np.full((num_nodes, num_nodes), max_dist + 1,
-                   dtype=np.min_scalar_type(max_dist + 1))
+    adj = np.zeros((num_nodes, num_nodes), dtype=bool)
+    adj[pairs[:, 0], pairs[:, 1]] = True
+    unseen = max_dist + 1  # the sentinel, until a search reaches the pair
+    hops = np.full((num_nodes, num_nodes), unseen, dtype=np.min_scalar_type(unseen))
     np.fill_diagonal(hops, 0)
-    seen = np.eye(num_nodes, dtype=bool)
-    open_rows = np.arange(num_nodes)  # the sources whose search still finds nodes
-    fresh = adj > 0  # level 1: each frontier is its source alone
-    for level in range(1, max_dist + 2):
-        fresh &= ~seen[open_rows]
-        live = fresh.any(axis=1)
-        open_rows, fresh = open_rows[live], fresh[live]
-        if not len(open_rows):
-            return hops
-        if level > max_dist:
-            break
-        # A row gather and a masked write: no index pairs of the frontiers.
-        block = hops[open_rows]
-        block[fresh] = level
-        hops[open_rows] = block
-        del block
-        seen[open_rows] |= fresh
-        # Only the nodes on some frontier contribute to the next product.
-        on = np.flatnonzero(fresh.any(axis=0))
-        fresh = fresh[:, on].astype(np.float32) @ adj[on] > 0
-    reach = seen.astype(np.float32)
-    while True:
-        grown = reach @ reach > 0
-        if np.array_equal(grown, reach > 0):
-            break
-        reach = grown.astype(np.float32)
-    hops[grown & ~seen] = max_dist
+    beyond = []  # the sources whose search still finds nodes past max_dist levels
+    for lo in range(0, num_nodes, _HOP_ROWS):
+        block = hops[lo:lo + _HOP_ROWS]  # a view: levels are written through it
+        rows = np.arange(len(block))  # the block's sources whose search still finds nodes
+        fresh = adj[lo:lo + _HOP_ROWS]  # level 1: each frontier is its source alone
+        for level in range(1, max_dist + 2):
+            found = block[rows]
+            fresh = fresh & (found == unseen)
+            live = fresh.any(axis=1)
+            if not live.any():
+                break
+            if level > max_dist:
+                beyond.append(rows[live] + lo)
+                break
+            rows, fresh, found = rows[live], fresh[live], found[live]
+            found[fresh] = level  # a masked write: no index pairs of the frontiers
+            block[rows] = found
+            fresh = _next_frontier(fresh, adj)
+    if beyond:
+        # Rows of finished searches are whole, so squaring only the open
+        # rows in place, until none changes, closes them.
+        del adj
+        reach, rows = hops <= max_dist, np.concatenate(beyond)
+        grown = True
+        while grown:
+            grown = False
+            for lo in range(0, len(rows), _HOP_ROWS):
+                part = rows[lo:lo + _HOP_ROWS]
+                wider = _next_frontier(reach[part], reach)
+                grown |= not np.array_equal(wider, reach[part])
+                reach[part] = wider
+        hops[reach & (hops == unseen)] = max_dist
     return hops

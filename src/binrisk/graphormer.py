@@ -12,11 +12,12 @@ attends to every entity) with two additive structure biases per head:
 
 Both biases depend only on the graph and the head, never on the layer
 or the state, so ``forward`` builds them once per pass: the hop matrix
-through a breadth-first search from every entity at once, and each
-head's edge term as values at the distinct related pairs, which every
-layer adds onto its scores.  The hop matrix is one byte per pair up to
-max_dist 254 (its clamped values fit), and the spatial bias is gathered
-from it a block of rows at a time, so no n x n bias or index array is made.
+through a breadth-first search from every entity, a block of sources at
+a time, and each head's edge term as values at the distinct related
+pairs, one ``np.bincount`` per head, which every layer adds onto its
+scores.  The hop matrix is one byte per pair up to max_dist 254 (its
+clamped values fit), and the spatial bias is gathered from it a block of
+rows at a time, so no n x n bias or index array is made.
 
 Each layer applies multi-head attention, then a position-wise
 feed-forward expansion, with a single residual connection and a single
@@ -34,7 +35,9 @@ Moshier's ndtr.c, the one scipy ships), so it gives the same bits as
 no ``params_path``) it draws the seeded weights as the pass needs them
 and holds each tensor from its first use to its last, so the pass holds
 the spatial bias table, a layer's tensors while they are in use and,
-per head, O(n^2) scores for n entities.  ``init_params`` draws the same
+per head, O(n^2) scores for n entities.  The feed-forward block runs on
+blocks of rows, each written over its own rows of the attention output,
+so no (n, 4 hidden) activation is held.  ``init_params`` draws the same
 values and holds them all, by container name, for callers that index a
 tensor or save the weights.  Scores, softmax, GELU and layer norm
 overwrite arrays the pass made itself, with the same operations in the
@@ -114,6 +117,14 @@ class ModelConfig:
             if math.prod(shape) > sys.maxsize // 8:
                 raise ConfigError(f"model tensor '{name}' of shape {shape} is larger than "
                                   "any array")
+        # A bound on the whole model (32 GiB of float64), so that no count
+        # of layers leaves a run drawing weights until it is killed.  A
+        # layer holds 12 h^2 + 7 h weights (_LAYER_TENSORS).
+        h = self.hidden_dim
+        count = (self.input_dim * h + 4 * h + self.heads * (self.max_dist + 2 + self.edge_types)
+                 + self.layers * (12 * h * h + 7 * h))
+        if count > 2**32:
+            raise ConfigError(f"the model would have {count} weights, more than 2**32")
 
 
 # One layer's tensors in draw order: container name after "layer{i}.",
@@ -288,14 +299,20 @@ def _edge_bias_terms(n: int, src: np.ndarray, dst: np.ndarray, type_index: np.nd
     """
     keep = src != dst
     flat, pair = np.unique(src[keep] * n + dst[keep], return_inverse=True)
-    # (relations, heads): one row of per-head contributions per relation
-    contrib = edge_bias[:, type_index[keep]].T * weight[keep, None]
-    vals = np.zeros((len(flat), edge_bias.shape[0]))
-    np.add.at(vals, pair, contrib)  # unbuffered, in relation order
-    return flat, np.ascontiguousarray(vals.T)
+    type_index, weight = type_index[keep], weight[keep]
+    vals = np.empty((edge_bias.shape[0], len(flat)))
+    for head, row in enumerate(edge_bias):  # bincount adds in relation order
+        vals[head] = np.bincount(pair, weights=row[type_index] * weight, minlength=len(flat))
+    return flat, vals
 
 
 _BIAS_ROWS = 64  # score rows per spatial-bias gather
+# Rows per feed-forward block.  A multiple of 64, so that each block starts
+# on a tile boundary of the whole product and every element keeps its
+# kernel and summation order.  A block of fewer rows takes another path
+# (numpy hands a one-row product to gemv, and OpenBLAS changes bits at
+# two or three rows too), so the rows left over join the block before.
+_FFN_ROWS = 64
 
 
 def _attention(q: np.ndarray, k: np.ndarray, dist: np.ndarray, flat: np.ndarray,
@@ -332,7 +349,9 @@ def _layer(z: np.ndarray, tensors: Iterator[np.ndarray], dist: np.ndarray, flat:
     ``tensors`` gives the layer's weights in ``_LAYER_TENSORS`` order.
     Each is taken when first needed and dropped after its last use, and
     each head's attention matrix once its product is taken, so one
-    head's O(n^2) arrays are live at a time.
+    head's O(n^2) arrays are live at a time.  The feed-forward block
+    takes ``_FFN_ROWS`` rows at a time and writes each block's output
+    over its rows of the attention output.
     """
     d = z.shape[1] // heads
     w_q, w_k, w_v = next(tensors), next(tensors), next(tensors)
@@ -344,14 +363,19 @@ def _layer(z: np.ndarray, tensors: Iterator[np.ndarray], dist: np.ndarray, flat:
     del w_q, w_k, w_v
     mixed = np.concatenate(heads_out, axis=1) @ next(tensors)  # w_o
     del heads_out
-    h = mixed @ next(tensors)  # ffn_w1
-    del mixed
-    h += next(tensors)  # ffn_b1
-    expanded = _gelu(h) @ next(tensors)  # ffn_w2
-    del h
-    expanded += next(tensors)  # ffn_b2
-    expanded += z
-    return _layer_norm(expanded, next(tensors), next(tensors))  # ln_gain, ln_offset
+    w1, b1, w2 = next(tensors), next(tensors), next(tensors)  # ffn_w1, ffn_b1, ffn_w2
+    n = len(mixed)
+    for lo in range(0, n, _FFN_ROWS):
+        rows = slice(lo, lo + _FFN_ROWS if n - lo >= 2 * _FFN_ROWS else n)
+        h = mixed[rows] @ w1
+        h += b1
+        mixed[rows] = _gelu(h) @ w2  # a block is read before it is written over
+        if rows.stop == n:
+            break
+    del w1, b1, w2, h
+    mixed += next(tensors)  # ffn_b2
+    mixed += z
+    return _layer_norm(mixed, next(tensors), next(tensors))  # ln_gain, ln_offset
 
 
 def forward(kg: SsckgGraph, params: ModelParams | ModelConfig) -> tuple[np.ndarray, np.ndarray]:

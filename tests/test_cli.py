@@ -786,8 +786,9 @@ def test_sigterm_leaves_outdir_as_it_was(fixtures_dir, tmp_path, outdir_exists):
         (outdir / "notes.txt").write_bytes(b"kept\n")
     before = {name: (outdir / name).read_bytes() for name in os.listdir(outdir)} \
         if outdir_exists else None
-    # A billion layers keep the forward pass, after the KG is staged, busy.
-    config = write_config(tmp_path, fixtures_dir / "config_toy.json", model_layers=10 ** 9)
+    # 80,000 layers, under the bound of 2**32 weights, keep the forward pass
+    # busy for seconds after the KG is staged.
+    config = write_config(tmp_path, fixtures_dir / "config_toy.json", model_layers=80_000)
     src = str(Path(binrisk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -1165,6 +1166,11 @@ BAD_INPUTS = {
                                    REPORT_BAD_CONFIG),
     "config_negative_seed": ("cfg.json", '{"seed": -1}', "seed must be non-negative, got -1",
                              REPORT_BAD_CONFIG),
+    # A billion layers of the default model, rejected before a weight is drawn.
+    "config_model_past_2_32_weights": (
+        "cfg.json", '{"model_layers": 1000000000}',
+        "error: the model would have 788224000099568 weights, more than 2**32",
+        REPORT_BAD_CONFIG),
     **{f"config_{word}_{knob}": ("cfg.json", f'{{"{knob}": {value.format(token)}}}',
                                  needle.format(shown), REPORT_BAD_CONFIG)
        for knob, (value, needle) in NON_FINITE_KNOBS.items()

@@ -24,6 +24,7 @@ from binrisk.lifting import function_subgraph
 from binrisk.pipeline import write_atomic
 
 from oracles import CpgEdge, claim_array, inst, pdg, row_cpg
+from test_graphormer import hop_oracle
 
 
 # --- parsing and validation ---------------------------------------------------
@@ -302,6 +303,39 @@ def test_distance_matrix_holds_no_index_pairs_or_wide_result():
     shortest_path_matrix(n, edges)  # first-call allocations stay out of the peak
     peak, _ = traced_peak(shortest_path_matrix, n, edges)
     assert peak < 24 * n * n
+
+
+def test_distance_matrix_holds_no_float32_adjacency_or_full_level():
+    # n^2 bytes each for the result and the bool adjacency; a block of
+    # sources holds its frontiers and one chunk's float32 product.  A
+    # float32 adjacency, its rows gathered for every node on a frontier or
+    # one product over all open sources would each add 4 n^2.
+    rng = np.random.default_rng(5)
+    n = 1024
+    edges = rng.integers(0, n, size=(9 * n, 2))
+    shortest_path_matrix(n, edges)  # first-call allocations stay out of the peak
+    peak, _ = traced_peak(shortest_path_matrix, n, edges)
+    assert peak < 12 * n * n
+
+
+@pytest.mark.parametrize("max_dist", [3, 20])
+def test_distance_matrix_matches_bfs_across_row_blocks_and_frontier_chunks(max_dist):
+    # 700 nodes: three blocks of sources.  A sparse random graph on 640 of
+    # them (with duplicates and self-loops) feeds a 59-hop path over the
+    # rest, so searches pass both budgets and the pairs past them are
+    # clamped; nodes no edge enters stay unreachable.
+    rng = np.random.default_rng(11)
+    n, body = 700, 640
+    edges = rng.integers(0, body, size=(3 * body, 2)).tolist()
+    edges += [[v, v] for v in rng.integers(0, body, size=5).tolist()] + edges[:50]
+    edges += [[int(rng.integers(body)), body]] + [[i, i + 1] for i in range(body, n - 1)]
+    hops = hop_oracle(n, edges, n)  # unclamped: n + 1 marks an unreachable pair
+    got = shortest_path_matrix(n, edges, max_dist=max_dist)
+    assert np.array_equal(got, np.where(hops > n, max_dist + 1, np.minimum(hops, max_dist)))
+    # The first block's searches reach over 256 nodes at level 2, so that
+    # level's product spans more than one chunk of frontier nodes.
+    assert (hops[:256] == 2).any(axis=0).sum() > 256
+    assert ((hops > max_dist) & (hops <= n)).any() and (hops > n).any()
 
 
 def test_distance_matrix_rejects_empty_and_bad_budget():

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -29,6 +30,7 @@ from binrisk.graphormer import (
     _erf,
     _gelu,
     _layer_norm,
+    _tensor_specs,
     ModelConfig,
     ModelParams,
     dumps_embeddings,
@@ -477,6 +479,54 @@ def test_seeded_transform_holds_one_layer_at_a_time():
     assert transform_peak(kg, 8) - transform_peak(kg, 1) < layer_bytes / 2
 
 
+def test_seeded_transform_holds_no_whole_ffn_activation(monkeypatch):
+    # The feed-forward block runs on blocks of rows, so no (n, 4 hidden)
+    # activation is live while GELU runs.  With hidden < n < 4 hidden such
+    # an array would be the largest of the pass: larger than a score
+    # matrix (n x n) or a weight (hidden x 4 hidden).
+    n, hidden = 200, 64
+    kg = multigraph_kg(np.random.default_rng(83), n, 16)
+    gelu, largest = graphormer._gelu, []
+
+    def traced_gelu(x):
+        largest.append(max(trace.size for trace in tracemalloc.take_snapshot().traces))
+        return gelu(x)
+
+    monkeypatch.setattr(graphormer, "_gelu", traced_gelu)
+    transform_peak(kg, 1)
+    assert largest and max(largest) < n * 4 * hidden * 8
+
+
+@pytest.mark.parametrize("n", [129, 130, 131])
+def test_forward_ffn_blocks_give_the_bits_of_one_whole_product(n):
+    # n mod 64 is 1, 2 and 3: the rows left over join the last whole block,
+    # since a product of so few rows takes another BLAS path.
+    # per_head_reference takes each feed-forward product over all n rows.
+    cfg = ModelConfig(layers=2, heads=8, hidden_dim=256, max_dist=5, input_dim=24, seed=9)
+    params = init_params(cfg)
+    kg = multigraph_kg(np.random.default_rng(n), n, cfg.input_dim)
+    got = forward(kg, params)[1]
+    assert got.tobytes() == per_head_reference(kg, params).tobytes()
+
+
+def test_edge_bias_terms_equal_the_add_at_sums_bit_for_bit():
+    # One bincount per head adds a pair's relations in relation order from
+    # 0.0, as np.add.at does over a (pairs, heads) array.
+    rng = np.random.default_rng(89)
+    for n in (1, 5, 40, 90):
+        kg = multigraph_kg(rng, n, 4)
+        src, dst, type_index, weight = graphormer._relation_arrays(kg)
+        edge_bias = rng.uniform(-1.0, 1.0, size=(8, 8))
+        keep = src != dst
+        want_flat, pair = np.unique(src[keep] * n + dst[keep], return_inverse=True)
+        want = np.zeros((len(want_flat), 8))
+        np.add.at(want, pair, edge_bias[:, type_index[keep]].T * weight[keep, None])
+        flat, vals = graphormer._edge_bias_terms(n, src, dst, type_index, weight, edge_bias)
+        assert np.array_equal(flat, want_flat)
+        assert vals.shape == (8, len(want_flat))
+        assert vals.tobytes() == np.ascontiguousarray(want.T).tobytes()
+
+
 def test_seeded_forward_drops_each_query_weight_before_the_ffn_output_weight(monkeypatch):
     # Each tensor of a seeded pass lives from its first use to its last:
     # a layer's w_q is dead by the time that layer's ffn_w2 is drawn.
@@ -566,6 +616,19 @@ def test_config_validation():
         ModelConfig(max_dist=0)
     with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
         ModelConfig(seed=-1)
+
+
+def test_config_bounds_the_weight_count_by_the_drawn_shapes():
+    # Five layers of 8192 hidden units hold under 2**32 weights, six hold
+    # more; the message names the count that _tensor_specs draws.
+    fields = dict(heads=8, hidden_dim=8192, max_dist=20, edge_types=8, input_dim=384, seed=0)
+    ModelConfig(layers=5, **fields)
+    shapes = _tensor_specs(types.SimpleNamespace(layers=6, **fields))
+    count = sum(math.prod(shape) for _, shape, _ in shapes)
+    assert count > 2**32
+    with pytest.raises(ConfigError, match=re.escape(
+            f"the model would have {count} weights, more than 2**32")):
+        ModelConfig(layers=6, **fields)
 
 
 # --- initialization and persistence ----------------------------------------------
