@@ -19,7 +19,8 @@ import threading
 
 from . import __version__, pipeline
 from .config import PipelineConfig
-from .errors import BinriskError, ConfigError, SchemaError, dumps_json, read_json
+from .errors import BinriskError, ConfigError, SchemaError
+from .jsonio import dumps_json, read_json
 from .fingerprint import Fingerprint, dumps_fingerprint
 from .metrics import ConfusionCounts, classification_metrics
 

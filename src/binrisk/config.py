@@ -21,7 +21,8 @@ from pathlib import Path
 
 from .cpg import _is_id
 from .embedding import HashEmbedder
-from .errors import ConfigError, DimensionMismatch, SchemaError, read_json
+from .errors import ConfigError, DimensionMismatch, SchemaError
+from .jsonio import read_json
 from .fingerprint import check_threshold_grid
 from .graphormer import ModelConfig
 from .risk import PropagationConfig

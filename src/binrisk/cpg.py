@@ -55,14 +55,14 @@ indexes over them (``function_rows``, the rows of each function, and
 walks) are built on first use and cached.
 
 Neither direction holds a whole file's structure.  ``load_cpg`` reads
-the file in windows (``errors.read_rows``) and converts each chunk of
+the file in windows (``jsonio.read_rows``) and converts each chunk of
 ``nodes`` or ``edges`` rows before it decodes the next, so neither the
 file's text nor a JSON tree of the whole graph is held.  A faulty file
 is read the same way: the first fault is named as a reading of the
 whole file would name it, a syntax fault anywhere first, then the
 document's fields, the node rows and the edge rows.  ``cpg_chunks``
-fills the row templates a block of rows at a time, and ``dumps_cpg`` is
-its join.
+fills row templates a block of rows at a time, and ``dumps_cpg`` is its
+join; ``jsonio`` lays out the templates and the document around them.
 """
 
 from __future__ import annotations
@@ -73,13 +73,13 @@ from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, compress
 from operator import itemgetter
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, collector_paused, json_chunks, read_rows
+from .errors import ParseError, SchemaError
+from .jsonio import collector_paused, json_chunks, json_object, json_value, read_rows
 
 
 class NodeKind(str, Enum):
@@ -358,7 +358,7 @@ def _column(rows: list, key: str, default=_REQUIRED) -> list:
 def load_cpg(path: str | Path) -> CpgGraph:
     """Parse and validate a graph file, preserving node and edge counts.
 
-    ``errors.read_rows`` reads the file in windows, and each chunk of
+    ``jsonio.read_rows`` reads the file in windows, and each chunk of
     node or edge rows becomes typed columns before the next is decoded,
     for a faulty file too.  The error names the first fault: a syntax
     fault anywhere in the file, then the document's fields, then the
@@ -444,25 +444,13 @@ def _edge_columns(rows: list, start: int, interned: dict[str, str]) -> tuple:
     return (*typed, list(map(interned.setdefault, labels, labels)))
 
 
-def _node_template(kind: NodeKind) -> str:
-    return ('{\n      "attrs": %s,\n      "block_id": %d,\n      "function_id": %d,\n'
-            '      "id": %d,\n      "kind": "' + kind.value + '",\n      "opcode": %s\n    }')
-
-
-def _edge_template(kind: EdgeKind) -> str:
-    return ('{\n      "dst": %d,\n      "kind": "' + kind.value + '",\n'
-            '      "label": %s,\n      "src": %d\n    }')
-
-
-_NODE_TEMPLATES = [_node_template(k) for k in NODE_KINDS]
-_EDGE_TEMPLATES = [_edge_template(k) for k in EDGE_KINDS]
+_NODE_TEMPLATES = ["".join(json_object({
+    "attrs": "%s", "block_id": "%d", "function_id": "%d", "id": "%d",
+    "kind": json_value(k.value, 3), "opcode": "%s"}, 2)) for k in NODE_KINDS]
+_EDGE_TEMPLATES = ["".join(json_object({
+    "dst": "%d", "kind": json_value(k.value, 3), "label": "%s", "src": "%d"}, 2))
+    for k in EDGE_KINDS]
 _ROW_BLOCK = 1024  # rows per chunk cpg_chunks yields
-
-
-def _attrs_text(attrs: Mapping[str, str]) -> str:
-    quote = encode_basestring_ascii
-    return ("{\n        " + ",\n        ".join(quote(k) + ": " + quote(attrs[k])
-                                             for k in sorted(attrs)) + "\n      }")
 
 
 def dumps_cpg(g: CpgGraph) -> str:
@@ -473,13 +461,12 @@ def dumps_cpg(g: CpgGraph) -> str:
 def cpg_chunks(g: CpgGraph) -> Iterator[str]:
     """The canonical text of g in chunks, for ``pipeline.write_atomic``.
 
-    The bytes are those ``errors.dumps_json`` writes for the graph's
+    The bytes are those ``jsonio.dumps_json`` writes for the graph's
     document; each row is filled into a template for its kind, a block
     of rows at a time.
     """
-    quote = encode_basestring_ascii
-    labels = list(map(quote, g.labels))
-    opcodes = {o: quote(o) for o in set(g.opcode)}
+    labels = [json_value(label, 3) for label in g.labels]
+    opcodes = {o: json_value(o, 3) for o in set(g.opcode)}
 
     def edges(lo: int, hi: int) -> list[str]:
         return [_EDGE_TEMPLATES[k] % (d, labels[c], s) for k, d, c, s in zip(
@@ -487,17 +474,16 @@ def cpg_chunks(g: CpgGraph) -> Iterator[str]:
             g.edge_label[lo:hi].tolist(), g.node_id[g.edge_src_row[lo:hi]].tolist())]
 
     def nodes(lo: int, hi: int) -> list[str]:
-        attrs = [_attrs_text(a) if a else "{}" for a in map(g.attrs.get, range(lo, hi))]
+        attrs = [json_value(a, 3) if a else "{}" for a in map(g.attrs.get, range(lo, hi))]
         return [_NODE_TEMPLATES[k] % (a, b, f, i, o) for k, a, b, f, i, o in zip(
             g.node_kind[lo:hi].tolist(), attrs, g.node_block[lo:hi].tolist(),
             g.node_function[lo:hi].tolist(), g.node_id[lo:hi].tolist(),
             map(opcodes.__getitem__, g.opcode[lo:hi]))]
 
-    yield '{\n  "binary_id": ' + quote(g.binary_id) + ',\n  "edges": '
-    yield from json_chunks(edges, len(g.edge_kind), _ROW_BLOCK, 1)
-    yield ',\n  "nodes": '
-    yield from json_chunks(nodes, len(g), _ROW_BLOCK, 1)
-    yield "\n}\n"
+    yield from json_object({"binary_id": json_value(g.binary_id, 1),
+                            "edges": json_chunks(edges, len(g.edge_kind), _ROW_BLOCK, 1),
+                            "nodes": json_chunks(nodes, len(g), _ROW_BLOCK, 1)}, 0)
+    yield "\n"
 
 
 def _reachable(indptr: np.ndarray, succ: np.ndarray, source: int, sink: int) -> bool:

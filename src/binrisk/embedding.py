@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .cpg import _floats
-from .errors import DimensionMismatch, MissingEmbedding, SchemaError, read_json
+from .errors import DimensionMismatch, MissingEmbedding, SchemaError
+from .jsonio import read_json
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 

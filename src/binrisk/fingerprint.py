@@ -31,9 +31,8 @@ from .errors import (
     LengthMismatch,
     SchemaError,
     SingleClassInput,
-    dumps_json,
-    read_json,
 )
+from .jsonio import dumps_json, read_json
 
 MALICIOUS = "malicious"
 BENIGN = "benign"

@@ -63,7 +63,6 @@ import sys
 import zipfile
 from dataclasses import asdict, dataclass
 from itertools import islice, zip_longest
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -78,10 +77,8 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
     VersionMismatch,
-    json_chunks,
-    json_value,
-    read_json,
 )
+from .jsonio import json_chunks, json_value, read_json
 from .ssckg import RELATION_INDEX, SsckgGraph
 
 PARAMS_FORMAT = "entity-transformer-v1"
@@ -98,6 +95,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if type(value) is not int:  # a float or bool from a weight file's config echo
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.layers < 1:
             raise ConfigError("need at least one layer")
         if self.heads < 1 or self.hidden_dim % self.heads != 0:
@@ -439,12 +439,6 @@ def dumps_params(params: ModelParams) -> bytes:
     return buf.getvalue()
 
 
-def save_params(params: ModelParams, path: str | Path) -> None:
-    """Write ``dumps_params(params)`` through ``pipeline.write_atomic``."""
-    from .pipeline import write_atomic  # pipeline imports this module
-    write_atomic(path, dumps_params(params))
-
-
 def load_params(path: str | Path, expected: ModelConfig | None = None) -> ModelParams:
     """Read a weight container; optionally enforce an expected config."""
     try:
@@ -509,7 +503,7 @@ def embeddings_chunks(ids: np.ndarray, vectors: np.ndarray) -> Iterator[str]:
     keys = sorted(rows)
 
     def items(lo: int, hi: int) -> list[str]:
-        return [encode_basestring_ascii(k) + ": " + json_value(vectors[rows[k]].tolist(), 1)
+        return [json_value(k, 1) + ": " + json_value(vectors[rows[k]].tolist(), 1)
                 for k in keys[lo:hi]]
 
     yield from json_chunks(items, len(keys), _EMBEDDING_BLOCK, 0, "{}")

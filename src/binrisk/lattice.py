@@ -25,7 +25,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import EmptyGoldenSet, SchemaError, UnknownLabel, read_json
+from .errors import EmptyGoldenSet, SchemaError, UnknownLabel
+from .jsonio import read_json
 
 
 @dataclass(frozen=True, slots=True)

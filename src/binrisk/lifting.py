@@ -48,8 +48,8 @@ from .errors import (
     ParseError,
     SchemaError,
     UnknownFunction,
-    read_json,
 )
+from .jsonio import read_json
 from .lattice import TOP, Label, Lattice
 
 

@@ -36,7 +36,8 @@ from . import __version__
 from .config import PipelineConfig, _finite_number
 from .cpg import CpgGraph, _is_id, cpg_chunks, load_cpg
 from .embedding import FileEmbeddings, HashEmbedder
-from .errors import ConfigError, SchemaError, dumps_json, read_json
+from .errors import ConfigError, SchemaError
+from .jsonio import dumps_json, read_json
 from .fingerprint import Fingerprint, load_repository, match_and_alert, select_threshold
 from .graphormer import ModelConfig, embeddings_chunks, forward, load_embeddings, load_params
 from .lattice import Lattice

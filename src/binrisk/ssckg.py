@@ -35,15 +35,15 @@ columns; as ``cpg``'s converters do, it walks the rows for the first
 offender only when a check over all of them fails.  The constructor,
 ``SsckgGraph(entities, relations)``, takes the columns and checks the
 ids, ends and weights across the graph.
-``load_ssckg`` reads the file in windows (``errors.read_rows``) and
+``load_ssckg`` reads the file in windows (``jsonio.read_rows``) and
 turns each chunk of entity rows into entities, and each chunk of
 relation rows into columns, before it decodes the next, for a faulty
 file too, whose first fault it names as a reading of the whole file
 would.
 ``dumps_ssckg`` is the join of ``ssckg_chunks``, which writes the bytes
-``errors.dumps_json`` would a block of rows at a time, each entity and
-each relation filled into a row template; ``to_dot`` is the join of
-``dot_chunks`` the same way.
+``jsonio.dumps_json`` would a block of rows at a time, each entity and
+each relation filled into a row template that ``jsonio`` lays out;
+``to_dot`` is the join of ``dot_chunks`` the same way.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain, compress
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -62,8 +61,9 @@ import numpy as np
 
 from .cpg import (AST_CODE, PDG_CODE, CpgGraph, _codes, _floats, _int64, _is_id,
                   _raise_first_fault, _search, group_rows)
-from .errors import (DimensionMismatch, ParseError, SchemaError, ZeroVector, collector_paused,
-                     json_chunks, json_value, read_json, read_rows)
+from .errors import DimensionMismatch, ParseError, SchemaError, ZeroVector
+from .jsonio import (collector_paused, json_chunks, json_list, json_object, json_value, read_json,
+                     read_rows)
 from .lattice import TOP, Label, join, leq
 from .lifting import Annotation, VerifiedCorpus
 
@@ -752,27 +752,14 @@ def load_cves(path: str | Path, provider) -> list[CveRecord]:
 
 # --- serialization ---------------------------------------------------------------
 
-def _relation_template(rel_type: RelationType) -> str:
-    dst = "%s" if rel_type is RelationType.VULNERABLE_TO else "%d"
-    return ('{\n      "dst": ' + dst + ',\n      "rel_type": "' + rel_type.value + '",\n'
-            '      "src": %d,\n      "weight": %r\n    }')
-
-
-_RELATION_TEMPLATES = [_relation_template(t) for t in RELATION_TYPES]
+_RELATION_TEMPLATES = ["".join(json_object({
+    "dst": "%s" if t is RelationType.VULNERABLE_TO else "%d", "rel_type": json_value(t.value, 3),
+    "src": "%d", "weight": "%r"}, 2)) for t in RELATION_TYPES]
+_ENTITY_TEMPLATE = "".join(json_object(dict.fromkeys(
+    ("cluster_id", "embedding", "external", "id", "label", "members", "name", "summary"),
+    "%s"), 2))
 _RELATION_BLOCK = 1024  # relation rows per chunk ssckg_chunks yields
 _ENTITY_BLOCK = 16  # entity rows per chunk: each may hold a long vector
-
-
-# An entity row nested two levels deep, its keys in sorted order.
-_ENTITY_TEMPLATE = ('{\n      "cluster_id": %s,\n      "embedding": %s,\n      "external": %s,'
-                    '\n      "id": %s,\n      "label": %s,\n      "members": %s,'
-                    '\n      "name": %s,\n      "summary": %s\n    }')
-_ITEM_SEP = ",\n        "  # between the items of a list inside an entity row
-
-
-def _listed(items: list[str]) -> str:
-    """A list of item texts inside an entity row, as ``dumps_json`` writes it."""
-    return "[\n        " + _ITEM_SEP.join(items) + "\n      ]" if items else "[]"
 
 
 def _vector_text(values: np.ndarray | None) -> str:
@@ -785,20 +772,20 @@ def _vector_text(values: np.ndarray | None) -> str:
     nonzero = np.flatnonzero(values.view(np.int64))
     for i, text in zip(nonzero.tolist(), map(float.__repr__, values[nonzero].tolist())):
         items[i] = text
-    return _listed(items)
+    return json_list(items, 3)
 
 
 def _entity_text(e: Entity) -> str:
     """An entity row's text, as ``dumps_json`` writes the row's object."""
     return _ENTITY_TEMPLATE % (
         json_value(e.cluster_id, 3), _vector_text(e.embedding), json_value(e.external, 3),
-        json_value(e.id, 3), encode_basestring_ascii(str(e.label)),
-        _listed(list(map(int.__repr__, e.members.tolist()))), json_value(e.name, 3),
+        json_value(e.id, 3), json_value(str(e.label), 3),
+        json_list(list(map(int.__repr__, e.members.tolist())), 3), json_value(e.name, 3),
         json_value(e.summary, 3))
 
 
 def dumps_ssckg(kg: SsckgGraph) -> str:
-    """Canonical serialization: the bytes ``errors.dumps_json`` writes for
+    """Canonical serialization: the bytes ``jsonio.dumps_json`` writes for
     the graph's document."""
     return "".join(ssckg_chunks(kg))
 
@@ -811,7 +798,7 @@ def ssckg_chunks(kg: SsckgGraph) -> Iterator[str]:
     def relations(lo: int, hi: int) -> list[str]:
         dst = cols.dst[lo:hi].tolist()
         for row in np.flatnonzero(cols.type_code[lo:hi] == VULN_CODE).tolist():
-            dst[row] = encode_basestring_ascii(cols.cve[lo + row])
+            dst[row] = json_value(cols.cve[lo + row], 3)
         return [_RELATION_TEMPLATES[c] % (d, s, w) for c, d, s, w in zip(
             cols.type_code[lo:hi].tolist(), dst, cols.src[lo:hi].tolist(),
             cols.weight[lo:hi].tolist())]
@@ -819,18 +806,18 @@ def ssckg_chunks(kg: SsckgGraph) -> Iterator[str]:
     def entity_rows(lo: int, hi: int) -> list[str]:
         return list(map(_entity_text, entities[lo:hi]))
 
-    # The keys in sorted order: clustering, entities, relations, source_binary.
-    yield '{\n  "clustering": ' + json_value(kg.clustering, 1) + ',\n  "entities": '
-    yield from json_chunks(entity_rows, len(entities), _ENTITY_BLOCK, 1)
-    yield ',\n  "relations": '
-    yield from json_chunks(relations, len(cols), _RELATION_BLOCK, 1)
-    yield ',\n  "source_binary": ' + encode_basestring_ascii(kg.source_binary) + "\n}\n"
+    yield from json_object({
+        "clustering": json_value(kg.clustering, 1),
+        "entities": json_chunks(entity_rows, len(entities), _ENTITY_BLOCK, 1),
+        "relations": json_chunks(relations, len(cols), _RELATION_BLOCK, 1),
+        "source_binary": json_value(kg.source_binary, 1)}, 0)
+    yield "\n"
 
 
 def load_ssckg(path: str | Path) -> SsckgGraph:
     """Read and validate a KG file.
 
-    ``errors.read_rows`` reads the file in windows: each chunk of entity
+    ``jsonio.read_rows`` reads the file in windows: each chunk of entity
     rows becomes ``Entity`` objects, and each chunk of relation rows a
     part of the relation columns, before the next chunk is decoded, for a
     faulty file too.  The error names the first fault: a syntax fault

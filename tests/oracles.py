@@ -42,9 +42,9 @@ import numpy as np
 from binrisk.cpg import (EDGE_KINDS, NODE_KINDS, CpgGraph, DataFlowClaim, EdgeKind, NodeKind,
                          _edge_columns, _node_columns)
 from binrisk.errors import (DimensionMismatch, NonConvergence, ParseError, SchemaError,
-                            ShapeMismatch, UnknownFunction, ZeroVector, collector_paused,
-                            read_json)
+                            ShapeMismatch, UnknownFunction, ZeroVector)
 from binrisk.graphormer import ModelParams, _attention, _edge_bias_terms, _relation_arrays
+from binrisk.jsonio import collector_paused, read_json
 from binrisk.lifting import FunctionSubgraph, VerifiedCorpus
 from binrisk.risk import PropagationConfig, RiskVector, normalize_weights
 from binrisk.ssckg import (RELATION_TYPES, CveRecord, Entity, RelationColumns, RelationType,

@@ -22,7 +22,8 @@ import binrisk.pipeline
 from binrisk.cli import EXIT_ALERTS, EXIT_ERROR, EXIT_OK, build_parser, main
 from binrisk.config import PipelineConfig
 from binrisk.cpg import EdgeKind, load_cpg
-from binrisk.graphormer import ModelConfig, init_params, save_params
+from binrisk.graphormer import ModelConfig, dumps_params, init_params
+from binrisk.pipeline import write_atomic
 
 from oracles import edge_rows, node_rows
 
@@ -934,8 +935,9 @@ def params_container(path, config, nan_in=None):
     np.savez(path, **tensors)
 
 
-@pytest.mark.parametrize("config", [{**TOY_MODEL, "edge_combine": "max"}, [TOY_MODEL]],
-                         ids=["max_fold", "config_list"])
+@pytest.mark.parametrize("config", [{**TOY_MODEL, "edge_combine": "max"}, [TOY_MODEL],
+                                    {**TOY_MODEL, "heads": 4.0}, {**TOY_MODEL, "layers": True}],
+                         ids=["max_fold", "config_list", "float_heads", "bool_layers"])
 def test_forward_bad_params_gives_one_error_line(capsys, fixtures_dir, toy_run, tmp_path,
                                                  config):
     params = tmp_path / "w.npz"
@@ -985,7 +987,7 @@ def test_report_with_the_seeded_model_saved_matches_the_seeded_report(capsys, fi
     # A saved init_params container is the model report draws when the
     # config names none: every binary file, stdout and the exit code agree.
     params = tmp_path / "w.npz"
-    save_params(init_params(ModelConfig(**FIRMWARE_MODEL)), params)
+    write_atomic(params, dumps_params(init_params(ModelConfig(**FIRMWARE_MODEL))))
     configs = {"seeded": fixtures_dir / "config_firmware.json",
                "loaded": write_config(tmp_path, fixtures_dir / "config_firmware.json",
                                       params_path=str(params))}

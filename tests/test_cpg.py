@@ -18,7 +18,7 @@ from binrisk.cpg import (
     loads_cpg,
     shortest_path_matrix,
 )
-from binrisk import errors
+from binrisk import jsonio
 from binrisk.errors import ParseError, SchemaError
 from binrisk.lifting import function_subgraph
 from binrisk.pipeline import write_atomic
@@ -131,7 +131,7 @@ def test_bad_attrs_value_after_many_empty_ones_is_named():
     nodes[10]["attrs"] = {"callee": "recv"}
     nodes[5998]["attrs"] = {"external": True}
     text = json.dumps({"nodes": nodes, "edges": []})
-    assert text.index('"external"') > errors._CHUNK
+    assert text.index('"external"') > jsonio._CHUNK
     with pytest.raises(SchemaError, match=re.escape(
             "node 5998 has non-string attrs entry 'external': True")):
         loads_cpg(text)

@@ -14,15 +14,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from binrisk import errors
+from binrisk import errors, jsonio
 from binrisk.cpg import CpgGraph, EdgeKind, NodeKind, dumps_cpg, load_cpg, loads_cpg
 from binrisk.embedding import HashEmbedder
-from binrisk.errors import BinriskError, ParseError, SchemaError, dumps_json
+from binrisk.errors import BinriskError, ParseError, SchemaError
 from binrisk.fingerprint import Fingerprint, dumps_fingerprint, load_fingerprint
-from binrisk.graphormer import dumps_embeddings, load_embeddings
+from binrisk.graphormer import dumps_embeddings, embeddings_chunks, load_embeddings
+from binrisk.jsonio import dumps_json, json_list, json_object, json_value
 from binrisk.lattice import Lattice
 from binrisk.lifting import (Annotation, VerifiedCorpus, dumps_corpus, function_subgraph,
                              load_corpus)
@@ -85,6 +86,23 @@ def test_dumps_json_rejects_what_stdlib_rejects(doc):
         stdlib(doc)
     with pytest.raises(TypeError):
         dumps_json(doc)
+
+
+def test_errors_module_holds_only_exception_classes():
+    # The JSON codec is jsonio's alone: errors re-exports none of it.
+    names = [name for name in vars(errors) if not name.startswith("__")]
+    assert names and all(isinstance(getattr(errors, name), type)
+                         and issubclass(getattr(errors, name), Exception) for name in names)
+
+
+@PROPERTY
+@given(st.dictionaries(TEXT, JSON_VALUES, max_size=4), st.integers(0, 3))
+def test_layout_helpers_equal_dumps_json(doc, depth):
+    # Each value's text given whole or in two chunks, empty documents too.
+    texts = [json_value(v, depth + 1) for v in doc.values()]
+    fields = {k: t if len(t) % 2 else [t[:1], t[1:]] for k, t in zip(doc, texts)}
+    assert "".join(json_object(fields, depth)) == json_value(doc, depth)
+    assert json_list(texts, depth) == json_value(list(doc.values()), depth)
 
 
 # --- round trips: loads(dumps(x)) == x -----------------------------------------
@@ -467,7 +485,7 @@ def read(reader, text: str) -> tuple[str, str]:
 def test_streamed_reader_agrees_with_whole_tree_reader(text):
     want = read(oracles.loads_tree, text)
     for chunk in (1, 7, 64):
-        with mock.patch.object(errors, "_CHUNK", chunk), whole_text_refused(text):
+        with mock.patch.object(jsonio, "_CHUNK", chunk), whole_text_refused(text):
             assert read(loads_cpg, text) == want
 
 
@@ -739,7 +757,7 @@ def check_file_reader(path: Path, data: bytes, load, dump, whole_tree) -> None:
     path.write_bytes(data)
     want = read_file(whole_tree, dump, path)
     for chunk in (1, 7, 64):
-        with mock.patch.object(errors, "_CHUNK", chunk), file_read_whole_refused():
+        with mock.patch.object(jsonio, "_CHUNK", chunk), file_read_whole_refused():
             assert read_file(load, dump, path) == want
 
 
@@ -786,7 +804,7 @@ def test_window_may_cut_anywhere(tmp_path):
         path.write_text(text, encoding="utf-8")
         want = dump(whole_tree(path))
         for chunk in range(1, len(text) + 1):
-            with mock.patch.object(errors, "_CHUNK", chunk), file_read_whole_refused():
+            with mock.patch.object(jsonio, "_CHUNK", chunk), file_read_whole_refused():
                 assert dump(load(path)) == want, chunk
 
 
@@ -858,6 +876,28 @@ def test_embeddings_round_trip(tmp_path_factory, ids, rows):
     write_atomic(path, dumps_embeddings(ids, vectors))
     back_ids, back = load_embeddings(path)
     assert back_ids.tolist() == ids.tolist() and back.tolist() == vectors.tolist()
+
+
+# (id, vector) rows: negative and multi-digit ids, whose string order is
+# not their numeric order ("10" sorts before "9"), enough of them to span
+# several chunks, and vectors with both zeros, subnormals and large exponents.
+EMBEDDING_ROWS = st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.tuples(st.integers(-120, 120) | INT64,
+              st.lists(ODD_FLOATS | FINITE, min_size=dim, max_size=dim)),
+    min_size=1, max_size=40))
+
+
+@PROPERTY
+@given(EMBEDDING_ROWS)
+@example([(i, [-0.0 if i % 2 else 5e-324, 7.0 ** (15 * i)]) for i in range(-20, 21)]
+         + [(-2 ** 63, [-1e-310, 1e308]), (2 ** 63 - 1, [0.1, 1 / 3])])
+def test_written_embeddings_equal_stdlib(tmp_path_factory, rows):
+    ids = np.array([i for i, _ in rows], dtype=np.int64)
+    vectors = np.array([row for _, row in rows], dtype=np.float64)
+    path = tmp_path_factory.mktemp("emb") / "emb.json"
+    write_atomic(path, embeddings_chunks(ids, vectors))
+    want = stdlib({str(i): row.tolist() for i, row in zip(ids.tolist(), vectors)})
+    assert path.read_text(encoding="utf-8") == want == dumps_embeddings(ids, vectors)
 
 
 @PROPERTY

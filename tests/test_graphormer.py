@@ -34,11 +34,11 @@ from binrisk.graphormer import (
     ModelConfig,
     ModelParams,
     dumps_embeddings,
+    dumps_params,
     forward,
     init_params,
     load_embeddings,
     load_params,
-    save_params,
 )
 from binrisk import graphormer
 from binrisk.config import PipelineConfig
@@ -616,6 +616,10 @@ def test_config_validation():
         ModelConfig(max_dist=0)
     with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
         ModelConfig(seed=-1)
+    with pytest.raises(ConfigError, match="heads must be an integer, got 4.0"):
+        ModelConfig(heads=4.0)
+    with pytest.raises(ConfigError, match="layers must be an integer, got True"):
+        ModelConfig(layers=True)
 
 
 def test_config_bounds_the_weight_count_by_the_drawn_shapes():
@@ -659,7 +663,7 @@ def test_model_params_are_the_named_tensors():
 
 def test_save_params_failed_overwrite_keeps_the_old_container(tmp_path, monkeypatch):
     path = tmp_path / "w.npz"
-    save_params(init_params(SMALL), path)
+    write_atomic(path, dumps_params(init_params(SMALL)))
     before = path.read_bytes()
 
     def refuse(src, dst):
@@ -667,7 +671,7 @@ def test_save_params_failed_overwrite_keeps_the_old_container(tmp_path, monkeypa
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="rename refused"):
-        save_params(init_params(dataclasses.replace(SMALL, seed=4)), path)
+        write_atomic(path, dumps_params(init_params(dataclasses.replace(SMALL, seed=4))))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["w.npz"]
 
@@ -675,7 +679,7 @@ def test_save_params_failed_overwrite_keeps_the_old_container(tmp_path, monkeypa
 def test_params_round_trip_is_bitwise(tmp_path):
     params = init_params(SMALL)
     path = tmp_path / "weights.npz"
-    save_params(params, path)
+    write_atomic(path, dumps_params(params))
     back = load_params(path, expected=SMALL)
     assert back.config == SMALL
     for ta, tb in zip(all_tensors(params), all_tensors(back)):
@@ -757,7 +761,7 @@ def test_params_meta_nested_too_deep_is_corrupt(tmp_path):
 
 def test_params_expected_config_mismatch(tmp_path):
     path = tmp_path / "w.npz"
-    save_params(init_params(SMALL), path)
+    write_atomic(path, dumps_params(init_params(SMALL)))
     bigger = ModelConfig(layers=1, heads=2, hidden_dim=16, max_dist=4,
                          edge_types=8, input_dim=6, seed=3)
     with pytest.raises(ShapeMismatch, match="hidden_dim"):
@@ -766,7 +770,7 @@ def test_params_expected_config_mismatch(tmp_path):
 
 def test_params_tensor_shape_tampering_detected(tmp_path):
     path = tmp_path / "w.npz"
-    save_params(init_params(SMALL), path)
+    write_atomic(path, dumps_params(init_params(SMALL)))
     with np.load(path, allow_pickle=False) as archive:
         tensors = {name: archive[name] for name in archive.files}
     tensors["layer0.w_q"] = np.zeros((3, 3))

@@ -19,7 +19,7 @@ import numpy as np
 
 from binrisk.cpg import EdgeKind, NodeKind
 from binrisk.embedding import HashEmbedder
-from binrisk.errors import dumps_json
+from binrisk.jsonio import dumps_json
 from binrisk.lattice import TOP, Label, leq
 from binrisk.ssckg import (
     RELATION_INDEX,
