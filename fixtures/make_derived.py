@@ -19,6 +19,7 @@ everything.
 import json
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +69,8 @@ def relation_triples(kg):
 
 
 def main() -> None:
-    cfg = PipelineConfig.from_file(HERE / "config_firmware.json")
-    cfg.fingerprints_dir = None  # repo may not exist yet; built below
+    # The repo may not exist yet; it is built below.
+    cfg = replace(PipelineConfig.from_file(HERE / "config_firmware.json"), fingerprints_dir=None)
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -13,6 +13,7 @@ when fingerprint alerts were raised (for CI gating), 1 on any error,
 from __future__ import annotations
 
 import argparse
+import re
 import signal
 import sys
 import threading
@@ -33,6 +34,13 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "config", None):
         return PipelineConfig.from_file(args.config)
     return PipelineConfig()
+
+
+def _integer(token: str) -> int:
+    """token as an int: ASCII digits after an optional minus sign (not "1_0")."""
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 def _emit(doc) -> None:
@@ -106,7 +114,7 @@ def _cmd_fingerprint_extract(cfg: PipelineConfig, args: argparse.Namespace) -> i
     ids, vectors = pipeline.load_embeddings(args.embeddings)
     row = {entity_id: i for i, entity_id in enumerate(ids.tolist())}
     try:
-        wanted = [int(tok) for tok in args.ids.split(",") if tok.strip()]
+        wanted = [_integer(tok) for tok in args.ids.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"--ids must be comma-separated integers, got {args.ids!r}")
     if not wanted:
@@ -162,7 +170,7 @@ def _cmd_metrics(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     if len(parts) != 4:
         raise ConfigError("--confusion expects tp,fp,tn,fn")
     try:
-        tp, fp, tn, fn = (int(p) for p in parts)
+        tp, fp, tn, fn = map(_integer, parts)
     except ValueError:
         raise ConfigError(f"--confusion expects integers, got {args.confusion!r}")
     m = classification_metrics(ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn))

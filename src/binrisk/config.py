@@ -9,14 +9,16 @@ numbers that are not finite, unknown relation names, risk bands other
 than exactly ``high`` and ``medium``, similarities outside [0, 1] and
 values out of a stage's range are rejected when the config is built,
 before any stage runs, rather than silently ignored.  The range rules
-stay with the stages: the config builds their parameter objects or
-calls their checks.
+stay with the stages: the config calls their checks and builds their
+objects, the properties ``model``, ``propagation`` and ``relations``
+(new on each access, so ``asdict`` holds only the fields).  A config
+is frozen: ``dataclasses.replace`` makes a checked copy.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .cpg import _is_id
@@ -26,7 +28,8 @@ from .jsonio import read_json
 from .fingerprint import check_threshold_grid
 from .graphormer import ModelConfig
 from .risk import PropagationConfig
-from .ssckg import RelationType, check_dbscan_params, check_relation_weight
+from .ssckg import (RISK_BANDS, RelationConfig, RelationType, check_dbscan_params,
+                    check_relation_weight)
 
 # How an error message names a type; the others go by their annotation.
 _TYPE_NAMES = {"float": "a finite number", "dict[str, float]": "an object of finite numbers",
@@ -59,7 +62,15 @@ def _has_type(value, annotation: str) -> bool:
     return isinstance(value, str)
 
 
-@dataclass
+def _relation(name: str, value: str) -> RelationType:
+    """The relation type value names, or a ConfigError naming config field name."""
+    try:
+        return RelationType(value)
+    except ValueError as exc:
+        raise ConfigError(f"config field '{name}': {exc}") from None
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 42
 
@@ -113,7 +124,7 @@ class PipelineConfig:
     fpr_cap: float = 0.05
 
     # Report rendering.
-    risk_bands: dict[str, float] = field(default_factory=lambda: {"high": 0.7, "medium": 0.4})
+    risk_bands: dict[str, float] = field(default_factory=lambda: dict(RISK_BANDS))
 
     def __post_init__(self):
         for f in fields(self):
@@ -131,14 +142,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown embedding type '{self.embedding_type}'")
         if self.granularity not in ("function", "block"):
             raise ConfigError(f"unknown granularity '{self.granularity}'")
-        for name, relations in (("relation_weights", self.relation_weights),
-                                ("structural_edge_labels",
-                                 self.structural_edge_labels.values())):
-            for rel in relations:
-                try:
-                    RelationType(rel)
-                except ValueError as exc:
-                    raise ConfigError(f"config field '{name}': {exc}") from None
+        self.relations  # each stage object is built once here, to run its checks
         try:
             check_dbscan_params(self.dbscan_eps, self.dbscan_min_samples)
         except ValueError as exc:
@@ -160,19 +164,34 @@ class PipelineConfig:
         if set(self.risk_bands) != {"high", "medium"}:
             raise ConfigError("config field 'risk_bands' must hold exactly 'high' and "
                               f"'medium', got {sorted(self.risk_bands)}")
-        PropagationConfig(beta=self.beta, tolerance=self.tolerance,
-                          max_iterations=self.max_iterations)
-        ModelConfig(layers=self.model_layers, heads=self.model_heads,
-                    hidden_dim=self.model_hidden_dim, max_dist=self.model_max_dist,
-                    seed=self.seed)
+        self.propagation
+        self.model
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**doc)
+    @property
+    def model(self) -> ModelConfig:
+        """The graph transformer's config, at ModelConfig's default input_dim."""
+        return ModelConfig(layers=self.model_layers, heads=self.model_heads, seed=self.seed,
+                           hidden_dim=self.model_hidden_dim, max_dist=self.model_max_dist)
+
+    @property
+    def propagation(self) -> PropagationConfig:
+        return PropagationConfig(beta=self.beta, tolerance=self.tolerance,
+                                 max_iterations=self.max_iterations)
+
+    @property
+    def relations(self) -> RelationConfig:
+        """A non-empty table replaces the built-in one; each relation_weights
+        entry overrides the weight of one relation type."""
+        rel = RelationConfig()
+        rel.weights.update({_relation("relation_weights", name): float(weight)
+                            for name, weight in self.relation_weights.items()})
+        if self.structural_edge_labels:
+            rel.structural_edge_labels = {label: _relation("structural_edge_labels", value)
+                                          for label, value in self.structural_edge_labels.items()}
+        for name in ("read_actions", "write_actions", "taint_sources", "taint_sinks"):
+            if getattr(self, name):
+                setattr(rel, name, tuple(getattr(self, name)))
+        return rel
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -180,15 +199,12 @@ class PipelineConfig:
         doc = read_json(path, "config file")
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
-        cfg = cls.from_dict(doc)
-        base = path.parent
-        for name in ("lattice_path", "rules_path", "replay_path",
-                     "embedding_path", "cves_path", "params_path",
-                     "fingerprints_dir"):
-            value = getattr(cfg, name)
-            if value is not None and not Path(value).is_absolute():
-                setattr(cfg, name, str((base / value).resolve()))
-        return cfg
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        cfg = cls(**doc)
+        return replace(cfg, **{
+            name: str((path.parent / value).resolve())
+            for name in ("lattice_path", "rules_path", "replay_path", "embedding_path",
+                         "cves_path", "params_path", "fingerprints_dir")
+            if (value := getattr(cfg, name)) is not None and not Path(value).is_absolute()})

@@ -95,6 +95,8 @@ class FileEmbeddings:
             if vec is None:
                 raise SchemaError(f"embedding file {path}: key '{key}' must map to a flat "
                                   "list of numbers")
+            if not len(vec):
+                raise SchemaError(f"embedding file {path}: key '{key}' maps to an empty vector")
             if not np.isfinite(vec).all():
                 raise SchemaError(f"embedding file {path}: key '{key}': "
                                   "embedding contains non-finite values")

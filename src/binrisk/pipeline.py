@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -39,7 +39,7 @@ from .embedding import FileEmbeddings, HashEmbedder
 from .errors import ConfigError, SchemaError
 from .jsonio import dumps_json, read_json
 from .fingerprint import Fingerprint, load_repository, match_and_alert, select_threshold
-from .graphormer import ModelConfig, embeddings_chunks, forward, load_embeddings, load_params
+from .graphormer import embeddings_chunks, forward, load_embeddings, load_params
 from .lattice import Lattice
 from .lifting import (
     CommandAnnotator,
@@ -51,12 +51,10 @@ from .lifting import (
     load_corpus,
     load_rules,
 )
-from .risk import PropagationConfig, inherent_risk, propagate
+from .risk import inherent_risk, propagate
 from .ssckg import (
     CveRecord,
     Granularity,
-    RelationConfig,
-    RelationType,
     SsckgGraph,
     construction_stats,
     dot_chunks,
@@ -133,28 +131,6 @@ def build_cves(cfg: PipelineConfig, provider) -> list[CveRecord]:
     return load_cves(cfg.cves_path, provider) if cfg.cves_path else []
 
 
-def build_relation_config(cfg: PipelineConfig) -> RelationConfig:
-    rel_cfg = RelationConfig()
-    if cfg.structural_edge_labels:
-        rel_cfg.structural_edge_labels = {
-            label: RelationType(value)
-            for label, value in cfg.structural_edge_labels.items()}
-    if cfg.read_actions:
-        rel_cfg.read_actions = tuple(cfg.read_actions)
-    if cfg.write_actions:
-        rel_cfg.write_actions = tuple(cfg.write_actions)
-    if cfg.taint_sources:
-        rel_cfg.taint_sources = tuple(cfg.taint_sources)
-    if cfg.taint_sinks:
-        rel_cfg.taint_sinks = tuple(cfg.taint_sinks)
-    if cfg.relation_weights:
-        weights = dict(rel_cfg.weights)
-        for name, value in cfg.relation_weights.items():
-            weights[RelationType(name)] = float(value)
-        rel_cfg.weights = weights
-    return rel_cfg
-
-
 # --- stage cores -----------------------------------------------------------------
 
 def build_kg(g: CpgGraph, corpus: VerifiedCorpus, cfg: PipelineConfig, provider,
@@ -174,7 +150,7 @@ def build_kg(g: CpgGraph, corpus: VerifiedCorpus, cfg: PipelineConfig, provider,
         clustering = {"points": eligible, "noise": noise, "clusters": clusters}
     relations = extract_relations(
         g, entities, cves, cve_match_threshold=cfg.cve_match_threshold,
-        config=build_relation_config(cfg))
+        config=cfg.relations)
     return SsckgGraph(entities, relations, source_binary=g.binary_id,
                       clustering=clustering)
 
@@ -188,11 +164,8 @@ def transform(kg: SsckgGraph, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarr
     match it.
     """
     dims = {len(e.embedding) for e in kg.entities if e.embedding is not None}
-    model_cfg = ModelConfig(
-        layers=cfg.model_layers, heads=cfg.model_heads,
-        hidden_dim=cfg.model_hidden_dim, max_dist=cfg.model_max_dist,
-        input_dim=dims.pop() if len(dims) == 1 else cfg.embedding_dimension,
-        seed=cfg.seed)
+    model_cfg = replace(cfg.model,
+                        input_dim=dims.pop() if len(dims) == 1 else cfg.embedding_dimension)
     if cfg.params_path:
         return forward(kg, load_params(cfg.params_path, expected=model_cfg))
     return forward(kg, model_cfg)
@@ -201,9 +174,7 @@ def transform(kg: SsckgGraph, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarr
 def score(kg: SsckgGraph, cfg: PipelineConfig, cves: Sequence[CveRecord]) -> dict:
     """Inherent risk from CVE matching, then damped propagation."""
     inherent = inherent_risk(kg, cves)
-    result = propagate(kg, inherent, PropagationConfig(
-        beta=cfg.beta, tolerance=cfg.tolerance,
-        max_iterations=cfg.max_iterations))
+    result = propagate(kg, inherent, cfg.propagation)
     ranking = []
     for ent in kg.entities:
         value = result.scores[ent.id]
@@ -347,7 +318,7 @@ def run_one(cfg: PipelineConfig, cpg_path: str | Path, outdir: str | Path,
     write("report.json", dumps_json({
         "binary_id": bid,
         "version": __version__,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "corpus": counts,
         "stats": stats,
         "risk": risk_doc,

@@ -930,6 +930,8 @@ def _ssckg(entities: list[Entity], relations: RelationColumns, doc: Mapping) -> 
                       clustering=clustering)
 
 
+# The lowest score of each colored band; ``PipelineConfig.risk_bands`` defaults to it.
+RISK_BANDS = {"high": 0.7, "medium": 0.4}
 _BAND_COLORS = {"high": "firebrick", "medium": "orange", "low": "gray70"}
 _DOT_EDGE_TEMPLATES = ['  e%d -> "cve_%s" [label="vulnerable_to"];\n'
                        if t is RelationType.VULNERABLE_TO
@@ -953,7 +955,7 @@ def dot_chunks(kg: SsckgGraph, risk: Mapping[int, float] | None = None,
     time, for ``pipeline.write_atomic``; risk scores color entities by
     band.  Names, labels and CVE ids are escaped (``_dot_text``); the
     ``\\n`` between an entity's name and label is a DOT line break."""
-    bands = bands or {"high": 0.7, "medium": 0.4}
+    bands = bands or RISK_BANDS
     yield "digraph ssckg {\n  rankdir=LR;\n  node [shape=box];\n"
     for e in kg.entities:
         color, extra = "gray90", ""

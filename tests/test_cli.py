@@ -22,8 +22,12 @@ import binrisk.pipeline
 from binrisk.cli import EXIT_ALERTS, EXIT_ERROR, EXIT_OK, build_parser, main
 from binrisk.config import PipelineConfig
 from binrisk.cpg import EdgeKind, load_cpg
+from binrisk.embedding import HashEmbedder
+from binrisk.errors import ConfigError
 from binrisk.graphormer import ModelConfig, dumps_params, init_params
 from binrisk.pipeline import write_atomic
+from binrisk.ssckg import (DEFAULT_WEIGHTS, RelationConfig, RelationType, SsckgGraph,
+                           dumps_ssckg, extract_relations, load_cves, load_ssckg)
 
 from oracles import edge_rows, node_rows
 
@@ -254,6 +258,68 @@ def test_bad_config_key_gives_error_exit(capsys, fixtures_dir, tmp_path):
     assert "not_a_real_knob" in err
 
 
+def test_config_is_frozen_and_builds_fresh_stage_objects():
+    cfg = PipelineConfig(beta=0.5, model_layers=2, read_actions=["Memory"])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.beta = 0.9
+    with pytest.raises(ConfigError, match="beta must be in"):
+        dataclasses.replace(cfg, beta=2.0)  # a changed copy is checked again
+    assert cfg.propagation.beta == 0.5 and cfg.model.layers == 2
+    assert cfg.model.input_dim == ModelConfig().input_dim
+    cfg.relations.read_actions = ("Network",)
+    assert cfg.relations.read_actions == ("Memory",)
+    assert "relations" not in dataclasses.asdict(cfg)
+
+
+# Relation tables a config sets, and the RelationConfig README "Config" says
+# they mean: each non-empty table replaces the built-in one, and a
+# relation_weights entry overrides one type's weight.
+CONFIG_RELATION_TABLES = {
+    "relation_weights": {"depends_on": 0.9},
+    "structural_edge_labels": {"call": "depends_on"},
+    "read_actions": ["Hardware/Coil_Write"],
+    "write_actions": ["Hardware/Register_Read"],
+    "taint_sources": ["Network/Socket_Init"],
+    "taint_sinks": ["Hardware/Register_Read"],
+}
+HAND_BUILT_RELATIONS = RelationConfig(
+    structural_edge_labels={"call": RelationType.DEPENDS_ON},
+    read_actions=("Hardware/Coil_Write",), write_actions=("Hardware/Register_Read",),
+    taint_sources=("Network/Socket_Init",), taint_sinks=("Hardware/Register_Read",),
+    weights={**DEFAULT_WEIGHTS, RelationType.DEPENDS_ON: 0.9})
+
+
+@pytest.mark.parametrize("tables, expected", [
+    (CONFIG_RELATION_TABLES, HAND_BUILT_RELATIONS),
+    ({}, RelationConfig()),
+    ({name: {} if isinstance(table, dict) else []
+      for name, table in CONFIG_RELATION_TABLES.items()}, RelationConfig()),
+], ids=["set", "omitted", "empty"])
+def test_config_relation_tables_reach_build_ssckg(capsys, fixtures_dir, toy_run, tmp_path,
+                                                  tables, expected):
+    """build-ssckg writes the KG that extract_relations gives under the
+    RelationConfig the config's tables describe."""
+    out = tmp_path / "kg.json"
+    cpg = fixtures_dir / "toy_modbus.cpg.json"
+    code, _, _ = run(capsys, "build-ssckg", "--config",
+                     str(write_config(tmp_path, fixtures_dir / "config_toy.json", **tables)),
+                     "--cpg", str(cpg), "--corpus", str(toy_run / "toy_modbus.corpus.jsonl"),
+                     "--out", str(out))
+    assert code == EXIT_OK
+    kg = load_ssckg(out)
+    g = load_cpg(cpg)
+    cves = load_cves(fixtures_dir / "cves.json", HashEmbedder(dimension=384, seed=42))
+
+    def dumped(config):
+        relations = extract_relations(g, kg.entities, cves, 0.85, config)
+        return dumps_ssckg(SsckgGraph(kg.entities, relations, source_binary=kg.source_binary,
+                                      clustering=kg.clustering))
+
+    assert out.read_text(encoding="utf-8") == dumped(expected)
+    if tables == CONFIG_RELATION_TABLES:  # the tables change the graph
+        assert dumped(expected) != dumped(RelationConfig())
+
+
 def test_lift_summary(capsys, fixtures_dir, tmp_path):
     code, doc, _ = run(capsys, "lift",
                        "--config", str(fixtures_dir / "config_toy.json"),
@@ -341,6 +407,11 @@ def test_metrics_command(capsys, tmp_path):
     assert code == EXIT_ERROR and "tp,fp,tn,fn" in err
     code, _, err = run(capsys, "metrics", "--confusion", "a,b,c,d")
     assert code == EXIT_ERROR
+    # Only ASCII digits after an optional minus sign: int() reads these as 10, 3 and 1.
+    for confusion in ("1_0,2,3,4", "\u0663,2,3,4", "+1,2,3,4"):
+        code, _, err = run(capsys, "metrics", "--confusion", confusion)
+        assert code == EXIT_ERROR and one_error_line(err)
+        assert f"--confusion expects integers, got {confusion!r}" in err
 
 
 def test_embed_command_is_seeded(capsys, fixtures_dir, tmp_path):
@@ -549,6 +620,13 @@ def test_fingerprint_extract_rejects_unknown_ids(capsys, firmware_run, tmp_path)
                        "--out", str(tmp_path / "x.json"))
     assert code == EXIT_ERROR
     assert "99" in err
+    for ids in ("1_0", "\u0663", "3,+4"):  # int() reads these as 10, 3 and 3, 4
+        code, _, err = run(capsys, "fingerprint", "extract", "--embeddings",
+                           str(firmware_run / "firmware_update.embeddings.json"),
+                           "--ids", ids, "--name", "x", "--out", str(tmp_path / "x.json"))
+        assert code == EXIT_ERROR and one_error_line(err)
+        assert f"--ids must be comma-separated integers, got {ids!r}" in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_export_dot_without_risk(capsys, toy_run, tmp_path):
@@ -1353,6 +1431,9 @@ BAD_INPUTS = {
     "embedding_file_boolean_value": ("emb.json", '{"a": [true, false]}',
                                      "embedding file {bad}: key 'a' must map to a flat list "
                                      "of numbers", REPORT_FILE_EMBEDDINGS),
+    "embedding_file_empty_vector": ("emb.json", '{"a": []}',
+                                    "embedding file {bad}: key 'a' maps to an empty vector",
+                                    REPORT_FILE_EMBEDDINGS),
     "embeddings_padded_key": ("emb.json", '{"03": [0.1, 0.2]}',
                               "embeddings file {bad}: key '03' is not an entity id",
                               MATCH_BAD_EMBEDDINGS),
@@ -1425,7 +1506,8 @@ SIDE_FILES = {
        for probe in ("cves_truncated", "cves_missing_description", "cves_numeric_id",
                      "cves_null_description")},
     **{probe: {"cfg.json": '{"embedding_type": "file", "embedding_path": "emb.json"}'}
-       for probe in ("embedding_file_numeric_string_value", "embedding_file_boolean_value")},
+       for probe in ("embedding_file_numeric_string_value", "embedding_file_boolean_value",
+                     "embedding_file_empty_vector")},
     "fingerprint_mixed_dimensions_report": {"cfg.json": '{"fingerprints_dir": "repo"}'},
 }
 
