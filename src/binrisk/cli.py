@@ -37,8 +37,9 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _integer(token: str) -> int:
-    """token as an int: ASCII digits after an optional minus sign (not "1_0")."""
-    if not re.fullmatch(r"\s*-?[0-9]+\s*", token):
+    """token as an int, spelt as str(int) spells it: ASCII digits, no leading
+    zero, after an optional minus sign (not "1_0", "03" or "-0")."""
+    if not re.fullmatch(r"\s*(0|-?[1-9][0-9]*)\s*", token):
         raise ValueError(f"not an integer: {token!r}")
     return int(token)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .cpg import _is_id
 from .embedding import HashEmbedder
-from .errors import ConfigError, DimensionMismatch, SchemaError
+from .errors import ConfigError, SchemaError
 from .jsonio import read_json
 from .fingerprint import check_threshold_grid
 from .graphormer import ModelConfig
@@ -143,14 +143,8 @@ class PipelineConfig:
         if self.granularity not in ("function", "block"):
             raise ConfigError(f"unknown granularity '{self.granularity}'")
         self.relations  # each stage object is built once here, to run its checks
-        try:
-            check_dbscan_params(self.dbscan_eps, self.dbscan_min_samples)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        try:
-            check_threshold_grid(self.grid_lo, self.grid_hi, self.grid_step)
-        except SchemaError as exc:
-            raise ConfigError(str(exc)) from None
+        check_dbscan_params(self.dbscan_eps, self.dbscan_min_samples)
+        check_threshold_grid(self.grid_lo, self.grid_hi, self.grid_step)
         for name, weight in self.relation_weights.items():
             try:
                 check_relation_weight(weight)
@@ -159,7 +153,7 @@ class PipelineConfig:
                     f"config field 'relation_weights' entry '{name}': {exc}") from None
         try:
             HashEmbedder(dimension=self.embedding_dimension)
-        except DimensionMismatch as exc:
+        except ConfigError as exc:
             raise ConfigError(f"config field 'embedding_dimension': {exc}") from None
         if set(self.risk_bands) != {"high", "medium"}:
             raise ConfigError("config field 'risk_bands' must hold exactly 'high' and "

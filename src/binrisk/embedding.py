@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .cpg import _floats
-from .errors import DimensionMismatch, MissingEmbedding, SchemaError
+from .errors import ConfigError, SchemaError
 from .jsonio import read_json
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
@@ -46,9 +46,9 @@ class HashEmbedder:
 
     def __init__(self, dimension: int = 384, seed: int = 0):
         if dimension < 2:
-            raise DimensionMismatch("hash embedder needs dimension >= 2")
+            raise ConfigError("hash embedder needs dimension >= 2")
         if dimension > sys.maxsize // 8:  # numpy makes no array that large
-            raise DimensionMismatch(f"hash embedder dimension {dimension} is larger than any array")
+            raise ConfigError(f"hash embedder dimension {dimension} is larger than any array")
         self._dim = dimension
         self._seed = seed
         self._slots: dict[str, tuple[int, float]] = {}  # token -> (bucket, sign)
@@ -87,7 +87,7 @@ class FileEmbeddings:
     def __init__(self, path: str | Path):
         doc = read_json(path, "embedding file")
         if not isinstance(doc, dict) or not doc:
-            raise MissingEmbedding(f"embedding file {path} is empty or not a map")
+            raise SchemaError(f"embedding file {path} is empty or not a map")
         self._table: dict[str, np.ndarray] = {}
         dim: int | None = None
         for key, values in doc.items():
@@ -103,7 +103,7 @@ class FileEmbeddings:
             if dim is None:
                 dim = len(vec)
             elif len(vec) != dim:
-                raise DimensionMismatch(f"key '{key}' has dimension {len(vec)}, expected {dim}")
+                raise SchemaError(f"key '{key}' has dimension {len(vec)}, expected {dim}")
             vec.setflags(write=False)  # embed hands out this one array for every call
             self._table[key] = vec
         self._dim = int(dim)
@@ -115,5 +115,5 @@ class FileEmbeddings:
         try:
             return self._table[text]
         except KeyError:
-            raise MissingEmbedding(f"no embedding stored for key '{text}'") from None
+            raise SchemaError(f"no embedding stored for key '{text}'") from None
 

@@ -1,6 +1,16 @@
 """Exception types shared across the library: everything raised on
 purpose derives from BinriskError, so callers can catch one base class
-at the CLI boundary."""
+at the CLI boundary.  One class per kind of fault:
+
+- ParseError: text or an archive that is not its format (bad JSON, a
+  bad JSONL line, a weight file numpy cannot open).
+- SchemaError: input content that breaks its rules, whether a file, an
+  argument or an in-memory object (a missing field, a wrong type, an
+  empty or mismatched input).
+- ConfigError: a setting out of range, raised where the setting is
+  checked.
+- AnnotatorFailure and NonConvergence carry fields callers read.
+"""
 
 
 class BinriskError(Exception):
@@ -8,23 +18,15 @@ class BinriskError(Exception):
 
 
 class ParseError(BinriskError):
-    """Input file is not syntactically valid (bad JSON, bad JSONL line)."""
+    """Input is not syntactically valid for its format."""
 
 
 class SchemaError(BinriskError):
-    """Input parsed but violates the documented schema."""
+    """Input parsed but breaks its documented rules."""
 
 
-class UnknownFunction(BinriskError):
-    """A function id does not occur in the graph."""
-
-
-class UnknownLabel(BinriskError):
-    """A label path is not a member of the lattice."""
-
-
-class EmptyGoldenSet(BinriskError):
-    """Violation-rate computation received zero records."""
+class ConfigError(BinriskError):
+    """A configuration value is out of range or inconsistent."""
 
 
 class AnnotatorFailure(BinriskError):
@@ -33,46 +35,6 @@ class AnnotatorFailure(BinriskError):
     def __init__(self, function_id, message: str = ""):
         self.function_id = function_id
         super().__init__(f"annotator failed on function {function_id}: {message}")
-
-
-class MissingAnnotation(BinriskError):
-    """A replay file has no entry for the requested function."""
-
-
-class InvalidRule(BinriskError):
-    """A rule table entry is malformed or names an unknown label."""
-
-
-class MissingEmbedding(BinriskError):
-    """A file-backed embedding provider has no entry for the key."""
-
-
-class DimensionMismatch(BinriskError):
-    """Vectors of different lengths were combined."""
-
-
-class ZeroVector(BinriskError):
-    """Cosine similarity is undefined for a zero-norm vector."""
-
-
-class ConfigError(BinriskError):
-    """A configuration value is out of range or inconsistent."""
-
-
-class ShapeMismatch(BinriskError):
-    """A tensor does not have the shape the model configuration implies."""
-
-
-class EmptyGraph(BinriskError):
-    """The operation needs at least one entity."""
-
-
-class VersionMismatch(BinriskError):
-    """A weight file was written by an incompatible container version."""
-
-
-class CorruptFile(BinriskError):
-    """A weight file is truncated or otherwise unreadable."""
 
 
 class NonConvergence(BinriskError):
@@ -84,16 +46,3 @@ class NonConvergence(BinriskError):
         super().__init__(
             f"no convergence after {iterations} iterations (residual {residual:.3e})"
         )
-
-
-class EmptyTarget(BinriskError):
-    """Similarity against an empty target embedding set is undefined."""
-
-
-class SingleClassInput(BinriskError):
-    """Threshold selection needs both benign and malicious examples."""
-
-
-class LengthMismatch(BinriskError):
-    """Parallel sequences have different lengths."""
-

@@ -25,13 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .cpg import _floats, _is_id, _matrix
-from .errors import (
-    DimensionMismatch,
-    EmptyTarget,
-    LengthMismatch,
-    SchemaError,
-    SingleClassInput,
-)
+from .errors import ConfigError, SchemaError
 from .jsonio import dumps_json, read_json
 
 MALICIOUS = "malicious"
@@ -83,10 +77,10 @@ class ThresholdReport:
 
 def _best_matches(ids: np.ndarray, vectors: np.ndarray, fp: Fingerprint):
     if not len(ids):
-        raise EmptyTarget("cannot match against an empty target graph")
+        raise SchemaError("cannot match against an empty target graph")
     if fp.vectors.shape[1] != vectors.shape[1]:
-        raise DimensionMismatch(f"fingerprint '{fp.name}' dimension {fp.vectors.shape[1]} "
-                                f"!= target {vectors.shape[1]}")
+        raise SchemaError(f"fingerprint '{fp.name}' dimension {fp.vectors.shape[1]} "
+                          f"!= target {vectors.shape[1]}")
     tnorm = np.linalg.norm(vectors, axis=1)
     fnorm = np.linalg.norm(fp.vectors, axis=1)
     # Zero-norm embeddings contribute zero similarity instead of NaN.
@@ -127,10 +121,10 @@ def check_threshold_grid(grid_lo: float, grid_hi: float, grid_step: float) -> No
     """The grid rule of select_threshold: the similarities tau is picked
     for lie in [0, 1], and the step is at least one tick."""
     if not 0.0 <= grid_lo <= grid_hi <= 1.0:
-        raise SchemaError("threshold grid needs 0 <= grid_lo <= grid_hi <= 1, got "
+        raise ConfigError("threshold grid needs 0 <= grid_lo <= grid_hi <= 1, got "
                           f"grid_lo {grid_lo} and grid_hi {grid_hi}")
     if round(grid_step * _GRID_SCALE) <= 0:
-        raise SchemaError(f"threshold grid_step must round to at least one tick of 1e-06, "
+        raise ConfigError(f"threshold grid_step must round to at least one tick of 1e-06, "
                           f"got {grid_step}")
 
 
@@ -152,7 +146,7 @@ def select_threshold(scores: Sequence[tuple[float, str]],
     if bad:
         raise SchemaError(f"unknown labels {sorted(bad)}")
     if labels != {MALICIOUS, BENIGN}:
-        raise SingleClassInput("need both malicious and benign scores")
+        raise SchemaError("need both malicious and benign scores")
     malicious = np.array([s for s, label in scores if label == MALICIOUS])
     benign = np.array([s for s, label in scores if label == BENIGN])
 
@@ -202,7 +196,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[str]) -> float:
     count with ties contributing one half.
     """
     if len(scores) != len(labels):
-        raise LengthMismatch(f"{len(scores)} scores vs {len(labels)} labels")
+        raise SchemaError(f"{len(scores)} scores vs {len(labels)} labels")
     labels = list(labels)
     bad = set(labels) - {MALICIOUS, BENIGN}
     if bad:
@@ -211,7 +205,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[str]) -> float:
     n_mal = int(is_mal.sum())
     n_ben = len(labels) - n_mal
     if n_mal == 0 or n_ben == 0:
-        raise SingleClassInput("AUC needs both classes")
+        raise SchemaError("AUC needs both classes")
     ranks = _midranks(np.asarray(scores, dtype=np.float64))
     mal_rank_sum = float(ranks[is_mal].sum())
     return (mal_rank_sum - n_mal * (n_mal + 1) / 2.0) / (n_mal * n_ben)
@@ -246,6 +240,9 @@ def load_fingerprint(path: str | Path) -> Fingerprint:
     if not all(v is not None and np.isfinite(v).all() for v in vectors):
         raise SchemaError(f"fingerprint file {path}: every embedding must be "
                           "a flat list of finite numbers")
+    for row, vector in enumerate(vectors):
+        if not len(vector):
+            raise SchemaError(f"fingerprint file {path}: embedding {row} is empty")
     ids = doc.get("entity_ids", list(range(len(vectors))))
     if not isinstance(ids, list):
         raise SchemaError(f"fingerprint file {path}: entity_ids must be a list, got {ids!r}")

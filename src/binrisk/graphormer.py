@@ -59,10 +59,9 @@ from __future__ import annotations
 import io
 import json
 import math
-import sys
 import zipfile
 from dataclasses import asdict, dataclass
-from itertools import islice, zip_longest
+from itertools import zip_longest
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -70,14 +69,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .cpg import _floats, _is_id, _matrix, shortest_path_matrix
-from .errors import (
-    ConfigError,
-    CorruptFile,
-    EmptyGraph,
-    SchemaError,
-    ShapeMismatch,
-    VersionMismatch,
-)
+from .errors import ConfigError, ParseError, SchemaError
 from .jsonio import json_chunks, json_value, read_json
 from .ssckg import RELATION_INDEX, SsckgGraph
 
@@ -111,15 +103,10 @@ class ModelConfig:
             raise ConfigError("input_dim must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        # numpy makes no array of more bytes than an index counts ("array is
-        # too big"); every layer has the first layer's shapes.
-        for name, shape, _ in islice(_tensor_specs(self), 4 + len(_LAYER_TENSORS)):
-            if math.prod(shape) > sys.maxsize // 8:
-                raise ConfigError(f"model tensor '{name}' of shape {shape} is larger than "
-                                  "any array")
         # A bound on the whole model (32 GiB of float64), so that no count
-        # of layers leaves a run drawing weights until it is killed.  A
-        # layer holds 12 h^2 + 7 h weights (_LAYER_TENSORS).
+        # of layers leaves a run drawing weights until it is killed, and no
+        # tensor is past numpy's array size.  A layer holds 12 h^2 + 7 h
+        # weights (_LAYER_TENSORS).
         h = self.hidden_dim
         count = (self.input_dim * h + 4 * h + self.heads * (self.max_dist + 2 + self.edge_types)
                  + self.layers * (12 * h * h + 7 * h))
@@ -386,7 +373,7 @@ def forward(kg: SsckgGraph, params: ModelParams | ModelConfig) -> tuple[np.ndarr
     (``init_params``'s values) are drawn as the pass needs them.  Either
     way the pass reads the tensors once, in draw order.  Weights must
     hold the config's tensors by name, in draw order and each of its
-    shape; anything else raises ShapeMismatch before the pass starts.
+    shape; anything else raises SchemaError before the pass starts.
     """
     if isinstance(params, ModelConfig):  # nothing is drawn before the first next()
         cfg, tensors = params, map(itemgetter(1), _drawn_tensors(params))
@@ -396,18 +383,18 @@ def forward(kg: SsckgGraph, params: ModelParams | ModelConfig) -> tuple[np.ndarr
         for i, (held, spec) in enumerate(zip_longest(params.tensors, specs)):
             drawn, shape = spec[:2] if spec else (None, None)
             if held != drawn:
-                raise ShapeMismatch(f"params tensor {i} is {held!r}, config draws {drawn!r}")
+                raise SchemaError(f"params tensor {i} is {held!r}, config draws {drawn!r}")
             if np.shape(params.tensors[held]) != shape:
-                raise ShapeMismatch(f"params tensor '{held}' has shape "
-                                    f"{np.shape(params.tensors[held])}, config draws {shape}")
+                raise SchemaError(f"params tensor '{held}' has shape "
+                                  f"{np.shape(params.tensors[held])}, config draws {shape}")
     if len(kg) == 0:
-        raise EmptyGraph("forward pass needs at least one entity")
+        raise SchemaError("forward pass needs at least one entity")
     feats, tiers = [], []
     for ent in kg.entities:
         if ent.embedding is None:
-            raise ShapeMismatch(f"entity {ent.id} has no summary embedding")
+            raise SchemaError(f"entity {ent.id} has no summary embedding")
         if len(ent.embedding) != cfg.input_dim:
-            raise ShapeMismatch(
+            raise SchemaError(
                 f"entity {ent.id} embedding has dimension {len(ent.embedding)}, "
                 f"model expects {cfg.input_dim}")
         feats.append(ent.embedding)
@@ -446,46 +433,46 @@ def load_params(path: str | Path, expected: ModelConfig | None = None) -> ModelP
             names = set(archive.files)
             raw = {name: np.asarray(archive[name]) for name in names}
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise CorruptFile(f"cannot read weight file {path}: {exc}") from None
+        raise ParseError(f"cannot read weight file {path}: {exc}") from None
     if "__meta__" not in names:
-        raise VersionMismatch(f"weight file {path} carries no format marker")
+        raise SchemaError(f"weight file {path} carries no format marker")
     try:
         meta = json.loads(bytes(raw["__meta__"]).decode("utf-8"))
     except (ValueError, UnicodeDecodeError, RecursionError) as exc:
-        raise CorruptFile(f"weight file {path}: unreadable metadata: {exc}") from None
+        raise ParseError(f"weight file {path}: unreadable metadata: {exc}") from None
     fmt = meta.get("format") if isinstance(meta, dict) else None
     if fmt != PARAMS_FORMAT:
-        raise VersionMismatch(f"weight file {path}: format '{fmt}' != '{PARAMS_FORMAT}'")
+        raise SchemaError(f"weight file {path}: format '{fmt}' != '{PARAMS_FORMAT}'")
     config = meta.get("config")
     if not isinstance(config, dict):
-        raise CorruptFile(f"weight file {path}: metadata 'config' must be an object")
+        raise SchemaError(f"weight file {path}: metadata 'config' must be an object")
     # Older files name how parallel relations fold; "sum" is the one fold.
     config = dict(config)
     combine = config.pop("edge_combine", "sum")
     if combine != "sum":
-        raise VersionMismatch(f"weight file {path} combines parallel relations by "
-                              f"{combine!r}; only 'sum' is supported")
+        raise SchemaError(f"weight file {path} combines parallel relations by "
+                          f"{combine!r}; only 'sum' is supported")
     try:
         cfg = ModelConfig(**config)
     except (TypeError, ConfigError) as exc:
-        raise CorruptFile(f"weight file {path}: metadata config is invalid: {exc}") from None
+        raise SchemaError(f"weight file {path}: metadata config is invalid: {exc}") from None
     if expected is not None:
         for fld in ("layers", "heads", "hidden_dim", "max_dist",
                     "edge_types", "input_dim"):
             if getattr(cfg, fld) != getattr(expected, fld):
-                raise ShapeMismatch(
+                raise SchemaError(
                     f"weight file {path} has {fld}={getattr(cfg, fld)}, "
                     f"expected {getattr(expected, fld)}")
     tensors = {}
     for name, shape, _ in _tensor_specs(cfg):
         if name not in names:
-            raise CorruptFile(f"weight file {path} is missing tensor '{name}'")
+            raise SchemaError(f"weight file {path} is missing tensor '{name}'")
         tensors[name] = np.asarray(raw[name], dtype=np.float64)
         if tensors[name].shape != shape:
-            raise ShapeMismatch(f"weight file {path}: tensor '{name}' has shape "
-                                f"{tensors[name].shape}, expected {shape}")
+            raise SchemaError(f"weight file {path}: tensor '{name}' has shape "
+                              f"{tensors[name].shape}, expected {shape}")
         if not np.isfinite(tensors[name]).all():
-            raise CorruptFile(f"weight file {path}: tensor '{name}' holds a non-finite value")
+            raise SchemaError(f"weight file {path}: tensor '{name}' holds a non-finite value")
     return ModelParams(cfg, tensors)
 
 
@@ -535,6 +522,8 @@ def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         if vector is None:
             raise SchemaError(f"embeddings file {path}: entity {entity_id} vector "
                               "must be a flat list of numbers")
+        if not len(vector):
+            raise SchemaError(f"embeddings file {path}: entity {entity_id} vector is empty")
         if not np.isfinite(vector).all():
             raise SchemaError(f"embeddings file {path}: entity {entity_id} vector "
                               "holds a non-finite value")

@@ -25,7 +25,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import EmptyGoldenSet, SchemaError, UnknownLabel
+from .errors import SchemaError
 from .jsonio import read_json
 
 
@@ -160,7 +160,7 @@ class Lattice:
     def parse(self, text: str) -> Label:
         label = Label.parse(text)
         if label not in self._members:
-            raise UnknownLabel(f"label '{label}' is not in the lattice")
+            raise SchemaError(f"label '{label}' is not in the lattice")
         return label
 
 
@@ -185,7 +185,7 @@ class EvrMode(Enum):
 def evr(records: Sequence[GoldenRecord], mode: EvrMode = EvrMode.LATTICE_COVER) -> float:
     """Fraction of records whose prediction violates the reference label."""
     if not records:
-        raise EmptyGoldenSet("violation rate over zero records is undefined")
+        raise SchemaError("violation rate over zero records is undefined")
     violations = 0
     for rec in records:
         if mode is EvrMode.LATTICE_COVER:

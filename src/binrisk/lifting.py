@@ -41,14 +41,7 @@ from typing import Iterator, Mapping, Protocol, Sequence
 import numpy as np
 
 from .cpg import NODE_KINDS, PDG_CODE, CpgGraph, NodeKind, failing_claims
-from .errors import (
-    AnnotatorFailure,
-    InvalidRule,
-    MissingAnnotation,
-    ParseError,
-    SchemaError,
-    UnknownFunction,
-)
+from .errors import AnnotatorFailure, ConfigError, ParseError, SchemaError
 from .jsonio import read_json
 from .lattice import TOP, Label, Lattice
 
@@ -123,7 +116,7 @@ def function_views(g: CpgGraph, functions: Sequence[int]) -> Iterator[FunctionSu
     from the graph's.
 
     Every id is checked before the first view is made: an id with no
-    nodes raises UnknownFunction.  The inner Pdg edges are put in
+    nodes raises SchemaError.  The inner Pdg edges are put in
     function order by one stable sort, which keeps each function's in
     canonical order.  Each view's lists are built from slices when its
     turn comes, so only one function's lists are held at a time.
@@ -132,7 +125,7 @@ def function_views(g: CpgGraph, functions: Sequence[int]) -> Iterator[FunctionSu
     rows_of = g.function_rows
     for fid in functions:
         if fid not in rows_of:
-            raise UnknownFunction(f"no nodes with function id {fid}")
+            raise SchemaError(f"no nodes with function id {fid}")
     pdg = np.flatnonzero(g.edge_kind == PDG_CODE)
     owner = g.node_function[g.edge_src_row[pdg]]
     inner = owner == g.node_function[g.edge_dst_row[pdg]]
@@ -190,14 +183,14 @@ def load_rules(path: str | Path) -> list[tuple[str, str]]:
     """Read an ordered JSON rule table [{pattern, label}, ...]."""
     doc = read_json(path, "rule file")
     if not isinstance(doc, list):
-        raise InvalidRule(f"rule file {path} must be a JSON list")
+        raise SchemaError(f"rule file {path} must be a JSON list")
     out = []
     for i, raw in enumerate(doc):
         if not isinstance(raw, dict) or "pattern" not in raw or "label" not in raw:
-            raise InvalidRule(f"rule file {path}: rule {i} needs 'pattern' and 'label'")
+            raise SchemaError(f"rule file {path}: rule {i} needs 'pattern' and 'label'")
         for key in ("pattern", "label"):
             if type(raw[key]) is not str:
-                raise InvalidRule(f"rule file {path}: rule {i} has non-string {key} "
+                raise SchemaError(f"rule file {path}: rule {i} has non-string {key} "
                                   f"{raw[key]!r}")
         out.append((raw["pattern"], raw["label"]))
     return out
@@ -227,11 +220,11 @@ class RuleAnnotator:
         self.rules: list[tuple[str, Label]] = []
         for pattern, label_text in rules:
             if not pattern:
-                raise InvalidRule("empty pattern")
+                raise SchemaError("empty pattern")
             try:
                 label = lattice.parse(label_text)
             except Exception as exc:
-                raise InvalidRule(f"rule '{pattern}' -> '{label_text}': {exc}") from None
+                raise SchemaError(f"rule '{pattern}' -> '{label_text}': {exc}") from None
             self.rules.append((pattern, label))
         # "(?!)" matches nothing: no rules leave every function at top.
         self._match = re.compile("|".join(_rule_regex(p) for p, _ in self.rules) or "(?!)").match
@@ -267,7 +260,7 @@ class ReplayAnnotator:
     def annotate(self, view: FunctionSubgraph, context: Mapping) -> Annotation:
         key = str(view.function_id)
         if key not in self._table:
-            raise MissingAnnotation(f"replay file has no annotation for function {key}")
+            raise SchemaError(f"replay file has no annotation for function {key}")
         return self._table[key]
 
 
@@ -301,10 +294,10 @@ class CommandAnnotator:
 
     def __init__(self, argv: Sequence[str], lattice: Lattice):
         if isinstance(argv, str):
-            raise InvalidRule(f"external annotator command {argv!r} must be a list of "
+            raise ConfigError(f"external annotator command {argv!r} must be a list of "
                               "arguments, not one string")
         if not argv:
-            raise InvalidRule("external annotator needs a command")
+            raise ConfigError("external annotator needs a command")
         self.argv = list(argv)
         self.lattice = lattice
 

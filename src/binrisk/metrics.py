@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .errors import LengthMismatch, SchemaError
+from .errors import SchemaError
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,11 @@ class ConfusionCounts:
 
     def __post_init__(self):
         for name in ("tp", "fp", "tn", "fn"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if value < 0:
                 raise SchemaError(f"{name} must be non-negative")
+            if value > 2**63 - 1:  # so the MCC denominator stays a float
+                raise SchemaError(f"{name} does not fit in int64")
 
 
 @dataclass(frozen=True)
@@ -71,11 +74,11 @@ def cohen_kappa(rater_a: Sequence[Hashable], rater_b: Sequence[Hashable]) -> flo
     full agreement, so it returns 1.0.
     """
     if len(rater_a) != len(rater_b):
-        raise LengthMismatch(
+        raise SchemaError(
             f"rater sequences differ: {len(rater_a)} vs {len(rater_b)}")
     n = len(rater_a)
     if n == 0:
-        raise LengthMismatch("agreement over zero items is undefined")
+        raise SchemaError("agreement over zero items is undefined")
     observed = sum(a == b for a, b in zip(rater_a, rater_b)) / n
     count_a = Counter(rater_a)
     count_b = Counter(rater_b)

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyGraph, NonConvergence
+from .errors import ConfigError, NonConvergence, SchemaError
 from .ssckg import CveRecord, SsckgGraph, cve_similarity
 
 
@@ -108,7 +108,7 @@ def propagate(kg: SsckgGraph, inherent: Mapping[int, float],
     """
     cfg = config or PropagationConfig()
     if len(kg) == 0:
-        raise EmptyGraph("cannot propagate over zero entities")
+        raise SchemaError("cannot propagate over zero entities")
     order = kg.entity_ids.tolist()
     inh = np.array([float(inherent.get(eid, 0.0)) for eid in order])
     outside = ~((inh >= 0.0) & (inh <= 1.0))  # NaN too

@@ -61,7 +61,7 @@ import numpy as np
 
 from .cpg import (AST_CODE, PDG_CODE, CpgGraph, _codes, _floats, _int64, _is_id,
                   _raise_first_fault, _search, group_rows)
-from .errors import DimensionMismatch, ParseError, SchemaError, ZeroVector
+from .errors import ConfigError, ParseError, SchemaError
 from .jsonio import (collector_paused, json_chunks, json_list, json_object, json_value, read_json,
                      read_rows)
 from .lattice import TOP, Label, join, leq
@@ -328,11 +328,11 @@ def embed_entities(entities: Sequence[Entity], provider) -> list[Entity]:
 
 
 def check_dbscan_params(eps: float, min_samples: int) -> None:
-    """The parameter rule of dbscan; ValueError names the bad one."""
+    """The parameter rule of dbscan; ConfigError names the bad one."""
     if not eps >= 0:  # NaN too: it would make every point noise
-        raise ValueError(f"dbscan eps must be non-negative, got {eps}")
+        raise ConfigError(f"dbscan eps must be non-negative, got {eps}")
     if min_samples < 1:
-        raise ValueError(f"dbscan min_samples must be at least 1, got {min_samples}")
+        raise ConfigError(f"dbscan min_samples must be at least 1, got {min_samples}")
 
 
 def dbscan(points, eps: float, min_samples: int) -> np.ndarray:
@@ -346,7 +346,7 @@ def dbscan(points, eps: float, min_samples: int) -> np.ndarray:
     ``points`` is an (n, d) array or a list of 1-D arrays of one length.
     """
     if not isinstance(points, np.ndarray) and len(set(map(np.shape, points))) > 1:
-        raise DimensionMismatch("vectors of mixed dimension cannot be stacked")
+        raise SchemaError("vectors of mixed dimension cannot be stacked")
     mat = np.asarray(points, dtype=np.float64)
     n = len(mat)
     if n == 0:
@@ -354,7 +354,7 @@ def dbscan(points, eps: float, min_samples: int) -> np.ndarray:
     check_dbscan_params(eps, min_samples)
     norms = np.linalg.norm(mat, axis=1)
     if np.any(norms == 0.0):
-        raise ZeroVector("cosine distance undefined for zero-norm points")
+        raise SchemaError("cosine distance undefined for zero-norm points")
     unit = mat / norms[:, None]
     dist = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
     np.fill_diagonal(dist, 0.0)
@@ -709,8 +709,8 @@ def cve_similarity(entities: Sequence[Entity], cves: Sequence[CveRecord]) -> np.
     (entities, CVEs) matrix from one product, clamped into [-1, 1].  An
     entity with no summary vector, or a zero one, gets a row of -1.
 
-    Raises DimensionMismatch when the vectors differ in dimension, and
-    ZeroVector for a zero CVE vector, once some entity has a vector.
+    Raises SchemaError when the vectors differ in dimension, or for a
+    zero CVE vector, once some entity has a vector.
     """
     sims = np.full((len(entities), len(cves)), -1.0)
     summary_norms = {i: np.linalg.norm(e.embedding) for i, e in enumerate(entities)
@@ -720,11 +720,11 @@ def cve_similarity(entities: Sequence[Entity], cves: Sequence[CveRecord]) -> np.
         return sims
     vectors = [entities[i].embedding for i in rows] + [cve.embedding for cve in cves]
     if len(dims := sorted({len(v) for v in vectors})) > 1:
-        raise DimensionMismatch(f"summary and CVE vectors of dimensions {dims} cannot be compared")
+        raise SchemaError(f"summary and CVE vectors of dimensions {dims} cannot be compared")
     norms = np.array([summary_norms[i] for i in rows]
                      + [np.linalg.norm(cve.embedding) for cve in cves])
     if (norms == 0.0).any():
-        raise ZeroVector("cosine with a zero-norm vector is undefined")
+        raise SchemaError("cosine with a zero-norm vector is undefined")
     mat = np.stack(vectors)
     k = len(rows)
     sims[rows] = np.clip(mat[:k] @ mat[k:].T / np.outer(norms[:k], norms[k:]), -1.0, 1.0)

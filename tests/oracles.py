@@ -41,8 +41,7 @@ import numpy as np
 
 from binrisk.cpg import (EDGE_KINDS, NODE_KINDS, CpgGraph, DataFlowClaim, EdgeKind, NodeKind,
                          _edge_columns, _node_columns)
-from binrisk.errors import (DimensionMismatch, NonConvergence, ParseError, SchemaError,
-                            ShapeMismatch, UnknownFunction, ZeroVector)
+from binrisk.errors import NonConvergence, ParseError, SchemaError
 from binrisk.graphormer import ModelParams, _attention, _edge_bias_terms, _relation_arrays
 from binrisk.jsonio import collector_paused, read_json
 from binrisk.lifting import FunctionSubgraph, VerifiedCorpus
@@ -234,7 +233,7 @@ def function_subgraph(g: CpgGraph, function_id: int) -> FunctionSubgraph:
     Pdg edges in canonical order."""
     rows = g.function_rows.get(function_id)
     if rows is None:
-        raise UnknownFunction(f"no nodes with function id {function_id}")
+        raise SchemaError(f"no nodes with function id {function_id}")
     indptr, succ = g.pdg_csr
     starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
     src = np.repeat(rows, counts)
@@ -328,9 +327,9 @@ def attention_matrix(z: np.ndarray, dist: np.ndarray,
     cfg = params.config
     n = z.shape[0]
     if z.ndim != 2 or z.shape[1] != cfg.hidden_dim:
-        raise ShapeMismatch(f"state must be (n, {cfg.hidden_dim}), got {z.shape}")
+        raise SchemaError(f"state must be (n, {cfg.hidden_dim}), got {z.shape}")
     if dist.shape != (n, n):
-        raise ShapeMismatch(f"distance matrix must be {(n, n)}, got {dist.shape}")
+        raise SchemaError(f"distance matrix must be {(n, n)}, got {dist.shape}")
     rows = np.array(edges, dtype=np.float64).reshape(-1, 4)
     src, dst, type_index = rows[:, :3].astype(np.int64).T
     flat, vals = _edge_bias_terms(n, src, dst, type_index, rows[:, 3],
@@ -358,10 +357,10 @@ def relation_edges(kg: SsckgGraph) -> list[tuple[int, int, int, float]]:
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity, clamped into [-1, 1] against rounding drift."""
     if len(a) != len(b):
-        raise DimensionMismatch(f"cosine of {len(a)}-dim and {len(b)}-dim vectors")
+        raise SchemaError(f"cosine of {len(a)}-dim and {len(b)}-dim vectors")
     norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVector("cosine with a zero-norm vector is undefined")
+        raise SchemaError("cosine with a zero-norm vector is undefined")
     val = float(np.dot(a, b) / (norm_a * norm_b))
     return max(-1.0, min(1.0, val))
 

@@ -407,11 +407,15 @@ def test_metrics_command(capsys, tmp_path):
     assert code == EXIT_ERROR and "tp,fp,tn,fn" in err
     code, _, err = run(capsys, "metrics", "--confusion", "a,b,c,d")
     assert code == EXIT_ERROR
-    # Only ASCII digits after an optional minus sign: int() reads these as 10, 3 and 1.
-    for confusion in ("1_0,2,3,4", "\u0663,2,3,4", "+1,2,3,4"):
+    # One spelling per integer: int() reads these as 10, 3, 1 and 3.
+    for confusion in ("1_0,2,3,4", "\u0663,2,3,4", "+1,2,3,4", "03,1,1,1"):
         code, _, err = run(capsys, "metrics", "--confusion", confusion)
         assert code == EXIT_ERROR and one_error_line(err)
         assert f"--confusion expects integers, got {confusion!r}" in err
+    # A count past int64 would overflow the float of the MCC denominator.
+    code, _, err = run(capsys, "metrics", "--confusion", "1" + "0" * 400 + ",1,1,1")
+    assert code == EXIT_ERROR and one_error_line(err)
+    assert "tp does not fit in int64" in err
 
 
 def test_embed_command_is_seeded(capsys, fixtures_dir, tmp_path):
@@ -620,7 +624,7 @@ def test_fingerprint_extract_rejects_unknown_ids(capsys, firmware_run, tmp_path)
                        "--out", str(tmp_path / "x.json"))
     assert code == EXIT_ERROR
     assert "99" in err
-    for ids in ("1_0", "\u0663", "3,+4"):  # int() reads these as 10, 3 and 3, 4
+    for ids in ("1_0", "\u0663", "3,+4", "03", "-0"):  # int() reads 10, 3, (3, 4), 3 and 0
         code, _, err = run(capsys, "fingerprint", "extract", "--embeddings",
                            str(firmware_run / "firmware_update.embeddings.json"),
                            "--ids", ids, "--name", "x", "--out", str(tmp_path / "x.json"))
@@ -1292,7 +1296,7 @@ BAD_INPUTS = {
         INT64_FAULT.format("model_max_dist"), REPORT_FIRMWARE_BAD_CONFIG),
     "config_max_dist_past_any_array": (
         "cfg.json", config_text(FIRMWARE_CONFIG, model_max_dist=2 ** 62),
-        "model tensor 'spatial_bias' of shape (4, 4611686018427387906) is larger than any array",
+        "the model would have 18446744073709675688 weights, more than 2**32",
         REPORT_FIRMWARE_BAD_CONFIG),
     "config_embedding_dimension_past_any_array": (
         "cfg.json", config_text(FIRMWARE_CONFIG, embedding_dimension=2 ** 62),
@@ -1480,6 +1484,11 @@ BAD_INPUTS = {
                                   "not fit in int64", MATCH_BAD_EMBEDDINGS),
     "fingerprint_mixed_dimensions": ("repo/bad.json", *FINGERPRINT_MIXED_DIMENSIONS,
                                      MATCH_BAD_REPO),
+    "embeddings_empty_vector": ("emb.json", '{"3": [], "4": []}',
+                                "embeddings file {bad}: entity 3 vector is empty",
+                                EXTRACT_BAD_EMBEDDINGS),
+    "fingerprint_empty_vector": ("repo/bad.json", '{"name": "x", "embeddings": [[], []]}',
+                                 "fingerprint file {bad}: embedding 0 is empty", MATCH_BAD_REPO),
     "fingerprint_mixed_dimensions_report": (
         "repo/bad.json", *FINGERPRINT_MIXED_DIMENSIONS,
         ["report", "--config", "{tmp}/cfg.json", "--cpg", "{fx}/toy_modbus.cpg.json",

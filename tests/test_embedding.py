@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from binrisk.embedding import FileEmbeddings, HashEmbedder
-from binrisk.errors import DimensionMismatch, MissingEmbedding, SchemaError, ZeroVector
+from binrisk.errors import SchemaError
 from binrisk.lattice import TOP
 from binrisk.ssckg import CveRecord, Entity, cve_similarity, embed_entities, load_cves, load_ssckg
 
@@ -132,9 +132,9 @@ def test_cosine_bounds_and_identity():
 def test_cosine_dimension_and_zero_checks():
     a = np.ones(4)
     b = np.ones(5)
-    with pytest.raises(DimensionMismatch, match=r"dimensions \[4, 5\] cannot be compared"):
+    with pytest.raises(SchemaError, match=r"dimensions \[4, 5\] cannot be compared"):
         cve_similarity([summary(a)], [cve(b)])
-    with pytest.raises(ZeroVector):
+    with pytest.raises(SchemaError, match="cosine with a zero-norm vector is undefined"):
         cve_similarity([summary(a)], [cve(np.zeros(4))])
     # A zero or missing summary vector is a row of -1, and no error.
     sims = cve_similarity([summary(np.zeros(4)), summary(None)], [cve(b)])
@@ -148,14 +148,14 @@ def test_file_provider_round_trip(tmp_path):
     provider = FileEmbeddings(path)
     assert provider.dimension() == 3
     assert provider.embed("hello").tolist() == [1.0, 0.0, 0.0]
-    with pytest.raises(MissingEmbedding):
+    with pytest.raises(SchemaError, match="no embedding stored for key 'absent'"):
         provider.embed("absent")
 
 
 def test_file_provider_rejects_mixed_dimensions(tmp_path):
     path = tmp_path / "vectors.json"
     path.write_text(json.dumps({"a": [1.0], "b": [1.0, 2.0]}), encoding="utf-8")
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SchemaError, match="key 'b' has dimension 2, expected 1"):
         FileEmbeddings(path)
 
 

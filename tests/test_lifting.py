@@ -18,14 +18,7 @@ from binrisk.cpg import (
     failing_claims,
     load_cpg,
 )
-from binrisk.errors import (
-    AnnotatorFailure,
-    InvalidRule,
-    MissingAnnotation,
-    ParseError,
-    SchemaError,
-    UnknownFunction,
-)
+from binrisk.errors import AnnotatorFailure, ConfigError, ParseError, SchemaError
 from binrisk.lattice import Label, Lattice, TOP
 from binrisk.lifting import (
     Annotation,
@@ -68,7 +61,7 @@ def test_subgraph_contains_only_own_nodes_and_edges(fixtures_dir):
 
 
 def test_unknown_function_raises(fixtures_dir):
-    with pytest.raises(UnknownFunction):
+    with pytest.raises(SchemaError, match="no nodes with function id 99"):
         function_subgraph(toy(fixtures_dir), 99)
 
 
@@ -152,11 +145,11 @@ def test_rule_summary_is_deterministic_text(fixtures_dir):
 def test_rule_file_validation(tmp_path):
     path = tmp_path / "rules.json"
     path.write_text(json.dumps([{"pattern": "x"}]), encoding="utf-8")
-    with pytest.raises(InvalidRule):
+    with pytest.raises(SchemaError, match="rule 0 needs 'pattern' and 'label'"):
         load_rules(path)
-    with pytest.raises(InvalidRule):
+    with pytest.raises(SchemaError, match="empty pattern"):
         RuleAnnotator([("", "Memory")], LAT)
-    with pytest.raises(InvalidRule):
+    with pytest.raises(SchemaError, match="rule 'x' -> 'Not/A/Label/Here'"):
         RuleAnnotator([("x", "Not/A/Label/Here")], LAT)
 
 
@@ -233,7 +226,7 @@ def test_replay_annotator(tmp_path, fixtures_dir):
     g = toy(fixtures_dir)
     ann = annotator.annotate(function_subgraph(g, 0), {})
     assert str(ann.label) == "Memory"
-    with pytest.raises(MissingAnnotation):
+    with pytest.raises(SchemaError, match="replay file has no annotation for function 1"):
         annotator.annotate(function_subgraph(g, 1), {})
 
 
@@ -291,7 +284,7 @@ def test_claims_past_int64_are_rejected_not_raised(fixtures_dir, tmp_path):
 
 
 def test_command_annotator_rejects_one_string_command():
-    with pytest.raises(InvalidRule, match="list of arguments"):
+    with pytest.raises(ConfigError, match="list of arguments"):
         CommandAnnotator(f"{sys.executable} -c pass", LAT)
 
 
@@ -447,7 +440,7 @@ def test_one_pass_corpus_equals_per_function_oracle(case):
     assert [failing_claims(g, [c])[0] for c in claim_lists] == expected
     unknown = max(g.function_ids) + 1
     for at in (0, len(functions)):
-        with pytest.raises(UnknownFunction, match=f"no nodes with function id {unknown}"):
+        with pytest.raises(SchemaError, match=f"no nodes with function id {unknown}"):
             build_corpus(g, functions[:at] + [unknown] + functions[at:], annotator)
 
 

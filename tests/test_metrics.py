@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from binrisk.errors import LengthMismatch, SchemaError
+from binrisk.errors import SchemaError
 from binrisk.metrics import ConfusionCounts, classification_metrics, cohen_kappa
 
 
@@ -88,7 +88,14 @@ def test_kappa_no_agreement_beyond_chance():
 
 
 def test_kappa_input_validation():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(SchemaError, match="rater sequences differ: 1 vs 2"):
         cohen_kappa(["a"], ["a", "b"])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(SchemaError, match="agreement over zero items is undefined"):
         cohen_kappa([], [])
+
+
+def test_counts_past_int64_rejected():
+    top = 2**63 - 1  # the MCC denominator, (2 top)^4, is still a float
+    assert classification_metrics(ConfusionCounts(top, top, top, top)).mcc == 0.0
+    with pytest.raises(SchemaError, match="tn does not fit in int64"):
+        ConfusionCounts(tp=1, fp=1, tn=2**63, fn=1)

@@ -10,7 +10,7 @@ import pytest
 from binrisk.config import PipelineConfig
 from binrisk.cpg import load_cpg
 from binrisk.embedding import HashEmbedder
-from binrisk.errors import ConfigError, EmptyGraph, NonConvergence
+from binrisk.errors import ConfigError, NonConvergence, SchemaError
 from binrisk.lattice import TOP, Lattice
 from binrisk.lifting import RuleAnnotator, build_corpus, load_rules
 from binrisk.pipeline import score
@@ -390,7 +390,7 @@ def test_nonconvergence_carries_diagnostics():
 
 
 def test_propagate_input_validation():
-    with pytest.raises(EmptyGraph):
+    with pytest.raises(SchemaError, match="cannot propagate over zero entities"):
         propagate(row_kg([], []), {})
     kg = row_kg([ent(0)], [])
     with pytest.raises(ConfigError, match="outside"):

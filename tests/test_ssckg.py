@@ -10,7 +10,7 @@ import pytest
 from binrisk.config import PipelineConfig
 from binrisk.cpg import EdgeKind, load_cpg
 from binrisk.embedding import HashEmbedder
-from binrisk.errors import DimensionMismatch, SchemaError, ZeroVector
+from binrisk.errors import ConfigError, SchemaError
 from binrisk.lattice import TOP, Label, Lattice
 from binrisk.lifting import Annotation, RuleAnnotator, build_corpus, load_rules
 from binrisk.pipeline import (build_annotator, build_cves, build_kg, build_lattice, build_provider,
@@ -231,20 +231,20 @@ def test_dbscan_accepts_embedding_vectors():
     assert labels == [0, 0, 0, 1, 1, 1, 0]
     assert dbscan(vecs, 0.016, 3).tolist() == labels
     assert dbscan([], 0.016, 3).size == 0
-    with pytest.raises(DimensionMismatch,
+    with pytest.raises(SchemaError,
                        match="^vectors of mixed dimension cannot be stacked$"):
         dbscan([frozen([1.0, 0.0]), frozen([1.0, 0.0, 0.0])], 0.016, 1)
 
 
 def test_dbscan_input_validation():
     pts = on_circle([0, 5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="eps must be non-negative, got -0.1"):
         dbscan(pts, eps=-0.1, min_samples=2)
-    with pytest.raises(ValueError, match="eps must be non-negative, got nan"):
+    with pytest.raises(ConfigError, match="eps must be non-negative, got nan"):
         dbscan(pts, eps=float("nan"), min_samples=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="min_samples must be at least 1, got 0"):
         dbscan(pts, eps=0.1, min_samples=0)
-    with pytest.raises(ZeroVector):
+    with pytest.raises(SchemaError, match="cosine distance undefined for zero-norm points"):
         dbscan(np.array([[0.0, 0.0], [1.0, 0.0]]), eps=0.1, min_samples=1)
 
 
